@@ -2,16 +2,6 @@
 randomized head start, Monte Carlo delay estimation, and small-p Bayes-limit
 diagnostics."""
 
-from .detect import (
-    ChangeScenario,
-    DensityPair,
-    StoppingRecord,
-    exponential_pair,
-    likelihood_ratio,
-    run_cusum,
-    run_modified_sr,
-    sr_update,
-)
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -27,7 +17,6 @@ from .headstart import (
     p0_erratum,
     p0_exact,
     p0_quadrature,
-    sample_headstart,
     size_biased_mean,
     yakir_density,
     yakir_mean,
@@ -44,7 +33,6 @@ from .montecarlo import (
     sr_replications,
 )
 from .formulas import (
-    FormulaInputs,
     c_limit_eq3,
     c_limit_eq4,
     c_lower_bound_eq11,
@@ -53,7 +41,6 @@ from .formulas import (
 )
 from .bayes import (
     BayesConfig,
-    BayesOutcome,
     BayesRiskEstimate,
     ConditionalHeadStartReport,
     LimitDiagnostic,
@@ -64,8 +51,6 @@ from .bayes import (
     estimate_bayes_risk,
     implied_headstart,
     limit_diagnostic,
-    run_bayes_rule,
-    sample_change_time,
 )
 
 __version__ = "0.1.0"

@@ -37,8 +37,6 @@ from . import rng as qrng
 from .errors import ConfigurationError, UndefinedConditionalError
 from .headstart import HeadStartLaw, LawKind, size_biased_mean, yakir_mean
 
-DEFAULT_MAX_STEPS = 10**7
-
 
 @dataclass(frozen=True)
 class BayesConfig:
@@ -48,7 +46,7 @@ class BayesConfig:
     c: float
     A: float
     law: HeadStartLaw
-    max_steps: int = DEFAULT_MAX_STEPS
+    max_steps: int = mc.DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
@@ -57,19 +55,6 @@ class BayesConfig:
             raise ConfigurationError(f"cost c must be nonnegative, got {self.c}")
         if self.A <= 0:
             raise ConfigurationError(f"threshold A must be positive, got {self.A}")
-
-
-@dataclass(frozen=True)
-class BayesOutcome:
-    """Per-replication result of one Bayes-rule run."""
-
-    nu: int
-    pi0: float
-    n_stop: int
-    r0: float
-    missed: bool
-    delay_plus: int
-    truncated: bool = False
 
 
 def couple_pi0(p: float, r0) -> np.ndarray:
@@ -89,42 +74,6 @@ def implied_headstart(p: float, pi0) -> np.ndarray:
     return pi0 * q / ((1.0 - pi0) * p) - 1.0
 
 
-def sample_change_time(p: float, pi0: float, rng: np.random.Generator) -> int:
-    """Draw nu: 1 with probability pi0, else 2 plus a geometric failure count."""
-    if rng.random() < pi0:
-        return 1
-    u = rng.random()
-    return 2 + int(math.floor(math.log1p(-u) / math.log1p(-p)))
-
-
-def run_bayes_rule(config: BayesConfig, rng: np.random.Generator) -> BayesOutcome:
-    """One replication: draw r0, couple pi0, draw nu, run the rule to stopping."""
-    r0 = float(np.asarray(config.law.sample(rng)))
-    pi0 = float(couple_pi0(config.p, r0))
-    nu = sample_change_time(config.p, pi0, rng)
-    q = 1.0 - config.p
-    n_stop = 0
-    truncated = False
-    r = r0
-    if r0 < config.A:
-        for n in range(1, config.max_steps + 1):
-            u = rng.random()
-            x = -math.log(u)
-            if n >= nu:
-                x *= 0.5
-            r = (r + 1.0) * (2.0 * math.exp(-x)) / q
-            if r >= config.A:
-                n_stop = n
-                break
-        else:
-            n_stop = config.max_steps
-            truncated = True
-    missed = n_stop < nu - 1
-    delay_plus = max(0, n_stop - nu + 1)
-    return BayesOutcome(nu=nu, pi0=pi0, n_stop=n_stop, r0=r0, missed=missed,
-                        delay_plus=delay_plus, truncated=truncated)
-
-
 # column layout of the reduced per-chunk statistics
 _COLS = ["n", "risk", "risk2", "miss", "dp", "dp2", "cond", "trunc"]
 
@@ -137,36 +86,13 @@ def _bayes_chunk(rng: np.random.Generator, count: int, *, p: float, c: float,
     ``collect="arrays"`` additionally returns the raw per-replication arrays
     (r0, nu, n_stop, truncated).
     """
-    q = 1.0 - p
     r0 = np.asarray(law.sample(rng, count), dtype=float)
     pi0 = couple_pi0(p, r0)
     u1 = rng.random(count)
     u2 = rng.random(count)
     nu = np.where(u1 < pi0, 1,
                   2 + np.floor(np.log1p(-u2) / math.log1p(-p)).astype(np.int64))
-    n_stop = np.zeros(count, dtype=np.int64)
-    truncated = np.zeros(count, dtype=bool)
-    idx = np.nonzero(r0 < A)[0]
-    r = r0[idx]
-    nu_act = nu[idx]
-    step = 0
-    while idx.size:
-        step += 1
-        if step > max_steps:
-            truncated[idx] = True
-            n_stop[idx] = max_steps
-            break
-        u = rng.random(idx.size)
-        x = -np.log(u)
-        x[step >= nu_act] *= 0.5  # post-change draws come from Exp(2)
-        r = (r + 1.0) * (2.0 * np.exp(-x)) / q
-        done = r >= A
-        if done.any():
-            n_stop[idx[done]] = step
-            keep = ~done
-            idx = idx[keep]
-            r = r[keep]
-            nu_act = nu_act[keep]
+    n_stop, truncated = mc._stop_times(rng, r0, A, nu, 1.0 - p, max_steps)
     miss = (n_stop < nu - 1).astype(float)
     dp = np.maximum(0, n_stop - nu + 1).astype(float)
     risk = miss + c * dp
@@ -214,8 +140,7 @@ class BayesRiskEstimate:
 def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
                         workers: int = 1, tag: str = "bayes-risk") -> BayesRiskEstimate:
     """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+."""
-    if reps < 1:
-        raise ConfigurationError(f"reps must be >= 1, got {reps}")
+    mc.check_reps(reps)
     stats = _risk_sums(config, reps, seed, workers, tag)[0]
     n = stats["n"]
     risk_mean, risk_se = _mean_se(stats["risk"], stats["risk2"], n)
@@ -266,7 +191,7 @@ class LimitDiagnostic:
 def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
                      p_grid: Sequence[float], reps, seed: int,
                      workers: int = 1,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> LimitDiagnostic:
+                     max_steps: int = mc.DEFAULT_MAX_STEPS) -> LimitDiagnostic:
     """Estimate (1 - risk)/p along the grid and extrapolate to p = 0.
 
     ``reps`` may be an integer (same count everywhere) or a sequence matched
@@ -289,6 +214,10 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
         config = BayesConfig(p=p, c=c_star, A=A, law=law, max_steps=max_steps)
         est = estimate_bayes_risk(config, n_reps, seed, workers,
                                   tag=f"bayes-limit/{j}")
+        if est.risk.stderr == 0:
+            # wls_line weights by 1/se^2; a zero SE would read as certainty
+            raise ConfigurationError(
+                f"zero standard error at p={p} with {n_reps} reps; increase reps")
         rows.append(LimitRow(
             p=p, reps=n_reps,
             ratio=(1.0 - est.risk.mean) / p,
@@ -382,7 +311,7 @@ class ConditionalHeadStartReport:
 
 def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
                                      reps: int, seed: int, workers: int = 1,
-                                     max_steps: int = DEFAULT_MAX_STEPS
+                                     max_steps: int = mc.DEFAULT_MAX_STEPS
                                      ) -> ConditionalHeadStartReport:
     """Check that conditioning on {nu = 1} size-biases the head start law.
 

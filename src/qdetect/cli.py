@@ -8,8 +8,9 @@ Subcommands reproduce the numerical study and run the verification suites:
     props       invariant suite (martingale, optional stopping, identities)
     oracles     closed forms vs quadrature and Monte Carlo oracles
 
-Exit codes: 0 success, 2 invariant failure, 3 inconclusive statistics,
-4 configuration error.
+Exit codes: 0 success, 2 invariant failure (including a truncation fraction
+above the flag level in table1, bayes-limit or equalizer), 3 inconclusive
+statistics, 4 configuration error.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ DEFAULT_P_GRID = [0.02, 0.01, 0.005]
 DEFAULT_REPS = 10**6
 DEFAULT_SEED = 12345
 DEFAULT_C_STAR = 0.1
-
-TRUNCATION_EXIT_LEVEL = 1e-4
 
 
 @dataclass
@@ -88,14 +87,33 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _grid(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
 def _meta(args, command: str) -> dict:
-    return {"command": command, "seed": args.seed, "reps": args.reps}
+    """Header fields: the command plus every flag that changes the table."""
+    meta = {"command": command, "seed": args.seed, "reps": args.reps,
+            "a_grid": _grid(args.a_grid)}
+    if command == "bayes-limit":
+        meta.update(p_grid=_grid(args.p_grid), c_star=args.c_star)
+    return meta
+
+
+def _truncation_exit(fractions) -> int:
+    """EXIT_INVARIANT if any truncation fraction exceeds the flag level."""
+    worst = max(fractions)
+    if worst > mc.TRUNCATION_FLAG_LEVEL:
+        print(f"truncation fraction {worst:.2e} exceeds "
+              f"{mc.TRUNCATION_FLAG_LEVEL:.0e}", file=sys.stderr)
+        return EXIT_INVARIANT
+    return EXIT_OK
 
 
 def cmd_table1(args) -> int:
     table = Table(meta=_meta(args, "table1"),
                   columns=["A", "mc", "mc_se", "eq14", "eq14_se", "eq13"])
-    worst_truncation = 0.0
+    truncation = []
     for a in args.a_grid:
         law = HeadStartLaw.yakir(a)
         e1 = mc.estimate_e1_delay(a, law, args.reps, args.seed, args.workers)
@@ -106,13 +124,9 @@ def cmd_table1(args) -> int:
         eq14_se = p0 * cross.stderr
         eq13 = formulas.yakir_e1(p0, mu0)
         table.rows.append([a, e1.mean, e1.stderr, eq14, eq14_se, eq13])
-        worst_truncation = max(worst_truncation, e1.truncation_fraction)
+        truncation.append(e1.truncation_fraction)
     _emit(table.render(args.format), args.out)
-    if worst_truncation > TRUNCATION_EXIT_LEVEL:
-        print(f"truncation fraction {worst_truncation:.2e} exceeds "
-              f"{TRUNCATION_EXIT_LEVEL:.0e}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _truncation_exit(truncation)
 
 
 def _limit_predictions(a: float, law: HeadStartLaw, c_star: float, reps: int,
@@ -143,8 +157,7 @@ def cmd_bayes_limit(args) -> int:
     diag = bayes.limit_diagnostic(a, law, args.c_star, args.p_grid, args.reps,
                                   args.seed, args.workers)
     verdict = bayes.compare_limit(diag, eq3, eq4, eq3_se, eq4_se)
-    table = Table(meta={**_meta(args, "bayes-limit"), "A": a,
-                        "c_star": args.c_star},
+    table = Table(meta=_meta(args, "bayes-limit"),
                   columns=["p", "reps", "ratio", "ratio_se"])
     for row in diag.rows:
         table.rows.append([row.p, row.reps, row.ratio, row.stderr])
@@ -156,16 +169,18 @@ def cmd_bayes_limit(args) -> int:
     table.notes.append(f"eq4={eq4:.4f} eq4_se={eq4_se:.4f} z={verdict.z_eq4:.2f}")
     table.notes.append(f"verdict={verdict.verdict}")
     _emit(table.render(args.format), args.out)
-    if verdict.verdict == "inconclusive":
+    code = _truncation_exit([e1.truncation_fraction, arl.truncation_fraction]
+                            + [r.truncation_count / r.reps for r in diag.rows])
+    if code == EXIT_OK and verdict.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return code
 
 
 def cmd_equalizer(args) -> int:
     a = args.a_grid[0]
     law = HeadStartLaw.yakir(a)
     profile = mc.delay_profile(a, law, 10, args.reps, args.seed, args.workers)
-    table = Table(meta={**_meta(args, "equalizer"), "A": a},
+    table = Table(meta=_meta(args, "equalizer"),
                   columns=["k", "delay", "delay_se", "rejected", "flag"])
     base = profile.entries.get(1)
     for k in range(1, 11):
@@ -181,7 +196,7 @@ def cmd_equalizer(args) -> int:
             table.rows.append([k, "missing", "missing",
                                profile.undefined.get(k, args.reps), 0])
     _emit(table.render(args.format), args.out)
-    return EXIT_OK
+    return _truncation_exit([e.truncation_fraction for e in profile.entries.values()])
 
 
 def _run_checks(checks) -> tuple[List[str], bool]:
@@ -337,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_args(args) -> None:
-    if args.reps < 1:
-        raise ConfigurationError(f"reps must be >= 1, got {args.reps}")
+    mc.check_reps(args.reps)
     if args.workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
     if not args.a_grid:

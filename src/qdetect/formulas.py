@@ -20,31 +20,7 @@ whose difference is identically c* (E_1(R_0 N) - E_1 N * E R_0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class FormulaInputs:
-    """Measured or exact ingredients of the closed-form expressions."""
-
-    p0: float
-    mu0: float
-    e_r0: float
-    e1_delay: float
-    arl_false: float
-    cross_term: float
-    c_star: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p0 <= 1.0):
-            raise DomainError(f"p0 must be a probability, got {self.p0}")
-        for name in ("mu0", "e_r0", "e1_delay", "arl_false", "cross_term"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be nonnegative")
-        if self.c_star < 0:
-            raise DomainError(f"c_star must be nonnegative, got {self.c_star}")
 
 
 def _check_prob(p0: float) -> None:

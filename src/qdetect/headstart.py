@@ -35,16 +35,13 @@ class HeadStartLaw:
     """Distribution of the head start R_0 chosen by the statistician.
 
     For CUSTOM laws, ``sampler(rng, size)`` must return nonnegative draws;
-    ``closed_p0`` / ``closed_mu0`` may be supplied when closed forms exist,
-    otherwise only the Monte Carlo oracle path is available.
+    use a module-level function when simulating with ``workers > 1``.
     """
 
     kind: LawKind
     r0: Optional[float] = None
     a_param: Optional[float] = None
     sampler: Optional[Callable] = None
-    closed_p0: Optional[Callable] = None
-    closed_mu0: Optional[Callable] = None
 
     @classmethod
     def point_mass(cls, r0: float) -> "HeadStartLaw":
@@ -58,9 +55,8 @@ class HeadStartLaw:
         return cls(kind=LawKind.YAKIR_UNIFORM_PRODUCT, a_param=float(A))
 
     @classmethod
-    def custom(cls, sampler, closed_p0=None, closed_mu0=None) -> "HeadStartLaw":
-        return cls(kind=LawKind.CUSTOM, sampler=sampler,
-                   closed_p0=closed_p0, closed_mu0=closed_mu0)
+    def custom(cls, sampler) -> "HeadStartLaw":
+        return cls(kind=LawKind.CUSTOM, sampler=sampler)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Draw from the law; draw-count per replication is fixed per kind."""
@@ -72,11 +68,6 @@ class HeadStartLaw:
             z = rng.uniform(0.0, 2.0, size)
             return (r_star + 1.0) * z
         return self.sampler(rng, size)
-
-
-def sample_headstart(law: HeadStartLaw, rng: np.random.Generator) -> float:
-    """One draw of R_0 from the law."""
-    return float(law.sample(rng))
 
 
 def _check_threshold(A: float) -> None:

@@ -72,6 +72,56 @@ def mc_estimate(values: np.ndarray, seed: int, truncation_count: int = 0,
                       seed=seed, truncation_count=truncation_count, rejected=rejected)
 
 
+def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float,
+                max_steps: int, final: Optional[np.ndarray] = None):
+    """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r0`` until ``R_n >= A``.
+
+    Observation ``n`` is post-change when ``n >= nu``; ``nu`` is either one
+    change index for every replication (``math.inf``: never) or an array with
+    one per replication.  Each step draws one uniform per running replication,
+    in replication order.  Returns ``(n_stop, truncated)``: runs starting at or
+    above ``A`` stop at 0, and runs still below ``A`` after ``max_steps``
+    steps stop there, truncated.  If given, ``final`` receives ``R_n`` at
+    stopping for the runs that started below ``A``.
+    """
+    n_stop = np.zeros(r0.size, dtype=np.int64)
+    truncated = np.zeros(r0.size, dtype=bool)
+    per_rep = np.ndim(nu) > 0
+    idx = np.nonzero(r0 < A)[0]
+    r = r0[idx]
+    nu_act = nu[idx] if per_rep else nu
+    step = 0
+    while idx.size:
+        step += 1
+        if step > max_steps:
+            truncated[idx] = True
+            n_stop[idx] = max_steps
+            if final is not None:
+                final[idx] = r
+            break
+        x = -np.log(rng.random(idx.size))
+        # post-change draws come from Exp(2)
+        if per_rep:
+            x[step >= nu_act] *= 0.5
+        elif step >= nu:
+            x *= 0.5
+        r = (r + 1.0) * (2.0 * np.exp(-x))
+        if q != 1.0:
+            r /= q
+        done = r >= A
+        if done.any():
+            keep = ~done
+            sel = idx[done]
+            n_stop[sel] = step
+            if final is not None:
+                final[sel] = r[done]
+            idx = idx[keep]
+            r = r[keep]
+            if per_rep:
+                nu_act = nu_act[keep]
+    return n_stop, truncated
+
+
 def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
               change_index: Optional[int], max_steps: int):
     """Simulate ``count`` SR runs; returns (n_stop, r0, final_stat, truncated).
@@ -80,39 +130,23 @@ def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartL
     means the change never happens (all draws pre-change).
     """
     r0 = np.asarray(law.sample(rng, count), dtype=float)
-    n_stop = np.zeros(count, dtype=np.int64)
     final = r0.copy()
-    truncated = np.zeros(count, dtype=bool)
-    idx = np.nonzero(r0 < A)[0]
-    r = final[idx]
-    step = 0
-    while idx.size:
-        step += 1
-        if step > max_steps:
-            truncated[idx] = True
-            n_stop[idx] = max_steps
-            final[idx] = r
-            break
-        u = rng.random(idx.size)
-        x = -np.log(u)
-        if change_index is not None and step >= change_index:
-            x *= 0.5  # post-change draws come from Exp(2)
-        r = (1.0 + r) * (2.0 * np.exp(-x))
-        done = r >= A
-        if done.any():
-            sel = idx[done]
-            n_stop[sel] = step
-            final[sel] = r[done]
-            idx = idx[~done]
-            r = r[~done]
+    nu = math.inf if change_index is None else change_index
+    n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0, max_steps, final)
     return n_stop, r0, final, truncated
 
 
-def _validate(A: float, law: HeadStartLaw, reps: int) -> None:
+def check_reps(reps: int) -> None:
+    """Raise unless ``reps`` is large enough for a standard error (>= 2)."""
+    if reps < 2:
+        raise ConfigurationError(
+            f"reps must be >= 2 for a standard error, got {reps}")
+
+
+def _validate(A: float, reps: int) -> None:
     if A <= 0:
         raise ConfigurationError(f"threshold A must be positive, got {A}")
-    if reps < 1:
-        raise ConfigurationError(f"reps must be >= 1, got {reps}")
+    check_reps(reps)
 
 
 def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
@@ -124,7 +158,7 @@ def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
     so runs at different ``A`` with the same seed share head starts and can
     be compared under common random numbers at the estimator level.
     """
-    _validate(A, law, reps)
+    _validate(A, reps)
     kernel = partial(_sr_chunk, A=A, law=law, change_index=change_index,
                      max_steps=max_steps)
     full_tag = f"{tag}/k={change_index}"

@@ -10,10 +10,13 @@ worker count and any scheduling order.
 from __future__ import annotations
 
 import hashlib
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 #: Replications per derived stream.  Fixed: changing it changes the sample path.
 CHUNK_SIZE = 1 << 18
@@ -61,12 +64,19 @@ def run_chunked(
     The kernel returns a tuple of arrays; outputs are concatenated column-wise
     in chunk order, so the result is independent of ``workers``.  Kernels used
     with ``workers > 1`` must be picklable (module-level functions or partials
-    of them).
+    of them); one that is not raises :class:`ConfigurationError` before any
+    worker starts.
     """
     jobs = [(kernel, seed, tag, idx, count) for idx, count in chunk_spec(reps)]
     if workers <= 1 or len(jobs) == 1:
         parts = [_exec_chunk(job) for job in jobs]
     else:
+        try:
+            pickle.dumps(kernel)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ConfigurationError(
+                f"workers > 1 needs a picklable kernel and head-start law "
+                f"(module-level functions, not lambdas): {exc}") from exc
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_exec_chunk, jobs))
     return [np.concatenate(cols) for cols in zip(*parts)]

@@ -14,8 +14,6 @@ from qdetect import (
     estimate_bayes_risk,
     implied_headstart,
     limit_diagnostic,
-    run_bayes_rule,
-    sample_change_time,
     size_biased_mean,
     yakir_mean,
 )
@@ -53,19 +51,13 @@ class TestCoupling:
 
 
 class TestChangeTimePrior:
-    def test_certain_immediate_change(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_change_time(0.5, 1.0, rng) == 1 for _ in range(100))
-
-    def test_near_one_p_gives_nu_two(self):
-        rng = np.random.default_rng(1)
-        draws = [sample_change_time(1 - 1e-12, 0.0, rng) for _ in range(100)]
-        assert all(d == 2 for d in draws)
-
     def test_histogram_matches_formula(self):
+        # a point-mass head start fixes pi0 for every replication
         p, pi0, n = 0.3, 0.4, 10**5
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_change_time(p, pi0, rng) for _ in range(n)])
+        law = HeadStartLaw.point_mass(implied_headstart(p, pi0))
+        config = BayesConfig(p=p, c=0.1, A=A, law=law)
+        _, _, draws, _, _ = _risk_sums(config, n, SEED, 1, tag="test-nu",
+                                       collect="arrays")
         for k in range(1, 11):
             target = pi0 if k == 1 else (1 - pi0) * p * (1 - p) ** (k - 2)
             hat = (draws == k).mean()
@@ -76,19 +68,25 @@ class TestChangeTimePrior:
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
         config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
-        out = run_bayes_rule(config, np.random.default_rng(3))
-        assert out.n_stop == 0
-        assert out.missed == (out.nu > 1)
-        assert out.delay_plus == 0
+        stats, _, nu, n_stop, _ = _risk_sums(config, 1000, SEED, 1,
+                                             tag="test-stop0", collect="arrays")
+        assert (n_stop == 0).all()
+        assert stats["miss"] == (nu > 1).sum()
+        assert stats["dp"] == 0.0
 
     def test_outcome_invariants(self):
         config = BayesConfig(p=0.05, c=0.1, A=A, law=LAW)
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            out = run_bayes_rule(config, rng)
-            assert out.delay_plus == max(0, out.n_stop - out.nu + 1)
-            assert not (out.missed and out.delay_plus > 0)
-            assert 0.0 < out.pi0 < 1.0
+        stats, _, nu, n_stop, truncated = _risk_sums(
+            config, 20_000, SEED, 1, tag="test-invariants", collect="arrays")
+        delay_plus = np.maximum(0, n_stop - nu + 1)
+        missed = n_stop < nu - 1
+        assert (nu >= 1).all() and (n_stop >= 0).all() and not truncated.any()
+        assert not (missed & (delay_plus > 0)).any()
+        assert stats["n"] == 20_000
+        assert stats["miss"] == missed.sum()
+        assert stats["miss"] + stats["cond"] == stats["n"]
+        assert stats["dp"] == delay_plus.sum()
+        assert stats["dp2"] == (delay_plus ** 2).sum()
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -123,6 +121,10 @@ class TestBayesRule:
 
 
 class TestRiskEstimate:
+    def test_single_rep_rejected(self):
+        with pytest.raises(ConfigurationError):
+            estimate_bayes_risk(BayesConfig(p=0.02, c=0.1, A=A, law=LAW), 1, SEED)
+
     def test_stop_at_zero_rule_risk_is_miss_mass(self):
         # head start above A: N = 0, risk reduces to P(nu >= 2) = 1 - pi0
         r0 = 4.0
@@ -174,6 +176,13 @@ class TestLimitDiagnostic:
         diag = limit_diagnostic(A, LAW, 0.1, [0.5], 50_000, SEED)
         assert diag.single_point
         assert diag.intercept == diag.rows[0].ratio
+
+    def test_zero_stderr_rejected(self):
+        # a head start above A stops every run at 0, and at tiny p every
+        # change comes later: each replication has risk exactly 1
+        law = HeadStartLaw.point_mass(4.0)
+        with pytest.raises(ConfigurationError):
+            limit_diagnostic(A, law, 0.1, [2e-6, 1e-6], 100, SEED)
 
     def test_nondecreasing_grid_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,8 +1,10 @@
 import pytest
 
+from qdetect import montecarlo
 from qdetect.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
+    EXIT_INVARIANT,
     EXIT_OK,
     build_parser,
     main,
@@ -60,8 +62,40 @@ class TestTable1:
         assert target.read_text().startswith("# qdetect")
 
     def test_single_rep_smoke(self, capsys):
-        assert main(["table1", "--a-grid", "1.5", "--reps", "1"]) == EXIT_OK
-        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        # one replication has no standard error: a configuration error
+        assert main(["table1", "--a-grid", "1.5", "--reps", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+
+class TestHeaders:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--a-grid", "1.6,1.9", "--reps", "2000", "--seed", "9"],
+        ["bayes-limit", "--a-grid", "1.6", "--p-grid", "0.05,0.02",
+         "--c-star", "0.2", "--reps", "20000", "--seed", "9"],
+    ])
+    def test_header_regenerates_table(self, argv, capsys):
+        code = main(argv)
+        first = capsys.readouterr().out
+        # header: "# qdetect <version> command=... key=value ..."
+        regen = []
+        for field in first.splitlines()[0].split()[3:]:
+            key, _, value = field.partition("=")
+            regen += [value] if key == "command" else [f"--{key.replace('_', '-')}", value]
+        assert sorted(regen) == sorted(argv)  # every non-default flag is recorded
+        assert main(regen) == code
+        assert capsys.readouterr().out == first
+
+
+class TestTruncationGate:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--a-grid", "1.5"],
+        ["equalizer", "--a-grid", "1.5"],
+        ["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02"],
+    ])
+    def test_flag_level_gates_every_monte_carlo_command(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "TRUNCATION_FLAG_LEVEL", -1.0)
+        assert main(argv + ["--reps", "5000", "--seed", "9"]) == EXIT_INVARIANT
+        assert "truncation fraction" in capsys.readouterr().err
 
 
 class TestBayesLimit:
@@ -115,6 +149,8 @@ class TestConfigErrors:
         ["table1", "--workers", "0"],
         ["bayes-limit", "--p-grid", ","],
         ["bayes-limit", "--c-star", "-0.1"],
+        ["table1", "--reps", "1"],
+        ["bayes-limit", "--reps", "1"],
     ])
     def test_exit_code_four(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

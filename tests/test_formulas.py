@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from qdetect import (
     DomainError,
-    FormulaInputs,
     c_limit_eq3,
     c_limit_eq4,
     c_lower_bound_eq11,
@@ -85,18 +84,3 @@ class TestLimitFormulas:
         assert bound == pytest.approx(
             e_r0 + 1.0 - 0.1 * e_r0 * m + m - 0.1 * m * (m + 1.0))
 
-
-class TestFormulaInputs:
-    def test_valid_inputs(self):
-        FormulaInputs(p0=0.5, mu0=0.75, e_r0=1.75, e1_delay=0.58,
-                      arl_false=0.85, cross_term=0.41, c_star=0.1)
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(DomainError):
-            FormulaInputs(p0=1.5, mu0=0.75, e_r0=1.75, e1_delay=0.58,
-                          arl_false=0.85, cross_term=0.41, c_star=0.1)
-
-    def test_rejects_negative_expectation(self):
-        with pytest.raises(DomainError):
-            FormulaInputs(p0=0.5, mu0=-0.1, e_r0=1.75, e1_delay=0.58,
-                          arl_false=0.85, cross_term=0.41, c_star=0.1)

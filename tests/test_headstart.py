@@ -14,7 +14,6 @@ from qdetect import (
     p0_erratum,
     p0_exact,
     p0_quadrature,
-    sample_headstart,
     yakir_density,
     yakir_mean,
 )
@@ -58,7 +57,8 @@ class TestSampling:
     def test_point_mass_is_constant(self):
         law = HeadStartLaw.point_mass(0.0)
         rng = np.random.default_rng(0)
-        assert all(sample_headstart(law, rng) == 0.0 for _ in range(10))
+        assert law.sample(rng) == 0.0
+        assert (law.sample(rng, 10) == 0.0).all()
 
     def test_yakir_range(self):
         law = HeadStartLaw.yakir(1.5)

@@ -16,6 +16,7 @@ from qdetect import (
     sr_replications,
     yakir_mean,
 )
+from qdetect.rng import CHUNK_SIZE
 
 A = 1.5
 LAW = HeadStartLaw.yakir(A)
@@ -46,8 +47,10 @@ class TestTrivialCases:
             estimate_e1_delay(-1.0, LAW, 100, SEED)
 
     def test_invalid_reps(self):
-        with pytest.raises(ConfigurationError):
-            estimate_e1_delay(A, LAW, 0, SEED)
+        # one replication would report a zero standard error
+        for reps in (0, 1):
+            with pytest.raises(ConfigurationError):
+                estimate_e1_delay(A, LAW, reps, SEED)
 
 
 class TestDeterminism:
@@ -61,6 +64,13 @@ class TestDeterminism:
         serial = estimate_e1_delay(A, LAW, 600_000, SEED, workers=1)
         parallel = estimate_e1_delay(A, LAW, 600_000, SEED, workers=workers)
         assert serial == parallel
+
+    def test_unpicklable_law_needs_one_worker(self):
+        law = HeadStartLaw.custom(lambda rng, size: rng.uniform(0.0, 2.0, size))
+        reps = CHUNK_SIZE + 1  # two chunks, so two workers would start a pool
+        with pytest.raises(ConfigurationError):
+            estimate_e1_delay(A, law, reps, SEED, workers=2)
+        assert estimate_e1_delay(A, law, reps, SEED, workers=1).reps == reps
 
     def test_seed_changes_result(self):
         a = estimate_e1_delay(A, LAW, 50_000, SEED)
