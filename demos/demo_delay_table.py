@@ -21,12 +21,10 @@ for a in [1.5, 1.6, 1.7, 1.8, 1.9, 1.98]:
     law = qd.HeadStartLaw.yakir(a)
 
     # direct simulation of the delay when the change is in effect from
-    # the first observation
-    e1 = qd.estimate_e1_delay(a, law, REPS, SEED)
-
-    # the corrected closed form needs E[R0 * 1{R0 < A}], a cross moment
-    # between the head start and the survival indicator
-    cross = qd.estimate_cross_term(a, law, REPS, SEED)
+    # the first observation; the same runs give the cross moment
+    # E_1(R0 N) between the head start and the stopping index, which the
+    # corrected closed form needs
+    e1, cross = qd.estimate_e1_and_cross(a, law, REPS, SEED)
     corrected = qd.mei_e1(qd.p0_exact(a), qd.mu0_exact(a), cross.mean)
 
     # the product form assumes the head start and the run length are

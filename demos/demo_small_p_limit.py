@@ -20,17 +20,11 @@ C_STAR = 0.1
 SEED = 7
 law = qd.HeadStartLaw.yakir(A)
 
-# measure the ingredients both closed forms consume
-reps = 2_000_000
-e1 = qd.estimate_e1_delay(A, law, reps, SEED)
-cross = qd.estimate_cross_term(A, law, reps, SEED)
-arl = qd.estimate_arl_false(A, law, reps, SEED)
-e_r0 = qd.yakir_mean(A)
-
-with_cross = qd.c_limit_eq4(e_r0, e1.mean, arl.mean, cross.mean, C_STAR)
-product_form = qd.c_limit_eq3(e_r0, e1.mean, arl.mean, C_STAR)
-print(f"candidate with cross moment : {with_cross:.4f}")
-print(f"candidate with product form : {product_form:.4f}")
+# both closed forms, fed with measured delays, run lengths and the cross
+# moment
+pred = qd.limit_predictions(A, C_STAR, 2_000_000, SEED)
+print(f"candidate with cross moment : {pred.eq4:.4f} ± {pred.eq4_se:.4f}")
+print(f"candidate with product form : {pred.eq3:.4f} ± {pred.eq3_se:.4f}")
 print()
 
 # rescaled Bayes risk along the p grid, then a weighted linear
@@ -41,7 +35,7 @@ for row in diag.rows:
     print(f"p = {row.p:<6} rescaled risk = {row.ratio:.4f} ± {row.stderr:.4f}")
 print(f"extrapolated intercept      : {diag.intercept:.4f} ± {diag.intercept_se:.4f}")
 
-verdict = qd.compare_limit(diag, product_form, with_cross)
+verdict = qd.compare_limit(diag, pred.eq3, pred.eq4, pred.eq3_se, pred.eq4_se)
 print(f"z against product form      : {verdict.z_eq3:.1f}")
 print(f"z against cross-moment form : {verdict.z_eq4:.1f}")
 print(f"verdict                     : {verdict.verdict}")

@@ -29,6 +29,7 @@ from .montecarlo import (
     estimate_arl_false,
     estimate_conditional_delay,
     estimate_cross_term,
+    estimate_e1_and_cross,
     estimate_e1_delay,
     sr_replications,
 )
@@ -44,6 +45,7 @@ from .bayes import (
     BayesRiskEstimate,
     ConditionalHeadStartReport,
     LimitDiagnostic,
+    LimitPredictions,
     LimitVerdict,
     compare_limit,
     conditional_headstart_diagnostic,
@@ -51,6 +53,7 @@ from .bayes import (
     estimate_bayes_risk,
     implied_headstart,
     limit_diagnostic,
+    limit_predictions,
 )
 
 __version__ = "0.1.0"

@@ -26,12 +26,13 @@ transform of the unconditional law, not the unconditional law itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError, UndefinedConditionalError
@@ -46,7 +47,6 @@ class BayesConfig:
     c: float
     A: float
     law: HeadStartLaw
-    max_steps: int = mc.DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
@@ -75,7 +75,7 @@ def implied_headstart(p: float, pi0) -> np.ndarray:
 
 
 # column layout of the reduced per-chunk statistics
-_COLS = ["n", "risk", "risk2", "miss", "dp", "dp2", "cond", "trunc"]
+_COLS = ["n", "risk", "risk2", "miss", "dp", "trunc"]
 
 
 def _bayes_chunk(rng: np.random.Generator, count: int, *, p: float, c: float,
@@ -96,10 +96,8 @@ def _bayes_chunk(rng: np.random.Generator, count: int, *, p: float, c: float,
     miss = (n_stop < nu - 1).astype(float)
     dp = np.maximum(0, n_stop - nu + 1).astype(float)
     risk = miss + c * dp
-    cond = 1.0 - miss
     row = np.array([[count, risk.sum(), (risk * risk).sum(), miss.sum(),
-                     dp.sum(), (dp * dp).sum(), cond.sum(),
-                     float(truncated.sum())]])
+                     dp.sum(), float(truncated.sum())]])
     if collect == "moments":
         return (row,)
     return row, r0, nu, n_stop, truncated
@@ -108,19 +106,11 @@ def _bayes_chunk(rng: np.random.Generator, count: int, *, p: float, c: float,
 def _risk_sums(config: BayesConfig, reps: int, seed: int, workers: int,
                tag: str, collect: str = "moments"):
     kernel = partial(_bayes_chunk, p=config.p, c=config.c, A=config.A,
-                     law=config.law, max_steps=config.max_steps, collect=collect)
+                     law=config.law, max_steps=mc.DEFAULT_MAX_STEPS, collect=collect)
     out = qrng.run_chunked(kernel, reps, seed, tag, workers=workers)
     sums = out[0].sum(axis=0)
     stats = dict(zip(_COLS, sums))
     return (stats, *out[1:])
-
-
-def _mean_se(total: float, total_sq: float, n: float) -> tuple[float, float]:
-    mean = total / n
-    if n <= 1:
-        return mean, 0.0
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1.0)
-    return mean, math.sqrt(var / n)
 
 
 @dataclass(frozen=True)
@@ -128,13 +118,8 @@ class BayesRiskEstimate:
     """Plug-in risk estimate with its components, all from one replication set."""
 
     risk: mc.McEstimate
-    miss_prob: float
-    miss_se: float
-    delay_plus_mean: float
-    delay_plus_se: float
-    cond_prob: float
-    cond_delay_mean: float
-    cond_delay_se: float
+    cond_prob: float        # P_hat(N >= nu - 1)
+    cond_delay_mean: float  # E_hat(N - nu + 1 | N >= nu - 1); nan if no such run
 
 
 def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
@@ -143,21 +128,14 @@ def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
     mc.check_reps(reps)
     stats = _risk_sums(config, reps, seed, workers, tag)[0]
     n = stats["n"]
-    risk_mean, risk_se = _mean_se(stats["risk"], stats["risk2"], n)
-    miss_mean, miss_se = _mean_se(stats["miss"], stats["miss"], n)
-    dp_mean, dp_se = _mean_se(stats["dp"], stats["dp2"], n)
-    n_cond = stats["cond"]
-    if n_cond > 0:
-        cond_mean, cond_se = _mean_se(stats["dp"], stats["dp2"], n_cond)
-    else:
-        cond_mean, cond_se = float("nan"), float("nan")
+    risk_mean = stats["risk"] / n
+    risk_var = max(stats["risk2"] - n * risk_mean * risk_mean, 0.0) / (n - 1.0)
+    n_cond = n - stats["miss"]
     return BayesRiskEstimate(
-        risk=mc.McEstimate(mean=risk_mean, stderr=risk_se, reps=int(n),
+        risk=mc.McEstimate(mean=risk_mean, stderr=math.sqrt(risk_var / n), reps=int(n),
                            seed=seed, truncation_count=int(stats["trunc"])),
-        miss_prob=miss_mean, miss_se=miss_se,
-        delay_plus_mean=dp_mean, delay_plus_se=dp_se,
-        cond_prob=1.0 - miss_mean,
-        cond_delay_mean=cond_mean, cond_delay_se=cond_se,
+        cond_prob=1.0 - stats["miss"] / n,
+        cond_delay_mean=stats["dp"] / n_cond if n_cond > 0 else float("nan"),
     )
 
 
@@ -169,10 +147,6 @@ class LimitRow:
     reps: int
     ratio: float          # (1 - risk_hat)/p
     stderr: float
-    cond_ratio: float     # P_hat(N >= nu - 1)/p
-    cond_ratio_se: float
-    cond_delay: float     # E_hat(N - nu + 1 | N >= nu - 1)
-    cond_delay_se: float
     truncation_count: int
 
 
@@ -190,8 +164,7 @@ class LimitDiagnostic:
 
 def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
                      p_grid: Sequence[float], reps, seed: int,
-                     workers: int = 1,
-                     max_steps: int = mc.DEFAULT_MAX_STEPS) -> LimitDiagnostic:
+                     workers: int = 1) -> LimitDiagnostic:
     """Estimate (1 - risk)/p along the grid and extrapolate to p = 0.
 
     ``reps`` may be an integer (same count everywhere) or a sequence matched
@@ -211,7 +184,7 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
             raise ConfigurationError("reps sequence must match p_grid length")
     rows = []
     for j, (p, n_reps) in enumerate(zip(p_grid, reps_list)):
-        config = BayesConfig(p=p, c=c_star, A=A, law=law, max_steps=max_steps)
+        config = BayesConfig(p=p, c=c_star, A=A, law=law)
         est = estimate_bayes_risk(config, n_reps, seed, workers,
                                   tag=f"bayes-limit/{j}")
         if est.risk.stderr == 0:
@@ -222,10 +195,6 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
             p=p, reps=n_reps,
             ratio=(1.0 - est.risk.mean) / p,
             stderr=est.risk.stderr / p,
-            cond_ratio=est.cond_prob / p,
-            cond_ratio_se=est.miss_se / p,
-            cond_delay=est.cond_delay_mean,
-            cond_delay_se=est.cond_delay_se,
             truncation_count=est.risk.truncation_count,
         ))
     if len(rows) == 1:
@@ -289,6 +258,42 @@ def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float,
 
 
 @dataclass(frozen=True)
+class LimitPredictions:
+    """The eq3 and eq4 limits fed by measured SR expectations, with their SEs."""
+
+    e1: mc.McEstimate     # E_1 N
+    cross: mc.McEstimate  # E_1(R_0 N), same replications as e1
+    arl: mc.McEstimate    # E_inf N
+    e_r0: float           # E R_0, exact
+    eq3: float
+    eq3_se: float
+    eq4: float
+    eq4_se: float
+    gap: float            # c* |E_1(R_0 N) - E_1 N * E R_0| = |eq3 - eq4|
+
+
+def limit_predictions(A: float, c_star: float, reps: int, seed: int,
+                      workers: int = 1) -> LimitPredictions:
+    """eq3 and eq4 for the uniform-product head start at ``A``; the SEs carry the
+    Monte Carlo errors through the closed forms to first order."""
+    law = HeadStartLaw.yakir(A)
+    e1, cross = mc.estimate_e1_and_cross(A, law, reps, seed, workers)
+    arl = mc.estimate_arl_false(A, law, reps, seed, workers)
+    e_r0 = yakir_mean(A)
+    eq4 = formulas.c_limit_eq4(e_r0, e1.mean, arl.mean, cross.mean, c_star)
+    eq3 = formulas.c_limit_eq3(e_r0, e1.mean, arl.mean, c_star)
+    arl_term = ((1.0 - c_star * e1.mean) * arl.stderr) ** 2
+    eq4_se = math.sqrt(arl_term + (c_star * cross.stderr) ** 2
+                       + (c_star * (1.0 + arl.mean) * e1.stderr) ** 2)
+    eq3_se = math.sqrt(arl_term
+                       + (c_star * (e_r0 + 1.0 + arl.mean) * e1.stderr) ** 2)
+    return LimitPredictions(
+        e1=e1, cross=cross, arl=arl, e_r0=e_r0,
+        eq3=eq3, eq3_se=eq3_se, eq4=eq4, eq4_se=eq4_se,
+        gap=c_star * abs(cross.mean - e1.mean * e_r0))
+
+
+@dataclass(frozen=True)
 class ConditionalHeadStartReport:
     """Comparison of law(r0 | nu = 1) against the size-biased transform."""
 
@@ -303,15 +308,10 @@ class ConditionalHeadStartReport:
     size_biased_mean: float
     l1_vs_size_biased: float
     l1_vs_unconditional: float
-    delay_given_nu1_mean: float      # E_hat(N | nu = 1)
-    delay_given_nu1_se: float
-    size_biased_delay_mean: float    # E_1(N (r0 + 1)) / (E r0 + 1)
-    size_biased_delay_se: float
 
 
 def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
-                                     reps: int, seed: int, workers: int = 1,
-                                     max_steps: int = mc.DEFAULT_MAX_STEPS
+                                     reps: int, seed: int, workers: int = 1
                                      ) -> ConditionalHeadStartReport:
     """Check that conditioning on {nu = 1} size-biases the head start law.
 
@@ -321,9 +321,10 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
     """
     if p > 0.01:
         raise ConfigurationError(f"diagnostic is meaningful for p <= 0.01, got {p}")
-    config = BayesConfig(p=p, c=0.0, A=A, law=law, max_steps=max_steps)
-    _, r0, nu, n_stop_all, _ = _risk_sums(config, reps, seed, workers,
-                                          tag="bayes-cond", collect="arrays")
+    mc.check_reps(reps)
+    config = BayesConfig(p=p, c=0.0, A=A, law=law)
+    _, r0, nu, _, _ = _risk_sums(config, reps, seed, workers,
+                                 tag="bayes-cond", collect="arrays")
     sel = nu == 1
     cond_r0 = r0[sel]
     m = int(cond_r0.size)
@@ -350,12 +351,6 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
     else:
         sb_mean = float((r0 * weights).sum() / weights.sum())
         e_r0 = float(r0.mean())
-    # E(N | nu = 1) observed in the Bayes runs versus the size-biased
-    # prediction E_1(N (r0 + 1)) / (E r0 + 1) from an independent P_1 run
-    n_stop_nu1 = n_stop_all[sel]
-    p1_n, p1_r0, _, _ = mc.sr_replications(A, law, 1, reps, seed, workers,
-                                           max_steps, tag="bayes-cond-p1")
-    weighted = p1_n * (p1_r0 + 1.0) / (e_r0 + 1.0)
     return ConditionalHeadStartReport(
         p=p, reps=reps, n_conditional=m, n_bins=n_bins,
         conditional_mean=float(cond_r0.mean()),
@@ -365,8 +360,4 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
         size_biased_mean=float(sb_mean),
         l1_vs_size_biased=float(np.abs(cond_hist - sb_hist).sum()),
         l1_vs_unconditional=float(np.abs(cond_hist - un_hist).sum()),
-        delay_given_nu1_mean=float(n_stop_nu1.mean()),
-        delay_given_nu1_se=float(n_stop_nu1.std(ddof=1) / math.sqrt(m)),
-        size_biased_delay_mean=float(weighted.mean()),
-        size_biased_delay_se=float(weighted.std(ddof=1) / math.sqrt(weighted.size)),
     )

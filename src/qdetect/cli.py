@@ -116,8 +116,8 @@ def cmd_table1(args) -> int:
     truncation = []
     for a in args.a_grid:
         law = HeadStartLaw.yakir(a)
-        e1 = mc.estimate_e1_delay(a, law, args.reps, args.seed, args.workers)
-        cross = mc.estimate_cross_term(a, law, args.reps, args.seed, args.workers)
+        e1, cross = mc.estimate_e1_and_cross(a, law, args.reps, args.seed,
+                                             args.workers)
         p0 = headstart.p0_exact(a)
         mu0 = headstart.mu0_exact(a)
         eq14 = formulas.mei_e1(p0, mu0, cross.mean)
@@ -129,34 +129,14 @@ def cmd_table1(args) -> int:
     return _truncation_exit(truncation)
 
 
-def _limit_predictions(a: float, law: HeadStartLaw, c_star: float, reps: int,
-                       seed: int, workers: int):
-    """Closed-form limit predictions fed by measured SR expectations."""
-    e1 = mc.estimate_e1_delay(a, law, reps, seed, workers)
-    cross = mc.estimate_cross_term(a, law, reps, seed, workers)
-    arl = mc.estimate_arl_false(a, law, reps, seed, workers)
-    e_r0 = headstart.yakir_mean(a) if law.kind is headstart.LawKind.YAKIR_UNIFORM_PRODUCT \
-        else float(np.mean(law.sample(np.random.default_rng(seed), 10**5)))
-    eq4 = formulas.c_limit_eq4(e_r0, e1.mean, arl.mean, cross.mean, c_star)
-    eq3 = formulas.c_limit_eq3(e_r0, e1.mean, arl.mean, c_star)
-    # first-order error propagation through the closed forms
-    eq4_se = math.sqrt(((1.0 - c_star * e1.mean) * arl.stderr) ** 2
-                       + (c_star * cross.stderr) ** 2
-                       + (c_star * (1.0 + arl.mean) * e1.stderr) ** 2)
-    s = e_r0 + 1.0 + arl.mean
-    eq3_se = math.sqrt(((1.0 - c_star * e1.mean) * arl.stderr) ** 2
-                       + (c_star * s * e1.stderr) ** 2)
-    return e1, cross, arl, e_r0, eq3, eq3_se, eq4, eq4_se
-
-
 def cmd_bayes_limit(args) -> int:
     a = args.a_grid[0]
-    law = HeadStartLaw.yakir(a)
-    e1, cross, arl, e_r0, eq3, eq3_se, eq4, eq4_se = _limit_predictions(
-        a, law, args.c_star, args.reps, args.seed, args.workers)
-    diag = bayes.limit_diagnostic(a, law, args.c_star, args.p_grid, args.reps,
-                                  args.seed, args.workers)
-    verdict = bayes.compare_limit(diag, eq3, eq4, eq3_se, eq4_se)
+    pred = bayes.limit_predictions(a, args.c_star, args.reps, args.seed,
+                                   args.workers)
+    diag = bayes.limit_diagnostic(a, HeadStartLaw.yakir(a), args.c_star,
+                                  args.p_grid, args.reps, args.seed, args.workers)
+    verdict = bayes.compare_limit(diag, pred.eq3, pred.eq4, pred.eq3_se,
+                                  pred.eq4_se)
     table = Table(meta=_meta(args, "bayes-limit"),
                   columns=["p", "reps", "ratio", "ratio_se"])
     for row in diag.rows:
@@ -165,11 +145,14 @@ def cmd_bayes_limit(args) -> int:
         f"intercept={diag.intercept:.4f} intercept_se={diag.intercept_se:.4f}")
     if diag.single_point:
         table.notes.append("warning: single grid point, extrapolation disabled")
-    table.notes.append(f"eq3={eq3:.4f} eq3_se={eq3_se:.4f} z={verdict.z_eq3:.2f}")
-    table.notes.append(f"eq4={eq4:.4f} eq4_se={eq4_se:.4f} z={verdict.z_eq4:.2f}")
+    table.notes.append(
+        f"eq3={pred.eq3:.4f} eq3_se={pred.eq3_se:.4f} z={verdict.z_eq3:.2f}")
+    table.notes.append(
+        f"eq4={pred.eq4:.4f} eq4_se={pred.eq4_se:.4f} z={verdict.z_eq4:.2f}")
     table.notes.append(f"verdict={verdict.verdict}")
     _emit(table.render(args.format), args.out)
-    code = _truncation_exit([e1.truncation_fraction, arl.truncation_fraction]
+    code = _truncation_exit([pred.e1.truncation_fraction,
+                             pred.arl.truncation_fraction]
                             + [r.truncation_count / r.reps for r in diag.rows])
     if code == EXIT_OK and verdict.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE

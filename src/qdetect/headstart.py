@@ -153,7 +153,7 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
 
     Returns a dict with keys ``p0_hat``, ``p0_se``, ``mu0_hat``, ``mu0_se``,
     ``mean_hat``, ``mean_se``, ``reps``.  The conditional mean uses rejection
-    on {R_0 < A} and raises if that event carries no sampled mass.
+    on {R_0 < A} and raises if fewer than 2 draws land there (no SE).
     """
     if reps < 10**4:
         raise ConfigurationError(f"oracle needs reps >= 1e4, got {reps}")
@@ -163,11 +163,12 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     hit = (~below).astype(float)
     p0_hat = hit.mean()
     p0_se = hit.std(ddof=1) / math.sqrt(reps)
-    if n_below == 0:
-        raise UndefinedConditionalError("no draws below the threshold; mu0 undefined")
+    if n_below < 2:
+        raise UndefinedConditionalError(
+            f"{n_below} draw(s) below the threshold; mu0 has no standard error")
     cond = draws[below]
     mu0_hat = cond.mean()
-    mu0_se = cond.std(ddof=1) / math.sqrt(n_below) if n_below > 1 else 0.0
+    mu0_se = cond.std(ddof=1) / math.sqrt(n_below)
     return {
         "p0_hat": float(p0_hat),
         "p0_se": float(p0_se),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,17 +57,16 @@ class DelayProfile:
     entries: Dict[int, McEstimate]
     undefined: Dict[int, int] = field(default_factory=dict)
 
-    def max_mean(self) -> float:
-        return max(e.mean for e in self.entries.values())
-
 
 def mc_estimate(values: np.ndarray, seed: int, truncation_count: int = 0,
                 rejected: int = 0) -> McEstimate:
+    """Mean and standard error of ``values``; fewer than 2 have no SE."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    if n == 0:
-        raise UndefinedConditionalError("no replications survived conditioning")
-    se = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    if n < 2:
+        raise UndefinedConditionalError(
+            f"{n} replication(s) survived conditioning; a standard error needs 2")
+    se = values.std(ddof=1) / math.sqrt(n)
     return McEstimate(mean=float(values.mean()), stderr=float(se), reps=n,
                       seed=seed, truncation_count=truncation_count, rejected=rejected)
 
@@ -165,58 +164,54 @@ def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
     return qrng.run_chunked(kernel, reps, seed, full_tag, workers=workers)
 
 
+def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
+                          workers: int = 1) -> Tuple[McEstimate, McEstimate]:
+    """E_1 N and E_1(R_0 N) from one set of replications (common random numbers)."""
+    n_stop, r0, _, trunc = sr_replications(A, law, 1, reps, seed, workers)
+    truncated = int(trunc.sum())
+    return (mc_estimate(n_stop, seed, truncation_count=truncated),
+            mc_estimate(r0 * n_stop, seed, truncation_count=truncated))
+
+
 def estimate_e1_delay(A: float, law: HeadStartLaw, reps: int, seed: int,
-                      workers: int = 1, max_steps: int = DEFAULT_MAX_STEPS) -> McEstimate:
+                      workers: int = 1) -> McEstimate:
     """E_1 N: expected stopping index when every observation is post-change."""
-    n_stop, _, _, trunc = sr_replications(A, law, 1, reps, seed, workers, max_steps)
-    return mc_estimate(n_stop, seed, truncation_count=int(trunc.sum()))
+    return estimate_e1_and_cross(A, law, reps, seed, workers)[0]
 
 
 def estimate_cross_term(A: float, law: HeadStartLaw, reps: int, seed: int,
-                        workers: int = 1, max_steps: int = DEFAULT_MAX_STEPS) -> McEstimate:
-    """E_1(R_0 N): cross moment of head start and stopping index under P_1.
-
-    Uses the same derived streams as :func:`estimate_e1_delay`, so with equal
-    ``(seed, reps)`` both estimates come from identical replications (common
-    random numbers).
-    """
-    n_stop, r0, _, trunc = sr_replications(A, law, 1, reps, seed, workers, max_steps)
-    return mc_estimate(r0 * n_stop, seed, truncation_count=int(trunc.sum()))
+                        workers: int = 1) -> McEstimate:
+    """E_1(R_0 N): cross moment of head start and stopping index under P_1."""
+    return estimate_e1_and_cross(A, law, reps, seed, workers)[1]
 
 
 def estimate_arl_false(A: float, law: HeadStartLaw, reps: int, seed: int,
-                       workers: int = 1, max_steps: int = DEFAULT_MAX_STEPS) -> McEstimate:
+                       workers: int = 1) -> McEstimate:
     """E_inf N: expected stopping index when the change never happens."""
-    n_stop, _, _, trunc = sr_replications(A, law, None, reps, seed, workers, max_steps)
+    n_stop, _, _, trunc = sr_replications(A, law, None, reps, seed, workers)
     return mc_estimate(n_stop, seed, truncation_count=int(trunc.sum()))
 
 
 def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
-                               seed: int, workers: int = 1,
-                               max_steps: int = DEFAULT_MAX_STEPS) -> McEstimate:
+                               seed: int, workers: int = 1) -> McEstimate:
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early."""
     if k < 1 or int(k) != k:
         raise ConfigurationError(f"change index must be a positive integer, got {k}")
-    n_stop, _, _, trunc = sr_replications(A, law, k, reps, seed, workers, max_steps)
+    n_stop, _, _, trunc = sr_replications(A, law, k, reps, seed, workers)
     keep = n_stop >= k - 1
     kept = n_stop[keep]
-    if kept.size == 0:
-        raise UndefinedConditionalError(
-            f"conditioning event N >= {k - 1} had no surviving replications")
-    rejected = int(reps - kept.size)
-    return mc_estimate(kept - k + 1, seed,
-                       truncation_count=int(trunc[keep].sum()), rejected=rejected)
+    return mc_estimate(kept - k + 1, seed, truncation_count=int(trunc[keep].sum()),
+                       rejected=int(reps - kept.size))
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
-                  workers: int = 1, max_steps: int = DEFAULT_MAX_STEPS) -> DelayProfile:
-    """Conditional delay estimates for k = 1..k_max."""
+                  workers: int = 1) -> DelayProfile:
+    """Conditional delays for k = 1..k_max; k with < 2 survivors go to ``undefined``."""
     entries: Dict[int, McEstimate] = {}
     undefined: Dict[int, int] = {}
     for k in range(1, k_max + 1):
         try:
-            entries[k] = estimate_conditional_delay(A, law, k, reps, seed,
-                                                    workers, max_steps)
+            entries[k] = estimate_conditional_delay(A, law, k, reps, seed, workers)
         except UndefinedConditionalError:
             undefined[k] = reps
     return DelayProfile(entries=entries, undefined=undefined)

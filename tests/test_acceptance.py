@@ -21,13 +21,13 @@ from qdetect import (
     conditional_headstart_diagnostic,
     couple_pi0,
     delay_profile,
-    estimate_arl_false,
     estimate_bayes_risk,
-    estimate_cross_term,
+    estimate_e1_and_cross,
     estimate_e1_delay,
     functionals_oracle,
     implied_headstart,
     limit_diagnostic,
+    limit_predictions,
     mei_e1,
     mu0_exact,
     mu0_quadrature,
@@ -70,13 +70,8 @@ def _report(ok: bool, name: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def table_runs():
-    runs = {}
-    for a in A_GRID:
-        law = HeadStartLaw.yakir(a)
-        e1 = estimate_e1_delay(a, law, REPS, SEED)
-        cross = estimate_cross_term(a, law, REPS, SEED)
-        runs[a] = (e1, cross)
-    return runs
+    return {a: estimate_e1_and_cross(a, HeadStartLaw.yakir(a), REPS, SEED)
+            for a in A_GRID}
 
 
 def test_criterion_1_delay_table(table_runs):
@@ -142,28 +137,16 @@ def test_criterion_4_closed_form_oracles():
 
 def test_criterion_5_limit_identification():
     a = 1.5
-    law = HeadStartLaw.yakir(a)
-    e1 = estimate_e1_delay(a, law, LIMIT_INPUT_REPS, SEED)
-    cross = estimate_cross_term(a, law, LIMIT_INPUT_REPS, SEED)
-    arl = estimate_arl_false(a, law, LIMIT_INPUT_REPS, SEED)
-    e_r0 = yakir_mean(a)
-    eq4 = c_limit_eq4(e_r0, e1.mean, arl.mean, cross.mean, C_STAR)
-    eq3 = c_limit_eq3(e_r0, e1.mean, arl.mean, C_STAR)
-    eq4_se = math.sqrt(((1.0 - C_STAR * e1.mean) * arl.stderr) ** 2
-                       + (C_STAR * cross.stderr) ** 2
-                       + (C_STAR * (1.0 + arl.mean) * e1.stderr) ** 2)
-    eq3_se = math.sqrt(((1.0 - C_STAR * e1.mean) * arl.stderr) ** 2
-                       + (C_STAR * (e_r0 + 1.0 + arl.mean) * e1.stderr) ** 2)
-    gap = C_STAR * abs(cross.mean - e1.mean * e_r0)
-
-    diag = limit_diagnostic(a, law, C_STAR, LIMIT_P_GRID, LIMIT_REPS, SEED)
-    se_ok = diag.intercept_se < gap / 4.0
-    z4 = abs(diag.intercept - eq4) / math.hypot(diag.intercept_se, eq4_se)
-    z3 = abs(diag.intercept - eq3) / math.hypot(diag.intercept_se, eq3_se)
+    pred = limit_predictions(a, C_STAR, LIMIT_INPUT_REPS, SEED)
+    diag = limit_diagnostic(a, HeadStartLaw.yakir(a), C_STAR, LIMIT_P_GRID,
+                            LIMIT_REPS, SEED)
+    se_ok = diag.intercept_se < pred.gap / 4.0
+    z4 = abs(diag.intercept - pred.eq4) / math.hypot(diag.intercept_se, pred.eq4_se)
+    z3 = abs(diag.intercept - pred.eq3) / math.hypot(diag.intercept_se, pred.eq3_se)
     ok = se_ok and z4 <= 4.0 and z3 > 10.0
     _report(ok, "criterion-5 limit-identification",
             f"intercept {diag.intercept:.4f}±{diag.intercept_se:.4f}, "
-            f"gap {gap:.4f}, z(eq4) = {z4:.2f} (need <= 4), "
+            f"gap {pred.gap:.4f}, z(eq4) = {z4:.2f} (need <= 4), "
             f"z(eq3) = {z3:.1f} (need > 10)")
     assert ok
 

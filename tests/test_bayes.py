@@ -12,8 +12,10 @@ from qdetect import (
     conditional_headstart_diagnostic,
     couple_pi0,
     estimate_bayes_risk,
+    estimate_e1_delay,
     implied_headstart,
     limit_diagnostic,
+    limit_predictions,
     size_biased_mean,
     yakir_mean,
 )
@@ -84,9 +86,7 @@ class TestBayesRule:
         assert not (missed & (delay_plus > 0)).any()
         assert stats["n"] == 20_000
         assert stats["miss"] == missed.sum()
-        assert stats["miss"] + stats["cond"] == stats["n"]
         assert stats["dp"] == delay_plus.sum()
-        assert stats["dp2"] == (delay_plus ** 2).sum()
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -202,6 +202,16 @@ class TestLimitDiagnostic:
         assert abs(diag.intercept - target) <= 4.0 * math.hypot(diag.intercept_se, 0.002)
 
 
+class TestLimitPredictions:
+    def test_shares_replications_with_the_estimators(self):
+        pred = limit_predictions(A, 0.1, 50_000, SEED)
+        assert pred.e1 == estimate_e1_delay(A, LAW, 50_000, SEED)
+
+    def test_gap_is_distance_between_predictions(self):
+        pred = limit_predictions(A, 0.1, 50_000, SEED)
+        assert pred.gap == pytest.approx(abs(pred.eq3 - pred.eq4), rel=1e-12)
+
+
 class TestConditionalHeadStart:
     def test_point_mass_size_biasing_is_identity(self):
         law = HeadStartLaw.point_mass(0.7)
@@ -224,3 +234,8 @@ class TestConditionalHeadStart:
     def test_large_p_rejected(self):
         with pytest.raises(ConfigurationError):
             conditional_headstart_diagnostic(A, LAW, 0.5, 1000, SEED)
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_too_few_reps_rejected(self, reps):
+        with pytest.raises(ConfigurationError):
+            conditional_headstart_diagnostic(A, LAW, 0.005, reps, SEED)

@@ -124,6 +124,15 @@ class TestEqualizer:
         assert len(body) == 10
         assert all(ln.endswith(",0") for ln in body)
 
+    def test_single_survivor_rows_missing(self, capsys):
+        # at this seed one of 4 runs survives for k = 3 and for k = 6
+        assert main(["equalizer", "--a-grid", "1.5", "--reps", "4",
+                     "--seed", "1"]) == EXIT_OK
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert rows[2][1:3] == ["missing", "missing"]
+        assert rows[5][1:3] == ["missing", "missing"]
+        assert all(row[2] != "0.0000" for row in rows)
+
 
 class TestCheckSuites:
     def test_props_pass(self, capsys):

@@ -103,6 +103,13 @@ class TestOracle:
         assert oracle["p0_hat"] == 0.0
         assert oracle["mu0_hat"] == pytest.approx(0.4)
 
+    def test_single_draw_below_threshold(self):
+        # one draw below A leaves mu0 without a standard error
+        law = HeadStartLaw.custom(
+            lambda rng, size: np.where(np.arange(size) == 0, 0.4, 3.0))
+        with pytest.raises(UndefinedConditionalError):
+            functionals_oracle(law, 1.5, 10**4, np.random.default_rng(5))
+
     def test_zero_conditioning_mass(self):
         law = HeadStartLaw.point_mass(3.0)
         with pytest.raises(UndefinedConditionalError):
