@@ -10,7 +10,7 @@ rescaled risk on a decreasing p grid, extrapolates to p = 0, and shows
 which candidate the data picks.
 
 Run with: python3 demos/demo_small_p_limit.py
-(takes a minute or two at these replication counts)
+(takes several seconds at these replication counts)
 """
 
 import qdetect as qd
@@ -20,11 +20,10 @@ C_STAR = 0.1
 SEED = 7
 law = qd.HeadStartLaw.yakir(A)
 
-# both closed forms, fed with measured delays, run lengths and the cross
-# moment
-pred = qd.limit_predictions(A, C_STAR, 2_000_000, SEED)
-print(f"candidate with cross moment : {pred.eq4:.4f} ± {pred.eq4_se:.4f}")
-print(f"candidate with product form : {pred.eq3:.4f} ± {pred.eq3_se:.4f}")
+# both closed forms, fed with the exact delay, run length and cross moment
+eq3, eq4 = qd.limit_predictions(A, C_STAR)
+print(f"candidate with cross moment : {eq4:.4f}")
+print(f"candidate with product form : {eq3:.4f}")
 print()
 
 # rescaled Bayes risk along the p grid, then a weighted linear
@@ -35,7 +34,7 @@ for row in diag.rows:
     print(f"p = {row.p:<6} rescaled risk = {row.ratio:.4f} ± {row.stderr:.4f}")
 print(f"extrapolated intercept      : {diag.intercept:.4f} ± {diag.intercept_se:.4f}")
 
-verdict = qd.compare_limit(diag, pred.eq3, pred.eq4, pred.eq3_se, pred.eq4_se)
+verdict = qd.compare_limit(diag, eq3, eq4)
 print(f"z against product form      : {verdict.z_eq3:.1f}")
 print(f"z against cross-moment form : {verdict.z_eq4:.1f}")
 print(f"verdict                     : {verdict.verdict}")

@@ -18,6 +18,7 @@ from .headstart import (
     p0_exact,
     p0_quadrature,
     size_biased_mean,
+    sr_exact,
     yakir_density,
     yakir_mean,
     yakir_mean_square,
@@ -45,7 +46,6 @@ from .bayes import (
     BayesRiskEstimate,
     ConditionalHeadStartReport,
     LimitDiagnostic,
-    LimitPredictions,
     LimitVerdict,
     compare_limit,
     conditional_headstart_diagnostic,

@@ -18,7 +18,9 @@ stopping at the first n >= 0 with R_{q,n} >= A, and its risk is
 
 The module estimates (1 - risk)/p along a decreasing p grid, extrapolates the
 p -> 0 limit, and compares the intercept against the two competing closed
-forms (:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``).  It also
+forms (:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``), which
+:func:`limit_predictions` evaluates exactly, without simulation, so the
+intercept's standard error alone sets the z-scores.  It also
 checks that the law of r0 conditioned on {nu = 1} approaches the size-biased
 transform of the unconditional law, not the unconditional law itself.
 """
@@ -36,7 +38,7 @@ from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError, UndefinedConditionalError
-from .headstart import HeadStartLaw, LawKind, size_biased_mean, yakir_mean
+from .headstart import HeadStartLaw, LawKind, size_biased_mean, sr_exact, yakir_mean
 
 
 @dataclass(frozen=True)
@@ -234,14 +236,12 @@ class LimitVerdict:
     eq4: float
 
 
-def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float,
-                  eq3_se: float = 0.0, eq4_se: float = 0.0) -> LimitVerdict:
-    """Score the extrapolated intercept against the two predictions."""
+def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float) -> LimitVerdict:
+    """Score the extrapolated intercept against the two exact predictions."""
     gap = abs(eq3 - eq4)
-    se3 = math.hypot(diag.intercept_se, eq3_se)
-    se4 = math.hypot(diag.intercept_se, eq4_se)
-    z3 = abs(diag.intercept - eq3) / se3 if se3 > 0 else math.inf
-    z4 = abs(diag.intercept - eq4) / se4 if se4 > 0 else math.inf
+    se = diag.intercept_se
+    z3 = abs(diag.intercept - eq3) / se if se > 0 else math.inf
+    z4 = abs(diag.intercept - eq4) / se if se > 0 else math.inf
     if gap < 1e-12:
         verdict = "coincide"
     elif gap < diag.intercept_se or diag.single_point:
@@ -257,40 +257,12 @@ def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float,
                         eq3=eq3, eq4=eq4)
 
 
-@dataclass(frozen=True)
-class LimitPredictions:
-    """The eq3 and eq4 limits fed by measured SR expectations, with their SEs."""
-
-    e1: mc.McEstimate     # E_1 N
-    cross: mc.McEstimate  # E_1(R_0 N), same replications as e1
-    arl: mc.McEstimate    # E_inf N
-    e_r0: float           # E R_0, exact
-    eq3: float
-    eq3_se: float
-    eq4: float
-    eq4_se: float
-    gap: float            # c* |E_1(R_0 N) - E_1 N * E R_0| = |eq3 - eq4|
-
-
-def limit_predictions(A: float, c_star: float, reps: int, seed: int,
-                      workers: int = 1) -> LimitPredictions:
-    """eq3 and eq4 for the uniform-product head start at ``A``; the SEs carry the
-    Monte Carlo errors through the closed forms to first order."""
-    law = HeadStartLaw.yakir(A)
-    e1, cross = mc.estimate_e1_and_cross(A, law, reps, seed, workers)
-    arl = mc.estimate_arl_false(A, law, reps, seed, workers)
+def limit_predictions(A: float, c_star: float) -> tuple[float, float]:
+    """Exact ``(eq3, eq4)`` for the uniform-product head start at ``A``."""
+    e1, cross, arl = sr_exact(A)
     e_r0 = yakir_mean(A)
-    eq4 = formulas.c_limit_eq4(e_r0, e1.mean, arl.mean, cross.mean, c_star)
-    eq3 = formulas.c_limit_eq3(e_r0, e1.mean, arl.mean, c_star)
-    arl_term = ((1.0 - c_star * e1.mean) * arl.stderr) ** 2
-    eq4_se = math.sqrt(arl_term + (c_star * cross.stderr) ** 2
-                       + (c_star * (1.0 + arl.mean) * e1.stderr) ** 2)
-    eq3_se = math.sqrt(arl_term
-                       + (c_star * (e_r0 + 1.0 + arl.mean) * e1.stderr) ** 2)
-    return LimitPredictions(
-        e1=e1, cross=cross, arl=arl, e_r0=e_r0,
-        eq3=eq3, eq3_se=eq3_se, eq4=eq4, eq4_se=eq4_se,
-        gap=c_star * abs(cross.mean - e1.mean * e_r0))
+    return (formulas.c_limit_eq3(e_r0, e1, arl, c_star),
+            formulas.c_limit_eq4(e_r0, e1, arl, cross, c_star))
 
 
 @dataclass(frozen=True)
@@ -330,7 +302,7 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
     m = int(cond_r0.size)
     if m < 2:
         raise UndefinedConditionalError(
-            f"only {m} replications had nu = 1; increase reps")
+            f"only {m} replications had nu = 1; increase reps", rejected=reps - m)
     n_bins = int(min(40, max(5, m // 200)))
     hi = max(float(max(r0.max(), cond_r0.max())), 1e-9)
     edges = np.linspace(0.0, hi * (1 + 1e-9), n_bins + 1)

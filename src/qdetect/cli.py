@@ -131,12 +131,10 @@ def cmd_table1(args) -> int:
 
 def cmd_bayes_limit(args) -> int:
     a = args.a_grid[0]
-    pred = bayes.limit_predictions(a, args.c_star, args.reps, args.seed,
-                                   args.workers)
+    eq3, eq4 = bayes.limit_predictions(a, args.c_star)
     diag = bayes.limit_diagnostic(a, HeadStartLaw.yakir(a), args.c_star,
                                   args.p_grid, args.reps, args.seed, args.workers)
-    verdict = bayes.compare_limit(diag, pred.eq3, pred.eq4, pred.eq3_se,
-                                  pred.eq4_se)
+    verdict = bayes.compare_limit(diag, eq3, eq4)
     table = Table(meta=_meta(args, "bayes-limit"),
                   columns=["p", "reps", "ratio", "ratio_se"])
     for row in diag.rows:
@@ -145,15 +143,12 @@ def cmd_bayes_limit(args) -> int:
         f"intercept={diag.intercept:.4f} intercept_se={diag.intercept_se:.4f}")
     if diag.single_point:
         table.notes.append("warning: single grid point, extrapolation disabled")
-    table.notes.append(
-        f"eq3={pred.eq3:.4f} eq3_se={pred.eq3_se:.4f} z={verdict.z_eq3:.2f}")
-    table.notes.append(
-        f"eq4={pred.eq4:.4f} eq4_se={pred.eq4_se:.4f} z={verdict.z_eq4:.2f}")
+    # the predictions are exact; their _se keys stay for readers of the notes
+    table.notes.append(f"eq3={eq3:.4f} eq3_se=0.0000 z={verdict.z_eq3:.2f}")
+    table.notes.append(f"eq4={eq4:.4f} eq4_se=0.0000 z={verdict.z_eq4:.2f}")
     table.notes.append(f"verdict={verdict.verdict}")
     _emit(table.render(args.format), args.out)
-    code = _truncation_exit([pred.e1.truncation_fraction,
-                             pred.arl.truncation_fraction]
-                            + [r.truncation_count / r.reps for r in diag.rows])
+    code = _truncation_exit([r.truncation_count / r.reps for r in diag.rows])
     if code == EXIT_OK and verdict.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
     return code
@@ -176,8 +171,7 @@ def cmd_equalizer(args) -> int:
                     flagged = 1
             table.rows.append([k, e.mean, e.stderr, e.rejected, flagged])
         else:
-            table.rows.append([k, "missing", "missing",
-                               profile.undefined.get(k, args.reps), 0])
+            table.rows.append([k, "missing", "missing", profile.undefined[k], 0])
     _emit(table.render(args.format), args.out)
     return _truncation_exit([e.truncation_fraction for e in profile.entries.values()])
 

@@ -15,4 +15,9 @@ class ConfigurationError(QDetectError, ValueError):
 
 class UndefinedConditionalError(QDetectError, RuntimeError):
     """A conditional estimate was requested but the conditioning event has
-    zero observed (or zero theoretical) mass."""
+    zero observed (or zero theoretical) mass; ``rejected`` counts the
+    replications the conditioning dropped."""
+
+    def __init__(self, message: str, rejected: int):
+        super().__init__(message)
+        self.rejected = rejected

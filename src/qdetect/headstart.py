@@ -6,7 +6,8 @@ Its closed-form functionals
 
     p0 = P(R_0 >= A) = 1 - log(A + 1)/2,      mu0 = E(R_0 | R_0 < A) = A/2,
 
-are exposed together with independent quadrature and Monte Carlo oracles.
+are exposed together with independent quadrature and Monte Carlo oracles, as
+are the exact SR expectations E_1 N, E_1(R_0 N) and E_inf N (:func:`sr_exact`).
 A historically published (and wrong) variant of p0, 1 - log(A)/2, is kept
 purely so regression tests can show it fails the oracles.
 """
@@ -97,6 +98,26 @@ def mu0_exact(A: float) -> float:
     return A / 2.0
 
 
+def sr_exact(A: float) -> tuple[float, float, float]:
+    """Exact ``(E_1 N, E_1(R_0 N), E_inf N)`` under the uniform product law.
+
+    For A < 2 the renewal equations of Moustakides, Polunchenko & Tartakovsky
+    (Statistica Sinica 21, 2011) are rank one: from a head start r < A,
+    E_1[N | r] = 1 + D/(2(1+r)^2) and E_inf[N | r] = 1 + C/(2(1+r)), and N = 0
+    for r >= A.  The head-start density is the constant log(1+A)/(2A) on
+    [0, A), so each expectation integrates in closed form.
+    """
+    _check_threshold(A)
+    log1a = math.log1p(A)
+    c0 = log1a / (2.0 * A)
+    i_term = log1a + 1.0 / (1.0 + A) - 1.0
+    d = (A * A / 2.0) / (1.0 - i_term / 2.0)
+    c = A / (1.0 - log1a / 2.0)
+    return (c0 * (A + d * A / (2.0 * (1.0 + A))),
+            c0 * (A * A / 2.0 + d * i_term / 2.0),
+            c0 * (A + c * log1a / 2.0))
+
+
 def yakir_density(A: float, x) -> np.ndarray:
     """Unconditional density of R_0 = (R + 1)Z on (0, 2(A+1)).
 
@@ -165,7 +186,8 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     p0_se = hit.std(ddof=1) / math.sqrt(reps)
     if n_below < 2:
         raise UndefinedConditionalError(
-            f"{n_below} draw(s) below the threshold; mu0 has no standard error")
+            f"{n_below} draw(s) below the threshold; mu0 has no standard error",
+            rejected=reps - n_below)
     cond = draws[below]
     mu0_hat = cond.mean()
     mu0_se = cond.std(ddof=1) / math.sqrt(n_below)

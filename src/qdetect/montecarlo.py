@@ -65,7 +65,8 @@ def mc_estimate(values: np.ndarray, seed: int, truncation_count: int = 0,
     n = values.size
     if n < 2:
         raise UndefinedConditionalError(
-            f"{n} replication(s) survived conditioning; a standard error needs 2")
+            f"{n} replication(s) survived conditioning; a standard error needs 2",
+            rejected=rejected)
     se = values.std(ddof=1) / math.sqrt(n)
     return McEstimate(mean=float(values.mean()), stderr=float(se), reps=n,
                       seed=seed, truncation_count=truncation_count, rejected=rejected)
@@ -206,12 +207,13 @@ def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
                   workers: int = 1) -> DelayProfile:
-    """Conditional delays for k = 1..k_max; k with < 2 survivors go to ``undefined``."""
+    """Conditional delays for k = 1..k_max; ``undefined`` maps each k with fewer
+    than 2 survivors to the number of runs its conditioning rejected."""
     entries: Dict[int, McEstimate] = {}
     undefined: Dict[int, int] = {}
     for k in range(1, k_max + 1):
         try:
             entries[k] = estimate_conditional_delay(A, law, k, reps, seed, workers)
-        except UndefinedConditionalError:
-            undefined[k] = reps
+        except UndefinedConditionalError as exc:
+            undefined[k] = exc.rejected
     return DelayProfile(entries=entries, undefined=undefined)

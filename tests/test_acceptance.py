@@ -18,6 +18,7 @@ from qdetect import (
     HeadStartLaw,
     c_limit_eq3,
     c_limit_eq4,
+    compare_limit,
     conditional_headstart_diagnostic,
     couple_pi0,
     delay_profile,
@@ -58,7 +59,6 @@ REFUTED_COLUMN = [0.4115, 0.4433, 0.4757, 0.5090, 0.5430, 0.5708]
 # standard error comes out near 0.003, well under a quarter of the gap
 LIMIT_P_GRID = [0.02, 0.01, 0.005]
 LIMIT_REPS = [30_000_000, 60_000_000, 130_000_000]
-LIMIT_INPUT_REPS = 8_000_000
 C_STAR = 0.1
 
 
@@ -137,17 +137,16 @@ def test_criterion_4_closed_form_oracles():
 
 def test_criterion_5_limit_identification():
     a = 1.5
-    pred = limit_predictions(a, C_STAR, LIMIT_INPUT_REPS, SEED)
+    eq3, eq4 = limit_predictions(a, C_STAR)
     diag = limit_diagnostic(a, HeadStartLaw.yakir(a), C_STAR, LIMIT_P_GRID,
                             LIMIT_REPS, SEED)
-    se_ok = diag.intercept_se < pred.gap / 4.0
-    z4 = abs(diag.intercept - pred.eq4) / math.hypot(diag.intercept_se, pred.eq4_se)
-    z3 = abs(diag.intercept - pred.eq3) / math.hypot(diag.intercept_se, pred.eq3_se)
-    ok = se_ok and z4 <= 4.0 and z3 > 10.0
+    verdict = compare_limit(diag, eq3, eq4)
+    se_ok = diag.intercept_se < verdict.gap / 4.0
+    ok = se_ok and verdict.z_eq4 <= 4.0 and verdict.z_eq3 > 10.0
     _report(ok, "criterion-5 limit-identification",
             f"intercept {diag.intercept:.4f}±{diag.intercept_se:.4f}, "
-            f"gap {pred.gap:.4f}, z(eq4) = {z4:.2f} (need <= 4), "
-            f"z(eq3) = {z3:.1f} (need > 10)")
+            f"gap {verdict.gap:.4f}, z(eq4) = {verdict.z_eq4:.2f} (need <= 4), "
+            f"z(eq3) = {verdict.z_eq3:.1f} (need > 10)")
     assert ok
 
 

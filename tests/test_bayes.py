@@ -12,13 +12,14 @@ from qdetect import (
     conditional_headstart_diagnostic,
     couple_pi0,
     estimate_bayes_risk,
-    estimate_e1_delay,
     implied_headstart,
     limit_diagnostic,
     limit_predictions,
     size_biased_mean,
+    sr_exact,
     yakir_mean,
 )
+from qdetect import montecarlo, rng as qrng
 from qdetect.bayes import _risk_sums, wls_line
 
 A = 1.5
@@ -198,18 +199,31 @@ class TestLimitDiagnostic:
         # intercept of P(N >= nu - 1)/p tends to E R_0 + 1 + E_inf N
         diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01, 0.005],
                                 [400_000, 800_000, 1_600_000], SEED)
-        target = yakir_mean(A) + 1.0 + 0.8453
-        assert abs(diag.intercept - target) <= 4.0 * math.hypot(diag.intercept_se, 0.002)
+        target = yakir_mean(A) + 1.0 + sr_exact(A)[2]
+        assert abs(diag.intercept - target) <= 4.0 * diag.intercept_se
 
 
 class TestLimitPredictions:
-    def test_shares_replications_with_the_estimators(self):
-        pred = limit_predictions(A, 0.1, 50_000, SEED)
-        assert pred.e1 == estimate_e1_delay(A, LAW, 50_000, SEED)
+    def test_reference_values(self):
+        eq3, eq4 = limit_predictions(A, 0.1)
+        assert eq3 == pytest.approx(3.38676, abs=5e-6)
+        assert eq4 == pytest.approx(3.44755, abs=5e-6)
+
+    def test_runs_no_simulation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("limit_predictions simulated")
+        monkeypatch.setattr(montecarlo, "sr_replications", fail)
+        monkeypatch.setattr(qrng, "run_chunked", fail)
+        limit_predictions(A, 0.1)
 
     def test_gap_is_distance_between_predictions(self):
-        pred = limit_predictions(A, 0.1, 50_000, SEED)
-        assert pred.gap == pytest.approx(abs(pred.eq3 - pred.eq4), rel=1e-12)
+        eq3, eq4 = limit_predictions(A, 0.1)
+        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01], 50_000, SEED)
+        verdict = compare_limit(diag, eq3, eq4)
+        e1, cross, _ = sr_exact(A)
+        assert verdict.gap == pytest.approx(0.1 * abs(cross - e1 * yakir_mean(A)),
+                                            rel=1e-12)
+        assert verdict.z_eq4 == abs(diag.intercept - eq4) / diag.intercept_se
 
 
 class TestConditionalHeadStart:

@@ -114,6 +114,16 @@ class TestBayesLimit:
         assert "p,reps,ratio,ratio_se" in out
         assert "intercept=" in out
 
+    def test_predictions_are_exact(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("bayes-limit ran an SR simulation")
+        monkeypatch.setattr(montecarlo, "sr_replications", fail)
+        main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02",
+              "--reps", "20000", "--seed", "9"])
+        out = capsys.readouterr().out
+        assert "# eq3=3.3868 eq3_se=0.0000 z=" in out
+        assert "# eq4=3.4475 eq4_se=0.0000 z=" in out
+
 
 class TestEqualizer:
     def test_all_ten_rows_unflagged(self, capsys):
@@ -131,6 +141,8 @@ class TestEqualizer:
         rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[2:]]
         assert rows[2][1:3] == ["missing", "missing"]
         assert rows[5][1:3] == ["missing", "missing"]
+        # the rejected column counts the 3 runs that stopped too early
+        assert rows[2][3] == "3" and rows[5][3] == "3"
         assert all(row[2] != "0.0000" for row in rows)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qdetect import (
     ConfigurationError,
@@ -14,6 +15,7 @@ from qdetect import (
     p0_erratum,
     p0_exact,
     p0_quadrature,
+    sr_exact,
     yakir_density,
     yakir_mean,
 )
@@ -45,12 +47,42 @@ class TestClosedForms:
             p0_exact(a)
         with pytest.raises(DomainError):
             mu0_exact(a)
+        with pytest.raises(DomainError):
+            sr_exact(a)
 
     def test_density_normalizes(self):
         for a in (1.5, 1.9):
             xs = np.linspace(1e-9, 2 * (a + 1), 200001)
             mass = np.trapezoid(yakir_density(a, xs), xs)
             assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def _renewal_quadrature(a):
+    """E_1 N, E_1(R_0 N), E_inf N: the rank-one renewal solutions for a head
+    start r < a, integrated numerically against the head-start density."""
+    log1a = math.log1p(a)
+    i_term = log1a + 1.0 / (1.0 + a) - 1.0
+    d = (a * a / 2.0) / (1.0 - i_term / 2.0)
+    c = a / (1.0 - log1a / 2.0)
+
+    def integral(fn):
+        val, _ = integrate.quad(lambda r: fn(r) * yakir_density(a, r), 0.0, a,
+                                epsabs=1e-14, epsrel=1e-13, limit=200)
+        return val
+
+    e1 = integral(lambda r: 1.0 + d / (2.0 * (1.0 + r) ** 2))
+    cross = integral(lambda r: r * (1.0 + d / (2.0 * (1.0 + r) ** 2)))
+    arl = integral(lambda r: 1.0 + c / (2.0 * (1.0 + r)))
+    return e1, cross, arl
+
+
+class TestSrExact:
+    def test_reference_values(self):
+        assert sr_exact(1.5) == pytest.approx((0.58059, 0.40816, 0.84551), abs=5e-6)
+
+    @pytest.mark.parametrize("a", A_GRID)
+    def test_matches_quadrature(self, a):
+        assert sr_exact(a) == pytest.approx(_renewal_quadrature(a), rel=0, abs=1e-12)
 
 
 class TestSampling:

@@ -14,6 +14,7 @@ from qdetect import (
     estimate_cross_term,
     estimate_e1_and_cross,
     estimate_e1_delay,
+    sr_exact,
     sr_replications,
     yakir_mean,
 )
@@ -148,8 +149,9 @@ class TestConditionalDelay:
         # at this seed one of 4 runs survives N >= 2
         n_stop = sr_replications(A, LAW, 3, 4, 1)[0]
         assert (n_stop >= 2).sum() == 1
-        with pytest.raises(UndefinedConditionalError):
+        with pytest.raises(UndefinedConditionalError) as info:
             estimate_conditional_delay(A, LAW, 3, 4, 1)
+        assert info.value.rejected == 3
 
     def test_rejection_counted(self):
         est = estimate_conditional_delay(A, LAW, 3, 50_000, SEED)
@@ -184,3 +186,19 @@ class TestAgainstClosedForms:
         _, r0, _, _ = sr_replications(A, LAW, 1, 400_000, SEED)
         se = r0.std(ddof=1) / math.sqrt(r0.size)
         assert abs(r0.mean() - yakir_mean(A)) <= 4.0 * se
+
+
+class TestAgainstExact:
+    @pytest.mark.parametrize("a", [1.5, 1.98])
+    def test_estimators_within_4_se(self, a):
+        law = HeadStartLaw.yakir(a)
+        e1, cross, arl = sr_exact(a)
+        e1_hat, cross_hat = estimate_e1_and_cross(a, law, 200_000, SEED)
+        arl_hat = estimate_arl_false(a, law, 200_000, SEED)
+        for est, exact in ((e1_hat, e1), (cross_hat, cross), (arl_hat, arl)):
+            assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conditional_delay_within_5_se(self, k):
+        est = estimate_conditional_delay(A, LAW, k, 200_000, SEED)
+        assert abs(est.mean - sr_exact(A)[0]) <= 5.0 * est.stderr
