@@ -14,6 +14,7 @@ from .headstart import (
     functionals_oracle,
     mu0_exact,
     mu0_quadrature,
+    oracle_comparison,
     p0_erratum,
     p0_exact,
     p0_quadrature,
@@ -21,7 +22,6 @@ from .headstart import (
     sr_exact,
     yakir_density,
     yakir_mean,
-    yakir_mean_square,
 )
 from .montecarlo import (
     DelayProfile,
@@ -54,6 +54,7 @@ from .bayes import (
     implied_headstart,
     limit_diagnostic,
     limit_predictions,
+    risk_identity_exact,
 )
 
 __version__ = "0.1.0"

@@ -53,10 +53,10 @@ class BayesConfig:
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
             raise ConfigurationError(f"p must lie in (0, 1), got {self.p}")
-        if self.c < 0:
-            raise ConfigurationError(f"cost c must be nonnegative, got {self.c}")
-        if self.A <= 0:
-            raise ConfigurationError(f"threshold A must be positive, got {self.A}")
+        if not (0.0 <= self.c < math.inf):
+            raise ConfigurationError(f"cost c must be finite and nonnegative, got {self.c}")
+        if not (0.0 < self.A < math.inf):
+            raise ConfigurationError(f"threshold A must be finite and positive, got {self.A}")
 
 
 def couple_pi0(p: float, r0) -> np.ndarray:
@@ -77,7 +77,19 @@ def implied_headstart(p: float, pi0) -> np.ndarray:
 
 
 # column layout of the reduced per-chunk statistics
-_COLS = ["n", "risk", "risk2", "miss", "dp", "trunc"]
+_COLS = ["n", "risk", "risk2", "miss", "trunc"]
+
+
+def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
+                 law: HeadStartLaw):
+    """Draw ``count`` head starts r0 and their coupled change times nu."""
+    r0 = np.asarray(law.sample(rng, count), dtype=float)
+    pi0 = couple_pi0(p, r0)
+    u1 = rng.random(count)
+    u2 = rng.random(count)
+    nu = np.where(u1 < pi0, 1,
+                  2 + np.floor(np.log1p(-u2) / math.log1p(-p)).astype(np.int64))
+    return r0, nu
 
 
 def _bayes_chunk(rng: np.random.Generator, count: int, *, p: float, c: float,
@@ -88,18 +100,13 @@ def _bayes_chunk(rng: np.random.Generator, count: int, *, p: float, c: float,
     ``collect="arrays"`` additionally returns the raw per-replication arrays
     (r0, nu, n_stop, truncated).
     """
-    r0 = np.asarray(law.sample(rng, count), dtype=float)
-    pi0 = couple_pi0(p, r0)
-    u1 = rng.random(count)
-    u2 = rng.random(count)
-    nu = np.where(u1 < pi0, 1,
-                  2 + np.floor(np.log1p(-u2) / math.log1p(-p)).astype(np.int64))
+    r0, nu = _start_chunk(rng, count, p=p, law=law)
     n_stop, truncated = mc._stop_times(rng, r0, A, nu, 1.0 - p, max_steps)
     miss = (n_stop < nu - 1).astype(float)
     dp = np.maximum(0, n_stop - nu + 1).astype(float)
     risk = miss + c * dp
     row = np.array([[count, risk.sum(), (risk * risk).sum(), miss.sum(),
-                     dp.sum(), float(truncated.sum())]])
+                     float(truncated.sum())]])
     if collect == "moments":
         return (row,)
     return row, r0, nu, n_stop, truncated
@@ -115,13 +122,23 @@ def _risk_sums(config: BayesConfig, reps: int, seed: int, workers: int,
     return (stats, *out[1:])
 
 
+def risk_identity_exact(config: BayesConfig, reps: int, seed: int, workers: int,
+                        tag: str) -> bool:
+    """Whether cond - c dp == cond (1 - c dp) bitwise in every replication,
+    with cond = 1{N >= nu - 1} and dp = (N - nu + 1)^+."""
+    _, _, nu, n_stop, _ = _risk_sums(config, reps, seed, workers, tag=tag,
+                                     collect="arrays")
+    cond = (n_stop >= nu - 1).astype(float)
+    dp = np.maximum(0, n_stop - nu + 1).astype(float)
+    return bool(np.array_equal(cond - config.c * dp, cond * (1.0 - config.c * dp)))
+
+
 @dataclass(frozen=True)
 class BayesRiskEstimate:
     """Plug-in risk estimate with its components, all from one replication set."""
 
     risk: mc.McEstimate
     cond_prob: float        # P_hat(N >= nu - 1)
-    cond_delay_mean: float  # E_hat(N - nu + 1 | N >= nu - 1); nan if no such run
 
 
 def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
@@ -132,12 +149,10 @@ def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
     n = stats["n"]
     risk_mean = stats["risk"] / n
     risk_var = max(stats["risk2"] - n * risk_mean * risk_mean, 0.0) / (n - 1.0)
-    n_cond = n - stats["miss"]
     return BayesRiskEstimate(
         risk=mc.McEstimate(mean=risk_mean, stderr=math.sqrt(risk_var / n), reps=int(n),
                            seed=seed, truncation_count=int(stats["trunc"])),
         cond_prob=1.0 - stats["miss"] / n,
-        cond_delay_mean=stats["dp"] / n_cond if n_cond > 0 else float("nan"),
     )
 
 
@@ -160,7 +175,6 @@ class LimitDiagnostic:
     intercept: float
     intercept_se: float
     slope: Optional[float] = None
-    slope_se: Optional[float] = None
     single_point: bool = False
 
 
@@ -203,23 +217,22 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
         r = rows[0]
         return LimitDiagnostic(rows=rows, intercept=r.ratio,
                                intercept_se=r.stderr, single_point=True)
-    intercept, int_se, slope, slope_se = wls_line(
+    intercept, int_se, slope = wls_line(
         np.array([r.p for r in rows]),
         np.array([r.ratio for r in rows]),
         np.array([r.stderr for r in rows]))
     return LimitDiagnostic(rows=rows, intercept=intercept, intercept_se=int_se,
-                           slope=slope, slope_se=slope_se)
+                           slope=slope)
 
 
 def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray):
-    """Weighted least squares fit y = a + b x; returns (a, se_a, b, se_b)."""
+    """Weighted least squares fit y = a + b x; returns (a, se_a, b)."""
     w = 1.0 / np.square(se)
     design = np.column_stack([np.ones_like(x), x])
     xtwx = design.T @ (w[:, None] * design)
     cov = np.linalg.inv(xtwx)
     beta = cov @ (design.T @ (w * y))
-    return float(beta[0]), float(math.sqrt(cov[0, 0])), \
-        float(beta[1]), float(math.sqrt(cov[1, 1]))
+    return float(beta[0]), float(math.sqrt(cov[0, 0])), float(beta[1])
 
 
 @dataclass(frozen=True)
@@ -230,10 +243,6 @@ class LimitVerdict:
     z_eq3: float
     z_eq4: float
     gap: float
-    intercept: float
-    intercept_se: float
-    eq3: float
-    eq4: float
 
 
 def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float) -> LimitVerdict:
@@ -252,9 +261,7 @@ def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float) -> LimitVerdict
         verdict = "eq3"
     else:
         verdict = "inconclusive"
-    return LimitVerdict(verdict=verdict, z_eq3=z3, z_eq4=z4, gap=gap,
-                        intercept=diag.intercept, intercept_se=diag.intercept_se,
-                        eq3=eq3, eq4=eq4)
+    return LimitVerdict(verdict=verdict, z_eq3=z3, z_eq4=z4, gap=gap)
 
 
 def limit_predictions(A: float, c_star: float) -> tuple[float, float]:
@@ -269,14 +276,10 @@ def limit_predictions(A: float, c_star: float) -> tuple[float, float]:
 class ConditionalHeadStartReport:
     """Comparison of law(r0 | nu = 1) against the size-biased transform."""
 
-    p: float
-    reps: int
     n_conditional: int
-    n_bins: int
     conditional_mean: float
     conditional_se: float
     unconditional_mean: float
-    unconditional_se: float
     size_biased_mean: float
     l1_vs_size_biased: float
     l1_vs_unconditional: float
@@ -287,6 +290,7 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
                                      ) -> ConditionalHeadStartReport:
     """Check that conditioning on {nu = 1} size-biases the head start law.
 
+    Neither r0 nor nu depends on the stopping rule, so no run is simulated.
     Bins are widened automatically when the conditional sample is small
     (nu = 1 is rare for small p); the achieved conditional count is reported
     so callers can judge the power of the comparison.
@@ -294,9 +298,9 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
     if p > 0.01:
         raise ConfigurationError(f"diagnostic is meaningful for p <= 0.01, got {p}")
     mc.check_reps(reps)
-    config = BayesConfig(p=p, c=0.0, A=A, law=law)
-    _, r0, nu, _, _ = _risk_sums(config, reps, seed, workers,
-                                 tag="bayes-cond", collect="arrays")
+    BayesConfig(p=p, c=0.0, A=A, law=law)  # validates p and A
+    r0, nu = qrng.run_chunked(partial(_start_chunk, p=p, law=law), reps, seed,
+                              "bayes-cond", workers=workers)
     sel = nu == 1
     cond_r0 = r0[sel]
     m = int(cond_r0.size)
@@ -324,11 +328,10 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
         sb_mean = float((r0 * weights).sum() / weights.sum())
         e_r0 = float(r0.mean())
     return ConditionalHeadStartReport(
-        p=p, reps=reps, n_conditional=m, n_bins=n_bins,
+        n_conditional=m,
         conditional_mean=float(cond_r0.mean()),
         conditional_se=float(cond_r0.std(ddof=1) / math.sqrt(m)),
         unconditional_mean=float(e_r0),
-        unconditional_se=float(r0.std(ddof=1) / math.sqrt(r0.size)),
         size_biased_mean=float(sb_mean),
         l1_vs_size_biased=float(np.abs(cond_hist - sb_hist).sum()),
         l1_vs_unconditional=float(np.abs(cond_hist - un_hist).sum()),

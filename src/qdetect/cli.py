@@ -188,36 +188,32 @@ def _run_checks(checks) -> tuple[List[str], bool]:
 def _oracle_checks(a_grid, reps, seed):
     checks = []
     for a in a_grid:
-        law = HeadStartLaw.yakir(a)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, int(a * 1000)]))
-        oracle = headstart.functionals_oracle(law, a, reps, rng)
-        p0 = headstart.p0_exact(a)
-        mu0 = headstart.mu0_exact(a)
+        o = headstart.oracle_comparison(a, reps, seed)
         checks.append((
             f"p0-quadrature A={a}",
-            abs(p0 - headstart.p0_quadrature(a)) <= 1e-10,
-            f"exact={p0:.12f} quad={headstart.p0_quadrature(a):.12f}"))
+            abs(o["p0"] - o["p0_quad"]) <= 1e-10,
+            f"exact={o['p0']:.12f} quad={o['p0_quad']:.12f}"))
         checks.append((
             f"mu0-quadrature A={a}",
-            abs(mu0 - headstart.mu0_quadrature(a)) <= 1e-10,
-            f"exact={mu0:.12f} quad={headstart.mu0_quadrature(a):.12f}"))
+            abs(o["mu0"] - o["mu0_quad"]) <= 1e-10,
+            f"exact={o['mu0']:.12f} quad={o['mu0_quad']:.12f}"))
         checks.append((
             f"p0-oracle A={a}",
-            abs(p0 - oracle["p0_hat"]) <= 4.0 * oracle["p0_se"],
-            f"exact={p0:.6f} hat={oracle['p0_hat']:.6f} se={oracle['p0_se']:.6f}"))
+            abs(o["p0"] - o["p0_hat"]) <= 4.0 * o["p0_se"],
+            f"exact={o['p0']:.6f} hat={o['p0_hat']:.6f} se={o['p0_se']:.6f}"))
         checks.append((
             f"mu0-oracle A={a}",
-            abs(mu0 - oracle["mu0_hat"]) <= 4.0 * oracle["mu0_se"],
-            f"exact={mu0:.6f} hat={oracle['mu0_hat']:.6f} se={oracle['mu0_se']:.6f}"))
+            abs(o["mu0"] - o["mu0_hat"]) <= 4.0 * o["mu0_se"],
+            f"exact={o['mu0']:.6f} hat={o['mu0_hat']:.6f} se={o['mu0_se']:.6f}"))
         checks.append((
             f"mean-oracle A={a}",
-            abs(headstart.yakir_mean(a) - oracle["mean_hat"]) <= 4.0 * oracle["mean_se"],
-            f"exact={headstart.yakir_mean(a):.6f} hat={oracle['mean_hat']:.6f}"))
-        erratum_gap = abs(headstart.p0_erratum(a) - oracle["p0_hat"])
+            abs(o["mean"] - o["mean_hat"]) <= 4.0 * o["mean_se"],
+            f"exact={o['mean']:.6f} hat={o['mean_hat']:.6f}"))
+        erratum_gap = abs(o["p0_erratum"] - o["p0_hat"])
         checks.append((
             f"erratum-rejected A={a}",
-            erratum_gap > 20.0 * oracle["p0_se"],
-            f"|erratum-hat|={erratum_gap:.4f} (20 SE = {20 * oracle['p0_se']:.4f})"))
+            erratum_gap > 20.0 * o["p0_se"],
+            f"|erratum-hat|={erratum_gap:.4f} (20 SE = {20 * o['p0_se']:.4f})"))
     return checks
 
 
@@ -241,8 +237,8 @@ def _props_checks(args):
     ok = True
     worst = 0.0
     for n in range(1, horizon + 1):
-        lr = 2.0 * np.exp(-(-np.log(rng.random(n_paths))))
-        r = (1.0 + r) * lr
+        # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
+        mc._stop_times(rng, r, math.inf, math.inf, 1.0, 1, r)
         se = r.std(ddof=1) / math.sqrt(n_paths)
         z = abs(r.mean() - n) / se
         worst = max(worst, z)
@@ -258,16 +254,10 @@ def _props_checks(args):
     checks.append(("optional-stopping", z <= 4.0 and int(trunc.sum()) == 0,
                    f"|z|={z:.2f} truncated={int(trunc.sum())}"))
 
-    # per-sample risk identity: cond - c*dp == cond*(1 - c*dp), bitwise
     config = bayes.BayesConfig(p=0.01, c=args.c_star, A=a, law=law)
-    _, br0, bnu, bn, _ = bayes._risk_sums(config, min(reps, 100_000),
-                                          args.seed, args.workers,
-                                          tag="props-eq5", collect="arrays")
-    cond = (bn >= bnu - 1).astype(float)
-    dp = np.maximum(0, bn - bnu + 1).astype(float)
-    lhs = cond - args.c_star * dp
-    rhs = cond * (1.0 - args.c_star * dp)
-    checks.append(("risk-identity-exact", bool(np.array_equal(lhs, rhs)),
+    checks.append(("risk-identity-exact",
+                   bayes.risk_identity_exact(config, min(reps, 100_000), args.seed,
+                                             args.workers, tag="props-eq5"),
                    "per-sample decomposition is bitwise exact"))
 
     # coupling round trip to machine precision
@@ -330,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_args(args) -> None:
     mc.check_reps(args.reps)
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {args.seed}")
     if args.workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
     if not args.a_grid:
@@ -338,8 +330,8 @@ def _validate_args(args) -> None:
         if not (0.0 < a < 2.0):
             raise ConfigurationError(
                 f"thresholds must lie in (0, 2) for the product head-start law, got {a}")
-    if args.c_star < 0:
-        raise ConfigurationError(f"c_star must be nonnegative, got {args.c_star}")
+    if not (0.0 <= args.c_star < math.inf):
+        raise ConfigurationError(f"c_star must be finite and nonnegative, got {args.c_star}")
     if not args.p_grid:
         raise ConfigurationError("p_grid must be nonempty")
 

@@ -46,8 +46,8 @@ class HeadStartLaw:
 
     @classmethod
     def point_mass(cls, r0: float) -> "HeadStartLaw":
-        if r0 < 0:
-            raise ConfigurationError(f"head start must be nonnegative, got {r0}")
+        if not (0.0 <= r0 < math.inf):
+            raise ConfigurationError(f"head start must be finite and nonnegative, got {r0}")
         return cls(kind=LawKind.POINT_MASS, r0=float(r0))
 
     @classmethod
@@ -139,16 +139,11 @@ def yakir_mean(A: float) -> float:
     return A / 2.0 + 1.0
 
 
-def yakir_mean_square(A: float) -> float:
-    """E R_0^2 = E(R+1)^2 E Z^2 = ((A+1)^3 - 1)/(3A) * 4/3."""
-    _check_threshold(A)
-    return ((A + 1.0) ** 3 - 1.0) / (3.0 * A) * (4.0 / 3.0)
-
-
 def size_biased_mean(A: float) -> float:
     """Mean of the size-biased law (x+1) phi0(x) / (E R_0 + 1)."""
     m1 = yakir_mean(A)
-    m2 = yakir_mean_square(A)
+    # E R_0^2 = E(R+1)^2 E Z^2 = ((A+1)^3 - 1)/(3A) * 4/3
+    m2 = ((A + 1.0) ** 3 - 1.0) / (3.0 * A) * (4.0 / 3.0)
     return (m2 + m1) / (m1 + 1.0)
 
 
@@ -173,7 +168,7 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     """Brute-force Monte Carlo estimates of p0, mu0 and the mean of R_0.
 
     Returns a dict with keys ``p0_hat``, ``p0_se``, ``mu0_hat``, ``mu0_se``,
-    ``mean_hat``, ``mean_se``, ``reps``.  The conditional mean uses rejection
+    ``mean_hat`` and ``mean_se``.  The conditional mean uses rejection
     on {R_0 < A} and raises if fewer than 2 draws land there (no SE).
     """
     if reps < 10**4:
@@ -198,5 +193,16 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
         "mu0_se": float(mu0_se),
         "mean_hat": float(draws.mean()),
         "mean_se": float(draws.std(ddof=1) / math.sqrt(reps)),
-        "reps": int(reps),
     }
+
+
+def oracle_comparison(A: float, reps: int, seed: int) -> dict:
+    """:func:`functionals_oracle` of the uniform product law, seeded by
+    ``SeedSequence([seed, int(A * 1000)])``, plus the exact ``p0``, ``mu0`` and
+    ``mean``, the quadratures ``p0_quad``, ``mu0_quad`` and ``p0_erratum``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, int(A * 1000)]))
+    out = functionals_oracle(HeadStartLaw.yakir(A), A, reps, rng)
+    out.update(p0=p0_exact(A), mu0=mu0_exact(A), mean=yakir_mean(A),
+               p0_quad=p0_quadrature(A), mu0_quad=mu0_quadrature(A),
+               p0_erratum=p0_erratum(A))
+    return out

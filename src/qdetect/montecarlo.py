@@ -45,10 +45,6 @@ class McEstimate:
     def truncation_fraction(self) -> float:
         return self.truncation_count / max(self.reps + self.rejected, 1)
 
-    @property
-    def flagged(self) -> bool:
-        return self.truncation_fraction > TRUNCATION_FLAG_LEVEL
-
 
 @dataclass(frozen=True)
 class DelayProfile:
@@ -144,8 +140,8 @@ def check_reps(reps: int) -> None:
 
 
 def _validate(A: float, reps: int) -> None:
-    if A <= 0:
-        raise ConfigurationError(f"threshold A must be positive, got {A}")
+    if not (0.0 < A < math.inf):
+        raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
     check_reps(reps)
 
 

@@ -25,21 +25,18 @@ from qdetect import (
     estimate_bayes_risk,
     estimate_e1_and_cross,
     estimate_e1_delay,
-    functionals_oracle,
     implied_headstart,
     limit_diagnostic,
     limit_predictions,
     mei_e1,
     mu0_exact,
-    mu0_quadrature,
-    p0_erratum,
+    oracle_comparison,
     p0_exact,
-    p0_quadrature,
+    risk_identity_exact,
     size_biased_mean,
     yakir_e1,
     yakir_mean,
 )
-from qdetect.bayes import _risk_sums
 
 SEED = int(os.environ.get("QDETECT_SEED", "20240824"))
 REPS = 10**6
@@ -118,16 +115,13 @@ def test_criterion_4_closed_form_oracles():
     quad_worst = 0.0
     mc_worst = 0.0
     for a in A_GRID:
-        quad_worst = max(quad_worst,
-                         abs(p0_exact(a) - p0_quadrature(a)),
-                         abs(mu0_exact(a) - mu0_quadrature(a)))
-        rng = np.random.default_rng(np.random.SeedSequence([SEED, int(a * 1000)]))
-        oracle = functionals_oracle(HeadStartLaw.yakir(a), a, REPS, rng)
-        mc_worst = max(mc_worst,
-                       abs(p0_exact(a) - oracle["p0_hat"]) / oracle["p0_se"],
-                       abs(mu0_exact(a) - oracle["mu0_hat"]) / oracle["mu0_se"])
+        o = oracle_comparison(a, REPS, SEED)
+        quad_worst = max(quad_worst, abs(o["p0"] - o["p0_quad"]),
+                         abs(o["mu0"] - o["mu0_quad"]))
+        mc_worst = max(mc_worst, abs(o["p0"] - o["p0_hat"]) / o["p0_se"],
+                       abs(o["mu0"] - o["mu0_hat"]) / o["mu0_se"])
         if a == 1.5:
-            erratum_z = abs(p0_erratum(a) - oracle["p0_hat"]) / oracle["p0_se"]
+            erratum_z = abs(o["p0_erratum"] - o["p0_hat"]) / o["p0_se"]
     ok = quad_worst <= 1e-10 and mc_worst <= 4.0 and erratum_z > 20.0
     _report(ok, "criterion-4 closed-form-oracles",
             f"quad err {quad_worst:.1e}, mc max |z| {mc_worst:.2f}, "
@@ -168,12 +162,7 @@ def test_criterion_6_size_biased_conditional_law():
 def test_criterion_7_exact_identities():
     # risk decomposition, replication by replication, bitwise
     config = BayesConfig(p=0.01, c=C_STAR, A=1.5, law=HeadStartLaw.yakir(1.5))
-    _, _, nu, n_stop, _ = _risk_sums(config, 100_000, SEED, 1,
-                                     tag="acceptance-eq5", collect="arrays")
-    cond = (n_stop >= nu - 1).astype(float)
-    dp = np.maximum(0, n_stop - nu + 1).astype(float)
-    bitwise_ok = bool(np.array_equal(cond - C_STAR * dp,
-                                     cond * (1.0 - C_STAR * dp)))
+    bitwise_ok = risk_identity_exact(config, 100_000, SEED, 1, tag="acceptance-eq5")
 
     # prior-weight coupling round trip and the closed-form difference
     # identity, both at machine precision on random inputs

@@ -172,6 +172,9 @@ class TestConfigErrors:
         ["bayes-limit", "--c-star", "-0.1"],
         ["table1", "--reps", "1"],
         ["bayes-limit", "--reps", "1"],
+        ["bayes-limit", "--c-star", "nan", "--reps", "2000"],
+        ["bayes-limit", "--c-star", "inf", "--reps", "2000"],
+        ["oracles", "--seed", "-1"],
     ])
     def test_exit_code_four(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

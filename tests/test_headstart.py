@@ -112,6 +112,11 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             HeadStartLaw.point_mass(-1.0)
 
+    @pytest.mark.parametrize("r0", [math.nan, math.inf])
+    def test_non_finite_point_mass_rejected(self, r0):
+        with pytest.raises(ConfigurationError):
+            HeadStartLaw.point_mass(r0)
+
 
 class TestOracle:
     @pytest.mark.parametrize("a", A_GRID)

@@ -1,8 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 from scipy import stats
+
+from conftest import kernel_paths
 
 from qdetect import (
     ConfigurationError,
@@ -48,6 +49,12 @@ class TestTrivialCases:
         with pytest.raises(ConfigurationError):
             estimate_e1_delay(-1.0, LAW, 100, SEED)
 
+    def test_non_finite_threshold(self):
+        # unchecked, a nan threshold stops every run at 0 and an infinite one never
+        for a in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                estimate_e1_delay(a, HeadStartLaw.point_mass(0.0), 100, 1)
+
     def test_invalid_reps(self):
         # one replication would report a zero standard error
         for reps in (0, 1):
@@ -90,13 +97,8 @@ class TestDeterminism:
 class TestMartingaleStructure:
     def test_drift_under_no_change(self):
         # E R_n = E R_0 + n for the SR statistic when all draws are pre-change
-        rng = np.random.default_rng(SEED)
-        n_paths, horizon = 50_000, 20
-        r = np.zeros(n_paths)
-        for n in range(1, horizon + 1):
-            lr = 2.0 * np.exp(-(-np.log(rng.random(n_paths))))
-            r = (1.0 + r) * lr
-            se = r.std(ddof=1) / math.sqrt(n_paths)
+        for n, r in enumerate(kernel_paths(0.0, 50_000, 1.0, 20, SEED), start=1):
+            se = r.std(ddof=1) / math.sqrt(r.size)
             assert abs(r.mean() - n) <= 4.0 * se
 
     def test_optional_stopping_identity(self):
