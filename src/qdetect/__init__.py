@@ -38,6 +38,7 @@ from .formulas import (
     c_limit_eq3,
     c_limit_eq4,
     c_lower_bound_eq11,
+    limit_difference_identity,
     mei_e1,
     yakir_e1,
 )
@@ -50,6 +51,7 @@ from .bayes import (
     compare_limit,
     conditional_headstart_diagnostic,
     couple_pi0,
+    coupling_round_trip,
     estimate_bayes_risk,
     implied_headstart,
     limit_diagnostic,

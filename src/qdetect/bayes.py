@@ -38,7 +38,7 @@ from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError, UndefinedConditionalError
-from .headstart import HeadStartLaw, LawKind, size_biased_mean, sr_exact, yakir_mean
+from .headstart import HeadStartLaw, sr_exact, yakir_mean
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,17 @@ def implied_headstart(p: float, pi0) -> np.ndarray:
     """Inverse of :func:`couple_pi0`: pi0 q / ((1 - pi0) p) - 1."""
     q = 1.0 - p
     return pi0 * q / ((1.0 - pi0) * p) - 1.0
+
+
+def coupling_round_trip(seed: int) -> tuple[bool, float]:
+    """``(worst <= 1e-12, worst)``, worst the largest relative error of r0 ->
+    pi0 -> r0 over 500 random (p, r0) from ``SeedSequence([seed, 2])``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    ps = rng.uniform(1e-4, 0.99, 500)
+    r0s = rng.uniform(0.0, 50.0, 500)
+    back = np.array([implied_headstart(p, couple_pi0(p, r)) for p, r in zip(ps, r0s)])
+    worst = float(np.max(np.abs(back - r0s) / np.maximum(1.0, r0s)))
+    return worst <= 1e-12, worst
 
 
 # column layout of the reduced per-chunk statistics
@@ -279,14 +290,12 @@ class ConditionalHeadStartReport:
     n_conditional: int
     conditional_mean: float
     conditional_se: float
-    unconditional_mean: float
-    size_biased_mean: float
     l1_vs_size_biased: float
     l1_vs_unconditional: float
 
 
-def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
-                                     reps: int, seed: int, workers: int = 1
+def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
+                                     seed: int, workers: int = 1
                                      ) -> ConditionalHeadStartReport:
     """Check that conditioning on {nu = 1} size-biases the head start law.
 
@@ -295,10 +304,9 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
     (nu = 1 is rare for small p); the achieved conditional count is reported
     so callers can judge the power of the comparison.
     """
-    if p > 0.01:
-        raise ConfigurationError(f"diagnostic is meaningful for p <= 0.01, got {p}")
+    if not (0.0 < p <= 0.01):
+        raise ConfigurationError(f"diagnostic is meaningful for 0 < p <= 0.01, got {p}")
     mc.check_reps(reps)
-    BayesConfig(p=p, c=0.0, A=A, law=law)  # validates p and A
     r0, nu = qrng.run_chunked(partial(_start_chunk, p=p, law=law), reps, seed,
                               "bayes-cond", workers=workers)
     sel = nu == 1
@@ -318,21 +326,10 @@ def conditional_headstart_diagnostic(A: float, law: HeadStartLaw, p: float,
     sb_hist = sb_hist / weights.sum()
     un_hist, _ = np.histogram(r0, bins=edges)
     un_hist = un_hist / r0.size
-    if law.kind is LawKind.YAKIR_UNIFORM_PRODUCT:
-        sb_mean = size_biased_mean(law.a_param)
-        e_r0 = yakir_mean(law.a_param)
-    elif law.kind is LawKind.POINT_MASS:
-        sb_mean = law.r0
-        e_r0 = law.r0
-    else:
-        sb_mean = float((r0 * weights).sum() / weights.sum())
-        e_r0 = float(r0.mean())
     return ConditionalHeadStartReport(
         n_conditional=m,
         conditional_mean=float(cond_r0.mean()),
         conditional_se=float(cond_r0.std(ddof=1) / math.sqrt(m)),
-        unconditional_mean=float(e_r0),
-        size_biased_mean=float(sb_mean),
         l1_vs_size_biased=float(np.abs(cond_hist - sb_hist).sum()),
         l1_vs_unconditional=float(np.abs(cond_hist - un_hist).sum()),
     )

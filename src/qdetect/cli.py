@@ -160,15 +160,11 @@ def cmd_equalizer(args) -> int:
     profile = mc.delay_profile(a, law, 10, args.reps, args.seed, args.workers)
     table = Table(meta=_meta(args, "equalizer"),
                   columns=["k", "delay", "delay_se", "rejected", "flag"])
-    base = profile.entries.get(1)
+    deviations = profile.deviations()
     for k in range(1, 11):
         if k in profile.entries:
             e = profile.entries[k]
-            flagged = 0
-            if base is not None and k > 1:
-                gap = abs(e.mean - base.mean)
-                if gap > 5.0 * math.hypot(e.stderr, base.stderr):
-                    flagged = 1
+            flagged = int(deviations[k] > mc.FLATNESS_LIMIT)
             table.rows.append([k, e.mean, e.stderr, e.rejected, flagged])
         else:
             table.rows.append([k, "missing", "missing", profile.undefined[k], 0])
@@ -260,28 +256,10 @@ def _props_checks(args):
                                              args.workers, tag="props-eq5"),
                    "per-sample decomposition is bitwise exact"))
 
-    # coupling round trip to machine precision
-    rng2 = np.random.default_rng(np.random.SeedSequence([args.seed, 2]))
-    ps = rng2.uniform(1e-4, 0.99, 200)
-    r0s = rng2.uniform(0.0, 50.0, 200)
-    back = np.array([bayes.implied_headstart(p, bayes.couple_pi0(p, r))
-                     for p, r in zip(ps, r0s)])
-    err = np.max(np.abs(back - r0s))
-    checks.append(("pi0-round-trip", err <= 1e-9, f"max error {err:.2e}"))
-
-    # symbolic difference of the two limit formulas
-    rng3 = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
-    ok = True
-    worst = 0.0
-    for _ in range(200):
-        e_r0, e1d, arl, cr, cs = rng3.uniform(0.01, 5.0, 5)
-        lhs = formulas.c_limit_eq3(e_r0, e1d, arl, cs) \
-            - formulas.c_limit_eq4(e_r0, e1d, arl, cr, cs)
-        rhs = cs * (cr - e1d * e_r0)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
-        ok = ok and abs(lhs - rhs) <= 1e-12 * scale
-    checks.append(("eq3-eq4-difference", ok, f"max rel error {worst:.2e}"))
+    ok, err = bayes.coupling_round_trip(args.seed)
+    checks.append(("pi0-round-trip", ok, f"max rel error {err:.2e}"))
+    ok, err = formulas.limit_difference_identity(args.seed)
+    checks.append(("eq3-eq4-difference", ok, f"max rel error {err:.2e}"))
     return checks
 
 
@@ -334,6 +312,12 @@ def _validate_args(args) -> None:
         raise ConfigurationError(f"c_star must be finite and nonnegative, got {args.c_star}")
     if not args.p_grid:
         raise ConfigurationError("p_grid must be nonempty")
+    if not all(0.0 < p < 1.0 for p in args.p_grid):
+        raise ConfigurationError(f"p-grid values must lie in (0, 1), got {_grid(args.p_grid)}")
+    if args.command in ("props", "oracles") and args.reps < headstart.ORACLE_MIN_REPS:
+        raise ConfigurationError(
+            f"{args.command} needs reps >= {headstart.ORACLE_MIN_REPS} for its "
+            f"oracle checks, got {args.reps}")
 
 
 _COMMANDS = {

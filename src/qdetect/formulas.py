@@ -20,6 +20,8 @@ whose difference is identically c* (E_1(R_0 N) - E_1 N * E R_0).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -51,6 +53,17 @@ def c_limit_eq3(e_r0: float, e1_delay: float, arl_false: float,
                 c_star: float) -> float:
     """The refuted small-p limit (evaluated for comparison only)."""
     return (1.0 - c_star * e1_delay) * (e_r0 + 1.0 + arl_false)
+
+
+def limit_difference_identity(seed: int) -> tuple[bool, float]:
+    """``(worst <= 1e-12, worst)``, worst the largest relative error of the
+    difference identity over 500 random inputs from ``SeedSequence([seed, 3])``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    e_r0, e1d, arl, cross, c_star = rng.uniform(0.01, 5.0, (5, 500))
+    lhs = c_limit_eq3(e_r0, e1d, arl, c_star) - c_limit_eq4(e_r0, e1d, arl, cross, c_star)
+    rhs = c_star * (cross - e1d * e_r0)
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
+    return worst <= 1e-12, worst
 
 
 def c_lower_bound_eq11(e_r0: float, arl_false: float, cross_term_n: float,

@@ -24,6 +24,9 @@ from scipy import integrate
 
 from .errors import ConfigurationError, DomainError, UndefinedConditionalError
 
+#: Fewest draws :func:`functionals_oracle` accepts.
+ORACLE_MIN_REPS = 10**4
+
 
 class LawKind(enum.Enum):
     POINT_MASS = "point_mass"
@@ -171,8 +174,8 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     ``mean_hat`` and ``mean_se``.  The conditional mean uses rejection
     on {R_0 < A} and raises if fewer than 2 draws land there (no SE).
     """
-    if reps < 10**4:
-        raise ConfigurationError(f"oracle needs reps >= 1e4, got {reps}")
+    if reps < ORACLE_MIN_REPS:
+        raise ConfigurationError(f"oracle needs reps >= {ORACLE_MIN_REPS}, got {reps}")
     draws = np.asarray(law.sample(rng, reps), dtype=float)
     below = draws < A
     n_below = int(below.sum())

@@ -29,6 +29,9 @@ DEFAULT_MAX_STEPS = 10**7
 #: Truncation fraction above which an estimate is flagged as unreliable.
 TRUNCATION_FLAG_LEVEL = 1e-4
 
+#: Largest deviation from E_1 N, in combined standard errors, of a flat profile.
+FLATNESS_LIMIT = 5.0
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -52,6 +55,12 @@ class DelayProfile:
 
     entries: Dict[int, McEstimate]
     undefined: Dict[int, int] = field(default_factory=dict)
+
+    def deviations(self) -> Dict[int, float]:
+        """|E_k - E_1| / hypot(se_k, se_1), floored at 1e-12, for each defined k."""
+        base = self.entries[1]
+        return {k: abs(e.mean - base.mean) / max(math.hypot(e.stderr, base.stderr), 1e-12)
+                for k, e in self.entries.items()}
 
 
 def mc_estimate(values: np.ndarray, seed: int, truncation_count: int = 0,
@@ -194,6 +203,7 @@ def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early."""
     if k < 1 or int(k) != k:
         raise ConfigurationError(f"change index must be a positive integer, got {k}")
+    k = int(k)  # the stream tag spells k: 2.0 and 2 must share a stream
     n_stop, _, _, trunc = sr_replications(A, law, k, reps, seed, workers)
     keep = n_stop >= k - 1
     kept = n_stop[keep]

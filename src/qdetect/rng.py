@@ -77,6 +77,7 @@ def run_chunked(
             raise ConfigurationError(
                 f"workers > 1 needs a picklable kernel and head-start law "
                 f"(module-level functions, not lambdas): {exc}") from exc
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at the first submit; extra ones idle
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_exec_chunk, jobs))
     return [np.concatenate(cols) for cols in zip(*parts)]

@@ -8,7 +8,6 @@ checklist at the end of the run so it shows up in any test log.
 import math
 import os
 
-import numpy as np
 import pytest
 
 from conftest import acceptance_report
@@ -16,17 +15,15 @@ from conftest import acceptance_report
 from qdetect import (
     BayesConfig,
     HeadStartLaw,
-    c_limit_eq3,
-    c_limit_eq4,
     compare_limit,
     conditional_headstart_diagnostic,
-    couple_pi0,
+    coupling_round_trip,
     delay_profile,
     estimate_bayes_risk,
     estimate_e1_and_cross,
     estimate_e1_delay,
-    implied_headstart,
     limit_diagnostic,
+    limit_difference_identity,
     limit_predictions,
     mei_e1,
     mu0_exact,
@@ -37,6 +34,7 @@ from qdetect import (
     yakir_e1,
     yakir_mean,
 )
+from qdetect.montecarlo import FLATNESS_LIMIT
 
 SEED = int(os.environ.get("QDETECT_SEED", "20240824"))
 REPS = 10**6
@@ -146,8 +144,8 @@ def test_criterion_5_limit_identification():
 
 def test_criterion_6_size_biased_conditional_law():
     a = 1.5
-    report = conditional_headstart_diagnostic(a, HeadStartLaw.yakir(a),
-                                              0.005, 400_000, SEED)
+    report = conditional_headstart_diagnostic(HeadStartLaw.yakir(a), 0.005,
+                                              400_000, SEED)
     target = size_biased_mean(a)
     z_sb = abs(report.conditional_mean - target) / report.conditional_se
     z_plain = abs(report.conditional_mean - yakir_mean(a)) / report.conditional_se
@@ -166,21 +164,9 @@ def test_criterion_7_exact_identities():
 
     # prior-weight coupling round trip and the closed-form difference
     # identity, both at machine precision on random inputs
-    rng = np.random.default_rng(np.random.SeedSequence([SEED, 7]))
-    round_err = 0.0
-    diff_err = 0.0
-    for _ in range(500):
-        p = rng.uniform(1e-4, 0.99)
-        r0 = rng.uniform(0.0, 50.0)
-        round_err = max(round_err,
-                        abs(implied_headstart(p, couple_pi0(p, r0)) - r0)
-                        / max(1.0, r0))
-        e_r0, e1d, arl, cr, cs = rng.uniform(0.01, 5.0, 5)
-        lhs = c_limit_eq3(e_r0, e1d, arl, cs) \
-            - c_limit_eq4(e_r0, e1d, arl, cr, cs)
-        rhs = cs * (cr - e1d * e_r0)
-        diff_err = max(diff_err, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    ok = bitwise_ok and round_err <= 1e-12 and diff_err <= 1e-12
+    round_ok, round_err = coupling_round_trip(SEED)
+    diff_ok, diff_err = limit_difference_identity(SEED)
+    ok = bitwise_ok and round_ok and diff_ok
     _report(ok, "criterion-7 exact-identities",
             f"risk decomposition bitwise = {bitwise_ok}, round-trip err "
             f"{round_err:.1e}, difference-identity err {diff_err:.1e}")
@@ -189,14 +175,11 @@ def test_criterion_7_exact_identities():
 
 def test_criterion_8_equalizer_profile():
     profile = delay_profile(1.5, HeadStartLaw.yakir(1.5), 10, REPS, SEED)
-    base = profile.entries[1]
-    worst = 0.0
-    for e in profile.entries.values():
-        z = abs(e.mean - base.mean) / max(math.hypot(e.stderr, base.stderr), 1e-12)
-        worst = max(worst, z)
-    ok = worst <= 5.0 and len(profile.entries) == 10
+    worst = max(profile.deviations().values())
+    ok = worst <= FLATNESS_LIMIT and len(profile.entries) == 10
     _report(ok, "criterion-8 equalizer-profile",
-            f"max deviation from k=1 over k=1..10: {worst:.2f} SE (limit 5)")
+            f"max deviation from k=1 over k=1..10: {worst:.2f} SE "
+            f"(limit {FLATNESS_LIMIT:g})")
     assert ok
 
 
@@ -207,8 +190,9 @@ def test_criterion_9_determinism():
     repeat = estimate_e1_delay(a, law, REPS, SEED, workers=1)
     spread = [estimate_e1_delay(a, law, REPS, SEED, workers=w) for w in (2, 3)]
     config = BayesConfig(p=0.01, c=C_STAR, A=a, law=law)
-    b1 = estimate_bayes_risk(config, 200_000, SEED, workers=1)
-    b2 = estimate_bayes_risk(config, 200_000, SEED, workers=2)
+    # 600 000 reps span 3 chunks, so workers=2 runs a pool
+    b1 = estimate_bayes_risk(config, 600_000, SEED, workers=1)
+    b2 = estimate_bayes_risk(config, 600_000, SEED, workers=2)
     ok = (serial == repeat and all(serial == s for s in spread) and b1 == b2)
     _report(ok, "criterion-9 determinism",
             "bit-identical across repeats and worker counts 1/2/3" if ok

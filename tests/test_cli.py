@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from qdetect import montecarlo
+from qdetect import coupling_round_trip, limit_difference_identity, montecarlo
+from qdetect import rng as qrng
 from qdetect.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
@@ -11,6 +17,7 @@ from qdetect.cli import (
 )
 
 FAST_TABLE = ["table1", "--a-grid", "1.5,1.7", "--reps", "20000", "--seed", "9"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParsing:
@@ -153,6 +160,10 @@ class TestCheckSuites:
         out = capsys.readouterr().out
         assert "PASS martingale-drift" in out
         assert "FAIL" not in out
+        # the two identity lines print what the library functions return
+        assert f"pi0-round-trip: max rel error {coupling_round_trip(9)[1]:.2e}" in out
+        assert (f"eq3-eq4-difference: max rel error "
+                f"{limit_difference_identity(9)[1]:.2e}") in out
 
     def test_oracles_pass(self, capsys):
         assert main(["oracles", "--a-grid", "1.5,1.98", "--reps", "100000",
@@ -175,7 +186,24 @@ class TestConfigErrors:
         ["bayes-limit", "--c-star", "nan", "--reps", "2000"],
         ["bayes-limit", "--c-star", "inf", "--reps", "2000"],
         ["oracles", "--seed", "-1"],
+        ["props", "--a-grid", "1.5", "--reps", "5000"],
+        ["bayes-limit", "--p-grid", "0.02,0.01,0", "--reps", "300000"],
     ])
-    def test_exit_code_four(self, argv, capsys):
+    def test_exit_code_four(self, argv, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the flags")
+        monkeypatch.setattr(qrng, "run_chunked", fail)
         assert main(argv) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code", [
+        (["table1", "--a-grid", "1.5", "--reps", "2000", "--seed", "9"], EXIT_OK),
+        (["table1", "--reps", "1"], EXIT_CONFIG),
+    ])
+    def test_module_exit_code(self, argv, code):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "qdetect.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr

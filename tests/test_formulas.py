@@ -7,24 +7,14 @@ from qdetect import (
     c_limit_eq4,
     c_lower_bound_eq11,
     mei_e1,
-    mu0_exact,
     p0_exact,
     yakir_e1,
 )
-
-A_GRID = [1.5, 1.6, 1.7, 1.8, 1.9, 1.98]
-REFUTED_COLUMN = [0.4115, 0.4433, 0.4757, 0.5090, 0.5430, 0.5708]
 
 pos = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
 
 
 class TestYakirE1:
-    def test_published_column_reproduced_exactly(self):
-        # pure arithmetic on the exact (p0, mu0) grid; tolerance is rounding only
-        for a, expected in zip(A_GRID, REFUTED_COLUMN):
-            value = yakir_e1(p0_exact(a), mu0_exact(a))
-            assert float(f"{value:.4f}") == expected
-
     def test_degenerate_p0_zero(self):
         assert yakir_e1(0.0, 0.75) == pytest.approx(1.75)
 

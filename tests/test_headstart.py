@@ -11,10 +11,7 @@ from qdetect import (
     UndefinedConditionalError,
     functionals_oracle,
     mu0_exact,
-    mu0_quadrature,
-    p0_erratum,
     p0_exact,
-    p0_quadrature,
     sr_exact,
     yakir_density,
     yakir_mean,
@@ -31,11 +28,6 @@ class TestClosedForms:
 
     def test_p0_tends_to_one_at_small_threshold(self):
         assert p0_exact(1e-9) == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("a", A_GRID)
-    def test_quadrature_agreement(self, a):
-        assert abs(p0_exact(a) - p0_quadrature(a)) <= 1e-10
-        assert abs(mu0_exact(a) - mu0_quadrature(a)) <= 1e-10
 
     @pytest.mark.parametrize("a, expected", [(1.8, 0.9), (1.5, 0.75)])
     def test_mu0_values(self, a, expected):
@@ -126,13 +118,6 @@ class TestOracle:
         assert abs(oracle["p0_hat"] - p0_exact(a)) <= 4.0 * oracle["p0_se"]
         assert abs(oracle["mu0_hat"] - mu0_exact(a)) <= 4.0 * oracle["mu0_se"]
         assert abs(oracle["mean_hat"] - yakir_mean(a)) <= 4.0 * oracle["mean_se"]
-
-    def test_erratum_form_fails_oracle(self):
-        # regression guard: the corrected p0, not 1 - log(A)/2, matches data
-        law = HeadStartLaw.yakir(1.5)
-        oracle = functionals_oracle(law, 1.5, 10**6, np.random.default_rng(3))
-        assert abs(oracle["p0_hat"] - p0_erratum(1.5)) > 20.0 * oracle["p0_se"]
-        assert abs(oracle["p0_hat"] - p0_exact(1.5)) <= 4.0 * oracle["p0_se"]
 
     def test_point_mass_below_threshold(self):
         law = HeadStartLaw.point_mass(0.4)

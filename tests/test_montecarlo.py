@@ -3,8 +3,6 @@ import math
 import pytest
 from scipy import stats
 
-from conftest import kernel_paths
-
 from qdetect import (
     ConfigurationError,
     HeadStartLaw,
@@ -19,6 +17,7 @@ from qdetect import (
     sr_replications,
     yakir_mean,
 )
+from qdetect import rng as qrng
 from qdetect.rng import CHUNK_SIZE
 
 A = 1.5
@@ -70,16 +69,19 @@ class TestSharedReplications:
 
 
 class TestDeterminism:
-    def test_repeatable(self):
-        a = estimate_e1_delay(A, LAW, 50_000, SEED)
-        b = estimate_e1_delay(A, LAW, 50_000, SEED)
-        assert a == b
+    def test_pool_sized_to_chunks(self, monkeypatch):
+        sizes = []
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_invariance(self, workers):
-        serial = estimate_e1_delay(A, LAW, 600_000, SEED, workers=1)
-        parallel = estimate_e1_delay(A, LAW, 600_000, SEED, workers=workers)
-        assert serial == parallel
+        class RecordingPool(qrng.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(qrng, "ProcessPoolExecutor", RecordingPool)
+        reps = CHUNK_SIZE + 1  # two chunks
+        parallel = estimate_e1_delay(A, LAW, reps, SEED, workers=8)
+        assert sizes == [2]
+        assert parallel == estimate_e1_delay(A, LAW, reps, SEED, workers=1)
 
     def test_unpicklable_law_needs_one_worker(self):
         law = HeadStartLaw.custom(lambda rng, size: rng.uniform(0.0, 2.0, size))
@@ -95,20 +97,6 @@ class TestDeterminism:
 
 
 class TestMartingaleStructure:
-    def test_drift_under_no_change(self):
-        # E R_n = E R_0 + n for the SR statistic when all draws are pre-change
-        for n, r in enumerate(kernel_paths(0.0, 50_000, 1.0, 20, SEED), start=1):
-            se = r.std(ddof=1) / math.sqrt(r.size)
-            assert abs(r.mean() - n) <= 4.0 * se
-
-    def test_optional_stopping_identity(self):
-        # E(final - r0) = E n_stop under the no-change law
-        n_stop, r0, final, trunc = sr_replications(A, LAW, None, 400_000, SEED)
-        assert int(trunc.sum()) == 0
-        diff = (final - r0) - n_stop
-        se = diff.std(ddof=1) / math.sqrt(diff.size)
-        assert abs(diff.mean()) <= 4.0 * se
-
     def test_arl_agrees_with_optional_stopping(self):
         est = estimate_arl_false(A, LAW, 400_000, SEED)
         _, r0, final, _ = sr_replications(A, LAW, None, 400_000, SEED)
@@ -160,30 +148,25 @@ class TestConditionalDelay:
         assert est.rejected > 0
         assert est.reps + est.rejected == 50_000
 
+    def test_integral_float_index_shares_the_stream(self):
+        assert (estimate_conditional_delay(A, LAW, 2.0, 20_000, 1)
+                == estimate_conditional_delay(A, LAW, 2, 20_000, 1))
+
     def test_invalid_change_index(self):
         with pytest.raises(ConfigurationError):
             estimate_conditional_delay(A, LAW, 0, 100, SEED)
 
 
 class TestDelayProfile:
-    def test_profile_roughly_flat(self):
-        profile = delay_profile(A, LAW, 5, 100_000, SEED)
-        base = profile.entries[1]
-        for k, e in profile.entries.items():
-            assert abs(e.mean - base.mean) <= 5.0 * math.hypot(e.stderr, base.stderr)
-
     def test_point_mass_above_threshold_profile(self):
         law = HeadStartLaw.point_mass(2.0)
         profile = delay_profile(A, law, 3, 10**4, SEED)
         assert profile.entries[1].mean == 0.0
         assert 2 in profile.undefined and 3 in profile.undefined
+        assert profile.deviations() == {1: 0.0}  # zero SE: the floor, not 0/0
 
 
 class TestAgainstClosedForms:
-    def test_e1_matches_published_magnitude(self):
-        est = estimate_e1_delay(A, LAW, 400_000, SEED)
-        assert est.mean == pytest.approx(0.5799, abs=0.005)
-
     def test_mean_head_start(self):
         _, r0, _, _ = sr_replications(A, LAW, 1, 400_000, SEED)
         se = r0.std(ddof=1) / math.sqrt(r0.size)
