@@ -4,7 +4,6 @@ diagnostics."""
 
 from .errors import (
     ConfigurationError,
-    DomainError,
     QDetectError,
     UndefinedConditionalError,
 )

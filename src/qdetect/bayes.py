@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -87,10 +87,6 @@ def coupling_round_trip(seed: int) -> tuple[bool, float]:
     return worst <= 1e-12, worst
 
 
-# column layout of the reduced per-chunk statistics
-_COLS = ["n", "risk", "risk2", "miss", "trunc"]
-
-
 def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
                  law: HeadStartLaw):
     """Draw ``count`` head starts r0 and their coupled change times nu."""
@@ -103,45 +99,41 @@ def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
     return r0, nu
 
 
-def _bayes_chunk(rng: np.random.Generator, count: int, *, p: float, c: float,
-                 A: float, law: HeadStartLaw, max_steps: int, collect: str):
-    """Simulate ``count`` Bayes-rule replications on one derived stream.
+def _bayes_runs(rng: np.random.Generator, count: int, config: BayesConfig):
+    """Simulate ``count`` Bayes-rule replications on one derived stream;
+    returns the arrays (r0, nu, n_stop, truncated)."""
+    r0, nu = _start_chunk(rng, count, p=config.p, law=config.law)
+    n_stop, truncated = mc._stop_times(rng, r0, config.A, nu, 1.0 - config.p,
+                                       mc.DEFAULT_MAX_STEPS)
+    return r0, nu, n_stop, truncated
 
-    ``collect="moments"`` returns a single reduced-statistics row;
-    ``collect="arrays"`` additionally returns the raw per-replication arrays
-    (r0, nu, n_stop, truncated).
-    """
-    r0, nu = _start_chunk(rng, count, p=p, law=law)
-    n_stop, truncated = mc._stop_times(rng, r0, A, nu, 1.0 - p, max_steps)
+
+def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
+    """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk."""
+    _, nu, n_stop, truncated = _bayes_runs(rng, count, config)
     miss = (n_stop < nu - 1).astype(float)
     dp = np.maximum(0, n_stop - nu + 1).astype(float)
-    risk = miss + c * dp
-    row = np.array([[count, risk.sum(), (risk * risk).sum(), miss.sum(),
-                     float(truncated.sum())]])
-    if collect == "moments":
-        return (row,)
-    return row, r0, nu, n_stop, truncated
+    risk = miss + config.c * dp
+    return (np.array([[count, risk.sum(), (risk * risk).sum(), miss.sum(),
+                       float(truncated.sum())]]),)
 
 
-def _risk_sums(config: BayesConfig, reps: int, seed: int, workers: int,
-               tag: str, collect: str = "moments"):
-    kernel = partial(_bayes_chunk, p=config.p, c=config.c, A=config.A,
-                     law=config.law, max_steps=mc.DEFAULT_MAX_STEPS, collect=collect)
-    out = qrng.run_chunked(kernel, reps, seed, tag, workers=workers)
-    sums = out[0].sum(axis=0)
-    stats = dict(zip(_COLS, sums))
-    return (stats, *out[1:])
+def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
+    """How many replications of a chunk break cond - c dp == cond (1 - c dp)."""
+    _, nu, n_stop, _ = _bayes_runs(rng, count, config)
+    cond = (n_stop >= nu - 1).astype(float)
+    dp = np.maximum(0, n_stop - nu + 1).astype(float)
+    broken = cond - config.c * dp != cond * (1.0 - config.c * dp)
+    return (np.array([np.count_nonzero(broken)]),)
 
 
 def risk_identity_exact(config: BayesConfig, reps: int, seed: int, workers: int,
                         tag: str) -> bool:
     """Whether cond - c dp == cond (1 - c dp) bitwise in every replication,
     with cond = 1{N >= nu - 1} and dp = (N - nu + 1)^+."""
-    _, _, nu, n_stop, _ = _risk_sums(config, reps, seed, workers, tag=tag,
-                                     collect="arrays")
-    cond = (n_stop >= nu - 1).astype(float)
-    dp = np.maximum(0, n_stop - nu + 1).astype(float)
-    return bool(np.array_equal(cond - config.c * dp, cond * (1.0 - config.c * dp)))
+    broken = qrng.run_chunked(partial(_identity_chunk, config=config), reps, seed, tag,
+                              workers=workers)[0]
+    return not broken.any()
 
 
 @dataclass(frozen=True)
@@ -156,14 +148,12 @@ def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
                         workers: int = 1, tag: str = "bayes-risk") -> BayesRiskEstimate:
     """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+."""
     mc.check_reps(reps)
-    stats = _risk_sums(config, reps, seed, workers, tag)[0]
-    n = stats["n"]
-    risk_mean = stats["risk"] / n
-    risk_var = max(stats["risk2"] - n * risk_mean * risk_mean, 0.0) / (n - 1.0)
+    rows = qrng.run_chunked(partial(_bayes_chunk, config=config), reps, seed, tag,
+                            workers=workers)[0]
+    n, risk, risk2, miss, trunc = rows.sum(axis=0)
     return BayesRiskEstimate(
-        risk=mc.McEstimate(mean=risk_mean, stderr=math.sqrt(risk_var / n), reps=int(n),
-                           seed=seed, truncation_count=int(stats["trunc"])),
-        cond_prob=1.0 - stats["miss"] / n,
+        risk=mc.mc_estimate(n, risk, risk2, truncation_count=int(trunc)),
+        cond_prob=1.0 - miss / n,
     )
 
 
@@ -185,32 +175,26 @@ class LimitDiagnostic:
     rows: List[LimitRow]
     intercept: float
     intercept_se: float
-    slope: Optional[float] = None
-    single_point: bool = False
 
 
 def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
-                     p_grid: Sequence[float], reps, seed: int,
+                     p_grid: Sequence[float], reps: Sequence[int], seed: int,
                      workers: int = 1) -> LimitDiagnostic:
     """Estimate (1 - risk)/p along the grid and extrapolate to p = 0.
 
-    ``reps`` may be an integer (same count everywhere) or a sequence matched
-    to ``p_grid``.  Grid points use independent derived streams, so the
+    ``p_grid`` holds at least 2 points, and ``reps[j]`` replications run at
+    ``p_grid[j]``.  Grid points use independent derived streams, so the
     weighted-least-squares standard error of the intercept is valid.
     """
     p_grid = list(p_grid)
-    if not p_grid:
-        raise ConfigurationError("p_grid must be nonempty")
+    if len(p_grid) < 2:
+        raise ConfigurationError(f"p_grid needs at least 2 points, got {len(p_grid)}")
     if any(p2 >= p1 for p1, p2 in zip(p_grid, p_grid[1:])):
         raise ConfigurationError("p_grid must be strictly decreasing")
-    if isinstance(reps, (int, np.integer)):
-        reps_list = [int(reps)] * len(p_grid)
-    else:
-        reps_list = [int(r) for r in reps]
-        if len(reps_list) != len(p_grid):
-            raise ConfigurationError("reps sequence must match p_grid length")
+    if np.ndim(reps) != 1 or len(reps) != len(p_grid):
+        raise ConfigurationError("reps needs one count per p_grid point")
     rows = []
-    for j, (p, n_reps) in enumerate(zip(p_grid, reps_list)):
+    for j, (p, n_reps) in enumerate(zip(p_grid, map(int, reps))):
         config = BayesConfig(p=p, c=c_star, A=A, law=law)
         est = estimate_bayes_risk(config, n_reps, seed, workers,
                                   tag=f"bayes-limit/{j}")
@@ -224,26 +208,21 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
             stderr=est.risk.stderr / p,
             truncation_count=est.risk.truncation_count,
         ))
-    if len(rows) == 1:
-        r = rows[0]
-        return LimitDiagnostic(rows=rows, intercept=r.ratio,
-                               intercept_se=r.stderr, single_point=True)
-    intercept, int_se, slope = wls_line(
+    intercept, int_se = wls_line(
         np.array([r.p for r in rows]),
         np.array([r.ratio for r in rows]),
         np.array([r.stderr for r in rows]))
-    return LimitDiagnostic(rows=rows, intercept=intercept, intercept_se=int_se,
-                           slope=slope)
+    return LimitDiagnostic(rows=rows, intercept=intercept, intercept_se=int_se)
 
 
 def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray):
-    """Weighted least squares fit y = a + b x; returns (a, se_a, b)."""
+    """Weighted least squares fit y = a + b x; returns (a, se_a)."""
     w = 1.0 / np.square(se)
     design = np.column_stack([np.ones_like(x), x])
     xtwx = design.T @ (w[:, None] * design)
     cov = np.linalg.inv(xtwx)
     beta = cov @ (design.T @ (w * y))
-    return float(beta[0]), float(math.sqrt(cov[0, 0])), float(beta[1])
+    return float(beta[0]), float(math.sqrt(cov[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -259,12 +238,11 @@ class LimitVerdict:
 def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float) -> LimitVerdict:
     """Score the extrapolated intercept against the two exact predictions."""
     gap = abs(eq3 - eq4)
-    se = diag.intercept_se
-    z3 = abs(diag.intercept - eq3) / se if se > 0 else math.inf
-    z4 = abs(diag.intercept - eq4) / se if se > 0 else math.inf
+    z3 = abs(diag.intercept - eq3) / diag.intercept_se
+    z4 = abs(diag.intercept - eq4) / diag.intercept_se
     if gap < 1e-12:
         verdict = "coincide"
-    elif gap < diag.intercept_se or diag.single_point:
+    elif gap < diag.intercept_se:
         verdict = "inconclusive"
     elif z4 <= 4.0 < z3:
         verdict = "eq4"

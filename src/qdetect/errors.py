@@ -5,12 +5,8 @@ class QDetectError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(QDetectError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
 class ConfigurationError(QDetectError, ValueError):
-    """A run configuration is invalid (bad threshold, probabilities, reps)."""
+    """An argument is invalid (bad threshold, probabilities, reps)."""
 
 
 class UndefinedConditionalError(QDetectError, RuntimeError):

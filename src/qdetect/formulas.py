@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError
 
 
 def _check_prob(p0: float) -> None:
     if not (0.0 <= p0 <= 1.0):
-        raise DomainError(f"p0 must be a probability, got {p0}")
+        raise ConfigurationError(f"p0 must be a probability, got {p0}")
 
 
 def yakir_e1(p0: float, mu0: float) -> float:

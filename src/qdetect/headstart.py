@@ -22,10 +22,17 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import ConfigurationError, DomainError, UndefinedConditionalError
+from .errors import ConfigurationError, UndefinedConditionalError
 
 #: Fewest draws :func:`functionals_oracle` accepts.
 ORACLE_MIN_REPS = 10**4
+
+#: Pass rules of the oracle checks: largest |exact - quadrature|, largest
+#: |exact - Monte Carlo| in standard errors, and the fewest standard errors
+#: by which the erratum p0 must miss the Monte Carlo p0.
+ORACLE_QUAD_TOL = 1e-10
+ORACLE_Z_LIMIT = 4.0
+ERRATUM_MIN_Z = 20.0
 
 
 class LawKind(enum.Enum):
@@ -76,7 +83,7 @@ class HeadStartLaw:
 
 def _check_threshold(A: float) -> None:
     if not (0.0 < A < 2.0):
-        raise DomainError(f"the uniform product law needs 0 < A < 2, got {A}")
+        raise ConfigurationError(f"the uniform product law needs 0 < A < 2, got {A}")
 
 
 def p0_exact(A: float) -> float:

@@ -40,7 +40,6 @@ class McEstimate:
     mean: float
     stderr: float
     reps: int
-    seed: int
     truncation_count: int = 0
     rejected: int = 0
 
@@ -63,18 +62,23 @@ class DelayProfile:
                 for k, e in self.entries.items()}
 
 
-def mc_estimate(values: np.ndarray, seed: int, truncation_count: int = 0,
+def mc_estimate(n, total, total_sq, truncation_count: int = 0,
                 rejected: int = 0) -> McEstimate:
-    """Mean and standard error of ``values``; fewer than 2 have no SE."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
+    """Mean and standard error of ``n`` values from their sum and sum of
+    squares; fewer than 2 values have no SE."""
     if n < 2:
         raise UndefinedConditionalError(
             f"{n} replication(s) survived conditioning; a standard error needs 2",
             rejected=rejected)
-    se = values.std(ddof=1) / math.sqrt(n)
-    return McEstimate(mean=float(values.mean()), stderr=float(se), reps=n,
-                      seed=seed, truncation_count=truncation_count, rejected=rejected)
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1.0)
+    return McEstimate(mean=float(mean), stderr=math.sqrt(var / n), reps=int(n),
+                      truncation_count=truncation_count, rejected=rejected)
+
+
+def _estimate(values: np.ndarray, truncation_count: int, rejected: int = 0) -> McEstimate:
+    return mc_estimate(values.size, values.sum(), values @ values,
+                       truncation_count, rejected)
 
 
 def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float,
@@ -159,11 +163,17 @@ def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
                     max_steps: int = DEFAULT_MAX_STEPS, tag: str = "sr"):
     """Raw replication arrays (n_stop, r0, final_stat, truncated).
 
-    The stream tag encodes the scenario but deliberately not the threshold,
+    ``change_index`` is a positive integer, or ``None`` for no change.  The
+    stream tag encodes the scenario but deliberately not the threshold,
     so runs at different ``A`` with the same seed share head starts and can
     be compared under common random numbers at the estimator level.
     """
     _validate(A, reps)
+    if change_index is not None:
+        if not (1 <= change_index < math.inf) or int(change_index) != change_index:
+            raise ConfigurationError(
+                f"change index must be a positive integer, got {change_index}")
+        change_index = int(change_index)  # the tag spells it: 2.0 and 2 share a stream
     kernel = partial(_sr_chunk, A=A, law=law, change_index=change_index,
                      max_steps=max_steps)
     full_tag = f"{tag}/k={change_index}"
@@ -175,8 +185,7 @@ def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
     """E_1 N and E_1(R_0 N) from one set of replications (common random numbers)."""
     n_stop, r0, _, trunc = sr_replications(A, law, 1, reps, seed, workers)
     truncated = int(trunc.sum())
-    return (mc_estimate(n_stop, seed, truncation_count=truncated),
-            mc_estimate(r0 * n_stop, seed, truncation_count=truncated))
+    return _estimate(n_stop, truncated), _estimate(r0 * n_stop, truncated)
 
 
 def estimate_e1_delay(A: float, law: HeadStartLaw, reps: int, seed: int,
@@ -195,20 +204,16 @@ def estimate_arl_false(A: float, law: HeadStartLaw, reps: int, seed: int,
                        workers: int = 1) -> McEstimate:
     """E_inf N: expected stopping index when the change never happens."""
     n_stop, _, _, trunc = sr_replications(A, law, None, reps, seed, workers)
-    return mc_estimate(n_stop, seed, truncation_count=int(trunc.sum()))
+    return _estimate(n_stop, int(trunc.sum()))
 
 
 def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
                                seed: int, workers: int = 1) -> McEstimate:
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early."""
-    if k < 1 or int(k) != k:
-        raise ConfigurationError(f"change index must be a positive integer, got {k}")
-    k = int(k)  # the stream tag spells k: 2.0 and 2 must share a stream
     n_stop, _, _, trunc = sr_replications(A, law, k, reps, seed, workers)
     keep = n_stop >= k - 1
     kept = n_stop[keep]
-    return mc_estimate(kept - k + 1, seed, truncation_count=int(trunc[keep].sum()),
-                       rejected=int(reps - kept.size))
+    return _estimate(kept - k + 1, int(trunc[keep].sum()), int(reps - kept.size))
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,

@@ -34,6 +34,7 @@ from qdetect import (
     yakir_e1,
     yakir_mean,
 )
+from qdetect.headstart import ERRATUM_MIN_Z, ORACLE_QUAD_TOL, ORACLE_Z_LIMIT
 from qdetect.montecarlo import FLATNESS_LIMIT
 
 SEED = int(os.environ.get("QDETECT_SEED", "20240824"))
@@ -120,7 +121,8 @@ def test_criterion_4_closed_form_oracles():
                        abs(o["mu0"] - o["mu0_hat"]) / o["mu0_se"])
         if a == 1.5:
             erratum_z = abs(o["p0_erratum"] - o["p0_hat"]) / o["p0_se"]
-    ok = quad_worst <= 1e-10 and mc_worst <= 4.0 and erratum_z > 20.0
+    ok = (quad_worst <= ORACLE_QUAD_TOL and mc_worst <= ORACLE_Z_LIMIT
+          and erratum_z > ERRATUM_MIN_Z)
     _report(ok, "criterion-4 closed-form-oracles",
             f"quad err {quad_worst:.1e}, mc max |z| {mc_worst:.2f}, "
             f"erratum off by {erratum_z:.0f} SE")

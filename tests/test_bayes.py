@@ -22,7 +22,8 @@ from qdetect import (
     yakir_mean,
 )
 from qdetect import montecarlo, rng as qrng
-from qdetect.bayes import _risk_sums, wls_line
+from qdetect.bayes import _bayes_chunk, _bayes_runs, wls_line
+from qdetect.rng import derive_rng
 
 A = 1.5
 LAW = HeadStartLaw.yakir(A)
@@ -61,8 +62,7 @@ class TestChangeTimePrior:
         p, pi0, n = 0.3, 0.4, 10**5
         law = HeadStartLaw.point_mass(implied_headstart(p, pi0))
         config = BayesConfig(p=p, c=0.1, A=A, law=law)
-        _, _, draws, _, _ = _risk_sums(config, n, SEED, 1, tag="test-nu",
-                                       collect="arrays")
+        _, draws, _, _ = _bayes_runs(derive_rng(SEED, "test-nu", 0), n, config)
         for k in range(1, 11):
             target = pi0 if k == 1 else (1 - pi0) * p * (1 - p) ** (k - 2)
             hat = (draws == k).mean()
@@ -73,24 +73,26 @@ class TestChangeTimePrior:
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
         config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
-        stats, _, nu, n_stop, _ = _risk_sums(config, 1000, SEED, 1,
-                                             tag="test-stop0", collect="arrays")
+        _, nu, n_stop, _ = _bayes_runs(derive_rng(SEED, "test-stop0", 0), 1000, config)
+        _, risk, _, miss, _ = _bayes_chunk(derive_rng(SEED, "test-stop0", 0), 1000,
+                                           config)[0][0]
         assert (n_stop == 0).all()
-        assert stats["miss"] == (nu > 1).sum()
-        assert stats["risk"] == stats["miss"]  # no delay cost at N = 0
+        assert miss == (nu > 1).sum()
+        assert risk == miss  # no delay cost at N = 0
 
     def test_outcome_invariants(self):
         config = BayesConfig(p=0.05, c=0.1, A=A, law=LAW)
-        stats, _, nu, n_stop, truncated = _risk_sums(
-            config, 20_000, SEED, 1, tag="test-invariants", collect="arrays")
+        _, nu, n_stop, truncated = _bayes_runs(derive_rng(SEED, "test-invariants", 0),
+                                               20_000, config)
         delay_plus = np.maximum(0, n_stop - nu + 1)
         missed = n_stop < nu - 1
         assert (nu >= 1).all() and (n_stop >= 0).all() and not truncated.any()
         assert not (missed & (delay_plus > 0)).any()
-        assert stats["n"] == 20_000
-        assert stats["miss"] == missed.sum()
-        assert stats["risk"] == pytest.approx(missed.sum() + 0.1 * delay_plus.sum(),
-                                              rel=1e-12)
+        # the reduced row of the same stream is the sums of these arrays
+        risk = missed + 0.1 * delay_plus
+        row = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config)[0]
+        np.testing.assert_allclose(
+            row, [[20_000, risk.sum(), (risk * risk).sum(), missed.sum(), 0]], rtol=1e-12)
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -141,35 +143,40 @@ class TestLimitDiagnostic:
     def test_wls_recovers_exact_line(self):
         x = np.array([0.02, 0.01, 0.005])
         y = 3.0 - 7.0 * x
-        a, sa, b = wls_line(x, y, np.full(3, 0.01))
+        a, sa = wls_line(x, y, np.full(3, 0.01))
         assert a == pytest.approx(3.0, abs=1e-9)
-        assert b == pytest.approx(-7.0, abs=1e-6)
         assert sa > 0
 
     def test_rows_and_extrapolation(self):
-        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], 100_000, SEED)
+        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [100_000] * 3, SEED)
         assert [r.p for r in diag.rows] == [0.02, 0.01, 0.005]
         assert diag.intercept > max(r.ratio for r in diag.rows)
-        assert diag.slope < 0
 
-    def test_single_point_disables_extrapolation(self):
-        diag = limit_diagnostic(A, LAW, 0.1, [0.5], 50_000, SEED)
-        assert diag.single_point
-        assert diag.intercept == diag.rows[0].ratio
+    @pytest.mark.parametrize("p_grid, reps", [
+        ([0.5], [50_000]),              # one point: nothing to extrapolate
+        ([0.02, 0.01], 50_000),         # one count for the whole grid
+        ([0.02, 0.01], [50_000]),       # fewer counts than points
+    ])
+    def test_grid_and_reps_shape_rejected(self, p_grid, reps, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the grid")
+        monkeypatch.setattr(qrng, "run_chunked", fail)
+        with pytest.raises(ConfigurationError):
+            limit_diagnostic(A, LAW, 0.1, p_grid, reps, SEED)
 
     def test_zero_stderr_rejected(self):
         # a head start above A stops every run at 0, and at tiny p every
         # change comes later: each replication has risk exactly 1
         law = HeadStartLaw.point_mass(4.0)
         with pytest.raises(ConfigurationError):
-            limit_diagnostic(A, law, 0.1, [2e-6, 1e-6], 100, SEED)
+            limit_diagnostic(A, law, 0.1, [2e-6, 1e-6], [100, 100], SEED)
 
     def test_nondecreasing_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            limit_diagnostic(A, LAW, 0.1, [0.01, 0.02], 1000, SEED)
+            limit_diagnostic(A, LAW, 0.1, [0.01, 0.02], [1000, 1000], SEED)
 
     def test_zero_cost_verdict_coincides(self):
-        diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01], 50_000, SEED)
+        diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01], [50_000] * 2, SEED)
         base = yakir_mean(A) + 1.0 + 0.85
         verdict = compare_limit(diag, base, base)
         assert verdict.verdict == "coincide"
@@ -197,7 +204,7 @@ class TestLimitPredictions:
 
     def test_gap_is_distance_between_predictions(self):
         eq3, eq4 = limit_predictions(A, 0.1)
-        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01], 50_000, SEED)
+        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01], [50_000] * 2, SEED)
         verdict = compare_limit(diag, eq3, eq4)
         e1, cross, _ = sr_exact(A)
         assert verdict.gap == pytest.approx(0.1 * abs(cross - e1 * yakir_mean(A)),

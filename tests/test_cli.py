@@ -5,11 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from qdetect import coupling_round_trip, limit_difference_identity, montecarlo
+from qdetect import coupling_round_trip, headstart, limit_difference_identity, montecarlo
 from qdetect import rng as qrng
 from qdetect.cli import (
     EXIT_CONFIG,
-    EXIT_INCONCLUSIVE,
     EXIT_INVARIANT,
     EXIT_OK,
     build_parser,
@@ -106,14 +105,6 @@ class TestTruncationGate:
 
 
 class TestBayesLimit:
-    def test_single_p_point_is_inconclusive(self, capsys):
-        code = main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.02",
-                     "--reps", "20000", "--seed", "9"])
-        assert code == EXIT_INCONCLUSIVE
-        out = capsys.readouterr().out
-        assert "single grid point" in out
-        assert "verdict=inconclusive" in out
-
     def test_small_run_emits_rows(self, capsys):
         main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02",
               "--reps", "20000", "--seed", "9"])
@@ -172,6 +163,12 @@ class TestCheckSuites:
         assert "PASS erratum-rejected A=1.5" in out
         assert "FAIL" not in out
 
+    def test_oracles_read_the_shared_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(headstart, "ORACLE_Z_LIMIT", 0.0)
+        assert main(["oracles", "--a-grid", "1.5", "--reps", "10000",
+                     "--seed", "9"]) == EXIT_INVARIANT
+        assert "FAIL p0-oracle A=1.5" in capsys.readouterr().out
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("argv", [
@@ -188,6 +185,7 @@ class TestConfigErrors:
         ["oracles", "--seed", "-1"],
         ["props", "--a-grid", "1.5", "--reps", "5000"],
         ["bayes-limit", "--p-grid", "0.02,0.01,0", "--reps", "300000"],
+        ["bayes-limit", "--p-grid", "0.02"],
     ])
     def test_exit_code_four(self, argv, monkeypatch, capsys):
         def fail(*args, **kwargs):

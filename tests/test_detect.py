@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from qdetect import HeadStartLaw
-from qdetect.bayes import _bayes_chunk
+from qdetect import BayesConfig, HeadStartLaw
+from qdetect.bayes import _bayes_runs
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk
 from qdetect.rng import derive_rng
 
@@ -76,9 +76,8 @@ class TestKernelsMatchReference:
     def test_bayes_chunk(self, p):
         A, law = 1.5, HeadStartLaw.yakir(1.5)
         tag = f"ref/bayes/{p}"
-        _, r0, nu, n_stop, truncated = _bayes_chunk(
-            derive_rng(SEED, tag, 0), COUNT, p=p, c=0.1, A=A, law=law,
-            max_steps=DEFAULT_MAX_STEPS, collect="arrays")
+        r0, nu, n_stop, truncated = _bayes_runs(
+            derive_rng(SEED, tag, 0), COUNT, BayesConfig(p=p, c=0.1, A=A, law=law))
         rng = derive_rng(SEED, tag, 0)
         law.sample(rng, COUNT)
         rng.random(COUNT)  # the two uniforms behind each change time

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdetect import (
-    DomainError,
+    ConfigurationError,
     c_limit_eq3,
     c_limit_eq4,
     c_lower_bound_eq11,
@@ -23,7 +23,7 @@ class TestYakirE1:
         assert yakir_e1(p0_exact(1.7), 0.85) == pytest.approx(0.4757, abs=5e-5)
 
     def test_invalid_probability(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             yakir_e1(1.2, 0.5)
 
 

@@ -6,7 +6,6 @@ from scipy import integrate
 
 from qdetect import (
     ConfigurationError,
-    DomainError,
     HeadStartLaw,
     UndefinedConditionalError,
     functionals_oracle,
@@ -35,11 +34,11 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("a", [-1.0, 0.0, 2.0, 2.5])
     def test_domain_errors(self, a):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             p0_exact(a)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             mu0_exact(a)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             sr_exact(a)
 
     def test_density_normalizes(self):
@@ -97,7 +96,7 @@ class TestSampling:
         assert abs(draws.mean() - yakir_mean(1.7)) <= 4.0 * se
 
     def test_invalid_threshold(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             HeadStartLaw.yakir(2.0)
 
     def test_negative_point_mass_rejected(self):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -149,12 +150,18 @@ class TestConditionalDelay:
         assert est.reps + est.rejected == 50_000
 
     def test_integral_float_index_shares_the_stream(self):
+        for a, b in zip(sr_replications(A, LAW, 2.0, 20_000, 1),
+                        sr_replications(A, LAW, 2, 20_000, 1)):
+            assert np.array_equal(a, b)
         assert (estimate_conditional_delay(A, LAW, 2.0, 20_000, 1)
                 == estimate_conditional_delay(A, LAW, 2, 20_000, 1))
 
     def test_invalid_change_index(self):
-        with pytest.raises(ConfigurationError):
-            estimate_conditional_delay(A, LAW, 0, 100, SEED)
+        for k in (0, 1.5):
+            with pytest.raises(ConfigurationError):
+                sr_replications(A, LAW, k, 100, SEED)
+            with pytest.raises(ConfigurationError):
+                estimate_conditional_delay(A, LAW, k, 100, SEED)
 
 
 class TestDelayProfile:
