@@ -94,8 +94,13 @@ def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
     pi0 = couple_pi0(p, r0)
     u1 = rng.random(count)
     u2 = rng.random(count)
-    nu = np.where(u1 < pi0, 1,
-                  2 + np.floor(np.log1p(-u2) / math.log1p(-p)).astype(np.int64))
+    # the geometric part log1p(-u2)/log1p(-p) is >= 0, so truncation is floor
+    np.negative(u2, out=u2)
+    np.log1p(u2, out=u2)
+    u2 /= math.log1p(-p)
+    nu = u2.astype(np.int64)
+    nu += 2
+    nu[u1 < pi0] = 1
     return r0, nu
 
 
@@ -109,13 +114,20 @@ def _bayes_runs(rng: np.random.Generator, count: int, config: BayesConfig):
 
 
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
-    """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk."""
+    """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk.
+
+    A replication either misses (N < nu - 1) or pays the delay
+    dp = N - nu + 1 > 0, never both, so risk = miss + c dp and
+    risk^2 = miss + c^2 dp^2; the counts and delay sums are exact integers.
+    """
     _, nu, n_stop, truncated = _bayes_runs(rng, count, config)
-    miss = (n_stop < nu - 1).astype(float)
-    dp = np.maximum(0, n_stop - nu + 1).astype(float)
-    risk = miss + config.c * dp
-    return (np.array([[count, risk.sum(), (risk * risk).sum(), miss.sum(),
-                       float(truncated.sum())]]),)
+    late = n_stop - nu + 1
+    miss = np.count_nonzero(late < 0)
+    dp = late[late > 0]
+    # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
+    c = config.c
+    return (np.array([[count, miss + c * int(dp.sum()), miss + c * c * int(dp @ dp),
+                       miss, np.count_nonzero(truncated)]], dtype=float),)
 
 
 def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):

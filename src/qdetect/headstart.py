@@ -74,10 +74,14 @@ class HeadStartLaw:
         if self.kind is LawKind.POINT_MASS:
             return np.full(size, self.r0) if size is not None else self.r0
         if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT:
-            a = self.a_param
-            r_star = rng.uniform(0.0, a, size)
-            z = rng.uniform(0.0, 2.0, size)
-            return (r_star + 1.0) * z
+            # (U(0, a) + 1) U(0, 2), in place: uniform(0, a) is 0 + a u
+            r0 = rng.random(size)
+            r0 *= self.a_param
+            r0 += 1.0
+            z = rng.random(size)
+            z *= 2.0
+            r0 *= z
+            return r0
         return self.sampler(rng, size)
 
 

@@ -5,10 +5,13 @@ E_1 N, the false-alarm run length E_inf N, the cross moment E_1(R_0 N), and
 conditional delays E_k(N - k + 1 | N >= k - 1) for a grid of change times.
 
 All estimators simulate the worked example densities f0 = Exp(1),
-f1 = Exp(2) by inverse transform, one lazy observation per step, keeping
-only the running statistic.  Replications are chunked onto derived Philox
-streams (see :mod:`qdetect.rng`), so a fixed ``(seed, reps, config)`` gives
-bit-identical output for any worker count.
+f1 = Exp(2), keeping only the running statistic.  An observation enters
+only through its likelihood ratio, which each step draws directly from one
+uniform U: lr = 2U before the change and 2 sqrt(U) after it, the values
+2 exp(-X) takes when X = -log U (Exp(1)) or X = -log(U)/2 (Exp(2)).
+Replications are chunked onto derived Philox streams (see
+:mod:`qdetect.rng`), so a fixed ``(seed, reps, config)`` gives bit-identical
+output for any worker count.
 """
 
 from __future__ import annotations
@@ -87,16 +90,19 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
 
     Observation ``n`` is post-change when ``n >= nu``; ``nu`` is either one
     change index for every replication (``math.inf``: never) or an array with
-    one per replication.  Each step draws one uniform per running replication,
-    in replication order.  Returns ``(n_stop, truncated)``: runs starting at or
-    above ``A`` stop at 0, and runs still below ``A`` after ``max_steps``
-    steps stop there, truncated.  If given, ``final`` receives ``R_n`` at
-    stopping for the runs that started below ``A``.
+    one per replication.  Each step draws one uniform ``U`` per running
+    replication, in replication order, takes ``lr = 2U`` before the change
+    and ``2 sqrt(U)`` after it, and updates the running statistics in place;
+    the runs that reached ``A`` then leave the active set.  Returns
+    ``(n_stop, truncated)``: runs starting at or above ``A`` stop at 0, and
+    runs still below ``A`` after ``max_steps`` steps stop there, truncated.
+    If given, ``final`` receives ``R_n`` at stopping for the runs that started
+    below ``A``.
     """
     n_stop = np.zeros(r0.size, dtype=np.int64)
     truncated = np.zeros(r0.size, dtype=bool)
     per_rep = np.ndim(nu) > 0
-    idx = np.nonzero(r0 < A)[0]
+    idx = np.flatnonzero(r0 < A)
     r = r0[idx]
     nu_act = nu[idx] if per_rep else nu
     step = 0
@@ -108,22 +114,24 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
             if final is not None:
                 final[idx] = r
             break
-        x = -np.log(rng.random(idx.size))
-        # post-change draws come from Exp(2)
+        lr = rng.random(idx.size)
         if per_rep:
-            x[step >= nu_act] *= 0.5
+            np.sqrt(lr, out=lr, where=step >= nu_act)
         elif step >= nu:
-            x *= 0.5
-        r = (r + 1.0) * (2.0 * np.exp(-x))
+            np.sqrt(lr, out=lr)
+        lr *= 2.0
+        r += 1.0
+        r *= lr
         if q != 1.0:
             r /= q
-        done = r >= A
-        if done.any():
-            keep = ~done
-            sel = idx[done]
+        running = r < A
+        keep = np.flatnonzero(running)
+        if keep.size < idx.size:
+            stopped = ~running
+            sel = idx[stopped]
             n_stop[sel] = step
             if final is not None:
-                final[sel] = r[done]
+                final[sel] = r[stopped]
             idx = idx[keep]
             r = r[keep]
             if per_rep:

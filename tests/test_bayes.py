@@ -81,18 +81,24 @@ class TestBayesRule:
         assert risk == miss  # no delay cost at N = 0
 
     def test_outcome_invariants(self):
-        config = BayesConfig(p=0.05, c=0.1, A=A, law=LAW)
-        _, nu, n_stop, truncated = _bayes_runs(derive_rng(SEED, "test-invariants", 0),
-                                               20_000, config)
-        delay_plus = np.maximum(0, n_stop - nu + 1)
-        missed = n_stop < nu - 1
-        assert (nu >= 1).all() and (n_stop >= 0).all() and not truncated.any()
-        assert not (missed & (delay_plus > 0)).any()
-        # the reduced row of the same stream is the sums of these arrays
-        risk = missed + 0.1 * delay_plus
-        row = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config)[0]
-        np.testing.assert_allclose(
-            row, [[20_000, risk.sum(), (risk * risk).sum(), missed.sum(), 0]], rtol=1e-12)
+        for c in (0.1, 0.0):
+            config = BayesConfig(p=0.05, c=c, A=A, law=LAW)
+            _, nu, n_stop, truncated = _bayes_runs(
+                derive_rng(SEED, "test-invariants", 0), 20_000, config)
+            delay_plus = np.maximum(0, n_stop - nu + 1)
+            missed = n_stop < nu - 1
+            assert (nu >= 1).all() and (n_stop >= 0).all() and not truncated.any()
+            assert not (missed & (delay_plus > 0)).any()
+            # the reduced row of the same stream: exact counts, and the risk
+            # sums of these arrays up to summation order
+            risk = missed + c * delay_plus
+            n, risk_sum, risk_sq, miss, trunc = _bayes_chunk(
+                derive_rng(SEED, "test-invariants", 0), 20_000, config)[0][0]
+            assert (n, miss, trunc) == (20_000, missed.sum(), 0)
+            np.testing.assert_allclose([risk_sum, risk_sq],
+                                       [risk.sum(), (risk * risk).sum()], rtol=1e-12)
+            if c == 0:
+                assert risk_sum == risk_sq == miss
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion

@@ -5,6 +5,10 @@ Bayes recursion (``q = 1 - p``) one replication at a time with ``math``
 arithmetic.  It draws the uniforms exactly as ``montecarlo._stop_times``
 does, one per running replication per step and in replication order, so fed
 from the same generator it must reproduce the vector kernels path by path.
+It keeps the textbook update ``lr = 2 exp(-x)`` with ``x = -log u`` (halved
+after the change), so it checks the kernel's direct draw of ``2u`` and
+``2 sqrt(u)`` independently.  ``TestStreamContract`` does the same for the head-start and
+change-time draws.
 """
 
 import math
@@ -12,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from qdetect import BayesConfig, HeadStartLaw
-from qdetect.bayes import _bayes_runs
+from qdetect import BayesConfig, HeadStartLaw, couple_pi0
+from qdetect.bayes import _bayes_runs, _start_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk
 from qdetect.rng import derive_rng
 
@@ -85,6 +89,31 @@ class TestKernelsMatchReference:
         ref = reference_stop_times(rng, r0, A, nu, 1.0 - p, DEFAULT_MAX_STEPS)
         _assert_paths_match(n_stop, truncated, None, ref)
         assert (nu > 1).any() and (nu == 1).any()
+
+
+class TestStreamContract:
+    """The head-start and change-time draws, against their textbook forms."""
+
+    @pytest.mark.parametrize("a", [0.3, 1.5, 1.98])
+    def test_head_start_sample(self, a):
+        tag = f"contract/sample/{a}"
+        sample = HeadStartLaw.yakir(a).sample(derive_rng(SEED, tag, 0), COUNT)
+        rng = derive_rng(SEED, tag, 0)
+        ref = (rng.uniform(0, a, COUNT) + 1) * rng.uniform(0, 2, COUNT)
+        assert np.array_equal(sample, ref)
+
+    @pytest.mark.parametrize("p", [0.3, 0.005])
+    def test_change_time(self, p):
+        law = HeadStartLaw.yakir(1.5)
+        tag = f"contract/nu/{p}"
+        r0, nu = _start_chunk(derive_rng(SEED, tag, 0), COUNT, p=p, law=law)
+        rng = derive_rng(SEED, tag, 0)
+        assert np.array_equal(law.sample(rng, COUNT), r0)
+        ref = [1 if u1 < couple_pi0(p, float(r)) else
+               2 + math.floor(math.log1p(-u2) / math.log1p(-p))
+               for r, u1, u2 in zip(r0, rng.random(COUNT), rng.random(COUNT))]
+        assert nu.dtype == np.int64 and np.array_equal(nu, ref)
+        assert (nu == 1).any() and (nu > 2).any()
 
 
 def _run(r0, A, change_index, seed, max_steps=DEFAULT_MAX_STEPS):
