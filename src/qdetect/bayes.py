@@ -37,7 +37,7 @@ import numpy as np
 from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
-from .errors import ConfigurationError, UndefinedConditionalError
+from .errors import ConfigurationError
 from .headstart import HeadStartLaw, sr_exact, yakir_mean
 
 
@@ -66,8 +66,8 @@ def couple_pi0(p: float, r0) -> np.ndarray:
     r0 = np.asarray(r0, dtype=float) if np.ndim(r0) else float(r0)
     if np.any(np.asarray(r0) < 0):
         raise ConfigurationError("head start must be nonnegative")
-    q = 1.0 - p
-    return p * (r0 + 1.0) / (q + p * (r0 + 1.0))
+    w = p * (r0 + 1.0)
+    return w / (1.0 - p + w)
 
 
 def implied_headstart(p: float, pi0) -> np.ndarray:
@@ -139,12 +139,11 @@ def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     return (np.array([np.count_nonzero(broken)]),)
 
 
-def risk_identity_exact(config: BayesConfig, reps: int, seed: int, workers: int,
-                        tag: str) -> bool:
+def risk_identity_exact(config: BayesConfig, reps: int, seed: int, workers: int) -> bool:
     """Whether cond - c dp == cond (1 - c dp) bitwise in every replication,
     with cond = 1{N >= nu - 1} and dp = (N - nu + 1)^+."""
-    broken = qrng.run_chunked(partial(_identity_chunk, config=config), reps, seed, tag,
-                              workers=workers)[0]
+    broken = qrng.run_chunked(partial(_identity_chunk, config=config), reps, seed,
+                              "risk-identity", workers=workers)[0]
     return not broken.any()
 
 
@@ -299,14 +298,11 @@ def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
     mc.check_reps(reps)
     r0, nu = qrng.run_chunked(partial(_start_chunk, p=p, law=law), reps, seed,
                               "bayes-cond", workers=workers)
-    sel = nu == 1
-    cond_r0 = r0[sel]
-    m = int(cond_r0.size)
-    if m < 2:
-        raise UndefinedConditionalError(
-            f"only {m} replications had nu = 1; increase reps", rejected=reps - m)
+    cond_r0 = r0[nu == 1]
+    m = cond_r0.size
+    cond = mc.mc_estimate(m, cond_r0.sum(), cond_r0 @ cond_r0, rejected=reps - m)
     n_bins = int(min(40, max(5, m // 200)))
-    hi = max(float(max(r0.max(), cond_r0.max())), 1e-9)
+    hi = max(float(r0.max()), 1e-9)
     edges = np.linspace(0.0, hi * (1 + 1e-9), n_bins + 1)
     cond_hist, _ = np.histogram(cond_r0, bins=edges)
     cond_hist = cond_hist / m
@@ -318,8 +314,8 @@ def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
     un_hist = un_hist / r0.size
     return ConditionalHeadStartReport(
         n_conditional=m,
-        conditional_mean=float(cond_r0.mean()),
-        conditional_se=float(cond_r0.std(ddof=1) / math.sqrt(m)),
+        conditional_mean=cond.mean,
+        conditional_se=cond.stderr,
         l1_vs_size_biased=float(np.abs(cond_hist - sb_hist).sum()),
         l1_vs_unconditional=float(np.abs(cond_hist - un_hist).sum()),
     )

@@ -240,8 +240,8 @@ def _props_checks(args):
     for n in range(1, horizon + 1):
         # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
         mc._stop_times(rng, r, math.inf, math.inf, 1.0, 1, r)
-        se = r.std(ddof=1) / math.sqrt(n_paths)
-        z = abs(r.mean() - n) / se
+        est = mc.mc_estimate(n_paths, r.sum(), r @ r)
+        z = abs(est.mean - n) / est.stderr
         worst = max(worst, z)
         ok = ok and z <= 4.0
     checks.append(("martingale-drift", ok, f"max |z| over n<=20: {worst:.2f}"))
@@ -250,15 +250,15 @@ def _props_checks(args):
     n_stop, r0, final, trunc = mc.sr_replications(a, law, None, reps,
                                                   args.seed, args.workers)
     diff = (final - r0) - n_stop
-    se = diff.std(ddof=1) / math.sqrt(diff.size)
-    z = abs(diff.mean()) / se
+    est = mc.mc_estimate(diff.size, diff.sum(), diff @ diff)
+    z = abs(est.mean) / est.stderr
     checks.append(("optional-stopping", z <= 4.0 and int(trunc.sum()) == 0,
                    f"|z|={z:.2f} truncated={int(trunc.sum())}"))
 
     config = bayes.BayesConfig(p=0.01, c=args.c_star, A=a, law=law)
     checks.append(("risk-identity-exact",
                    bayes.risk_identity_exact(config, min(reps, 100_000), args.seed,
-                                             args.workers, tag="props-eq5"),
+                                             args.workers),
                    "per-sample decomposition is bitwise exact"))
 
     ok, err = bayes.coupling_round_trip(args.seed)

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import ConfigurationError, UndefinedConditionalError
+from .errors import ConfigurationError
+from .montecarlo import mc_estimate
 
 #: Fewest draws :func:`functionals_oracle` accepts.
 ORACLE_MIN_REPS = 10**4
@@ -182,32 +183,22 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     """Brute-force Monte Carlo estimates of p0, mu0 and the mean of R_0.
 
     Returns a dict with keys ``p0_hat``, ``p0_se``, ``mu0_hat``, ``mu0_se``,
-    ``mean_hat`` and ``mean_se``.  The conditional mean uses rejection
-    on {R_0 < A} and raises if fewer than 2 draws land there (no SE).
+    ``mean_hat`` and ``mean_se``.  The threshold must satisfy 0 < A < inf.
+    The conditional mean uses rejection on {R_0 < A} and raises
+    :class:`UndefinedConditionalError` if fewer than 2 draws land there.
     """
+    if not (0.0 < A < math.inf):
+        raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
     if reps < ORACLE_MIN_REPS:
         raise ConfigurationError(f"oracle needs reps >= {ORACLE_MIN_REPS}, got {reps}")
     draws = np.asarray(law.sample(rng, reps), dtype=float)
-    below = draws < A
-    n_below = int(below.sum())
-    hit = (~below).astype(float)
-    p0_hat = hit.mean()
-    p0_se = hit.std(ddof=1) / math.sqrt(reps)
-    if n_below < 2:
-        raise UndefinedConditionalError(
-            f"{n_below} draw(s) below the threshold; mu0 has no standard error",
-            rejected=reps - n_below)
-    cond = draws[below]
-    mu0_hat = cond.mean()
-    mu0_se = cond.std(ddof=1) / math.sqrt(n_below)
-    return {
-        "p0_hat": float(p0_hat),
-        "p0_se": float(p0_se),
-        "mu0_hat": float(mu0_hat),
-        "mu0_se": float(mu0_se),
-        "mean_hat": float(draws.mean()),
-        "mean_se": float(draws.std(ddof=1) / math.sqrt(reps)),
-    }
+    cond = draws[draws < A]
+    hits = reps - cond.size
+    p0 = mc_estimate(reps, hits, hits)
+    mu0 = mc_estimate(cond.size, cond.sum(), cond @ cond, rejected=hits)
+    mean = mc_estimate(reps, draws.sum(), draws @ draws)
+    return {"p0_hat": p0.mean, "p0_se": p0.stderr, "mu0_hat": mu0.mean,
+            "mu0_se": mu0.stderr, "mean_hat": mean.mean, "mean_se": mean.stderr}
 
 
 def oracle_comparison(A: float, reps: int, seed: int) -> dict:

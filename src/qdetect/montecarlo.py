@@ -19,13 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from . import rng as qrng
 from .errors import ConfigurationError, UndefinedConditionalError
-from .headstart import HeadStartLaw
+
+if TYPE_CHECKING:  # headstart imports mc_estimate from here
+    from .headstart import HeadStartLaw
 
 DEFAULT_MAX_STEPS = 10**7
 

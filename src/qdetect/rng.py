@@ -21,8 +21,6 @@ from .errors import ConfigurationError
 #: Replications per derived stream.  Fixed: changing it changes the sample path.
 CHUNK_SIZE = 1 << 18
 
-_MASK64 = (1 << 64) - 1
-
 
 def tag_entropy(tag: str) -> int:
     """Stable 64-bit entropy word for a purpose tag string."""
@@ -31,8 +29,13 @@ def tag_entropy(tag: str) -> int:
 
 
 def derive_rng(seed: int, tag: str, chunk_index: int) -> np.random.Generator:
-    """Philox generator for one chunk of one named estimation run."""
-    entropy = (int(seed) & _MASK64, tag_entropy(tag), int(chunk_index))
+    """Philox generator for one chunk of one named estimation run.
+
+    ``seed`` is any nonnegative integer; distinct seeds give distinct streams.
+    """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    entropy = (int(seed), tag_entropy(tag), int(chunk_index))
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
 
 

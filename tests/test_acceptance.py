@@ -6,7 +6,6 @@ checklist at the end of the run so it shows up in any test log.
 """
 
 import math
-import os
 
 import pytest
 
@@ -37,7 +36,7 @@ from qdetect import (
 from qdetect.headstart import ERRATUM_MIN_Z, ORACLE_QUAD_TOL, ORACLE_Z_LIMIT
 from qdetect.montecarlo import FLATNESS_LIMIT
 
-SEED = int(os.environ.get("QDETECT_SEED", "20240824"))
+SEED = 20240824
 REPS = 10**6
 A_GRID = [1.5, 1.6, 1.7, 1.8, 1.9, 1.98]
 
@@ -162,7 +161,7 @@ def test_criterion_6_size_biased_conditional_law():
 def test_criterion_7_exact_identities():
     # risk decomposition, replication by replication, bitwise
     config = BayesConfig(p=0.01, c=C_STAR, A=1.5, law=HeadStartLaw.yakir(1.5))
-    bitwise_ok = risk_identity_exact(config, 100_000, SEED, 1, tag="acceptance-eq5")
+    bitwise_ok = risk_identity_exact(config, 100_000, SEED, 1)
 
     # prior-weight coupling round trip and the closed-form difference
     # identity, both at machine precision on random inputs

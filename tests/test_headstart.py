@@ -136,6 +136,12 @@ class TestOracle:
         with pytest.raises(UndefinedConditionalError):
             functionals_oracle(law, 1.5, 10**4, np.random.default_rng(5))
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, a):
+        with pytest.raises(ConfigurationError):
+            functionals_oracle(HeadStartLaw.point_mass(0.4), a, 10**4,
+                               np.random.default_rng(6))
+
     def test_reps_floor(self):
         with pytest.raises(ConfigurationError):
             functionals_oracle(HeadStartLaw.yakir(1.5), 1.5, 10, np.random.default_rng(6))

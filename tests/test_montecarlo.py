@@ -96,6 +96,16 @@ class TestDeterminism:
         b = estimate_e1_delay(A, LAW, 50_000, SEED + 1)
         assert a.mean != b.mean
 
+    def test_seeds_do_not_alias(self):
+        # a seed is not reduced mod 2^64: 2^64 and 0 draw different streams
+        a = estimate_e1_delay(A, LAW, 10_000, 0)
+        b = estimate_e1_delay(A, LAW, 10_000, 2**64)
+        assert a.mean != b.mean
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError):
+            estimate_e1_delay(A, LAW, 10_000, -1)
+
 
 class TestMartingaleStructure:
     def test_arl_agrees_with_optional_stopping(self):
