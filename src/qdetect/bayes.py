@@ -55,8 +55,7 @@ class BayesConfig:
             raise ConfigurationError(f"p must lie in (0, 1), got {self.p}")
         if not (0.0 <= self.c < math.inf):
             raise ConfigurationError(f"cost c must be finite and nonnegative, got {self.c}")
-        if not (0.0 < self.A < math.inf):
-            raise ConfigurationError(f"threshold A must be finite and positive, got {self.A}")
+        mc.check_threshold(self.A)
 
 
 def couple_pi0(p: float, r0) -> np.ndarray:
@@ -79,6 +78,7 @@ def implied_headstart(p: float, pi0) -> np.ndarray:
 def coupling_round_trip(seed: int) -> tuple[bool, float]:
     """``(worst <= 1e-12, worst)``, worst the largest relative error of r0 ->
     pi0 -> r0 over 500 random (p, r0) from ``SeedSequence([seed, 2])``."""
+    qrng.check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     ps = rng.uniform(1e-4, 0.99, 500)
     r0s = rng.uniform(0.0, 50.0, 500)

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import __version__, bayes, formulas, headstart, montecarlo as mc
+from . import __version__, bayes, formulas, headstart, montecarlo as mc, rng as qrng
 from .errors import ConfigurationError, QDetectError
 from .headstart import HeadStartLaw
 
@@ -231,6 +231,7 @@ def _props_checks(args):
     reps = min(args.reps, PROPS_MAX_REPS)
     checks = []
 
+    qrng.check_seed(args.seed)
     # martingale drift under no change: E R_n = E R_0 + n
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
     n_paths, horizon = 50_000, 20
@@ -303,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_args(args) -> None:
     mc.check_reps(args.reps)
-    if args.seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {args.seed}")
+    qrng.check_seed(args.seed)
     if args.workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
     if not args.a_grid:

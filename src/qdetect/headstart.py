@@ -23,7 +23,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConfigurationError
-from .montecarlo import mc_estimate
+from .montecarlo import check_threshold, mc_estimate
+from .rng import check_seed
 
 #: Fewest draws :func:`functionals_oracle` accepts.
 ORACLE_MIN_REPS = 10**4
@@ -187,8 +188,7 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     The conditional mean uses rejection on {R_0 < A} and raises
     :class:`UndefinedConditionalError` if fewer than 2 draws land there.
     """
-    if not (0.0 < A < math.inf):
-        raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
+    check_threshold(A)
     if reps < ORACLE_MIN_REPS:
         raise ConfigurationError(f"oracle needs reps >= {ORACLE_MIN_REPS}, got {reps}")
     draws = np.asarray(law.sample(rng, reps), dtype=float)
@@ -205,6 +205,7 @@ def oracle_comparison(A: float, reps: int, seed: int) -> dict:
     """:func:`functionals_oracle` of the uniform product law, seeded by
     ``SeedSequence([seed, int(A * 1000)])``, plus the exact ``p0``, ``mu0`` and
     ``mean``, the quadratures ``p0_quad``, ``mu0_quad`` and ``p0_erratum``."""
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(A * 1000)]))
     out = functionals_oracle(HeadStartLaw.yakir(A), A, reps, rng)
     out.update(p0=p0_exact(A), mu0=mu0_exact(A), mean=yakir_mean(A),

@@ -9,7 +9,7 @@ f1 = Exp(2), keeping only the running statistic.  An observation enters
 only through its likelihood ratio, which each step draws directly from one
 uniform U: lr = 2U before the change and 2 sqrt(U) after it, the values
 2 exp(-X) takes when X = -log U (Exp(1)) or X = -log(U)/2 (Exp(2)).
-Replications are chunked onto derived Philox streams (see
+Replications are chunked onto per-chunk PCG64DXSM streams (see
 :mod:`qdetect.rng`), so a fixed ``(seed, reps, config)`` gives bit-identical
 output for any worker count.
 """
@@ -162,9 +162,14 @@ def check_reps(reps: int) -> None:
             f"reps must be >= 2 for a standard error, got {reps}")
 
 
-def _validate(A: float, reps: int) -> None:
+def check_threshold(A: float) -> None:
+    """Raise unless the threshold satisfies ``0 < A < inf``."""
     if not (0.0 < A < math.inf):
         raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
+
+
+def _validate(A: float, reps: int) -> None:
+    check_threshold(A)
     check_reps(reps)
 
 

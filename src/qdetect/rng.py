@@ -1,10 +1,10 @@
 """Reproducible random streams for replication-parallel simulation.
 
 Every Monte Carlo estimator in this package partitions its replications into
-fixed-size chunks and derives an independent counter-based (Philox) stream for
-each chunk from ``(master_seed, purpose_tag, chunk_index)``.  Chunk boundaries
-never depend on the number of workers, so results are bit-identical for any
-worker count and any scheduling order.
+fixed-size chunks and seeds an independent PCG64DXSM stream for each chunk
+from ``SeedSequence((master_seed, purpose_tag, chunk_index))``.  Chunk
+boundaries never depend on the number of workers, so results are
+bit-identical for any worker count and any scheduling order.
 """
 
 from __future__ import annotations
@@ -28,15 +28,21 @@ def tag_entropy(tag: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def check_seed(seed: int) -> None:
+    """Raise unless ``seed`` is nonnegative: the one seed rule of the chunk
+    streams and of the checks that seed their own ``SeedSequence``."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+
+
 def derive_rng(seed: int, tag: str, chunk_index: int) -> np.random.Generator:
-    """Philox generator for one chunk of one named estimation run.
+    """PCG64DXSM generator for one chunk of one named estimation run.
 
     ``seed`` is any nonnegative integer; distinct seeds give distinct streams.
     """
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
     entropy = (int(seed), tag_entropy(tag), int(chunk_index))
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(entropy)))
 
 
 def chunk_spec(reps: int) -> list[tuple[int, int]]:

@@ -5,12 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from qdetect import coupling_round_trip, headstart, limit_difference_identity, montecarlo
+from qdetect import (
+    ConfigurationError,
+    coupling_round_trip,
+    headstart,
+    limit_difference_identity,
+    montecarlo,
+)
 from qdetect import rng as qrng
 from qdetect.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    _props_checks,
     build_parser,
     main,
 )
@@ -133,15 +140,23 @@ class TestEqualizer:
         assert all(ln.endswith(",0") for ln in body)
 
     def test_single_survivor_rows_missing(self, capsys):
-        # at this seed one of 4 runs survives for k = 3 and for k = 6
+        # the runs of 4 that survive to N >= k - 1, from the equalizer's own streams
+        law = headstart.HeadStartLaw.yakir(1.5)
+        survivors = {k: int((montecarlo.sr_replications(1.5, law, k, 4, 1)[0]
+                             >= k - 1).sum()) for k in range(1, 11)}
+        assert 1 in survivors.values()
         assert main(["equalizer", "--a-grid", "1.5", "--reps", "4",
                      "--seed", "1"]) == EXIT_OK
-        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[2:]]
-        assert rows[2][1:3] == ["missing", "missing"]
-        assert rows[5][1:3] == ["missing", "missing"]
-        # the rejected column counts the 3 runs that stopped too early
-        assert rows[2][3] == "3" and rows[5][3] == "3"
-        assert all(row[2] != "0.0000" for row in rows)
+        lines = capsys.readouterr().out.splitlines()[2:]
+        rows = {int(row[0]): row[1:] for row in (ln.split(",") for ln in lines)}
+        assert sorted(rows) == list(range(1, 11))
+        for k, (delay, delay_se, rejected, _) in rows.items():
+            if survivors[k] < 2:
+                # the rejected column counts the runs that stopped too early
+                assert [delay, delay_se, rejected] == [
+                    "missing", "missing", str(4 - survivors[k])]
+            else:
+                assert float(delay_se) > 0.0
 
 
 class TestCheckSuites:
@@ -193,6 +208,19 @@ class TestConfigErrors:
         monkeypatch.setattr(qrng, "run_chunked", fail)
         assert main(argv) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", [
+        lambda: headstart.oracle_comparison(1.5, 10**4, -1),
+        lambda: coupling_round_trip(-1),
+        lambda: limit_difference_identity(-1),
+        lambda: _props_checks(build_parser().parse_args(
+            ["props", "--a-grid", "1.5", "--reps", "10000", "--seed", "-1"])),
+    ], ids=["oracle_comparison", "coupling_round_trip",
+            "limit_difference_identity", "props"])
+    def test_direct_seed_streams_reject_negative_seed(self, check):
+        # the checks that seed their own SeedSequence keep the one seed rule
+        with pytest.raises(ConfigurationError):
+            check()
 
 
 class TestEntryPoint:

@@ -106,6 +106,20 @@ class TestDeterminism:
         with pytest.raises(ConfigurationError):
             estimate_e1_delay(A, LAW, 10_000, -1)
 
+    @pytest.mark.parametrize("args, first_draws", [
+        ((0, "sr/k=1", 0),
+         [0.8859670704085393, 0.9668856328135474, 0.8007399281738856,
+          0.4136732671770441]),
+        ((2**64, "bayes-limit/0", 3),
+         [0.09798766562122163, 0.9796706987806912, 0.45423460680568284,
+          0.09787920948264872]),
+    ])
+    def test_golden_streams(self, args, first_draws):
+        # a change of generator or seeding moves every Monte Carlo output
+        rng = qrng.derive_rng(*args)
+        assert isinstance(rng.bit_generator, np.random.PCG64DXSM)
+        assert rng.random(4).tolist() == first_draws
+
 
 class TestMartingaleStructure:
     def test_arl_agrees_with_optional_stopping(self):
