@@ -38,7 +38,31 @@ from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError
-from .headstart import HeadStartLaw, sr_exact, yakir_mean
+from .headstart import HeadStartLaw, check_head_start, sr_exact, yakir_mean
+
+
+def check_p(p: float) -> None:
+    """Raise unless the per-step change probability satisfies ``0 < p < 1``."""
+    if not (0.0 < p < 1.0):
+        raise ConfigurationError(f"p must lie in (0, 1), got {p}")
+
+
+def check_cost(c: float) -> None:
+    """Raise unless the delay cost ``c`` is finite and nonnegative."""
+    if not (0.0 <= c < math.inf):
+        raise ConfigurationError(f"cost c must be finite and nonnegative, got {c}")
+
+
+def check_p_grid(p_grid: Sequence[float]) -> List[float]:
+    """``p_grid`` as a list if it holds >= 2 valid ``p``, strictly decreasing."""
+    p_grid = list(p_grid)
+    if len(p_grid) < 2:
+        raise ConfigurationError(f"p_grid needs at least 2 points, got {len(p_grid)}")
+    for p in p_grid:
+        check_p(p)
+    if any(p2 >= p1 for p1, p2 in zip(p_grid, p_grid[1:])):
+        raise ConfigurationError("p_grid must be strictly decreasing")
+    return p_grid
 
 
 @dataclass(frozen=True)
@@ -51,20 +75,16 @@ class BayesConfig:
     law: HeadStartLaw
 
     def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ConfigurationError(f"p must lie in (0, 1), got {self.p}")
-        if not (0.0 <= self.c < math.inf):
-            raise ConfigurationError(f"cost c must be finite and nonnegative, got {self.c}")
+        check_p(self.p)
+        check_cost(self.c)
         mc.check_threshold(self.A)
 
 
 def couple_pi0(p: float, r0) -> np.ndarray:
     """The unique pi0 that starts the Bayes statistic at r0."""
-    if not (0.0 < p < 1.0):
-        raise ConfigurationError(f"p must lie in (0, 1), got {p}")
+    check_p(p)
     r0 = np.asarray(r0, dtype=float) if np.ndim(r0) else float(r0)
-    if np.any(np.asarray(r0) < 0):
-        raise ConfigurationError("head start must be nonnegative")
+    check_head_start(r0)
     w = p * (r0 + 1.0)
     return w / (1.0 - p + w)
 
@@ -78,8 +98,7 @@ def implied_headstart(p: float, pi0) -> np.ndarray:
 def coupling_round_trip(seed: int) -> tuple[bool, float]:
     """``(worst <= 1e-12, worst)``, worst the largest relative error of r0 ->
     pi0 -> r0 over 500 random (p, r0) from ``SeedSequence([seed, 2])``."""
-    qrng.check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    rng = np.random.default_rng(np.random.SeedSequence([qrng.check_seed(seed), 2]))
     ps = rng.uniform(1e-4, 0.99, 500)
     r0s = rng.uniform(0.0, 50.0, 500)
     back = np.array([implied_headstart(p, couple_pi0(p, r)) for p, r in zip(ps, r0s)])
@@ -193,19 +212,16 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
                      workers: int = 1) -> LimitDiagnostic:
     """Estimate (1 - risk)/p along the grid and extrapolate to p = 0.
 
-    ``p_grid`` holds at least 2 points, and ``reps[j]`` replications run at
-    ``p_grid[j]``.  Grid points use independent derived streams, so the
+    ``p_grid`` passes :func:`check_p_grid`, and ``reps[j]`` replications run
+    at ``p_grid[j]``.  Grid points use independent derived streams, so the
     weighted-least-squares standard error of the intercept is valid.
     """
-    p_grid = list(p_grid)
-    if len(p_grid) < 2:
-        raise ConfigurationError(f"p_grid needs at least 2 points, got {len(p_grid)}")
-    if any(p2 >= p1 for p1, p2 in zip(p_grid, p_grid[1:])):
-        raise ConfigurationError("p_grid must be strictly decreasing")
+    p_grid = check_p_grid(p_grid)
     if np.ndim(reps) != 1 or len(reps) != len(p_grid):
         raise ConfigurationError("reps needs one count per p_grid point")
+    reps = [mc.check_reps(n) for n in reps]  # all of them, before any simulation
     rows = []
-    for j, (p, n_reps) in enumerate(zip(p_grid, map(int, reps))):
+    for j, (p, n_reps) in enumerate(zip(p_grid, reps)):
         config = BayesConfig(p=p, c=c_star, A=A, law=law)
         est = estimate_bayes_risk(config, n_reps, seed, workers,
                                   tag=f"bayes-limit/{j}")
@@ -295,7 +311,7 @@ def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
     """
     if not (0.0 < p <= 0.01):
         raise ConfigurationError(f"diagnostic is meaningful for 0 < p <= 0.01, got {p}")
-    mc.check_reps(reps)
+    reps = mc.check_reps(reps)
     r0, nu = qrng.run_chunked(partial(_start_chunk, p=p, law=law), reps, seed,
                               "bayes-cond", workers=workers)
     cond_r0 = r0[nu == 1]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -231,9 +230,8 @@ def _props_checks(args):
     reps = min(args.reps, PROPS_MAX_REPS)
     checks = []
 
-    qrng.check_seed(args.seed)
     # martingale drift under no change: E R_n = E R_0 + n
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([qrng.check_seed(args.seed), 1]))
     n_paths, horizon = 50_000, 20
     r = np.zeros(n_paths)
     ok = True
@@ -292,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_A_GRID,
                         help="comma-separated thresholds in (0, 2)")
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("QDETECT_SEED", DEFAULT_SEED)))
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--c-star", type=float, default=DEFAULT_C_STAR)
     parser.add_argument("--p-grid", type=_float_list, default=DEFAULT_P_GRID)
     parser.add_argument("--workers", type=int, default=1)
@@ -303,27 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_args(args) -> None:
+    """Every flag through its library check, before any simulation starts."""
     mc.check_reps(args.reps)
+    if args.command in ("props", "oracles"):
+        headstart.check_oracle_reps(args.reps)
     qrng.check_seed(args.seed)
-    if args.workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
+    qrng.check_workers(args.workers)
     if not args.a_grid:
         raise ConfigurationError("a_grid must be nonempty")
     for a in args.a_grid:
-        if not (0.0 < a < 2.0):
-            raise ConfigurationError(
-                f"thresholds must lie in (0, 2) for the product head-start law, got {a}")
-    if not (0.0 <= args.c_star < math.inf):
-        raise ConfigurationError(f"c_star must be finite and nonnegative, got {args.c_star}")
-    if len(args.p_grid) < 2:
-        raise ConfigurationError(
-            f"p_grid needs at least 2 values to extrapolate, got {len(args.p_grid)}")
-    if not all(0.0 < p < 1.0 for p in args.p_grid):
-        raise ConfigurationError(f"p-grid values must lie in (0, 1), got {_grid(args.p_grid)}")
-    if args.command in ("props", "oracles") and args.reps < headstart.ORACLE_MIN_REPS:
-        raise ConfigurationError(
-            f"{args.command} needs reps >= {headstart.ORACLE_MIN_REPS} for its "
-            f"oracle checks, got {args.reps}")
+        HeadStartLaw.yakir(a)
+    bayes.check_cost(args.c_star)
+    bayes.check_p_grid(args.p_grid)
 
 
 _COMMANDS = {

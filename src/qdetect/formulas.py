@@ -59,8 +59,7 @@ def c_limit_eq3(e_r0: float, e1_delay: float, arl_false: float,
 def limit_difference_identity(seed: int) -> tuple[bool, float]:
     """``(worst <= 1e-12, worst)``, worst the largest relative error of the
     difference identity over 500 random inputs from ``SeedSequence([seed, 3])``."""
-    check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed), 3]))
     e_r0, e1d, arl, cross, c_star = rng.uniform(0.01, 5.0, (5, 500))
     lhs = c_limit_eq3(e_r0, e1d, arl, c_star) - c_limit_eq4(e_r0, e1d, arl, cross, c_star)
     rhs = c_star * (cross - e1d * e_r0)

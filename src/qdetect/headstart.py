@@ -24,7 +24,7 @@ from scipy import integrate
 
 from .errors import ConfigurationError
 from .montecarlo import check_threshold, mc_estimate
-from .rng import check_seed
+from .rng import check_count, check_seed
 
 #: Fewest draws :func:`functionals_oracle` accepts.
 ORACLE_MIN_REPS = 10**4
@@ -58,8 +58,7 @@ class HeadStartLaw:
 
     @classmethod
     def point_mass(cls, r0: float) -> "HeadStartLaw":
-        if not (0.0 <= r0 < math.inf):
-            raise ConfigurationError(f"head start must be finite and nonnegative, got {r0}")
+        check_head_start(r0)
         return cls(kind=LawKind.POINT_MASS, r0=float(r0))
 
     @classmethod
@@ -85,6 +84,19 @@ class HeadStartLaw:
             r0 *= z
             return r0
         return self.sampler(rng, size)
+
+
+def check_head_start(r0) -> None:
+    """Raise unless every head start in ``r0`` (a number or an array) is finite
+    and nonnegative.  Two reductions, no temporary: it runs on every chunk."""
+    for x in (np.min(r0, initial=0.0), np.max(r0, initial=0.0)):
+        if not (0.0 <= x < math.inf):
+            raise ConfigurationError(f"head start must be finite and nonnegative, got {x}")
+
+
+def check_oracle_reps(reps: int) -> int:
+    """``reps`` as an ``int`` if it is a whole number >= :data:`ORACLE_MIN_REPS`."""
+    return check_count(reps, "oracle reps", ORACLE_MIN_REPS)
 
 
 def _check_threshold(A: float) -> None:
@@ -189,8 +201,7 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     :class:`UndefinedConditionalError` if fewer than 2 draws land there.
     """
     check_threshold(A)
-    if reps < ORACLE_MIN_REPS:
-        raise ConfigurationError(f"oracle needs reps >= {ORACLE_MIN_REPS}, got {reps}")
+    reps = check_oracle_reps(reps)
     draws = np.asarray(law.sample(rng, reps), dtype=float)
     cond = draws[draws < A]
     hits = reps - cond.size
@@ -205,8 +216,7 @@ def oracle_comparison(A: float, reps: int, seed: int) -> dict:
     """:func:`functionals_oracle` of the uniform product law, seeded by
     ``SeedSequence([seed, int(A * 1000)])``, plus the exact ``p0``, ``mu0`` and
     ``mean``, the quadratures ``p0_quad``, ``mu0_quad`` and ``p0_erratum``."""
-    check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, int(A * 1000)]))
+    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed), int(A * 1000)]))
     out = functionals_oracle(HeadStartLaw.yakir(A), A, reps, rng)
     out.update(p0=p0_exact(A), mu0=mu0_exact(A), mean=yakir_mean(A),
                p0_quad=p0_quadrature(A), mu0_quad=mu0_quadrature(A),

@@ -155,22 +155,15 @@ def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartL
     return n_stop, r0, final, truncated
 
 
-def check_reps(reps: int) -> None:
-    """Raise unless ``reps`` is large enough for a standard error (>= 2)."""
-    if reps < 2:
-        raise ConfigurationError(
-            f"reps must be >= 2 for a standard error, got {reps}")
+def check_reps(reps: int) -> int:
+    """``reps`` as an ``int`` if it is a whole number >= 2, for a standard error."""
+    return qrng.check_count(reps, "reps", 2)
 
 
 def check_threshold(A: float) -> None:
     """Raise unless the threshold satisfies ``0 < A < inf``."""
     if not (0.0 < A < math.inf):
         raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
-
-
-def _validate(A: float, reps: int) -> None:
-    check_threshold(A)
-    check_reps(reps)
 
 
 def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
@@ -183,12 +176,10 @@ def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
     so runs at different ``A`` with the same seed share head starts and can
     be compared under common random numbers at the estimator level.
     """
-    _validate(A, reps)
-    if change_index is not None:
-        if not (1 <= change_index < math.inf) or int(change_index) != change_index:
-            raise ConfigurationError(
-                f"change index must be a positive integer, got {change_index}")
-        change_index = int(change_index)  # the tag spells it: 2.0 and 2 share a stream
+    check_threshold(A)
+    reps = check_reps(reps)
+    if change_index is not None:  # the tag spells the int: 2.0 and 2 share a stream
+        change_index = qrng.check_count(change_index, "change index", 1)
     kernel = partial(_sr_chunk, A=A, law=law, change_index=change_index,
                      max_steps=max_steps)
     full_tag = f"{tag}/k={change_index}"
@@ -228,16 +219,16 @@ def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
     n_stop, _, _, trunc = sr_replications(A, law, k, reps, seed, workers)
     keep = n_stop >= k - 1
     kept = n_stop[keep]
-    return _estimate(kept - k + 1, int(trunc[keep].sum()), int(reps - kept.size))
+    return _estimate(kept - k + 1, int(trunc[keep].sum()), n_stop.size - kept.size)
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
                   workers: int = 1) -> DelayProfile:
-    """Conditional delays for k = 1..k_max; ``undefined`` maps each k with fewer
-    than 2 survivors to the number of runs its conditioning rejected."""
+    """Conditional delays for k = 1..k_max (k_max >= 1); ``undefined`` maps each
+    k with fewer than 2 survivors to the number of runs its conditioning rejected."""
     entries: Dict[int, McEstimate] = {}
     undefined: Dict[int, int] = {}
-    for k in range(1, k_max + 1):
+    for k in range(1, qrng.check_count(k_max, "k_max", 1) + 1):
         try:
             entries[k] = estimate_conditional_delay(A, law, k, reps, seed, workers)
         except UndefinedConditionalError as exc:

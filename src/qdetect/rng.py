@@ -10,6 +10,7 @@ bit-identical for any worker count and any scheduling order.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
@@ -28,11 +29,23 @@ def tag_entropy(tag: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def check_seed(seed: int) -> None:
-    """Raise unless ``seed`` is nonnegative: the one seed rule of the chunk
-    streams and of the checks that seed their own ``SeedSequence``."""
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int`` if it is a whole number ``>= minimum`` (``2.0``
+    reads as ``2``), else :class:`ConfigurationError`: the one count rule."""
+    if not (minimum <= value < math.inf) or int(value) != value:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` as an ``int`` if it is a whole number >= 0: the seed rule of the
+    chunk streams and of the checks that seed their own ``SeedSequence``."""
+    return check_count(seed, "seed", 0)
+
+
+def check_workers(workers: int) -> int:
+    """``workers`` as an ``int`` if it is a whole number >= 1."""
+    return check_count(workers, "workers", 1)
 
 
 def derive_rng(seed: int, tag: str, chunk_index: int) -> np.random.Generator:
@@ -40,16 +53,13 @@ def derive_rng(seed: int, tag: str, chunk_index: int) -> np.random.Generator:
 
     ``seed`` is any nonnegative integer; distinct seeds give distinct streams.
     """
-    check_seed(seed)
-    entropy = (int(seed), tag_entropy(tag), int(chunk_index))
+    entropy = (check_seed(seed), tag_entropy(tag), int(chunk_index))
     return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(entropy)))
 
 
 def chunk_spec(reps: int) -> list[tuple[int, int]]:
     """List of ``(chunk_index, count)`` pairs covering ``reps`` replications."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    full, rem = divmod(int(reps), CHUNK_SIZE)
+    full, rem = divmod(check_count(reps, "reps", 1), CHUNK_SIZE)
     spec = [(i, CHUNK_SIZE) for i in range(full)]
     if rem:
         spec.append((full, rem))
@@ -74,10 +84,11 @@ def run_chunked(
     in chunk order, so the result is independent of ``workers``.  Kernels used
     with ``workers > 1`` must be picklable (module-level functions or partials
     of them); one that is not raises :class:`ConfigurationError` before any
-    worker starts.
+    worker starts, as does a seed or worker count that breaks its rule.
     """
+    seed, workers = check_seed(seed), check_workers(workers)
     jobs = [(kernel, seed, tag, idx, count) for idx, count in chunk_spec(reps)]
-    if workers <= 1 or len(jobs) == 1:
+    if workers == 1 or len(jobs) == 1:
         parts = [_exec_chunk(job) for job in jobs]
     else:
         try:

@@ -17,6 +17,7 @@ from qdetect import (
     implied_headstart,
     limit_diagnostic,
     limit_predictions,
+    risk_identity_exact,
     size_biased_mean,
     sr_exact,
     yakir_mean,
@@ -54,6 +55,12 @@ class TestCoupling:
     def test_invalid_p(self):
         with pytest.raises(ConfigurationError):
             couple_pi0(1.5, 0.0)
+
+    @pytest.mark.parametrize("r0", [math.nan, math.inf, np.array([0.5, math.nan])])
+    def test_non_finite_head_start_rejected(self, r0):
+        # unchecked, a nan head start gives a nan pi0
+        with pytest.raises(ConfigurationError):
+            couple_pi0(0.1, r0)
 
 
 class TestChangeTimePrior:
@@ -135,6 +142,10 @@ class TestRiskEstimate:
         with pytest.raises(ConfigurationError):
             estimate_bayes_risk(BayesConfig(p=0.02, c=0.1, A=A, law=LAW), 1, SEED)
 
+    def test_identity_check_needs_a_replication(self):
+        with pytest.raises(ConfigurationError):
+            risk_identity_exact(BayesConfig(p=0.02, c=0.1, A=A, law=LAW), 0, SEED, 1)
+
     def test_stop_at_zero_rule_risk_is_miss_mass(self):
         # head start above A: N = 0, risk reduces to P(nu >= 2) = 1 - pi0
         r0 = 4.0
@@ -162,6 +173,7 @@ class TestLimitDiagnostic:
         ([0.5], [50_000]),              # one point: nothing to extrapolate
         ([0.02, 0.01], 50_000),         # one count for the whole grid
         ([0.02, 0.01], [50_000]),       # fewer counts than points
+        ([0.02, 0.01], [1000, 1000.5]),  # a fractional count
     ])
     def test_grid_and_reps_shape_rejected(self, p_grid, reps, monkeypatch):
         def fail(*args, **kwargs):

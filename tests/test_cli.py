@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from qdetect import (
     ConfigurationError,
+    bayes,
     coupling_round_trip,
     headstart,
     limit_difference_identity,
@@ -14,6 +16,7 @@ from qdetect import (
 )
 from qdetect import rng as qrng
 from qdetect.cli import (
+    DEFAULT_SEED,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -24,6 +27,37 @@ from qdetect.cli import (
 
 FAST_TABLE = ["table1", "--a-grid", "1.5,1.7", "--reps", "20000", "--seed", "9"]
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Each bad flag, with the library check that rejects the same value (None
+# for the one rule the CLI keeps: a nonempty --a-grid).
+BAD_FLAGS = [
+    (["table1", "--reps", "0"], lambda: montecarlo.check_reps(0)),
+    (["table1", "--a-grid", "2.5"], lambda: headstart.HeadStartLaw.yakir(2.5)),
+    (["table1", "--a-grid", ","], None),
+    (["table1", "--workers", "0"], lambda: qrng.check_workers(0)),
+    (["bayes-limit", "--p-grid", ","], lambda: bayes.check_p_grid([])),
+    (["bayes-limit", "--c-star", "-0.1"], lambda: bayes.check_cost(-0.1)),
+    (["table1", "--reps", "1"], lambda: montecarlo.check_reps(1)),
+    (["bayes-limit", "--reps", "1"], lambda: montecarlo.check_reps(1)),
+    (["bayes-limit", "--c-star", "nan", "--reps", "2000"],
+     lambda: bayes.check_cost(math.nan)),
+    (["bayes-limit", "--c-star", "inf", "--reps", "2000"],
+     lambda: bayes.check_cost(math.inf)),
+    (["oracles", "--seed", "-1"], lambda: qrng.check_seed(-1)),
+    (["props", "--a-grid", "1.5", "--reps", "5000"],
+     lambda: headstart.check_oracle_reps(5000)),
+    (["bayes-limit", "--p-grid", "0.02,0.01,0", "--reps", "300000"],
+     lambda: bayes.check_p_grid([0.02, 0.01, 0.0])),
+    (["bayes-limit", "--p-grid", "0.02"], lambda: bayes.check_p_grid([0.02])),
+    # every command applies the whole p-grid rule, not only bayes-limit
+    (["table1", "--p-grid", "0.005,0.01"], lambda: bayes.check_p_grid([0.005, 0.01])),
+]
+
+
+def _fail_on_simulation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the flags")
+    monkeypatch.setattr(qrng, "run_chunked", fail)
 
 
 class TestParsing:
@@ -38,13 +72,10 @@ class TestParsing:
         args = build_parser().parse_args(["table1", "--a-grid", "1.5, 1.9"])
         assert args.a_grid == [1.5, 1.9]
 
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv("QDETECT_SEED", "777")
-        assert build_parser().parse_args(["props"]).seed == 777
-
-    def test_seed_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QDETECT_SEED", "777")
-        assert build_parser().parse_args(["props", "--seed", "5"]).seed == 5
+    def test_seed_ignores_the_environment(self, monkeypatch):
+        # a bare command prints the same tables on every machine
+        monkeypatch.setenv("QDETECT_SEED", "abc")
+        assert build_parser().parse_args(["props"]).seed == DEFAULT_SEED
 
 
 class TestTable1:
@@ -186,28 +217,21 @@ class TestCheckSuites:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("argv", [
-        ["table1", "--reps", "0"],
-        ["table1", "--a-grid", "2.5"],
-        ["table1", "--a-grid", ","],
-        ["table1", "--workers", "0"],
-        ["bayes-limit", "--p-grid", ","],
-        ["bayes-limit", "--c-star", "-0.1"],
-        ["table1", "--reps", "1"],
-        ["bayes-limit", "--reps", "1"],
-        ["bayes-limit", "--c-star", "nan", "--reps", "2000"],
-        ["bayes-limit", "--c-star", "inf", "--reps", "2000"],
-        ["oracles", "--seed", "-1"],
-        ["props", "--a-grid", "1.5", "--reps", "5000"],
-        ["bayes-limit", "--p-grid", "0.02,0.01,0", "--reps", "300000"],
-        ["bayes-limit", "--p-grid", "0.02"],
-    ])
+    @pytest.mark.parametrize("argv", [argv for argv, _ in BAD_FLAGS])
     def test_exit_code_four(self, argv, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise AssertionError("simulated before rejecting the flags")
-        monkeypatch.setattr(qrng, "run_chunked", fail)
+        _fail_on_simulation(monkeypatch)
         assert main(argv) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, check", [
+        pytest.param(argv, check, id=" ".join(argv)) for argv, check in BAD_FLAGS if check])
+    def test_message_is_the_library_checks(self, argv, check, monkeypatch, capsys):
+        # the CLI restates no rule: it prints what the library check raises
+        _fail_on_simulation(monkeypatch)
+        with pytest.raises(ConfigurationError) as info:
+            check()
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {info.value}\n"
 
     @pytest.mark.parametrize("check", [
         lambda: headstart.oracle_comparison(1.5, 10**4, -1),
@@ -215,8 +239,9 @@ class TestConfigErrors:
         lambda: limit_difference_identity(-1),
         lambda: _props_checks(build_parser().parse_args(
             ["props", "--a-grid", "1.5", "--reps", "10000", "--seed", "-1"])),
+        lambda: coupling_round_trip(1.5),  # not read as seed 1
     ], ids=["oracle_comparison", "coupling_round_trip",
-            "limit_difference_identity", "props"])
+            "limit_difference_identity", "props", "coupling_round_trip_fractional"])
     def test_direct_seed_streams_reject_negative_seed(self, check):
         # the checks that seed their own SeedSequence keep the one seed rule
         with pytest.raises(ConfigurationError):

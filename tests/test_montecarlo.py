@@ -56,8 +56,9 @@ class TestTrivialCases:
                 estimate_e1_delay(a, HeadStartLaw.point_mass(0.0), 100, 1)
 
     def test_invalid_reps(self):
-        # one replication would report a zero standard error
-        for reps in (0, 1):
+        # one replication would report a zero standard error, and a fractional
+        # count would be truncated
+        for reps in (0, 1, 1000.7):
             with pytest.raises(ConfigurationError):
                 estimate_e1_delay(A, LAW, reps, SEED)
 
@@ -105,6 +106,16 @@ class TestDeterminism:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             estimate_e1_delay(A, LAW, 10_000, -1)
+
+    @pytest.mark.parametrize("seed, workers", [(1.5, 1), (SEED, 0), (SEED, -1)])
+    def test_seed_and_workers_are_whole_counts(self, seed, workers):
+        # seed 1.5 would run seed 1, and a worker count below 1 serially
+        with pytest.raises(ConfigurationError):
+            estimate_e1_delay(A, LAW, 1000, seed, workers)
+
+    def test_integral_float_seed_shares_the_stream(self):
+        assert (estimate_e1_delay(A, LAW, 10_000, 1.0)
+                == estimate_e1_delay(A, LAW, 10_000, 1))
 
     @pytest.mark.parametrize("args, first_draws", [
         ((0, "sr/k=1", 0),
@@ -161,11 +172,13 @@ class TestConditionalDelay:
             estimate_conditional_delay(A, law, 2, 10**4, SEED)
 
     def test_single_survivor_has_no_stderr(self):
-        # at this seed one of 4 runs survives N >= 2
-        n_stop = sr_replications(A, LAW, 3, 4, 1)[0]
-        assert (n_stop >= 2).sum() == 1
+        # a k at which one of 4 runs survives N >= k - 1, from the estimator's
+        # own streams
+        ones = [k for k in range(2, 11)
+                if (sr_replications(A, LAW, k, 4, 1)[0] >= k - 1).sum() == 1]
+        assert ones
         with pytest.raises(UndefinedConditionalError) as info:
-            estimate_conditional_delay(A, LAW, 3, 4, 1)
+            estimate_conditional_delay(A, LAW, ones[0], 4, 1)
         assert info.value.rejected == 3
 
     def test_rejection_counted(self):
@@ -195,6 +208,11 @@ class TestDelayProfile:
         assert profile.entries[1].mean == 0.0
         assert 2 in profile.undefined and 3 in profile.undefined
         assert profile.deviations() == {1: 0.0}  # zero SE: the floor, not 0/0
+
+    def test_k_max_must_be_positive(self):
+        # an empty profile has no k = 1 for deviations() to compare against
+        with pytest.raises(ConfigurationError):
+            delay_profile(A, LAW, 0, 10**4, SEED)
 
 
 class TestAgainstClosedForms:
