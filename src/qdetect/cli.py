@@ -10,7 +10,7 @@ Subcommands reproduce the numerical study and run the verification suites:
 
 Exit codes: 0 success, 2 invariant failure (including a truncation fraction
 above the flag level in table1, bayes-limit or equalizer), 3 inconclusive
-statistics, 4 configuration error.
+statistics, 4 configuration error (including a flag argparse cannot parse).
 """
 
 from __future__ import annotations
@@ -280,9 +280,18 @@ def _float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on :data:`EXIT_CONFIG`, not on 2, which
+    this CLI reserves for an invariant failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qdetect", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="qdetect", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command",
                         choices=["table1", "bayes-limit", "equalizer",
                                  "props", "oracles"])

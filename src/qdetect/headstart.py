@@ -47,8 +47,7 @@ class LawKind(enum.Enum):
 class HeadStartLaw:
     """Distribution of the head start R_0 chosen by the statistician.
 
-    For CUSTOM laws, ``sampler(rng, size)`` must return nonnegative draws;
-    use a module-level function when simulating with ``workers > 1``.
+    For CUSTOM laws, ``sampler(rng, size)`` must return nonnegative draws.
     """
 
     kind: LawKind

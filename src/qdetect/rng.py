@@ -5,14 +5,20 @@ fixed-size chunks and seeds an independent PCG64DXSM stream for each chunk
 from ``SeedSequence((master_seed, purpose_tag, chunk_index))``.  Chunk
 boundaries never depend on the number of workers, so results are
 bit-identical for any worker count and any scheduling order.
+
+With ``workers > 1`` the chunks run on a thread pool.  Each chunk owns its
+generator and its arrays, kernels and head-start laws are immutable, and
+numpy releases the GIL in ``Generator.random``, in ufunc loops and in
+indexing, where a chunk spends its time; so the threads share nothing and
+really run in parallel, and no kernel or law needs to be picklable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  only perfbench/tracer.py reads it
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,11 +72,6 @@ def chunk_spec(reps: int) -> list[tuple[int, int]]:
     return spec
 
 
-def _exec_chunk(args):
-    kernel, seed, tag, chunk_index, count = args
-    return kernel(derive_rng(seed, tag, chunk_index), count)
-
-
 def run_chunked(
     kernel: Callable[[np.random.Generator, int], Sequence[np.ndarray]],
     reps: int,
@@ -81,23 +82,22 @@ def run_chunked(
     """Run ``kernel(rng, count)`` over all chunks and concatenate its outputs.
 
     The kernel returns a tuple of arrays; outputs are concatenated column-wise
-    in chunk order, so the result is independent of ``workers``.  Kernels used
-    with ``workers > 1`` must be picklable (module-level functions or partials
-    of them); one that is not raises :class:`ConfigurationError` before any
-    worker starts, as does a seed or worker count that breaks its rule.
+    in chunk order, so the result is independent of ``workers``.  With more
+    than one worker and chunk, the chunks run on ``min(workers, chunks)``
+    threads of one process; a kernel must only not share mutable state
+    between its calls.  A seed or worker count that breaks its rule raises
+    :class:`ConfigurationError` before any chunk runs.
     """
     seed, workers = check_seed(seed), check_workers(workers)
-    jobs = [(kernel, seed, tag, idx, count) for idx, count in chunk_spec(reps)]
-    if workers == 1 or len(jobs) == 1:
-        parts = [_exec_chunk(job) for job in jobs]
+
+    def run_chunk(spec):
+        chunk_index, count = spec
+        return kernel(derive_rng(seed, tag, chunk_index), count)
+
+    specs = chunk_spec(reps)
+    if workers == 1 or len(specs) == 1:
+        parts = [run_chunk(spec) for spec in specs]
     else:
-        try:
-            pickle.dumps(kernel)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise ConfigurationError(
-                f"workers > 1 needs a picklable kernel and head-start law "
-                f"(module-level functions, not lambdas): {exc}") from exc
-        # a fork pool starts every worker at the first submit; extra ones idle
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = list(pool.map(_exec_chunk, jobs))
+        with ThreadPoolExecutor(max_workers=min(workers, len(specs))) as pool:
+            parts = list(pool.map(run_chunk, specs))
     return [np.concatenate(cols) for cols in zip(*parts)]

@@ -252,9 +252,22 @@ class TestEntryPoint:
     @pytest.mark.parametrize("argv, code", [
         (["table1", "--a-grid", "1.5", "--reps", "2000", "--seed", "9"], EXIT_OK),
         (["table1", "--reps", "1"], EXIT_CONFIG),
+        # flags argparse cannot parse are configuration errors too
+        (["table1", "--reps", "1.5"], EXIT_CONFIG),
+        (["table1", "--a-grid", "1.5,x"], EXIT_CONFIG),
+        (["frobnicate"], EXIT_CONFIG),
+        (["--help"], EXIT_OK),
     ])
     def test_module_exit_code(self, argv, code):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-m", "qdetect.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
+
+    def test_usage_error_keeps_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--reps", "1.5"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qdetect ")
+        assert err.endswith("qdetect: error: argument --reps: invalid int value: '1.5'\n")

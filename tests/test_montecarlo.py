@@ -1,15 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from qdetect import (
+    BayesConfig,
     ConfigurationError,
     HeadStartLaw,
     UndefinedConditionalError,
     delay_profile,
     estimate_arl_false,
+    estimate_bayes_risk,
     estimate_conditional_delay,
     estimate_cross_term,
     estimate_e1_and_cross,
@@ -74,23 +77,33 @@ class TestDeterminism:
     def test_pool_sized_to_chunks(self, monkeypatch):
         sizes = []
 
-        class RecordingPool(qrng.ProcessPoolExecutor):
+        class RecordingPool(qrng.ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(qrng, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(qrng, "ThreadPoolExecutor", RecordingPool)
         reps = CHUNK_SIZE + 1  # two chunks
         parallel = estimate_e1_delay(A, LAW, reps, SEED, workers=8)
         assert sizes == [2]
         assert parallel == estimate_e1_delay(A, LAW, reps, SEED, workers=1)
 
-    def test_unpicklable_law_needs_one_worker(self):
+    def test_unpicklable_law_runs_on_workers(self):
         law = HeadStartLaw.custom(lambda rng, size: rng.uniform(0.0, 2.0, size))
-        reps = CHUNK_SIZE + 1  # two chunks, so two workers would start a pool
-        with pytest.raises(ConfigurationError):
-            estimate_e1_delay(A, law, reps, SEED, workers=2)
-        assert estimate_e1_delay(A, law, reps, SEED, workers=1).reps == reps
+        reps = CHUNK_SIZE + 1  # two chunks, so two workers run a pool
+        assert (estimate_e1_delay(A, law, reps, SEED, workers=2)
+                == estimate_e1_delay(A, law, reps, SEED, workers=1))
+
+    def test_workers_start_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a worker started a process")
+        monkeypatch.setattr(os, "fork", no_fork)
+        reps = CHUNK_SIZE + 1  # two chunks
+        config = BayesConfig(p=0.01, c=0.1, A=A, law=LAW)
+        assert (estimate_e1_delay(A, LAW, reps, SEED, workers=2)
+                == estimate_e1_delay(A, LAW, reps, SEED, workers=1))
+        assert (estimate_bayes_risk(config, reps, SEED, workers=2)
+                == estimate_bayes_risk(config, reps, SEED, workers=1))
 
     def test_seed_changes_result(self):
         a = estimate_e1_delay(A, LAW, 50_000, SEED)
