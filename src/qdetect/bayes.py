@@ -142,7 +142,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     _, nu, n_stop, truncated = _bayes_runs(rng, count, config)
     late = n_stop - nu + 1
     miss = np.count_nonzero(late < 0)
-    dp = late[late > 0]
+    dp = late.take(np.flatnonzero(late > 0))
     # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
     c = config.c
     return (np.array([[count, miss + c * int(dp.sum()), miss + c * c * int(dp @ dp),
@@ -314,7 +314,7 @@ def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
     reps = mc.check_reps(reps)
     r0, nu = qrng.run_chunked(partial(_start_chunk, p=p, law=law), reps, seed,
                               "bayes-cond", workers=workers)
-    cond_r0 = r0[nu == 1]
+    cond_r0 = r0.take(np.flatnonzero(nu == 1))
     m = cond_r0.size
     cond = mc.mc_estimate(m, cond_r0.sum(), cond_r0 @ cond_r0, rejected=reps - m)
     n_bins = int(min(40, max(5, m // 200)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -321,6 +322,18 @@ def _validate_args(args) -> None:
         HeadStartLaw.yakir(a)
     bayes.check_cost(args.c_star)
     bayes.check_p_grid(args.p_grid)
+    if args.out not in (None, "-"):
+        _check_out(args.out)
+
+
+def _check_out(path: str) -> None:
+    """Raise unless ``path`` names a file that can be created or replaced:
+    not a directory, and inside a directory that exists."""
+    if os.path.isdir(path):
+        raise ConfigurationError(f"--out {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigurationError(f"--out {path}: no directory {parent}")
 
 
 _COMMANDS = {

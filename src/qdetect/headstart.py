@@ -202,7 +202,7 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     check_threshold(A)
     reps = check_oracle_reps(reps)
     draws = np.asarray(law.sample(rng, reps), dtype=float)
-    cond = draws[draws < A]
+    cond = draws.take(np.flatnonzero(draws < A))
     hits = reps - cond.size
     p0 = mc_estimate(reps, hits, hits)
     mu0 = mc_estimate(cond.size, cond.sum(), cond @ cond, rejected=hits)

@@ -12,6 +12,13 @@ uniform U: lr = 2U before the change and 2 sqrt(U) after it, the values
 Replications are chunked onto per-chunk PCG64DXSM streams (see
 :mod:`qdetect.rng`), so a fixed ``(seed, reps, config)`` gives bit-identical
 output for any worker count.
+
+Stops are recorded by index scatter: each step writes its number to every
+running replication, and the runs still below the threshold are kept by
+integer index.  The kernel and the reductions select no replication-sized
+array by a boolean mask, because the mask of the runs that stop at a step is
+close to random, and numpy's masked selection on such a mask costs several
+times an index scatter or ``flatnonzero`` plus ``take``.
 """
 
 from __future__ import annotations
@@ -94,27 +101,30 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
     change index for every replication (``math.inf``: never) or an array with
     one per replication.  Each step draws one uniform ``U`` per running
     replication, in replication order, takes ``lr = 2U`` before the change
-    and ``2 sqrt(U)`` after it, and updates the running statistics in place;
-    the runs that reached ``A`` then leave the active set.  Returns
-    ``(n_stop, truncated)``: runs starting at or above ``A`` stop at 0, and
-    runs still below ``A`` after ``max_steps`` steps stop there, truncated.
-    If given, ``final`` receives ``R_n`` at stopping for the runs that started
-    below ``A``.
+    and ``2 sqrt(U)`` after it, and updates the running statistics in place.
+    Returns ``(n_stop, truncated)``: runs starting at or above ``A`` stop at
+    0, and runs still below ``A`` after ``max_steps`` steps stop there,
+    truncated.  If given, ``final`` receives ``R_n`` at stopping for the runs
+    that took a step; it is left as it is for the others.
+
+    Every step scatters the step number, and ``R_n`` into ``final``, to all
+    running replications by index, so the last write a run gets is its
+    stopping step and statistic; the runs still below ``A`` stay by the
+    integer index ``flatnonzero(R_n < A)``.  No array is selected by the
+    near-random boolean mask of the runs that stopped (see the module
+    docstring for why).
     """
     n_stop = np.zeros(r0.size, dtype=np.int64)
     truncated = np.zeros(r0.size, dtype=bool)
     per_rep = np.ndim(nu) > 0
     idx = np.flatnonzero(r0 < A)
-    r = r0[idx]
-    nu_act = nu[idx] if per_rep else nu
+    r = r0.take(idx)
+    nu_act = nu.take(idx) if per_rep else nu
     step = 0
     while idx.size:
         step += 1
-        if step > max_steps:
+        if step > max_steps:  # n_stop and final already hold step max_steps
             truncated[idx] = True
-            n_stop[idx] = max_steps
-            if final is not None:
-                final[idx] = r
             break
         lr = rng.random(idx.size)
         if per_rep:
@@ -126,18 +136,15 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
         r *= lr
         if q != 1.0:
             r /= q
-        running = r < A
-        keep = np.flatnonzero(running)
+        n_stop[idx] = step
+        if final is not None:
+            final[idx] = r
+        keep = np.flatnonzero(r < A)
         if keep.size < idx.size:
-            stopped = ~running
-            sel = idx[stopped]
-            n_stop[sel] = step
-            if final is not None:
-                final[sel] = r[stopped]
-            idx = idx[keep]
-            r = r[keep]
+            idx = idx.take(keep)
+            r = r.take(keep)
             if per_rep:
-                nu_act = nu_act[keep]
+                nu_act = nu_act.take(keep)
     return n_stop, truncated
 
 
@@ -217,9 +224,10 @@ def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
                                seed: int, workers: int = 1) -> McEstimate:
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early."""
     n_stop, _, _, trunc = sr_replications(A, law, k, reps, seed, workers)
-    keep = n_stop >= k - 1
-    kept = n_stop[keep]
-    return _estimate(kept - k + 1, int(trunc[keep].sum()), n_stop.size - kept.size)
+    keep = np.flatnonzero(n_stop >= k - 1)
+    kept = n_stop.take(keep)
+    return _estimate(kept - (k - 1), int(trunc.take(keep).sum()),
+                     n_stop.size - kept.size)
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,

@@ -29,7 +29,7 @@ FAST_TABLE = ["table1", "--a-grid", "1.5,1.7", "--reps", "20000", "--seed", "9"]
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Each bad flag, with the library check that rejects the same value (None
-# for the one rule the CLI keeps: a nonempty --a-grid).
+# for the rules the CLI keeps: a nonempty --a-grid and a writable --out).
 BAD_FLAGS = [
     (["table1", "--reps", "0"], lambda: montecarlo.check_reps(0)),
     (["table1", "--a-grid", "2.5"], lambda: headstart.HeadStartLaw.yakir(2.5)),
@@ -51,6 +51,9 @@ BAD_FLAGS = [
     (["bayes-limit", "--p-grid", "0.02"], lambda: bayes.check_p_grid([0.02])),
     # every command applies the whole p-grid rule, not only bayes-limit
     (["table1", "--p-grid", "0.005,0.01"], lambda: bayes.check_p_grid([0.005, 0.01])),
+    # an unwritable --out fails before the simulation, not after it
+    (["table1", "--out", str(SRC / "no-such-dir" / "x.csv")], None),
+    (["table1", "--out", str(SRC)], None),
 ]
 
 

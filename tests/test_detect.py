@@ -18,7 +18,7 @@ import pytest
 
 from qdetect import BayesConfig, HeadStartLaw, couple_pi0
 from qdetect.bayes import _bayes_runs, _start_chunk
-from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _stop_times
 from qdetect.rng import derive_rng
 
 SEED = 20240824
@@ -89,6 +89,36 @@ class TestKernelsMatchReference:
         ref = reference_stop_times(rng, r0, A, nu, 1.0 - p, DEFAULT_MAX_STEPS)
         _assert_paths_match(n_stop, truncated, None, ref)
         assert (nu > 1).any() and (nu == 1).any()
+
+    @pytest.mark.parametrize("max_steps", [1, 2])
+    @pytest.mark.parametrize("p", [0.3, 0.005])
+    def test_bayes_truncation(self, p, max_steps):
+        # the per-replication change index path, cut off after one or two steps
+        A, law = 1.5, HeadStartLaw.yakir(1.5)
+        tag = f"ref/bayes/{p}/{max_steps}"
+        rng = derive_rng(SEED, tag, 0)
+        r0, nu = _start_chunk(rng, COUNT, p=p, law=law)
+        final = r0.copy()
+        n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0 - p, max_steps, final)
+        rng = derive_rng(SEED, tag, 0)
+        law.sample(rng, COUNT)
+        rng.random(COUNT)  # the two uniforms behind each change time
+        rng.random(COUNT)
+        ref = reference_stop_times(rng, r0, A, nu, 1.0 - p, max_steps)
+        _assert_paths_match(n_stop, truncated, final, ref)
+        assert truncated.any() and (nu <= max_steps).any()
+
+    def test_single_step_in_place(self):
+        # the martingale-drift form: final aliases r0, and no run can stop
+        law = HeadStartLaw.yakir(1.5)
+        rng = derive_rng(SEED, "ref/in-place", 0)
+        r = law.sample(rng, COUNT)
+        r0 = r.copy()
+        n_stop, truncated = _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r)
+        rng = derive_rng(SEED, "ref/in-place", 0)
+        law.sample(rng, COUNT)
+        assert np.array_equal(r, (r0 + 1.0) * (2.0 * rng.random(COUNT)))
+        assert (n_stop == 1).all() and truncated.all()
 
 
 class TestStreamContract:

@@ -17,6 +17,7 @@ from qdetect import (
     estimate_cross_term,
     estimate_e1_and_cross,
     estimate_e1_delay,
+    oracle_comparison,
     sr_exact,
     sr_replications,
     yakir_mean,
@@ -249,3 +250,53 @@ class TestAgainstExact:
     def test_conditional_delay_within_5_se(self, k):
         est = estimate_conditional_delay(A, LAW, k, 200_000, SEED)
         assert abs(est.mean - sr_exact(A)[0]) <= 5.0 * est.stderr
+
+
+class TestGoldenOutputs:
+    """Every estimator's output, bit for bit, at 300 000 reps (two chunks).
+
+    Any change to a sample path, a selection or a reduction moves one of
+    these values; a change that must move them is a recorded output change.
+    """
+
+    REPS = 300_000
+
+    @staticmethod
+    def _hex(est):
+        return est.mean.hex(), est.stderr.hex(), est.truncation_count, est.rejected
+
+    def test_sr_estimators(self):
+        e1, cross = estimate_e1_and_cross(A, LAW, self.REPS, SEED)
+        arl = estimate_arl_false(A, LAW, self.REPS, SEED)
+        assert self._hex(e1) == ("0x1.290b9af72015ep-1", "0x1.5df5da210eaddp-10", 0, 0)
+        assert self._hex(cross) == ("0x1.a2c3596bcaf41p-2", "0x1.205df81a4cdf9p-10", 0, 0)
+        assert self._hex(arl) == ("0x1.b19343cd6d94ep-1", "0x1.2af88d501aa0bp-9", 0, 0)
+
+    def test_delay_profile(self):
+        profile = delay_profile(A, LAW, 4, self.REPS, SEED)
+        assert {k: self._hex(e) for k, e in profile.entries.items()} == {
+            1: ("0x1.290b9af72015ep-1", "0x1.5df5da210eaddp-10", 0, 0),
+            2: ("0x1.29734353ab1a0p-1", "0x1.02b7092a82f1cp-9", 0, 162644),
+            3: ("0x1.26b3de48433ddp-1", "0x1.7c902a2eafc6ap-9", 0, 236679),
+            4: ("0x1.2a3b87ab2a00cp-1", "0x1.196a04d250d45p-8", 0, 271007),
+        }
+
+    @pytest.mark.parametrize("p, risk_hex, cond_prob_hex", [
+        (0.3, ("0x1.9c2e4a4e91160p-2", "0x1.bf1bb44189fd2p-11", 0, 0),
+         "0x1.3eed2f8a78dc0p-1"),
+        (0.005, ("0x1.f78625902416ap-1", "0x1.df5072ce11603p-13", 0, 0),
+         "0x1.1af3a14cec420p-6"),
+    ], ids=["p=0.3", "p=0.005"])
+    def test_bayes_risk(self, p, risk_hex, cond_prob_hex):
+        est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), self.REPS, SEED)
+        assert self._hex(est.risk) == risk_hex
+        assert float(est.cond_prob).hex() == cond_prob_hex
+
+    def test_oracle_comparison(self):
+        o = oracle_comparison(A, 10**5, SEED)
+        assert {key: float(o[key]).hex() for key in (
+            "p0_hat", "p0_se", "mu0_hat", "mu0_se", "mean_hat", "mean_se")} == {
+            "p0_hat": "0x1.15e74299d883cp-1", "p0_se": "0x1.9cf7dc9f14c01p-10",
+            "mu0_hat": "0x1.7f7ff92392892p-1", "mu0_se": "0x1.097c2863a4c7dp-9",
+            "mean_hat": "0x1.c0ce308baa22cp+0", "mean_se": "0x1.d3ed831530161p-9",
+        }
