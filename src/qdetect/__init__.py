@@ -13,7 +13,7 @@ from .headstart import (
     functionals_oracle,
     mu0_exact,
     mu0_quadrature,
-    oracle_comparison,
+    oracle_checks,
     p0_erratum,
     p0_exact,
     p0_quadrature,
@@ -31,6 +31,7 @@ from .montecarlo import (
     estimate_cross_term,
     estimate_e1_and_cross,
     estimate_e1_delay,
+    martingale_checks,
     sr_replications,
 )
 from .formulas import (
@@ -52,10 +53,10 @@ from .bayes import (
     couple_pi0,
     coupling_round_trip,
     estimate_bayes_risk,
+    identity_checks,
     implied_headstart,
     limit_diagnostic,
     limit_predictions,
-    risk_identity_exact,
 )
 
 __version__ = "0.1.0"

@@ -97,8 +97,8 @@ def implied_headstart(p: float, pi0) -> np.ndarray:
 
 def coupling_round_trip(seed: int) -> tuple[bool, float]:
     """``(worst <= 1e-12, worst)``, worst the largest relative error of r0 ->
-    pi0 -> r0 over 500 random (p, r0) from ``SeedSequence([seed, 2])``."""
-    rng = np.random.default_rng(np.random.SeedSequence([qrng.check_seed(seed), 2]))
+    pi0 -> r0 over 500 random (p, r0) from ``derive_rng(seed, "pi0-round-trip", 0)``."""
+    rng = qrng.derive_rng(seed, "pi0-round-trip", 0)
     ps = rng.uniform(1e-4, 0.99, 500)
     r0s = rng.uniform(0.0, 50.0, 500)
     back = np.array([implied_headstart(p, couple_pi0(p, r)) for p, r in zip(ps, r0s)])
@@ -158,12 +158,28 @@ def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     return (np.array([np.count_nonzero(broken)]),)
 
 
-def risk_identity_exact(config: BayesConfig, reps: int, seed: int, workers: int) -> bool:
-    """Whether cond - c dp == cond (1 - c dp) bitwise in every replication,
-    with cond = 1{N >= nu - 1} and dp = (N - nu + 1)^+."""
-    broken = qrng.run_chunked(partial(_identity_chunk, config=config), reps, seed,
-                              "risk-identity", workers=workers)[0]
-    return not broken.any()
+def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> list:
+    """The three exact-identity checks, one ``(name, ok, margin, detail)``
+    tuple each.
+
+    ``risk-identity-exact``: cond - c dp == cond (1 - c dp) bitwise, with
+    cond = 1{N >= nu - 1} and dp = (N - nu + 1)^+, in each of
+    ``min(reps, 100_000)`` Bayes replications at p = 0.01 with the uniform
+    product head start at ``A`` and cost ``c`` (margin: the replications that
+    break it).  ``pi0-round-trip`` (:func:`coupling_round_trip`) and
+    ``eq3-eq4-difference`` (:func:`formulas.limit_difference_identity`) hold
+    to 1e-12 relative (margin: the largest relative error).
+    """
+    config = BayesConfig(p=0.01, c=c, A=A, law=HeadStartLaw.yakir(A))
+    broken = int(qrng.run_chunked(partial(_identity_chunk, config=config),
+                                  min(reps, 100_000), seed, "risk-identity",
+                                  workers=workers)[0].sum())
+    round_ok, round_err = coupling_round_trip(seed)
+    diff_ok, diff_err = formulas.limit_difference_identity(seed)
+    return [("risk-identity-exact", broken == 0, broken,
+             "per-sample decomposition is bitwise exact"),
+            ("pi0-round-trip", round_ok, round_err, f"max rel error {round_err:.2e}"),
+            ("eq3-eq4-difference", diff_ok, diff_err, f"max rel error {diff_err:.2e}")]
 
 
 @dataclass(frozen=True)
@@ -292,7 +308,6 @@ def limit_predictions(A: float, c_star: float) -> tuple[float, float]:
 class ConditionalHeadStartReport:
     """Comparison of law(r0 | nu = 1) against the size-biased transform."""
 
-    n_conditional: int
     conditional_mean: float
     conditional_se: float
     l1_vs_size_biased: float
@@ -306,8 +321,7 @@ def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
 
     Neither r0 nor nu depends on the stopping rule, so no run is simulated.
     Bins are widened automatically when the conditional sample is small
-    (nu = 1 is rare for small p); the achieved conditional count is reported
-    so callers can judge the power of the comparison.
+    (nu = 1 is rare for small p).
     """
     if not (0.0 < p <= 0.01):
         raise ConfigurationError(f"diagnostic is meaningful for 0 < p <= 0.01, got {p}")
@@ -329,7 +343,6 @@ def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
     un_hist, _ = np.histogram(r0, bins=edges)
     un_hist = un_hist / r0.size
     return ConditionalHeadStartReport(
-        n_conditional=m,
         conditional_mean=cond.mean,
         conditional_se=cond.stderr,
         l1_vs_size_biased=float(np.abs(cond_hist - sb_hist).sum()),

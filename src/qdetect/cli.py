@@ -8,6 +8,11 @@ Subcommands reproduce the numerical study and run the verification suites:
     props       invariant suite (martingale, optional stopping, identities)
     oracles     closed forms vs quadrature and Monte Carlo oracles
 
+``props`` and ``oracles`` only print the checks of the library
+(``montecarlo.martingale_checks``, ``bayes.identity_checks``,
+``headstart.oracle_checks``), one PASS/FAIL line each; every bound and
+stream of a check lives with the check.
+
 Exit codes: 0 success, 2 invariant failure (including a truncation fraction
 above the flag level in table1, bayes-limit or equalizer), 3 inconclusive
 statistics, 4 configuration error (including a flag argparse cannot parse).
@@ -16,13 +21,10 @@ statistics, 4 configuration error (including a flag argparse cannot parse).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
-
-import numpy as np
 
 from . import __version__, bayes, formulas, headstart, montecarlo as mc, rng as qrng
 from .errors import ConfigurationError, QDetectError
@@ -41,6 +43,9 @@ DEFAULT_C_STAR = 0.1
 
 #: Most replications any one ``props`` check runs.
 PROPS_MAX_REPS = 200_000
+
+#: Change times k = 1..EQUALIZER_K_MAX of the ``equalizer`` profile.
+EQUALIZER_K_MAX = 10
 
 
 @dataclass
@@ -159,11 +164,12 @@ def cmd_bayes_limit(args) -> int:
 def cmd_equalizer(args) -> int:
     a = args.a_grid[0]
     law = HeadStartLaw.yakir(a)
-    profile = mc.delay_profile(a, law, 10, args.reps, args.seed, args.workers)
+    profile = mc.delay_profile(a, law, EQUALIZER_K_MAX, args.reps, args.seed,
+                               args.workers)
     table = Table(meta=_meta(args, "equalizer"),
                   columns=["k", "delay", "delay_se", "rejected", "flag"])
     deviations = profile.deviations()
-    for k in range(1, 11):
+    for k in range(1, EQUALIZER_K_MAX + 1):
         if k in profile.entries:
             e = profile.entries[k]
             flagged = int(deviations[k] > mc.FLATNESS_LIMIT)
@@ -174,107 +180,26 @@ def cmd_equalizer(args) -> int:
     return _truncation_exit([e.truncation_fraction for e in profile.entries.values()])
 
 
-def _run_checks(checks) -> tuple[List[str], bool]:
-    lines = []
-    all_ok = True
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        all_ok = all_ok and ok
-    return lines, all_ok
-
-
-def _oracle_checks(a_grid, reps, seed):
-    quad_tol, z_limit = headstart.ORACLE_QUAD_TOL, headstart.ORACLE_Z_LIMIT
-    erratum_z = headstart.ERRATUM_MIN_Z
-    checks = []
-    for a in a_grid:
-        o = headstart.oracle_comparison(a, reps, seed)
-        checks.append((
-            f"p0-quadrature A={a}",
-            abs(o["p0"] - o["p0_quad"]) <= quad_tol,
-            f"exact={o['p0']:.12f} quad={o['p0_quad']:.12f}"))
-        checks.append((
-            f"mu0-quadrature A={a}",
-            abs(o["mu0"] - o["mu0_quad"]) <= quad_tol,
-            f"exact={o['mu0']:.12f} quad={o['mu0_quad']:.12f}"))
-        checks.append((
-            f"p0-oracle A={a}",
-            abs(o["p0"] - o["p0_hat"]) <= z_limit * o["p0_se"],
-            f"exact={o['p0']:.6f} hat={o['p0_hat']:.6f} se={o['p0_se']:.6f}"))
-        checks.append((
-            f"mu0-oracle A={a}",
-            abs(o["mu0"] - o["mu0_hat"]) <= z_limit * o["mu0_se"],
-            f"exact={o['mu0']:.6f} hat={o['mu0_hat']:.6f} se={o['mu0_se']:.6f}"))
-        checks.append((
-            f"mean-oracle A={a}",
-            abs(o["mean"] - o["mean_hat"]) <= z_limit * o["mean_se"],
-            f"exact={o['mean']:.6f} hat={o['mean_hat']:.6f}"))
-        erratum_gap = abs(o["p0_erratum"] - o["p0_hat"])
-        checks.append((
-            f"erratum-rejected A={a}",
-            erratum_gap > erratum_z * o["p0_se"],
-            f"|erratum-hat|={erratum_gap:.4f} "
-            f"({erratum_z:g} SE = {erratum_z * o['p0_se']:.4f})"))
-    return checks
+def _print_checks(checks, out: Optional[str]) -> int:
+    """One PASS/FAIL line per library check; EXIT_INVARIANT if any fails."""
+    _emit("".join(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n"
+                  for name, ok, _, detail in checks), out)
+    return EXIT_OK if all(ok for _, ok, _, _ in checks) else EXIT_INVARIANT
 
 
 def cmd_oracles(args) -> int:
-    checks = _oracle_checks(args.a_grid, args.reps, args.seed)
-    lines, ok = _run_checks(checks)
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_INVARIANT
-
-
-def _props_checks(args):
-    a = args.a_grid[0]
-    law = HeadStartLaw.yakir(a)
-    reps = min(args.reps, PROPS_MAX_REPS)
-    checks = []
-
-    # martingale drift under no change: E R_n = E R_0 + n
-    rng = np.random.default_rng(np.random.SeedSequence([qrng.check_seed(args.seed), 1]))
-    n_paths, horizon = 50_000, 20
-    r = np.zeros(n_paths)
-    ok = True
-    worst = 0.0
-    for n in range(1, horizon + 1):
-        # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
-        mc._stop_times(rng, r, math.inf, math.inf, 1.0, 1, r)
-        est = mc.mc_estimate(n_paths, r.sum(), r @ r)
-        z = abs(est.mean - n) / est.stderr
-        worst = max(worst, z)
-        ok = ok and z <= 4.0
-    checks.append(("martingale-drift", ok, f"max |z| over n<=20: {worst:.2f}"))
-
-    # optional stopping: E(final - r0) = E n_stop under the no-change law
-    n_stop, r0, final, trunc = mc.sr_replications(a, law, None, reps,
-                                                  args.seed, args.workers)
-    diff = (final - r0) - n_stop
-    est = mc.mc_estimate(diff.size, diff.sum(), diff @ diff)
-    z = abs(est.mean) / est.stderr
-    checks.append(("optional-stopping", z <= 4.0 and int(trunc.sum()) == 0,
-                   f"|z|={z:.2f} truncated={int(trunc.sum())}"))
-
-    config = bayes.BayesConfig(p=0.01, c=args.c_star, A=a, law=law)
-    checks.append(("risk-identity-exact",
-                   bayes.risk_identity_exact(config, min(reps, 100_000), args.seed,
-                                             args.workers),
-                   "per-sample decomposition is bitwise exact"))
-
-    ok, err = bayes.coupling_round_trip(args.seed)
-    checks.append(("pi0-round-trip", ok, f"max rel error {err:.2e}"))
-    ok, err = formulas.limit_difference_identity(args.seed)
-    checks.append(("eq3-eq4-difference", ok, f"max rel error {err:.2e}"))
-    return checks
+    return _print_checks([check for a in args.a_grid
+                          for check in headstart.oracle_checks(a, args.reps, args.seed)],
+                         args.out)
 
 
 def cmd_props(args) -> int:
-    checks = _props_checks(args) + _oracle_checks(args.a_grid[:1],
-                                                  min(args.reps, PROPS_MAX_REPS),
-                                                  args.seed)
-    lines, ok = _run_checks(checks)
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    a = args.a_grid[0]
+    reps = min(args.reps, PROPS_MAX_REPS)
+    return _print_checks(
+        mc.martingale_checks(a, HeadStartLaw.yakir(a), reps, args.seed, args.workers)
+        + bayes.identity_checks(a, args.c_star, reps, args.seed, args.workers)
+        + headstart.oracle_checks(a, reps, args.seed), args.out)
 
 
 def _float_list(text: str) -> List[float]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import check_seed
+from .rng import derive_rng
 
 
 def _check_prob(p0: float) -> None:
@@ -58,8 +58,9 @@ def c_limit_eq3(e_r0: float, e1_delay: float, arl_false: float,
 
 def limit_difference_identity(seed: int) -> tuple[bool, float]:
     """``(worst <= 1e-12, worst)``, worst the largest relative error of the
-    difference identity over 500 random inputs from ``SeedSequence([seed, 3])``."""
-    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed), 3]))
+    difference identity over 500 random inputs from the stream
+    ``derive_rng(seed, "eq3-eq4-difference", 0)``."""
+    rng = derive_rng(seed, "eq3-eq4-difference", 0)
     e_r0, e1d, arl, cross, c_star = rng.uniform(0.01, 5.0, (5, 500))
     lhs = c_limit_eq3(e_r0, e1d, arl, c_star) - c_limit_eq4(e_r0, e1d, arl, cross, c_star)
     rhs = c_star * (cross - e1d * e_r0)

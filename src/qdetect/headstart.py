@@ -24,7 +24,7 @@ from scipy import integrate
 
 from .errors import ConfigurationError
 from .montecarlo import check_threshold, mc_estimate
-from .rng import check_count, check_seed
+from .rng import check_count, derive_rng
 
 #: Fewest draws :func:`functionals_oracle` accepts.
 ORACLE_MIN_REPS = 10**4
@@ -211,13 +211,35 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
             "mu0_se": mu0.stderr, "mean_hat": mean.mean, "mean_se": mean.stderr}
 
 
-def oracle_comparison(A: float, reps: int, seed: int) -> dict:
-    """:func:`functionals_oracle` of the uniform product law, seeded by
-    ``SeedSequence([seed, int(A * 1000)])``, plus the exact ``p0``, ``mu0`` and
-    ``mean``, the quadratures ``p0_quad``, ``mu0_quad`` and ``p0_erratum``."""
-    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed), int(A * 1000)]))
-    out = functionals_oracle(HeadStartLaw.yakir(A), A, reps, rng)
-    out.update(p0=p0_exact(A), mu0=mu0_exact(A), mean=yakir_mean(A),
-               p0_quad=p0_quadrature(A), mu0_quad=mu0_quadrature(A),
-               p0_erratum=p0_erratum(A))
-    return out
+def oracle_checks(A: float, reps: int, seed: int) -> list:
+    """The six oracle checks of the closed forms at ``A``, one
+    ``(name, ok, margin, detail)`` tuple each.
+
+    ``p0`` and ``mu0`` must match their quadratures to
+    :data:`ORACLE_QUAD_TOL` (margin: the absolute error); ``p0``, ``mu0`` and
+    the mean must match :func:`functionals_oracle` with ``reps`` draws within
+    :data:`ORACLE_Z_LIMIT` standard errors, and the erratum ``p0`` must miss
+    its Monte Carlo ``p0`` by more than :data:`ERRATUM_MIN_Z` (margin: the
+    distance in standard errors).  The draws come from the stream
+    ``derive_rng(seed, f"oracle/A={float(A)!r}", 0)``, one per threshold.
+    """
+    rng = derive_rng(seed, f"oracle/A={float(A)!r}", 0)
+    o = functionals_oracle(HeadStartLaw.yakir(A), A, reps, rng)
+    exact = {"p0": p0_exact(A), "mu0": mu0_exact(A), "mean": yakir_mean(A)}
+    quad = {"p0": p0_quadrature(A), "mu0": mu0_quadrature(A)}
+    checks = []
+    for key in ("p0", "mu0"):
+        err = abs(exact[key] - quad[key])
+        checks.append((f"{key}-quadrature A={A}", err <= ORACLE_QUAD_TOL, err,
+                       f"exact={exact[key]:.12f} quad={quad[key]:.12f}"))
+    for key in ("p0", "mu0", "mean"):
+        hat, se = o[f"{key}_hat"], o[f"{key}_se"]
+        z = abs(exact[key] - hat) / se
+        detail = f"exact={exact[key]:.6f} hat={hat:.6f}"
+        if key != "mean":
+            detail += f" se={se:.6f}"
+        checks.append((f"{key}-oracle A={A}", z <= ORACLE_Z_LIMIT, z, detail))
+    gap, se = abs(p0_erratum(A) - o["p0_hat"]), o["p0_se"]
+    checks.append((f"erratum-rejected A={A}", gap / se > ERRATUM_MIN_Z, gap / se,
+                   f"|erratum-hat|={gap:.4f} ({ERRATUM_MIN_Z:g} SE = {ERRATUM_MIN_Z * se:.4f})"))
+    return checks

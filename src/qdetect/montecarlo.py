@@ -242,3 +242,33 @@ def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
         except UndefinedConditionalError as exc:
             undefined[k] = exc.rejected
     return DelayProfile(entries=entries, undefined=undefined)
+
+
+def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
+                      workers: int) -> list:
+    """The two martingale checks, one ``(name, ok, margin, detail)`` tuple each.
+
+    ``martingale-drift``: with no change, E R_n = n from R_0 = 0, within 4
+    standard errors at every n <= 20 of 50 000 paths (margin: the largest
+    |z|).  ``optional-stopping``: E(R_N - R_0) = E_inf N over ``reps``
+    no-change runs from ``law``, within 4 standard errors and with no run
+    truncated (margin: |z|).
+    """
+    rng = qrng.derive_rng(seed, "martingale-drift", 0)
+    n_paths, horizon = 50_000, 20
+    r = np.zeros(n_paths)
+    worst = 0.0
+    for n in range(1, horizon + 1):
+        # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
+        _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r)
+        est = mc_estimate(n_paths, r.sum(), r @ r)
+        worst = max(worst, abs(est.mean - n) / est.stderr)
+
+    n_stop, r0, final, trunc = sr_replications(A, law, None, reps, seed, workers)
+    diff = (final - r0) - n_stop
+    est = mc_estimate(diff.size, diff.sum(), diff @ diff)
+    z = abs(est.mean) / est.stderr
+    truncated = int(trunc.sum())
+    return [("martingale-drift", worst <= 4.0, worst, f"max |z| over n<=20: {worst:.2f}"),
+            ("optional-stopping", z <= 4.0 and truncated == 0, z,
+             f"|z|={z:.2f} truncated={truncated}")]

@@ -44,8 +44,8 @@ def check_count(value, name: str, minimum: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` as an ``int`` if it is a whole number >= 0: the seed rule of the
-    chunk streams and of the checks that seed their own ``SeedSequence``."""
+    """``seed`` as an ``int`` if it is a whole number >= 0: the seed rule of
+    every stream :func:`derive_rng` makes."""
     return check_count(seed, "seed", 0)
 
 

@@ -16,24 +16,21 @@ from qdetect import (
     HeadStartLaw,
     compare_limit,
     conditional_headstart_diagnostic,
-    coupling_round_trip,
     delay_profile,
     estimate_bayes_risk,
     estimate_e1_and_cross,
     estimate_e1_delay,
+    identity_checks,
     limit_diagnostic,
-    limit_difference_identity,
     limit_predictions,
     mei_e1,
     mu0_exact,
-    oracle_comparison,
+    oracle_checks,
     p0_exact,
-    risk_identity_exact,
     size_biased_mean,
     yakir_e1,
     yakir_mean,
 )
-from qdetect.headstart import ERRATUM_MIN_Z, ORACLE_QUAD_TOL, ORACLE_Z_LIMIT
 from qdetect.montecarlo import FLATNESS_LIMIT
 
 SEED = 20240824
@@ -61,6 +58,12 @@ def _report(ok: bool, name: str, detail: str) -> None:
     line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
     acceptance_report.append(line)
     print(line)
+
+
+def _margin(checks, kind: str, pick=max) -> float:
+    """The largest (or ``pick``) margin of the checks whose name, before any
+    `` A=...``, ends in ``kind``."""
+    return pick(margin for name, _, margin, _ in checks if name.split()[0].endswith(kind))
 
 
 @pytest.fixture(scope="module")
@@ -110,21 +113,12 @@ def test_criterion_3_refuted_column(table_runs):
 
 
 def test_criterion_4_closed_form_oracles():
-    quad_worst = 0.0
-    mc_worst = 0.0
-    for a in A_GRID:
-        o = oracle_comparison(a, REPS, SEED)
-        quad_worst = max(quad_worst, abs(o["p0"] - o["p0_quad"]),
-                         abs(o["mu0"] - o["mu0_quad"]))
-        mc_worst = max(mc_worst, abs(o["p0"] - o["p0_hat"]) / o["p0_se"],
-                       abs(o["mu0"] - o["mu0_hat"]) / o["mu0_se"])
-        if a == 1.5:
-            erratum_z = abs(o["p0_erratum"] - o["p0_hat"]) / o["p0_se"]
-    ok = (quad_worst <= ORACLE_QUAD_TOL and mc_worst <= ORACLE_Z_LIMIT
-          and erratum_z > ERRATUM_MIN_Z)
+    checks = [check for a in A_GRID for check in oracle_checks(a, REPS, SEED)]
+    ok = all(check[1] for check in checks)
     _report(ok, "criterion-4 closed-form-oracles",
-            f"quad err {quad_worst:.1e}, mc max |z| {mc_worst:.2f}, "
-            f"erratum off by {erratum_z:.0f} SE")
+            f"quad err {_margin(checks, 'quadrature'):.1e}, "
+            f"mc max |z| {_margin(checks, 'oracle'):.2f}, "
+            f"erratum off by >= {_margin(checks, 'erratum-rejected', min):.0f} SE")
     assert ok
 
 
@@ -159,18 +153,15 @@ def test_criterion_6_size_biased_conditional_law():
 
 
 def test_criterion_7_exact_identities():
-    # risk decomposition, replication by replication, bitwise
-    config = BayesConfig(p=0.01, c=C_STAR, A=1.5, law=HeadStartLaw.yakir(1.5))
-    bitwise_ok = risk_identity_exact(config, 100_000, SEED, 1)
-
+    # the risk decomposition replication by replication, bitwise; the
     # prior-weight coupling round trip and the closed-form difference
-    # identity, both at machine precision on random inputs
-    round_ok, round_err = coupling_round_trip(SEED)
-    diff_ok, diff_err = limit_difference_identity(SEED)
-    ok = bitwise_ok and round_ok and diff_ok
+    # identity at machine precision on random inputs
+    checks = identity_checks(1.5, C_STAR, REPS, SEED, 1)
+    ok = all(check[1] for check in checks)
     _report(ok, "criterion-7 exact-identities",
-            f"risk decomposition bitwise = {bitwise_ok}, round-trip err "
-            f"{round_err:.1e}, difference-identity err {diff_err:.1e}")
+            f"risk decomposition broken in {_margin(checks, 'risk-identity-exact'):.0f} "
+            f"reps, round-trip err {_margin(checks, 'pi0-round-trip'):.1e}, "
+            f"difference-identity err {_margin(checks, 'eq3-eq4-difference'):.1e}")
     assert ok
 
 

@@ -14,10 +14,10 @@ from qdetect import (
     conditional_headstart_diagnostic,
     couple_pi0,
     estimate_bayes_risk,
+    identity_checks,
     implied_headstart,
     limit_diagnostic,
     limit_predictions,
-    risk_identity_exact,
     size_biased_mean,
     sr_exact,
     yakir_mean,
@@ -144,7 +144,7 @@ class TestRiskEstimate:
 
     def test_identity_check_needs_a_replication(self):
         with pytest.raises(ConfigurationError):
-            risk_identity_exact(BayesConfig(p=0.02, c=0.1, A=A, law=LAW), 0, SEED, 1)
+            identity_checks(A, 0.1, 0, SEED, 1)
 
     def test_stop_at_zero_rule_risk_is_miss_mass(self):
         # head start above A: N = 0, risk reduces to P(nu >= 2) = 1 - pi0

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdetect import (
@@ -20,7 +21,6 @@ from qdetect.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
-    _props_checks,
     build_parser,
     main,
 )
@@ -193,12 +193,23 @@ class TestEqualizer:
                 assert float(delay_se) > 0.0
 
 
+def _check_names(out: str) -> list:
+    """The check names of PASS/FAIL lines ``<verdict> <name>: <detail>``."""
+    return [line.split(": ")[0].split(" ", 1)[1] for line in out.splitlines()]
+
+
+ORACLE_NAMES = ["p0-quadrature", "mu0-quadrature", "p0-oracle", "mu0-oracle",
+                "mean-oracle", "erratum-rejected"]
+
+
 class TestCheckSuites:
     def test_props_pass(self, capsys):
         assert main(["props", "--a-grid", "1.5", "--reps", "50000",
                      "--seed", "9"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "PASS martingale-drift" in out
+        assert _check_names(out) == [
+            "martingale-drift", "optional-stopping", "risk-identity-exact",
+            "pi0-round-trip", "eq3-eq4-difference"] + [f"{n} A=1.5" for n in ORACLE_NAMES]
         assert "FAIL" not in out
         # the two identity lines print what the library functions return
         assert f"pi0-round-trip: max rel error {coupling_round_trip(9)[1]:.2e}" in out
@@ -209,7 +220,7 @@ class TestCheckSuites:
         assert main(["oracles", "--a-grid", "1.5,1.98", "--reps", "100000",
                      "--seed", "9"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "PASS erratum-rejected A=1.5" in out
+        assert _check_names(out) == [f"{n} A={a}" for a in (1.5, 1.98) for n in ORACLE_NAMES]
         assert "FAIL" not in out
 
     def test_oracles_read_the_shared_bound(self, monkeypatch, capsys):
@@ -217,6 +228,15 @@ class TestCheckSuites:
         assert main(["oracles", "--a-grid", "1.5", "--reps", "10000",
                      "--seed", "9"]) == EXIT_INVARIANT
         assert "FAIL p0-oracle A=1.5" in capsys.readouterr().out
+
+    def test_check_streams_are_derived(self, monkeypatch, capsys):
+        # every check draws from rng.derive_rng, never from a generator of its own
+        def fail(*args, **kwargs):
+            raise AssertionError("a check built its own generator")
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        assert main(["props", "--a-grid", "1.5", "--reps", "10000", "--seed", "9"]) == EXIT_OK
+        assert main(["oracles", "--a-grid", "1.5", "--reps", "10000", "--seed", "9"]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestConfigErrors:
@@ -237,16 +257,17 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"configuration error: {info.value}\n"
 
     @pytest.mark.parametrize("check", [
-        lambda: headstart.oracle_comparison(1.5, 10**4, -1),
+        lambda: headstart.oracle_checks(1.5, 10**4, -1),
         lambda: coupling_round_trip(-1),
         lambda: limit_difference_identity(-1),
-        lambda: _props_checks(build_parser().parse_args(
-            ["props", "--a-grid", "1.5", "--reps", "10000", "--seed", "-1"])),
+        lambda: montecarlo.martingale_checks(1.5, headstart.HeadStartLaw.yakir(1.5),
+                                             10**4, -1, 1),
+        lambda: bayes.identity_checks(1.5, 0.1, 10**4, -1, 1),
         lambda: coupling_round_trip(1.5),  # not read as seed 1
-    ], ids=["oracle_comparison", "coupling_round_trip",
-            "limit_difference_identity", "props", "coupling_round_trip_fractional"])
+    ], ids=["oracle_checks", "coupling_round_trip", "limit_difference_identity",
+            "martingale_checks", "identity_checks", "coupling_round_trip_fractional"])
     def test_direct_seed_streams_reject_negative_seed(self, check):
-        # the checks that seed their own SeedSequence keep the one seed rule
+        # every check stream keeps the one seed rule
         with pytest.raises(ConfigurationError):
             check()
 

@@ -17,7 +17,8 @@ from qdetect import (
     estimate_cross_term,
     estimate_e1_and_cross,
     estimate_e1_delay,
-    oracle_comparison,
+    martingale_checks,
+    oracle_checks,
     sr_exact,
     sr_replications,
     yakir_mean,
@@ -148,12 +149,10 @@ class TestDeterminism:
 
 class TestMartingaleStructure:
     def test_arl_agrees_with_optional_stopping(self):
-        est = estimate_arl_false(A, LAW, 400_000, SEED)
-        _, r0, final, _ = sr_replications(A, LAW, None, 400_000, SEED)
-        overshoot_mean = (final - r0).mean()
-        overshoot_se = (final - r0).std(ddof=1) / math.sqrt(final.size)
-        combined = math.hypot(est.stderr, overshoot_se)
-        assert abs(est.mean - overshoot_mean) <= 4.0 * combined
+        # E(R_N - R_0) = E_inf N: the optional-stopping check, at 400 000 reps
+        _, ok, _, detail = next(check for check in martingale_checks(A, LAW, 400_000, SEED, 1)
+                                if check[0] == "optional-stopping")
+        assert ok, detail
 
     def test_higher_threshold_longer_runs(self):
         lo = estimate_arl_false(1.5, LAW, 200_000, SEED)
@@ -293,10 +292,11 @@ class TestGoldenOutputs:
         assert float(est.cond_prob).hex() == cond_prob_hex
 
     def test_oracle_comparison(self):
-        o = oracle_comparison(A, 10**5, SEED)
-        assert {key: float(o[key]).hex() for key in (
-            "p0_hat", "p0_se", "mu0_hat", "mu0_se", "mean_hat", "mean_se")} == {
-            "p0_hat": "0x1.15e74299d883cp-1", "p0_se": "0x1.9cf7dc9f14c01p-10",
-            "mu0_hat": "0x1.7f7ff92392892p-1", "mu0_se": "0x1.097c2863a4c7dp-9",
-            "mean_hat": "0x1.c0ce308baa22cp+0", "mean_se": "0x1.d3ed831530161p-9",
+        # the margins, in standard errors, of the checks that read the draws
+        margins = {name: float(margin).hex()
+                   for name, _, margin, _ in oracle_checks(A, 10**5, SEED)}
+        assert {name: margins[f"{name} A=1.5"] for name in (
+            "p0-oracle", "mu0-oracle", "mean-oracle", "erratum-rejected")} == {
+            "p0-oracle": "0x1.3ca97204edd09p-1", "mu0-oracle": "0x1.d3cd0d5cf75c7p-8",
+            "mean-oracle": "0x1.71281245b851dp-4", "erratum-rejected": "0x1.4565257a0acf5p+7",
         }
