@@ -23,6 +23,12 @@ forms (:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``), which
 intercept's standard error alone sets the z-scores.  It also
 checks that the law of r0 conditioned on {nu = 1} approaches the size-biased
 transform of the unconditional law, not the unconditional law itself.
+
+Each chunk draws its head starts and change times and runs its replications
+in a workspace borrowed from the free-list of :mod:`qdetect.rng`, and
+reduces them there to one moment row (count, risk sums, misses,
+truncations), so the risk estimate holds one row per chunk, whatever
+``reps`` is.
 """
 
 from __future__ import annotations
@@ -80,13 +86,19 @@ class BayesConfig:
         mc.check_threshold(self.A)
 
 
-def couple_pi0(p: float, r0) -> np.ndarray:
-    """The unique pi0 that starts the Bayes statistic at r0."""
+def couple_pi0(p: float, r0, ws=None) -> np.ndarray:
+    """The unique pi0 that starts the Bayes statistic at r0.
+
+    With a workspace ``ws`` (:class:`qdetect.rng.Workspace`) the array lands
+    in its ``"r"`` buffer, and its ``"lr"`` buffer holds a temporary.
+    """
     check_p(p)
     r0 = np.asarray(r0, dtype=float) if np.ndim(r0) else float(r0)
     check_head_start(r0)
-    w = p * (r0 + 1.0)
-    return w / (1.0 - p + w)
+    out, tmp = ((None, None) if ws is None else
+                (ws.array("r", float, r0.size), ws.array("lr", float, r0.size)))
+    w = np.multiply(np.add(r0, 1.0, out=out), p, out=out)
+    return np.divide(w, np.add(w, 1.0 - p, out=tmp), out=out)
 
 
 def implied_headstart(p: float, pi0) -> np.ndarray:
@@ -107,28 +119,37 @@ def coupling_round_trip(seed: int) -> tuple[bool, float]:
 
 
 def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
-                 law: HeadStartLaw):
-    """Draw ``count`` head starts r0 and their coupled change times nu."""
-    r0 = np.asarray(law.sample(rng, count), dtype=float)
-    pi0 = couple_pi0(p, r0)
-    u1 = rng.random(count)
-    u2 = rng.random(count)
+                 law: HeadStartLaw, ws=None):
+    """Draw ``count`` head starts r0 and their coupled change times nu.
+
+    The arrays are views of the workspace ``ws`` (its ``r0`` and ``nu``
+    buffers; ``r``, ``lr`` and ``mask`` hold temporaries); without it a fresh
+    workspace is made, so they are the caller's.
+    """
+    ws = qrng.Workspace() if ws is None else ws
+    r0 = law.sample(rng, count, ws)
+    pi0 = couple_pi0(p, r0, ws)
+    first = np.less(rng.random(count, out=ws.array("lr", float, count)), pi0,
+                    out=ws.array("mask", bool, count))
+    u2 = rng.random(count, out=pi0)
     # the geometric part log1p(-u2)/log1p(-p) is >= 0, so truncation is floor
     np.negative(u2, out=u2)
     np.log1p(u2, out=u2)
     u2 /= math.log1p(-p)
-    nu = u2.astype(np.int64)
+    nu = ws.array("nu", np.int64, count)
+    np.copyto(nu, u2, casting="unsafe")
     nu += 2
-    nu[u1 < pi0] = 1
+    np.copyto(nu, 1, where=first)
     return r0, nu
 
 
-def _bayes_runs(rng: np.random.Generator, count: int, config: BayesConfig):
+def _bayes_runs(rng: np.random.Generator, count: int, config: BayesConfig, ws=None):
     """Simulate ``count`` Bayes-rule replications on one derived stream;
-    returns the arrays (r0, nu, n_stop, truncated)."""
-    r0, nu = _start_chunk(rng, count, p=config.p, law=config.law)
+    returns the arrays (r0, nu, n_stop, truncated), views of the workspace
+    ``ws`` as in :func:`_start_chunk`."""
+    r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
     n_stop, truncated = mc._stop_times(rng, r0, config.A, nu, 1.0 - config.p,
-                                       mc.DEFAULT_MAX_STEPS)
+                                       mc.DEFAULT_MAX_STEPS, None, ws)
     return r0, nu, n_stop, truncated
 
 
@@ -139,21 +160,25 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     dp = N - nu + 1 > 0, never both, so risk = miss + c dp and
     risk^2 = miss + c^2 dp^2; the counts and delay sums are exact integers.
     """
-    _, nu, n_stop, truncated = _bayes_runs(rng, count, config)
-    late = n_stop - nu + 1
-    miss = np.count_nonzero(late < 0)
-    dp = late.take(np.flatnonzero(late > 0))
-    # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
-    c = config.c
-    return (np.array([[count, miss + c * int(dp.sum()), miss + c * c * int(dp @ dp),
-                       miss, np.count_nonzero(truncated)]], dtype=float),)
+    with qrng.workspace() as ws:
+        _, nu, n_stop, truncated = _bayes_runs(rng, count, config, ws)
+        late = np.subtract(n_stop, nu, out=ws.array("idx", np.intp, count))
+        late += 1
+        miss = np.count_nonzero(np.less(late, 0, out=ws.array("mask", bool, count)))
+        dp = np.maximum(late, 0, out=late)
+        # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
+        c = config.c
+        return (np.array([[count, miss + c * int(dp.sum()), miss + c * c * int(dp @ dp),
+                           miss, np.count_nonzero(truncated)]], dtype=float),)
 
 
 def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     """How many replications of a chunk break cond - c dp == cond (1 - c dp)."""
-    _, nu, n_stop, _ = _bayes_runs(rng, count, config)
-    cond = (n_stop >= nu - 1).astype(float)
-    dp = np.maximum(0, n_stop - nu + 1).astype(float)
+    with qrng.workspace() as ws:
+        _, nu, n_stop, _ = _bayes_runs(rng, count, config, ws)
+        late = n_stop - nu + 1
+    cond = (late >= 0).astype(float)
+    dp = np.maximum(late, 0).astype(float)
     broken = cond - config.c * dp != cond * (1.0 - config.c * dp)
     return (np.array([np.count_nonzero(broken)]),)
 

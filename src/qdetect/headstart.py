@@ -69,20 +69,33 @@ class HeadStartLaw:
     def custom(cls, sampler) -> "HeadStartLaw":
         return cls(kind=LawKind.CUSTOM, sampler=sampler)
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Draw from the law; draw-count per replication is fixed per kind."""
+    def sample(self, rng: np.random.Generator, size=None, ws=None) -> np.ndarray:
+        """Draw from the law; draw-count per replication is fixed per kind.
+
+        With a workspace ``ws`` (:class:`qdetect.rng.Workspace`) the ``size``
+        draws land in its ``"r0"`` buffer, and its ``"lr"`` buffer holds a temporary.
+        """
+        out = (None if size is None else
+               np.empty(size) if ws is None else ws.array("r0", float, size))
         if self.kind is LawKind.POINT_MASS:
-            return np.full(size, self.r0) if size is not None else self.r0
+            if out is None:
+                return self.r0
+            out.fill(self.r0)
+            return out
         if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT:
             # (U(0, a) + 1) U(0, 2), in place: uniform(0, a) is 0 + a u
-            r0 = rng.random(size)
+            r0 = rng.random(size, out=out)
             r0 *= self.a_param
             r0 += 1.0
-            z = rng.random(size)
+            z = rng.random(size, out=None if ws is None else ws.array("lr", float, size))
             z *= 2.0
             r0 *= z
             return r0
-        return self.sampler(rng, size)
+        draws = self.sampler(rng, size)
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
 
 
 def check_head_start(r0) -> None:

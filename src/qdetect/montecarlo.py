@@ -14,11 +14,23 @@ Replications are chunked onto per-chunk PCG64DXSM streams (see
 output for any worker count.
 
 Stops are recorded by index scatter: each step writes its number to every
-running replication, and the runs still below the threshold are kept by
-integer index.  The kernel and the reductions select no replication-sized
-array by a boolean mask, because the mask of the runs that stop at a step is
-close to random, and numpy's masked selection on such a mask costs several
-times an index scatter or ``flatnonzero`` plus ``take``.
+running replication, and the runs still below the threshold move to the
+front of the running arrays by integer index.  The kernel and the reductions
+select no replication-sized array by a boolean mask, because the mask of the
+runs that stop at a step is close to random, and numpy's masked selection on
+such a mask costs several times an index scatter or ``flatnonzero`` plus
+``take``.
+
+The estimators read moment rows, not replications.  Each chunk kernel
+reduces its runs to one row of exact int64 sums (the count, the runs kept
+by the conditioning, the sums of their delay and its square, and how many
+of them were truncated) and float sums of ``R_0 N`` and its square
+(:func:`_sr_moments`), and an estimator adds the rows in chunk order.  A chunk's arrays live in a
+workspace borrowed from the free-list of :mod:`qdetect.rng`: the kernel
+writes each one through ``out=``, builds and compacts index arrays in place
+a block of :data:`_BLOCK` entries at a time, and returns only the row, so a
+warm chunk allocates nothing chunk-sized.  Only :func:`sr_replications`
+still returns the replications themselves.
 """
 
 from __future__ import annotations
@@ -88,13 +100,37 @@ def mc_estimate(n, total, total_sq, truncation_count: int = 0,
                       truncation_count=truncation_count, rejected=rejected)
 
 
-def _estimate(values: np.ndarray, truncation_count: int, rejected: int = 0) -> McEstimate:
-    return mc_estimate(values.size, values.sum(), values @ values,
-                       truncation_count, rejected)
+#: Entries per block when the kernel writes indices into a workspace buffer:
+#: a block's index array (64 KiB) is small enough to come from the heap.
+_BLOCK = 8192
+
+
+def _nonzero_into(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``flatnonzero(mask)``, written a block at a time into the front of ``out``."""
+    n = 0
+    for start in range(0, mask.size, _BLOCK):
+        kept = mask[start:start + _BLOCK].nonzero()[0]
+        np.add(kept, start, out=out[n:n + kept.size])
+        n += kept.size
+    return out[:n]
+
+
+def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
+    """Move the entries of each array where ``keep`` holds to its front, in
+    order and in place.  In place is safe: a block is taken whole before any
+    of it is overwritten, and its kept entries end no later than it does, so
+    the blocks after it are intact."""
+    n = 0
+    for start in range(0, keep.size, _BLOCK):
+        kept = keep[start:start + _BLOCK].nonzero()[0]
+        for a in arrays:
+            a[n:n + kept.size] = a[start:start + _BLOCK].take(kept)
+        n += kept.size
 
 
 def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float,
-                max_steps: int, final: Optional[np.ndarray] = None):
+                max_steps: int, final: Optional[np.ndarray] = None,
+                ws: Optional[qrng.Workspace] = None):
     """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r0`` until ``R_n >= A``.
 
     Observation ``n`` is post-change when ``n >= nu``; ``nu`` is either one
@@ -109,26 +145,42 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
 
     Every step scatters the step number, and ``R_n`` into ``final``, to all
     running replications by index, so the last write a run gets is its
-    stopping step and statistic; the runs still below ``A`` stay by the
-    integer index ``flatnonzero(R_n < A)``.  No array is selected by the
+    stopping step and statistic; the runs still below ``A`` move to the front
+    of the running arrays (:func:`_compact`).  No array is selected by the
     near-random boolean mask of the runs that stopped (see the module
-    docstring for why).
+    docstring for why).  Every array lives in the workspace ``ws`` (its
+    buffers ``n_stop``, ``truncated``, ``idx``, ``r``, ``lr``, ``mask``, and
+    ``nu_act`` and ``post`` for a per-replication ``nu``), so the two
+    returned arrays are views of it; without ``ws`` a fresh one is made,
+    and they are the caller's.
     """
-    n_stop = np.zeros(r0.size, dtype=np.int64)
-    truncated = np.zeros(r0.size, dtype=bool)
+    ws = qrng.Workspace() if ws is None else ws
+    count = r0.size
+    n_stop = ws.zeros("n_stop", np.int64, count)
+    truncated = ws.zeros("truncated", bool, count)
     per_rep = np.ndim(nu) > 0
-    idx = np.flatnonzero(r0 < A)
-    r = r0.take(idx)
-    nu_act = nu.take(idx) if per_rep else nu
+    # every buffer at the chunk's size, so that a warm workspace never regrows
+    idx_buf = ws.array("idx", np.intp, count)
+    n = _nonzero_into(np.less(r0, A, out=ws.array("mask", bool, count)), idx_buf).size
+    r_buf = ws.array("r", float, count)
+    r0.take(idx_buf[:n], out=r_buf[:n], mode="clip")
+    running = [idx_buf, r_buf]
+    if per_rep:
+        nu_buf = ws.array("nu_act", np.int64, count)
+        nu.take(idx_buf[:n], out=nu_buf[:n], mode="clip")
+        running.append(nu_buf)
+        post_buf = ws.array("post", bool, count)
+    lr_buf, below_buf = ws.array("lr", float, count), ws.array("mask", bool, count)
     step = 0
-    while idx.size:
+    while n:
         step += 1
+        idx, r = idx_buf[:n], r_buf[:n]
         if step > max_steps:  # n_stop and final already hold step max_steps
             truncated[idx] = True
             break
-        lr = rng.random(idx.size)
+        lr = rng.random(n, out=lr_buf[:n])
         if per_rep:
-            np.sqrt(lr, out=lr, where=step >= nu_act)
+            np.sqrt(lr, out=lr, where=np.less_equal(nu_buf[:n], step, out=post_buf[:n]))
         elif step >= nu:
             np.sqrt(lr, out=lr)
         lr *= 2.0
@@ -139,27 +191,77 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
         n_stop[idx] = step
         if final is not None:
             final[idx] = r
-        keep = np.flatnonzero(r < A)
-        if keep.size < idx.size:
-            idx = idx.take(keep)
-            r = r.take(keep)
-            if per_rep:
-                nu_act = nu_act.take(keep)
+        below = np.less(r, A, out=below_buf[:n])
+        kept = np.count_nonzero(below)
+        if kept < n:
+            _compact(below, *(a[:n] for a in running))
+            n = kept
     return n_stop, truncated
 
 
 def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
-              change_index: Optional[int], max_steps: int):
+              change_index: Optional[int], max_steps: int,
+              ws: Optional[qrng.Workspace] = None, final: bool = True):
     """Simulate ``count`` SR runs; returns (n_stop, r0, final_stat, truncated).
 
     ``change_index`` is the 1-based observation index of the change; ``None``
-    means the change never happens (all draws pre-change).
+    means the change never happens (all draws pre-change).  The arrays live
+    in ``ws`` (its ``r0`` and ``final`` buffers and those of
+    :func:`_stop_times`); without it a fresh workspace is made, so the
+    arrays are the caller's.  ``final=False`` tracks no final statistic and
+    returns ``None`` in its place.
     """
-    r0 = np.asarray(law.sample(rng, count), dtype=float)
-    final = r0.copy()
+    ws = qrng.Workspace() if ws is None else ws
+    r0 = law.sample(rng, count, ws)
+    stat = None
+    if final:
+        stat = ws.array("final", float, count)
+        stat[...] = r0
     nu = math.inf if change_index is None else change_index
-    n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0, max_steps, final)
-    return n_stop, r0, final, truncated
+    n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0, max_steps, stat, ws)
+    return n_stop, r0, stat, truncated
+
+
+def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
+                change_index: Optional[int], max_steps: int):
+    """The moment row of ``count`` SR runs, as ``(ints, floats)`` of shape (1, 5)
+    and (1, 2).
+
+    With ``lag = change_index - 1`` (0 for no change), a run is kept when
+    ``N >= lag`` and its delay is ``d = (N - lag)^+``.  ``ints`` holds the
+    exact int64 ``(count, kept, sum d, sum d^2, truncated and kept)``; at
+    lag 0 every run is kept and ``d = N``.  ``floats`` holds
+    ``(sum R_0 N, sum (R_0 N)^2)``.  The runs and their reductions live in a
+    borrowed workspace; only the two rows are new.
+    """
+    lag = 0 if change_index is None else change_index - 1
+    with qrng.workspace() as ws:
+        n_stop, r0, _, truncated = _sr_chunk(
+            rng, count, A=A, law=law, change_index=change_index,
+            max_steps=max_steps, ws=ws, final=False)
+        d = np.subtract(n_stop, lag, out=ws.array("idx", np.intp, count))
+        kept = np.greater_equal(d, 0, out=ws.array("mask", bool, count))
+        n_kept = np.count_nonzero(kept)
+        n_trunc = np.count_nonzero(np.logical_and(truncated, kept, out=kept))
+        np.maximum(d, 0, out=d)
+        x = np.multiply(r0, n_stop, out=ws.array("r", float, count))
+        return (np.array([[count, n_kept, d.sum(), d @ d, n_trunc]], dtype=np.int64),
+                np.array([[x.sum(), x @ x]]))
+
+
+def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
+                             law: HeadStartLaw, change_index: Optional[int],
+                             max_steps: int):
+    """The row ``(count, sum D, sum D^2, truncated)`` of ``count`` SR runs,
+    with ``D = R_N - R_0 - N``."""
+    with qrng.workspace() as ws:
+        n_stop, r0, final, truncated = _sr_chunk(
+            rng, count, A=A, law=law, change_index=change_index,
+            max_steps=max_steps, ws=ws)
+        diff = np.subtract(final, r0, out=ws.array("r", float, count))
+        diff -= n_stop
+        return (np.array([[count, diff.sum(), diff @ diff,
+                           np.count_nonzero(truncated)]]),)
 
 
 def check_reps(reps: int) -> int:
@@ -173,6 +275,19 @@ def check_threshold(A: float) -> None:
         raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
 
 
+def _run_sr(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
+            reps: int, seed: int, workers: int, max_steps: int, tag: str):
+    """``run_chunked`` over an SR chunk kernel, on the streams of one scenario."""
+    check_threshold(A)
+    reps = check_reps(reps)
+    if change_index is not None:  # the tag spells the int: 2.0 and 2 share a stream
+        change_index = qrng.check_count(change_index, "change index", 1)
+    kernel = partial(kernel, A=A, law=law, change_index=change_index,
+                     max_steps=max_steps)
+    return qrng.run_chunked(kernel, reps, seed, f"{tag}/k={change_index}",
+                            workers=workers)
+
+
 def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
                     reps: int, seed: int, workers: int = 1,
                     max_steps: int = DEFAULT_MAX_STEPS, tag: str = "sr"):
@@ -181,24 +296,30 @@ def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
     ``change_index`` is a positive integer, or ``None`` for no change.  The
     stream tag encodes the scenario but deliberately not the threshold,
     so runs at different ``A`` with the same seed share head starts and can
-    be compared under common random numbers at the estimator level.
+    be compared under common random numbers at the estimator level.  The
+    estimators read the same replications as moment rows; only this raw
+    API holds them, 25 bytes each, so its memory grows with ``reps``.
     """
-    check_threshold(A)
-    reps = check_reps(reps)
-    if change_index is not None:  # the tag spells the int: 2.0 and 2 share a stream
-        change_index = qrng.check_count(change_index, "change index", 1)
-    kernel = partial(_sr_chunk, A=A, law=law, change_index=change_index,
-                     max_steps=max_steps)
-    full_tag = f"{tag}/k={change_index}"
-    return qrng.run_chunked(kernel, reps, seed, full_tag, workers=workers)
+    return _run_sr(_sr_chunk, A, law, change_index, reps, seed, workers,
+                   max_steps, tag)
+
+
+def _sr_sums(A: float, law: HeadStartLaw, change_index: Optional[int], reps: int,
+             seed: int, workers: int):
+    """The :func:`_sr_moments` rows of :func:`sr_replications`' replications,
+    summed over the chunks."""
+    ints, floats = _run_sr(_sr_moments, A, law, change_index, reps, seed, workers,
+                           DEFAULT_MAX_STEPS, "sr")
+    return ints.sum(axis=0), floats.sum(axis=0)
 
 
 def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
                           workers: int = 1) -> Tuple[McEstimate, McEstimate]:
     """E_1 N and E_1(R_0 N) from one set of replications (common random numbers)."""
-    n_stop, r0, _, trunc = sr_replications(A, law, 1, reps, seed, workers)
-    truncated = int(trunc.sum())
-    return _estimate(n_stop, truncated), _estimate(r0 * n_stop, truncated)
+    (count, _, n_sum, n_sq, trunc), (x_sum, x_sq) = _sr_sums(A, law, 1, reps, seed,
+                                                            workers)
+    return (mc_estimate(count, n_sum, n_sq, int(trunc)),
+            mc_estimate(count, x_sum, x_sq, int(trunc)))
 
 
 def estimate_e1_delay(A: float, law: HeadStartLaw, reps: int, seed: int,
@@ -216,18 +337,16 @@ def estimate_cross_term(A: float, law: HeadStartLaw, reps: int, seed: int,
 def estimate_arl_false(A: float, law: HeadStartLaw, reps: int, seed: int,
                        workers: int = 1) -> McEstimate:
     """E_inf N: expected stopping index when the change never happens."""
-    n_stop, _, _, trunc = sr_replications(A, law, None, reps, seed, workers)
-    return _estimate(n_stop, int(trunc.sum()))
+    count, _, n_sum, n_sq, trunc = _sr_sums(A, law, None, reps, seed, workers)[0]
+    return mc_estimate(count, n_sum, n_sq, int(trunc))
 
 
 def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
                                seed: int, workers: int = 1) -> McEstimate:
-    """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early."""
-    n_stop, _, _, trunc = sr_replications(A, law, k, reps, seed, workers)
-    keep = np.flatnonzero(n_stop >= k - 1)
-    kept = n_stop.take(keep)
-    return _estimate(kept - (k - 1), int(trunc.take(keep).sum()),
-                     n_stop.size - kept.size)
+    """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early;
+    a truncated run counts only if it is kept."""
+    count, kept, d_sum, d_sq, trunc = _sr_sums(A, law, k, reps, seed, workers)[0]
+    return mc_estimate(kept, d_sum, d_sq, int(trunc), int(count - kept))
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
@@ -258,17 +377,20 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
     n_paths, horizon = 50_000, 20
     r = np.zeros(n_paths)
     worst = 0.0
-    for n in range(1, horizon + 1):
-        # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
-        _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r)
-        est = mc_estimate(n_paths, r.sum(), r @ r)
-        worst = max(worst, abs(est.mean - n) / est.stderr)
+    with qrng.workspace() as ws:
+        for n in range(1, horizon + 1):
+            # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
+            _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r, ws)
+            est = mc_estimate(n_paths, r.sum(), r @ r)
+            worst = max(worst, abs(est.mean - n) / est.stderr)
 
-    n_stop, r0, final, trunc = sr_replications(A, law, None, reps, seed, workers)
-    diff = (final - r0) - n_stop
-    est = mc_estimate(diff.size, diff.sum(), diff @ diff)
+    # the replications of estimate_arl_false, read as per-chunk sums of D
+    rows = _run_sr(_optional_stopping_chunk, A, law, None, reps, seed, workers,
+                   DEFAULT_MAX_STEPS, "sr")[0]
+    count, d_sum, d_sq, trunc = rows.sum(axis=0)
+    est = mc_estimate(count, d_sum, d_sq)
     z = abs(est.mean) / est.stderr
-    truncated = int(trunc.sum())
+    truncated = int(trunc)
     return [("martingale-drift", worst <= 4.0, worst, f"max |z| over n<=20: {worst:.2f}"),
             ("optional-stopping", z <= 4.0 and truncated == 0, z,
              f"|z|={z:.2f} truncated={truncated}")]

@@ -11,15 +11,28 @@ generator and its arrays, kernels and head-start laws are immutable, and
 numpy releases the GIL in ``Generator.random``, in ufunc loops and in
 indexing, where a chunk spends its time; so the threads share nothing and
 really run in parallel, and no kernel or law needs to be picklable.
+
+A chunk kernel writes its chunk-sized arrays into a :class:`Workspace`, a set
+of named buffers that it borrows for the length of one chunk from a small
+locked free-list (:func:`workspace`); :func:`run_chunked` still calls it as
+``kernel(rng, count)``.  The free-list outlives the pool's threads and keeps
+as many workspaces as chunks ever ran at once, up to :data:`FREE_LIST_MAX`,
+so a warm chunk allocates nothing chunk-sized, and memory is those
+workspaces plus what the kernels return per chunk, one moment row for a
+reducing kernel, not a multiple of ``reps``.  The kept workspaces stay held
+after a call returns, until the process exits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  only perfbench/tracer.py reads it
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +85,59 @@ def chunk_spec(reps: int) -> list[tuple[int, int]]:
     return spec
 
 
+class Workspace:
+    """Named reusable buffers for one chunk at a time.
+
+    ``array(name, dtype, size)`` is the first ``size`` entries of the buffer
+    called ``name``, made on first use and made again when a larger size or
+    another dtype is asked for; its contents are whatever the last user
+    left.  Callers share a name only between arrays whose lifetimes do not
+    overlap.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name: str, dtype, size: int) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size]
+
+    def zeros(self, name: str, dtype, size: int) -> np.ndarray:
+        out = self.array(name, dtype, size)
+        out.fill(0)
+        return out
+
+
+#: Workspaces the free-list keeps, one per core (at least two): threads
+#: beyond the cores run no faster, so a wider pool's extra workspaces are
+#: dropped when their chunk ends, and made afresh on its next call.
+FREE_LIST_MAX = max(os.cpu_count() or 1, 2)
+
+_free_workspaces: list = []
+_free_lock = threading.Lock()
+
+
+@contextmanager
+def workspace() -> Iterator[Workspace]:
+    """Borrow a :class:`Workspace` from the free-list for one chunk.
+
+    The free-list makes a workspace only when every one it holds is lent
+    out, and takes one back only while it holds fewer than
+    :data:`FREE_LIST_MAX`.  Nothing a kernel returns may be a view of a
+    borrowed workspace.
+    """
+    with _free_lock:
+        ws = _free_workspaces.pop() if _free_workspaces else Workspace()
+    try:
+        yield ws
+    finally:
+        with _free_lock:
+            if len(_free_workspaces) < FREE_LIST_MAX:
+                _free_workspaces.append(ws)
+
+
 def run_chunked(
     kernel: Callable[[np.random.Generator, int], Sequence[np.ndarray]],
     reps: int,
@@ -82,7 +148,9 @@ def run_chunked(
     """Run ``kernel(rng, count)`` over all chunks and concatenate its outputs.
 
     The kernel returns a tuple of arrays; outputs are concatenated column-wise
-    in chunk order, so the result is independent of ``workers``.  With more
+    in chunk order, so the result is independent of ``workers``.  A kernel
+    that reduces its chunk to one row of moments returns ``(1, m)`` arrays,
+    and the result then holds one row per chunk.  With more
     than one worker and chunk, the chunks run on ``min(workers, chunks)``
     threads of one process; a kernel must only not share mutable state
     between its calls.  A seed or worker count that breaks its rule raises

@@ -1,0 +1,122 @@
+"""Chunk kernels reduce in place, in workspaces reused across chunks and calls.
+
+A warm estimator call holds one workspace per worker plus one moment row per
+chunk, whatever ``reps`` is; no kernel returns a view of a borrowed
+workspace; and a moment row holds exactly the sums of the raw replications
+it replaces.
+"""
+
+import sys
+import tracemalloc
+from functools import partial
+
+import numpy as np
+import pytest
+
+from qdetect import (
+    BayesConfig,
+    HeadStartLaw,
+    estimate_bayes_risk,
+    estimate_conditional_delay,
+    estimate_e1_and_cross,
+    sr_replications,
+)
+from qdetect import rng as qrng
+from qdetect.bayes import _start_chunk
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _sr_moments
+from qdetect.rng import CHUNK_SIZE, chunk_spec, derive_rng, run_chunked
+
+A = 1.5
+LAW = HeadStartLaw.yakir(A)
+SEED = 20240824
+
+ESTIMATORS = {
+    "e1-and-cross": lambda reps, workers: estimate_e1_and_cross(A, LAW, reps, SEED, workers),
+    "conditional-k3": lambda reps, workers: estimate_conditional_delay(
+        A, LAW, 3, reps, SEED, workers),
+    "bayes-risk": lambda reps, workers: estimate_bayes_risk(
+        BayesConfig(p=0.01, c=0.1, A=A, law=LAW), reps, SEED, workers),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_warm_call_memory_is_bounded_by_the_chunk(name, workers):
+    # 8 chunks of replications; one float64 array of one chunk alone is 2 MiB
+    call, reps = ESTIMATORS[name], 8 * CHUNK_SIZE
+    call(reps, workers)  # the workspaces of the free-list get their buffers
+    tracemalloc.start()
+    try:
+        call(reps, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak / 2**20:.2f} MiB traced"
+
+
+SR_KERNEL = partial(_sr_chunk, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS)
+START_KERNEL = partial(_start_chunk, p=0.005, law=LAW)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("kernel", [SR_KERNEL, START_KERNEL], ids=["sr", "start"])
+def test_chunk_outputs_are_not_workspace_views(kernel, workers):
+    reps = 2 * CHUNK_SIZE + 1000  # three chunks
+    got = run_chunked(kernel, reps, SEED, "alias", workers)
+    parts = [kernel(derive_rng(SEED, "alias", i), count) for i, count in chunk_spec(reps)]
+    assert len(got) == len(parts[0])
+    for column, chunks in zip(got, zip(*parts)):
+        assert np.array_equal(column, np.concatenate(chunks))
+
+
+def test_free_list_lends_each_workspace_to_one_chunk_at_a_time():
+    # more threads than cores, switching often: a workspace lent to two
+    # chunks at once would mix their runs
+    reps = 6 * CHUNK_SIZE
+    serial = estimate_e1_and_cross(A, LAW, reps, SEED, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert estimate_e1_and_cross(A, LAW, reps, SEED, 4) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    free = qrng._free_workspaces
+    assert len({id(ws) for ws in free}) == len(free)
+
+
+def test_free_list_keeps_at_most_its_cap(monkeypatch):
+    # a pool wider than the cap: the extra workspaces are dropped, not kept
+    monkeypatch.setattr(qrng, "FREE_LIST_MAX", 1)
+    serial = estimate_e1_and_cross(A, LAW, 3 * CHUNK_SIZE, SEED, 1)
+    assert estimate_e1_and_cross(A, LAW, 3 * CHUNK_SIZE, SEED, 3) == serial
+    assert len(qrng._free_workspaces) == 1
+
+
+class TestMomentRows:
+    COUNT = 1 << 14
+
+    @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
+    @pytest.mark.parametrize("change_index", [1, 3, None])
+    def test_row_holds_the_sums_of_the_runs(self, change_index, max_steps):
+        tag = f"rows/{change_index}/{max_steps}"
+        kwargs = dict(A=A, law=LAW, change_index=change_index, max_steps=max_steps)
+        ints, floats = _sr_moments(derive_rng(SEED, tag, 0), self.COUNT, **kwargs)
+        n_stop, r0, _, truncated = _sr_chunk(derive_rng(SEED, tag, 0), self.COUNT, **kwargs)
+        lag = 0 if change_index is None else change_index - 1
+        kept = n_stop >= lag
+        d = n_stop[kept] - lag
+        # a truncated run counts only if it is kept: at max_steps = 1 and
+        # lag 2 every truncated run stops too early
+        assert ints.tolist() == [[self.COUNT, kept.sum(), d.sum(), d @ d,
+                                  (truncated & kept).sum()]]
+        if max_steps == 1:
+            assert truncated.any()
+        x = r0 * n_stop
+        np.testing.assert_allclose(floats[0], [x.sum(), x @ x], rtol=1e-12)
+
+    def test_conditional_delay_counts_match_the_runs(self):
+        n_stop, _, _, truncated = sr_replications(A, LAW, 3, 50_000, SEED)
+        est = estimate_conditional_delay(A, LAW, 3, 50_000, SEED)
+        assert est.rejected == (n_stop < 2).sum() > 0
+        assert est.truncation_count == (truncated & (n_stop >= 2)).sum()
