@@ -45,7 +45,6 @@ from .formulas import (
 from .bayes import (
     BayesConfig,
     BayesRiskEstimate,
-    ConditionalHeadStartReport,
     LimitDiagnostic,
     LimitVerdict,
     compare_limit,

@@ -21,14 +21,15 @@ p -> 0 limit, and compares the intercept against the two competing closed
 forms (:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``), which
 :func:`limit_predictions` evaluates exactly, without simulation, so the
 intercept's standard error alone sets the z-scores.  It also
-checks that the law of r0 conditioned on {nu = 1} approaches the size-biased
-transform of the unconditional law, not the unconditional law itself.
+checks that the mean of r0 conditioned on {nu = 1} is the mean of the
+size-biased transform of the unconditional law, not the unconditional mean.
 
-Each chunk draws its head starts and change times and runs its replications
-in a workspace borrowed from the free-list of :mod:`qdetect.rng`, and
-reduces them there to one moment row (count, risk sums, misses,
-truncations), so the risk estimate holds one row per chunk, whatever
-``reps`` is.
+Each chunk draws its head starts and change times, and runs its
+replications, in a workspace borrowed from the free-list of
+:mod:`qdetect.rng`, and reduces them there to one moment row: count, risk
+sums, misses and truncations for the risk estimate; count, the draws with
+nu = 1 and their sum and sum of squares for the conditional mean.  So each
+estimate holds one row per chunk, whatever ``reps`` is.
 """
 
 from __future__ import annotations
@@ -119,14 +120,12 @@ def coupling_round_trip(seed: int) -> tuple[bool, float]:
 
 
 def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
-                 law: HeadStartLaw, ws=None):
+                 law: HeadStartLaw, ws: qrng.Workspace):
     """Draw ``count`` head starts r0 and their coupled change times nu.
 
     The arrays are views of the workspace ``ws`` (its ``r0`` and ``nu``
-    buffers; ``r``, ``lr`` and ``mask`` hold temporaries); without it a fresh
-    workspace is made, so they are the caller's.
+    buffers; ``r``, ``lr`` and ``mask`` hold temporaries).
     """
-    ws = qrng.Workspace() if ws is None else ws
     r0 = law.sample(rng, count, ws)
     pi0 = couple_pi0(p, r0, ws)
     first = np.less(rng.random(count, out=ws.array("lr", float, count)), pi0,
@@ -143,7 +142,8 @@ def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
     return r0, nu
 
 
-def _bayes_runs(rng: np.random.Generator, count: int, config: BayesConfig, ws=None):
+def _bayes_runs(rng: np.random.Generator, count: int, config: BayesConfig,
+                ws: qrng.Workspace):
     """Simulate ``count`` Bayes-rule replications on one derived stream;
     returns the arrays (r0, nu, n_stop, truncated), views of the workspace
     ``ws`` as in :func:`_start_chunk`."""
@@ -329,47 +329,29 @@ def limit_predictions(A: float, c_star: float) -> tuple[float, float]:
             formulas.c_limit_eq4(e_r0, e1, arl, cross, c_star))
 
 
-@dataclass(frozen=True)
-class ConditionalHeadStartReport:
-    """Comparison of law(r0 | nu = 1) against the size-biased transform."""
-
-    conditional_mean: float
-    conditional_se: float
-    l1_vs_size_biased: float
-    l1_vs_unconditional: float
+def _conditional_chunk(rng: np.random.Generator, count: int, *, p: float,
+                       law: HeadStartLaw):
+    """One row (count, m, sum r0, sum r0^2) over the m draws of a chunk with nu = 1."""
+    with qrng.workspace() as ws:
+        r0, nu = _start_chunk(rng, count, p=p, law=law, ws=ws)
+        first = np.equal(nu, 1, out=ws.array("mask", bool, count))
+        cond = r0.take(np.flatnonzero(first))
+        return (np.array([[count, cond.size, cond.sum(), cond @ cond]]),)
 
 
 def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
-                                     seed: int, workers: int = 1
-                                     ) -> ConditionalHeadStartReport:
-    """Check that conditioning on {nu = 1} size-biases the head start law.
+                                     seed: int, workers: int = 1) -> mc.McEstimate:
+    """The mean of r0 conditioned on {nu = 1}, with its standard error.
 
-    Neither r0 nor nu depends on the stopping rule, so no run is simulated.
-    Bins are widened automatically when the conditional sample is small
-    (nu = 1 is rare for small p).
+    Conditioning on a change at time 1 size-biases the head-start law, so
+    this estimates the size-biased mean, not the unconditional one; the
+    estimate's ``rejected`` counts the draws with nu > 1.  Neither r0 nor nu
+    depends on the stopping rule, so no run is simulated.
     """
     if not (0.0 < p <= 0.01):
         raise ConfigurationError(f"diagnostic is meaningful for 0 < p <= 0.01, got {p}")
     reps = mc.check_reps(reps)
-    r0, nu = qrng.run_chunked(partial(_start_chunk, p=p, law=law), reps, seed,
-                              "bayes-cond", workers=workers)
-    cond_r0 = r0.take(np.flatnonzero(nu == 1))
-    m = cond_r0.size
-    cond = mc.mc_estimate(m, cond_r0.sum(), cond_r0 @ cond_r0, rejected=reps - m)
-    n_bins = int(min(40, max(5, m // 200)))
-    hi = max(float(r0.max()), 1e-9)
-    edges = np.linspace(0.0, hi * (1 + 1e-9), n_bins + 1)
-    cond_hist, _ = np.histogram(cond_r0, bins=edges)
-    cond_hist = cond_hist / m
-    # size-biased reference from the unconditional sample, weights (x + 1)
-    weights = r0 + 1.0
-    sb_hist, _ = np.histogram(r0, bins=edges, weights=weights)
-    sb_hist = sb_hist / weights.sum()
-    un_hist, _ = np.histogram(r0, bins=edges)
-    un_hist = un_hist / r0.size
-    return ConditionalHeadStartReport(
-        conditional_mean=cond.mean,
-        conditional_se=cond.stderr,
-        l1_vs_size_biased=float(np.abs(cond_hist - sb_hist).sum()),
-        l1_vs_unconditional=float(np.abs(cond_hist - un_hist).sum()),
-    )
+    rows = qrng.run_chunked(partial(_conditional_chunk, p=p, law=law), reps, seed,
+                            "bayes-cond", workers=workers)[0]
+    count, m, total, total_sq = rows.sum(axis=0)
+    return mc.mc_estimate(m, total, total_sq, rejected=int(count - m))

@@ -99,10 +99,11 @@ def _grid(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _meta(args, command: str) -> dict:
-    """Header fields: the command plus every flag that changes the table."""
+def _meta(args, command: str, a_grid) -> dict:
+    """Header fields: the command plus every flag that changes the table,
+    with ``a_grid`` the thresholds the command ran."""
     meta = {"command": command, "seed": args.seed, "reps": args.reps,
-            "a_grid": _grid(args.a_grid)}
+            "a_grid": _grid(a_grid)}
     if command == "bayes-limit":
         meta.update(p_grid=_grid(args.p_grid), c_star=args.c_star)
     return meta
@@ -119,7 +120,7 @@ def _truncation_exit(fractions) -> int:
 
 
 def cmd_table1(args) -> int:
-    table = Table(meta=_meta(args, "table1"),
+    table = Table(meta=_meta(args, "table1", args.a_grid),
                   columns=["A", "mc", "mc_se", "eq14", "eq14_se", "eq13"])
     truncation = []
     for a in args.a_grid:
@@ -144,7 +145,7 @@ def cmd_bayes_limit(args) -> int:
                                   [args.reps] * len(args.p_grid), args.seed,
                                   args.workers)
     verdict = bayes.compare_limit(diag, eq3, eq4)
-    table = Table(meta=_meta(args, "bayes-limit"),
+    table = Table(meta=_meta(args, "bayes-limit", [a]),
                   columns=["p", "reps", "ratio", "ratio_se"])
     for row in diag.rows:
         table.rows.append([row.p, row.reps, row.ratio, row.stderr])
@@ -166,7 +167,7 @@ def cmd_equalizer(args) -> int:
     law = HeadStartLaw.yakir(a)
     profile = mc.delay_profile(a, law, EQUALIZER_K_MAX, args.reps, args.seed,
                                args.workers)
-    table = Table(meta=_meta(args, "equalizer"),
+    table = Table(meta=_meta(args, "equalizer", [a]),
                   columns=["k", "delay", "delay_se", "rejected", "flag"])
     deviations = profile.deviations()
     for k in range(1, EQUALIZER_K_MAX + 1):
@@ -218,9 +219,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdetect", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command",
-                        choices=["table1", "bayes-limit", "equalizer",
-                                 "props", "oracles"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--a-grid", type=_float_list,
                         default=DEFAULT_A_GRID,
                         help="comma-separated thresholds in (0, 2)")

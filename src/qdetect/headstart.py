@@ -69,17 +69,15 @@ class HeadStartLaw:
     def custom(cls, sampler) -> "HeadStartLaw":
         return cls(kind=LawKind.CUSTOM, sampler=sampler)
 
-    def sample(self, rng: np.random.Generator, size=None, ws=None) -> np.ndarray:
-        """Draw from the law; draw-count per replication is fixed per kind.
+    def sample(self, rng: np.random.Generator, size: int, ws=None) -> np.ndarray:
+        """Draw ``size`` head starts; draw-count per replication is fixed per kind.
 
-        With a workspace ``ws`` (:class:`qdetect.rng.Workspace`) the ``size``
-        draws land in its ``"r0"`` buffer, and its ``"lr"`` buffer holds a temporary.
+        With a workspace ``ws`` (:class:`qdetect.rng.Workspace`) the draws
+        land in its ``"r0"`` buffer, and its ``"lr"`` buffer holds a temporary.
+        A custom sampler's draws pass :func:`check_head_start`.
         """
-        out = (None if size is None else
-               np.empty(size) if ws is None else ws.array("r0", float, size))
+        out = np.empty(size) if ws is None else ws.array("r0", float, size)
         if self.kind is LawKind.POINT_MASS:
-            if out is None:
-                return self.r0
             out.fill(self.r0)
             return out
         if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT:
@@ -91,10 +89,8 @@ class HeadStartLaw:
             z *= 2.0
             r0 *= z
             return r0
-        draws = self.sampler(rng, size)
-        if out is None:
-            return draws
-        out[...] = draws
+        out[...] = self.sampler(rng, size)
+        check_head_start(out)
         return out
 
 
@@ -207,21 +203,20 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
                        rng: np.random.Generator) -> dict:
     """Brute-force Monte Carlo estimates of p0, mu0 and the mean of R_0.
 
-    Returns a dict with keys ``p0_hat``, ``p0_se``, ``mu0_hat``, ``mu0_se``,
-    ``mean_hat`` and ``mean_se``.  The threshold must satisfy 0 < A < inf.
+    Returns a dict of :class:`qdetect.montecarlo.McEstimate` under the keys
+    ``p0``, ``mu0`` and ``mean``.  The threshold must satisfy 0 < A < inf.
     The conditional mean uses rejection on {R_0 < A} and raises
     :class:`UndefinedConditionalError` if fewer than 2 draws land there.
+    All ``reps`` draws are held at once, so memory grows with ``reps``.
     """
     check_threshold(A)
     reps = check_oracle_reps(reps)
-    draws = np.asarray(law.sample(rng, reps), dtype=float)
+    draws = law.sample(rng, reps)
     cond = draws.take(np.flatnonzero(draws < A))
     hits = reps - cond.size
-    p0 = mc_estimate(reps, hits, hits)
-    mu0 = mc_estimate(cond.size, cond.sum(), cond @ cond, rejected=hits)
-    mean = mc_estimate(reps, draws.sum(), draws @ draws)
-    return {"p0_hat": p0.mean, "p0_se": p0.stderr, "mu0_hat": mu0.mean,
-            "mu0_se": mu0.stderr, "mean_hat": mean.mean, "mean_se": mean.stderr}
+    return {"p0": mc_estimate(reps, hits, hits),
+            "mu0": mc_estimate(cond.size, cond.sum(), cond @ cond, rejected=hits),
+            "mean": mc_estimate(reps, draws.sum(), draws @ draws)}
 
 
 def oracle_checks(A: float, reps: int, seed: int) -> list:
@@ -246,13 +241,13 @@ def oracle_checks(A: float, reps: int, seed: int) -> list:
         checks.append((f"{key}-quadrature A={A}", err <= ORACLE_QUAD_TOL, err,
                        f"exact={exact[key]:.12f} quad={quad[key]:.12f}"))
     for key in ("p0", "mu0", "mean"):
-        hat, se = o[f"{key}_hat"], o[f"{key}_se"]
+        hat, se = o[key].mean, o[key].stderr
         z = abs(exact[key] - hat) / se
         detail = f"exact={exact[key]:.6f} hat={hat:.6f}"
         if key != "mean":
             detail += f" se={se:.6f}"
         checks.append((f"{key}-oracle A={A}", z <= ORACLE_Z_LIMIT, z, detail))
-    gap, se = abs(p0_erratum(A) - o["p0_hat"]), o["p0_se"]
+    gap, se = abs(p0_erratum(A) - o["p0"].mean), o["p0"].stderr
     checks.append((f"erratum-rejected A={A}", gap / se > ERRATUM_MIN_Z, gap / se,
                    f"|erratum-hat|={gap:.4f} ({ERRATUM_MIN_Z:g} SE = {ERRATUM_MIN_Z * se:.4f})"))
     return checks

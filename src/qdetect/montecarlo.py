@@ -30,7 +30,8 @@ workspace borrowed from the free-list of :mod:`qdetect.rng`: the kernel
 writes each one through ``out=``, builds and compacts index arrays in place
 a block of :data:`_BLOCK` entries at a time, and returns only the row, so a
 warm chunk allocates nothing chunk-sized.  Only :func:`sr_replications`
-still returns the replications themselves.
+still returns the replications themselves, copied out of each chunk's
+workspace.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
 
 
 def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float,
-                max_steps: int, final: Optional[np.ndarray] = None,
-                ws: Optional[qrng.Workspace] = None):
+                max_steps: int, final: Optional[np.ndarray], ws: qrng.Workspace):
     """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r0`` until ``R_n >= A``.
 
     Observation ``n`` is post-change when ``n >= nu``; ``nu`` is either one
@@ -140,8 +140,8 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
     and ``2 sqrt(U)`` after it, and updates the running statistics in place.
     Returns ``(n_stop, truncated)``: runs starting at or above ``A`` stop at
     0, and runs still below ``A`` after ``max_steps`` steps stop there,
-    truncated.  If given, ``final`` receives ``R_n`` at stopping for the runs
-    that took a step; it is left as it is for the others.
+    truncated.  Unless it is ``None``, ``final`` receives ``R_n`` at stopping
+    for the runs that took a step; it is left as it is for the others.
 
     Every step scatters the step number, and ``R_n`` into ``final``, to all
     running replications by index, so the last write a run gets is its
@@ -151,10 +151,8 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
     docstring for why).  Every array lives in the workspace ``ws`` (its
     buffers ``n_stop``, ``truncated``, ``idx``, ``r``, ``lr``, ``mask``, and
     ``nu_act`` and ``post`` for a per-replication ``nu``), so the two
-    returned arrays are views of it; without ``ws`` a fresh one is made,
-    and they are the caller's.
+    returned arrays are views of it.
     """
-    ws = qrng.Workspace() if ws is None else ws
     count = r0.size
     n_stop = ws.zeros("n_stop", np.int64, count)
     truncated = ws.zeros("truncated", bool, count)
@@ -200,18 +198,16 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
 
 
 def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
-              change_index: Optional[int], max_steps: int,
-              ws: Optional[qrng.Workspace] = None, final: bool = True):
+              change_index: Optional[int], max_steps: int, ws: qrng.Workspace,
+              final: bool = True):
     """Simulate ``count`` SR runs; returns (n_stop, r0, final_stat, truncated).
 
     ``change_index`` is the 1-based observation index of the change; ``None``
-    means the change never happens (all draws pre-change).  The arrays live
-    in ``ws`` (its ``r0`` and ``final`` buffers and those of
-    :func:`_stop_times`); without it a fresh workspace is made, so the
-    arrays are the caller's.  ``final=False`` tracks no final statistic and
+    means the change never happens (all draws pre-change).  The arrays are
+    views of ``ws`` (its ``r0`` and ``final`` buffers and those of
+    :func:`_stop_times`).  ``final=False`` tracks no final statistic and
     returns ``None`` in its place.
     """
-    ws = qrng.Workspace() if ws is None else ws
     r0 = law.sample(rng, count, ws)
     stat = None
     if final:
@@ -220,6 +216,12 @@ def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartL
     nu = math.inf if change_index is None else change_index
     n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0, max_steps, stat, ws)
     return n_stop, r0, stat, truncated
+
+
+def _sr_copies(rng: np.random.Generator, count: int, **scenario):
+    """The arrays of :func:`_sr_chunk`, copied out of a borrowed workspace."""
+    with qrng.workspace() as ws:
+        return tuple(a.copy() for a in _sr_chunk(rng, count, ws=ws, **scenario))
 
 
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
@@ -300,7 +302,7 @@ def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
     estimators read the same replications as moment rows; only this raw
     API holds them, 25 bytes each, so its memory grows with ``reps``.
     """
-    return _run_sr(_sr_chunk, A, law, change_index, reps, seed, workers,
+    return _run_sr(_sr_copies, A, law, change_index, reps, seed, workers,
                    max_steps, tag)
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from qdetect import montecarlo
+from qdetect import montecarlo, rng as qrng
 
 acceptance_report = []
 
@@ -25,7 +25,8 @@ def kernel_paths(r0, n_paths, q, steps, seed):
     rng = np.random.default_rng(seed)
     r = np.full(n_paths, r0, dtype=float)
     path = []
+    ws = qrng.Workspace()
     for _ in range(steps):
-        montecarlo._stop_times(rng, r, math.inf, math.inf, q, 1, r)
+        montecarlo._stop_times(rng, r, math.inf, math.inf, q, 1, r, ws)
         path.append(r.copy())
     return np.array(path)

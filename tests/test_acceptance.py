@@ -139,14 +139,13 @@ def test_criterion_5_limit_identification():
 
 def test_criterion_6_size_biased_conditional_law():
     a = 1.5
-    report = conditional_headstart_diagnostic(HeadStartLaw.yakir(a), 0.005,
-                                              400_000, SEED)
+    cond = conditional_headstart_diagnostic(HeadStartLaw.yakir(a), 0.005, 400_000, SEED)
     target = size_biased_mean(a)
-    z_sb = abs(report.conditional_mean - target) / report.conditional_se
-    z_plain = abs(report.conditional_mean - yakir_mean(a)) / report.conditional_se
+    z_sb = abs(cond.mean - target) / cond.stderr
+    z_plain = abs(cond.mean - yakir_mean(a)) / cond.stderr
     ok = z_sb <= 4.0 and z_plain > 4.0
     _report(ok, "criterion-6 size-biased-conditional",
-            f"cond mean {report.conditional_mean:.4f} vs size-biased "
+            f"cond mean {cond.mean:.4f} vs size-biased "
             f"{target:.4f} (z = {z_sb:.2f}) vs plain {yakir_mean(a):.4f} "
             f"(z = {z_plain:.0f})")
     assert ok

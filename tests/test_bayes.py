@@ -69,7 +69,8 @@ class TestChangeTimePrior:
         p, pi0, n = 0.3, 0.4, 10**5
         law = HeadStartLaw.point_mass(implied_headstart(p, pi0))
         config = BayesConfig(p=p, c=0.1, A=A, law=law)
-        _, draws, _, _ = _bayes_runs(derive_rng(SEED, "test-nu", 0), n, config)
+        _, draws, _, _ = _bayes_runs(derive_rng(SEED, "test-nu", 0), n, config,
+                                     qrng.Workspace())
         for k in range(1, 11):
             target = pi0 if k == 1 else (1 - pi0) * p * (1 - p) ** (k - 2)
             hat = (draws == k).mean()
@@ -80,7 +81,8 @@ class TestChangeTimePrior:
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
         config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
-        _, nu, n_stop, _ = _bayes_runs(derive_rng(SEED, "test-stop0", 0), 1000, config)
+        _, nu, n_stop, _ = _bayes_runs(derive_rng(SEED, "test-stop0", 0), 1000, config,
+                                      qrng.Workspace())
         _, risk, _, miss, _ = _bayes_chunk(derive_rng(SEED, "test-stop0", 0), 1000,
                                            config)[0][0]
         assert (n_stop == 0).all()
@@ -91,7 +93,7 @@ class TestBayesRule:
         for c in (0.1, 0.0):
             config = BayesConfig(p=0.05, c=c, A=A, law=LAW)
             _, nu, n_stop, truncated = _bayes_runs(
-                derive_rng(SEED, "test-invariants", 0), 20_000, config)
+                derive_rng(SEED, "test-invariants", 0), 20_000, config, qrng.Workspace())
             delay_plus = np.maximum(0, n_stop - nu + 1)
             missed = n_stop < nu - 1
             assert (nu >= 1).all() and (n_stop >= 0).all() and not truncated.any()
@@ -233,13 +235,9 @@ class TestLimitPredictions:
 class TestConditionalHeadStart:
     def test_point_mass_size_biasing_is_identity(self):
         law = HeadStartLaw.point_mass(0.7)
-        report = conditional_headstart_diagnostic(law, 0.01, 400_000, SEED)
-        assert report.conditional_mean == pytest.approx(0.7)
-        assert report.l1_vs_size_biased == pytest.approx(0.0, abs=1e-9)
-
-    def test_size_biasing_detected(self):
-        report = conditional_headstart_diagnostic(LAW, 0.005, 400_000, SEED)
-        assert report.l1_vs_size_biased < report.l1_vs_unconditional
+        est = conditional_headstart_diagnostic(law, 0.01, 400_000, SEED)
+        assert est.mean == pytest.approx(0.7)
+        assert est.reps + est.rejected == 400_000
 
     def test_size_biased_mean_exceeds_plain_mean(self):
         assert size_biased_mean(A) > yakir_mean(A)

@@ -114,6 +114,17 @@ class TestTable1:
         assert capsys.readouterr().out == ""
 
 
+def _header_argv(out: str) -> list:
+    """The command and flags a table's header records, as an argv.
+
+    The header reads ``# qdetect <version> command=... key=value ...``."""
+    argv = []
+    for field in out.splitlines()[0].split()[3:]:
+        key, _, value = field.partition("=")
+        argv += [value] if key == "command" else [f"--{key.replace('_', '-')}", value]
+    return argv
+
+
 class TestHeaders:
     @pytest.mark.parametrize("argv", [
         ["table1", "--a-grid", "1.6,1.9", "--reps", "2000", "--seed", "9"],
@@ -123,12 +134,19 @@ class TestHeaders:
     def test_header_regenerates_table(self, argv, capsys):
         code = main(argv)
         first = capsys.readouterr().out
-        # header: "# qdetect <version> command=... key=value ..."
-        regen = []
-        for field in first.splitlines()[0].split()[3:]:
-            key, _, value = field.partition("=")
-            regen += [value] if key == "command" else [f"--{key.replace('_', '-')}", value]
+        regen = _header_argv(first)
         assert sorted(regen) == sorted(argv)  # every non-default flag is recorded
+        assert main(regen) == code
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("command", ["bayes-limit", "equalizer"])
+    def test_header_names_the_threshold_run(self, command, capsys):
+        # both commands run the first threshold of --a-grid only
+        code = main([command, "--a-grid", "1.6,1.9", "--p-grid", "0.05,0.02",
+                     "--reps", "20000", "--seed", "9"])
+        first = capsys.readouterr().out
+        regen = _header_argv(first)
+        assert regen[regen.index("--a-grid") + 1] == "1.6"
         assert main(regen) == code
         assert capsys.readouterr().out == first
 

@@ -19,7 +19,7 @@ import pytest
 from qdetect import BayesConfig, HeadStartLaw, couple_pi0
 from qdetect.bayes import _bayes_runs, _start_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _stop_times
-from qdetect.rng import derive_rng
+from qdetect.rng import Workspace, derive_rng
 
 SEED = 20240824
 COUNT = 1 << 14
@@ -67,7 +67,7 @@ class TestKernelsMatchReference:
         tag = f"ref/sr/{change_index}/{max_steps}"
         n_stop, r0, final, truncated = _sr_chunk(
             derive_rng(SEED, tag, 0), COUNT, A=A, law=law,
-            change_index=change_index, max_steps=max_steps)
+            change_index=change_index, max_steps=max_steps, ws=Workspace())
         rng = derive_rng(SEED, tag, 0)
         assert np.array_equal(law.sample(rng, COUNT), r0)
         nu = math.inf if change_index is None else change_index
@@ -81,7 +81,8 @@ class TestKernelsMatchReference:
         A, law = 1.5, HeadStartLaw.yakir(1.5)
         tag = f"ref/bayes/{p}"
         r0, nu, n_stop, truncated = _bayes_runs(
-            derive_rng(SEED, tag, 0), COUNT, BayesConfig(p=p, c=0.1, A=A, law=law))
+            derive_rng(SEED, tag, 0), COUNT, BayesConfig(p=p, c=0.1, A=A, law=law),
+            Workspace())
         rng = derive_rng(SEED, tag, 0)
         law.sample(rng, COUNT)
         rng.random(COUNT)  # the two uniforms behind each change time
@@ -97,9 +98,10 @@ class TestKernelsMatchReference:
         A, law = 1.5, HeadStartLaw.yakir(1.5)
         tag = f"ref/bayes/{p}/{max_steps}"
         rng = derive_rng(SEED, tag, 0)
-        r0, nu = _start_chunk(rng, COUNT, p=p, law=law)
+        r0, nu = _start_chunk(rng, COUNT, p=p, law=law, ws=Workspace())
         final = r0.copy()
-        n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0 - p, max_steps, final)
+        n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0 - p, max_steps, final,
+                                        Workspace())
         rng = derive_rng(SEED, tag, 0)
         law.sample(rng, COUNT)
         rng.random(COUNT)  # the two uniforms behind each change time
@@ -114,7 +116,7 @@ class TestKernelsMatchReference:
         rng = derive_rng(SEED, "ref/in-place", 0)
         r = law.sample(rng, COUNT)
         r0 = r.copy()
-        n_stop, truncated = _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r)
+        n_stop, truncated = _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r, Workspace())
         rng = derive_rng(SEED, "ref/in-place", 0)
         law.sample(rng, COUNT)
         assert np.array_equal(r, (r0 + 1.0) * (2.0 * rng.random(COUNT)))
@@ -136,7 +138,8 @@ class TestStreamContract:
     def test_change_time(self, p):
         law = HeadStartLaw.yakir(1.5)
         tag = f"contract/nu/{p}"
-        r0, nu = _start_chunk(derive_rng(SEED, tag, 0), COUNT, p=p, law=law)
+        r0, nu = _start_chunk(derive_rng(SEED, tag, 0), COUNT, p=p, law=law,
+                              ws=Workspace())
         rng = derive_rng(SEED, tag, 0)
         assert np.array_equal(law.sample(rng, COUNT), r0)
         ref = [1 if u1 < couple_pi0(p, float(r)) else

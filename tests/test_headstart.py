@@ -8,6 +8,7 @@ from qdetect import (
     ConfigurationError,
     HeadStartLaw,
     UndefinedConditionalError,
+    estimate_e1_delay,
     functionals_oracle,
     mu0_exact,
     p0_exact,
@@ -80,7 +81,6 @@ class TestSampling:
     def test_point_mass_is_constant(self):
         law = HeadStartLaw.point_mass(0.0)
         rng = np.random.default_rng(0)
-        assert law.sample(rng) == 0.0
         assert (law.sample(rng, 10) == 0.0).all()
 
     def test_yakir_range(self):
@@ -108,21 +108,30 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             HeadStartLaw.point_mass(r0)
 
+    @pytest.mark.parametrize("r0", [math.nan, -0.5])
+    def test_bad_custom_draws_rejected(self, r0):
+        # unchecked, nan draws give E_1 N = 0 with a zero standard error
+        law = HeadStartLaw.custom(lambda rng, size: np.full(size, r0))
+        with pytest.raises(ConfigurationError):
+            estimate_e1_delay(1.5, law, 1000, 1)
+        with pytest.raises(ConfigurationError):
+            functionals_oracle(law, 1.5, 10**4, np.random.default_rng(7))
+
 
 class TestOracle:
     @pytest.mark.parametrize("a", A_GRID)
     def test_oracle_matches_closed_forms(self, a):
         law = HeadStartLaw.yakir(a)
         oracle = functionals_oracle(law, a, 10**5, np.random.default_rng(int(a * 100)))
-        assert abs(oracle["p0_hat"] - p0_exact(a)) <= 4.0 * oracle["p0_se"]
-        assert abs(oracle["mu0_hat"] - mu0_exact(a)) <= 4.0 * oracle["mu0_se"]
-        assert abs(oracle["mean_hat"] - yakir_mean(a)) <= 4.0 * oracle["mean_se"]
+        for key, exact in (("p0", p0_exact(a)), ("mu0", mu0_exact(a)),
+                           ("mean", yakir_mean(a))):
+            assert abs(oracle[key].mean - exact) <= 4.0 * oracle[key].stderr
 
     def test_point_mass_below_threshold(self):
         law = HeadStartLaw.point_mass(0.4)
         oracle = functionals_oracle(law, 1.5, 10**4, np.random.default_rng(4))
-        assert oracle["p0_hat"] == 0.0
-        assert oracle["mu0_hat"] == pytest.approx(0.4)
+        assert oracle["p0"].mean == 0.0
+        assert oracle["mu0"].mean == pytest.approx(0.4)
 
     def test_single_draw_below_threshold(self):
         # one draw below A leaves mu0 without a standard error

@@ -10,6 +10,7 @@ from qdetect import (
     ConfigurationError,
     HeadStartLaw,
     UndefinedConditionalError,
+    conditional_headstart_diagnostic,
     delay_profile,
     estimate_arl_false,
     estimate_bayes_risk,
@@ -291,6 +292,12 @@ class TestGoldenOutputs:
         est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), self.REPS, SEED)
         assert self._hex(est.risk) == risk_hex
         assert float(est.cond_prob).hex() == cond_prob_hex
+
+    def test_conditional_headstart(self):
+        # per-chunk sums of the nu = 1 head starts, added in chunk order
+        est = conditional_headstart_diagnostic(LAW, 0.005, self.REPS, SEED)
+        assert (est.mean.hex(), est.stderr.hex(), est.reps, est.rejected) == (
+            "0x1.18e60bd8ac1e1p+1", "0x1.281ef7c61729ap-6", 3992, 296008)
 
     def test_oracle_comparison(self):
         # the margins, in standard errors, of the checks that read the draws

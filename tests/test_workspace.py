@@ -16,15 +16,15 @@ import pytest
 from qdetect import (
     BayesConfig,
     HeadStartLaw,
+    conditional_headstart_diagnostic,
     estimate_bayes_risk,
     estimate_conditional_delay,
     estimate_e1_and_cross,
     sr_replications,
 )
 from qdetect import rng as qrng
-from qdetect.bayes import _start_chunk
-from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _sr_moments
-from qdetect.rng import CHUNK_SIZE, chunk_spec, derive_rng, run_chunked
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _sr_copies, _sr_moments
+from qdetect.rng import CHUNK_SIZE, Workspace, chunk_spec, derive_rng, run_chunked
 
 A = 1.5
 LAW = HeadStartLaw.yakir(A)
@@ -36,6 +36,8 @@ ESTIMATORS = {
         A, LAW, 3, reps, SEED, workers),
     "bayes-risk": lambda reps, workers: estimate_bayes_risk(
         BayesConfig(p=0.01, c=0.1, A=A, law=LAW), reps, SEED, workers),
+    "conditional-headstart": lambda reps, workers: conditional_headstart_diagnostic(
+        LAW, 0.005, reps, SEED, workers),
 }
 
 
@@ -54,12 +56,12 @@ def test_warm_call_memory_is_bounded_by_the_chunk(name, workers):
     assert peak < 1 << 20, f"{peak / 2**20:.2f} MiB traced"
 
 
-SR_KERNEL = partial(_sr_chunk, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS)
-START_KERNEL = partial(_start_chunk, p=0.005, law=LAW)
+# the one kernel run_chunked runs that returns replication arrays: sr_replications'
+SR_KERNEL = partial(_sr_copies, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("kernel", [SR_KERNEL, START_KERNEL], ids=["sr", "start"])
+@pytest.mark.parametrize("kernel", [SR_KERNEL], ids=["sr"])
 def test_chunk_outputs_are_not_workspace_views(kernel, workers):
     reps = 2 * CHUNK_SIZE + 1000  # three chunks
     got = run_chunked(kernel, reps, SEED, "alias", workers)
@@ -102,7 +104,8 @@ class TestMomentRows:
         tag = f"rows/{change_index}/{max_steps}"
         kwargs = dict(A=A, law=LAW, change_index=change_index, max_steps=max_steps)
         ints, floats = _sr_moments(derive_rng(SEED, tag, 0), self.COUNT, **kwargs)
-        n_stop, r0, _, truncated = _sr_chunk(derive_rng(SEED, tag, 0), self.COUNT, **kwargs)
+        n_stop, r0, _, truncated = _sr_chunk(derive_rng(SEED, tag, 0), self.COUNT,
+                                             ws=Workspace(), **kwargs)
         lag = 0 if change_index is None else change_index - 1
         kept = n_stop >= lag
         d = n_stop[kept] - lag
