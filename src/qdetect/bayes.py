@@ -336,7 +336,7 @@ def _conditional_chunk(rng: np.random.Generator, count: int, *, p: float,
         r0, nu = _start_chunk(rng, count, p=p, law=law, ws=ws)
         first = np.equal(nu, 1, out=ws.array("mask", bool, count))
         cond = r0.take(np.flatnonzero(first))
-        return (np.array([[count, cond.size, cond.sum(), cond @ cond]]),)
+        return (np.array([[count, cond.size, *mc.moment_sums(cond)]]),)
 
 
 def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,

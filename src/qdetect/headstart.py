@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConfigurationError
-from .montecarlo import check_threshold, mc_estimate
+from .montecarlo import check_threshold, mc_estimate, moment_sums
 from .rng import check_count, derive_rng
 
 #: Fewest draws :func:`functionals_oracle` accepts.
@@ -47,7 +47,8 @@ class LawKind(enum.Enum):
 class HeadStartLaw:
     """Distribution of the head start R_0 chosen by the statistician.
 
-    For CUSTOM laws, ``sampler(rng, size)`` must return nonnegative draws.
+    For CUSTOM laws, ``sampler(rng, size)`` must return ``size`` nonnegative
+    draws, an array of shape ``(size,)``.
     """
 
     kind: LawKind
@@ -74,7 +75,8 @@ class HeadStartLaw:
 
         With a workspace ``ws`` (:class:`qdetect.rng.Workspace`) the draws
         land in its ``"r0"`` buffer, and its ``"lr"`` buffer holds a temporary.
-        A custom sampler's draws pass :func:`check_head_start`.
+        A custom sampler's draws must have shape ``(size,)`` and pass
+        :func:`check_head_start`.
         """
         out = np.empty(size) if ws is None else ws.array("r0", float, size)
         if self.kind is LawKind.POINT_MASS:
@@ -89,7 +91,11 @@ class HeadStartLaw:
             z *= 2.0
             r0 *= z
             return r0
-        out[...] = self.sampler(rng, size)
+        draws = np.asarray(self.sampler(rng, size))
+        if draws.shape != (size,):  # numpy would broadcast a scalar to a point mass
+            raise ConfigurationError(
+                f"a custom sampler must return shape ({size},), got {draws.shape}")
+        out[...] = draws
         check_head_start(out)
         return out
 
@@ -215,8 +221,8 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
     cond = draws.take(np.flatnonzero(draws < A))
     hits = reps - cond.size
     return {"p0": mc_estimate(reps, hits, hits),
-            "mu0": mc_estimate(cond.size, cond.sum(), cond @ cond, rejected=hits),
-            "mean": mc_estimate(reps, draws.sum(), draws @ draws)}
+            "mu0": mc_estimate(cond.size, *moment_sums(cond), rejected=hits),
+            "mean": mc_estimate(reps, *moment_sums(draws))}
 
 
 def oracle_checks(A: float, reps: int, seed: int) -> list:

@@ -25,7 +25,11 @@ The estimators read moment rows, not replications.  Each chunk kernel
 reduces its runs to one row of exact int64 sums (the count, the runs kept
 by the conditioning, the sums of their delay and its square, and how many
 of them were truncated) and float sums of ``R_0 N`` and its square
-(:func:`_sr_moments`), and an estimator adds the rows in chunk order.  A chunk's arrays live in a
+(:func:`_sr_moments`), and an estimator adds the rows in chunk order.  Every
+float sum of squares comes from :func:`moment_sums`, in numpy's own loop on
+the chunk's thread, never from BLAS: BLAS splits a long sum over its own
+threads, one per core, so the bits would depend on the host, and those
+threads spin on the cores the chunk pool needs.  A chunk's arrays live in a
 workspace borrowed from the free-list of :mod:`qdetect.rng`: the kernel
 writes each one through ``out=``, builds and compacts index arrays in place
 a block of :data:`_BLOCK` entries at a time, and returns only the row, so a
@@ -104,6 +108,19 @@ def mc_estimate(n, total, total_sq, truncation_count: int = 0,
 #: Entries per block when the kernel writes indices into a workspace buffer:
 #: a block's index array (64 KiB) is small enough to come from the heap.
 _BLOCK = 8192
+
+
+def moment_sums(x: np.ndarray) -> Tuple[float, float]:
+    """``(sum x, sum x^2)`` of a 1-D float array, both on the calling thread.
+
+    The sum of squares is not ``x @ x``: numpy hands a float ``@`` to BLAS,
+    which splits a long sum over one thread per core.  The split makes the
+    last bits of the sum depend on the host's BLAS thread count, and the
+    BLAS threads spin after each call, taking the cores that
+    :func:`qdetect.rng.run_chunked`'s threads run on.  ``einsum`` (without
+    ``optimize``) sums in numpy's own loop, with no temporary.
+    """
+    return x.sum(), np.einsum("i,i->", x, x)
 
 
 def _nonzero_into(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -248,7 +265,7 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
         np.maximum(d, 0, out=d)
         x = np.multiply(r0, n_stop, out=ws.array("r", float, count))
         return (np.array([[count, n_kept, d.sum(), d @ d, n_trunc]], dtype=np.int64),
-                np.array([[x.sum(), x @ x]]))
+                np.array([moment_sums(x)]))
 
 
 def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
@@ -262,8 +279,7 @@ def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
             max_steps=max_steps, ws=ws)
         diff = np.subtract(final, r0, out=ws.array("r", float, count))
         diff -= n_stop
-        return (np.array([[count, diff.sum(), diff @ diff,
-                           np.count_nonzero(truncated)]]),)
+        return (np.array([[count, *moment_sums(diff), np.count_nonzero(truncated)]]),)
 
 
 def check_reps(reps: int) -> int:
@@ -383,7 +399,7 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
         for n in range(1, horizon + 1):
             # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
             _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r, ws)
-            est = mc_estimate(n_paths, r.sum(), r @ r)
+            est = mc_estimate(n_paths, *moment_sums(r))
             worst = max(worst, abs(est.mean - n) / est.stderr)
 
     # the replications of estimate_arl_false, read as per-chunk sums of D

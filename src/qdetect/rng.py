@@ -10,7 +10,11 @@ With ``workers > 1`` the chunks run on a thread pool.  Each chunk owns its
 generator and its arrays, kernels and head-start laws are immutable, and
 numpy releases the GIL in ``Generator.random``, in ufunc loops and in
 indexing, where a chunk spends its time; so the threads share nothing and
-really run in parallel, and no kernel or law needs to be picklable.
+really run in parallel, and no kernel or law needs to be picklable.  The
+pool's threads are the package's only parallelism: no reduction calls BLAS
+(see :func:`qdetect.montecarlo.moment_sums`), whose own threads would split
+a sum by the host's core count, so that its last bits depend on the host,
+and would spin after each call on the cores the pool runs on.
 
 A chunk kernel writes its chunk-sized arrays into a :class:`Workspace`, a set
 of named buffers that it borrows for the length of one chunk from a small

@@ -117,6 +117,17 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             functionals_oracle(law, 1.5, 10**4, np.random.default_rng(7))
 
+    @pytest.mark.parametrize("sampler", [
+        lambda rng, size: np.full(size - 1, 0.3),  # numpy: a bare broadcast ValueError
+        lambda rng, size: 0.3,  # numpy: broadcast silently to a point mass
+    ], ids=["one-short", "scalar"])
+    def test_custom_draws_of_the_wrong_shape_rejected(self, sampler):
+        law = HeadStartLaw.custom(sampler)
+        with pytest.raises(ConfigurationError, match="shape"):
+            estimate_e1_delay(1.5, law, 1000, 1)
+        with pytest.raises(ConfigurationError, match="shape"):
+            functionals_oracle(law, 1.5, 10**4, np.random.default_rng(7))
+
 
 class TestOracle:
     @pytest.mark.parametrize("a", A_GRID)
