@@ -32,7 +32,6 @@ from .montecarlo import (
     estimate_e1_and_cross,
     estimate_e1_delay,
     martingale_checks,
-    sr_replications,
 )
 from .formulas import (
     c_limit_eq3,

@@ -17,14 +17,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
 
 from .errors import ConfigurationError
-from .montecarlo import check_threshold, mc_estimate, moment_sums
-from .rng import check_count, derive_rng
+from . import rng as qrng
+from .montecarlo import _compact, check_threshold, mc_estimate, moment_sums
 
 #: Fewest draws :func:`functionals_oracle` accepts.
 ORACLE_MIN_REPS = 10**4
@@ -70,15 +71,15 @@ class HeadStartLaw:
     def custom(cls, sampler) -> "HeadStartLaw":
         return cls(kind=LawKind.CUSTOM, sampler=sampler)
 
-    def sample(self, rng: np.random.Generator, size: int, ws=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int,
+               ws: qrng.Workspace) -> np.ndarray:
         """Draw ``size`` head starts; draw-count per replication is fixed per kind.
 
-        With a workspace ``ws`` (:class:`qdetect.rng.Workspace`) the draws
-        land in its ``"r0"`` buffer, and its ``"lr"`` buffer holds a temporary.
-        A custom sampler's draws must have shape ``(size,)`` and pass
-        :func:`check_head_start`.
+        The draws land in the ``"r0"`` buffer of the workspace ``ws``, and its
+        ``"lr"`` buffer holds a temporary.  A custom sampler's draws must have
+        shape ``(size,)`` and pass :func:`check_head_start`.
         """
-        out = np.empty(size) if ws is None else ws.array("r0", float, size)
+        out = ws.array("r0", float, size)
         if self.kind is LawKind.POINT_MASS:
             out.fill(self.r0)
             return out
@@ -87,7 +88,7 @@ class HeadStartLaw:
             r0 = rng.random(size, out=out)
             r0 *= self.a_param
             r0 += 1.0
-            z = rng.random(size, out=None if ws is None else ws.array("lr", float, size))
+            z = rng.random(size, out=ws.array("lr", float, size))
             z *= 2.0
             r0 *= z
             return r0
@@ -110,7 +111,7 @@ def check_head_start(r0) -> None:
 
 def check_oracle_reps(reps: int) -> int:
     """``reps`` as an ``int`` if it is a whole number >= :data:`ORACLE_MIN_REPS`."""
-    return check_count(reps, "oracle reps", ORACLE_MIN_REPS)
+    return qrng.check_count(reps, "oracle reps", ORACLE_MIN_REPS)
 
 
 def _check_threshold(A: float) -> None:
@@ -205,24 +206,44 @@ def mu0_quadrature(A: float) -> float:
     return num / den
 
 
-def functionals_oracle(law: HeadStartLaw, A: float, reps: int,
-                       rng: np.random.Generator) -> dict:
+def _oracle_chunk(rng: np.random.Generator, count: int, *, law: HeadStartLaw,
+                  A: float):
+    """The row ``(count, m, sum c, sum c^2, sum r0, sum r0^2)`` of ``count``
+    head starts ``r0``, of which the ``m`` draws ``c`` lie below ``A``.
+
+    The draws are summed, then the ones below ``A`` move to the front of
+    their buffer (:func:`qdetect.montecarlo._compact`) and are summed there,
+    all in a borrowed workspace; only the row is new.
+    """
+    with qrng.workspace() as ws:
+        r0 = law.sample(rng, count, ws)
+        r0_sums = moment_sums(r0)
+        below = np.less(r0, A, out=ws.array("mask", bool, count))
+        m = np.count_nonzero(below)
+        _compact(below, r0)
+        return (np.array([[count, m, *moment_sums(r0[:m]), *r0_sums]]),)
+
+
+def functionals_oracle(law: HeadStartLaw, A: float, reps: int, seed: int) -> dict:
     """Brute-force Monte Carlo estimates of p0, mu0 and the mean of R_0.
 
     Returns a dict of :class:`qdetect.montecarlo.McEstimate` under the keys
     ``p0``, ``mu0`` and ``mean``.  The threshold must satisfy 0 < A < inf.
     The conditional mean uses rejection on {R_0 < A} and raises
     :class:`UndefinedConditionalError` if fewer than 2 draws land there.
-    All ``reps`` draws are held at once, so memory grows with ``reps``.
+    The ``reps`` draws run in chunks on the streams of the tag
+    ``oracle/A=<float(A)!r>``, one per threshold, and each chunk leaves only
+    its :func:`_oracle_chunk` row, so memory is bounded by the chunk.
     """
     check_threshold(A)
     reps = check_oracle_reps(reps)
-    draws = law.sample(rng, reps)
-    cond = draws.take(np.flatnonzero(draws < A))
-    hits = reps - cond.size
+    rows = qrng.run_chunked(partial(_oracle_chunk, law=law, A=A), reps, seed,
+                            f"oracle/A={float(A)!r}")[0]
+    count, m, cond_sum, cond_sq, r0_sum, r0_sq = rows.sum(axis=0)
+    hits = int(count - m)
     return {"p0": mc_estimate(reps, hits, hits),
-            "mu0": mc_estimate(cond.size, *moment_sums(cond), rejected=hits),
-            "mean": mc_estimate(reps, *moment_sums(draws))}
+            "mu0": mc_estimate(int(m), cond_sum, cond_sq, rejected=hits),
+            "mean": mc_estimate(reps, r0_sum, r0_sq)}
 
 
 def oracle_checks(A: float, reps: int, seed: int) -> list:
@@ -234,11 +255,11 @@ def oracle_checks(A: float, reps: int, seed: int) -> list:
     the mean must match :func:`functionals_oracle` with ``reps`` draws within
     :data:`ORACLE_Z_LIMIT` standard errors, and the erratum ``p0`` must miss
     its Monte Carlo ``p0`` by more than :data:`ERRATUM_MIN_Z` (margin: the
-    distance in standard errors).  The draws come from the stream
-    ``derive_rng(seed, f"oracle/A={float(A)!r}", 0)``, one per threshold.
+    distance in standard errors).  The draws are those of
+    ``functionals_oracle(HeadStartLaw.yakir(A), A, reps, seed)``, chunked on
+    the streams of the tag ``oracle/A=<float(A)!r>``.
     """
-    rng = derive_rng(seed, f"oracle/A={float(A)!r}", 0)
-    o = functionals_oracle(HeadStartLaw.yakir(A), A, reps, rng)
+    o = functionals_oracle(HeadStartLaw.yakir(A), A, reps, seed)
     exact = {"p0": p0_exact(A), "mu0": mu0_exact(A), "mean": yakir_mean(A)}
     quad = {"p0": p0_quadrature(A), "mu0": mu0_quadrature(A)}
     checks = []

@@ -33,9 +33,9 @@ threads spin on the cores the chunk pool needs.  A chunk's arrays live in a
 workspace borrowed from the free-list of :mod:`qdetect.rng`: the kernel
 writes each one through ``out=``, builds and compacts index arrays in place
 a block of :data:`_BLOCK` entries at a time, and returns only the row, so a
-warm chunk allocates nothing chunk-sized.  Only :func:`sr_replications`
-still returns the replications themselves, copied out of each chunk's
-workspace.
+warm chunk allocates nothing chunk-sized.  A replication leaves its chunk
+only as part of a row: :func:`_sr_sums` is the one driver of the SR chunk
+kernels, and it returns their rows summed over the chunks.
 """
 
 from __future__ import annotations
@@ -235,12 +235,6 @@ def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartL
     return n_stop, r0, stat, truncated
 
 
-def _sr_copies(rng: np.random.Generator, count: int, **scenario):
-    """The arrays of :func:`_sr_chunk`, copied out of a borrowed workspace."""
-    with qrng.workspace() as ws:
-        return tuple(a.copy() for a in _sr_chunk(rng, count, ws=ws, **scenario))
-
-
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
                 change_index: Optional[int], max_steps: int):
     """The moment row of ``count`` SR runs, as ``(ints, floats)`` of shape (1, 5)
@@ -293,49 +287,31 @@ def check_threshold(A: float) -> None:
         raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
 
 
-def _run_sr(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
-            reps: int, seed: int, workers: int, max_steps: int, tag: str):
-    """``run_chunked`` over an SR chunk kernel, on the streams of one scenario."""
+def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
+             reps: int, seed: int, workers: int) -> tuple:
+    """The rows of an SR chunk kernel (:func:`_sr_moments` or
+    :func:`_optional_stopping_chunk`), each summed over the chunks.
+
+    ``change_index`` is a positive integer, or ``None`` for no change.  The
+    stream tag ``sr/k=<change_index>`` encodes the scenario but deliberately
+    not the threshold, so runs at different ``A`` with the same seed share
+    head starts and can be compared under common random numbers.
+    """
     check_threshold(A)
     reps = check_reps(reps)
     if change_index is not None:  # the tag spells the int: 2.0 and 2 share a stream
         change_index = qrng.check_count(change_index, "change index", 1)
     kernel = partial(kernel, A=A, law=law, change_index=change_index,
-                     max_steps=max_steps)
-    return qrng.run_chunked(kernel, reps, seed, f"{tag}/k={change_index}",
-                            workers=workers)
-
-
-def sr_replications(A: float, law: HeadStartLaw, change_index: Optional[int],
-                    reps: int, seed: int, workers: int = 1,
-                    max_steps: int = DEFAULT_MAX_STEPS, tag: str = "sr"):
-    """Raw replication arrays (n_stop, r0, final_stat, truncated).
-
-    ``change_index`` is a positive integer, or ``None`` for no change.  The
-    stream tag encodes the scenario but deliberately not the threshold,
-    so runs at different ``A`` with the same seed share head starts and can
-    be compared under common random numbers at the estimator level.  The
-    estimators read the same replications as moment rows; only this raw
-    API holds them, 25 bytes each, so its memory grows with ``reps``.
-    """
-    return _run_sr(_sr_copies, A, law, change_index, reps, seed, workers,
-                   max_steps, tag)
-
-
-def _sr_sums(A: float, law: HeadStartLaw, change_index: Optional[int], reps: int,
-             seed: int, workers: int):
-    """The :func:`_sr_moments` rows of :func:`sr_replications`' replications,
-    summed over the chunks."""
-    ints, floats = _run_sr(_sr_moments, A, law, change_index, reps, seed, workers,
-                           DEFAULT_MAX_STEPS, "sr")
-    return ints.sum(axis=0), floats.sum(axis=0)
+                     max_steps=DEFAULT_MAX_STEPS)
+    rows = qrng.run_chunked(kernel, reps, seed, f"sr/k={change_index}", workers=workers)
+    return tuple(r.sum(axis=0) for r in rows)
 
 
 def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
                           workers: int = 1) -> Tuple[McEstimate, McEstimate]:
     """E_1 N and E_1(R_0 N) from one set of replications (common random numbers)."""
-    (count, _, n_sum, n_sq, trunc), (x_sum, x_sq) = _sr_sums(A, law, 1, reps, seed,
-                                                            workers)
+    (count, _, n_sum, n_sq, trunc), (x_sum, x_sq) = _sr_sums(
+        _sr_moments, A, law, 1, reps, seed, workers)
     return (mc_estimate(count, n_sum, n_sq, int(trunc)),
             mc_estimate(count, x_sum, x_sq, int(trunc)))
 
@@ -355,7 +331,8 @@ def estimate_cross_term(A: float, law: HeadStartLaw, reps: int, seed: int,
 def estimate_arl_false(A: float, law: HeadStartLaw, reps: int, seed: int,
                        workers: int = 1) -> McEstimate:
     """E_inf N: expected stopping index when the change never happens."""
-    count, _, n_sum, n_sq, trunc = _sr_sums(A, law, None, reps, seed, workers)[0]
+    count, _, n_sum, n_sq, trunc = _sr_sums(
+        _sr_moments, A, law, None, reps, seed, workers)[0]
     return mc_estimate(count, n_sum, n_sq, int(trunc))
 
 
@@ -363,7 +340,8 @@ def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
                                seed: int, workers: int = 1) -> McEstimate:
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early;
     a truncated run counts only if it is kept."""
-    count, kept, d_sum, d_sq, trunc = _sr_sums(A, law, k, reps, seed, workers)[0]
+    count, kept, d_sum, d_sq, trunc = _sr_sums(
+        _sr_moments, A, law, k, reps, seed, workers)[0]
     return mc_estimate(kept, d_sum, d_sq, int(trunc), int(count - kept))
 
 
@@ -403,9 +381,8 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
             worst = max(worst, abs(est.mean - n) / est.stderr)
 
     # the replications of estimate_arl_false, read as per-chunk sums of D
-    rows = _run_sr(_optional_stopping_chunk, A, law, None, reps, seed, workers,
-                   DEFAULT_MAX_STEPS, "sr")[0]
-    count, d_sum, d_sq, trunc = rows.sum(axis=0)
+    count, d_sum, d_sq, trunc = _sr_sums(_optional_stopping_chunk, A, law, None, reps,
+                                         seed, workers)[0]
     est = mc_estimate(count, d_sum, d_sq)
     z = abs(est.mean) / est.stderr
     truncated = int(trunc)

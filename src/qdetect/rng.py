@@ -21,10 +21,10 @@ of named buffers that it borrows for the length of one chunk from a small
 locked free-list (:func:`workspace`); :func:`run_chunked` still calls it as
 ``kernel(rng, count)``.  The free-list outlives the pool's threads and keeps
 as many workspaces as chunks ever ran at once, up to :data:`FREE_LIST_MAX`,
-so a warm chunk allocates nothing chunk-sized, and memory is those
-workspaces plus what the kernels return per chunk, one moment row for a
-reducing kernel, not a multiple of ``reps``.  The kept workspaces stay held
-after a call returns, until the process exits.
+so a warm chunk allocates nothing chunk-sized.  Every kernel of the package
+returns one moment row per chunk, so memory is those workspaces plus the
+rows, not a multiple of ``reps``.  The kept workspaces stay held after a
+call returns, until the process exits.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from qdetect import (
     sr_exact,
     yakir_mean,
 )
-from qdetect import montecarlo, rng as qrng
+from qdetect import rng as qrng
 from qdetect.bayes import _bayes_chunk, _bayes_runs, wls_line
 from qdetect.rng import derive_rng
 
@@ -218,7 +218,6 @@ class TestLimitPredictions:
     def test_runs_no_simulation(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("limit_predictions simulated")
-        monkeypatch.setattr(montecarlo, "sr_replications", fail)
         monkeypatch.setattr(qrng, "run_chunked", fail)
         limit_predictions(A, 0.1)
 

@@ -174,7 +174,7 @@ class TestBayesLimit:
     def test_predictions_are_exact(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise AssertionError("bayes-limit ran an SR simulation")
-        monkeypatch.setattr(montecarlo, "sr_replications", fail)
+        monkeypatch.setattr(montecarlo, "_sr_sums", fail)
         main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02",
               "--reps", "20000", "--seed", "9"])
         out = capsys.readouterr().out
@@ -192,21 +192,21 @@ class TestEqualizer:
         assert all(ln.endswith(",0") for ln in body)
 
     def test_single_survivor_rows_missing(self, capsys):
-        # the runs of 4 that survive to N >= k - 1, from the equalizer's own streams
+        # the runs of 4 that the conditioning N >= k - 1 rejects, for each k
+        # that keeps fewer than 2, from the equalizer's own streams
         law = headstart.HeadStartLaw.yakir(1.5)
-        survivors = {k: int((montecarlo.sr_replications(1.5, law, k, 4, 1)[0]
-                             >= k - 1).sum()) for k in range(1, 11)}
-        assert 1 in survivors.values()
+        undefined = montecarlo.delay_profile(1.5, law, 10, 4, 1).undefined
+        assert 3 in undefined.values()
         assert main(["equalizer", "--a-grid", "1.5", "--reps", "4",
                      "--seed", "1"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()[2:]
         rows = {int(row[0]): row[1:] for row in (ln.split(",") for ln in lines)}
         assert sorted(rows) == list(range(1, 11))
         for k, (delay, delay_se, rejected, _) in rows.items():
-            if survivors[k] < 2:
+            if k in undefined:
                 # the rejected column counts the runs that stopped too early
                 assert [delay, delay_se, rejected] == [
-                    "missing", "missing", str(4 - survivors[k])]
+                    "missing", "missing", str(undefined[k])]
             else:
                 assert float(delay_se) > 0.0
 

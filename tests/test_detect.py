@@ -69,7 +69,7 @@ class TestKernelsMatchReference:
             derive_rng(SEED, tag, 0), COUNT, A=A, law=law,
             change_index=change_index, max_steps=max_steps, ws=Workspace())
         rng = derive_rng(SEED, tag, 0)
-        assert np.array_equal(law.sample(rng, COUNT), r0)
+        assert np.array_equal(law.sample(rng, COUNT, Workspace()), r0)
         nu = math.inf if change_index is None else change_index
         ref = reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
         _assert_paths_match(n_stop, truncated, final, ref)
@@ -84,7 +84,7 @@ class TestKernelsMatchReference:
             derive_rng(SEED, tag, 0), COUNT, BayesConfig(p=p, c=0.1, A=A, law=law),
             Workspace())
         rng = derive_rng(SEED, tag, 0)
-        law.sample(rng, COUNT)
+        law.sample(rng, COUNT, Workspace())
         rng.random(COUNT)  # the two uniforms behind each change time
         rng.random(COUNT)
         ref = reference_stop_times(rng, r0, A, nu, 1.0 - p, DEFAULT_MAX_STEPS)
@@ -103,7 +103,7 @@ class TestKernelsMatchReference:
         n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0 - p, max_steps, final,
                                         Workspace())
         rng = derive_rng(SEED, tag, 0)
-        law.sample(rng, COUNT)
+        law.sample(rng, COUNT, Workspace())
         rng.random(COUNT)  # the two uniforms behind each change time
         rng.random(COUNT)
         ref = reference_stop_times(rng, r0, A, nu, 1.0 - p, max_steps)
@@ -114,11 +114,11 @@ class TestKernelsMatchReference:
         # the martingale-drift form: final aliases r0, and no run can stop
         law = HeadStartLaw.yakir(1.5)
         rng = derive_rng(SEED, "ref/in-place", 0)
-        r = law.sample(rng, COUNT)
+        r = law.sample(rng, COUNT, Workspace())
         r0 = r.copy()
         n_stop, truncated = _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r, Workspace())
         rng = derive_rng(SEED, "ref/in-place", 0)
-        law.sample(rng, COUNT)
+        law.sample(rng, COUNT, Workspace())
         assert np.array_equal(r, (r0 + 1.0) * (2.0 * rng.random(COUNT)))
         assert (n_stop == 1).all() and truncated.all()
 
@@ -129,7 +129,8 @@ class TestStreamContract:
     @pytest.mark.parametrize("a", [0.3, 1.5, 1.98])
     def test_head_start_sample(self, a):
         tag = f"contract/sample/{a}"
-        sample = HeadStartLaw.yakir(a).sample(derive_rng(SEED, tag, 0), COUNT)
+        sample = HeadStartLaw.yakir(a).sample(derive_rng(SEED, tag, 0), COUNT,
+                                              Workspace())
         rng = derive_rng(SEED, tag, 0)
         ref = (rng.uniform(0, a, COUNT) + 1) * rng.uniform(0, 2, COUNT)
         assert np.array_equal(sample, ref)
@@ -141,7 +142,7 @@ class TestStreamContract:
         r0, nu = _start_chunk(derive_rng(SEED, tag, 0), COUNT, p=p, law=law,
                               ws=Workspace())
         rng = derive_rng(SEED, tag, 0)
-        assert np.array_equal(law.sample(rng, COUNT), r0)
+        assert np.array_equal(law.sample(rng, COUNT, Workspace()), r0)
         ref = [1 if u1 < couple_pi0(p, float(r)) else
                2 + math.floor(math.log1p(-u2) / math.log1p(-p))
                for r, u1, u2 in zip(r0, rng.random(COUNT), rng.random(COUNT))]

@@ -16,6 +16,7 @@ from qdetect import (
     yakir_density,
     yakir_mean,
 )
+from qdetect.rng import Workspace
 
 A_GRID = [1.5, 1.6, 1.7, 1.8, 1.9, 1.98]
 
@@ -81,17 +82,17 @@ class TestSampling:
     def test_point_mass_is_constant(self):
         law = HeadStartLaw.point_mass(0.0)
         rng = np.random.default_rng(0)
-        assert (law.sample(rng, 10) == 0.0).all()
+        assert (law.sample(rng, 10, Workspace()) == 0.0).all()
 
     def test_yakir_range(self):
         law = HeadStartLaw.yakir(1.5)
-        draws = law.sample(np.random.default_rng(1), 10**5)
+        draws = law.sample(np.random.default_rng(1), 10**5, Workspace())
         assert draws.min() >= 0.0
         assert draws.max() <= 2.0 * 2.5
 
     def test_yakir_mean(self):
         law = HeadStartLaw.yakir(1.7)
-        draws = law.sample(np.random.default_rng(2), 10**6)
+        draws = law.sample(np.random.default_rng(2), 10**6, Workspace())
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - yakir_mean(1.7)) <= 4.0 * se
 
@@ -115,7 +116,7 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             estimate_e1_delay(1.5, law, 1000, 1)
         with pytest.raises(ConfigurationError):
-            functionals_oracle(law, 1.5, 10**4, np.random.default_rng(7))
+            functionals_oracle(law, 1.5, 10**4, 7)
 
     @pytest.mark.parametrize("sampler", [
         lambda rng, size: np.full(size - 1, 0.3),  # numpy: a bare broadcast ValueError
@@ -126,21 +127,21 @@ class TestSampling:
         with pytest.raises(ConfigurationError, match="shape"):
             estimate_e1_delay(1.5, law, 1000, 1)
         with pytest.raises(ConfigurationError, match="shape"):
-            functionals_oracle(law, 1.5, 10**4, np.random.default_rng(7))
+            functionals_oracle(law, 1.5, 10**4, 7)
 
 
 class TestOracle:
     @pytest.mark.parametrize("a", A_GRID)
     def test_oracle_matches_closed_forms(self, a):
         law = HeadStartLaw.yakir(a)
-        oracle = functionals_oracle(law, a, 10**5, np.random.default_rng(int(a * 100)))
+        oracle = functionals_oracle(law, a, 10**5, int(a * 100))
         for key, exact in (("p0", p0_exact(a)), ("mu0", mu0_exact(a)),
                            ("mean", yakir_mean(a))):
             assert abs(oracle[key].mean - exact) <= 4.0 * oracle[key].stderr
 
     def test_point_mass_below_threshold(self):
         law = HeadStartLaw.point_mass(0.4)
-        oracle = functionals_oracle(law, 1.5, 10**4, np.random.default_rng(4))
+        oracle = functionals_oracle(law, 1.5, 10**4, 4)
         assert oracle["p0"].mean == 0.0
         assert oracle["mu0"].mean == pytest.approx(0.4)
 
@@ -149,19 +150,18 @@ class TestOracle:
         law = HeadStartLaw.custom(
             lambda rng, size: np.where(np.arange(size) == 0, 0.4, 3.0))
         with pytest.raises(UndefinedConditionalError):
-            functionals_oracle(law, 1.5, 10**4, np.random.default_rng(5))
+            functionals_oracle(law, 1.5, 10**4, 5)
 
     def test_zero_conditioning_mass(self):
         law = HeadStartLaw.point_mass(3.0)
         with pytest.raises(UndefinedConditionalError):
-            functionals_oracle(law, 1.5, 10**4, np.random.default_rng(5))
+            functionals_oracle(law, 1.5, 10**4, 5)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
     def test_threshold_must_be_finite_and_positive(self, a):
         with pytest.raises(ConfigurationError):
-            functionals_oracle(HeadStartLaw.point_mass(0.4), a, 10**4,
-                               np.random.default_rng(6))
+            functionals_oracle(HeadStartLaw.point_mass(0.4), a, 10**4, 6)
 
     def test_reps_floor(self):
         with pytest.raises(ConfigurationError):
-            functionals_oracle(HeadStartLaw.yakir(1.5), 1.5, 10, np.random.default_rng(6))
+            functionals_oracle(HeadStartLaw.yakir(1.5), 1.5, 10, 6)

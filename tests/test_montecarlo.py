@@ -23,12 +23,10 @@ from qdetect import (
     martingale_checks,
     oracle_checks,
     sr_exact,
-    sr_replications,
-    yakir_mean,
 )
 from qdetect import rng as qrng
-from qdetect.montecarlo import moment_sums
-from qdetect.rng import CHUNK_SIZE
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, moment_sums
+from qdetect.rng import CHUNK_SIZE, Workspace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -168,7 +166,10 @@ class TestMartingaleStructure:
 
 class TestStderrCalibration:
     def test_batch_means_consistent_with_stderr(self):
-        n_stop, _, _, _ = sr_replications(A, LAW, 1, 100_000, SEED)
+        # the runs of estimate_e1_delay(A, LAW, 100_000, SEED), one chunk
+        n_stop, _, _, _ = _sr_chunk(qrng.derive_rng(SEED, "sr/k=1", 0), 100_000, A=A,
+                                    law=LAW, change_index=1,
+                                    max_steps=DEFAULT_MAX_STEPS, ws=Workspace())
         values = n_stop.astype(float)
         batches = values.reshape(10, -1).mean(axis=1)
         sigma2 = values.var(ddof=1)
@@ -191,10 +192,10 @@ class TestConditionalDelay:
             estimate_conditional_delay(A, law, 2, 10**4, SEED)
 
     def test_single_survivor_has_no_stderr(self):
-        # a k at which one of 4 runs survives N >= k - 1, from the estimator's
-        # own streams
-        ones = [k for k in range(2, 11)
-                if (sr_replications(A, LAW, k, 4, 1)[0] >= k - 1).sum() == 1]
+        # a k at which one of 4 runs survives N >= k - 1 (3 rejected), from
+        # the estimator's own streams
+        ones = [k for k, rejected in delay_profile(A, LAW, 10, 4, 1).undefined.items()
+                if rejected == 3]
         assert ones
         with pytest.raises(UndefinedConditionalError) as info:
             estimate_conditional_delay(A, LAW, ones[0], 4, 1)
@@ -206,16 +207,11 @@ class TestConditionalDelay:
         assert est.reps + est.rejected == 50_000
 
     def test_integral_float_index_shares_the_stream(self):
-        for a, b in zip(sr_replications(A, LAW, 2.0, 20_000, 1),
-                        sr_replications(A, LAW, 2, 20_000, 1)):
-            assert np.array_equal(a, b)
         assert (estimate_conditional_delay(A, LAW, 2.0, 20_000, 1)
                 == estimate_conditional_delay(A, LAW, 2, 20_000, 1))
 
     def test_invalid_change_index(self):
         for k in (0, 1.5):
-            with pytest.raises(ConfigurationError):
-                sr_replications(A, LAW, k, 100, SEED)
             with pytest.raises(ConfigurationError):
                 estimate_conditional_delay(A, LAW, k, 100, SEED)
 
@@ -232,13 +228,6 @@ class TestDelayProfile:
         # an empty profile has no k = 1 for deviations() to compare against
         with pytest.raises(ConfigurationError):
             delay_profile(A, LAW, 0, 10**4, SEED)
-
-
-class TestAgainstClosedForms:
-    def test_mean_head_start(self):
-        _, r0, _, _ = sr_replications(A, LAW, 1, 400_000, SEED)
-        se = r0.std(ddof=1) / math.sqrt(r0.size)
-        assert abs(r0.mean() - yakir_mean(A)) <= 4.0 * se
 
 
 class TestAgainstExact:
@@ -304,14 +293,26 @@ class TestGoldenOutputs:
         assert (est.mean.hex(), est.stderr.hex(), est.reps, est.rejected) == (
             "0x1.18e60bd8ac1e1p+1", "0x1.281ef7c617296p-6", 3992, 296008)
 
-    def test_oracle_comparison(self):
+    @staticmethod
+    def _oracle_margins(reps):
         # the margins, in standard errors, of the checks that read the draws
         margins = {name: float(margin).hex()
-                   for name, _, margin, _ in oracle_checks(A, 10**5, SEED)}
-        assert {name: margins[f"{name} A=1.5"] for name in (
-            "p0-oracle", "mu0-oracle", "mean-oracle", "erratum-rejected")} == {
+                   for name, _, margin, _ in oracle_checks(A, reps, SEED)}
+        return {name: margins[f"{name} A=1.5"] for name in (
+            "p0-oracle", "mu0-oracle", "mean-oracle", "erratum-rejected")}
+
+    def test_oracle_comparison(self):
+        # one chunk of 10^5 draws
+        assert self._oracle_margins(10**5) == {
             "p0-oracle": "0x1.3ca97204edd09p-1", "mu0-oracle": "0x1.d3cd0d5cf75c0p-8",
             "mean-oracle": "0x1.71281245b851fp-4", "erratum-rejected": "0x1.4565257a0acf5p+7",
+        }
+
+    def test_oracle_comparison_over_chunks(self):
+        # per-chunk sums of the draws, added in chunk order
+        assert self._oracle_margins(self.REPS) == {
+            "p0-oracle": "0x1.6967112663e00p-1", "mu0-oracle": "0x1.15efd5e5490f7p-1",
+            "mean-oracle": "0x1.2087e97d04bc1p+0", "erratum-rejected": "0x1.1819b8f4c8284p+8",
         }
 
 
@@ -342,7 +343,7 @@ A, LAW, SEED = {A!r}, HeadStartLaw.yakir({A!r}), {SEED!r}
 hexes = lambda est: [est.mean.hex(), est.stderr.hex()]
 print(hexes(estimate_e1_and_cross(A, LAW, 300_000, SEED)[1]))
 print(hexes(conditional_headstart_diagnostic(LAW, 0.005, 300_000, SEED)))
-for checks in (oracle_checks(A, 10**5, SEED), martingale_checks(A, LAW, 300_000, SEED, 1)):
+for checks in (oracle_checks(A, 300_000, SEED), martingale_checks(A, LAW, 300_000, SEED, 1)):
     print([(name, float(margin).hex()) for name, _, margin, _ in checks])
 """
 

@@ -3,7 +3,7 @@
 A warm estimator call holds one workspace per worker plus one moment row per
 chunk, whatever ``reps`` is; no kernel returns a view of a borrowed
 workspace; and a moment row holds exactly the sums of the raw replications
-it replaces.
+or draws it replaces.
 """
 
 import sys
@@ -20,16 +20,11 @@ from qdetect import (
     estimate_bayes_risk,
     estimate_conditional_delay,
     estimate_e1_and_cross,
-    sr_replications,
+    oracle_checks,
 )
 from qdetect import rng as qrng
-from qdetect.montecarlo import (
-    DEFAULT_MAX_STEPS,
-    _sr_chunk,
-    _sr_copies,
-    _sr_moments,
-    moment_sums,
-)
+from qdetect.headstart import _oracle_chunk
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _sr_moments, moment_sums
 from qdetect.rng import CHUNK_SIZE, Workspace, chunk_spec, derive_rng, run_chunked
 
 A = 1.5
@@ -44,6 +39,7 @@ ESTIMATORS = {
         BayesConfig(p=0.01, c=0.1, A=A, law=LAW), reps, SEED, workers),
     "conditional-headstart": lambda reps, workers: conditional_headstart_diagnostic(
         LAW, 0.005, reps, SEED, workers),
+    "oracle-checks": lambda reps, workers: oracle_checks(A, reps, SEED),  # always serial
 }
 
 
@@ -62,12 +58,12 @@ def test_warm_call_memory_is_bounded_by_the_chunk(name, workers):
     assert peak < 1 << 20, f"{peak / 2**20:.2f} MiB traced"
 
 
-# the one kernel run_chunked runs that returns replication arrays: sr_replications'
-SR_KERNEL = partial(_sr_copies, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS)
+KERNELS = [partial(_sr_moments, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS),
+           partial(_oracle_chunk, law=LAW, A=A)]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("kernel", [SR_KERNEL], ids=["sr"])
+@pytest.mark.parametrize("kernel", KERNELS, ids=["sr", "oracle"])
 def test_chunk_outputs_are_not_workspace_views(kernel, workers):
     reps = 2 * CHUNK_SIZE + 1000  # three chunks
     got = run_chunked(kernel, reps, SEED, "alias", workers)
@@ -124,8 +120,13 @@ class TestMomentRows:
         x = r0 * n_stop
         assert floats.tolist() == [list(moment_sums(x))]
 
-    def test_conditional_delay_counts_match_the_runs(self):
-        n_stop, _, _, truncated = sr_replications(A, LAW, 3, 50_000, SEED)
-        est = estimate_conditional_delay(A, LAW, 3, 50_000, SEED)
-        assert est.rejected == (n_stop < 2).sum() > 0
-        assert est.truncation_count == (truncated & (n_stop >= 2)).sum()
+    @pytest.mark.parametrize("a", [0.3, 1.98])
+    def test_oracle_row_holds_the_sums_of_the_draws(self, a):
+        tag = f"rows/oracle/{a}"
+        law = HeadStartLaw.yakir(a)
+        (row,) = _oracle_chunk(derive_rng(SEED, tag, 0), self.COUNT, law=law, A=a)
+        r0 = law.sample(derive_rng(SEED, tag, 0), self.COUNT, Workspace())
+        cond = r0[r0 < a]
+        assert 0 < cond.size < self.COUNT
+        assert row.tolist() == [[self.COUNT, cond.size, *moment_sums(cond),
+                                 *moment_sums(r0)]]
