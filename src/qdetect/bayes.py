@@ -28,8 +28,9 @@ Each chunk draws its head starts and change times, and runs its
 replications, in a workspace borrowed from the free-list of
 :mod:`qdetect.rng`, and reduces them there to one moment row: count, risk
 sums, misses and truncations for the risk estimate; count, the draws with
-nu = 1 and their sum and sum of squares for the conditional mean.  So each
-estimate holds one row per chunk, whatever ``reps`` is.
+nu = 1 and their sum and sum of squares for the conditional mean.  The risk
+sums add up as :func:`qdetect.montecarlo._stop_times` steps the runs, so
+each estimate holds one row per chunk, whatever ``reps`` is.
 """
 
 from __future__ import annotations
@@ -142,45 +143,54 @@ def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
     return r0, nu
 
 
-def _bayes_runs(rng: np.random.Generator, count: int, config: BayesConfig,
-                ws: qrng.Workspace):
-    """Simulate ``count`` Bayes-rule replications on one derived stream;
-    returns the arrays (r0, nu, n_stop, truncated), views of the workspace
-    ``ws`` as in :func:`_start_chunk`."""
-    r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
-    n_stop, truncated = mc._stop_times(rng, r0, config.A, nu, 1.0 - config.p,
-                                       mc.DEFAULT_MAX_STEPS, None, ws)
-    return r0, nu, n_stop, truncated
-
-
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk.
 
     A replication either misses (N < nu - 1) or pays the delay
     dp = N - nu + 1 > 0, never both, so risk = miss + c dp and
     risk^2 = miss + c^2 dp^2; the counts and delay sums are exact integers.
+    They add up as the runs step: a run does not miss if nu = 1 or if it
+    takes step nu - 1, and its dp and dp^2 = sum (2s + 1 - 2 nu) count the
+    post-change steps s it takes.
     """
+    dp_sum = dp_sq = trunc = 0
     with qrng.workspace() as ws:
-        _, nu, n_stop, truncated = _bayes_runs(rng, count, config, ws)
-        late = np.subtract(n_stop, nu, out=ws.array("idx", np.intp, count))
-        late += 1
-        miss = np.count_nonzero(np.less(late, 0, out=ws.array("mask", bool, count)))
-        dp = np.maximum(late, 0, out=late)
-        # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
-        c = config.c
-        return (np.array([[count, miss + c * int(dp.sum()), miss + c * c * int(dp @ dp),
-                           miss, np.count_nonzero(truncated)]], dtype=float),)
+        r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
+        hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, count)))
+        for step, _, _, nu_s, post, below in mc._stop_times(
+                rng, r0, config.A, nu, 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
+            late = np.count_nonzero(post)
+            dp_sum += late
+            dp_sq += (2 * step + 1) * late - 2 * int(np.sum(nu_s, where=post))
+            hits += np.count_nonzero(np.equal(nu_s, step + 1, out=post))
+            if step == mc.DEFAULT_MAX_STEPS:
+                trunc = np.count_nonzero(below)
+    # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
+    miss, c = count - hits, config.c
+    return (np.array([[count, miss + c * dp_sum, miss + c * c * dp_sq, miss, trunc]],
+                     dtype=float),)
+
+
+def _identity_broken(late: np.ndarray, c: float) -> int:
+    """How many delays ``late = N - nu + 1`` break cond - c dp == cond (1 - c dp)."""
+    cond, dp = (late >= 0).astype(float), np.maximum(late, 0).astype(float)
+    return np.count_nonzero(cond - c * dp != cond * (1.0 - c * dp))
 
 
 def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
-    """How many replications of a chunk break cond - c dp == cond (1 - c dp)."""
+    """The row (broken, evaluated) of a chunk: how many replications break
+    cond - c dp == cond (1 - c dp), of how many evaluated as they stop."""
     with qrng.workspace() as ws:
-        _, nu, n_stop, _ = _bayes_runs(rng, count, config, ws)
-        late = n_stop - nu + 1
-    cond = (late >= 0).astype(float)
-    dp = np.maximum(late, 0).astype(float)
-    broken = cond - config.c * dp != cond * (1.0 - config.c * dp)
-    return (np.array([np.count_nonzero(broken)]),)
+        r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
+        at_zero = nu[r0 >= config.A]  # the runs that stop at 0, before any step
+        broken, evaluated = _identity_broken(1 - at_zero, config.c), at_zero.size
+        for step, _, _, nu_s, _, below in mc._stop_times(
+                rng, r0, config.A, nu, 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
+            # the runs that stop at this step; at the last, the truncated ones too
+            leaving = nu_s if step == mc.DEFAULT_MAX_STEPS else nu_s[~below]
+            broken += _identity_broken(step + 1 - leaving, config.c)
+            evaluated += leaving.size
+    return (np.array([[broken, evaluated]]),)
 
 
 def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> list:
@@ -190,18 +200,20 @@ def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> l
     ``risk-identity-exact``: cond - c dp == cond (1 - c dp) bitwise, with
     cond = 1{N >= nu - 1} and dp = (N - nu + 1)^+, in each of
     ``min(reps, 100_000)`` Bayes replications at p = 0.01 with the uniform
-    product head start at ``A`` and cost ``c`` (margin: the replications that
-    break it).  ``pi0-round-trip`` (:func:`coupling_round_trip`) and
-    ``eq3-eq4-difference`` (:func:`formulas.limit_difference_identity`) hold
-    to 1e-12 relative (margin: the largest relative error).
+    product head start at ``A`` and cost ``c``, each one evaluated (margin:
+    the replications that break it).  ``pi0-round-trip``
+    (:func:`coupling_round_trip`) and ``eq3-eq4-difference``
+    (:func:`formulas.limit_difference_identity`) hold to 1e-12 relative
+    (margin: the largest relative error).
     """
     config = BayesConfig(p=0.01, c=c, A=A, law=HeadStartLaw.yakir(A))
-    broken = int(qrng.run_chunked(partial(_identity_chunk, config=config),
-                                  min(reps, 100_000), seed, "risk-identity",
-                                  workers=workers)[0].sum())
+    n_reps = min(reps, 100_000)
+    rows = qrng.run_chunked(partial(_identity_chunk, config=config), n_reps, seed,
+                            "risk-identity", workers=workers)[0]
+    broken, evaluated = (int(v) for v in rows.sum(axis=0))
     round_ok, round_err = coupling_round_trip(seed)
     diff_ok, diff_err = formulas.limit_difference_identity(seed)
-    return [("risk-identity-exact", broken == 0, broken,
+    return [("risk-identity-exact", broken == 0 and evaluated == n_reps, broken,
              "per-sample decomposition is bitwise exact"),
             ("pi0-round-trip", round_ok, round_err, f"max rel error {round_err:.2e}"),
             ("eq3-eq4-difference", diff_ok, diff_err, f"max rel error {diff_err:.2e}")]

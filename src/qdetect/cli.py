@@ -190,7 +190,8 @@ def _print_checks(checks, out: Optional[str]) -> int:
 
 def cmd_oracles(args) -> int:
     return _print_checks([check for a in args.a_grid
-                          for check in headstart.oracle_checks(a, args.reps, args.seed)],
+                          for check in headstart.oracle_checks(a, args.reps, args.seed,
+                                                               args.workers)],
                          args.out)
 
 
@@ -200,7 +201,7 @@ def cmd_props(args) -> int:
     return _print_checks(
         mc.martingale_checks(a, HeadStartLaw.yakir(a), reps, args.seed, args.workers)
         + bayes.identity_checks(a, args.c_star, reps, args.seed, args.workers)
-        + headstart.oracle_checks(a, reps, args.seed), args.out)
+        + headstart.oracle_checks(a, reps, args.seed, args.workers), args.out)
 
 
 def _float_list(text: str) -> List[float]:

@@ -224,7 +224,8 @@ def _oracle_chunk(rng: np.random.Generator, count: int, *, law: HeadStartLaw,
         return (np.array([[count, m, *moment_sums(r0[:m]), *r0_sums]]),)
 
 
-def functionals_oracle(law: HeadStartLaw, A: float, reps: int, seed: int) -> dict:
+def functionals_oracle(law: HeadStartLaw, A: float, reps: int, seed: int,
+                       workers: int = 1) -> dict:
     """Brute-force Monte Carlo estimates of p0, mu0 and the mean of R_0.
 
     Returns a dict of :class:`qdetect.montecarlo.McEstimate` under the keys
@@ -232,13 +233,14 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int, seed: int) -> dic
     The conditional mean uses rejection on {R_0 < A} and raises
     :class:`UndefinedConditionalError` if fewer than 2 draws land there.
     The ``reps`` draws run in chunks on the streams of the tag
-    ``oracle/A=<float(A)!r>``, one per threshold, and each chunk leaves only
-    its :func:`_oracle_chunk` row, so memory is bounded by the chunk.
+    ``oracle/A=<float(A)!r>``, one per threshold, on ``workers`` threads, and
+    each chunk leaves only its :func:`_oracle_chunk` row, so memory is
+    bounded by the chunk.
     """
     check_threshold(A)
     reps = check_oracle_reps(reps)
     rows = qrng.run_chunked(partial(_oracle_chunk, law=law, A=A), reps, seed,
-                            f"oracle/A={float(A)!r}")[0]
+                            f"oracle/A={float(A)!r}", workers=workers)[0]
     count, m, cond_sum, cond_sq, r0_sum, r0_sq = rows.sum(axis=0)
     hits = int(count - m)
     return {"p0": mc_estimate(reps, hits, hits),
@@ -246,7 +248,7 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int, seed: int) -> dic
             "mean": mc_estimate(reps, r0_sum, r0_sq)}
 
 
-def oracle_checks(A: float, reps: int, seed: int) -> list:
+def oracle_checks(A: float, reps: int, seed: int, workers: int = 1) -> list:
     """The six oracle checks of the closed forms at ``A``, one
     ``(name, ok, margin, detail)`` tuple each.
 
@@ -256,10 +258,10 @@ def oracle_checks(A: float, reps: int, seed: int) -> list:
     :data:`ORACLE_Z_LIMIT` standard errors, and the erratum ``p0`` must miss
     its Monte Carlo ``p0`` by more than :data:`ERRATUM_MIN_Z` (margin: the
     distance in standard errors).  The draws are those of
-    ``functionals_oracle(HeadStartLaw.yakir(A), A, reps, seed)``, chunked on
-    the streams of the tag ``oracle/A=<float(A)!r>``.
+    ``functionals_oracle(HeadStartLaw.yakir(A), A, reps, seed, workers)``,
+    chunked on the streams of the tag ``oracle/A=<float(A)!r>``.
     """
-    o = functionals_oracle(HeadStartLaw.yakir(A), A, reps, seed)
+    o = functionals_oracle(HeadStartLaw.yakir(A), A, reps, seed, workers)
     exact = {"p0": p0_exact(A), "mu0": mu0_exact(A), "mean": yakir_mean(A)}
     quad = {"p0": p0_quadrature(A), "mu0": mu0_quadrature(A)}
     checks = []

@@ -13,13 +13,14 @@ Replications are chunked onto per-chunk PCG64DXSM streams (see
 :mod:`qdetect.rng`), so a fixed ``(seed, reps, config)`` gives bit-identical
 output for any worker count.
 
-Stops are recorded by index scatter: each step writes its number to every
-running replication, and the runs still below the threshold move to the
-front of the running arrays by integer index.  The kernel and the reductions
-select no replication-sized array by a boolean mask, because the mask of the
-runs that stop at a step is close to random, and numpy's masked selection on
-such a mask costs several times an index scatter or ``flatnonzero`` plus
-``take``.
+The kernel reduces as it steps: :func:`_stop_times` yields each step's
+running runs, and a chunk kernel adds what it needs of them to its sums.  A
+stopping index counts the steps a run took, so a sum over stopping indices
+is a sum over steps, and no run's stop is stored.  The runs still below the
+threshold move to the front of the running arrays by integer index: no
+replication-sized array is selected by a boolean mask, because the mask of
+the runs that stop at a step is close to random, and numpy's masked
+selection on such a mask costs several times ``nonzero`` plus ``take``.
 
 The estimators read moment rows, not replications.  Each chunk kernel
 reduces its runs to one row of exact int64 sums (the count, the runs kept
@@ -31,11 +32,11 @@ the chunk's thread, never from BLAS: BLAS splits a long sum over its own
 threads, one per core, so the bits would depend on the host, and those
 threads spin on the cores the chunk pool needs.  A chunk's arrays live in a
 workspace borrowed from the free-list of :mod:`qdetect.rng`: the kernel
-writes each one through ``out=``, builds and compacts index arrays in place
-a block of :data:`_BLOCK` entries at a time, and returns only the row, so a
-warm chunk allocates nothing chunk-sized.  A replication leaves its chunk
-only as part of a row: :func:`_sr_sums` is the one driver of the SR chunk
-kernels, and it returns their rows summed over the chunks.
+writes each one through ``out=``, compacts them in place a block of
+:data:`_BLOCK` entries at a time, and returns only the row, so a warm chunk
+allocates nothing chunk-sized.  A replication leaves its chunk only as part
+of a row: :func:`_sr_sums` is the one driver of the SR chunk kernels, and it
+returns their rows summed over the chunks.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def mc_estimate(n, total, total_sq, truncation_count: int = 0,
                       truncation_count=truncation_count, rejected=rejected)
 
 
-#: Entries per block when the kernel writes indices into a workspace buffer:
-#: a block's index array (64 KiB) is small enough to come from the heap.
+#: Entries per block when the kernel compacts its running arrays: a block's
+#: index array (64 KiB) is small enough to come from the heap.
 _BLOCK = 8192
 
 
@@ -123,16 +124,6 @@ def moment_sums(x: np.ndarray) -> Tuple[float, float]:
     return x.sum(), np.einsum("i,i->", x, x)
 
 
-def _nonzero_into(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``flatnonzero(mask)``, written a block at a time into the front of ``out``."""
-    n = 0
-    for start in range(0, mask.size, _BLOCK):
-        kept = mask[start:start + _BLOCK].nonzero()[0]
-        np.add(kept, start, out=out[n:n + kept.size])
-        n += kept.size
-    return out[:n]
-
-
 def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
     """Move the entries of each array where ``keep`` holds to its front, in
     order and in place.  In place is safe: a block is taken whole before any
@@ -147,92 +138,62 @@ def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
 
 
 def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float,
-                max_steps: int, final: Optional[np.ndarray], ws: qrng.Workspace):
-    """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r0`` until ``R_n >= A``.
+                max_steps: int, ws: qrng.Workspace):
+    """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r0`` until ``R_n >= A``,
+    yielding ``(n, r, r0, nu, post, below)`` at each step ``n``.
 
-    Observation ``n`` is post-change when ``n >= nu``; ``nu`` is either one
-    change index for every replication (``math.inf``: never) or an array with
-    one per replication.  Each step draws one uniform ``U`` per running
+    Observation ``n`` is post-change when ``n >= nu``; ``nu`` is one change
+    index for every replication (``math.inf``: never) or an array with one
+    per replication.  Each step draws one uniform ``U`` per running
     replication, in replication order, takes ``lr = 2U`` before the change
     and ``2 sqrt(U)`` after it, and updates the running statistics in place.
-    Returns ``(n_stop, truncated)``: runs starting at or above ``A`` stop at
-    0, and runs still below ``A`` after ``max_steps`` steps stop there,
-    truncated.  Unless it is ``None``, ``final`` receives ``R_n`` at stopping
-    for the runs that took a step; it is left as it is for the others.
+    The yielded arrays are views of the runs that took step ``n``: ``r``
+    holds ``R_n``, ``r0`` and ``nu`` their head starts and change indices,
+    ``post`` whether ``n`` is post-change (one bool for a scalar ``nu``) and
+    ``below`` whether ``R_n < A``.  The runs not below stop at ``N = n``;
+    after step ``max_steps`` the runs still below are truncated there.
 
-    Every step scatters the step number, and ``R_n`` into ``final``, to all
-    running replications by index, so the last write a run gets is its
-    stopping step and statistic; the runs still below ``A`` move to the front
-    of the running arrays (:func:`_compact`).  No array is selected by the
-    near-random boolean mask of the runs that stopped (see the module
-    docstring for why).  Every array lives in the workspace ``ws`` (its
-    buffers ``n_stop``, ``truncated``, ``idx``, ``r``, ``lr``, ``mask``, and
-    ``nu_act`` and ``post`` for a per-replication ``nu``), so the two
-    returned arrays are views of it.
+    Runs starting at or above ``A`` stop at 0 and take no step.  A caller
+    reads them before it iterates: the runs below ``A`` then move to the
+    front of ``r0`` and ``nu``, and after each step to the front of ``r``,
+    ``r0`` and ``nu``, in place (:func:`_compact`).  The arrays live in the
+    workspace ``ws`` (its buffers ``r``, ``lr``, ``mask``, and ``post`` for
+    a per-replication ``nu``); between steps a caller may overwrite ``post``
+    and the ``lr`` buffer.
     """
     count = r0.size
-    n_stop = ws.zeros("n_stop", np.int64, count)
-    truncated = ws.zeros("truncated", bool, count)
     per_rep = np.ndim(nu) > 0
+    running = (r0, nu) if per_rep else (r0,)
     # every buffer at the chunk's size, so that a warm workspace never regrows
-    idx_buf = ws.array("idx", np.intp, count)
-    n = _nonzero_into(np.less(r0, A, out=ws.array("mask", bool, count)), idx_buf).size
-    r_buf = ws.array("r", float, count)
-    r0.take(idx_buf[:n], out=r_buf[:n], mode="clip")
-    running = [idx_buf, r_buf]
-    if per_rep:
-        nu_buf = ws.array("nu_act", np.int64, count)
-        nu.take(idx_buf[:n], out=nu_buf[:n], mode="clip")
-        running.append(nu_buf)
-        post_buf = ws.array("post", bool, count)
-    lr_buf, below_buf = ws.array("lr", float, count), ws.array("mask", bool, count)
-    step = 0
-    while n:
-        step += 1
-        idx, r = idx_buf[:n], r_buf[:n]
-        if step > max_steps:  # n_stop and final already hold step max_steps
-            truncated[idx] = True
-            break
-        lr = rng.random(n, out=lr_buf[:n])
+    below_buf = np.less(r0, A, out=ws.array("mask", bool, count))
+    n = np.count_nonzero(below_buf)
+    r_buf, lr_buf = ws.array("r", float, count), ws.array("lr", float, count)
+    post_buf = ws.array("post", bool, count) if per_rep else None
+    _compact(below_buf, *running)
+    np.copyto(r_buf[:n], r0[:n])
+    running = (r_buf,) + running
+    for step in range(1, max_steps + 1):
+        if not n:
+            return
+        r, lr = r_buf[:n], rng.random(n, out=lr_buf[:n])
         if per_rep:
-            np.sqrt(lr, out=lr, where=np.less_equal(nu_buf[:n], step, out=post_buf[:n]))
-        elif step >= nu:
-            np.sqrt(lr, out=lr)
+            post = np.less_equal(nu[:n], step, out=post_buf[:n])
+            np.sqrt(lr, out=lr, where=post)
+        else:
+            post = step >= nu
+            if post:
+                np.sqrt(lr, out=lr)
         lr *= 2.0
         r += 1.0
         r *= lr
         if q != 1.0:
             r /= q
-        n_stop[idx] = step
-        if final is not None:
-            final[idx] = r
         below = np.less(r, A, out=below_buf[:n])
+        yield step, r, r0[:n], nu[:n] if per_rep else nu, post, below
         kept = np.count_nonzero(below)
         if kept < n:
             _compact(below, *(a[:n] for a in running))
             n = kept
-    return n_stop, truncated
-
-
-def _sr_chunk(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
-              change_index: Optional[int], max_steps: int, ws: qrng.Workspace,
-              final: bool = True):
-    """Simulate ``count`` SR runs; returns (n_stop, r0, final_stat, truncated).
-
-    ``change_index`` is the 1-based observation index of the change; ``None``
-    means the change never happens (all draws pre-change).  The arrays are
-    views of ``ws`` (its ``r0`` and ``final`` buffers and those of
-    :func:`_stop_times`).  ``final=False`` tracks no final statistic and
-    returns ``None`` in its place.
-    """
-    r0 = law.sample(rng, count, ws)
-    stat = None
-    if final:
-        stat = ws.array("final", float, count)
-        stat[...] = r0
-    nu = math.inf if change_index is None else change_index
-    n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0, max_steps, stat, ws)
-    return n_stop, r0, stat, truncated
 
 
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
@@ -244,36 +205,57 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
     ``N >= lag`` and its delay is ``d = (N - lag)^+``.  ``ints`` holds the
     exact int64 ``(count, kept, sum d, sum d^2, truncated and kept)``; at
     lag 0 every run is kept and ``d = N``.  ``floats`` holds
-    ``(sum R_0 N, sum (R_0 N)^2)``.  The runs and their reductions live in a
-    borrowed workspace; only the two rows are new.
+    ``(sum R_0 N, sum (R_0 N)^2)``.  Each sum adds up as the runs step:
+    with ``n_s`` runs taking step ``s``, ``kept = n_lag``,
+    ``sum d = sum_{s > lag} n_s`` and ``sum d^2 = sum_{s > lag} (2(s - lag) - 1) n_s``,
+    and a run adds ``R_0`` and ``(2s - 1) R_0^2`` at each step ``s`` it takes.
+    The runs live in a borrowed workspace; only the two rows are new.
     """
     lag = 0 if change_index is None else change_index - 1
+    nu = math.inf if change_index is None else change_index
+    kept = count if lag == 0 else 0
+    d_sum = d_sq = trunc = 0
+    x_sum = x_sq = 0.0
     with qrng.workspace() as ws:
-        n_stop, r0, _, truncated = _sr_chunk(
-            rng, count, A=A, law=law, change_index=change_index,
-            max_steps=max_steps, ws=ws, final=False)
-        d = np.subtract(n_stop, lag, out=ws.array("idx", np.intp, count))
-        kept = np.greater_equal(d, 0, out=ws.array("mask", bool, count))
-        n_kept = np.count_nonzero(kept)
-        n_trunc = np.count_nonzero(np.logical_and(truncated, kept, out=kept))
-        np.maximum(d, 0, out=d)
-        x = np.multiply(r0, n_stop, out=ws.array("r", float, count))
-        return (np.array([[count, n_kept, d.sum(), d @ d, n_trunc]], dtype=np.int64),
-                np.array([moment_sums(x)]))
+        r0 = law.sample(rng, count, ws)
+        for step, r, r0_s, _, _, below in _stop_times(rng, r0, A, nu, 1.0, max_steps, ws):
+            n = r.size
+            if step == lag:
+                kept = n
+            elif step > lag:
+                d_sum += n
+                d_sq += (2 * (step - lag) - 1) * n
+            s1, s2 = moment_sums(r0_s)
+            x_sum += s1
+            x_sq += (2 * step - 1) * s2
+            if step == max_steps and max_steps >= lag:
+                trunc = np.count_nonzero(below)
+    return (np.array([[count, kept, d_sum, d_sq, trunc]], dtype=np.int64),
+            np.array([[x_sum, x_sq]]))
 
 
 def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
                              law: HeadStartLaw, change_index: Optional[int],
                              max_steps: int):
     """The row ``(count, sum D, sum D^2, truncated)`` of ``count`` SR runs,
-    with ``D = R_N - R_0 - N``."""
+    with ``D = R_N - R_0 - N``: 0 for a run that stops at 0, and summed over
+    the runs that stop at each step, the truncated ones at ``max_steps``."""
+    nu = math.inf if change_index is None else change_index
+    d_sum = d_sq = 0.0
+    trunc = 0
     with qrng.workspace() as ws:
-        n_stop, r0, final, truncated = _sr_chunk(
-            rng, count, A=A, law=law, change_index=change_index,
-            max_steps=max_steps, ws=ws)
-        diff = np.subtract(final, r0, out=ws.array("r", float, count))
-        diff -= n_stop
-        return (np.array([[count, *moment_sums(diff), np.count_nonzero(truncated)]]),)
+        r0 = law.sample(rng, count, ws)
+        for step, r, r0_s, _, _, below in _stop_times(rng, r0, A, nu, 1.0, max_steps, ws):
+            d = np.subtract(r, r0_s, out=ws.array("lr", float, r.size))
+            d -= step
+            if step < max_steps:
+                np.copyto(d, 0.0, where=below)  # the runs that go on add nothing yet
+            else:
+                trunc = np.count_nonzero(below)
+            s1, s2 = moment_sums(d)
+            d_sum += s1
+            d_sq += s2
+    return (np.array([[count, d_sum, d_sq, trunc]]),)
 
 
 def check_reps(reps: int) -> int:
@@ -371,12 +353,11 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
     """
     rng = qrng.derive_rng(seed, "martingale-drift", 0)
     n_paths, horizon = 50_000, 20
-    r = np.zeros(n_paths)
     worst = 0.0
     with qrng.workspace() as ws:
-        for n in range(1, horizon + 1):
-            # one kernel step in place: no run reaches A = inf, max_steps = 1 ends it
-            _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r, ws)
+        # no run reaches A = inf, so every path takes every step of the horizon
+        for n, r, _, _, _, _ in _stop_times(rng, np.zeros(n_paths), math.inf, math.inf,
+                                           1.0, horizon, ws):
             est = mc_estimate(n_paths, *moment_sums(r))
             worst = max(worst, abs(est.mean - n) / est.stderr)
 

@@ -21,10 +21,12 @@ of named buffers that it borrows for the length of one chunk from a small
 locked free-list (:func:`workspace`); :func:`run_chunked` still calls it as
 ``kernel(rng, count)``.  The free-list outlives the pool's threads and keeps
 as many workspaces as chunks ever ran at once, up to :data:`FREE_LIST_MAX`,
-so a warm chunk allocates nothing chunk-sized.  Every kernel of the package
-returns one moment row per chunk, so memory is those workspaces plus the
-rows, not a multiple of ``reps``.  The kept workspaces stay held after a
-call returns, until the process exits.
+so a warm chunk allocates nothing chunk-sized.  A workspace holds at most
+six chunk-sized buffers (8.5 MiB at :data:`CHUNK_SIZE`): the head starts,
+change times, running statistics and likelihood ratios, and two masks.
+Every kernel of the package returns one moment row per chunk, so memory is
+those workspaces plus the rows, not a multiple of ``reps``.  The kept
+workspaces stay held after a call returns, until the process exits.
 """
 
 from __future__ import annotations
@@ -107,11 +109,6 @@ class Workspace:
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty(size, dtype)
         return buf[:size]
-
-    def zeros(self, name: str, dtype, size: int) -> np.ndarray:
-        out = self.array(name, dtype, size)
-        out.fill(0)
-        return out
 
 
 #: Workspaces the free-list keeps, one per core (at least two): threads

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kernel_paths
+from conftest import kernel_paths, reference_stop_times
 
 from qdetect import (
     BayesConfig,
@@ -23,7 +23,9 @@ from qdetect import (
     yakir_mean,
 )
 from qdetect import rng as qrng
-from qdetect.bayes import _bayes_chunk, _bayes_runs, wls_line
+from qdetect import montecarlo as mc
+from qdetect.bayes import _bayes_chunk, _identity_chunk, _start_chunk, wls_line
+from qdetect.montecarlo import DEFAULT_MAX_STEPS
 from qdetect.rng import derive_rng
 
 A = 1.5
@@ -68,9 +70,8 @@ class TestChangeTimePrior:
         # a point-mass head start fixes pi0 for every replication
         p, pi0, n = 0.3, 0.4, 10**5
         law = HeadStartLaw.point_mass(implied_headstart(p, pi0))
-        config = BayesConfig(p=p, c=0.1, A=A, law=law)
-        _, draws, _, _ = _bayes_runs(derive_rng(SEED, "test-nu", 0), n, config,
-                                     qrng.Workspace())
+        _, draws = _start_chunk(derive_rng(SEED, "test-nu", 0), n, p=p, law=law,
+                                ws=qrng.Workspace())
         for k in range(1, 11):
             target = pi0 if k == 1 else (1 - pi0) * p * (1 - p) ** (k - 2)
             hat = (draws == k).mean()
@@ -78,11 +79,20 @@ class TestChangeTimePrior:
             assert abs(hat - target) <= 4.0 * se
 
 
+def _reference_runs(tag, count, config):
+    """The head starts, change times and reference (n_stop, truncated) of the
+    Bayes runs of chunk 0 of ``tag``."""
+    rng = derive_rng(SEED, tag, 0)
+    r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=qrng.Workspace())
+    n_stop, truncated, _ = reference_stop_times(rng, r0, config.A, nu, 1.0 - config.p,
+                                                DEFAULT_MAX_STEPS)
+    return r0, nu, n_stop, truncated
+
+
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
         config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
-        _, nu, n_stop, _ = _bayes_runs(derive_rng(SEED, "test-stop0", 0), 1000, config,
-                                      qrng.Workspace())
+        _, nu, n_stop, _ = _reference_runs("test-stop0", 1000, config)
         _, risk, _, miss, _ = _bayes_chunk(derive_rng(SEED, "test-stop0", 0), 1000,
                                            config)[0][0]
         assert (n_stop == 0).all()
@@ -92,8 +102,7 @@ class TestBayesRule:
     def test_outcome_invariants(self):
         for c in (0.1, 0.0):
             config = BayesConfig(p=0.05, c=c, A=A, law=LAW)
-            _, nu, n_stop, truncated = _bayes_runs(
-                derive_rng(SEED, "test-invariants", 0), 20_000, config, qrng.Workspace())
+            _, nu, n_stop, truncated = _reference_runs("test-invariants", 20_000, config)
             delay_plus = np.maximum(0, n_stop - nu + 1)
             missed = n_stop < nu - 1
             assert (nu >= 1).all() and (n_stop >= 0).all() and not truncated.any()
@@ -147,6 +156,14 @@ class TestRiskEstimate:
     def test_identity_check_needs_a_replication(self):
         with pytest.raises(ConfigurationError):
             identity_checks(A, 0.1, 0, SEED, 1)
+
+    @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
+    def test_identity_check_evaluates_every_replication(self, max_steps, monkeypatch):
+        # the runs that stop at 0, at each step and at truncation, all of them
+        monkeypatch.setattr(mc, "DEFAULT_MAX_STEPS", max_steps)
+        config = BayesConfig(p=0.01, c=0.1, A=A, law=LAW)
+        (row,) = _identity_chunk(derive_rng(SEED, "test-identity", 0), 20_000, config)
+        assert row.tolist() == [[0, 20_000]]
 
     def test_stop_at_zero_rule_risk_is_miss_mass(self):
         # head start above A: N = 0, risk reduces to P(nu >= 2) = 1 - pi0

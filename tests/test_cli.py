@@ -247,6 +247,21 @@ class TestCheckSuites:
                      "--seed", "9"]) == EXIT_INVARIANT
         assert "FAIL p0-oracle A=1.5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["oracles", "props"])
+    def test_checks_run_on_the_workers(self, command, monkeypatch, capsys):
+        # every chunked check runs on --workers threads, the oracle's too
+        seen = []
+        run_chunked = qrng.run_chunked
+
+        def recording(kernel, reps, seed, tag, workers=1):
+            seen.append((tag, workers))
+            return run_chunked(kernel, reps, seed, tag, workers)
+        monkeypatch.setattr(qrng, "run_chunked", recording)
+        assert main([command, "--a-grid", "1.5", "--reps", "10000", "--seed", "9",
+                     "--workers", "2"]) == EXIT_OK
+        assert any(tag.startswith("oracle/") for tag, _ in seen)
+        assert all(workers == 2 for _, workers in seen), seen
+
     def test_check_streams_are_derived(self, monkeypatch, capsys):
         # every check draws from rng.derive_rng, never from a generator of its own
         def fail(*args, **kwargs):

@@ -1,14 +1,13 @@
-"""Scalar reference for the detection recursion, checked against the kernels.
+"""The recursion kernel against its scalar reference, path by path.
 
-``reference_stop_times`` runs the modified SR recursion (``q = 1``) or the
-Bayes recursion (``q = 1 - p``) one replication at a time with ``math``
-arithmetic.  It draws the uniforms exactly as ``montecarlo._stop_times``
-does, one per running replication per step and in replication order, so fed
-from the same generator it must reproduce the vector kernels path by path.
-It keeps the textbook update ``lr = 2 exp(-x)`` with ``x = -log u`` (halved
-after the change), so it checks the kernel's direct draw of ``2u`` and
-``2 sqrt(u)`` independently.  ``TestStreamContract`` does the same for the head-start and
-change-time draws.
+``conftest.reference_stop_times`` runs the modified SR recursion (``q = 1``)
+or the Bayes recursion (``q = 1 - p``) one replication at a time with
+``math`` arithmetic, drawing the uniforms as ``montecarlo._stop_times`` does.
+``conftest.record_runs`` records every run the kernel yields, and the two
+are matched by head start, which is unique under the uniform-product law.
+The Bayes risk row is checked against the row of the reference paths here,
+the SR moment row in ``test_workspace.py``.  ``TestStreamContract`` checks
+the head-start and change-time draws against their textbook forms.
 """
 
 import math
@@ -16,111 +15,105 @@ import math
 import numpy as np
 import pytest
 
-from qdetect import BayesConfig, HeadStartLaw, couple_pi0
-from qdetect.bayes import _bayes_runs, _start_chunk
-from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _stop_times
+from conftest import record_runs, reference_stop_times
+
+from qdetect import BayesConfig, HeadStartLaw, couple_pi0, montecarlo
+from qdetect.bayes import _bayes_chunk, _start_chunk
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
 from qdetect.rng import Workspace, derive_rng
 
 SEED = 20240824
 COUNT = 1 << 14
+A = 1.5
+LAW = HeadStartLaw.yakir(A)
 
 
-def reference_stop_times(rng, r0, A, nu, q, max_steps):
-    """Returns (n_stop, truncated, final) arrays; ``nu`` is a scalar or per rep."""
-    nus = list(nu) if np.ndim(nu) else [nu] * len(r0)
-    r = [float(v) for v in r0]
-    n_stop = [0] * len(r)
-    truncated = [False] * len(r)
-    active = [i for i in range(len(r)) if r[i] < A]
-    step = 0
-    while active:
-        step += 1
-        if step > max_steps:
-            for i in active:
-                n_stop[i], truncated[i] = max_steps, True
-            break
-        running = []
-        for i, u in zip(active, rng.random(len(active))):
-            x = -math.log(u) * (0.5 if step >= nus[i] else 1.0)
-            r[i] = (r[i] + 1.0) * 2.0 * math.exp(-x) / q
-            if r[i] >= A:
-                n_stop[i] = step
-            else:
-                running.append(i)
-        active = running
-    return np.array(n_stop), np.array(truncated), np.array(r)
+def _reference_runs(tag, p, max_steps, change_index=None):
+    """The head starts and change indices of chunk 0 of ``tag`` (SR when ``p``
+    is None, Bayes otherwise), the kernel's recorded runs on them, and the
+    reference's ``(n_stop, truncated, final)`` of the same runs, in
+    replication order."""
+    rng = derive_rng(SEED, tag, 0)
+    if p is None:
+        r0 = LAW.sample(rng, COUNT, Workspace())
+        nu, q = (math.inf if change_index is None else change_index), 1.0
+    else:
+        r0, nu = _start_chunk(rng, COUNT, p=p, law=LAW, ws=Workspace())
+        q = 1.0 - p
+    recorded = record_runs(rng, r0, A, nu, q, max_steps)
+    rng = derive_rng(SEED, tag, 0)
+    LAW.sample(rng, COUNT, Workspace())
+    if p is not None:
+        rng.random(COUNT)  # the two uniforms behind each change time
+        rng.random(COUNT)
+    return r0, nu, recorded, reference_stop_times(rng, r0, A, nu, q, max_steps)
 
 
-def _assert_paths_match(n_stop, truncated, final, ref):
-    ref_n, ref_trunc, ref_final = ref
-    assert np.array_equal(n_stop, ref_n)
-    assert np.array_equal(truncated, ref_trunc)
-    if final is not None:
-        assert np.allclose(final, ref_final, rtol=1e-12, atol=0.0)
+def _assert_paths_match(r0, recorded, ref):
+    order = np.argsort(r0, kind="stable")
+    assert np.unique(r0).size == r0.size  # the matching key is unique
+    rec_r0, rec_n, rec_trunc, rec_final = recorded
+    ref_n, ref_trunc, ref_final = (a[order] for a in ref)
+    assert np.array_equal(rec_r0, r0[order])
+    assert np.array_equal(rec_n, ref_n)
+    assert np.array_equal(rec_trunc, ref_trunc)
+    np.testing.assert_allclose(rec_final, ref_final, rtol=1e-12, atol=0.0)
+
+
+def _assert_bayes_rows_match(tag, p, nu, ref):
+    """The risk rows of the chunk at c = 0.1 and 0, exactly, against the rows
+    of the reference's stopping indices."""
+    n_stop, truncated, _ = ref
+    late = n_stop - nu + 1
+    miss, dp = np.count_nonzero(late < 0), np.maximum(late, 0)
+    for c in (0.1, 0.0):
+        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT,
+                              BayesConfig(p=p, c=c, A=A, law=LAW))
+        assert row.tolist() == [[COUNT, miss + c * int(dp.sum()),
+                                 miss + c * c * int(dp @ dp), miss, truncated.sum()]]
 
 
 class TestKernelsMatchReference:
     @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
     @pytest.mark.parametrize("change_index", [1, 3, None])
     def test_sr_chunk(self, change_index, max_steps):
-        A, law = 1.5, HeadStartLaw.yakir(1.5)
         tag = f"ref/sr/{change_index}/{max_steps}"
-        n_stop, r0, final, truncated = _sr_chunk(
-            derive_rng(SEED, tag, 0), COUNT, A=A, law=law,
-            change_index=change_index, max_steps=max_steps, ws=Workspace())
-        rng = derive_rng(SEED, tag, 0)
-        assert np.array_equal(law.sample(rng, COUNT, Workspace()), r0)
-        nu = math.inf if change_index is None else change_index
-        ref = reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
-        _assert_paths_match(n_stop, truncated, final, ref)
+        r0, _, recorded, ref = _reference_runs(tag, None, max_steps, change_index)
+        _assert_paths_match(r0, recorded, ref)
         if max_steps <= 2:
-            assert truncated.any()
+            assert ref[1].any()
 
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_bayes_chunk(self, p):
-        A, law = 1.5, HeadStartLaw.yakir(1.5)
         tag = f"ref/bayes/{p}"
-        r0, nu, n_stop, truncated = _bayes_runs(
-            derive_rng(SEED, tag, 0), COUNT, BayesConfig(p=p, c=0.1, A=A, law=law),
-            Workspace())
-        rng = derive_rng(SEED, tag, 0)
-        law.sample(rng, COUNT, Workspace())
-        rng.random(COUNT)  # the two uniforms behind each change time
-        rng.random(COUNT)
-        ref = reference_stop_times(rng, r0, A, nu, 1.0 - p, DEFAULT_MAX_STEPS)
-        _assert_paths_match(n_stop, truncated, None, ref)
+        r0, nu, recorded, ref = _reference_runs(tag, p, DEFAULT_MAX_STEPS)
+        _assert_paths_match(r0, recorded, ref)
+        _assert_bayes_rows_match(tag, p, nu, ref)
         assert (nu > 1).any() and (nu == 1).any()
 
     @pytest.mark.parametrize("max_steps", [1, 2])
     @pytest.mark.parametrize("p", [0.3, 0.005])
-    def test_bayes_truncation(self, p, max_steps):
+    def test_bayes_truncation(self, p, max_steps, monkeypatch):
         # the per-replication change index path, cut off after one or two steps
-        A, law = 1.5, HeadStartLaw.yakir(1.5)
         tag = f"ref/bayes/{p}/{max_steps}"
-        rng = derive_rng(SEED, tag, 0)
-        r0, nu = _start_chunk(rng, COUNT, p=p, law=law, ws=Workspace())
-        final = r0.copy()
-        n_stop, truncated = _stop_times(rng, r0, A, nu, 1.0 - p, max_steps, final,
-                                        Workspace())
-        rng = derive_rng(SEED, tag, 0)
-        law.sample(rng, COUNT, Workspace())
-        rng.random(COUNT)  # the two uniforms behind each change time
-        rng.random(COUNT)
-        ref = reference_stop_times(rng, r0, A, nu, 1.0 - p, max_steps)
-        _assert_paths_match(n_stop, truncated, final, ref)
-        assert truncated.any() and (nu <= max_steps).any()
+        r0, nu, recorded, ref = _reference_runs(tag, p, max_steps)
+        _assert_paths_match(r0, recorded, ref)
+        monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
+        _assert_bayes_rows_match(tag, p, nu, ref)
+        assert ref[1].any() and (nu <= max_steps).any()
 
     def test_single_step_in_place(self):
-        # the martingale-drift form: final aliases r0, and no run can stop
-        law = HeadStartLaw.yakir(1.5)
+        # the martingale-drift form: no run can stop, and max_steps = 1 ends it
         rng = derive_rng(SEED, "ref/in-place", 0)
-        r = law.sample(rng, COUNT, Workspace())
-        r0 = r.copy()
-        n_stop, truncated = _stop_times(rng, r, math.inf, math.inf, 1.0, 1, r, Workspace())
+        r0 = LAW.sample(rng, COUNT, Workspace())
+        steps = list(_stop_times(rng, r0.copy(), math.inf, math.inf, 1.0, 1, Workspace()))
         rng = derive_rng(SEED, "ref/in-place", 0)
-        law.sample(rng, COUNT, Workspace())
+        LAW.sample(rng, COUNT, Workspace())
+        assert len(steps) == 1
+        step, r, r0_s, nu, post, below = steps[0]
+        assert (step, nu, post) == (1, math.inf, False) and below.all()
+        assert np.array_equal(r0_s, r0)
         assert np.array_equal(r, (r0 + 1.0) * (2.0 * rng.random(COUNT)))
-        assert (n_stop == 1).all() and truncated.all()
 
 
 class TestStreamContract:

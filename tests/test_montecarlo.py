@@ -25,8 +25,8 @@ from qdetect import (
     sr_exact,
 )
 from qdetect import rng as qrng
-from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, moment_sums
-from qdetect.rng import CHUNK_SIZE, Workspace
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_moments, moment_sums
+from qdetect.rng import CHUNK_SIZE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -111,6 +111,12 @@ class TestDeterminism:
         assert (estimate_bayes_risk(config, reps, SEED, workers=2)
                 == estimate_bayes_risk(config, reps, SEED, workers=1))
 
+    def test_oracle_margins_do_not_depend_on_workers(self):
+        reps = 2 * CHUNK_SIZE + 1  # three chunks
+        serial = oracle_checks(A, reps, SEED, 1)
+        assert oracle_checks(A, reps, SEED, 2) == serial
+        assert oracle_checks(A, reps, SEED, 3) == serial
+
     def test_seed_changes_result(self):
         a = estimate_e1_delay(A, LAW, 50_000, SEED)
         b = estimate_e1_delay(A, LAW, 50_000, SEED + 1)
@@ -166,14 +172,16 @@ class TestMartingaleStructure:
 
 class TestStderrCalibration:
     def test_batch_means_consistent_with_stderr(self):
-        # the runs of estimate_e1_delay(A, LAW, 100_000, SEED), one chunk
-        n_stop, _, _, _ = _sr_chunk(qrng.derive_rng(SEED, "sr/k=1", 0), 100_000, A=A,
-                                    law=LAW, change_index=1,
-                                    max_steps=DEFAULT_MAX_STEPS, ws=Workspace())
-        values = n_stop.astype(float)
-        batches = values.reshape(10, -1).mean(axis=1)
-        sigma2 = values.var(ddof=1)
-        chi2 = ((batches - values.mean()) ** 2).sum() / (sigma2 / 10_000)
+        # ten moment rows of 10^4 runs each, on the first ten sr/k=1 streams
+        rows = np.array([
+            _sr_moments(qrng.derive_rng(SEED, "sr/k=1", i), 10_000, A=A, law=LAW,
+                        change_index=1, max_steps=DEFAULT_MAX_STEPS)[0][0]
+            for i in range(10)])
+        count, _, n_sum, n_sq, _ = rows.sum(axis=0)
+        batches = rows[:, 2] / rows[:, 0]
+        mean = n_sum / count
+        sigma2 = (n_sq - count * mean * mean) / (count - 1)
+        chi2 = ((batches - mean) ** 2).sum() / (sigma2 / 10_000)
         lo, hi = stats.chi2.ppf([0.005, 0.995], df=9)
         assert lo <= chi2 <= hi
 
@@ -263,8 +271,8 @@ class TestGoldenOutputs:
         e1, cross = estimate_e1_and_cross(A, LAW, self.REPS, SEED)
         arl = estimate_arl_false(A, LAW, self.REPS, SEED)
         assert self._hex(e1) == ("0x1.290b9af72015ep-1", "0x1.5df5da210eaddp-10", 0, 0)
-        # per-chunk float sums of R_0 N, added in chunk order
-        assert self._hex(cross) == ("0x1.a2c3596bcaf42p-2", "0x1.205df81a4cdf7p-10", 0, 0)
+        # per-step float sums of R_0 and R_0^2, added in step and chunk order
+        assert self._hex(cross) == ("0x1.a2c3596bcaf41p-2", "0x1.205df81a4cdfap-10", 0, 0)
         assert self._hex(arl) == ("0x1.b19343cd6d94ep-1", "0x1.2af88d501aa0bp-9", 0, 0)
 
     def test_delay_profile(self):

@@ -1,17 +1,21 @@
 """Chunk kernels reduce in place, in workspaces reused across chunks and calls.
 
 A warm estimator call holds one workspace per worker plus one moment row per
-chunk, whatever ``reps`` is; no kernel returns a view of a borrowed
-workspace; and a moment row holds exactly the sums of the raw replications
-or draws it replaces.
+chunk, whatever ``reps`` is; a workspace holds a few chunk-sized buffers; no
+kernel returns a view of a borrowed workspace; and a moment row holds the
+sums of the replications (of the scalar reference) or draws it replaces,
+its integers exactly.
 """
 
+import math
 import sys
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+
+from conftest import reference_stop_times
 
 from qdetect import (
     BayesConfig,
@@ -20,11 +24,12 @@ from qdetect import (
     estimate_bayes_risk,
     estimate_conditional_delay,
     estimate_e1_and_cross,
+    martingale_checks,
     oracle_checks,
 )
 from qdetect import rng as qrng
 from qdetect.headstart import _oracle_chunk
-from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_chunk, _sr_moments, moment_sums
+from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_moments, moment_sums
 from qdetect.rng import CHUNK_SIZE, Workspace, chunk_spec, derive_rng, run_chunked
 
 A = 1.5
@@ -39,7 +44,7 @@ ESTIMATORS = {
         BayesConfig(p=0.01, c=0.1, A=A, law=LAW), reps, SEED, workers),
     "conditional-headstart": lambda reps, workers: conditional_headstart_diagnostic(
         LAW, 0.005, reps, SEED, workers),
-    "oracle-checks": lambda reps, workers: oracle_checks(A, reps, SEED),  # always serial
+    "oracle-checks": lambda reps, workers: oracle_checks(A, reps, SEED, workers),
 }
 
 
@@ -56,6 +61,19 @@ def test_warm_call_memory_is_bounded_by_the_chunk(name, workers):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"{peak / 2**20:.2f} MiB traced"
+
+
+def test_workspace_holds_a_few_chunk_buffers(monkeypatch):
+    # the SR and Bayes kernels and the martingale checks, on fresh workspaces:
+    # each holds the head starts, change times, running statistics and masks
+    # of one chunk, and no per-replication record of the stops
+    monkeypatch.setattr(qrng, "_free_workspaces", [])
+    estimate_e1_and_cross(A, LAW, CHUNK_SIZE, SEED, 2)
+    estimate_bayes_risk(BayesConfig(p=0.01, c=0.1, A=A, law=LAW), 2 * CHUNK_SIZE, SEED, 2)
+    martingale_checks(A, LAW, CHUNK_SIZE, SEED, 2)
+    held = [sum(buf.nbytes for buf in ws._buffers.values())
+            for ws in qrng._free_workspaces]
+    assert held and max(held) < 10 << 20, [f"{b / 2**20:.2f} MiB" for b in held]
 
 
 KERNELS = [partial(_sr_moments, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS),
@@ -103,11 +121,14 @@ class TestMomentRows:
     @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
     @pytest.mark.parametrize("change_index", [1, 3, None])
     def test_row_holds_the_sums_of_the_runs(self, change_index, max_steps):
+        # the runs of the scalar reference, on the kernel's own stream
         tag = f"rows/{change_index}/{max_steps}"
-        kwargs = dict(A=A, law=LAW, change_index=change_index, max_steps=max_steps)
-        ints, floats = _sr_moments(derive_rng(SEED, tag, 0), self.COUNT, **kwargs)
-        n_stop, r0, _, truncated = _sr_chunk(derive_rng(SEED, tag, 0), self.COUNT,
-                                             ws=Workspace(), **kwargs)
+        ints, floats = _sr_moments(derive_rng(SEED, tag, 0), self.COUNT, A=A, law=LAW,
+                                   change_index=change_index, max_steps=max_steps)
+        rng = derive_rng(SEED, tag, 0)
+        r0 = LAW.sample(rng, self.COUNT, Workspace())
+        nu = math.inf if change_index is None else change_index
+        n_stop, truncated, _ = reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
         lag = 0 if change_index is None else change_index - 1
         kept = n_stop >= lag
         d = n_stop[kept] - lag
@@ -117,8 +138,10 @@ class TestMomentRows:
                                   (truncated & kept).sum()]]
         if max_steps == 1:
             assert truncated.any()
+        # the kernel adds R_0 and (2s - 1) R_0^2 at each step s: the same
+        # sums up to their order
         x = r0 * n_stop
-        assert floats.tolist() == [list(moment_sums(x))]
+        np.testing.assert_allclose(floats, [moment_sums(x)], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("a", [0.3, 1.98])
     def test_oracle_row_holds_the_sums_of_the_draws(self, a):
