@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre
 from scipy import integrate
 
 from qdetect import (
@@ -11,11 +12,14 @@ from qdetect import (
     estimate_e1_delay,
     functionals_oracle,
     mu0_exact,
+    mu0_quadrature,
     p0_exact,
+    p0_quadrature,
     sr_exact,
     yakir_density,
     yakir_mean,
 )
+from qdetect.headstart import GAUSS_LEGENDRE_NODES, _gauss_legendre
 from qdetect.rng import Workspace
 
 A_GRID = [1.5, 1.6, 1.7, 1.8, 1.9, 1.98]
@@ -76,6 +80,52 @@ class TestSrExact:
     @pytest.mark.parametrize("a", A_GRID)
     def test_matches_quadrature(self, a):
         assert sr_exact(a) == pytest.approx(_renewal_quadrature(a), rel=0, abs=1e-12)
+
+
+#: thresholds from near 0 to near 2, where the piece [A, 2] all but vanishes
+QUAD_GRID = [*np.linspace(0.01, 1.999, 25).tolist(), 1.9999999]
+#: well inside ORACLE_QUAD_TOL (1e-10), so the oracle checks cannot pass by slack
+QUAD_ABS = 1e-13
+
+
+def _scipy_quadratures(a):
+    """p0 and mu0 by adaptive quadrature, the helper's independent oracle."""
+    def quad(fn, lo, hi, **kw):
+        return integrate.quad(fn, lo, hi, limit=200, **kw)[0]
+    p0 = quad(lambda x: yakir_density(a, x), a, 2.0 * (a + 1.0), points=[2.0])
+    mu0 = quad(lambda x: x * yakir_density(a, x), 0.0, a) / quad(
+        lambda x: yakir_density(a, x), 0.0, a)
+    return p0, mu0
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("a", QUAD_GRID)
+    def test_matches_closed_forms(self, a):
+        assert p0_quadrature(a) == pytest.approx(p0_exact(a), rel=0, abs=QUAD_ABS)
+        assert mu0_quadrature(a) == pytest.approx(mu0_exact(a), rel=0, abs=QUAD_ABS)
+
+    @pytest.mark.parametrize("a", QUAD_GRID)
+    def test_matches_adaptive_quadrature(self, a):
+        p0, mu0 = _scipy_quadratures(a)
+        assert p0_quadrature(a) == pytest.approx(p0, rel=0, abs=QUAD_ABS)
+        assert mu0_quadrature(a) == pytest.approx(mu0, rel=0, abs=QUAD_ABS)
+
+    def test_each_piece_exact_to_degree_95(self):
+        # one Legendre series of degree 2 * nodes - 1 per piece; the integral
+        # of a series over its own domain is the domain's length times c_0
+        degree = 2 * GAUSS_LEGENDRE_NODES - 1
+        rng = np.random.default_rng(95)
+        left, right = rng.standard_normal((2, degree + 1))
+        p_left = Legendre(left, domain=[0.3, 1.0])
+        p_right = Legendre(right, domain=[1.0, 2.5])
+        value = _gauss_legendre(lambda x: np.where(x < 1.0, p_left(x), p_right(x)),
+                                [0.3, 1.0, 2.5])
+        assert value == pytest.approx(0.7 * left[0] + 1.5 * right[0], rel=0, abs=QUAD_ABS)
+
+    def test_degree_96_is_not_exact(self):
+        # with the test above, pins the rule at 48 nodes: more would integrate this too
+        p96 = Legendre.basis(2 * GAUSS_LEGENDRE_NODES, domain=[0.3, 1.0])
+        assert abs(_gauss_legendre(p96, [0.3, 1.0])) > 1e-3
 
 
 class TestSampling:

@@ -370,9 +370,12 @@ for checks in (oracle_checks(A, 300_000, SEED), martingale_checks(A, LAW, 300_00
         assert one == default
 
     def test_serial_estimate_uses_one_core(self):
-        # a single thread cannot run more than its wall time, up to timer jitter
+        # a single thread cannot run more than its wall time, up to timer jitter.
+        # OpenBLAS's helper threads spin through `import numpy` and for some
+        # 20 ms after it, whether or not anything calls BLAS; the window opens
+        # only once they have gone quiet (or after 5 s), so it times the calls
         out = _run_python(f"""
-import time
+import os, time
 from qdetect import HeadStartLaw, estimate_e1_and_cross, martingale_checks, oracle_checks
 from qdetect.rng import CHUNK_SIZE
 A, LAW, SEED = {A!r}, HeadStartLaw.yakir({A!r}), {SEED!r}
@@ -380,9 +383,43 @@ def calls(reps, oracle_reps):
     estimate_e1_and_cross(A, LAW, reps, SEED, 1)
     oracle_checks(A, oracle_reps, 1)
     martingale_checks(A, LAW, reps, SEED, 1)
+def helper_ticks():
+    # user + system clock ticks of every thread but the main one (tid = pid)
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            try:
+                with open(f"/proc/self/task/{{tid}}/stat") as stat:
+                    fields = stat.read().rsplit(")", 1)[1].split()
+            except FileNotFoundError:  # the thread ended
+                continue
+            total += int(fields[11]) + int(fields[12])
+    return total
 calls(10**4, 10**4)
+if os.path.isdir("/proc/self/task"):
+    deadline, ticks = time.monotonic() + 5.0, helper_ticks()
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
+        ticks, before = helper_ticks(), ticks
+        if ticks == before:
+            break
 wall, cpu = time.perf_counter(), time.process_time()
 calls(4 * CHUNK_SIZE, 10**6)
 print((time.process_time() - cpu) / (time.perf_counter() - wall))
 """, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None)
         assert float(out) <= 1.25
+
+
+class TestImports:
+    def test_package_loads_no_scipy(self):
+        # scipy is a test-only dependency: the package's own quadrature is numpy's
+        out = _run_python(f"""
+import sys
+import qdetect, qdetect.cli
+from qdetect import HeadStartLaw, estimate_e1_and_cross, oracle_checks
+from qdetect.headstart import ORACLE_MIN_REPS
+estimate_e1_and_cross({A!r}, HeadStartLaw.yakir({A!r}), ORACLE_MIN_REPS, {SEED!r})
+assert all(check[1] for check in oracle_checks({A!r}, ORACLE_MIN_REPS, {SEED!r}))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+""")
+        assert out.strip() == "[]"
