@@ -28,7 +28,11 @@ Each chunk draws its head starts and change times, and runs its
 replications, in a workspace borrowed from the free-list of
 :mod:`qdetect.rng`, and reduces them there to one moment row: count, risk
 sums, misses and truncations for the risk estimate; count, the draws with
-nu = 1 and their sum and sum of squares for the conditional mean.  The risk
+nu = 1 and their sum and sum of squares for the conditional mean.  The
+change times are cast in place over the float draws behind them, and the
+running statistics are stepped over the head starts, which nothing reads
+after the first step, so a chunk holds three chunk-sized 8-byte buffers
+(head starts, likelihood ratios, change times) and two masks.  The risk
 sums add up as :func:`qdetect.montecarlo._stop_times` steps the runs, so
 each estimate holds one row per chunk, whatever ``reps`` is.
 """
@@ -88,17 +92,16 @@ class BayesConfig:
         mc.check_threshold(self.A)
 
 
-def couple_pi0(p: float, r0, ws=None) -> np.ndarray:
-    """The unique pi0 that starts the Bayes statistic at r0.
-
-    With a workspace ``ws`` (:class:`qdetect.rng.Workspace`) the array lands
-    in its ``"r"`` buffer, and its ``"lr"`` buffer holds a temporary.
-    """
+def couple_pi0(p: float, r0) -> np.ndarray:
+    """The unique pi0 that starts the Bayes statistic at r0."""
     check_p(p)
     r0 = np.asarray(r0, dtype=float) if np.ndim(r0) else float(r0)
     check_head_start(r0)
-    out, tmp = ((None, None) if ws is None else
-                (ws.array("r", float, r0.size), ws.array("lr", float, r0.size)))
+    return _couple(p, r0)
+
+
+def _couple(p: float, r0, out=None, tmp=None):
+    """:func:`couple_pi0` unchecked, into ``out`` with the temporary ``tmp``."""
     w = np.multiply(np.add(r0, 1.0, out=out), p, out=out)
     return np.divide(w, np.add(w, 1.0 - p, out=tmp), out=out)
 
@@ -120,23 +123,37 @@ def coupling_round_trip(seed: int) -> tuple[bool, float]:
     return worst <= 1e-12, worst
 
 
+def _first_changes(rng: np.random.Generator, count: int, *, p: float,
+                   law: HeadStartLaw, ws: qrng.Workspace):
+    """Draw ``count`` head starts r0 and the mask of the draws with nu = 1.
+
+    The arrays are views of the workspace ``ws`` (its ``r0`` and ``mask``
+    buffers; ``carry`` and ``lr`` hold temporaries).  The draws are
+    nonnegative by construction, so pi0 skips :func:`couple_pi0`'s checks.
+    """
+    r0 = law.sample(rng, count, ws)
+    lr = ws.array("lr", float, count)
+    pi0 = _couple(p, r0, ws.array("carry", float, count), lr)
+    first = np.less(rng.random(count, out=lr), pi0, out=ws.array("mask", bool, count))
+    return r0, first
+
+
 def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
                  law: HeadStartLaw, ws: qrng.Workspace):
     """Draw ``count`` head starts r0 and their coupled change times nu.
 
-    The arrays are views of the workspace ``ws`` (its ``r0`` and ``nu``
-    buffers; ``r``, ``lr`` and ``mask`` hold temporaries).
+    The arrays are views of the workspace ``ws`` (its ``r0`` and ``carry``
+    buffers; ``lr`` and ``mask`` hold temporaries).  nu is cast in place
+    over the float draws behind it.
     """
-    r0 = law.sample(rng, count, ws)
-    pi0 = couple_pi0(p, r0, ws)
-    first = np.less(rng.random(count, out=ws.array("lr", float, count)), pi0,
-                    out=ws.array("mask", bool, count))
-    u2 = rng.random(count, out=pi0)
+    r0, first = _first_changes(rng, count, p=p, law=law, ws=ws)
+    u2 = rng.random(count, out=ws.array("carry", float, count))
     # the geometric part log1p(-u2)/log1p(-p) is >= 0, so truncation is floor
     np.negative(u2, out=u2)
     np.log1p(u2, out=u2)
     u2 /= math.log1p(-p)
-    nu = ws.array("nu", np.int64, count)
+    # a 1-D forward cast: each entry is read before it is overwritten
+    nu = ws.array("carry", np.int64, count)
     np.copyto(nu, u2, casting="unsafe")
     nu += 2
     np.copyto(nu, 1, where=first)
@@ -157,7 +174,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     with qrng.workspace() as ws:
         r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
         hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, count)))
-        for step, _, _, nu_s, post, below in mc._stop_times(
+        for step, _, nu_s, post, below in mc._stop_times(
                 rng, r0, config.A, nu, 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
             late = np.count_nonzero(post)
             dp_sum += late
@@ -184,7 +201,7 @@ def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
         r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
         at_zero = nu[r0 >= config.A]  # the runs that stop at 0, before any step
         broken, evaluated = _identity_broken(1 - at_zero, config.c), at_zero.size
-        for step, _, _, nu_s, _, below in mc._stop_times(
+        for step, _, nu_s, _, below in mc._stop_times(
                 rng, r0, config.A, nu, 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
             # the runs that stop at this step; at the last, the truncated ones too
             leaving = nu_s if step == mc.DEFAULT_MAX_STEPS else nu_s[~below]
@@ -228,7 +245,8 @@ class BayesRiskEstimate:
 
 
 def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
-                        workers: int = 1, tag: str = "bayes-risk") -> BayesRiskEstimate:
+                        workers: int = qrng.DEFAULT_WORKERS,
+                        tag: str = "bayes-risk") -> BayesRiskEstimate:
     """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+."""
     mc.check_reps(reps)
     rows = qrng.run_chunked(partial(_bayes_chunk, config=config), reps, seed, tag,
@@ -262,7 +280,7 @@ class LimitDiagnostic:
 
 def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
                      p_grid: Sequence[float], reps: Sequence[int], seed: int,
-                     workers: int = 1) -> LimitDiagnostic:
+                     workers: int = qrng.DEFAULT_WORKERS) -> LimitDiagnostic:
     """Estimate (1 - risk)/p along the grid and extrapolate to p = 0.
 
     ``p_grid`` passes :func:`check_p_grid`, and ``reps[j]`` replications run
@@ -345,14 +363,14 @@ def _conditional_chunk(rng: np.random.Generator, count: int, *, p: float,
                        law: HeadStartLaw):
     """One row (count, m, sum r0, sum r0^2) over the m draws of a chunk with nu = 1."""
     with qrng.workspace() as ws:
-        r0, nu = _start_chunk(rng, count, p=p, law=law, ws=ws)
-        first = np.equal(nu, 1, out=ws.array("mask", bool, count))
+        r0, first = _first_changes(rng, count, p=p, law=law, ws=ws)
         cond = r0.take(np.flatnonzero(first))
         return (np.array([[count, cond.size, *mc.moment_sums(cond)]]),)
 
 
-def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int,
-                                     seed: int, workers: int = 1) -> mc.McEstimate:
+def conditional_headstart_diagnostic(law: HeadStartLaw, p: float, reps: int, seed: int,
+                                     workers: int = qrng.DEFAULT_WORKERS
+                                     ) -> mc.McEstimate:
     """The mean of r0 conditioned on {nu = 1}, with its standard error.
 
     Conditioning on a change at time 1 size-biases the head-start law, so

@@ -228,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--c-star", type=float, default=DEFAULT_C_STAR)
     parser.add_argument("--p-grid", type=_float_list, default=DEFAULT_P_GRID)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=qrng.DEFAULT_WORKERS,
+                        help="threads the chunks run on; the output does not depend "
+                             "on it (default: one per usable core, %(default)s); "
+                             "1 runs serially")
     parser.add_argument("--format", choices=["csv", "md"], default="csv")
     parser.add_argument("--out", default=None, metavar="PATH")
     return parser

@@ -103,7 +103,8 @@ class HeadStartLaw:
 
 def check_head_start(r0) -> None:
     """Raise unless every head start in ``r0`` (a number or an array) is finite
-    and nonnegative.  Two reductions, no temporary: it runs on every chunk."""
+    and nonnegative.  Two reductions, no temporary: it runs on every chunk of
+    a custom law."""
     for x in (np.min(r0, initial=0.0), np.max(r0, initial=0.0)):
         if not (0.0 <= x < math.inf):
             raise ConfigurationError(f"head start must be finite and nonnegative, got {x}")
@@ -197,9 +198,36 @@ GAUSS_LEGENDRE_NODES = 48
 
 @cache
 def _legendre_rule() -> tuple:
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], built once per
-    process (numpy solves an eigenproblem for them)."""
-    return np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+    """Nodes (ascending) and weights of the Gauss-Legendre rule on [-1, 1],
+    built once per process.
+
+    Newton's method on the three-term recurrence of the Legendre polynomial
+    P_n, from the cosine guesses cos(pi (k - 1/4) / (n + 1/2)), finds the n
+    roots elementwise, with no eigen-solve; the weights are
+    2 / ((1 - x^2) P_n'(x)^2).  As in numpy's ``leggauss``, the nodes and
+    weights are then made symmetric and the weights scaled to sum to 2.
+    """
+    n = GAUSS_LEGENDRE_NODES
+
+    def legendre(x):
+        # (P_n(x), P_n'(x)), with j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    dp = legendre(x)[1]
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = (x - x[::-1]) / 2.0
+    weights = (weights + weights[::-1]) / 2.0
+    return x, weights * (2.0 / math.fsum(weights))
 
 
 def _gauss_legendre(fn: Callable, breaks: Sequence[float]) -> float:
@@ -253,7 +281,7 @@ def _oracle_chunk(rng: np.random.Generator, count: int, *, law: HeadStartLaw,
 
 
 def functionals_oracle(law: HeadStartLaw, A: float, reps: int, seed: int,
-                       workers: int = 1) -> dict:
+                       workers: int = qrng.DEFAULT_WORKERS) -> dict:
     """Brute-force Monte Carlo estimates of p0, mu0 and the mean of R_0.
 
     Returns a dict of :class:`qdetect.montecarlo.McEstimate` under the keys
@@ -276,7 +304,8 @@ def functionals_oracle(law: HeadStartLaw, A: float, reps: int, seed: int,
             "mean": mc_estimate(reps, r0_sum, r0_sq)}
 
 
-def oracle_checks(A: float, reps: int, seed: int, workers: int = 1) -> list:
+def oracle_checks(A: float, reps: int, seed: int,
+                  workers: int = qrng.DEFAULT_WORKERS) -> list:
     """The six oracle checks of the closed forms at ``A``, one
     ``(name, ok, margin, detail)`` tuple each.
 

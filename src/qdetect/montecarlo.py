@@ -34,9 +34,13 @@ threads spin on the cores the chunk pool needs.  A chunk's arrays live in a
 workspace borrowed from the free-list of :mod:`qdetect.rng`: the kernel
 writes each one through ``out=``, compacts them in place a block of
 :data:`_BLOCK` entries at a time, and returns only the row, so a warm chunk
-allocates nothing chunk-sized.  A replication leaves its chunk only as part
-of a row: :func:`_sr_sums` is the one driver of the SR chunk kernels, and it
-returns their rows summed over the chunks.
+allocates nothing chunk-sized.  The kernel steps the running statistics in
+the head starts' own buffer and compacts only the per-run arrays its caller
+passes; the SR kernels pass a copy of the head starts, for the cross term,
+so an SR chunk holds three chunk-sized float buffers and a mask.  A
+replication leaves its chunk only as part of a row: :func:`_sr_sums` is the
+one driver of the SR chunk kernels, and it returns their rows summed over
+the chunks.
 """
 
 from __future__ import annotations
@@ -137,10 +141,11 @@ def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
         n += kept.size
 
 
-def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float,
-                max_steps: int, ws: qrng.Workspace):
-    """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r0`` until ``R_n >= A``,
-    yielding ``(n, r, r0, nu, post, below)`` at each step ``n``.
+def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
+                max_steps: int, ws: qrng.Workspace, carry: tuple = ()):
+    """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r`` until ``R_n >= A``,
+    stepping ``r`` in place and yielding ``(n, r, nu, post, below, *carry)``
+    at each step ``n``.
 
     Observation ``n`` is post-change when ``n >= nu``; ``nu`` is one change
     index for every replication (``math.inf``: never) or an array with one
@@ -148,34 +153,34 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
     replication, in replication order, takes ``lr = 2U`` before the change
     and ``2 sqrt(U)`` after it, and updates the running statistics in place.
     The yielded arrays are views of the runs that took step ``n``: ``r``
-    holds ``R_n``, ``r0`` and ``nu`` their head starts and change indices,
-    ``post`` whether ``n`` is post-change (one bool for a scalar ``nu``) and
-    ``below`` whether ``R_n < A``.  The runs not below stop at ``N = n``;
-    after step ``max_steps`` the runs still below are truncated there.
+    holds ``R_n``, ``nu`` their change indices, ``post`` whether ``n`` is
+    post-change (one bool for a scalar ``nu``), ``below`` whether
+    ``R_n < A``, and then one view of each per-run array of ``carry``.  The
+    runs not below stop at ``N = n``; after step ``max_steps`` the runs
+    still below are truncated there.
 
     Runs starting at or above ``A`` stop at 0 and take no step.  A caller
     reads them before it iterates: the runs below ``A`` then move to the
-    front of ``r0`` and ``nu``, and after each step to the front of ``r``,
-    ``r0`` and ``nu``, in place (:func:`_compact`).  The arrays live in the
-    workspace ``ws`` (its buffers ``r``, ``lr``, ``mask``, and ``post`` for
-    a per-replication ``nu``); between steps a caller may overwrite ``post``
-    and the ``lr`` buffer.
+    front of ``r``, a per-replication ``nu`` and each array of ``carry``,
+    and after each step again, in place (:func:`_compact`).  Only those
+    arrays move, so a caller that reads ``R_0`` as the runs step carries a
+    copy of it.  The kernel's own arrays live in the workspace ``ws`` (its
+    buffers ``lr``, ``mask``, and ``post`` for a per-replication ``nu``);
+    between steps a caller may overwrite ``post`` and the ``lr`` buffer.
     """
-    count = r0.size
+    count = r.size
     per_rep = np.ndim(nu) > 0
-    running = (r0, nu) if per_rep else (r0,)
-    # every buffer at the chunk's size, so that a warm workspace never regrows
-    below_buf = np.less(r0, A, out=ws.array("mask", bool, count))
+    running = (r, nu, *carry) if per_rep else (r, *carry)
+    below_buf = np.less(r, A, out=ws.array("mask", bool, count))
     n = np.count_nonzero(below_buf)
-    r_buf, lr_buf = ws.array("r", float, count), ws.array("lr", float, count)
+    lr_buf = ws.array("lr", float, count)
     post_buf = ws.array("post", bool, count) if per_rep else None
-    _compact(below_buf, *running)
-    np.copyto(r_buf[:n], r0[:n])
-    running = (r_buf,) + running
+    if n < count:
+        _compact(below_buf, *running)
     for step in range(1, max_steps + 1):
         if not n:
             return
-        r, lr = r_buf[:n], rng.random(n, out=lr_buf[:n])
+        r_n, lr = r[:n], rng.random(n, out=lr_buf[:n])
         if per_rep:
             post = np.less_equal(nu[:n], step, out=post_buf[:n])
             np.sqrt(lr, out=lr, where=post)
@@ -184,16 +189,33 @@ def _stop_times(rng: np.random.Generator, r0: np.ndarray, A: float, nu, q: float
             if post:
                 np.sqrt(lr, out=lr)
         lr *= 2.0
-        r += 1.0
-        r *= lr
+        r_n += 1.0
+        r_n *= lr
         if q != 1.0:
-            r /= q
-        below = np.less(r, A, out=below_buf[:n])
-        yield step, r, r0[:n], nu[:n] if per_rep else nu, post, below
+            r_n /= q
+        below = np.less(r_n, A, out=below_buf[:n])
+        yield (step, r_n, nu[:n] if per_rep else nu, post, below,
+               *(a[:n] for a in carry))
         kept = np.count_nonzero(below)
         if kept < n:
             _compact(below, *(a[:n] for a in running))
             n = kept
+
+
+def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, nu,
+             max_steps: int, ws: qrng.Workspace):
+    """:func:`_stop_times` over the SR runs of ``count`` head starts from
+    ``law`` that start below ``A``, stepped in the head starts' own buffer;
+    each step's tuple ends with the runs' ``R_0``, from a copy in the
+    workspace's ``carry`` buffer.  The runs that stop at 0 are dropped before
+    the copy: every SR sum gets nothing from them."""
+    r = law.sample(rng, count, ws)
+    below = np.less(r, A, out=ws.array("mask", bool, count))
+    n = np.count_nonzero(below)
+    _compact(below, r)
+    r0 = ws.array("carry", float, count)[:n]
+    np.copyto(r0, r[:n])
+    return _stop_times(rng, r[:n], A, nu, 1.0, max_steps, ws, (r0,))
 
 
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
@@ -217,8 +239,7 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
     d_sum = d_sq = trunc = 0
     x_sum = x_sq = 0.0
     with qrng.workspace() as ws:
-        r0 = law.sample(rng, count, ws)
-        for step, r, r0_s, _, _, below in _stop_times(rng, r0, A, nu, 1.0, max_steps, ws):
+        for step, r, _, _, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
             n = r.size
             if step == lag:
                 kept = n
@@ -244,8 +265,7 @@ def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
     d_sum = d_sq = 0.0
     trunc = 0
     with qrng.workspace() as ws:
-        r0 = law.sample(rng, count, ws)
-        for step, r, r0_s, _, _, below in _stop_times(rng, r0, A, nu, 1.0, max_steps, ws):
+        for step, r, _, _, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
             d = np.subtract(r, r0_s, out=ws.array("lr", float, r.size))
             d -= step
             if step < max_steps:
@@ -290,7 +310,8 @@ def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
 
 
 def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
-                          workers: int = 1) -> Tuple[McEstimate, McEstimate]:
+                          workers: int = qrng.DEFAULT_WORKERS
+                          ) -> Tuple[McEstimate, McEstimate]:
     """E_1 N and E_1(R_0 N) from one set of replications (common random numbers)."""
     (count, _, n_sum, n_sq, trunc), (x_sum, x_sq) = _sr_sums(
         _sr_moments, A, law, 1, reps, seed, workers)
@@ -299,27 +320,27 @@ def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
 
 
 def estimate_e1_delay(A: float, law: HeadStartLaw, reps: int, seed: int,
-                      workers: int = 1) -> McEstimate:
+                      workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_1 N: expected stopping index when every observation is post-change."""
     return estimate_e1_and_cross(A, law, reps, seed, workers)[0]
 
 
 def estimate_cross_term(A: float, law: HeadStartLaw, reps: int, seed: int,
-                        workers: int = 1) -> McEstimate:
+                        workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_1(R_0 N): cross moment of head start and stopping index under P_1."""
     return estimate_e1_and_cross(A, law, reps, seed, workers)[1]
 
 
 def estimate_arl_false(A: float, law: HeadStartLaw, reps: int, seed: int,
-                       workers: int = 1) -> McEstimate:
+                       workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_inf N: expected stopping index when the change never happens."""
     count, _, n_sum, n_sq, trunc = _sr_sums(
         _sr_moments, A, law, None, reps, seed, workers)[0]
     return mc_estimate(count, n_sum, n_sq, int(trunc))
 
 
-def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
-                               seed: int, workers: int = 1) -> McEstimate:
+def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int, seed: int,
+                               workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early;
     a truncated run counts only if it is kept."""
     count, kept, d_sum, d_sq, trunc = _sr_sums(
@@ -328,7 +349,7 @@ def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int,
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
-                  workers: int = 1) -> DelayProfile:
+                  workers: int = qrng.DEFAULT_WORKERS) -> DelayProfile:
     """Conditional delays for k = 1..k_max (k_max >= 1); ``undefined`` maps each
     k with fewer than 2 survivors to the number of runs its conditioning rejected."""
     entries: Dict[int, McEstimate] = {}
@@ -356,8 +377,8 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
     worst = 0.0
     with qrng.workspace() as ws:
         # no run reaches A = inf, so every path takes every step of the horizon
-        for n, r, _, _, _, _ in _stop_times(rng, np.zeros(n_paths), math.inf, math.inf,
-                                           1.0, horizon, ws):
+        for n, r, *_ in _stop_times(rng, np.zeros(n_paths), math.inf, math.inf, 1.0,
+                                    horizon, ws):
             est = mc_estimate(n_paths, *moment_sums(r))
             worst = max(worst, abs(est.mean - n) / est.stderr)
 

@@ -16,17 +16,24 @@ pool's threads are the package's only parallelism: no reduction calls BLAS
 a sum by the host's core count, so that its last bits depend on the host,
 and would spin after each call on the cores the pool runs on.
 
+Every estimator runs on :data:`DEFAULT_WORKERS` threads, the cores this
+process may run on, unless its caller passes ``workers``; ``workers=1``
+keeps a caller serial.
+
 A chunk kernel writes its chunk-sized arrays into a :class:`Workspace`, a set
 of named buffers that it borrows for the length of one chunk from a small
 locked free-list (:func:`workspace`); :func:`run_chunked` still calls it as
 ``kernel(rng, count)``.  The free-list outlives the pool's threads and keeps
 as many workspaces as chunks ever ran at once, up to :data:`FREE_LIST_MAX`,
 so a warm chunk allocates nothing chunk-sized.  A workspace holds at most
-six chunk-sized buffers (8.5 MiB at :data:`CHUNK_SIZE`): the head starts,
-change times, running statistics and likelihood ratios, and two masks.
-Every kernel of the package returns one moment row per chunk, so memory is
-those workspaces plus the rows, not a multiple of ``reps``.  The kept
-workspaces stay held after a call returns, until the process exits.
+three 8-byte chunk-sized buffers and two masks (6.5 MiB at
+:data:`CHUNK_SIZE`): the head starts, which become the running statistics
+where nothing reads them after the first step; the likelihood ratios; the
+caller's per-run array (the change times, or a copy of the head starts);
+and the running and post-change masks.  Every kernel of the package returns
+one moment row per chunk, so memory is those workspaces plus the rows, not
+a multiple of ``reps``.  The kept workspaces stay held after a call
+returns, until the process exits.
 """
 
 from __future__ import annotations
@@ -94,27 +101,40 @@ def chunk_spec(reps: int) -> list[tuple[int, int]]:
 class Workspace:
     """Named reusable buffers for one chunk at a time.
 
-    ``array(name, dtype, size)`` is the first ``size`` entries of the buffer
-    called ``name``, made on first use and made again when a larger size or
-    another dtype is asked for; its contents are whatever the last user
-    left.  Callers share a name only between arrays whose lifetimes do not
-    overlap.
+    Each name holds one byte buffer, made on first use with room for at
+    least :data:`CHUNK_SIZE` entries, so that a chunk's arrays of any length
+    fit it, and made again only when a larger size is asked for.
+    ``array(name, dtype, size)`` is a view of its first ``size`` entries at
+    ``dtype``, so one name can hold a float array and then an int array in
+    the same memory; its contents are whatever the last user left.  Callers
+    share a name only between arrays whose lifetimes do not overlap, or
+    that alias on purpose.
     """
 
     def __init__(self):
         self._buffers = {}
 
     def array(self, name: str, dtype, size: int) -> np.ndarray:
+        itemsize = np.dtype(dtype).itemsize
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size]
+        if buf is None or buf.size < size * itemsize:
+            nbytes = max(size, CHUNK_SIZE) * itemsize
+            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
+        return buf[:size * itemsize].view(dtype)
 
 
-#: Workspaces the free-list keeps, one per core (at least two): threads
-#: beyond the cores run no faster, so a wider pool's extra workspaces are
-#: dropped when their chunk ends, and made afresh on its next call.
-FREE_LIST_MAX = max(os.cpu_count() or 1, 2)
+#: Threads an estimator runs its chunks on unless told otherwise: one per
+#: core this process may run on (its CPU affinity, where the platform has
+#: one, else the host's core count).  The bits do not depend on it (see
+#: :func:`run_chunked`).
+DEFAULT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+
+#: Workspaces the free-list keeps, one per default worker (at least two):
+#: threads beyond the cores run no faster, so a wider pool's extra
+#: workspaces are dropped when their chunk ends, and made afresh on its
+#: next call.
+FREE_LIST_MAX = max(DEFAULT_WORKERS, 2)
 
 _free_workspaces: list = []
 _free_lock = threading.Lock()
@@ -144,7 +164,7 @@ def run_chunked(
     reps: int,
     seed: int,
     tag: str,
-    workers: int = 1,
+    workers: int = DEFAULT_WORKERS,
 ) -> list[np.ndarray]:
     """Run ``kernel(rng, count)`` over all chunks and concatenate its outputs.
 

@@ -69,8 +69,8 @@ def record_runs(rng, r0, A, nu, q, max_steps):
 
     at_zero = r0 >= A
     parts = [runs(r0[at_zero], 0, False, r0[at_zero])]
-    for step, r, r0_s, _, _, below in montecarlo._stop_times(rng, r0, A, nu, q, max_steps,
-                                                             qrng.Workspace()):
+    for step, r, _, _, below, r0_s in montecarlo._stop_times(
+            rng, r0.copy(), A, nu, q, max_steps, qrng.Workspace(), (r0,)):
         parts.append(runs(r0_s[~below], step, False, r[~below]))
         if step == max_steps:
             parts.append(runs(r0_s[below], step, True, r[below]))
@@ -84,6 +84,6 @@ def kernel_paths(r0, n_paths, q, steps, seed):
     with every observation pre-change.  A = inf stops no run, so every run
     takes all the steps, and one seed gives every q the same observations."""
     rng = np.random.default_rng(seed)
-    return np.array([r.copy() for _, r, _, _, _, _ in montecarlo._stop_times(
+    return np.array([r.copy() for _, r, *_ in montecarlo._stop_times(
         rng, np.full(n_paths, r0, dtype=float), math.inf, math.inf, q, steps,
         qrng.Workspace())])

@@ -106,11 +106,12 @@ class TestKernelsMatchReference:
         # the martingale-drift form: no run can stop, and max_steps = 1 ends it
         rng = derive_rng(SEED, "ref/in-place", 0)
         r0 = LAW.sample(rng, COUNT, Workspace())
-        steps = list(_stop_times(rng, r0.copy(), math.inf, math.inf, 1.0, 1, Workspace()))
+        steps = list(_stop_times(rng, r0.copy(), math.inf, math.inf, 1.0, 1, Workspace(),
+                                 (r0.copy(),)))
         rng = derive_rng(SEED, "ref/in-place", 0)
         LAW.sample(rng, COUNT, Workspace())
         assert len(steps) == 1
-        step, r, r0_s, nu, post, below = steps[0]
+        step, r, nu, post, below, r0_s = steps[0]
         assert (step, nu, post) == (1, math.inf, False) and below.all()
         assert np.array_equal(r0_s, r0)
         assert np.array_equal(r, (r0 + 1.0) * (2.0 * rng.random(COUNT)))

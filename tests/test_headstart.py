@@ -19,7 +19,7 @@ from qdetect import (
     yakir_density,
     yakir_mean,
 )
-from qdetect.headstart import GAUSS_LEGENDRE_NODES, _gauss_legendre
+from qdetect.headstart import GAUSS_LEGENDRE_NODES, _gauss_legendre, _legendre_rule
 from qdetect.rng import Workspace
 
 A_GRID = [1.5, 1.6, 1.7, 1.8, 1.9, 1.98]
@@ -121,6 +121,15 @@ class TestQuadrature:
         value = _gauss_legendre(lambda x: np.where(x < 1.0, p_left(x), p_right(x)),
                                 [0.3, 1.0, 2.5])
         assert value == pytest.approx(0.7 * left[0] + 1.5 * right[0], rel=0, abs=QUAD_ABS)
+
+    def test_rule_matches_numpy_leggauss(self):
+        # Newton's method on the recurrence, against numpy's eigen-solve
+        nodes, weights = _legendre_rule()
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-11, atol=0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+        assert math.fsum(weights) == 2.0
 
     def test_degree_96_is_not_exact(self):
         # with the test above, pins the rule at 48 nodes: more would integrate this too

@@ -20,6 +20,7 @@ from qdetect import (
     estimate_cross_term,
     estimate_e1_and_cross,
     estimate_e1_delay,
+    limit_diagnostic,
     martingale_checks,
     oracle_checks,
     sr_exact,
@@ -110,6 +111,31 @@ class TestDeterminism:
                 == estimate_e1_delay(A, LAW, reps, SEED, workers=1))
         assert (estimate_bayes_risk(config, reps, SEED, workers=2)
                 == estimate_bayes_risk(config, reps, SEED, workers=1))
+
+    def test_default_workers_are_the_usable_cores(self):
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        assert qrng.DEFAULT_WORKERS == cores
+        assert qrng.FREE_LIST_MAX == max(cores, 2)
+
+    def test_defaults_run_on_the_usable_cores(self, monkeypatch):
+        # at their default arguments, estimators reach run_chunked with an int
+        # worker count, DEFAULT_WORKERS, and give the serial bits
+        reps = 2 * CHUNK_SIZE + 1  # three chunks
+        grid, grid_reps = [0.02, 0.01], [reps, CHUNK_SIZE + 1]
+        serial = (estimate_e1_and_cross(A, LAW, reps, SEED, workers=1),
+                  limit_diagnostic(A, LAW, 0.1, grid, grid_reps, SEED, workers=1))
+        seen = []
+        run_chunked = qrng.run_chunked
+
+        def recording(kernel, reps, seed, tag, workers):
+            seen.append(workers)
+            return run_chunked(kernel, reps, seed, tag, workers)
+        monkeypatch.setattr(qrng, "run_chunked", recording)
+        assert (estimate_e1_and_cross(A, LAW, reps, SEED),
+                limit_diagnostic(A, LAW, 0.1, grid, grid_reps, SEED)) == serial
+        assert seen == [qrng.DEFAULT_WORKERS] * 3
+        assert all(type(w) is int for w in seen)
 
     def test_oracle_margins_do_not_depend_on_workers(self):
         reps = 2 * CHUNK_SIZE + 1  # three chunks
@@ -381,7 +407,7 @@ from qdetect.rng import CHUNK_SIZE
 A, LAW, SEED = {A!r}, HeadStartLaw.yakir({A!r}), {SEED!r}
 def calls(reps, oracle_reps):
     estimate_e1_and_cross(A, LAW, reps, SEED, 1)
-    oracle_checks(A, oracle_reps, 1)
+    oracle_checks(A, oracle_reps, 1, workers=1)
     martingale_checks(A, LAW, reps, SEED, 1)
 def helper_ticks():
     # user + system clock ticks of every thread but the main one (tid = pid)
