@@ -24,11 +24,26 @@ intercept's standard error alone sets the z-scores.  It also
 checks that the mean of r0 conditioned on {nu = 1} is the mean of the
 size-biased transform of the unconditional law, not the unconditional mean.
 
+The risk estimate simulates only what it cannot compute.  A run whose head
+start is at or above A stops at N = 0, where its risk is 1{nu >= 2}; it
+scores that by its conditional expectation given r0,
+
+    E[risk | r0] = 1 - pi0 = q / (q + p (1 + r0)),
+
+and draws no change time (conditional Monte Carlo: the score has the same
+mean and a smaller variance).  At A = 1.5 under the uniform product law
+that is P(R_0 >= A) = 0.542 of the runs, and it cuts the per-replication
+SD of (1 - risk)/p by about a third on the small-p grid.  Only the runs
+below A draw a change time, in replication order, and step.
+
 Each chunk draws its head starts and change times, and runs its
 replications, in a workspace borrowed from the free-list of
 :mod:`qdetect.rng`, and reduces them there to one moment row: count, risk
 sums, misses and truncations for the risk estimate; count, the draws with
-nu = 1 and their sum and sum of squares for the conditional mean.  The
+nu = 1 and their sum and sum of squares for the conditional mean.  One
+helper, :func:`_change_times`, turns head starts into change times for
+every kernel that draws them; the conditional-mean kernel, which reads
+only {nu = 1}, draws just its first half (:func:`_first_changes`).  The
 change times are cast in place over the float draws behind them, and the
 running statistics are stepped over the head starts, which nothing reads
 after the first step, so a chunk holds three chunk-sized 8-byte buffers
@@ -123,30 +138,32 @@ def coupling_round_trip(seed: int) -> tuple[bool, float]:
     return worst <= 1e-12, worst
 
 
-def _first_changes(rng: np.random.Generator, count: int, *, p: float,
-                   law: HeadStartLaw, ws: qrng.Workspace):
-    """Draw ``count`` head starts r0 and the mask of the draws with nu = 1.
+def _first_changes(rng: np.random.Generator, r0: np.ndarray, *, p: float,
+                   ws: qrng.Workspace) -> np.ndarray:
+    """The mask of the head starts ``r0`` whose change time is nu = 1.
 
-    The arrays are views of the workspace ``ws`` (its ``r0`` and ``mask``
-    buffers; ``carry`` and ``lr`` hold temporaries).  The draws are
+    Draws one uniform per head start, in order, and compares it with the
+    coupled pi0.  The mask is a view of the workspace ``ws`` (its ``mask``
+    buffer; ``carry`` and ``lr`` hold temporaries).  Head starts are
     nonnegative by construction, so pi0 skips :func:`couple_pi0`'s checks.
     """
-    r0 = law.sample(rng, count, ws)
+    count = r0.size
     lr = ws.array("lr", float, count)
     pi0 = _couple(p, r0, ws.array("carry", float, count), lr)
-    first = np.less(rng.random(count, out=lr), pi0, out=ws.array("mask", bool, count))
-    return r0, first
+    return np.less(rng.random(count, out=lr), pi0, out=ws.array("mask", bool, count))
 
 
-def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
-                 law: HeadStartLaw, ws: qrng.Workspace):
-    """Draw ``count`` head starts r0 and their coupled change times nu.
+def _change_times(rng: np.random.Generator, r0: np.ndarray, *, p: float,
+                  ws: qrng.Workspace) -> np.ndarray:
+    """The change times nu coupled to the head starts ``r0``.
 
-    The arrays are views of the workspace ``ws`` (its ``r0`` and ``carry``
-    buffers; ``lr`` and ``mask`` hold temporaries).  nu is cast in place
-    over the float draws behind it.
+    Draws the uniforms of :func:`_first_changes`, then one geometric
+    uniform per head start, in order.  nu is a view of the workspace ``ws``
+    (its ``carry`` buffer; ``lr`` and ``mask`` hold temporaries), cast in
+    place over the float draws behind it.
     """
-    r0, first = _first_changes(rng, count, p=p, law=law, ws=ws)
+    count = r0.size
+    first = _first_changes(rng, r0, p=p, ws=ws)
     u2 = rng.random(count, out=ws.array("carry", float, count))
     # the geometric part log1p(-u2)/log1p(-p) is >= 0, so truncation is floor
     np.negative(u2, out=u2)
@@ -157,25 +174,56 @@ def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
     np.copyto(nu, u2, casting="unsafe")
     nu += 2
     np.copyto(nu, 1, where=first)
-    return r0, nu
+    return nu
+
+
+def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
+                 law: HeadStartLaw, ws: qrng.Workspace):
+    """Draw ``count`` head starts r0 and their coupled change times nu.
+
+    The arrays are views of the workspace ``ws`` (its ``r0`` and ``carry``
+    buffers; ``lr`` and ``mask`` hold temporaries).
+    """
+    r0 = law.sample(rng, count, ws)
+    return r0, _change_times(rng, r0, p=p, ws=ws)
 
 
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk.
 
-    A replication either misses (N < nu - 1) or pays the delay
+    A run whose head start is at or above A stops at N = 0, and its risk
+    1{nu >= 2} is scored by its conditional expectation given r0,
+    1 - pi0 = q / (q + p (1 + r0)), which adds to the risk and miss sums
+    (its square to the risk^2 sum); no change time is drawn for it.  The
+    runs below A move to the front of the head starts, draw their change
+    times (:func:`_change_times`) in replication order, and step.  A
+    stepped run either misses (N < nu - 1) or pays the delay
     dp = N - nu + 1 > 0, never both, so risk = miss + c dp and
-    risk^2 = miss + c^2 dp^2; the counts and delay sums are exact integers.
+    risk^2 = miss + c^2 dp^2, with exact integer counts and delay sums.
     They add up as the runs step: a run does not miss if nu = 1 or if it
     takes step nu - 1, and its dp and dp^2 = sum (2s + 1 - 2 nu) count the
     post-change steps s it takes.
     """
+    p, A, c = config.p, config.A, config.c
     dp_sum = dp_sq = trunc = 0
     with qrng.workspace() as ws:
-        r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
-        hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, count)))
+        r0 = config.law.sample(rng, count, ws)
+        # 1 - pi0 = q / (q + p (1 + r0)), times 0 for the runs that step: a
+        # product, as a masked copy costs several times the whole formula
+        at_zero = np.add(r0, 1.0, out=ws.array("carry", float, count))
+        at_zero *= p
+        at_zero += 1.0 - p
+        np.divide(1.0 - p, at_zero, out=at_zero)
+        at_zero *= np.greater_equal(r0, A, out=ws.array("post", bool, count))
+        zero_risk, zero_sq = mc.moment_sums(at_zero)
+        stepping = np.less(r0, A, out=ws.array("mask", bool, count))
+        n = np.count_nonzero(stepping)
+        mc._compact(stepping, r0)
+        r0 = r0[:n]
+        nu = _change_times(rng, r0, p=p, ws=ws)
+        hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, n)))
         for step, _, nu_s, post, below in mc._stop_times(
-                rng, r0, config.A, nu, 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
+                rng, r0, A, nu, 1.0 - p, mc.DEFAULT_MAX_STEPS, ws):
             late = np.count_nonzero(post)
             dp_sum += late
             dp_sq += (2 * step + 1) * late - 2 * int(np.sum(nu_s, where=post))
@@ -183,8 +231,9 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
             if step == mc.DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
     # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
-    miss, c = count - hits, config.c
-    return (np.array([[count, miss + c * dp_sum, miss + c * c * dp_sq, miss, trunc]],
+    miss = n - hits
+    return (np.array([[count, miss + zero_risk + c * dp_sum,
+                       miss + zero_sq + c * c * dp_sq, miss + zero_risk, trunc]],
                      dtype=float),)
 
 
@@ -241,13 +290,16 @@ class BayesRiskEstimate:
     """Plug-in risk estimate with its components, all from one replication set."""
 
     risk: mc.McEstimate
-    cond_prob: float        # P_hat(N >= nu - 1)
+    # P_hat(N >= nu - 1): a run that stops at 0 adds its probability of
+    # nu = 1, pi0, where a stepped run adds 1{N >= nu - 1}
+    cond_prob: float
 
 
 def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
                         workers: int = qrng.DEFAULT_WORKERS,
                         tag: str = "bayes-risk") -> BayesRiskEstimate:
-    """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+."""
+    """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+, each
+    run that stops at 0 scored by its exact conditional risk 1 - pi0."""
     mc.check_reps(reps)
     rows = qrng.run_chunked(partial(_bayes_chunk, config=config), reps, seed, tag,
                             workers=workers)[0]
@@ -363,8 +415,8 @@ def _conditional_chunk(rng: np.random.Generator, count: int, *, p: float,
                        law: HeadStartLaw):
     """One row (count, m, sum r0, sum r0^2) over the m draws of a chunk with nu = 1."""
     with qrng.workspace() as ws:
-        r0, first = _first_changes(rng, count, p=p, law=law, ws=ws)
-        cond = r0.take(np.flatnonzero(first))
+        r0 = law.sample(rng, count, ws)
+        cond = r0.take(np.flatnonzero(_first_changes(rng, r0, p=p, ws=ws)))
         return (np.array([[count, cond.size, *mc.moment_sums(cond)]]),)
 
 

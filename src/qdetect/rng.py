@@ -29,7 +29,8 @@ so a warm chunk allocates nothing chunk-sized.  A workspace holds at most
 three 8-byte chunk-sized buffers and two masks (6.5 MiB at
 :data:`CHUNK_SIZE`): the head starts, which become the running statistics
 where nothing reads them after the first step; the likelihood ratios; the
-caller's per-run array (the change times, or a copy of the head starts);
+caller's per-run array (the change times of the Bayes runs that start below
+the threshold, the only ones that draw one, or a copy of the head starts);
 and the running and post-change masks.  Every kernel of the package returns
 one moment row per chunk, so memory is those workspaces plus the rows, not
 a multiple of ``reps``.  The kept workspaces stay held after a call

@@ -1,12 +1,12 @@
 """Shared pytest wiring: surfaces the acceptance checklist in the summary,
-and holds the scalar reference of the recursion kernel with the consumers
-that read the kernel's runs for the tests."""
+and holds the scalar references of the recursion kernel and of the Bayes
+risk row with the consumers that read the kernel's runs for the tests."""
 
 import math
 
 import numpy as np
 
-from qdetect import montecarlo, rng as qrng
+from qdetect import couple_pi0, montecarlo, rng as qrng
 
 acceptance_report = []
 
@@ -51,6 +51,56 @@ def reference_stop_times(rng, r0, A, nu, q, max_steps):
                 running.append(i)
         active = running
     return np.array(n_stop), np.array(truncated), np.array(r)
+
+
+def reference_change_times(rng, r0, p):
+    """The change times of the head starts ``r0`` in their textbook form,
+    ``nu = 1`` if ``u1 < pi0(r0)`` and else ``2 + floor(log(1 - u2) / log(1 - p))``,
+    drawn as the Bayes kernels draw them: one ``u1`` per head start, then one
+    ``u2`` per head start, in order."""
+    u1, u2 = rng.random(len(r0)), rng.random(len(r0))
+    return np.array([1 if a < couple_pi0(p, float(r)) else
+                     2 + math.floor(math.log1p(-b) / math.log1p(-p))
+                     for r, a, b in zip(r0, u1, u2)], dtype=np.int64)
+
+
+def reference_bayes_runs(rng, law, count, A, p, max_steps):
+    """The Bayes runs of ``count`` head starts from ``law`` in the draw order of
+    ``bayes._bayes_chunk``: ``(r0, stepped, nu, n_stop, truncated, final)``.
+
+    Only the head starts below ``A`` (``stepped``, in replication order)
+    draw change times and step; ``nu`` and the reference's stopping indices
+    are theirs, and the others stop at 0 with no draw.
+    """
+    r0 = law.sample(rng, count, qrng.Workspace())
+    stepped = r0[r0 < A]
+    nu = reference_change_times(rng, stepped, p)
+    return (r0, stepped, nu,
+            *reference_stop_times(rng, stepped, A, nu, 1.0 - p, max_steps))
+
+
+def assert_risk_row(row, r0, nu, n_stop, truncated, A, p, c):
+    """The Bayes risk row ``(n, sum risk, sum risk^2, sum miss, truncated)``
+    of a chunk against the reference runs of :func:`reference_bayes_runs`.
+
+    A stepped run adds its miss and ``c`` times its delay; a run that stops
+    at 0 adds ``1 - pi0 = q / (q + p (1 + r0))`` to the risk and miss sums and
+    its square to the risk^2 sum, here summed by ``math.fsum``.  The count
+    and truncations must match exactly, the sums to 1e-12 relative: on sums
+    below 1e5 that is far below the 0.01 that one miss or one unit of delay
+    moves them by at c = 0.1, so the misses and delay sums of the stepped
+    runs are pinned exactly too.
+    """
+    late = n_stop - nu + 1
+    miss, dp = np.count_nonzero(late < 0), np.maximum(late, 0)
+    zero = [(1.0 - p) / (1.0 - p + p * (1.0 + r)) for r in r0 if r >= A]
+    s1, s2 = math.fsum(zero), math.fsum(x * x for x in zero)
+    ((n, risk, risk_sq, miss_sum, trunc),) = row.tolist()
+    assert (n, trunc) == (len(r0), truncated.sum())
+    np.testing.assert_allclose(
+        [risk, risk_sq, miss_sum],
+        [miss + s1 + c * int(dp.sum()), miss + s2 + c * c * int(dp @ dp), miss + s1],
+        rtol=1e-12, atol=0.0)
 
 
 def record_runs(rng, r0, A, nu, q, max_steps):

@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kernel_paths, reference_stop_times
+from conftest import assert_risk_row, kernel_paths, reference_bayes_runs
 
 from qdetect import (
     BayesConfig,
@@ -79,44 +80,51 @@ class TestChangeTimePrior:
             assert abs(hat - target) <= 4.0 * se
 
 
-def _reference_runs(tag, count, config):
-    """The head starts, change times and reference (n_stop, truncated) of the
-    Bayes runs of chunk 0 of ``tag``."""
-    rng = derive_rng(SEED, tag, 0)
-    r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=qrng.Workspace())
-    n_stop, truncated, _ = reference_stop_times(rng, r0, config.A, nu, 1.0 - config.p,
-                                                DEFAULT_MAX_STEPS)
-    return r0, nu, n_stop, truncated
+def _brute_force_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
+    """The row (n, sum risk, sum risk^2) of ``count`` Bayes runs scored by their
+    own drawn change times: every run draws nu, and a run that stops at 0
+    scores 1{nu >= 2}."""
+    with qrng.workspace() as ws:
+        r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
+        risks = [(nu[r0 >= config.A] > 1).astype(float)]  # read before the runs move
+        for step, _, nu_s, _, below in mc._stop_times(
+                rng, r0, config.A, nu, 1.0 - config.p, DEFAULT_MAX_STEPS, ws):
+            late = step + 1 - nu_s[~below]
+            risks.append((late < 0) + config.c * np.maximum(late, 0))
+        risk = np.concatenate(risks)
+    return (np.array([[risk.size, *mc.moment_sums(risk)]]),)
 
 
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
-        config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
-        _, nu, n_stop, _ = _reference_runs("test-stop0", 1000, config)
-        _, risk, _, miss, _ = _bayes_chunk(derive_rng(SEED, "test-stop0", 0), 1000,
-                                           config)[0][0]
-        assert (n_stop == 0).all()
-        assert miss == (nu > 1).sum()
-        assert risk == miss  # no delay cost at N = 0
+        # every run stops at 0 and scores 1 - pi0, and none draws a uniform
+        p, count = 0.3, 1000
+        config = BayesConfig(p=p, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
+        rng = derive_rng(SEED, "test-stop0", 0)
+        n, risk, risk_sq, miss, trunc = _bayes_chunk(rng, count, config)[0][0]
+        assert (rng.bit_generator.state
+                == derive_rng(SEED, "test-stop0", 0).bit_generator.state)
+        miss_prob = 1.0 - float(couple_pi0(p, 2.0))
+        assert (n, trunc) == (count, 0)
+        np.testing.assert_allclose([risk, miss], count * miss_prob, rtol=1e-12)
+        np.testing.assert_allclose(risk_sq, count * miss_prob ** 2, rtol=1e-12)
 
     def test_outcome_invariants(self):
+        # the stepped runs of chunk 0 of the stream, in the Bayes chunk's draw order
+        p = 0.05
+        r0, _, nu, n_stop, truncated, _ = reference_bayes_runs(
+            derive_rng(SEED, "test-invariants", 0), LAW, 20_000, A, p, DEFAULT_MAX_STEPS)
+        delay_plus = np.maximum(0, n_stop - nu + 1)
+        missed = n_stop < nu - 1
+        assert (nu >= 1).all() and (n_stop >= 1).all() and not truncated.any()
+        assert not (missed & (delay_plus > 0)).any()
         for c in (0.1, 0.0):
-            config = BayesConfig(p=0.05, c=c, A=A, law=LAW)
-            _, nu, n_stop, truncated = _reference_runs("test-invariants", 20_000, config)
-            delay_plus = np.maximum(0, n_stop - nu + 1)
-            missed = n_stop < nu - 1
-            assert (nu >= 1).all() and (n_stop >= 0).all() and not truncated.any()
-            assert not (missed & (delay_plus > 0)).any()
-            # the reduced row of the same stream: exact counts, and the risk
-            # sums of these arrays up to summation order
-            risk = missed + c * delay_plus
-            n, risk_sum, risk_sq, miss, trunc = _bayes_chunk(
-                derive_rng(SEED, "test-invariants", 0), 20_000, config)[0][0]
-            assert (n, miss, trunc) == (20_000, missed.sum(), 0)
-            np.testing.assert_allclose([risk_sum, risk_sq],
-                                       [risk.sum(), (risk * risk).sum()], rtol=1e-12)
+            # the reduced row of the same stream, against these runs' row
+            config = BayesConfig(p=p, c=c, A=A, law=LAW)
+            (row,) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config)
+            assert_risk_row(row, r0, nu, n_stop, truncated, A, p, c)
             if c == 0:
-                assert risk_sum == risk_sq == miss
+                assert row[0, 1] == row[0, 3]  # the risk is the miss probability
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -174,6 +182,19 @@ class TestRiskEstimate:
         expected = 1.0 - float(couple_pi0(p, r0))
         assert abs(est.risk.mean - expected) <= 4.0 * max(est.risk.stderr, 1e-12)
 
+    def test_exact_stop_at_zero_score_is_unbiased_and_cuts_variance(self):
+        # against brute force, which scores the runs that stop at 0 by their
+        # drawn nu: the same mean within 4 combined SE, on independent
+        # streams of the same seed, and a smaller per-rep SD (equal reps)
+        config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
+        reps = 1_000_000
+        rows = qrng.run_chunked(partial(_brute_force_chunk, config=config), reps, SEED,
+                                "test-brute-force")[0]
+        brute = mc.mc_estimate(*rows.sum(axis=0))
+        est = estimate_bayes_risk(config, reps, SEED).risk
+        assert abs(est.mean - brute.mean) <= 4.0 * math.hypot(est.stderr, brute.stderr)
+        assert est.stderr < 0.75 * brute.stderr
+
 
 class TestLimitDiagnostic:
     def test_wls_recovers_exact_line(self):
@@ -202,8 +223,8 @@ class TestLimitDiagnostic:
             limit_diagnostic(A, LAW, 0.1, p_grid, reps, SEED)
 
     def test_zero_stderr_rejected(self):
-        # a head start above A stops every run at 0, and at tiny p every
-        # change comes later: each replication has risk exactly 1
+        # a head start above A stops every run at 0, and each replication
+        # scores the same exact risk 1 - pi0
         law = HeadStartLaw.point_mass(4.0)
         with pytest.raises(ConfigurationError):
             limit_diagnostic(A, law, 0.1, [2e-6, 1e-6], [100, 100], SEED)

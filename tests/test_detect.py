@@ -5,8 +5,11 @@ or the Bayes recursion (``q = 1 - p``) one replication at a time with
 ``math`` arithmetic, drawing the uniforms as ``montecarlo._stop_times`` does.
 ``conftest.record_runs`` records every run the kernel yields, and the two
 are matched by head start, which is unique under the uniform-product law.
-The Bayes risk row is checked against the row of the reference paths here,
-the SR moment row in ``test_workspace.py``.  ``TestStreamContract`` checks
+The Bayes runs follow the draw order of ``bayes._bayes_chunk``: only the
+head starts below A draw change times and step
+(``conftest.reference_bayes_runs``).  The Bayes risk row is checked against
+the row of the reference paths here, with the exact risk of the runs that
+stop at 0, the SR moment row in ``test_workspace.py``.  ``TestStreamContract`` checks
 the head-start and change-time draws against their textbook forms.
 """
 
@@ -15,9 +18,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import record_runs, reference_stop_times
+from conftest import (assert_risk_row, record_runs, reference_bayes_runs,
+                      reference_change_times, reference_stop_times)
 
-from qdetect import BayesConfig, HeadStartLaw, couple_pi0, montecarlo
+from qdetect import BayesConfig, HeadStartLaw, montecarlo
 from qdetect.bayes import _bayes_chunk, _start_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
 from qdetect.rng import Workspace, derive_rng
@@ -28,25 +32,32 @@ A = 1.5
 LAW = HeadStartLaw.yakir(A)
 
 
-def _reference_runs(tag, p, max_steps, change_index=None):
-    """The head starts and change indices of chunk 0 of ``tag`` (SR when ``p``
-    is None, Bayes otherwise), the kernel's recorded runs on them, and the
-    reference's ``(n_stop, truncated, final)`` of the same runs, in
-    replication order."""
+def _reference_runs(tag, max_steps, change_index=None):
+    """The head starts of chunk 0 of ``tag``, the kernel's recorded SR runs on
+    them, and the reference's ``(n_stop, truncated, final)`` of the same runs,
+    in replication order."""
     rng = derive_rng(SEED, tag, 0)
-    if p is None:
-        r0 = LAW.sample(rng, COUNT, Workspace())
-        nu, q = (math.inf if change_index is None else change_index), 1.0
-    else:
-        r0, nu = _start_chunk(rng, COUNT, p=p, law=LAW, ws=Workspace())
-        q = 1.0 - p
-    recorded = record_runs(rng, r0, A, nu, q, max_steps)
+    r0 = LAW.sample(rng, COUNT, Workspace())
+    nu = math.inf if change_index is None else change_index
+    recorded = record_runs(rng, r0, A, nu, 1.0, max_steps)
     rng = derive_rng(SEED, tag, 0)
     LAW.sample(rng, COUNT, Workspace())
-    if p is not None:
-        rng.random(COUNT)  # the two uniforms behind each change time
-        rng.random(COUNT)
-    return r0, nu, recorded, reference_stop_times(rng, r0, A, nu, q, max_steps)
+    return r0, recorded, reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
+
+
+def _bayes_runs(tag, p, max_steps):
+    """The Bayes runs of chunk 0 of ``tag`` in the draw order of
+    ``_bayes_chunk``: the head starts, the stepped ones (below A) with their
+    change times, the kernel's recorded runs of those, and the reference's
+    ``(n_stop, truncated, final)`` of the same runs."""
+    r0, stepped, nu, *ref = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, COUNT,
+                                                 A, p, max_steps)
+    rng = derive_rng(SEED, tag, 0)
+    LAW.sample(rng, COUNT, Workspace())
+    rng.random(stepped.size)  # the two uniforms behind each change time
+    rng.random(stepped.size)
+    recorded = record_runs(rng, stepped, A, nu, 1.0 - p, max_steps)
+    return r0, stepped, nu, recorded, ref
 
 
 def _assert_paths_match(r0, recorded, ref):
@@ -60,17 +71,14 @@ def _assert_paths_match(r0, recorded, ref):
     np.testing.assert_allclose(rec_final, ref_final, rtol=1e-12, atol=0.0)
 
 
-def _assert_bayes_rows_match(tag, p, nu, ref):
-    """The risk rows of the chunk at c = 0.1 and 0, exactly, against the rows
-    of the reference's stopping indices."""
+def _assert_bayes_rows_match(tag, p, r0, nu, ref):
+    """The risk rows of the chunk at c = 0.1 and 0 against the rows of the
+    reference's runs (``conftest.assert_risk_row``)."""
     n_stop, truncated, _ = ref
-    late = n_stop - nu + 1
-    miss, dp = np.count_nonzero(late < 0), np.maximum(late, 0)
     for c in (0.1, 0.0):
         (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT,
                               BayesConfig(p=p, c=c, A=A, law=LAW))
-        assert row.tolist() == [[COUNT, miss + c * int(dp.sum()),
-                                 miss + c * c * int(dp @ dp), miss, truncated.sum()]]
+        assert_risk_row(row, r0, nu, n_stop, truncated, A, p, c)
 
 
 class TestKernelsMatchReference:
@@ -78,7 +86,7 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("change_index", [1, 3, None])
     def test_sr_chunk(self, change_index, max_steps):
         tag = f"ref/sr/{change_index}/{max_steps}"
-        r0, _, recorded, ref = _reference_runs(tag, None, max_steps, change_index)
+        r0, recorded, ref = _reference_runs(tag, max_steps, change_index)
         _assert_paths_match(r0, recorded, ref)
         if max_steps <= 2:
             assert ref[1].any()
@@ -86,20 +94,20 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_bayes_chunk(self, p):
         tag = f"ref/bayes/{p}"
-        r0, nu, recorded, ref = _reference_runs(tag, p, DEFAULT_MAX_STEPS)
-        _assert_paths_match(r0, recorded, ref)
-        _assert_bayes_rows_match(tag, p, nu, ref)
-        assert (nu > 1).any() and (nu == 1).any()
+        r0, stepped, nu, recorded, ref = _bayes_runs(tag, p, DEFAULT_MAX_STEPS)
+        _assert_paths_match(stepped, recorded, ref)
+        _assert_bayes_rows_match(tag, p, r0, nu, ref)
+        assert (nu > 1).any() and (nu == 1).any() and (r0 >= A).any()
 
     @pytest.mark.parametrize("max_steps", [1, 2])
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_bayes_truncation(self, p, max_steps, monkeypatch):
         # the per-replication change index path, cut off after one or two steps
         tag = f"ref/bayes/{p}/{max_steps}"
-        r0, nu, recorded, ref = _reference_runs(tag, p, max_steps)
-        _assert_paths_match(r0, recorded, ref)
+        r0, stepped, nu, recorded, ref = _bayes_runs(tag, p, max_steps)
+        _assert_paths_match(stepped, recorded, ref)
         monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
-        _assert_bayes_rows_match(tag, p, nu, ref)
+        _assert_bayes_rows_match(tag, p, r0, nu, ref)
         assert ref[1].any() and (nu <= max_steps).any()
 
     def test_single_step_in_place(self):
@@ -137,9 +145,7 @@ class TestStreamContract:
                               ws=Workspace())
         rng = derive_rng(SEED, tag, 0)
         assert np.array_equal(law.sample(rng, COUNT, Workspace()), r0)
-        ref = [1 if u1 < couple_pi0(p, float(r)) else
-               2 + math.floor(math.log1p(-u2) / math.log1p(-p))
-               for r, u1, u2 in zip(r0, rng.random(COUNT), rng.random(COUNT))]
+        ref = reference_change_times(rng, r0, p)
         assert nu.dtype == np.int64 and np.array_equal(nu, ref)
         assert (nu == 1).any() and (nu > 2).any()
 

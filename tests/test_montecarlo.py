@@ -311,10 +311,10 @@ class TestGoldenOutputs:
         }
 
     @pytest.mark.parametrize("p, risk_hex, cond_prob_hex", [
-        (0.3, ("0x1.9c2e4a4e91160p-2", "0x1.bf1bb44189fd2p-11", 0, 0),
-         "0x1.3eed2f8a78dc0p-1"),
-        (0.005, ("0x1.f78625902416ap-1", "0x1.df5072ce11603p-13", 0, 0),
-         "0x1.1af3a14cec420p-6"),
+        (0.3, ("0x1.9d3d55dc8301cp-2", "0x1.1f0f5d711aea3p-11", 0, 0),
+         "0x1.3e72a3a70632cp-1"),
+        (0.005, ("0x1.f757f8ca1aa6fp-1", "0x1.36dfd85c3ead4p-13", 0, 0),
+         "0x1.21184c33fe400p-6"),
     ], ids=["p=0.3", "p=0.005"])
     def test_bayes_risk(self, p, risk_hex, cond_prob_hex):
         est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), self.REPS, SEED)
