@@ -44,6 +44,8 @@ nu = 1 and their sum and sum of squares for the conditional mean.  One
 helper, :func:`_change_times`, turns head starts into change times for
 every kernel that draws them; the conditional-mean kernel, which reads
 only {nu = 1}, draws just its first half (:func:`_first_changes`).  The
+risk and identity kernels read the runs that stop at 0 first, then drop
+them (:func:`qdetect.montecarlo._running`) and step the rest.  The
 change times are cast in place over the float draws behind them, and the
 running statistics are stepped over the head starts, which nothing reads
 after the first step, so a chunk holds three chunk-sized 8-byte buffers
@@ -177,17 +179,6 @@ def _change_times(rng: np.random.Generator, r0: np.ndarray, *, p: float,
     return nu
 
 
-def _start_chunk(rng: np.random.Generator, count: int, *, p: float,
-                 law: HeadStartLaw, ws: qrng.Workspace):
-    """Draw ``count`` head starts r0 and their coupled change times nu.
-
-    The arrays are views of the workspace ``ws`` (its ``r0`` and ``carry``
-    buffers; ``lr`` and ``mask`` hold temporaries).
-    """
-    r0 = law.sample(rng, count, ws)
-    return r0, _change_times(rng, r0, p=p, ws=ws)
-
-
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk.
 
@@ -216,9 +207,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
         np.divide(1.0 - p, at_zero, out=at_zero)
         at_zero *= np.greater_equal(r0, A, out=ws.array("post", bool, count))
         zero_risk, zero_sq = mc.moment_sums(at_zero)
-        stepping = np.less(r0, A, out=ws.array("mask", bool, count))
-        n = np.count_nonzero(stepping)
-        mc._compact(stepping, r0)
+        n = mc._running(r0, A, ws)
         r0 = r0[:n]
         nu = _change_times(rng, r0, p=p, ws=ws)
         hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, n)))
@@ -230,7 +219,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
             hits += np.count_nonzero(np.equal(nu_s, step + 1, out=post))
             if step == mc.DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
-    # int64 sums: dp^2 overflows only if ~1e5 runs of a chunk hit max_steps
+    # miss, dp_sum and dp_sq are exact Python ints, and exact floats below 2**53
     miss = n - hits
     return (np.array([[count, miss + zero_risk + c * dp_sum,
                        miss + zero_sq + c * c * dp_sq, miss + zero_risk, trunc]],
@@ -247,11 +236,13 @@ def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     """The row (broken, evaluated) of a chunk: how many replications break
     cond - c dp == cond (1 - c dp), of how many evaluated as they stop."""
     with qrng.workspace() as ws:
-        r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
+        r0 = config.law.sample(rng, count, ws)
+        nu = _change_times(rng, r0, p=config.p, ws=ws)
         at_zero = nu[r0 >= config.A]  # the runs that stop at 0, before any step
         broken, evaluated = _identity_broken(1 - at_zero, config.c), at_zero.size
+        n = mc._running(r0, config.A, ws, nu)
         for step, _, nu_s, _, below in mc._stop_times(
-                rng, r0, config.A, nu, 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
+                rng, r0[:n], config.A, nu[:n], 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
             # the runs that stop at this step; at the last, the truncated ones too
             leaving = nu_s if step == mc.DEFAULT_MAX_STEPS else nu_s[~below]
             broken += _identity_broken(step + 1 - leaving, config.c)
@@ -366,13 +357,13 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
 
 
 def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray):
-    """Weighted least squares fit y = a + b x; returns (a, se_a)."""
+    """Weighted least squares fit y = a + b x; returns (a, se_a), from the 2 x 2
+    normal equations in closed form, so no BLAS or LAPACK routine runs."""
     w = 1.0 / np.square(se)
-    design = np.column_stack([np.ones_like(x), x])
-    xtwx = design.T @ (w[:, None] * design)
-    cov = np.linalg.inv(xtwx)
-    beta = cov @ (design.T @ (w * y))
-    return float(beta[0]), float(math.sqrt(cov[0, 0]))
+    sw, swx, swy = w.sum(), np.einsum("i,i->", w, x), np.einsum("i,i->", w, y)
+    swxx, swxy = np.einsum("i,i,i->", w, x, x), np.einsum("i,i,i->", w, x, y)
+    det = sw * swxx - swx * swx
+    return float((swxx * swy - swx * swxy) / det), float(math.sqrt(swxx / det))
 
 
 @dataclass(frozen=True)

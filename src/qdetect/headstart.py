@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from . import rng as qrng
-from .montecarlo import _compact, check_threshold, mc_estimate, moment_sums
+from .montecarlo import _running, check_threshold, mc_estimate, moment_sums
 
 #: Fewest draws :func:`functionals_oracle` accepts.
 ORACLE_MIN_REPS = 10**4
@@ -268,15 +268,13 @@ def _oracle_chunk(rng: np.random.Generator, count: int, *, law: HeadStartLaw,
     head starts ``r0``, of which the ``m`` draws ``c`` lie below ``A``.
 
     The draws are summed, then the ones below ``A`` move to the front of
-    their buffer (:func:`qdetect.montecarlo._compact`) and are summed there,
+    their buffer (:func:`qdetect.montecarlo._running`) and are summed there,
     all in a borrowed workspace; only the row is new.
     """
     with qrng.workspace() as ws:
         r0 = law.sample(rng, count, ws)
         r0_sums = moment_sums(r0)
-        below = np.less(r0, A, out=ws.array("mask", bool, count))
-        m = np.count_nonzero(below)
-        _compact(below, r0)
+        m = _running(r0, A, ws)
         return (np.array([[count, m, *moment_sums(r0[:m]), *r0_sums]]),)
 
 

@@ -13,14 +13,17 @@ Replications are chunked onto per-chunk PCG64DXSM streams (see
 :mod:`qdetect.rng`), so a fixed ``(seed, reps, config)`` gives bit-identical
 output for any worker count.
 
-The kernel reduces as it steps: :func:`_stop_times` yields each step's
-running runs, and a chunk kernel adds what it needs of them to its sums.  A
-stopping index counts the steps a run took, so a sum over stopping indices
-is a sum over steps, and no run's stop is stored.  The runs still below the
-threshold move to the front of the running arrays by integer index: no
-replication-sized array is selected by a boolean mask, because the mask of
-the runs that stop at a step is close to random, and numpy's masked
-selection on such a mask costs several times ``nonzero`` plus ``take``.
+A run whose head start is at or above the threshold stops at N = 0: every
+chunk kernel drops those runs through one helper, :func:`_running`, and
+:func:`_stop_times` steps the rest.  The kernel reduces as it steps: it
+yields each step's running runs, and a chunk kernel adds what it needs of
+them to its sums.  A stopping index counts the steps a run took, so a sum
+over stopping indices is a sum over steps, and no run's stop is stored.  The
+runs still below the threshold move to the front of the running arrays by
+integer index: no replication-sized array is selected by a boolean mask,
+because the mask of the runs that stop at a step is close to random, and
+numpy's masked selection on such a mask costs several times ``nonzero`` plus
+``take``.
 
 The estimators read moment rows, not replications.  Each chunk kernel
 reduces its runs to one row of exact int64 sums (the count, the runs kept
@@ -99,13 +102,15 @@ class DelayProfile:
 def mc_estimate(n, total, total_sq, truncation_count: int = 0,
                 rejected: int = 0) -> McEstimate:
     """Mean and standard error of ``n`` values from their sum and sum of
-    squares; fewer than 2 values have no SE."""
+    squares; fewer than 2 values have no SE, and a spread within 1e-12 of the
+    sum of squares, the rounding residue of equal values, is none."""
     if n < 2:
         raise UndefinedConditionalError(
             f"{n} replication(s) survived conditioning; a standard error needs 2",
             rejected=rejected)
     mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1.0)
+    spread = total_sq - n * mean * mean
+    var = spread / (n - 1.0) if spread > 1e-12 * abs(total_sq) else 0.0
     return McEstimate(mean=float(mean), stderr=math.sqrt(var / n), reps=int(n),
                       truncation_count=truncation_count, rejected=rejected)
 
@@ -141,12 +146,23 @@ def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
         n += kept.size
 
 
+def _running(r: np.ndarray, A: float, ws: qrng.Workspace, *carry: np.ndarray) -> int:
+    """Move the runs of ``r`` below ``A``, and their entries of each array of
+    ``carry``, to the front in order and in place (:func:`_compact`, on the
+    workspace's ``mask``); return how many there are.  The others stop at 0."""
+    below = np.less(r, A, out=ws.array("mask", bool, r.size))
+    _compact(below, r, *carry)
+    return np.count_nonzero(below)
+
+
 def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
                 max_steps: int, ws: qrng.Workspace, carry: tuple = ()):
     """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r`` until ``R_n >= A``,
     stepping ``r`` in place and yielding ``(n, r, nu, post, below, *carry)``
     at each step ``n``.
 
+    Every run of ``r`` starts below ``A``: a run at or above it stops at 0
+    and takes no step, so a caller drops it first (:func:`_running`).
     Observation ``n`` is post-change when ``n >= nu``; ``nu`` is one change
     index for every replication (``math.inf``: never) or an array with one
     per replication.  Each step draws one uniform ``U`` per running
@@ -159,24 +175,20 @@ def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
     runs not below stop at ``N = n``; after step ``max_steps`` the runs
     still below are truncated there.
 
-    Runs starting at or above ``A`` stop at 0 and take no step.  A caller
-    reads them before it iterates: the runs below ``A`` then move to the
-    front of ``r``, a per-replication ``nu`` and each array of ``carry``,
-    and after each step again, in place (:func:`_compact`).  Only those
-    arrays move, so a caller that reads ``R_0`` as the runs step carries a
-    copy of it.  The kernel's own arrays live in the workspace ``ws`` (its
-    buffers ``lr``, ``mask``, and ``post`` for a per-replication ``nu``);
-    between steps a caller may overwrite ``post`` and the ``lr`` buffer.
+    After each step the runs still below ``A`` move to the front of ``r``, a
+    per-replication ``nu`` and each array of ``carry``, in place
+    (:func:`_compact`).  Only those arrays move, so a caller that reads
+    ``R_0`` as the runs step carries a copy of it.  The kernel's own arrays
+    live in the workspace ``ws`` (its buffers ``lr``, ``mask``, and ``post``
+    for a per-replication ``nu``); between steps a caller may overwrite
+    ``post`` and the ``lr`` buffer.
     """
-    count = r.size
+    n = r.size
     per_rep = np.ndim(nu) > 0
     running = (r, nu, *carry) if per_rep else (r, *carry)
-    below_buf = np.less(r, A, out=ws.array("mask", bool, count))
-    n = np.count_nonzero(below_buf)
-    lr_buf = ws.array("lr", float, count)
-    post_buf = ws.array("post", bool, count) if per_rep else None
-    if n < count:
-        _compact(below_buf, *running)
+    below_buf = ws.array("mask", bool, n)
+    lr_buf = ws.array("lr", float, n)
+    post_buf = ws.array("post", bool, n) if per_rep else None
     for step in range(1, max_steps + 1):
         if not n:
             return
@@ -208,11 +220,9 @@ def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, 
     ``law`` that start below ``A``, stepped in the head starts' own buffer;
     each step's tuple ends with the runs' ``R_0``, from a copy in the
     workspace's ``carry`` buffer.  The runs that stop at 0 are dropped before
-    the copy: every SR sum gets nothing from them."""
+    the copy (:func:`_running`): every SR sum gets nothing from them."""
     r = law.sample(rng, count, ws)
-    below = np.less(r, A, out=ws.array("mask", bool, count))
-    n = np.count_nonzero(below)
-    _compact(below, r)
+    n = _running(r, A, ws)
     r0 = ws.array("carry", float, count)[:n]
     np.copyto(r0, r[:n])
     return _stop_times(rng, r[:n], A, nu, 1.0, max_steps, ws, (r0,))

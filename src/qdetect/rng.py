@@ -11,7 +11,7 @@ generator and its arrays, kernels and head-start laws are immutable, and
 numpy releases the GIL in ``Generator.random``, in ufunc loops and in
 indexing, where a chunk spends its time; so the threads share nothing and
 really run in parallel, and no kernel or law needs to be picklable.  The
-pool's threads are the package's only parallelism: no reduction calls BLAS
+pool's threads are the package's only parallelism: nothing calls BLAS
 (see :func:`qdetect.montecarlo.moment_sums`), whose own threads would split
 a sum by the host's core count, so that its last bits depend on the host,
 and would spin after each call on the cores the pool runs on.

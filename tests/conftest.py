@@ -107,20 +107,22 @@ def record_runs(rng, r0, A, nu, q, max_steps):
     """Every run of ``montecarlo._stop_times`` from the head starts ``r0``, as
     the arrays ``(r0, n_stop, truncated, final)`` sorted by head start.
 
-    A recording consumer: it reads the runs that stop at 0 before it
-    iterates, the runs that stop at each step as the kernel yields them, and
-    the truncated runs at the last step.  ``r0`` itself is left as it is.
+    A recording consumer: it splits off the runs that stop at 0 itself, as
+    the kernel takes only the runs below ``A``, then reads the runs that stop
+    at each step as the kernel yields them, and the truncated runs at the
+    last step.  ``r0`` itself is left as it is.
     """
     r0 = np.array(r0, dtype=float)
-    nu = np.array(nu) if np.ndim(nu) else nu
+    at_zero = r0 >= A
+    stepped = r0[~at_zero]
+    nu = np.array(nu)[~at_zero] if np.ndim(nu) else nu
 
     def runs(r0_s, n_stop, truncated, final):
         return r0_s, np.full(r0_s.size, n_stop), np.full(r0_s.size, truncated), final
 
-    at_zero = r0 >= A
     parts = [runs(r0[at_zero], 0, False, r0[at_zero])]
     for step, r, _, _, below, r0_s in montecarlo._stop_times(
-            rng, r0.copy(), A, nu, q, max_steps, qrng.Workspace(), (r0,)):
+            rng, stepped.copy(), A, nu, q, max_steps, qrng.Workspace(), (stepped,)):
         parts.append(runs(r0_s[~below], step, False, r[~below]))
         if step == max_steps:
             parts.append(runs(r0_s[below], step, True, r[below]))

@@ -25,7 +25,7 @@ from qdetect import (
 )
 from qdetect import rng as qrng
 from qdetect import montecarlo as mc
-from qdetect.bayes import _bayes_chunk, _identity_chunk, _start_chunk, wls_line
+from qdetect.bayes import _bayes_chunk, _change_times, _identity_chunk, wls_line
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
 from qdetect.rng import derive_rng
 
@@ -71,8 +71,8 @@ class TestChangeTimePrior:
         # a point-mass head start fixes pi0 for every replication
         p, pi0, n = 0.3, 0.4, 10**5
         law = HeadStartLaw.point_mass(implied_headstart(p, pi0))
-        _, draws = _start_chunk(derive_rng(SEED, "test-nu", 0), n, p=p, law=law,
-                                ws=qrng.Workspace())
+        rng, ws = derive_rng(SEED, "test-nu", 0), qrng.Workspace()
+        draws = _change_times(rng, law.sample(rng, n, ws), p=p, ws=ws)
         for k in range(1, 11):
             target = pi0 if k == 1 else (1 - pi0) * p * (1 - p) ** (k - 2)
             hat = (draws == k).mean()
@@ -85,10 +85,13 @@ def _brute_force_chunk(rng: np.random.Generator, count: int, config: BayesConfig
     own drawn change times: every run draws nu, and a run that stops at 0
     scores 1{nu >= 2}."""
     with qrng.workspace() as ws:
-        r0, nu = _start_chunk(rng, count, p=config.p, law=config.law, ws=ws)
-        risks = [(nu[r0 >= config.A] > 1).astype(float)]  # read before the runs move
+        r0 = config.law.sample(rng, count, ws)
+        nu = _change_times(rng, r0, p=config.p, ws=ws)
+        stepped = r0 < config.A
+        risks = [(nu[~stepped] > 1).astype(float)]  # the runs that stop at 0
         for step, _, nu_s, _, below in mc._stop_times(
-                rng, r0, config.A, nu, 1.0 - config.p, DEFAULT_MAX_STEPS, ws):
+                rng, r0[stepped], config.A, nu[stepped], 1.0 - config.p,
+                DEFAULT_MAX_STEPS, ws):
             late = step + 1 - nu_s[~below]
             risks.append((late < 0) + config.c * np.maximum(late, 0))
         risk = np.concatenate(risks)
@@ -204,6 +207,19 @@ class TestLimitDiagnostic:
         assert a == pytest.approx(3.0, abs=1e-9)
         assert sa > 0
 
+    @pytest.mark.parametrize("x", [[0.02, 0.01, 0.005], [0.3, 0.2],
+                                   [0.05, 0.04, 0.02, 0.01]])
+    def test_wls_matches_least_squares(self, x):
+        # the closed form against LAPACK's solution of the sqrt(w)-scaled system
+        rng = derive_rng(SEED, "wls", len(x))
+        x = np.array(x)
+        y, se = 3.4 + rng.normal(0, 0.1, x.size), rng.uniform(0.005, 0.05, x.size)
+        design = np.column_stack([np.ones_like(x), x]) / se[:, None]
+        beta = np.linalg.lstsq(design, y / se, rcond=None)[0]
+        cov = np.linalg.inv(design.T @ design)
+        np.testing.assert_allclose(wls_line(x, y, se), [beta[0], math.sqrt(cov[0, 0])],
+                                   rtol=1e-12, atol=0.0)
+
     def test_rows_and_extrapolation(self):
         diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [100_000] * 3, SEED)
         assert [r.p for r in diag.rows] == [0.02, 0.01, 0.005]
@@ -224,10 +240,13 @@ class TestLimitDiagnostic:
 
     def test_zero_stderr_rejected(self):
         # a head start above A stops every run at 0, and each replication
-        # scores the same exact risk 1 - pi0
+        # scores the same exact risk 1 - pi0; at 1000 reps the sum of squares
+        # of those equal scores leaves a rounding residue, which is no spread
         law = HeadStartLaw.point_mass(4.0)
-        with pytest.raises(ConfigurationError):
-            limit_diagnostic(A, law, 0.1, [2e-6, 1e-6], [100, 100], SEED)
+        for p_grid, reps, seed in (([2e-6, 1e-6], [100, 100], SEED),
+                                   ([0.3, 0.2], [1000, 1000], 1)):
+            with pytest.raises(ConfigurationError):
+                limit_diagnostic(A, law, 0.1, p_grid, reps, seed)
 
     def test_nondecreasing_grid_rejected(self):
         with pytest.raises(ConfigurationError):

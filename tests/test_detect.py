@@ -21,8 +21,10 @@ import pytest
 from conftest import (assert_risk_row, record_runs, reference_bayes_runs,
                       reference_change_times, reference_stop_times)
 
-from qdetect import BayesConfig, HeadStartLaw, montecarlo
-from qdetect.bayes import _bayes_chunk, _start_chunk
+from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_bayes_risk,
+                     estimate_conditional_delay, estimate_e1_and_cross, identity_checks,
+                     martingale_checks, montecarlo)
+from qdetect.bayes import _bayes_chunk, _change_times
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
 from qdetect.rng import Workspace, derive_rng
 
@@ -125,6 +127,47 @@ class TestKernelsMatchReference:
         assert np.array_equal(r, (r0 + 1.0) * (2.0 * rng.random(COUNT)))
 
 
+class TestStopAtZeroSplit:
+    """The runs at or above A stop at 0: one helper drops them, and the kernel
+    only ever steps runs below A."""
+
+    def test_running_keeps_order_and_moves_carry(self):
+        # over several compaction blocks, against a boolean selection
+        r = derive_rng(SEED, "split", 0).random(3 * montecarlo._BLOCK + 5) * 3.0
+        tag = np.arange(r.size)
+        want_r, want_tag = r[r < A], tag[r < A]
+        n = montecarlo._running(r, A, Workspace(), tag)
+        assert n == want_r.size
+        assert np.array_equal(r[:n], want_r) and np.array_equal(tag[:n], want_tag)
+
+    @pytest.mark.parametrize("a, kept", [(0.05, 0), (5.0, 4)])
+    def test_running_with_no_run_or_every_run_below(self, a, kept):
+        r, tag = np.array([0.5, 2.0, 0.1, 1.5]), np.arange(4)
+        assert montecarlo._running(r, a, Workspace(), tag) == kept
+        assert r.tolist() == [0.5, 2.0, 0.1, 1.5] and tag.tolist() == [0, 1, 2, 3]
+
+    def test_every_kernel_call_gets_runs_below_a(self, monkeypatch):
+        calls = []
+        stop_times = montecarlo._stop_times
+
+        def recording(rng, r, a, *args, **kwargs):
+            calls.append((r.size, bool(np.all(r < a))))
+            return stop_times(rng, r, a, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_stop_times", recording)
+        estimate_e1_and_cross(A, LAW, 2000, SEED, 1)
+        estimate_arl_false(A, LAW, 2000, SEED, 1)
+        estimate_conditional_delay(A, LAW, 3, 2000, SEED, 1)
+        estimate_bayes_risk(BayesConfig(p=0.05, c=0.1, A=A, law=LAW), 2000, SEED, 1)
+        identity_checks(A, 0.1, 2000, SEED, 1)
+        martingale_checks(A, LAW, 2000, SEED, 1)
+        # one call per chunk: one per estimator, and martingale_checks' drift
+        # paths (A = inf) besides its optional-stopping chunk
+        assert len(calls) == 7 and all(below for _, below in calls)
+        # the yakir law starts about half the runs at or above A: they were dropped
+        assert sum(size < 2000 for size, _ in calls) == 6
+
+
 class TestStreamContract:
     """The head-start and change-time draws, against their textbook forms."""
 
@@ -141,9 +184,11 @@ class TestStreamContract:
     def test_change_time(self, p):
         law = HeadStartLaw.yakir(1.5)
         tag = f"contract/nu/{p}"
-        r0, nu = _start_chunk(derive_rng(SEED, tag, 0), COUNT, p=p, law=law,
-                              ws=Workspace())
+        rng, ws = derive_rng(SEED, tag, 0), Workspace()
+        r0 = law.sample(rng, COUNT, ws)
+        nu = _change_times(rng, r0, p=p, ws=ws)
         rng = derive_rng(SEED, tag, 0)
+        # _change_times leaves the head starts it reads intact
         assert np.array_equal(law.sample(rng, COUNT, Workspace()), r0)
         ref = reference_change_times(rng, r0, p)
         assert nu.dtype == np.int64 and np.array_equal(nu, ref)
