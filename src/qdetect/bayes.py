@@ -25,16 +25,23 @@ checks that the mean of r0 conditioned on {nu = 1} is the mean of the
 size-biased transform of the unconditional law, not the unconditional mean.
 
 The risk estimate simulates only what it cannot compute.  A run whose head
-start is at or above A stops at N = 0, where its risk is 1{nu >= 2}; it
-scores that by its conditional expectation given r0,
+start is at or above A stops at N = 0, where its risk is 1{nu >= 2}, whose
+mean given r0 is 1 - pi0 = q / (q + p (1 + r0)).  Every such run scores
+the mean of that over the head starts at or above A,
 
-    E[risk | r0] = 1 - pi0 = q / (q + p (1 + r0)),
+    h = E[risk | R_0 >= A] = E[1 - pi0(R_0) | R_0 >= A],
 
-and draws no change time (conditional Monte Carlo: the score has the same
-mean and a smaller variance).  At A = 1.5 under the uniform product law
-that is P(R_0 >= A) = 0.542 of the runs, and it cuts the per-replication
-SD of (1 - risk)/p by about a third on the small-p grid.  Only the runs
-below A draw a change time, in replication order, and step.
+two tail integrals of the law (:meth:`HeadStartLaw.tail_mean`) computed
+once per estimate (:func:`_stop_at_zero_risk`), and draws neither a head
+start nor a change time (conditional Monte Carlo on the stop-at-0
+indicator: the score has the same mean and no larger variance).  At
+A = 1.5 under the uniform product law that is P(R_0 >= A) = 0.542 of the
+runs, and it cuts the per-replication SD of (1 - risk)/p by about a third
+on the small-p grid.  Only the runs below A are drawn
+(:meth:`HeadStartLaw.sample_below`: for the uniform product law a binomial
+count of them, then that many uniforms on [0, A)); they draw a change
+time, in replication order, and step.  So the risk estimate needs the
+law's tail integral, and :class:`BayesConfig` rejects a custom law.
 
 Each chunk draws its head starts and change times, and runs its
 replications, in a workspace borrowed from the free-list of
@@ -44,8 +51,10 @@ nu = 1 and their sum and sum of squares for the conditional mean.  One
 helper, :func:`_change_times`, turns head starts into change times for
 every kernel that draws them; the conditional-mean kernel, which reads
 only {nu = 1}, draws just its first half (:func:`_first_changes`).  The
-risk and identity kernels read the runs that stop at 0 first, then drop
-them (:func:`qdetect.montecarlo._running`) and step the rest.  The
+conditional-mean and identity kernels, which check facts about the whole
+law, draw every head start with :meth:`HeadStartLaw.sample`; the identity
+kernel reads the runs that stop at 0 first, then drops them
+(:func:`qdetect.montecarlo._running`) and steps the rest.  The
 change times are cast in place over the float draws behind them, and the
 running statistics are stepped over the head starts, which nothing reads
 after the first step, so a chunk holds three chunk-sized 8-byte buffers
@@ -67,7 +76,7 @@ from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError
-from .headstart import HeadStartLaw, check_head_start, sr_exact, yakir_mean
+from .headstart import HeadStartLaw, LawKind, check_head_start, sr_exact, yakir_mean
 
 
 def check_p(p: float) -> None:
@@ -107,6 +116,10 @@ class BayesConfig:
         check_p(self.p)
         check_cost(self.c)
         mc.check_threshold(self.A)
+        if self.law.kind is LawKind.CUSTOM:  # the risk needs its tail integral
+            raise ConfigurationError(
+                "the Bayes simulation needs a point mass or the uniform product "
+                "head start, not a custom law")
 
 
 def couple_pi0(p: float, r0) -> np.ndarray:
@@ -179,16 +192,32 @@ def _change_times(rng: np.random.Generator, r0: np.ndarray, *, p: float,
     return nu
 
 
-def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
+def _stop_at_zero_risk(config: BayesConfig) -> float:
+    """h = E[1 - pi0(R_0) | R_0 >= A], the exact risk of a run that stops at 0.
+
+    Such a run's risk is 1{nu >= 2}, whose mean given r0 is
+    1 - pi0 = q / (q + p (1 + r0)); h averages it over the head starts at or
+    above A, two tail means of the law (:meth:`HeadStartLaw.tail_mean`).  A
+    law with no mass there gives 0, and no run scores it.
+    """
+    p, A, law = config.p, config.A, config.law
+    mass = law.tail_mean(np.ones_like, A)
+    if mass == 0.0:
+        return 0.0
+    return law.tail_mean(lambda r0: 1.0 - _couple(p, r0), A) / mass
+
+
+def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: float):
     """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk.
 
-    A run whose head start is at or above A stops at N = 0, and its risk
-    1{nu >= 2} is scored by its conditional expectation given r0,
-    1 - pi0 = q / (q + p (1 + r0)), which adds to the risk and miss sums
-    (its square to the risk^2 sum); no change time is drawn for it.  The
-    runs below A move to the front of the head starts, draw their change
-    times (:func:`_change_times`) in replication order, and step.  A
-    stepped run either misses (N < nu - 1) or pays the delay
+    Only the runs whose head start is below A are drawn
+    (:meth:`HeadStartLaw.sample_below`); they draw their change times
+    (:func:`_change_times`) in replication order and step.  Each of the
+    other ``count - n`` runs stops at N = 0, and its risk 1{nu >= 2} is
+    scored by its conditional expectation given that it stops there,
+    ``h`` (:func:`_stop_at_zero_risk`), which adds to the risk and miss
+    sums (h^2 to the risk^2 sum); no head start or change time is drawn
+    for it.  A stepped run either misses (N < nu - 1) or pays the delay
     dp = N - nu + 1 > 0, never both, so risk = miss + c dp and
     risk^2 = miss + c^2 dp^2, with exact integer counts and delay sums.
     They add up as the runs step: a run does not miss if nu = 1 or if it
@@ -198,17 +227,8 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     p, A, c = config.p, config.A, config.c
     dp_sum = dp_sq = trunc = 0
     with qrng.workspace() as ws:
-        r0 = config.law.sample(rng, count, ws)
-        # 1 - pi0 = q / (q + p (1 + r0)), times 0 for the runs that step: a
-        # product, as a masked copy costs several times the whole formula
-        at_zero = np.add(r0, 1.0, out=ws.array("carry", float, count))
-        at_zero *= p
-        at_zero += 1.0 - p
-        np.divide(1.0 - p, at_zero, out=at_zero)
-        at_zero *= np.greater_equal(r0, A, out=ws.array("post", bool, count))
-        zero_risk, zero_sq = mc.moment_sums(at_zero)
-        n = mc._running(r0, A, ws)
-        r0 = r0[:n]
+        r0 = config.law.sample_below(rng, count, A, ws)
+        n = r0.size
         nu = _change_times(rng, r0, p=p, ws=ws)
         hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, n)))
         for step, _, nu_s, post, below in mc._stop_times(
@@ -220,9 +240,9 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
             if step == mc.DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
     # miss, dp_sum and dp_sq are exact Python ints, and exact floats below 2**53
-    miss = n - hits
-    return (np.array([[count, miss + zero_risk + c * dp_sum,
-                       miss + zero_sq + c * c * dp_sq, miss + zero_risk, trunc]],
+    miss, at_zero = n - hits, count - n
+    return (np.array([[count, miss + at_zero * h + c * dp_sum,
+                       miss + at_zero * h * h + c * c * dp_sq, miss + at_zero * h, trunc]],
                      dtype=float),)
 
 
@@ -282,7 +302,8 @@ class BayesRiskEstimate:
 
     risk: mc.McEstimate
     # P_hat(N >= nu - 1): a run that stops at 0 adds its probability of
-    # nu = 1, pi0, where a stepped run adds 1{N >= nu - 1}
+    # nu = 1, 1 - h (the mean pi0 of the head starts at or above A), where a
+    # stepped run adds 1{N >= nu - 1}
     cond_prob: float
 
 
@@ -290,10 +311,11 @@ def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
                         workers: int = qrng.DEFAULT_WORKERS,
                         tag: str = "bayes-risk") -> BayesRiskEstimate:
     """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+, each
-    run that stops at 0 scored by its exact conditional risk 1 - pi0."""
+    run that stops at 0 scored by its exact conditional risk, the mean of
+    1 - pi0 over the head starts at or above A."""
     mc.check_reps(reps)
-    rows = qrng.run_chunked(partial(_bayes_chunk, config=config), reps, seed, tag,
-                            workers=workers)[0]
+    kernel = partial(_bayes_chunk, config=config, h=_stop_at_zero_risk(config))
+    rows = qrng.run_chunked(kernel, reps, seed, tag, workers=workers)[0]
     n, risk, risk2, miss, trunc = rows.sum(axis=0)
     return BayesRiskEstimate(
         risk=mc.mc_estimate(n, risk, risk2, truncation_count=int(trunc)),

@@ -11,6 +11,15 @@ of the density and a Monte Carlo estimate, as are the exact SR expectations
 E_1 N, E_1(R_0 N) and E_inf N (:func:`sr_exact`).
 A historically published (and wrong) variant of p0, 1 - log(A)/2, is kept
 purely so regression tests can show it fails the oracles.
+
+The law with parameter a is quasi-stationary for the pre-change chain
+(Pollak, Ann. Statist. 1985): for a threshold A <= 2 its density below A is
+the constant log(1 + a)/(2a), so P(R_0 < A) = A log(1 + a)/(2a) and
+R_0 | R_0 < A ~ U[0, A).  The simulation kernels use both sides of the
+split at A: :meth:`HeadStartLaw.sample_below` draws only the head starts
+below A, directly, and :meth:`HeadStartLaw.tail_mean` integrates over the
+ones at or above A, which stop at 0.  The oracles, which check these facts,
+draw the whole law with :meth:`HeadStartLaw.sample`.
 """
 
 from __future__ import annotations
@@ -99,6 +108,54 @@ class HeadStartLaw:
         out[...] = draws
         check_head_start(out)
         return out
+
+    def sample_below(self, rng: np.random.Generator, count: int, A: float,
+                     ws: qrng.Workspace) -> np.ndarray:
+        """The head starts of the runs of ``count`` that start below ``A``;
+        the others stop at 0.
+
+        They have the law of the draws of :meth:`sample` that
+        :func:`qdetect.montecarlo._running` keeps, and they land in the
+        ``"r0"`` buffer of the workspace ``ws``.  A point mass draws nothing
+        and returns all of its runs or none.  For A <= 2 the uniform product
+        law is quasi-stationary below A: its density there is the constant
+        log(1 + a)/(2a), so ``yakir(a)`` draws how many runs start below A,
+        ``rng.binomial(count, A log(1 + a)/(2a))``, then that many
+        ``rng.random() * A``.  Any other law draws :meth:`sample` and drops
+        the runs at or above A (``_running``, on the workspace's ``mask``).
+        """
+        if self.kind is LawKind.POINT_MASS:
+            out = ws.array("r0", float, count if self.r0 < A else 0)
+            out.fill(self.r0)
+            return out
+        if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT and A <= 2.0:
+            a = self.a_param
+            m = int(rng.binomial(count, A * math.log1p(a) / (2.0 * a)))
+            r0 = rng.random(m, out=ws.array("r0", float, m))
+            r0 *= A
+            return r0
+        r0 = self.sample(rng, count, ws)
+        return r0[:_running(r0, A, ws)]
+
+    def tail_mean(self, fn: Callable, A: float) -> float:
+        """E[fn(R_0); R_0 >= A], the mean of ``fn`` over the runs that stop at 0.
+
+        ``fn`` maps an array of head starts to an array of values.  A point
+        mass gives its exact value; the uniform product law integrates
+        ``fn`` times its density by the Gauss-Legendre rule
+        (:func:`_gauss_legendre`) on the smooth pieces of [A, 2(a + 1)],
+        split at 2 (the density is 0 beyond 2(a + 1), so a threshold there
+        gives 0).  A custom law has no density here, and raises
+        :class:`ConfigurationError`.
+        """
+        if self.kind is LawKind.POINT_MASS:
+            return float(fn(np.array([self.r0]))[0]) if self.r0 >= A else 0.0
+        if self.kind is LawKind.CUSTOM:
+            raise ConfigurationError("a custom head-start law has no tail integral")
+        a = self.a_param
+        top = 2.0 * (a + 1.0)
+        return _gauss_legendre(lambda x: fn(x) * yakir_density(a, x),
+                               [A, 2.0, top] if A < 2.0 else [A, top])
 
 
 def check_head_start(r0) -> None:
@@ -248,10 +305,10 @@ def _gauss_legendre(fn: Callable, breaks: Sequence[float]) -> float:
 
 
 def p0_quadrature(A: float) -> float:
-    """Tail mass P(R_0 >= A): the density integrated by the Gauss-Legendre
-    rule on its smooth pieces [A, 2] and [2, 2(A+1)]."""
-    _check_threshold(A)
-    return _gauss_legendre(partial(yakir_density, A), [A, 2.0, 2.0 * (A + 1.0)])
+    """Tail mass P(R_0 >= A): the tail mean of 1 at A
+    (:meth:`HeadStartLaw.tail_mean`), the density integrated by the
+    Gauss-Legendre rule on its smooth pieces [A, 2] and [2, 2(A+1)]."""
+    return HeadStartLaw.yakir(A).tail_mean(np.ones_like, A)
 
 
 def mu0_quadrature(A: float) -> float:

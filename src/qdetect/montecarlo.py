@@ -13,9 +13,13 @@ Replications are chunked onto per-chunk PCG64DXSM streams (see
 :mod:`qdetect.rng`), so a fixed ``(seed, reps, config)`` gives bit-identical
 output for any worker count.
 
-A run whose head start is at or above the threshold stops at N = 0: every
-chunk kernel drops those runs through one helper, :func:`_running`, and
-:func:`_stop_times` steps the rest.  The kernel reduces as it steps: it
+A run whose head start is at or above the threshold stops at N = 0, and
+:func:`_stop_times` steps only the others.  The SR and Bayes risk kernels
+draw only those others (:meth:`HeadStartLaw.sample_below`; for the uniform
+product law, a binomial count of them and then that many uniforms below
+the threshold); a kernel that must see every head start, as the oracles
+do, draws the whole law and drops the runs at or above the threshold
+through one helper, :func:`_running`.  The kernel reduces as it steps: it
 yields each step's running runs, and a chunk kernel adds what it needs of
 them to its sums.  A stopping index counts the steps a run took, so a sum
 over stopping indices is a sum over steps, and no run's stop is stored.  The
@@ -39,8 +43,9 @@ writes each one through ``out=``, compacts them in place a block of
 :data:`_BLOCK` entries at a time, and returns only the row, so a warm chunk
 allocates nothing chunk-sized.  The kernel steps the running statistics in
 the head starts' own buffer and compacts only the per-run arrays its caller
-passes; the SR kernels pass a copy of the head starts, for the cross term,
-so an SR chunk holds three chunk-sized float buffers and a mask.  A
+passes; the SR kernels pass a copy of the head starts below the threshold,
+for the cross term, so an SR chunk holds three chunk-sized float buffers
+and a mask.  A
 replication leaves its chunk only as part of a row: :func:`_sr_sums` is the
 one driver of the SR chunk kernels, and it returns their rows summed over
 the chunks.
@@ -219,13 +224,13 @@ def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, 
     """:func:`_stop_times` over the SR runs of ``count`` head starts from
     ``law`` that start below ``A``, stepped in the head starts' own buffer;
     each step's tuple ends with the runs' ``R_0``, from a copy in the
-    workspace's ``carry`` buffer.  The runs that stop at 0 are dropped before
-    the copy (:func:`_running`): every SR sum gets nothing from them."""
-    r = law.sample(rng, count, ws)
-    n = _running(r, A, ws)
-    r0 = ws.array("carry", float, count)[:n]
-    np.copyto(r0, r[:n])
-    return _stop_times(rng, r[:n], A, nu, 1.0, max_steps, ws, (r0,))
+    workspace's ``carry`` buffer.  Only the runs below ``A`` are drawn
+    (:meth:`HeadStartLaw.sample_below`): the others stop at 0, and every
+    SR sum gets nothing from them."""
+    r = law.sample_below(rng, count, A, ws)
+    r0 = ws.array("carry", float, r.size)
+    np.copyto(r0, r)
+    return _stop_times(rng, r, A, nu, 1.0, max_steps, ws, (r0,))
 
 
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
@@ -305,9 +310,11 @@ def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
     :func:`_optional_stopping_chunk`), each summed over the chunks.
 
     ``change_index`` is a positive integer, or ``None`` for no change.  The
-    stream tag ``sr/k=<change_index>`` encodes the scenario but deliberately
-    not the threshold, so runs at different ``A`` with the same seed share
-    head starts and can be compared under common random numbers.
+    stream tag ``sr/k=<change_index>`` encodes the scenario but not the
+    threshold, so runs at different ``A`` with the same seed start from the
+    same generator state.  They do not share head starts: how many uniforms
+    the count of runs below ``A`` takes (:meth:`HeadStartLaw.sample_below`)
+    depends on ``A``, so the draws after it fall out of step.
     """
     check_threshold(A)
     reps = check_reps(reps)

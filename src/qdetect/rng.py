@@ -27,8 +27,10 @@ locked free-list (:func:`workspace`); :func:`run_chunked` still calls it as
 as many workspaces as chunks ever ran at once, up to :data:`FREE_LIST_MAX`,
 so a warm chunk allocates nothing chunk-sized.  A workspace holds at most
 three 8-byte chunk-sized buffers and two masks (6.5 MiB at
-:data:`CHUNK_SIZE`): the head starts, which become the running statistics
-where nothing reads them after the first step; the likelihood ratios; the
+:data:`CHUNK_SIZE`): the head starts (in the SR and Bayes risk kernels only
+the ones below the threshold, the only ones drawn), which become the
+running statistics where nothing reads them after the first step; the
+likelihood ratios; the
 caller's per-run array (the change times of the Bayes runs that start below
 the threshold, the only ones that draw one, or a copy of the head starts);
 and the running and post-change masks.  Every kernel of the package returns

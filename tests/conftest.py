@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from qdetect import couple_pi0, montecarlo, rng as qrng
+from qdetect import bayes, couple_pi0, montecarlo, rng as qrng
 
 acceptance_report = []
 
@@ -66,63 +66,65 @@ def reference_change_times(rng, r0, p):
 
 def reference_bayes_runs(rng, law, count, A, p, max_steps):
     """The Bayes runs of ``count`` head starts from ``law`` in the draw order of
-    ``bayes._bayes_chunk``: ``(r0, stepped, nu, n_stop, truncated, final)``.
+    ``bayes._bayes_chunk``: ``(stepped, nu, n_stop, truncated, final)``.
 
-    Only the head starts below ``A`` (``stepped``, in replication order)
-    draw change times and step; ``nu`` and the reference's stopping indices
-    are theirs, and the others stop at 0 with no draw.
+    Only the head starts below ``A`` are drawn (``law.sample_below``, in
+    replication order); they draw change times and step, and ``nu`` and
+    the reference's stopping indices are theirs.  The other runs of
+    ``count`` stop at 0 with no draw.
     """
-    r0 = law.sample(rng, count, qrng.Workspace())
-    stepped = r0[r0 < A]
+    stepped = law.sample_below(rng, count, A, qrng.Workspace()).copy()
     nu = reference_change_times(rng, stepped, p)
-    return (r0, stepped, nu,
-            *reference_stop_times(rng, stepped, A, nu, 1.0 - p, max_steps))
+    return (stepped, nu, *reference_stop_times(rng, stepped, A, nu, 1.0 - p, max_steps))
 
 
-def assert_risk_row(row, r0, nu, n_stop, truncated, A, p, c):
+def assert_risk_row(row, count, nu, n_stop, truncated, config):
     """The Bayes risk row ``(n, sum risk, sum risk^2, sum miss, truncated)``
-    of a chunk against the reference runs of :func:`reference_bayes_runs`.
+    of a chunk of ``count`` runs against the stepped runs of
+    :func:`reference_bayes_runs`.
 
-    A stepped run adds its miss and ``c`` times its delay; a run that stops
-    at 0 adds ``1 - pi0 = q / (q + p (1 + r0))`` to the risk and miss sums and
-    its square to the risk^2 sum, here summed by ``math.fsum``.  The count
-    and truncations must match exactly, the sums to 1e-12 relative: on sums
-    below 1e5 that is far below the 0.01 that one miss or one unit of delay
-    moves them by at c = 0.1, so the misses and delay sums of the stepped
-    runs are pinned exactly too.
+    A stepped run adds its miss and ``c`` times its delay; the ``count - n``
+    runs that stop at 0 add ``(count - n) h`` to the risk and miss sums and
+    ``(count - n) h^2`` to the risk^2 sum, with ``h`` the mean of
+    ``1 - pi0`` over the head starts at or above ``A``
+    (``bayes._stop_at_zero_risk``).  The count and truncations must match
+    exactly, the sums to 1e-12 relative: on sums below 1e5 that is far
+    below the 0.01 that one miss or one unit of delay moves them by at
+    c = 0.1, so the misses and delay sums of the stepped runs are pinned
+    exactly too.
     """
     late = n_stop - nu + 1
     miss, dp = np.count_nonzero(late < 0), np.maximum(late, 0)
-    zero = [(1.0 - p) / (1.0 - p + p * (1.0 + r)) for r in r0 if r >= A]
-    s1, s2 = math.fsum(zero), math.fsum(x * x for x in zero)
+    h, c = bayes._stop_at_zero_risk(config), config.c
+    at_zero = count - nu.size
     ((n, risk, risk_sq, miss_sum, trunc),) = row.tolist()
-    assert (n, trunc) == (len(r0), truncated.sum())
+    assert (n, trunc) == (count, truncated.sum())
     np.testing.assert_allclose(
         [risk, risk_sq, miss_sum],
-        [miss + s1 + c * int(dp.sum()), miss + s2 + c * c * int(dp @ dp), miss + s1],
+        [miss + at_zero * h + c * int(dp.sum()), miss + at_zero * h * h + c * c * int(dp @ dp),
+         miss + at_zero * h],
         rtol=1e-12, atol=0.0)
 
 
 def record_runs(rng, r0, A, nu, q, max_steps):
-    """Every run of ``montecarlo._stop_times`` from the head starts ``r0``, as
-    the arrays ``(r0, n_stop, truncated, final)`` sorted by head start.
+    """Every run of ``montecarlo._stop_times`` from the head starts ``r0``, all
+    below ``A``, as the arrays ``(r0, n_stop, truncated, final)`` sorted by
+    head start.
 
-    A recording consumer: it splits off the runs that stop at 0 itself, as
-    the kernel takes only the runs below ``A``, then reads the runs that stop
-    at each step as the kernel yields them, and the truncated runs at the
-    last step.  ``r0`` itself is left as it is.
+    A recording consumer: it reads the runs that stop at each step as the
+    kernel yields them, and the truncated runs at the last step.  ``r0``
+    and a per-run ``nu``, which the kernel compacts, are left as they are.
     """
     r0 = np.array(r0, dtype=float)
-    at_zero = r0 >= A
-    stepped = r0[~at_zero]
-    nu = np.array(nu)[~at_zero] if np.ndim(nu) else nu
+    assert (r0 < A).all()  # the kernel takes only the runs below A
+    nu = np.array(nu) if np.ndim(nu) else nu
 
     def runs(r0_s, n_stop, truncated, final):
         return r0_s, np.full(r0_s.size, n_stop), np.full(r0_s.size, truncated), final
 
-    parts = [runs(r0[at_zero], 0, False, r0[at_zero])]
+    parts = []
     for step, r, _, _, below, r0_s in montecarlo._stop_times(
-            rng, stepped.copy(), A, nu, q, max_steps, qrng.Workspace(), (stepped,)):
+            rng, r0.copy(), A, nu, q, max_steps, qrng.Workspace(), (r0.copy(),)):
         parts.append(runs(r0_s[~below], step, False, r[~below]))
         if step == max_steps:
             parts.append(runs(r0_s[below], step, True, r[below]))

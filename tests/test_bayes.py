@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from conftest import assert_risk_row, kernel_paths, reference_bayes_runs
 
@@ -21,11 +22,13 @@ from qdetect import (
     limit_predictions,
     size_biased_mean,
     sr_exact,
+    yakir_density,
     yakir_mean,
 )
 from qdetect import rng as qrng
 from qdetect import montecarlo as mc
-from qdetect.bayes import _bayes_chunk, _change_times, _identity_chunk, wls_line
+from qdetect.bayes import (_bayes_chunk, _change_times, _identity_chunk, _stop_at_zero_risk,
+                           wls_line)
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
 from qdetect.rng import derive_rng
 
@@ -104,7 +107,8 @@ class TestBayesRule:
         p, count = 0.3, 1000
         config = BayesConfig(p=p, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
         rng = derive_rng(SEED, "test-stop0", 0)
-        n, risk, risk_sq, miss, trunc = _bayes_chunk(rng, count, config)[0][0]
+        n, risk, risk_sq, miss, trunc = _bayes_chunk(
+            rng, count, config, _stop_at_zero_risk(config))[0][0]
         assert (rng.bit_generator.state
                 == derive_rng(SEED, "test-stop0", 0).bit_generator.state)
         miss_prob = 1.0 - float(couple_pi0(p, 2.0))
@@ -115,7 +119,7 @@ class TestBayesRule:
     def test_outcome_invariants(self):
         # the stepped runs of chunk 0 of the stream, in the Bayes chunk's draw order
         p = 0.05
-        r0, _, nu, n_stop, truncated, _ = reference_bayes_runs(
+        _, nu, n_stop, truncated, _ = reference_bayes_runs(
             derive_rng(SEED, "test-invariants", 0), LAW, 20_000, A, p, DEFAULT_MAX_STEPS)
         delay_plus = np.maximum(0, n_stop - nu + 1)
         missed = n_stop < nu - 1
@@ -124,8 +128,9 @@ class TestBayesRule:
         for c in (0.1, 0.0):
             # the reduced row of the same stream, against these runs' row
             config = BayesConfig(p=p, c=c, A=A, law=LAW)
-            (row,) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config)
-            assert_risk_row(row, r0, nu, n_stop, truncated, A, p, c)
+            (row,) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config,
+                                  _stop_at_zero_risk(config))
+            assert_risk_row(row, 20_000, nu, n_stop, truncated, config)
             if c == 0:
                 assert row[0, 1] == row[0, 3]  # the risk is the miss probability
 
@@ -157,6 +162,32 @@ class TestBayesRule:
     def test_non_finite_config(self, c, a):
         with pytest.raises(ConfigurationError):
             BayesConfig(p=0.02, c=c, A=a, law=LAW)
+
+
+class TestStopAtZeroRisk:
+    @pytest.mark.parametrize("a, a_stop, p", [(1.5, 1.5, 0.005), (1.5, 1.5, 0.3),
+                                              (0.3, 0.3, 0.02), (1.98, 1.98, 0.01),
+                                              (1.5, 1.9, 0.05)])
+    def test_matches_adaptive_quadrature(self, a, a_stop, p):
+        # E[1 - pi0(R_0) | R_0 >= A], both tail integrals split at the kink x = 2
+        def tail(fn):
+            return integrate.quad(lambda x: fn(x) * yakir_density(a, x), a_stop,
+                                  2.0 * (a + 1.0), points=[2.0], limit=200,
+                                  epsabs=0.0, epsrel=1e-13)[0]
+        want = tail(lambda x: 1.0 - couple_pi0(p, x)) / tail(lambda x: 1.0)
+        config = BayesConfig(p=p, c=0.1, A=a_stop, law=HeadStartLaw.yakir(a))
+        assert _stop_at_zero_risk(config) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r0, want", [(2.0, 0.7 / 1.6), (1.0, 0.0)])
+    def test_point_mass(self, r0, want):
+        # every run at or above A scores 1 - pi0(r0); with none there, h is 0
+        config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(r0))
+        assert _stop_at_zero_risk(config) == pytest.approx(want, rel=1e-15)
+
+    def test_custom_law_rejected(self):
+        law = HeadStartLaw.custom(lambda rng, size: rng.random(size))
+        with pytest.raises(ConfigurationError, match="custom"):
+            BayesConfig(p=0.02, c=0.1, A=A, law=law)
 
 
 class TestRiskEstimate:

@@ -5,12 +5,13 @@ or the Bayes recursion (``q = 1 - p``) one replication at a time with
 ``math`` arithmetic, drawing the uniforms as ``montecarlo._stop_times`` does.
 ``conftest.record_runs`` records every run the kernel yields, and the two
 are matched by head start, which is unique under the uniform-product law.
-The Bayes runs follow the draw order of ``bayes._bayes_chunk``: only the
-head starts below A draw change times and step
-(``conftest.reference_bayes_runs``).  The Bayes risk row is checked against
-the row of the reference paths here, with the exact risk of the runs that
-stop at 0, the SR moment row in ``test_workspace.py``.  ``TestStreamContract`` checks
-the head-start and change-time draws against their textbook forms.
+The runs follow the draw order of the chunk kernels: only the head starts
+below A are drawn (``HeadStartLaw.sample_below``), and in the Bayes runs
+(``conftest.reference_bayes_runs``) they draw change times before they
+step.  The Bayes risk row is checked against the row of the reference
+paths here, with the exact risk of the runs that stop at 0, the SR moment
+row in ``test_workspace.py``.  ``TestStreamContract`` checks the head-start
+and change-time draws against their textbook forms.
 """
 
 import math
@@ -24,7 +25,7 @@ from conftest import (assert_risk_row, record_runs, reference_bayes_runs,
 from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_bayes_risk,
                      estimate_conditional_delay, estimate_e1_and_cross, identity_checks,
                      martingale_checks, montecarlo)
-from qdetect.bayes import _bayes_chunk, _change_times
+from qdetect.bayes import _bayes_chunk, _change_times, _stop_at_zero_risk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
 from qdetect.rng import Workspace, derive_rng
 
@@ -35,31 +36,32 @@ LAW = HeadStartLaw.yakir(A)
 
 
 def _reference_runs(tag, max_steps, change_index=None):
-    """The head starts of chunk 0 of ``tag``, the kernel's recorded SR runs on
-    them, and the reference's ``(n_stop, truncated, final)`` of the same runs,
-    in replication order."""
+    """The head starts below A of chunk 0 of ``tag``, in the draw order of
+    ``montecarlo._sr_runs``, the kernel's recorded SR runs on them, and the
+    reference's ``(n_stop, truncated, final)`` of the same runs, in
+    replication order."""
     rng = derive_rng(SEED, tag, 0)
-    r0 = LAW.sample(rng, COUNT, Workspace())
+    r0 = LAW.sample_below(rng, COUNT, A, Workspace()).copy()
     nu = math.inf if change_index is None else change_index
     recorded = record_runs(rng, r0, A, nu, 1.0, max_steps)
     rng = derive_rng(SEED, tag, 0)
-    LAW.sample(rng, COUNT, Workspace())
+    LAW.sample_below(rng, COUNT, A, Workspace())
     return r0, recorded, reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
 
 
 def _bayes_runs(tag, p, max_steps):
     """The Bayes runs of chunk 0 of ``tag`` in the draw order of
-    ``_bayes_chunk``: the head starts, the stepped ones (below A) with their
-    change times, the kernel's recorded runs of those, and the reference's
+    ``_bayes_chunk``: the head starts below A with their change times, the
+    kernel's recorded runs of those, and the reference's
     ``(n_stop, truncated, final)`` of the same runs."""
-    r0, stepped, nu, *ref = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, COUNT,
-                                                 A, p, max_steps)
+    stepped, nu, *ref = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, COUNT,
+                                             A, p, max_steps)
     rng = derive_rng(SEED, tag, 0)
-    LAW.sample(rng, COUNT, Workspace())
+    LAW.sample_below(rng, COUNT, A, Workspace())
     rng.random(stepped.size)  # the two uniforms behind each change time
     rng.random(stepped.size)
     recorded = record_runs(rng, stepped, A, nu, 1.0 - p, max_steps)
-    return r0, stepped, nu, recorded, ref
+    return stepped, nu, recorded, ref
 
 
 def _assert_paths_match(r0, recorded, ref):
@@ -73,14 +75,15 @@ def _assert_paths_match(r0, recorded, ref):
     np.testing.assert_allclose(rec_final, ref_final, rtol=1e-12, atol=0.0)
 
 
-def _assert_bayes_rows_match(tag, p, r0, nu, ref):
+def _assert_bayes_rows_match(tag, p, nu, ref):
     """The risk rows of the chunk at c = 0.1 and 0 against the rows of the
     reference's runs (``conftest.assert_risk_row``)."""
     n_stop, truncated, _ = ref
     for c in (0.1, 0.0):
-        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT,
-                              BayesConfig(p=p, c=c, A=A, law=LAW))
-        assert_risk_row(row, r0, nu, n_stop, truncated, A, p, c)
+        config = BayesConfig(p=p, c=c, A=A, law=LAW)
+        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config,
+                              _stop_at_zero_risk(config))
+        assert_risk_row(row, COUNT, nu, n_stop, truncated, config)
 
 
 class TestKernelsMatchReference:
@@ -96,20 +99,20 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_bayes_chunk(self, p):
         tag = f"ref/bayes/{p}"
-        r0, stepped, nu, recorded, ref = _bayes_runs(tag, p, DEFAULT_MAX_STEPS)
+        stepped, nu, recorded, ref = _bayes_runs(tag, p, DEFAULT_MAX_STEPS)
         _assert_paths_match(stepped, recorded, ref)
-        _assert_bayes_rows_match(tag, p, r0, nu, ref)
-        assert (nu > 1).any() and (nu == 1).any() and (r0 >= A).any()
+        _assert_bayes_rows_match(tag, p, nu, ref)
+        assert (nu > 1).any() and (nu == 1).any() and 0 < stepped.size < COUNT
 
     @pytest.mark.parametrize("max_steps", [1, 2])
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_bayes_truncation(self, p, max_steps, monkeypatch):
         # the per-replication change index path, cut off after one or two steps
         tag = f"ref/bayes/{p}/{max_steps}"
-        r0, stepped, nu, recorded, ref = _bayes_runs(tag, p, max_steps)
+        stepped, nu, recorded, ref = _bayes_runs(tag, p, max_steps)
         _assert_paths_match(stepped, recorded, ref)
         monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
-        _assert_bayes_rows_match(tag, p, r0, nu, ref)
+        _assert_bayes_rows_match(tag, p, nu, ref)
         assert ref[1].any() and (nu <= max_steps).any()
 
     def test_single_step_in_place(self):
@@ -164,7 +167,8 @@ class TestStopAtZeroSplit:
         # one call per chunk: one per estimator, and martingale_checks' drift
         # paths (A = inf) besides its optional-stopping chunk
         assert len(calls) == 7 and all(below for _, below in calls)
-        # the yakir law starts about half the runs at or above A: they were dropped
+        # the yakir law starts about half the runs at or above A: they were
+        # never drawn (SR, Bayes risk) or were dropped (identity check)
         assert sum(size < 2000 for size, _ in calls) == 6
 
 
@@ -179,6 +183,16 @@ class TestStreamContract:
         rng = derive_rng(SEED, tag, 0)
         ref = (rng.uniform(0, a, COUNT) + 1) * rng.uniform(0, 2, COUNT)
         assert np.array_equal(sample, ref)
+
+    @pytest.mark.parametrize("a, a_stop", [(0.3, 0.3), (1.5, 1.5), (1.98, 1.98), (1.5, 1.9)])
+    def test_head_start_sample_below(self, a, a_stop):
+        # how many runs start below A, then that many uniforms on [0, A)
+        tag = f"contract/below/{a}/{a_stop}"
+        below = HeadStartLaw.yakir(a).sample_below(derive_rng(SEED, tag, 0), COUNT,
+                                                    a_stop, Workspace())
+        rng = derive_rng(SEED, tag, 0)
+        m = rng.binomial(COUNT, a_stop * math.log1p(a) / (2.0 * a))
+        assert np.array_equal(below, rng.random(m) * a_stop)
 
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_change_time(self, p):

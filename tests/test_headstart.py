@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import Legendre
-from scipy import integrate
+from scipy import integrate, stats
 
 from qdetect import (
     ConfigurationError,
     HeadStartLaw,
     UndefinedConditionalError,
+    conditional_headstart_diagnostic,
     estimate_e1_delay,
     functionals_oracle,
+    identity_checks,
+    oracle_checks,
     mu0_exact,
     mu0_quadrature,
     p0_exact,
@@ -187,6 +190,75 @@ class TestSampling:
             estimate_e1_delay(1.5, law, 1000, 1)
         with pytest.raises(ConfigurationError, match="shape"):
             functionals_oracle(law, 1.5, 10**4, 7)
+
+
+class TestSampleBelow:
+    """``sample_below`` has the law of ``sample`` then ``montecarlo._running``."""
+
+    N = 10**6
+
+    @pytest.mark.parametrize("a, a_stop", [(0.3, 0.3), (1.5, 1.5), (1.98, 1.98), (1.5, 1.9)])
+    def test_yakir_matches_sample_then_running(self, a, a_stop):
+        law = HeadStartLaw.yakir(a)
+        below = law.sample_below(np.random.default_rng(11), self.N, a_stop, Workspace()).copy()
+        # the count below A: binomial, its mass the density integrated on [0, A)
+        mass = integrate.quad(lambda x: yakir_density(a, x), 0.0, a_stop)[0]
+        se = math.sqrt(self.N * mass * (1.0 - mass))
+        assert abs(below.size - self.N * mass) <= 4.0 * se
+        draws = law.sample(np.random.default_rng(12), self.N, Workspace())
+        assert stats.ks_2samp(below, draws[draws < a_stop]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("r0, kept", [(1.0, N), (2.0, 0)])
+    def test_point_mass_keeps_every_run_or_none(self, r0, kept):
+        rng = np.random.default_rng(13)
+        below = HeadStartLaw.point_mass(r0).sample_below(rng, self.N, 1.5, Workspace())
+        assert below.size == kept and (below == r0).all()
+        assert rng.bit_generator.state == np.random.default_rng(13).bit_generator.state
+
+    @pytest.mark.parametrize("law, a_stop", [
+        (HeadStartLaw.yakir(1.5), 3.0),
+        (HeadStartLaw.custom(lambda rng, size: 4.0 * rng.random(size)), 1.5),
+    ], ids=["yakir-A>2", "custom"])
+    def test_other_laws_draw_sample_then_running(self, law, a_stop):
+        below = law.sample_below(np.random.default_rng(14), 10**4, a_stop, Workspace())
+        draws = law.sample(np.random.default_rng(14), 10**4, Workspace())
+        assert 0 < below.size < 10**4 and np.array_equal(below, draws[draws < a_stop])
+
+
+class TestTailMean:
+    @pytest.mark.parametrize("a, a_stop", [(1.5, 1.5), (0.3, 0.3), (1.5, 1.9), (1.5, 2.5)])
+    def test_yakir_matches_adaptive_quadrature(self, a, a_stop):
+        def fn(x):
+            return np.exp(-x) / (1.0 + x)
+        want = integrate.quad(lambda x: fn(x) * yakir_density(a, x), a_stop, 2.0 * (a + 1.0),
+                              points=[2.0] if a_stop < 2.0 else None, limit=200)[0]
+        got = HeadStartLaw.yakir(a).tail_mean(fn, a_stop)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_yakir_with_no_mass_at_or_above_a(self):
+        assert HeadStartLaw.yakir(1.5).tail_mean(np.ones_like, 5.0) == 0.0
+
+    @pytest.mark.parametrize("r0, want", [(2.0, 1.0 / 3.0), (1.5, 0.4), (1.0, 0.0)])
+    def test_point_mass_is_exact(self, r0, want):
+        assert HeadStartLaw.point_mass(r0).tail_mean(lambda x: 1.0 / (1.0 + x), 1.5) == want
+
+    def test_custom_law_has_no_tail_integral(self):
+        law = HeadStartLaw.custom(lambda rng, size: rng.random(size))
+        with pytest.raises(ConfigurationError, match="custom"):
+            law.tail_mean(np.ones_like, 1.5)
+
+
+class TestOraclesDrawTheFullLaw:
+    def test_oracles_never_sample_below(self, monkeypatch):
+        # the p0 and mu0 oracles check the fact sample_below draws from, so
+        # they, the conditional mean and the identity check draw law.sample
+        def fail(*args, **kwargs):
+            raise AssertionError("an oracle drew through sample_below")
+
+        monkeypatch.setattr(HeadStartLaw, "sample_below", fail)
+        assert all(ok for _, ok, _, _ in oracle_checks(1.5, 10**5, 3, workers=1))
+        conditional_headstart_diagnostic(HeadStartLaw.yakir(1.5), 0.01, 10**5, 3, workers=1)
+        assert all(ok for _, ok, _, _ in identity_checks(1.5, 0.1, 10**4, 3, workers=1))
 
 
 class TestOracle:

@@ -296,25 +296,25 @@ class TestGoldenOutputs:
     def test_sr_estimators(self):
         e1, cross = estimate_e1_and_cross(A, LAW, self.REPS, SEED)
         arl = estimate_arl_false(A, LAW, self.REPS, SEED)
-        assert self._hex(e1) == ("0x1.290b9af72015ep-1", "0x1.5df5da210eaddp-10", 0, 0)
+        assert self._hex(e1) == ("0x1.29a176ddaceeep-1", "0x1.5e88cd019073dp-10", 0, 0)
         # per-step float sums of R_0 and R_0^2, added in step and chunk order
-        assert self._hex(cross) == ("0x1.a2c3596bcaf41p-2", "0x1.205df81a4cdfap-10", 0, 0)
-        assert self._hex(arl) == ("0x1.b19343cd6d94ep-1", "0x1.2af88d501aa0bp-9", 0, 0)
+        assert self._hex(cross) == ("0x1.a274901a9252dp-2", "0x1.20202be86d4a1p-10", 0, 0)
+        assert self._hex(arl) == ("0x1.aff9026e27b43p-1", "0x1.2a5184a93b05dp-9", 0, 0)
 
     def test_delay_profile(self):
         profile = delay_profile(A, LAW, 4, self.REPS, SEED)
         assert {k: self._hex(e) for k, e in profile.entries.items()} == {
-            1: ("0x1.290b9af72015ep-1", "0x1.5df5da210eaddp-10", 0, 0),
-            2: ("0x1.29734353ab1a0p-1", "0x1.02b7092a82f1cp-9", 0, 162644),
-            3: ("0x1.26b3de48433ddp-1", "0x1.7c902a2eafc6ap-9", 0, 236679),
-            4: ("0x1.2a3b87ab2a00cp-1", "0x1.196a04d250d45p-8", 0, 271007),
+            1: ("0x1.29a176ddaceeep-1", "0x1.5e88cd019073dp-10", 0, 0),
+            2: ("0x1.2a23b7193d072p-1", "0x1.01f42dfefe48ap-9", 0, 162163),
+            3: ("0x1.29d345c61a634p-1", "0x1.7dc417e9b00f1p-9", 0, 237018),
+            4: ("0x1.2c1d8e9d98c2fp-1", "0x1.1bcb9c55e3357p-8", 0, 270933),
         }
 
     @pytest.mark.parametrize("p, risk_hex, cond_prob_hex", [
-        (0.3, ("0x1.9d3d55dc8301cp-2", "0x1.1f0f5d711aea3p-11", 0, 0),
-         "0x1.3e72a3a70632cp-1"),
-        (0.005, ("0x1.f757f8ca1aa6fp-1", "0x1.36dfd85c3ead4p-13", 0, 0),
-         "0x1.21184c33fe400p-6"),
+        (0.3, ("0x1.9d46373e2dc17p-2", "0x1.1c3bd70113e73p-11", 0, 0),
+         "0x1.3e46bf13e0e73p-1"),
+        (0.005, ("0x1.f73d7477d58e6p-1", "0x1.3a31dbac88f71p-13", 0, 0),
+         "0x1.244316cf77ba0p-6"),
     ], ids=["p=0.3", "p=0.005"])
     def test_bayes_risk(self, p, risk_hex, cond_prob_hex):
         est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), self.REPS, SEED)

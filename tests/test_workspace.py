@@ -127,8 +127,10 @@ class TestMomentRows:
         tag = f"rows/{change_index}/{max_steps}"
         ints, floats = _sr_moments(derive_rng(SEED, tag, 0), self.COUNT, A=A, law=LAW,
                                    change_index=change_index, max_steps=max_steps)
+        # only the runs below A are drawn; the others stop at 0 and add
+        # nothing but their count, and that only at lag 0
         rng = derive_rng(SEED, tag, 0)
-        r0 = LAW.sample(rng, self.COUNT, Workspace())
+        r0 = LAW.sample_below(rng, self.COUNT, A, Workspace()).copy()
         nu = math.inf if change_index is None else change_index
         n_stop, truncated, _ = reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
         lag = 0 if change_index is None else change_index - 1
@@ -136,8 +138,9 @@ class TestMomentRows:
         d = n_stop[kept] - lag
         # a truncated run counts only if it is kept: at max_steps = 1 and
         # lag 2 every truncated run stops too early
-        assert ints.tolist() == [[self.COUNT, kept.sum(), d.sum(), d @ d,
-                                  (truncated & kept).sum()]]
+        assert 0 < r0.size < self.COUNT
+        assert ints.tolist() == [[self.COUNT, self.COUNT if lag == 0 else kept.sum(),
+                                  d.sum(), d @ d, (truncated & kept).sum()]]
         if max_steps == 1:
             assert truncated.any()
         # the kernel adds R_0 and (2s - 1) R_0^2 at each step s: the same
