@@ -38,7 +38,7 @@ indicator: the score has the same mean and no larger variance).  At
 A = 1.5 under the uniform product law that is P(R_0 >= A) = 0.542 of the
 runs, and it cuts the per-replication SD of (1 - risk)/p by about a third
 on the small-p grid.  Only the runs below A are drawn
-(:meth:`HeadStartLaw.sample_below`: for the uniform product law a binomial
+(:meth:`HeadStartLaw.sample` at A: for the uniform product law a binomial
 count of them, then that many uniforms on [0, A)); they draw a change
 time, in replication order, and step.  So the risk estimate needs the
 law's tail integral, and :class:`BayesConfig` rejects a custom law.
@@ -52,13 +52,14 @@ helper, :func:`_change_times`, turns head starts into change times for
 every kernel that draws them; the conditional-mean kernel, which reads
 only {nu = 1}, draws just its first half (:func:`_first_changes`).  The
 conditional-mean and identity kernels, which check facts about the whole
-law, draw every head start with :meth:`HeadStartLaw.sample`; the identity
-kernel reads the runs that stop at 0 first, then drops them
-(:func:`qdetect.montecarlo._running`) and steps the rest.  The
-change times are cast in place over the float draws behind them, and the
-running statistics are stepped over the head starts, which nothing reads
-after the first step, so a chunk holds three chunk-sized 8-byte buffers
-(head starts, likelihood ratios, change times) and two masks.  The risk
+law, draw every head start (:meth:`HeadStartLaw.sample` at
+``A = math.inf``); the identity kernel reads the runs that stop at 0 first,
+then drops them (:func:`qdetect.montecarlo._running`) and steps the rest.
+The change times stay float64 (integer-valued, and past 2^63 at a small
+p), and the running statistics are stepped over the head starts, which
+nothing reads after the first step, so a chunk holds three chunk-sized
+8-byte buffers (head starts, likelihood ratios, change times) and two
+masks.  The risk
 sums add up as :func:`qdetect.montecarlo._stop_times` steps the runs, so
 each estimate holds one row per chunk, whatever ``reps`` is.
 """
@@ -173,22 +174,22 @@ def _change_times(rng: np.random.Generator, r0: np.ndarray, *, p: float,
     """The change times nu coupled to the head starts ``r0``.
 
     Draws the uniforms of :func:`_first_changes`, then one geometric
-    uniform per head start, in order.  nu is a view of the workspace ``ws``
-    (its ``carry`` buffer; ``lr`` and ``mask`` hold temporaries), cast in
-    place over the float draws behind it.
+    uniform u2 per head start, in order, and takes
+    nu = 2 + floor(log1p(-u2)/log1p(-p)).  nu is a float64 view of the
+    workspace ``ws`` (its ``carry`` buffer; ``lr`` and ``mask`` hold
+    temporaries), integer-valued and never cast: at a small p the
+    geometric part can pass 2^63.  Every sum it feeds is over change times
+    at most ``DEFAULT_MAX_STEPS``, so it stays an exact integer.
     """
     count = r0.size
     first = _first_changes(rng, r0, p=p, ws=ws)
-    u2 = rng.random(count, out=ws.array("carry", float, count))
-    # the geometric part log1p(-u2)/log1p(-p) is >= 0, so truncation is floor
-    np.negative(u2, out=u2)
-    np.log1p(u2, out=u2)
-    u2 /= math.log1p(-p)
-    # a 1-D forward cast: each entry is read before it is overwritten
-    nu = ws.array("carry", np.int64, count)
-    np.copyto(nu, u2, casting="unsafe")
-    nu += 2
-    np.copyto(nu, 1, where=first)
+    nu = rng.random(count, out=ws.array("carry", float, count))
+    np.negative(nu, out=nu)
+    np.log1p(nu, out=nu)
+    nu /= math.log1p(-p)
+    np.floor(nu, out=nu)
+    nu += 2.0
+    np.copyto(nu, 1.0, where=first)
     return nu
 
 
@@ -211,7 +212,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: f
     """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk.
 
     Only the runs whose head start is below A are drawn
-    (:meth:`HeadStartLaw.sample_below`); they draw their change times
+    (:meth:`HeadStartLaw.sample` at A); they draw their change times
     (:func:`_change_times`) in replication order and step.  Each of the
     other ``count - n`` runs stops at N = 0, and its risk 1{nu >= 2} is
     scored by its conditional expectation given that it stops there,
@@ -227,7 +228,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: f
     p, A, c = config.p, config.A, config.c
     dp_sum = dp_sq = trunc = 0
     with qrng.workspace() as ws:
-        r0 = config.law.sample_below(rng, count, A, ws)
+        r0 = config.law.sample(rng, count, A, ws)
         n = r0.size
         nu = _change_times(rng, r0, p=p, ws=ws)
         hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, n)))
@@ -256,7 +257,7 @@ def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     """The row (broken, evaluated) of a chunk: how many replications break
     cond - c dp == cond (1 - c dp), of how many evaluated as they stop."""
     with qrng.workspace() as ws:
-        r0 = config.law.sample(rng, count, ws)
+        r0 = config.law.sample(rng, count, math.inf, ws)
         nu = _change_times(rng, r0, p=config.p, ws=ws)
         at_zero = nu[r0 >= config.A]  # the runs that stop at 0, before any step
         broken, evaluated = _identity_broken(1 - at_zero, config.c), at_zero.size
@@ -428,7 +429,7 @@ def _conditional_chunk(rng: np.random.Generator, count: int, *, p: float,
                        law: HeadStartLaw):
     """One row (count, m, sum r0, sum r0^2) over the m draws of a chunk with nu = 1."""
     with qrng.workspace() as ws:
-        r0 = law.sample(rng, count, ws)
+        r0 = law.sample(rng, count, math.inf, ws)
         cond = r0.take(np.flatnonzero(_first_changes(rng, r0, p=p, ws=ws)))
         return (np.array([[count, cond.size, *mc.moment_sums(cond)]]),)
 

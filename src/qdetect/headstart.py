@@ -16,10 +16,11 @@ The law with parameter a is quasi-stationary for the pre-change chain
 (Pollak, Ann. Statist. 1985): for a threshold A <= 2 its density below A is
 the constant log(1 + a)/(2a), so P(R_0 < A) = A log(1 + a)/(2a) and
 R_0 | R_0 < A ~ U[0, A).  The simulation kernels use both sides of the
-split at A: :meth:`HeadStartLaw.sample_below` draws only the head starts
-below A, directly, and :meth:`HeadStartLaw.tail_mean` integrates over the
-ones at or above A, which stop at 0.  The oracles, which check these facts,
-draw the whole law with :meth:`HeadStartLaw.sample`.
+split at A: :meth:`HeadStartLaw.sample`, the law's one sampler, returns only
+the head starts below the threshold it is given, drawn directly, and
+:meth:`HeadStartLaw.tail_mean` integrates over the ones at or above A,
+which stop at 0.  The oracles, which check these facts, draw the whole law:
+they pass ``A = math.inf``.
 """
 
 from __future__ import annotations
@@ -80,49 +81,23 @@ class HeadStartLaw:
     def custom(cls, sampler) -> "HeadStartLaw":
         return cls(kind=LawKind.CUSTOM, sampler=sampler)
 
-    def sample(self, rng: np.random.Generator, size: int,
+    def sample(self, rng: np.random.Generator, count: int, A: float,
                ws: qrng.Workspace) -> np.ndarray:
-        """Draw ``size`` head starts; draw-count per replication is fixed per kind.
-
-        The draws land in the ``"r0"`` buffer of the workspace ``ws``, and its
-        ``"lr"`` buffer holds a temporary.  A custom sampler's draws must have
-        shape ``(size,)`` and pass :func:`check_head_start`.
-        """
-        out = ws.array("r0", float, size)
-        if self.kind is LawKind.POINT_MASS:
-            out.fill(self.r0)
-            return out
-        if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT:
-            # (U(0, a) + 1) U(0, 2), in place: uniform(0, a) is 0 + a u
-            r0 = rng.random(size, out=out)
-            r0 *= self.a_param
-            r0 += 1.0
-            z = rng.random(size, out=ws.array("lr", float, size))
-            z *= 2.0
-            r0 *= z
-            return r0
-        draws = np.asarray(self.sampler(rng, size))
-        if draws.shape != (size,):  # numpy would broadcast a scalar to a point mass
-            raise ConfigurationError(
-                f"a custom sampler must return shape ({size},), got {draws.shape}")
-        out[...] = draws
-        check_head_start(out)
-        return out
-
-    def sample_below(self, rng: np.random.Generator, count: int, A: float,
-                     ws: qrng.Workspace) -> np.ndarray:
         """The head starts of the runs of ``count`` that start below ``A``;
-        the others stop at 0.
+        the others stop at 0.  ``A = math.inf`` returns every run.
 
-        They have the law of the draws of :meth:`sample` that
-        :func:`qdetect.montecarlo._running` keeps, and they land in the
-        ``"r0"`` buffer of the workspace ``ws``.  A point mass draws nothing
-        and returns all of its runs or none.  For A <= 2 the uniform product
-        law is quasi-stationary below A: its density there is the constant
+        They land in the ``"r0"`` buffer of the workspace ``ws``, in
+        replication order.  A point mass draws nothing and returns all of
+        its runs or none.  For A <= 2 the uniform product law is
+        quasi-stationary below A: its density there is the constant
         log(1 + a)/(2a), so ``yakir(a)`` draws how many runs start below A,
         ``rng.binomial(count, A log(1 + a)/(2a))``, then that many
-        ``rng.random() * A``.  Any other law draws :meth:`sample` and drops
-        the runs at or above A (``_running``, on the workspace's ``mask``).
+        ``rng.random() * A``.  Any other law draws every run, the uniform
+        product (its ``"lr"`` buffer holds a temporary) or a custom
+        sampler's draws, which must have shape ``(count,)`` and pass
+        :func:`check_head_start`; then, for a finite A, it drops the runs
+        at or above A (:func:`qdetect.montecarlo._running`, on the
+        workspace's ``mask``).
         """
         if self.kind is LawKind.POINT_MASS:
             out = ws.array("r0", float, count if self.r0 < A else 0)
@@ -134,8 +109,23 @@ class HeadStartLaw:
             r0 = rng.random(m, out=ws.array("r0", float, m))
             r0 *= A
             return r0
-        r0 = self.sample(rng, count, ws)
-        return r0[:_running(r0, A, ws)]
+        r0 = ws.array("r0", float, count)
+        if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT:
+            # (U(0, a) + 1) U(0, 2), in place: uniform(0, a) is 0 + a u
+            rng.random(count, out=r0)
+            r0 *= self.a_param
+            r0 += 1.0
+            z = rng.random(count, out=ws.array("lr", float, count))
+            z *= 2.0
+            r0 *= z
+        else:
+            draws = np.asarray(self.sampler(rng, count))
+            if draws.shape != (count,):  # numpy would broadcast a scalar to a point mass
+                raise ConfigurationError(
+                    f"a custom sampler must return shape ({count},), got {draws.shape}")
+            r0[...] = draws
+            check_head_start(r0)
+        return r0 if A == math.inf else r0[:_running(r0, A, ws)]
 
     def tail_mean(self, fn: Callable, A: float) -> float:
         """E[fn(R_0); R_0 >= A], the mean of ``fn`` over the runs that stop at 0.
@@ -329,7 +319,7 @@ def _oracle_chunk(rng: np.random.Generator, count: int, *, law: HeadStartLaw,
     all in a borrowed workspace; only the row is new.
     """
     with qrng.workspace() as ws:
-        r0 = law.sample(rng, count, ws)
+        r0 = law.sample(rng, count, math.inf, ws)
         r0_sums = moment_sums(r0)
         m = _running(r0, A, ws)
         return (np.array([[count, m, *moment_sums(r0[:m]), *r0_sums]]),)

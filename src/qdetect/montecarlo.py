@@ -15,11 +15,12 @@ output for any worker count.
 
 A run whose head start is at or above the threshold stops at N = 0, and
 :func:`_stop_times` steps only the others.  The SR and Bayes risk kernels
-draw only those others (:meth:`HeadStartLaw.sample_below`; for the uniform
-product law, a binomial count of them and then that many uniforms below
-the threshold); a kernel that must see every head start, as the oracles
-do, draws the whole law and drops the runs at or above the threshold
-through one helper, :func:`_running`.  The kernel reduces as it steps: it
+draw only those others (:meth:`HeadStartLaw.sample` at the threshold; for
+the uniform product law, a binomial count of them and then that many
+uniforms below the threshold).  Any other law draws every run and drops
+the ones at or above the threshold through one helper, :func:`_running`,
+and a kernel that must see every head start, as the oracles do, draws at
+``A = math.inf`` and calls it itself.  The kernel reduces as it steps: it
 yields each step's running runs, and a chunk kernel adds what it needs of
 them to its sums.  A stopping index counts the steps a run took, so a sum
 over stopping indices is a sum over steps, and no run's stop is stored.  The
@@ -225,9 +226,9 @@ def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, 
     ``law`` that start below ``A``, stepped in the head starts' own buffer;
     each step's tuple ends with the runs' ``R_0``, from a copy in the
     workspace's ``carry`` buffer.  Only the runs below ``A`` are drawn
-    (:meth:`HeadStartLaw.sample_below`): the others stop at 0, and every
+    (:meth:`HeadStartLaw.sample` at ``A``): the others stop at 0, and every
     SR sum gets nothing from them."""
-    r = law.sample_below(rng, count, A, ws)
+    r = law.sample(rng, count, A, ws)
     r0 = ws.array("carry", float, r.size)
     np.copyto(r0, r)
     return _stop_times(rng, r, A, nu, 1.0, max_steps, ws, (r0,))
@@ -313,7 +314,7 @@ def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
     stream tag ``sr/k=<change_index>`` encodes the scenario but not the
     threshold, so runs at different ``A`` with the same seed start from the
     same generator state.  They do not share head starts: how many uniforms
-    the count of runs below ``A`` takes (:meth:`HeadStartLaw.sample_below`)
+    the count of runs below ``A`` takes (:meth:`HeadStartLaw.sample`)
     depends on ``A``, so the draws after it fall out of step.
     """
     check_threshold(A)

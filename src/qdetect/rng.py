@@ -104,26 +104,23 @@ def chunk_spec(reps: int) -> list[tuple[int, int]]:
 class Workspace:
     """Named reusable buffers for one chunk at a time.
 
-    Each name holds one byte buffer, made on first use with room for at
+    Each name holds one typed buffer, made on first use with room for at
     least :data:`CHUNK_SIZE` entries, so that a chunk's arrays of any length
-    fit it, and made again only when a larger size is asked for.
-    ``array(name, dtype, size)`` is a view of its first ``size`` entries at
-    ``dtype``, so one name can hold a float array and then an int array in
-    the same memory; its contents are whatever the last user left.  Callers
-    share a name only between arrays whose lifetimes do not overlap, or
-    that alias on purpose.
+    fit it, and made again only when a larger size or another dtype is
+    asked for.  ``array(name, dtype, size)`` is a view of its first ``size``
+    entries; its contents are whatever the last user left.  Callers share a
+    name only between arrays whose lifetimes do not overlap, or that alias
+    on purpose.
     """
 
     def __init__(self):
         self._buffers = {}
 
     def array(self, name: str, dtype, size: int) -> np.ndarray:
-        itemsize = np.dtype(dtype).itemsize
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size * itemsize:
-            nbytes = max(size, CHUNK_SIZE) * itemsize
-            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
-        return buf[:size * itemsize].view(dtype)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(max(size, CHUNK_SIZE), dtype)
+        return buf[:size]
 
 
 #: Threads an estimator runs its chunks on unless told otherwise: one per

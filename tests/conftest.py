@@ -68,12 +68,12 @@ def reference_bayes_runs(rng, law, count, A, p, max_steps):
     """The Bayes runs of ``count`` head starts from ``law`` in the draw order of
     ``bayes._bayes_chunk``: ``(stepped, nu, n_stop, truncated, final)``.
 
-    Only the head starts below ``A`` are drawn (``law.sample_below``, in
+    Only the head starts below ``A`` are drawn (``law.sample`` at ``A``, in
     replication order); they draw change times and step, and ``nu`` and
     the reference's stopping indices are theirs.  The other runs of
     ``count`` stop at 0 with no draw.
     """
-    stepped = law.sample_below(rng, count, A, qrng.Workspace()).copy()
+    stepped = law.sample(rng, count, A, qrng.Workspace()).copy()
     nu = reference_change_times(rng, stepped, p)
     return (stepped, nu, *reference_stop_times(rng, stepped, A, nu, 1.0 - p, max_steps))
 

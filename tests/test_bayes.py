@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -75,12 +76,23 @@ class TestChangeTimePrior:
         p, pi0, n = 0.3, 0.4, 10**5
         law = HeadStartLaw.point_mass(implied_headstart(p, pi0))
         rng, ws = derive_rng(SEED, "test-nu", 0), qrng.Workspace()
-        draws = _change_times(rng, law.sample(rng, n, ws), p=p, ws=ws)
+        draws = _change_times(rng, law.sample(rng, n, math.inf, ws), p=p, ws=ws)
         for k in range(1, 11):
             target = pi0 if k == 1 else (1 - pi0) * p * (1 - p) ** (k - 2)
             hat = (draws == k).mean()
             se = math.sqrt(target * (1 - target) / n)
             assert abs(hat - target) <= 4.0 * se
+
+    def test_change_times_past_int64_stay_integers(self):
+        # at p = 1e-19 the geometric part reaches about 4e20, past 2^63,
+        # where a cast to int64 overflows
+        rng, ws = derive_rng(SEED, "test-nu-small-p", 0), qrng.Workspace()
+        r0 = HeadStartLaw.yakir(1.5).sample(rng, 10**4, math.inf, ws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu = _change_times(rng, r0, p=1e-19, ws=ws)
+        assert np.isfinite(nu).all() and (nu >= 1).all()
+        assert np.array_equal(nu, np.floor(nu)) and nu.max() > 2.0**63
 
 
 def _brute_force_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
@@ -88,7 +100,7 @@ def _brute_force_chunk(rng: np.random.Generator, count: int, config: BayesConfig
     own drawn change times: every run draws nu, and a run that stops at 0
     scores 1{nu >= 2}."""
     with qrng.workspace() as ws:
-        r0 = config.law.sample(rng, count, ws)
+        r0 = config.law.sample(rng, count, math.inf, ws)
         nu = _change_times(rng, r0, p=config.p, ws=ws)
         stepped = r0 < config.A
         risks = [(nu[~stepped] > 1).astype(float)]  # the runs that stop at 0

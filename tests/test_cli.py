@@ -289,6 +289,15 @@ class TestConfigErrors:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {info.value}\n"
 
+    def test_change_times_past_int64_are_a_configuration_error(self, capsys):
+        # at p = 1e-19 the change times pass 2^63, where a cast to int64
+        # overflows; the grid point fails as a configuration error
+        argv = ["bayes-limit", "--p-grid", "0.001,1e-19,1e-20", "--reps", "20000",
+                "--workers", "1"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("check", [
         lambda: headstart.oracle_checks(1.5, 10**4, -1),
         lambda: coupling_round_trip(-1),

@@ -6,7 +6,7 @@ or the Bayes recursion (``q = 1 - p``) one replication at a time with
 ``conftest.record_runs`` records every run the kernel yields, and the two
 are matched by head start, which is unique under the uniform-product law.
 The runs follow the draw order of the chunk kernels: only the head starts
-below A are drawn (``HeadStartLaw.sample_below``), and in the Bayes runs
+below A are drawn (``HeadStartLaw.sample`` at A), and in the Bayes runs
 (``conftest.reference_bayes_runs``) they draw change times before they
 step.  The Bayes risk row is checked against the row of the reference
 paths here, with the exact risk of the runs that stop at 0, the SR moment
@@ -27,7 +27,7 @@ from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_bay
                      martingale_checks, montecarlo)
 from qdetect.bayes import _bayes_chunk, _change_times, _stop_at_zero_risk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
-from qdetect.rng import Workspace, derive_rng
+from qdetect.rng import CHUNK_SIZE, Workspace, derive_rng
 
 SEED = 20240824
 COUNT = 1 << 14
@@ -41,11 +41,11 @@ def _reference_runs(tag, max_steps, change_index=None):
     reference's ``(n_stop, truncated, final)`` of the same runs, in
     replication order."""
     rng = derive_rng(SEED, tag, 0)
-    r0 = LAW.sample_below(rng, COUNT, A, Workspace()).copy()
+    r0 = LAW.sample(rng, COUNT, A, Workspace()).copy()
     nu = math.inf if change_index is None else change_index
     recorded = record_runs(rng, r0, A, nu, 1.0, max_steps)
     rng = derive_rng(SEED, tag, 0)
-    LAW.sample_below(rng, COUNT, A, Workspace())
+    LAW.sample(rng, COUNT, A, Workspace())
     return r0, recorded, reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
 
 
@@ -57,7 +57,7 @@ def _bayes_runs(tag, p, max_steps):
     stepped, nu, *ref = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, COUNT,
                                              A, p, max_steps)
     rng = derive_rng(SEED, tag, 0)
-    LAW.sample_below(rng, COUNT, A, Workspace())
+    LAW.sample(rng, COUNT, A, Workspace())
     rng.random(stepped.size)  # the two uniforms behind each change time
     rng.random(stepped.size)
     recorded = record_runs(rng, stepped, A, nu, 1.0 - p, max_steps)
@@ -118,11 +118,11 @@ class TestKernelsMatchReference:
     def test_single_step_in_place(self):
         # the martingale-drift form: no run can stop, and max_steps = 1 ends it
         rng = derive_rng(SEED, "ref/in-place", 0)
-        r0 = LAW.sample(rng, COUNT, Workspace())
+        r0 = LAW.sample(rng, COUNT, math.inf, Workspace())
         steps = list(_stop_times(rng, r0.copy(), math.inf, math.inf, 1.0, 1, Workspace(),
                                  (r0.copy(),)))
         rng = derive_rng(SEED, "ref/in-place", 0)
-        LAW.sample(rng, COUNT, Workspace())
+        LAW.sample(rng, COUNT, math.inf, Workspace())
         assert len(steps) == 1
         step, r, nu, post, below, r0_s = steps[0]
         assert (step, nu, post) == (1, math.inf, False) and below.all()
@@ -171,6 +171,27 @@ class TestStopAtZeroSplit:
         # never drawn (SR, Bayes risk) or were dropped (identity check)
         assert sum(size < 2000 for size, _ in calls) == 6
 
+    def test_every_chunk_samples_once_at_its_threshold(self, monkeypatch):
+        # the benchmark's head-start metrics wrap HeadStartLaw.sample by name,
+        # so each SR and Bayes risk chunk draws through it, once, at its A
+        thresholds = []
+        sample = HeadStartLaw.sample
+
+        def recording(law, rng, count, a_stop, ws):
+            thresholds.append(a_stop)
+            return sample(law, rng, count, a_stop, ws)
+
+        monkeypatch.setattr(HeadStartLaw, "sample", recording)
+        reps = CHUNK_SIZE + 1000  # two chunks
+        for estimate in (
+                lambda: estimate_e1_and_cross(A, LAW, reps, SEED, 1),
+                lambda: estimate_arl_false(A, LAW, reps, SEED, 1),
+                lambda: estimate_bayes_risk(BayesConfig(p=0.05, c=0.1, A=A, law=LAW),
+                                            reps, SEED, 1)):
+            thresholds.clear()
+            estimate()
+            assert thresholds == [A, A]
+
 
 class TestStreamContract:
     """The head-start and change-time draws, against their textbook forms."""
@@ -178,18 +199,18 @@ class TestStreamContract:
     @pytest.mark.parametrize("a", [0.3, 1.5, 1.98])
     def test_head_start_sample(self, a):
         tag = f"contract/sample/{a}"
-        sample = HeadStartLaw.yakir(a).sample(derive_rng(SEED, tag, 0), COUNT,
+        sample = HeadStartLaw.yakir(a).sample(derive_rng(SEED, tag, 0), COUNT, math.inf,
                                               Workspace())
         rng = derive_rng(SEED, tag, 0)
         ref = (rng.uniform(0, a, COUNT) + 1) * rng.uniform(0, 2, COUNT)
         assert np.array_equal(sample, ref)
 
     @pytest.mark.parametrize("a, a_stop", [(0.3, 0.3), (1.5, 1.5), (1.98, 1.98), (1.5, 1.9)])
-    def test_head_start_sample_below(self, a, a_stop):
+    def test_head_start_sample_at_threshold(self, a, a_stop):
         # how many runs start below A, then that many uniforms on [0, A)
         tag = f"contract/below/{a}/{a_stop}"
-        below = HeadStartLaw.yakir(a).sample_below(derive_rng(SEED, tag, 0), COUNT,
-                                                    a_stop, Workspace())
+        below = HeadStartLaw.yakir(a).sample(derive_rng(SEED, tag, 0), COUNT, a_stop,
+                                             Workspace())
         rng = derive_rng(SEED, tag, 0)
         m = rng.binomial(COUNT, a_stop * math.log1p(a) / (2.0 * a))
         assert np.array_equal(below, rng.random(m) * a_stop)
@@ -199,13 +220,13 @@ class TestStreamContract:
         law = HeadStartLaw.yakir(1.5)
         tag = f"contract/nu/{p}"
         rng, ws = derive_rng(SEED, tag, 0), Workspace()
-        r0 = law.sample(rng, COUNT, ws)
+        r0 = law.sample(rng, COUNT, math.inf, ws)
         nu = _change_times(rng, r0, p=p, ws=ws)
         rng = derive_rng(SEED, tag, 0)
         # _change_times leaves the head starts it reads intact
-        assert np.array_equal(law.sample(rng, COUNT, Workspace()), r0)
+        assert np.array_equal(law.sample(rng, COUNT, math.inf, Workspace()), r0)
         ref = reference_change_times(rng, r0, p)
-        assert nu.dtype == np.int64 and np.array_equal(nu, ref)
+        assert np.array_equal(nu, ref) and np.array_equal(nu, np.floor(nu))
         assert (nu == 1).any() and (nu > 2).any()
 
 

@@ -144,17 +144,17 @@ class TestSampling:
     def test_point_mass_is_constant(self):
         law = HeadStartLaw.point_mass(0.0)
         rng = np.random.default_rng(0)
-        assert (law.sample(rng, 10, Workspace()) == 0.0).all()
+        assert (law.sample(rng, 10, math.inf, Workspace()) == 0.0).all()
 
     def test_yakir_range(self):
         law = HeadStartLaw.yakir(1.5)
-        draws = law.sample(np.random.default_rng(1), 10**5, Workspace())
+        draws = law.sample(np.random.default_rng(1), 10**5, math.inf, Workspace())
         assert draws.min() >= 0.0
         assert draws.max() <= 2.0 * 2.5
 
     def test_yakir_mean(self):
         law = HeadStartLaw.yakir(1.7)
-        draws = law.sample(np.random.default_rng(2), 10**6, Workspace())
+        draws = law.sample(np.random.default_rng(2), 10**6, math.inf, Workspace())
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - yakir_mean(1.7)) <= 4.0 * se
 
@@ -193,25 +193,26 @@ class TestSampling:
 
 
 class TestSampleBelow:
-    """``sample_below`` has the law of ``sample`` then ``montecarlo._running``."""
+    """``sample`` at a threshold A has the law of the whole law's draws
+    (``sample`` at ``math.inf``) then ``montecarlo._running``."""
 
     N = 10**6
 
     @pytest.mark.parametrize("a, a_stop", [(0.3, 0.3), (1.5, 1.5), (1.98, 1.98), (1.5, 1.9)])
     def test_yakir_matches_sample_then_running(self, a, a_stop):
         law = HeadStartLaw.yakir(a)
-        below = law.sample_below(np.random.default_rng(11), self.N, a_stop, Workspace()).copy()
+        below = law.sample(np.random.default_rng(11), self.N, a_stop, Workspace()).copy()
         # the count below A: binomial, its mass the density integrated on [0, A)
         mass = integrate.quad(lambda x: yakir_density(a, x), 0.0, a_stop)[0]
         se = math.sqrt(self.N * mass * (1.0 - mass))
         assert abs(below.size - self.N * mass) <= 4.0 * se
-        draws = law.sample(np.random.default_rng(12), self.N, Workspace())
+        draws = law.sample(np.random.default_rng(12), self.N, math.inf, Workspace())
         assert stats.ks_2samp(below, draws[draws < a_stop]).pvalue > 1e-3
 
     @pytest.mark.parametrize("r0, kept", [(1.0, N), (2.0, 0)])
     def test_point_mass_keeps_every_run_or_none(self, r0, kept):
         rng = np.random.default_rng(13)
-        below = HeadStartLaw.point_mass(r0).sample_below(rng, self.N, 1.5, Workspace())
+        below = HeadStartLaw.point_mass(r0).sample(rng, self.N, 1.5, Workspace())
         assert below.size == kept and (below == r0).all()
         assert rng.bit_generator.state == np.random.default_rng(13).bit_generator.state
 
@@ -220,8 +221,8 @@ class TestSampleBelow:
         (HeadStartLaw.custom(lambda rng, size: 4.0 * rng.random(size)), 1.5),
     ], ids=["yakir-A>2", "custom"])
     def test_other_laws_draw_sample_then_running(self, law, a_stop):
-        below = law.sample_below(np.random.default_rng(14), 10**4, a_stop, Workspace())
-        draws = law.sample(np.random.default_rng(14), 10**4, Workspace())
+        below = law.sample(np.random.default_rng(14), 10**4, a_stop, Workspace())
+        draws = law.sample(np.random.default_rng(14), 10**4, math.inf, Workspace())
         assert 0 < below.size < 10**4 and np.array_equal(below, draws[draws < a_stop])
 
 
@@ -249,16 +250,22 @@ class TestTailMean:
 
 
 class TestOraclesDrawTheFullLaw:
-    def test_oracles_never_sample_below(self, monkeypatch):
-        # the p0 and mu0 oracles check the fact sample_below draws from, so
-        # they, the conditional mean and the identity check draw law.sample
-        def fail(*args, **kwargs):
-            raise AssertionError("an oracle drew through sample_below")
+    def test_oracles_sample_at_infinite_threshold(self, monkeypatch):
+        # the p0 and mu0 oracles check the fact that sample draws from below
+        # a threshold, so they, the conditional mean and the identity check
+        # draw the whole law, at A = inf
+        thresholds = []
+        sample = HeadStartLaw.sample
 
-        monkeypatch.setattr(HeadStartLaw, "sample_below", fail)
+        def recording(law, rng, count, a_stop, ws):
+            thresholds.append(a_stop)
+            return sample(law, rng, count, a_stop, ws)
+
+        monkeypatch.setattr(HeadStartLaw, "sample", recording)
         assert all(ok for _, ok, _, _ in oracle_checks(1.5, 10**5, 3, workers=1))
         conditional_headstart_diagnostic(HeadStartLaw.yakir(1.5), 0.01, 10**5, 3, workers=1)
         assert all(ok for _, ok, _, _ in identity_checks(1.5, 0.1, 10**4, 3, workers=1))
+        assert thresholds and all(a_stop == math.inf for a_stop in thresholds)
 
 
 class TestOracle:

@@ -39,3 +39,43 @@ def test_no_private_helper_lives_only_for_tests():
             if not used:
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+ROOT = PACKAGE.parent.parent
+
+#: Public names that nothing reads yet but the unit tests, each with the
+#: roadmap item that gives it a reader; the check fails once one gains it.
+NO_READER_YET = {
+    "c_lower_bound_eq11": "ROADMAP item 4: the exact equalizer prints eq11's bound",
+}
+
+
+def _exports():
+    """The names ``qdetect`` exports, each with the module that defines it."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _defines(node, name):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == name for t in node.targets)
+
+
+def test_every_public_name_is_read_beyond_the_unit_tests():
+    # a public name is read by package code (the CLI included), a demo, an
+    # acceptance criterion or the benchmark, outside its own definition
+    readers = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text()) for path in readers}
+    unread = []
+    for name, module in _exports().items():
+        home = PACKAGE / f"{module}.py"
+        definition = [node for node in trees[home].body if _defines(node, name)]
+        assert definition, f"{module}:{name}"
+        if not any(name in _references(tree, definition if path == home else [])
+                   for path, tree in trees.items()):
+            unread.append(name)
+    assert sorted(unread) == sorted(NO_READER_YET)

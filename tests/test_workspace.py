@@ -78,6 +78,15 @@ def test_workspace_holds_a_few_chunk_buffers(monkeypatch):
     assert held and max(held) < 7 << 20, [f"{b / 2**20:.2f} MiB" for b in held]
 
 
+def test_a_name_asked_for_at_another_dtype_gets_that_dtype():
+    ws = Workspace()
+    floats = ws.array("carry", float, 10)
+    ints = ws.array("carry", np.int64, 10)
+    assert floats.dtype == np.float64 and ints.dtype == np.int64
+    # the same dtype again reuses the buffer the name holds
+    assert ws.array("carry", np.int64, 5).base is ints.base
+
+
 KERNELS = [partial(_sr_moments, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS),
            partial(_oracle_chunk, law=LAW, A=A)]
 
@@ -130,7 +139,7 @@ class TestMomentRows:
         # only the runs below A are drawn; the others stop at 0 and add
         # nothing but their count, and that only at lag 0
         rng = derive_rng(SEED, tag, 0)
-        r0 = LAW.sample_below(rng, self.COUNT, A, Workspace()).copy()
+        r0 = LAW.sample(rng, self.COUNT, A, Workspace()).copy()
         nu = math.inf if change_index is None else change_index
         n_stop, truncated, _ = reference_stop_times(rng, r0, A, nu, 1.0, max_steps)
         lag = 0 if change_index is None else change_index - 1
@@ -153,7 +162,7 @@ class TestMomentRows:
         tag = f"rows/oracle/{a}"
         law = HeadStartLaw.yakir(a)
         (row,) = _oracle_chunk(derive_rng(SEED, tag, 0), self.COUNT, law=law, A=a)
-        r0 = law.sample(derive_rng(SEED, tag, 0), self.COUNT, Workspace())
+        r0 = law.sample(derive_rng(SEED, tag, 0), self.COUNT, math.inf, Workspace())
         cond = r0[r0 < a]
         assert 0 < cond.size < self.COUNT
         assert row.tolist() == [[self.COUNT, cond.size, *moment_sums(cond),
