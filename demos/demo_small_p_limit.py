@@ -10,7 +10,7 @@ rescaled risk on a decreasing p grid, extrapolates to p = 0, and shows
 which candidate the data picks.
 
 Run with: python3 demos/demo_small_p_limit.py
-(takes several seconds at these replication counts)
+(takes about a second at these replication counts)
 """
 
 import qdetect as qd
@@ -26,7 +26,7 @@ print(f"candidate with cross moment : {eq4:.4f}")
 print(f"candidate with product form : {eq3:.4f}")
 print()
 
-# rescaled Bayes risk along the p grid, then a weighted linear
+# rescaled Bayes risk along the p grid, then a weighted quadratic
 # extrapolation to p = 0
 diag = qd.limit_diagnostic(A, law, C_STAR, [0.02, 0.01, 0.005],
                            [3_000_000, 6_000_000, 12_000_000], SEED)

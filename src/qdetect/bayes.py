@@ -17,57 +17,73 @@ stopping at the first n >= 0 with R_{q,n} >= A, and its risk is
     risk = P(N < nu - 1) + c E(N - nu + 1)^+.
 
 The module estimates (1 - risk)/p along a decreasing p grid, extrapolates the
-p -> 0 limit, and compares the intercept against the two competing closed
-forms (:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``), which
+p -> 0 limit with a weighted quadratic in p (:func:`wls_line`), and compares
+the intercept against the two competing closed forms
+(:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``), which
 :func:`limit_predictions` evaluates exactly, without simulation, so the
-intercept's standard error alone sets the z-scores.  It also
-checks that the mean of r0 conditioned on {nu = 1} is the mean of the
-size-biased transform of the unconditional law, not the unconditional mean.
+intercept's standard error alone sets the z-scores.  A line through the grid
+would carry an O(p^2) curvature bias; a quadratic through three points
+interpolates them, and its bias is O(p^3).  The module also checks that the
+mean of r0 conditioned on {nu = 1} is the mean of the size-biased transform
+of the unconditional law, not the unconditional mean.
 
-The risk estimate simulates only what it cannot compute.  A run whose head
-start is at or above A stops at N = 0, where its risk is 1{nu >= 2}, whose
-mean given r0 is 1 - pi0 = q / (q + p (1 + r0)).  Every such run scores
-the mean of that over the head starts at or above A,
+The risk estimate simulates only what it cannot compute (conditional Monte
+Carlo, Asmussen & Glynn, Stochastic Simulation, 2007, ch. V: each score has
+the run's mean and no larger variance).  A run whose head start is at or
+above A stops at N = 0, where 1 - risk = 1{nu = 1}, whose mean given r0 is
+pi0.  Every such run scores the mean of that over the head starts at or
+above A,
 
-    h = E[risk | R_0 >= A] = E[1 - pi0(R_0) | R_0 >= A],
+    1 - h = E[pi0(R_0) | R_0 >= A],
 
 two tail integrals of the law (:meth:`HeadStartLaw.tail_mean`) computed
-once per estimate (:func:`_stop_at_zero_risk`), and draws neither a head
-start nor a change time (conditional Monte Carlo on the stop-at-0
-indicator: the score has the same mean and no larger variance).  At
+once per estimate (:func:`_stop_at_zero_risk`), and draws nothing.  At
 A = 1.5 under the uniform product law that is P(R_0 >= A) = 0.542 of the
-runs, and it cuts the per-replication SD of (1 - risk)/p by about a third
-on the small-p grid.  Only the runs below A are drawn
-(:meth:`HeadStartLaw.sample` at A: for the uniform product law a binomial
-count of them, then that many uniforms on [0, A)); they draw a change
-time, in replication order, and step.  So the risk estimate needs the
-law's tail integral, and :class:`BayesConfig` rejects a custom law.
+runs.  Only the runs below A are drawn (:meth:`HeadStartLaw.sample` at A:
+for the uniform product law a binomial count of them, then that many
+uniforms on [0, A)), and each steps only its pre-change chain, to its
+stopping index N with no change.  It draws no change time and takes no
+post-change step: given the path, a change after step N is missed, one at
+step N is caught at once, and one at step m < N costs, on average, the
+exact post-change delay D_q(R_m) = 1 + d_q/(1 + R_m)^2 of the rank-one
+renewal solution (:func:`qdetect.headstart._post_change_d`).  So each run
+scores
 
-Each chunk draws its head starts and change times, and runs its
-replications, in a workspace borrowed from the free-list of
-:mod:`qdetect.rng`, and reduces them there to one moment row: count, risk
-sums, misses and truncations for the risk estimate; count, the draws with
-nu = 1 and their sum and sum of squares for the conditional mean.  One
-helper, :func:`_change_times`, turns head starts into change times for
-every kernel that draws them; the conditional-mean kernel, which reads
-only {nu = 1}, draws just its first half (:func:`_first_changes`).  The
-conditional-mean and identity kernels, which check facts about the whole
-law, draw every head start (:meth:`HeadStartLaw.sample` at
-``A = math.inf``); the identity kernel reads the runs that stop at 0 first,
-then drops them (:func:`qdetect.montecarlo._running`) and steps the rest.
-The change times stay float64 (integer-valued, and past 2^63 at a small
-p), and the running statistics are stepped over the head starts, which
-nothing reads after the first step, so a chunk holds three chunk-sized
-8-byte buffers (head starts, likelihood ratios, change times) and two
-masks.  The risk
-sums add up as :func:`qdetect.montecarlo._stop_times` steps the runs, so
-each estimate holds one row per chunk, whatever ``reps`` is.
+    Y = sum_{m=0}^{N} P(nu - 1 = m | r0) (1 - c D_q(R_m) 1{R_m < A}),
+
+see :func:`_bayes_chunk`.  At A = 1.5 and c = 0.1 that cuts the per-run SD
+of (1 - risk)/p about 12 to 22 times on the grid 0.02, 0.01, 0.005, against
+stepping each run through a drawn change time.  The score needs the law's
+tail integral and a threshold below 2, where D_q is rank one, so
+:class:`BayesConfig` rejects a custom law and a threshold at or above 2.
+``tests/conftest.py`` keeps the brute-force estimator, which draws the
+change times, as an independent reference.
+
+Each chunk draws its head starts and runs its replications in a workspace
+borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
+one moment row: count, score sums, the score at c = 0 and truncations for
+the risk estimate; count, the draws with nu = 1 and their sum and sum of
+squares for the conditional mean.  The conditional-mean kernel, which reads
+only {nu = 1}, draws the first half of a change time
+(:func:`_first_changes`); the identity kernel, which checks the risk
+decomposition run by run, draws whole change times (:func:`_change_times`)
+and steps through them.  Both check facts about the whole law, so they draw
+every head start (:meth:`HeadStartLaw.sample` at ``A = math.inf``); the
+identity kernel reads the runs that stop at 0 first, then drops them
+(:func:`qdetect.montecarlo._running`) and steps the rest.  The change times
+stay float64 (integer-valued, and past 2^63 at a small p).  The risk
+kernel steps the running statistics over the head starts, which nothing
+reads after the first step, so a chunk holds four chunk-sized 8-byte
+buffers (head starts, likelihood ratios, 1 - pi0 and the running score)
+and a mask.  The sums add up as :func:`qdetect.montecarlo._stop_times`
+steps the runs, so each estimate holds one row per chunk, whatever
+``reps`` is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import List, Sequence
 
@@ -77,13 +93,18 @@ from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError
-from .headstart import HeadStartLaw, LawKind, check_head_start, sr_exact, yakir_mean
+from .headstart import (HeadStartLaw, LawKind, _post_change_d, check_head_start, sr_exact,
+                        yakir_mean)
 
 
 def check_p(p: float) -> None:
-    """Raise unless the per-step change probability satisfies ``0 < p < 1``."""
+    """Raise unless the per-step change probability satisfies ``0 < p < 1``
+    and ``q = 1 - p`` differs from 1 in float64 (p above about 5.6e-17)."""
     if not (0.0 < p < 1.0):
         raise ConfigurationError(f"p must lie in (0, 1), got {p}")
+    if 1.0 - p == 1.0:
+        raise ConfigurationError(
+            f"p = {p} is below the float64 resolution of q = 1 - p, which rounds to 1")
 
 
 def check_cost(c: float) -> None:
@@ -93,10 +114,11 @@ def check_cost(c: float) -> None:
 
 
 def check_p_grid(p_grid: Sequence[float]) -> List[float]:
-    """``p_grid`` as a list if it holds >= 2 valid ``p``, strictly decreasing."""
+    """``p_grid`` as a list if it holds >= 3 valid ``p``, strictly decreasing:
+    the extrapolation to p = 0 fits a quadratic in p (:func:`wls_line`)."""
     p_grid = list(p_grid)
-    if len(p_grid) < 2:
-        raise ConfigurationError(f"p_grid needs at least 2 points, got {len(p_grid)}")
+    if len(p_grid) < 3:
+        raise ConfigurationError(f"p_grid needs at least 3 points, got {len(p_grid)}")
     for p in p_grid:
         check_p(p)
     if any(p2 >= p1 for p1, p2 in zip(p_grid, p_grid[1:])):
@@ -117,6 +139,9 @@ class BayesConfig:
         check_p(self.p)
         check_cost(self.c)
         mc.check_threshold(self.A)
+        if self.A >= 2.0:  # where the post-change delay D_q is rank one
+            raise ConfigurationError(
+                f"the Bayes risk score needs a threshold below 2, got {self.A}")
         if self.law.kind is LawKind.CUSTOM:  # the risk needs its tail integral
             raise ConfigurationError(
                 "the Bayes simulation needs a point mass or the uniform product "
@@ -209,42 +234,71 @@ def _stop_at_zero_risk(config: BayesConfig) -> float:
 
 
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: float):
-    """One row (n, sum risk, sum risk^2, sum miss, truncated) of a chunk.
+    """One row (n, sum Y, sum Y^2, sum Y at c = 0, truncated) of a chunk, Y
+    the exact 1 - risk of a run given its head start and pre-change path.
 
     Only the runs whose head start is below A are drawn
-    (:meth:`HeadStartLaw.sample` at A); they draw their change times
-    (:func:`_change_times`) in replication order and step.  Each of the
-    other ``count - n`` runs stops at N = 0, and its risk 1{nu >= 2} is
-    scored by its conditional expectation given that it stops there,
-    ``h`` (:func:`_stop_at_zero_risk`), which adds to the risk and miss
-    sums (h^2 to the risk^2 sum); no head start or change time is drawn
-    for it.  A stepped run either misses (N < nu - 1) or pays the delay
-    dp = N - nu + 1 > 0, never both, so risk = miss + c dp and
-    risk^2 = miss + c^2 dp^2, with exact integer counts and delay sums.
-    They add up as the runs step: a run does not miss if nu = 1 or if it
-    takes step nu - 1, and its dp and dp^2 = sum (2s + 1 - 2 nu) count the
-    post-change steps s it takes.
+    (:meth:`HeadStartLaw.sample` at A), and each steps only its pre-change
+    chain R_0 .. R_N (N its stopping index with no change); no change time
+    is drawn and no post-change step taken.  With theta = nu - 1,
+    P(theta = 0) = pi0 and P(theta = m) = w p q^(m-1) for m >= 1, w = 1 - pi0,
+    and the run scores
+
+        Y = sum_{m=0}^{N} P(theta = m) (1 - c D_q(R_m) 1{R_m < A}),
+
+    since a change after step N is missed, one at step N is caught at once,
+    and one at m < N is caught after D_q(R_m) = 1 + d_q / (1 + R_m)^2
+    post-change steps on average (:func:`qdetect.headstart._post_change_d`).
+    The score at c = 0 is pi0 + w (1 - q^N), the probability of no miss.
+    Each of the other ``count - n`` runs stops at N = 0 and scores pi0;
+    all of them score its mean over the head starts at or above A,
+    ``1 - h`` (:func:`_stop_at_zero_risk`), and draw nothing.
+
+    The per-run w and the running score Y ride in the kernel's ``carry``;
+    the factor p q^(m-1) is one scalar per step.  The sums add up as the
+    runs step: step m adds the increment t of each run that takes it to
+    sum Y and t (2 Y + t) to sum Y^2, and p q^(m-1) w to the score at c = 0.
     """
     p, A, c = config.p, config.A, config.c
-    dp_sum = dp_sq = trunc = 0
+    q = 1.0 - p
+    cd = c * _post_change_d(A, q)
+    trunc = 0
     with qrng.workspace() as ws:
-        r0 = config.law.sample(rng, count, A, ws)
-        n = r0.size
-        nu = _change_times(rng, r0, p=p, ws=ws)
-        hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, n)))
-        for step, _, nu_s, post, below in mc._stop_times(
-                rng, r0, A, nu, 1.0 - p, mc.DEFAULT_MAX_STEPS, ws):
-            late = np.count_nonzero(post)
-            dp_sum += late
-            dp_sq += (2 * step + 1) * late - 2 * int(np.sum(nu_s, where=post))
-            hits += np.count_nonzero(np.equal(nu_s, step + 1, out=post))
+        r = config.law.sample(rng, count, A, ws)
+        n = r.size
+        # w = 1 - pi0 = q / (1 + p r0), and Y = pi0 (1 - c D_q(r0)) before a step
+        w = np.multiply(r, p, out=ws.array("carry", float, n))
+        w += 1.0
+        np.divide(q, w, out=w)
+        t = np.add(r, 1.0, out=ws.array("lr", float, n))
+        t *= t
+        np.divide(-cd, t, out=t)
+        t += 1.0 - c
+        y = np.subtract(1.0, w, out=ws.array("score", float, n))
+        y *= t
+        y_sum, y_sq = mc.moment_sums(y)
+        no_miss = n - w.sum()
+        for step, r_m, _, _, below, w_m, y_m in mc._stop_times(
+                rng, r, A, math.inf, q, mc.DEFAULT_MAX_STEPS, ws, (w, y)):
+            s = p * q ** (step - 1)
+            # t = s w (1 - c D_q(R_m) 1{R_m < A}); the mask multiplies, since
+            # a masked write on a mask this close to random costs ten passes
+            t = np.add(r_m, 1.0, out=ws.array("lr", float, r_m.size))
+            t *= t
+            np.divide(-s * cd, t, out=t)
+            t -= s * c
+            t *= below
+            t += s
+            t *= w_m
+            no_miss += s * w_m.sum()
+            y_sum += t.sum()
+            y_sq += 2.0 * np.einsum("i,i->", t, y_m) + np.einsum("i,i->", t, t)
+            y_m += t
             if step == mc.DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
-    # miss, dp_sum and dp_sq are exact Python ints, and exact floats below 2**53
-    miss, at_zero = n - hits, count - n
-    return (np.array([[count, miss + at_zero * h + c * dp_sum,
-                       miss + at_zero * h * h + c * c * dp_sq, miss + at_zero * h, trunc]],
-                     dtype=float),)
+    stop0 = (count - n) * (1.0 - h)
+    return (np.array([[count, y_sum + stop0, y_sq + stop0 * (1.0 - h),
+                       no_miss + stop0, trunc]]),)
 
 
 def _identity_broken(late: np.ndarray, c: float) -> int:
@@ -302,26 +356,26 @@ class BayesRiskEstimate:
     """Plug-in risk estimate with its components, all from one replication set."""
 
     risk: mc.McEstimate
-    # P_hat(N >= nu - 1): a run that stops at 0 adds its probability of
-    # nu = 1, 1 - h (the mean pi0 of the head starts at or above A), where a
-    # stepped run adds 1{N >= nu - 1}
+    # P_hat(N >= nu - 1), the mean score at c = 0: a stepped run adds
+    # pi0 + (1 - pi0)(1 - q^N), its probability of no miss given its path,
+    # and a run that stops at 0 adds 1 - h, the mean pi0 at or above A
     cond_prob: float
 
 
 def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
                         workers: int = qrng.DEFAULT_WORKERS,
                         tag: str = "bayes-risk") -> BayesRiskEstimate:
-    """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+, each
-    run that stops at 0 scored by its exact conditional risk, the mean of
-    1 - pi0 over the head starts at or above A."""
+    """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+: one
+    minus the mean of the exact conditional scores of :func:`_bayes_chunk`,
+    each run below A scored given its pre-change path, each run that stops
+    at 0 by the mean pi0 over the head starts at or above A."""
     mc.check_reps(reps)
     kernel = partial(_bayes_chunk, config=config, h=_stop_at_zero_risk(config))
     rows = qrng.run_chunked(kernel, reps, seed, tag, workers=workers)[0]
-    n, risk, risk2, miss, trunc = rows.sum(axis=0)
-    return BayesRiskEstimate(
-        risk=mc.mc_estimate(n, risk, risk2, truncation_count=int(trunc)),
-        cond_prob=1.0 - miss / n,
-    )
+    n, y_sum, y_sq, no_miss, trunc = rows.sum(axis=0)
+    score = mc.mc_estimate(n, y_sum, y_sq, truncation_count=int(trunc))
+    return BayesRiskEstimate(risk=replace(score, mean=1.0 - score.mean),
+                             cond_prob=float(no_miss / n))
 
 
 @dataclass(frozen=True)
@@ -337,7 +391,7 @@ class LimitRow:
 
 @dataclass(frozen=True)
 class LimitDiagnostic:
-    """The p-grid table plus the linear-in-p extrapolation to p = 0."""
+    """The p-grid table plus the quadratic-in-p extrapolation to p = 0."""
 
     rows: List[LimitRow]
     intercept: float
@@ -347,11 +401,13 @@ class LimitDiagnostic:
 def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
                      p_grid: Sequence[float], reps: Sequence[int], seed: int,
                      workers: int = qrng.DEFAULT_WORKERS) -> LimitDiagnostic:
-    """Estimate (1 - risk)/p along the grid and extrapolate to p = 0.
+    """Estimate (1 - risk)/p along the grid and extrapolate to p = 0 with a
+    weighted quadratic in p (:func:`wls_line`).
 
-    ``p_grid`` passes :func:`check_p_grid`, and ``reps[j]`` replications run
-    at ``p_grid[j]``.  Grid points use independent derived streams, so the
-    weighted-least-squares standard error of the intercept is valid.
+    ``p_grid`` passes :func:`check_p_grid` (at least three points), and
+    ``reps[j]`` replications run at ``p_grid[j]``.  Grid points use
+    independent derived streams, so the weighted-least-squares standard
+    error of the intercept is valid.
     """
     p_grid = check_p_grid(p_grid)
     if np.ndim(reps) != 1 or len(reps) != len(p_grid):
@@ -380,13 +436,28 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
 
 
 def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray):
-    """Weighted least squares fit y = a + b x; returns (a, se_a), from the 2 x 2
-    normal equations in closed form, so no BLAS or LAPACK routine runs."""
+    """Weighted least squares fit y = a + b x + c x^2 (weights w = 1/se^2);
+    returns (a, se_a).
+
+    The 3 x 3 normal equations are solved in closed form, so no BLAS or
+    LAPACK routine runs.  By Cauchy-Binet their cofactors are sums over the
+    pairs of points with no cancelling terms, and a = sum_k l_k y_k / det,
+    se_a^2 = C0 / det, with
+
+        l_k = w_k sum_{i<j} w_i w_j x_i x_j (x_i - x_j)^2 (x_i - x_k)(x_j - x_k),
+        C0 = sum_{i<j} w_i w_j x_i^2 x_j^2 (x_i - x_j)^2,     det = sum_k l_k,
+
+    each an ``einsum`` over the points.  Through three points the fit
+    interpolates: l_k is then the Lagrange weight of y_k at x = 0, times
+    det, whatever the weights are.
+    """
     w = 1.0 / np.square(se)
-    sw, swx, swy = w.sum(), np.einsum("i,i->", w, x), np.einsum("i,i->", w, y)
-    swxx, swxy = np.einsum("i,i,i->", w, x, x), np.einsum("i,i,i->", w, x, y)
-    det = sw * swxx - swx * swx
-    return float((swxx * swy - swx * swxy) / det), float(math.sqrt(swxx / det))
+    dx = np.subtract.outer(x, x)
+    pair = np.einsum("i,j,i,j,ij,ij->ij", w, w, x, x, dx, dx) / 2.0
+    lam = np.einsum("ij,ik,jk,k->k", pair, dx, dx, w)
+    det = lam.sum()
+    c0 = np.einsum("ij,i,j->", pair, x, x)
+    return float(np.einsum("k,k->", lam, y) / det), float(math.sqrt(c0 / det))
 
 
 @dataclass(frozen=True)

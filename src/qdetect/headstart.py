@@ -202,11 +202,26 @@ def sr_exact(A: float) -> tuple[float, float, float]:
     log1a = math.log1p(A)
     c0 = log1a / (2.0 * A)
     i_term = log1a + 1.0 / (1.0 + A) - 1.0
-    d = (A * A / 2.0) / (1.0 - i_term / 2.0)
+    d = 2.0 * _post_change_d(A, 1.0)
     c = A / (1.0 - log1a / 2.0)
     return (c0 * (A + d * A / (2.0 * (1.0 + A))),
             c0 * (A * A / 2.0 + d * i_term / 2.0),
             c0 * (A + c * log1a / 2.0))
+
+
+def _post_change_d(A: float, q: float) -> float:
+    """d_q = (q^2 A^2 / 4) / (1 - q^2 I / 2), I = log(1 + A) + 1/(1 + A) - 1.
+
+    From a statistic r below a threshold 0 < A < 2, the q-scaled
+    post-change chain R' = (R + 1) 2 sqrt(U) / q (q = 1 for SR) survives a
+    step with probability (q A / (2 (1 + r)))^2, and then lands with density
+    2x/A^2 on [0, A), whatever r was; from there it survives each step with
+    probability q^2 I / 2.  So its expected delay from r is rank one,
+    D_q(r) = 1 + d_q / (1 + r)^2 (Moustakides, Polunchenko & Tartakovsky,
+    Statistica Sinica 21, 2011).
+    """
+    i_term = math.log1p(A) + 1.0 / (1.0 + A) - 1.0
+    return ((q * A) ** 2 / 4.0) / (1.0 - q * q * i_term / 2.0)
 
 
 def yakir_density(A: float, x) -> np.ndarray:

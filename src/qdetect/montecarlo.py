@@ -141,15 +141,22 @@ def moment_sums(x: np.ndarray) -> Tuple[float, float]:
 
 def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
     """Move the entries of each array where ``keep`` holds to its front, in
-    order and in place.  In place is safe: a block is taken whole before any
-    of it is overwritten, and its kept entries end no later than it does, so
-    the blocks after it are intact."""
+    order and in place.  In place is safe: a block's kept entries end no
+    later than it does, so the blocks after it are intact.  A block whose
+    kept entries land wholly before it is taken straight into place; one
+    that overlaps its landing place is taken whole before any of it is
+    overwritten."""
     n = 0
     for start in range(0, keep.size, _BLOCK):
         kept = keep[start:start + _BLOCK].nonzero()[0]
+        end = n + kept.size
         for a in arrays:
-            a[n:n + kept.size] = a[start:start + _BLOCK].take(kept)
-        n += kept.size
+            block = a[start:start + _BLOCK]
+            if end <= start:  # mode="clip" writes to ``out`` with no buffer
+                block.take(kept, out=a[n:end], mode="clip")
+            else:
+                a[n:end] = block.take(kept)
+        n = end
 
 
 def _running(r: np.ndarray, A: float, ws: qrng.Workspace, *carry: np.ndarray) -> int:
@@ -206,11 +213,9 @@ def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
             post = step >= nu
             if post:
                 np.sqrt(lr, out=lr)
-        lr *= 2.0
+        lr *= 2.0 / q
         r_n += 1.0
         r_n *= lr
-        if q != 1.0:
-            r_n /= q
         below = np.less(r_n, A, out=below_buf[:n])
         yield (step, r_n, nu[:n] if per_rep else nu, post, below,
                *(a[:n] for a in carry))

@@ -26,14 +26,14 @@ locked free-list (:func:`workspace`); :func:`run_chunked` still calls it as
 ``kernel(rng, count)``.  The free-list outlives the pool's threads and keeps
 as many workspaces as chunks ever ran at once, up to :data:`FREE_LIST_MAX`,
 so a warm chunk allocates nothing chunk-sized.  A workspace holds at most
-three 8-byte chunk-sized buffers and two masks (6.5 MiB at
+four 8-byte chunk-sized buffers and two masks (8.5 MiB at
 :data:`CHUNK_SIZE`): the head starts (in the SR and Bayes risk kernels only
 the ones below the threshold, the only ones drawn), which become the
 running statistics where nothing reads them after the first step; the
-likelihood ratios; the
-caller's per-run array (the change times of the Bayes runs that start below
-the threshold, the only ones that draw one, or a copy of the head starts);
-and the running and post-change masks.  Every kernel of the package returns
+likelihood ratios; the caller's per-run arrays (in the Bayes risk kernel
+1 - pi0 and the running score of each run below the threshold, in the SR
+kernels a copy of the head starts, in the identity check the change
+times); and the running and post-change masks.  Every kernel of the package returns
 one moment row per chunk, so memory is those workspaces plus the rows, not
 a multiple of ``reps``.  The kept workspaces stay held after a call
 returns, until the process exits.

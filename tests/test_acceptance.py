@@ -47,10 +47,11 @@ PUBLISHED_MC = {
 }
 REFUTED_COLUMN = [0.4115, 0.4433, 0.4757, 0.5090, 0.5430, 0.5708]
 
-# replication counts for the small-p extrapolation, sized so the intercept
-# standard error comes out near 0.003, well under a quarter of the gap
+# replication counts for the small-p extrapolation, sized so the quadratic
+# fit's intercept standard error comes out near 0.0008, under a twentieth of
+# the gap
 LIMIT_P_GRID = [0.02, 0.01, 0.005]
-LIMIT_REPS = [30_000_000, 60_000_000, 130_000_000]
+LIMIT_REPS = [3_000_000, 6_000_000, 13_000_000]
 C_STAR = 0.1
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 from functools import partial
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from conftest import assert_risk_row, kernel_paths, reference_bayes_runs
+from conftest import assert_risk_row, kernel_paths, reference_bayes_chunk, reference_bayes_runs
+from test_acceptance import LIMIT_P_GRID, LIMIT_REPS
 
 from qdetect import (
     BayesConfig,
@@ -30,12 +33,56 @@ from qdetect import rng as qrng
 from qdetect import montecarlo as mc
 from qdetect.bayes import (_bayes_chunk, _change_times, _identity_chunk, _stop_at_zero_risk,
                            wls_line)
+from qdetect.cli import DEFAULT_P_GRID, DEFAULT_REPS
+from qdetect.headstart import _gauss_legendre
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
 from qdetect.rng import derive_rng
 
 A = 1.5
 LAW = HeadStartLaw.yakir(A)
 SEED = 20240824
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def exact_ratio(A, c, p):
+    """E[1 - risk]/p exactly, for the uniform product head start at A < 2.
+
+    Given a head start r0 < A the pre-change chain survives its first step
+    with probability a_q(r0) = qA/(2(1 + r0)) and each later one with
+    rho_q = q log(1 + A)/2, and a surviving R is uniform on [0, A).  So
+
+        E[1 - risk | r0] = pi0 (1 - c D_q(r0))
+                           + (1 - pi0) p [1 + (q - c Dbar_q) a_q(r0)/(1 - q rho_q)],
+
+    with D_q(r) = 1 + d_q/(1 + r)^2, its mean Dbar_q = 1 + d_q/(1 + A) over
+    [0, A), and d_q = (q^2 A^2/4)/(1 - q^2 I/2), I = log(1 + A) + 1/(1 + A) - 1;
+    at or above A it is pi0.  The first part is integrated by the
+    Gauss-Legendre rule on [0, A), the second is the law's tail mean.
+    """
+    q = 1.0 - p
+    log1a = math.log1p(A)
+    d = (q * q * A * A / 4.0) / (1.0 - q * q * (log1a + 1.0 / (1.0 + A) - 1.0) / 2.0)
+    rho, d_bar = q * log1a / 2.0, 1.0 + d / (1.0 + A)
+
+    def below(r0):
+        pi0, a = couple_pi0(p, r0), q * A / (2.0 * (1.0 + r0))
+        score = (pi0 * (1.0 - c * (1.0 + d / (1.0 + r0) ** 2))
+                 + (1.0 - pi0) * p * (1.0 + (q - c * d_bar) * a / (1.0 - q * rho)))
+        return score * yakir_density(A, r0)
+
+    law = HeadStartLaw.yakir(A)
+    return (_gauss_legendre(below, [0.0, A])
+            + law.tail_mean(lambda r0: couple_pi0(p, r0), A)) / p
+
+
+def _workload_limit_grid():
+    """The p grid and reps of the ``bayes-limit`` benchmark workload, read
+    from ``perfbench/workloads.py`` by ``ast``, without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    values = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    reps = next(k.value for k in values["FULL"].keywords if k.arg == "limit_reps")
+    return list(ast.literal_eval(values["P_GRID"])), list(ast.literal_eval(reps))
 
 
 class TestCoupling:
@@ -115,21 +162,21 @@ def _brute_force_chunk(rng: np.random.Generator, count: int, config: BayesConfig
 
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
-        # every run stops at 0 and scores 1 - pi0, and none draws a uniform
+        # every run stops at 0 and scores pi0 = 1 - h, and none draws a uniform
         p, count = 0.3, 1000
         config = BayesConfig(p=p, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
         rng = derive_rng(SEED, "test-stop0", 0)
-        n, risk, risk_sq, miss, trunc = _bayes_chunk(
+        n, y_sum, y_sq, no_miss, trunc = _bayes_chunk(
             rng, count, config, _stop_at_zero_risk(config))[0][0]
         assert (rng.bit_generator.state
                 == derive_rng(SEED, "test-stop0", 0).bit_generator.state)
-        miss_prob = 1.0 - float(couple_pi0(p, 2.0))
+        pi0 = float(couple_pi0(p, 2.0))
         assert (n, trunc) == (count, 0)
-        np.testing.assert_allclose([risk, miss], count * miss_prob, rtol=1e-12)
-        np.testing.assert_allclose(risk_sq, count * miss_prob ** 2, rtol=1e-12)
+        np.testing.assert_allclose([y_sum, no_miss], count * pi0, rtol=1e-12)
+        np.testing.assert_allclose(y_sq, count * pi0 ** 2, rtol=1e-12)
 
     def test_outcome_invariants(self):
-        # the stepped runs of chunk 0 of the stream, in the Bayes chunk's draw order
+        # the stepped runs of chunk 0 of the stream, in the brute-force draw order
         p = 0.05
         _, nu, n_stop, truncated, _ = reference_bayes_runs(
             derive_rng(SEED, "test-invariants", 0), LAW, 20_000, A, p, DEFAULT_MAX_STEPS)
@@ -137,14 +184,23 @@ class TestBayesRule:
         missed = n_stop < nu - 1
         assert (nu >= 1).all() and (n_stop >= 1).all() and not truncated.any()
         assert not (missed & (delay_plus > 0)).any()
+        rows = {}
         for c in (0.1, 0.0):
-            # the reduced row of the same stream, against these runs' row
+            # the reduced rows of the same stream, against these runs' row
             config = BayesConfig(p=p, c=c, A=A, law=LAW)
-            (row,) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config,
-                                  _stop_at_zero_risk(config))
+            h = _stop_at_zero_risk(config)
+            (row,) = reference_bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
+                                           config, h)
             assert_risk_row(row, 20_000, nu, n_stop, truncated, config)
             if c == 0:
                 assert row[0, 1] == row[0, 3]  # the risk is the miss probability
+            (rows[c],) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
+                                      config, h)
+        # the exact score at c = 0 is the probability of no miss, and a cost
+        # lowers it on the same paths
+        assert rows[0.0][0, 3] == rows[0.1][0, 3]
+        assert rows[0.0][0, 1] == pytest.approx(rows[0.0][0, 3], rel=1e-12)
+        assert rows[0.1][0, 1] < rows[0.0][0, 1]
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -168,6 +224,17 @@ class TestBayesRule:
             BayesConfig(p=0.0, c=0.1, A=A, law=LAW)
         with pytest.raises(ConfigurationError):
             BayesConfig(p=0.5, c=-1.0, A=A, law=LAW)
+        # the post-change delay of the score is rank one only below 2
+        with pytest.raises(ConfigurationError, match="below 2"):
+            BayesConfig(p=0.02, c=0.1, A=2.0, law=HeadStartLaw.point_mass(0.5))
+
+    @pytest.mark.parametrize("p", [1e-19, 5e-17])
+    def test_p_below_float_resolution_rejected(self, p):
+        # q = 1 - p rounds to 1, and every run would score pi0 with no change
+        assert 1.0 - p == 1.0
+        with pytest.raises(ConfigurationError, match="resolution"):
+            BayesConfig(p=p, c=0.1, A=A, law=LAW)
+        BayesConfig(p=2.0**-53, c=0.1, A=A, law=LAW)  # q is then the float just below 1
 
     @pytest.mark.parametrize("c, a", [(math.nan, A), (math.inf, A), (0.1, math.nan),
                                       (0.1, math.inf), (math.nan, math.nan)])
@@ -228,6 +295,26 @@ class TestRiskEstimate:
         expected = 1.0 - float(couple_pi0(p, r0))
         assert abs(est.risk.mean - expected) <= 4.0 * max(est.risk.stderr, 1e-12)
 
+    def test_exact_score_matches_brute_force(self):
+        # the reference kernel steps every run below A through its drawn
+        # change time and never reads D_q; at c = 0 the risk is the miss
+        # probability, so that pair checks cond_prob
+        reps = 2_000_000
+        for c in (0.1, 0.0):
+            config = BayesConfig(p=0.02, c=c, A=A, law=LAW)
+            rows = qrng.run_chunked(partial(reference_bayes_chunk, config=config,
+                                            h=_stop_at_zero_risk(config)),
+                                    reps, SEED, "test-brute-force")[0]
+            n, risk, risk_sq, miss, trunc = rows.sum(axis=0)
+            brute = mc.mc_estimate(n, risk, risk_sq, int(trunc))
+            est = estimate_bayes_risk(config, reps, SEED)
+            assert abs(est.risk.mean - brute.mean) <= 4.0 * math.hypot(est.risk.stderr,
+                                                                         brute.stderr)
+            assert est.risk.stderr < 0.2 * brute.stderr
+            if c == 0:
+                assert est.cond_prob == pytest.approx(1.0 - est.risk.mean, rel=1e-12)
+                assert 1.0 - miss / n == pytest.approx(1.0 - brute.mean, rel=1e-12)
+
     def test_exact_stop_at_zero_score_is_unbiased_and_cuts_variance(self):
         # against brute force, which scores the runs that stop at 0 by their
         # drawn nu: the same mean within 4 combined SE, on independent
@@ -242,25 +329,63 @@ class TestRiskEstimate:
         assert est.stderr < 0.75 * brute.stderr
 
 
+class TestExactRatio:
+    """``exact_ratio`` against its pinned values, and the estimator and the
+    extrapolation against it."""
+
+    @pytest.mark.parametrize("p, want", [(0.02, 3.28444), (0.01, 3.36390),
+                                         (0.005, 3.40518)])
+    def test_reference_values(self, p, want):
+        assert exact_ratio(A, 0.1, p) == pytest.approx(want, abs=5e-6)
+
+    def test_zero_cost_limit_is_the_false_alarm_identity(self):
+        # at c = 0 the ratio tends to E R_0 + 1 + E_inf N
+        target = yakir_mean(A) + 1.0 + sr_exact(A)[2]
+        assert exact_ratio(A, 0.0, 1e-7) == pytest.approx(target, abs=1e-5)
+
+    @pytest.mark.parametrize("p", [0.3, 0.02, 0.005])
+    def test_estimate_within_4_se(self, p):
+        est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), 1_000_000, SEED)
+        z = ((1.0 - est.risk.mean) / p - exact_ratio(A, 0.1, p)) / (est.risk.stderr / p)
+        assert abs(z) <= 4.0
+
+    @pytest.mark.parametrize("grid, reps", [
+        (LIMIT_P_GRID, LIMIT_REPS),
+        (DEFAULT_P_GRID, [DEFAULT_REPS] * len(DEFAULT_P_GRID)),
+        _workload_limit_grid(),
+    ], ids=["criterion-5", "cli-default", "workload"])
+    def test_quadratic_fit_bias_under_a_quarter_se(self, grid, reps):
+        # the fit of the exact ratios misses eq4 by its curvature bias alone;
+        # at each grid's reps that is under a quarter of the intercept SE,
+        # here a lower bound from a per-rep SD of 0.6 (it is 0.67-0.73 on
+        # this grid); a line would miss by about 4 of those SE
+        exact = np.array([exact_ratio(A, 0.1, p) for p in grid])
+        se = 0.6 / np.sqrt(np.array(reps, dtype=float))
+        intercept, intercept_se = wls_line(np.array(grid), exact, se)
+        assert abs(intercept - limit_predictions(A, 0.1)[1]) <= 0.25 * intercept_se
+
+
 class TestLimitDiagnostic:
     def test_wls_recovers_exact_line(self):
+        # the quadratic fit recovers a quadratic, and so a line, exactly
         x = np.array([0.02, 0.01, 0.005])
-        y = 3.0 - 7.0 * x
-        a, sa = wls_line(x, y, np.full(3, 0.01))
-        assert a == pytest.approx(3.0, abs=1e-9)
-        assert sa > 0
+        for y in (3.0 - 7.0 * x, 3.0 - 7.0 * x + 40.0 * x * x):
+            a, sa = wls_line(x, y, np.full(3, 0.01))
+            assert a == pytest.approx(3.0, abs=1e-9)
+            assert sa > 0
 
-    @pytest.mark.parametrize("x", [[0.02, 0.01, 0.005], [0.3, 0.2],
+    @pytest.mark.parametrize("x", [[0.02, 0.01, 0.005], [0.3, 0.2, 0.1],
                                    [0.05, 0.04, 0.02, 0.01]])
     def test_wls_matches_least_squares(self, x):
-        # the closed form against LAPACK's solution of the sqrt(w)-scaled system
+        # the closed form against LAPACK's solution of the sqrt(w)-scaled
+        # quadratic system, and the SE from its pseudo-inverse (SVD)
         rng = derive_rng(SEED, "wls", len(x))
         x = np.array(x)
         y, se = 3.4 + rng.normal(0, 0.1, x.size), rng.uniform(0.005, 0.05, x.size)
-        design = np.column_stack([np.ones_like(x), x]) / se[:, None]
+        design = np.column_stack([np.ones_like(x), x, x * x]) / se[:, None]
         beta = np.linalg.lstsq(design, y / se, rcond=None)[0]
-        cov = np.linalg.inv(design.T @ design)
-        np.testing.assert_allclose(wls_line(x, y, se), [beta[0], math.sqrt(cov[0, 0])],
+        se_a = math.sqrt(math.fsum(np.linalg.pinv(design)[0] ** 2))
+        np.testing.assert_allclose(wls_line(x, y, se), [beta[0], se_a],
                                    rtol=1e-12, atol=0.0)
 
     def test_rows_and_extrapolation(self):
@@ -270,9 +395,10 @@ class TestLimitDiagnostic:
 
     @pytest.mark.parametrize("p_grid, reps", [
         ([0.5], [50_000]),              # one point: nothing to extrapolate
-        ([0.02, 0.01], 50_000),         # one count for the whole grid
-        ([0.02, 0.01], [50_000]),       # fewer counts than points
-        ([0.02, 0.01], [1000, 1000.5]),  # a fractional count
+        ([0.02, 0.01, 0.005], 50_000),  # one count for the whole grid
+        ([0.02, 0.01, 0.005], [50_000, 50_000]),  # fewer counts than points
+        ([0.02, 0.01, 0.005], [1000, 1000, 1000.5]),  # a fractional count
+        ([0.02, 0.01], [50_000] * 2),   # two points: no quadratic through them
     ])
     def test_grid_and_reps_shape_rejected(self, p_grid, reps, monkeypatch):
         def fail(*args, **kwargs):
@@ -286,17 +412,17 @@ class TestLimitDiagnostic:
         # scores the same exact risk 1 - pi0; at 1000 reps the sum of squares
         # of those equal scores leaves a rounding residue, which is no spread
         law = HeadStartLaw.point_mass(4.0)
-        for p_grid, reps, seed in (([2e-6, 1e-6], [100, 100], SEED),
-                                   ([0.3, 0.2], [1000, 1000], 1)):
+        for p_grid, reps, seed in (([3e-6, 2e-6, 1e-6], [100] * 3, SEED),
+                                   ([0.3, 0.2, 0.1], [1000] * 3, 1)):
             with pytest.raises(ConfigurationError):
                 limit_diagnostic(A, law, 0.1, p_grid, reps, seed)
 
     def test_nondecreasing_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            limit_diagnostic(A, LAW, 0.1, [0.01, 0.02], [1000, 1000], SEED)
+            limit_diagnostic(A, LAW, 0.1, [0.02, 0.005, 0.01], [1000] * 3, SEED)
 
     def test_zero_cost_verdict_coincides(self):
-        diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01], [50_000] * 2, SEED)
+        diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01, 0.005], [50_000] * 3, SEED)
         base = yakir_mean(A) + 1.0 + 0.85
         verdict = compare_limit(diag, base, base)
         assert verdict.verdict == "coincide"
@@ -323,7 +449,7 @@ class TestLimitPredictions:
 
     def test_gap_is_distance_between_predictions(self):
         eq3, eq4 = limit_predictions(A, 0.1)
-        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01], [50_000] * 2, SEED)
+        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [50_000] * 3, SEED)
         verdict = compare_limit(diag, eq3, eq4)
         e1, cross, _ = sr_exact(A)
         assert verdict.gap == pytest.approx(0.1 * abs(cross - e1 * yakir_mean(A)),

@@ -49,6 +49,10 @@ BAD_FLAGS = [
     (["bayes-limit", "--p-grid", "0.02,0.01,0", "--reps", "300000"],
      lambda: bayes.check_p_grid([0.02, 0.01, 0.0])),
     (["bayes-limit", "--p-grid", "0.02"], lambda: bayes.check_p_grid([0.02])),
+    # the extrapolation fits a quadratic, which needs three points
+    (["bayes-limit", "--p-grid", "0.02,0.01"], lambda: bayes.check_p_grid([0.02, 0.01])),
+    # below about 5.6e-17, q = 1 - p rounds to 1
+    (["bayes-limit", "--p-grid", "0.02,0.01,1e-19"], lambda: bayes.check_p(1e-19)),
     # every command applies the whole p-grid rule, not only bayes-limit
     (["table1", "--p-grid", "0.005,0.01"], lambda: bayes.check_p_grid([0.005, 0.01])),
     # an unwritable --out fails before the simulation, not after it
@@ -128,7 +132,7 @@ def _header_argv(out: str) -> list:
 class TestHeaders:
     @pytest.mark.parametrize("argv", [
         ["table1", "--a-grid", "1.6,1.9", "--reps", "2000", "--seed", "9"],
-        ["bayes-limit", "--a-grid", "1.6", "--p-grid", "0.05,0.02",
+        ["bayes-limit", "--a-grid", "1.6", "--p-grid", "0.05,0.02,0.01",
          "--c-star", "0.2", "--reps", "20000", "--seed", "9"],
     ])
     def test_header_regenerates_table(self, argv, capsys):
@@ -142,7 +146,7 @@ class TestHeaders:
     @pytest.mark.parametrize("command", ["bayes-limit", "equalizer"])
     def test_header_names_the_threshold_run(self, command, capsys):
         # both commands run the first threshold of --a-grid only
-        code = main([command, "--a-grid", "1.6,1.9", "--p-grid", "0.05,0.02",
+        code = main([command, "--a-grid", "1.6,1.9", "--p-grid", "0.05,0.02,0.01",
                      "--reps", "20000", "--seed", "9"])
         first = capsys.readouterr().out
         regen = _header_argv(first)
@@ -155,7 +159,7 @@ class TestTruncationGate:
     @pytest.mark.parametrize("argv", [
         ["table1", "--a-grid", "1.5"],
         ["equalizer", "--a-grid", "1.5"],
-        ["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02"],
+        ["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02,0.01"],
     ])
     def test_flag_level_gates_every_monte_carlo_command(self, argv, monkeypatch, capsys):
         monkeypatch.setattr(montecarlo, "TRUNCATION_FLAG_LEVEL", -1.0)
@@ -165,7 +169,7 @@ class TestTruncationGate:
 
 class TestBayesLimit:
     def test_small_run_emits_rows(self, capsys):
-        main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02",
+        main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02,0.01",
               "--reps", "20000", "--seed", "9"])
         out = capsys.readouterr().out
         assert "p,reps,ratio,ratio_se" in out
@@ -175,11 +179,17 @@ class TestBayesLimit:
         def fail(*args, **kwargs):
             raise AssertionError("bayes-limit ran an SR simulation")
         monkeypatch.setattr(montecarlo, "_sr_sums", fail)
-        main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02",
+        main(["bayes-limit", "--a-grid", "1.5", "--p-grid", "0.05,0.02,0.01",
               "--reps", "20000", "--seed", "9"])
         out = capsys.readouterr().out
         assert "# eq3=3.3868 eq3_se=0.0000 z=" in out
         assert "# eq4=3.4475 eq4_se=0.0000 z=" in out
+
+    def test_default_run_reaches_eq4(self, capsys):
+        # at its defaults (1 M reps at each of p = 0.02, 0.01, 0.005) the
+        # intercept SE is about 0.0025, a twenty-fifth of the eq3/eq4 gap
+        assert main(["bayes-limit", "--seed", str(DEFAULT_SEED), "--workers", "2"]) == EXIT_OK
+        assert "# verdict=eq4\n" in capsys.readouterr().out
 
 
 class TestEqualizer:
@@ -289,14 +299,17 @@ class TestConfigErrors:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {info.value}\n"
 
-    def test_change_times_past_int64_are_a_configuration_error(self, capsys):
-        # at p = 1e-19 the change times pass 2^63, where a cast to int64
-        # overflows; the grid point fails as a configuration error
+    def test_p_below_float_resolution_is_a_configuration_error(self, monkeypatch, capsys):
+        # at p = 1e-19, q = 1 - p rounds to 1: every run would score the same
+        # pi0, a zero standard error that no replication count mends; the
+        # grid is rejected with its own message before any simulation
+        _fail_on_simulation(monkeypatch)
         argv = ["bayes-limit", "--p-grid", "0.001,1e-19,1e-20", "--reps", "20000",
                 "--workers", "1"]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert err.startswith("configuration error: p = 1e-19 is below the float64 "
+                              "resolution") and "Traceback" not in err
 
     @pytest.mark.parametrize("check", [
         lambda: headstart.oracle_checks(1.5, 10**4, -1),

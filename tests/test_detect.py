@@ -6,12 +6,14 @@ or the Bayes recursion (``q = 1 - p``) one replication at a time with
 ``conftest.record_runs`` records every run the kernel yields, and the two
 are matched by head start, which is unique under the uniform-product law.
 The runs follow the draw order of the chunk kernels: only the head starts
-below A are drawn (``HeadStartLaw.sample`` at A), and in the Bayes runs
-(``conftest.reference_bayes_runs``) they draw change times before they
-step.  The Bayes risk row is checked against the row of the reference
-paths here, with the exact risk of the runs that stop at 0, the SR moment
-row in ``test_workspace.py``.  ``TestStreamContract`` checks the head-start
-and change-time draws against their textbook forms.
+below A are drawn (``HeadStartLaw.sample`` at A).  The Bayes risk kernel
+steps them with no change (``conftest.reference_bayes_scores``), and its
+row is checked here against the exact conditional scores of the reference
+paths; the brute-force reference kernel (``conftest.reference_bayes_chunk``)
+draws change times before they step (``conftest.reference_bayes_runs``),
+which checks the kernel's per-replication change indices.  The SR moment
+row is checked in ``test_workspace.py``.  ``TestStreamContract`` checks the
+head-start and change-time draws against their textbook forms.
 """
 
 import math
@@ -19,8 +21,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (assert_risk_row, record_runs, reference_bayes_runs,
-                      reference_change_times, reference_stop_times)
+from conftest import (assert_risk_row, assert_score_row, record_runs, reference_bayes_chunk,
+                      reference_bayes_runs, reference_bayes_scores, reference_change_times,
+                      reference_stop_times)
 
 from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_bayes_risk,
                      estimate_conditional_delay, estimate_e1_and_cross, identity_checks,
@@ -51,8 +54,22 @@ def _reference_runs(tag, max_steps, change_index=None):
 
 def _bayes_runs(tag, p, max_steps):
     """The Bayes runs of chunk 0 of ``tag`` in the draw order of
-    ``_bayes_chunk``: the head starts below A with their change times, the
-    kernel's recorded runs of those, and the reference's
+    ``_bayes_chunk``: the head starts below A, the kernel's recorded
+    pre-change runs of those, and the reference's
+    ``(n_stop, truncated, final, score, no_miss)`` of the same runs at
+    c = 0.1."""
+    stepped, *ref = reference_bayes_scores(derive_rng(SEED, tag, 0), LAW, COUNT, A, p, 0.1,
+                                           max_steps)
+    rng = derive_rng(SEED, tag, 0)
+    LAW.sample(rng, COUNT, A, Workspace())
+    recorded = record_runs(rng, stepped, A, math.inf, 1.0 - p, max_steps)
+    return stepped, recorded, ref
+
+
+def _brute_force_runs(tag, p, max_steps):
+    """The brute-force Bayes runs of chunk 0 of ``tag`` in the draw order of
+    ``conftest.reference_bayes_chunk``: the head starts below A with their
+    change times, the kernel's recorded runs of those, and the reference's
     ``(n_stop, truncated, final)`` of the same runs."""
     stepped, nu, *ref = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, COUNT,
                                              A, p, max_steps)
@@ -75,14 +92,26 @@ def _assert_paths_match(r0, recorded, ref):
     np.testing.assert_allclose(rec_final, ref_final, rtol=1e-12, atol=0.0)
 
 
-def _assert_bayes_rows_match(tag, p, nu, ref):
-    """The risk rows of the chunk at c = 0.1 and 0 against the rows of the
-    reference's runs (``conftest.assert_risk_row``)."""
+def _assert_bayes_rows_match(tag, p, ref):
+    """The score row of the chunk at c = 0.1 against the exact scores of the
+    reference's runs (``conftest.assert_score_row``), and at c = 0, where
+    the score is the probability of no miss."""
+    _, truncated, _, score, no_miss = ref
+    for c, want in ((0.1, score), (0.0, no_miss)):
+        config = BayesConfig(p=p, c=c, A=A, law=LAW)
+        h = _stop_at_zero_risk(config)
+        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config, h)
+        assert_score_row(row, COUNT, want, no_miss, truncated, h)
+
+
+def _assert_brute_force_rows_match(tag, p, nu, ref):
+    """The brute-force risk rows of the chunk at c = 0.1 and 0 against the
+    rows of the reference's runs (``conftest.assert_risk_row``)."""
     n_stop, truncated, _ = ref
     for c in (0.1, 0.0):
         config = BayesConfig(p=p, c=c, A=A, law=LAW)
-        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config,
-                              _stop_at_zero_risk(config))
+        (row,) = reference_bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config,
+                                       _stop_at_zero_risk(config))
         assert_risk_row(row, COUNT, nu, n_stop, truncated, config)
 
 
@@ -99,21 +128,34 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_bayes_chunk(self, p):
         tag = f"ref/bayes/{p}"
-        stepped, nu, recorded, ref = _bayes_runs(tag, p, DEFAULT_MAX_STEPS)
+        stepped, recorded, ref = _bayes_runs(tag, p, DEFAULT_MAX_STEPS)
+        _assert_paths_match(stepped, recorded, ref[:3])
+        _assert_bayes_rows_match(tag, p, ref)
+        assert (ref[0] > 1).any() and 0 < stepped.size < COUNT
+
+    @pytest.mark.parametrize("p", [0.3, 0.005])
+    def test_brute_force_reference_chunk(self, p):
+        tag = f"ref/brute/{p}"
+        stepped, nu, recorded, ref = _brute_force_runs(tag, p, DEFAULT_MAX_STEPS)
         _assert_paths_match(stepped, recorded, ref)
-        _assert_bayes_rows_match(tag, p, nu, ref)
+        _assert_brute_force_rows_match(tag, p, nu, ref)
         assert (nu > 1).any() and (nu == 1).any() and 0 < stepped.size < COUNT
 
     @pytest.mark.parametrize("max_steps", [1, 2])
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_bayes_truncation(self, p, max_steps, monkeypatch):
-        # the per-replication change index path, cut off after one or two steps
+        # both Bayes kernels, cut off after one or two steps: the score
+        # kernel with no change, the brute-force one with per-replication
+        # change indices
         tag = f"ref/bayes/{p}/{max_steps}"
-        stepped, nu, recorded, ref = _bayes_runs(tag, p, max_steps)
-        _assert_paths_match(stepped, recorded, ref)
+        stepped, recorded, ref = _bayes_runs(tag, p, max_steps)
+        _assert_paths_match(stepped, recorded, ref[:3])
+        stepped_bf, nu, recorded_bf, ref_bf = _brute_force_runs(tag, p, max_steps)
+        _assert_paths_match(stepped_bf, recorded_bf, ref_bf)
         monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
-        _assert_bayes_rows_match(tag, p, nu, ref)
-        assert ref[1].any() and (nu <= max_steps).any()
+        _assert_bayes_rows_match(tag, p, ref)
+        _assert_brute_force_rows_match(tag, p, nu, ref_bf)
+        assert ref[1].any() and ref_bf[1].any() and (nu <= max_steps).any()
 
     def test_single_step_in_place(self):
         # the martingale-drift form: no run can stop, and max_steps = 1 ends it

@@ -122,7 +122,7 @@ class TestDeterminism:
         # at their default arguments, estimators reach run_chunked with an int
         # worker count, DEFAULT_WORKERS, and give the serial bits
         reps = 2 * CHUNK_SIZE + 1  # three chunks
-        grid, grid_reps = [0.02, 0.01], [reps, CHUNK_SIZE + 1]
+        grid, grid_reps = [0.02, 0.01, 0.005], [reps, CHUNK_SIZE + 1, 1000]
         serial = (estimate_e1_and_cross(A, LAW, reps, SEED, workers=1),
                   limit_diagnostic(A, LAW, 0.1, grid, grid_reps, SEED, workers=1))
         seen = []
@@ -134,7 +134,7 @@ class TestDeterminism:
         monkeypatch.setattr(qrng, "run_chunked", recording)
         assert (estimate_e1_and_cross(A, LAW, reps, SEED),
                 limit_diagnostic(A, LAW, 0.1, grid, grid_reps, SEED)) == serial
-        assert seen == [qrng.DEFAULT_WORKERS] * 3
+        assert seen == [qrng.DEFAULT_WORKERS] * 4
         assert all(type(w) is int for w in seen)
 
     def test_oracle_margins_do_not_depend_on_workers(self):
@@ -311,10 +311,10 @@ class TestGoldenOutputs:
         }
 
     @pytest.mark.parametrize("p, risk_hex, cond_prob_hex", [
-        (0.3, ("0x1.9d46373e2dc17p-2", "0x1.1c3bd70113e73p-11", 0, 0),
-         "0x1.3e46bf13e0e73p-1"),
-        (0.005, ("0x1.f73d7477d58e6p-1", "0x1.3a31dbac88f71p-13", 0, 0),
-         "0x1.244316cf77ba0p-6"),
+        (0.3, ("0x1.9d7e3e488d722p-2", "0x1.70c12db390e36p-14", 0, 0),
+         "0x1.3e253848d6827p-1"),
+        (0.005, ("0x1.f74883378f31fp-1", "0x1.c078a387f4326p-18", 0, 0),
+         "0x1.22df6019cb65ap-6"),
     ], ids=["p=0.3", "p=0.005"])
     def test_bayes_risk(self, p, risk_hex, cond_prob_hex):
         est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), self.REPS, SEED)

@@ -65,17 +65,18 @@ def test_warm_call_memory_is_bounded_by_the_chunk(name, workers):
 
 def test_workspace_holds_a_few_chunk_buffers(monkeypatch):
     # the SR and Bayes kernels and the martingale checks, on fresh workspaces:
-    # each holds three 8-byte buffers of one chunk (the head starts, which
-    # the kernel steps in place, the likelihood ratios, and the change times
-    # or the SR kernels' copy of the head starts) and two masks, 6.5 MiB, and
-    # no per-replication record of the stops
+    # each holds four 8-byte buffers of one chunk (the head starts, which
+    # the kernel steps in place, the likelihood ratios, the Bayes runs'
+    # 1 - pi0 or the SR kernels' copy of the head starts, and the Bayes
+    # runs' scores) and one or two masks, at most 8.5 MiB, and no
+    # per-replication record of the stops
     monkeypatch.setattr(qrng, "_free_workspaces", [])
     estimate_e1_and_cross(A, LAW, CHUNK_SIZE, SEED, 2)
     estimate_bayes_risk(BayesConfig(p=0.01, c=0.1, A=A, law=LAW), 2 * CHUNK_SIZE, SEED, 2)
     martingale_checks(A, LAW, CHUNK_SIZE, SEED, 2)
     held = [sum(buf.nbytes for buf in ws._buffers.values())
             for ws in qrng._free_workspaces]
-    assert held and max(held) < 7 << 20, [f"{b / 2**20:.2f} MiB" for b in held]
+    assert held and max(held) < 9 << 20, [f"{b / 2**20:.2f} MiB" for b in held]
 
 
 def test_a_name_asked_for_at_another_dtype_gets_that_dtype():
