@@ -63,21 +63,22 @@ Each chunk draws its head starts and runs its replications in a workspace
 borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
 one moment row: count, score sums, the score at c = 0 and truncations for
 the risk estimate; count, the draws with nu = 1 and their sum and sum of
-squares for the conditional mean.  The conditional-mean kernel, which reads
-only {nu = 1}, draws the first half of a change time
-(:func:`_first_changes`); the identity kernel, which checks the risk
-decomposition run by run, draws whole change times (:func:`_change_times`)
-and steps through them.  Both check facts about the whole law, so they draw
-every head start (:meth:`HeadStartLaw.sample` at ``A = math.inf``); the
-identity kernel reads the runs that stop at 0 first, then drops them
-(:func:`qdetect.montecarlo._running`) and steps the rest.  The change times
-stay float64 (integer-valued, and past 2^63 at a small p).  The risk
-kernel steps the running statistics over the head starts, which nothing
-reads after the first step, so a chunk holds four chunk-sized 8-byte
-buffers (head starts, likelihood ratios, 1 - pi0 and the running score)
-and a mask.  The sums add up as :func:`qdetect.montecarlo._stop_times`
-steps the runs, so each estimate holds one row per chunk, whatever
-``reps`` is.
+squares for the conditional mean.  Two kernels draw change times, both
+from the one sampler :func:`_change_times`: the conditional-mean kernel,
+which reads only {nu = 1}, and the identity kernel, which checks the risk
+decomposition run by run and steps through the change.  Both check facts
+about the whole law, so they draw every head start
+(:meth:`HeadStartLaw.sample` at ``A = math.inf``); the identity kernel reads
+the runs that stop at 0 first, then drops them
+(:func:`qdetect.montecarlo._running`) and steps the rest, reading each
+step's change times from its own array, which the kernel compacts with the
+runs.  The change times stay float64 (integer-valued, and past 2^63 at a
+small p).  The risk kernel steps the running statistics over the head
+starts, which nothing reads after the first step, so a chunk holds four
+chunk-sized 8-byte buffers (head starts, likelihood ratios, 1 - pi0 and the
+running score) and a mask.  The sums add up as
+:func:`qdetect.montecarlo._stop_times` steps the runs, so each estimate
+holds one row per chunk, whatever ``reps`` is.
 """
 
 from __future__ import annotations
@@ -179,36 +180,26 @@ def coupling_round_trip(seed: int) -> tuple[bool, float]:
     return worst <= 1e-12, worst
 
 
-def _first_changes(rng: np.random.Generator, r0: np.ndarray, *, p: float,
-                   ws: qrng.Workspace) -> np.ndarray:
-    """The mask of the head starts ``r0`` whose change time is nu = 1.
-
-    Draws one uniform per head start, in order, and compares it with the
-    coupled pi0.  The mask is a view of the workspace ``ws`` (its ``mask``
-    buffer; ``carry`` and ``lr`` hold temporaries).  Head starts are
-    nonnegative by construction, so pi0 skips :func:`couple_pi0`'s checks.
-    """
-    count = r0.size
-    lr = ws.array("lr", float, count)
-    pi0 = _couple(p, r0, ws.array("carry", float, count), lr)
-    return np.less(rng.random(count, out=lr), pi0, out=ws.array("mask", bool, count))
-
-
 def _change_times(rng: np.random.Generator, r0: np.ndarray, *, p: float,
                   ws: qrng.Workspace) -> np.ndarray:
     """The change times nu coupled to the head starts ``r0``.
 
-    Draws the uniforms of :func:`_first_changes`, then one geometric
-    uniform u2 per head start, in order, and takes
-    nu = 2 + floor(log1p(-u2)/log1p(-p)).  nu is a float64 view of the
-    workspace ``ws`` (its ``carry`` buffer; ``lr`` and ``mask`` hold
-    temporaries), integer-valued and never cast: at a small p the
-    geometric part can pass 2^63.  Every sum it feeds is over change times
-    at most ``DEFAULT_MAX_STEPS``, so it stays an exact integer.
+    Draws one uniform u1 per head start, in order, and takes nu = 1 where
+    u1 < pi0; then one geometric uniform u2 per head start, in order, and
+    takes nu = 2 + floor(log1p(-u2)/log1p(-p)) elsewhere.  A caller that
+    reads only {nu = 1} reads bits that the first uniforms alone set.  nu
+    is a float64 view of the workspace ``ws`` (its ``carry`` buffer; ``lr``
+    and ``mask`` hold temporaries), integer-valued and never cast: at a
+    small p the geometric part can pass 2^63.  Every sum it feeds is over
+    change times at most ``DEFAULT_MAX_STEPS``, so it stays an exact
+    integer.  Head starts are nonnegative by construction, so pi0 skips
+    :func:`couple_pi0`'s checks.
     """
     count = r0.size
-    first = _first_changes(rng, r0, p=p, ws=ws)
-    nu = rng.random(count, out=ws.array("carry", float, count))
+    nu, lr = ws.array("carry", float, count), ws.array("lr", float, count)
+    pi0 = _couple(p, r0, nu, lr)
+    first = np.less(rng.random(count, out=lr), pi0, out=ws.array("mask", bool, count))
+    rng.random(count, out=nu)
     np.negative(nu, out=nu)
     np.log1p(nu, out=nu)
     nu /= math.log1p(-p)
@@ -278,7 +269,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: f
         y *= t
         y_sum, y_sq = mc.moment_sums(y)
         no_miss = n - w.sum()
-        for step, r_m, _, _, below, w_m, y_m in mc._stop_times(
+        for step, r_m, below, w_m, y_m in mc._stop_times(
                 rng, r, A, math.inf, q, mc.DEFAULT_MAX_STEPS, ws, (w, y)):
             s = p * q ** (step - 1)
             # t = s w (1 - c D_q(R_m) 1{R_m < A}); the mask multiplies, since
@@ -316,9 +307,10 @@ def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
         at_zero = nu[r0 >= config.A]  # the runs that stop at 0, before any step
         broken, evaluated = _identity_broken(1 - at_zero, config.c), at_zero.size
         n = mc._running(r0, config.A, ws, nu)
-        for step, _, nu_s, _, below in mc._stop_times(
+        for step, r, below in mc._stop_times(
                 rng, r0[:n], config.A, nu[:n], 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
             # the runs that stop at this step; at the last, the truncated ones too
+            nu_s = nu[:r.size]  # the kernel compacts nu with the runs
             leaving = nu_s if step == mc.DEFAULT_MAX_STEPS else nu_s[~below]
             broken += _identity_broken(step + 1 - leaving, config.c)
             evaluated += leaving.size
@@ -501,7 +493,8 @@ def _conditional_chunk(rng: np.random.Generator, count: int, *, p: float,
     """One row (count, m, sum r0, sum r0^2) over the m draws of a chunk with nu = 1."""
     with qrng.workspace() as ws:
         r0 = law.sample(rng, count, math.inf, ws)
-        cond = r0.take(np.flatnonzero(_first_changes(rng, r0, p=p, ws=ws)))
+        nu = _change_times(rng, r0, p=p, ws=ws)
+        cond = r0.take(np.flatnonzero(np.equal(nu, 1.0, out=ws.array("mask", bool, count))))
         return (np.array([[count, cond.size, *mc.moment_sums(cond)]]),)
 
 

@@ -171,8 +171,8 @@ def _running(r: np.ndarray, A: float, ws: qrng.Workspace, *carry: np.ndarray) ->
 def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
                 max_steps: int, ws: qrng.Workspace, carry: tuple = ()):
     """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r`` until ``R_n >= A``,
-    stepping ``r`` in place and yielding ``(n, r, nu, post, below, *carry)``
-    at each step ``n``.
+    stepping ``r`` in place and yielding ``(n, r, below, *carry)`` at each
+    step ``n``.
 
     Every run of ``r`` starts below ``A``: a run at or above it stops at 0
     and takes no step, so a caller drops it first (:func:`_running`).
@@ -182,19 +182,18 @@ def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
     replication, in replication order, takes ``lr = 2U`` before the change
     and ``2 sqrt(U)`` after it, and updates the running statistics in place.
     The yielded arrays are views of the runs that took step ``n``: ``r``
-    holds ``R_n``, ``nu`` their change indices, ``post`` whether ``n`` is
-    post-change (one bool for a scalar ``nu``), ``below`` whether
-    ``R_n < A``, and then one view of each per-run array of ``carry``.  The
-    runs not below stop at ``N = n``; after step ``max_steps`` the runs
-    still below are truncated there.
+    holds ``R_n``, ``below`` whether ``R_n < A``, and then one view of each
+    per-run array of ``carry``.  The runs not below stop at ``N = n``; after
+    step ``max_steps`` the runs still below are truncated there.
 
     After each step the runs still below ``A`` move to the front of ``r``, a
     per-replication ``nu`` and each array of ``carry``, in place
     (:func:`_compact`).  Only those arrays move, so a caller that reads
-    ``R_0`` as the runs step carries a copy of it.  The kernel's own arrays
-    live in the workspace ``ws`` (its buffers ``lr``, ``mask``, and ``post``
-    for a per-replication ``nu``); between steps a caller may overwrite
-    ``post`` and the ``lr`` buffer.
+    ``R_0`` as the runs step carries a copy of it, and a caller that reads
+    the change indices of a step's runs reads the first ``r.size`` entries
+    of its own ``nu``.  The kernel's own arrays live in the workspace ``ws``
+    (its buffers ``lr``, ``mask``, and ``post`` for a per-replication
+    ``nu``); between steps a caller may overwrite the ``lr`` buffer.
     """
     n = r.size
     per_rep = np.ndim(nu) > 0
@@ -207,18 +206,14 @@ def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
             return
         r_n, lr = r[:n], rng.random(n, out=lr_buf[:n])
         if per_rep:
-            post = np.less_equal(nu[:n], step, out=post_buf[:n])
-            np.sqrt(lr, out=lr, where=post)
-        else:
-            post = step >= nu
-            if post:
-                np.sqrt(lr, out=lr)
+            np.sqrt(lr, out=lr, where=np.less_equal(nu[:n], step, out=post_buf[:n]))
+        elif step >= nu:
+            np.sqrt(lr, out=lr)
         lr *= 2.0 / q
         r_n += 1.0
         r_n *= lr
         below = np.less(r_n, A, out=below_buf[:n])
-        yield (step, r_n, nu[:n] if per_rep else nu, post, below,
-               *(a[:n] for a in carry))
+        yield (step, r_n, below, *(a[:n] for a in carry))
         kept = np.count_nonzero(below)
         if kept < n:
             _compact(below, *(a[:n] for a in running))
@@ -260,7 +255,7 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
     d_sum = d_sq = trunc = 0
     x_sum = x_sq = 0.0
     with qrng.workspace() as ws:
-        for step, r, _, _, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
+        for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
             n = r.size
             if step == lag:
                 kept = n
@@ -286,7 +281,7 @@ def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
     d_sum = d_sq = 0.0
     trunc = 0
     with qrng.workspace() as ws:
-        for step, r, _, _, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
+        for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
             d = np.subtract(r, r0_s, out=ws.array("lr", float, r.size))
             d -= step
             if step < max_steps:
@@ -400,8 +395,8 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
     worst = 0.0
     with qrng.workspace() as ws:
         # no run reaches A = inf, so every path takes every step of the horizon
-        for n, r, *_ in _stop_times(rng, np.zeros(n_paths), math.inf, math.inf, 1.0,
-                                    horizon, ws):
+        for n, r, _ in _stop_times(rng, np.zeros(n_paths), math.inf, math.inf, 1.0,
+                                   horizon, ws):
             est = mc_estimate(n_paths, *moment_sums(r))
             worst = max(worst, abs(est.mean - n) / est.stderr)
 

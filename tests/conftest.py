@@ -114,8 +114,10 @@ def reference_bayes_chunk(rng: np.random.Generator, count: int, config, h: float
         n = r0.size
         nu = _change_times(rng, r0, p=p, ws=ws)
         hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, n)))
-        for step, _, nu_s, post, below in montecarlo._stop_times(
+        for step, r, below in montecarlo._stop_times(
                 rng, r0, A, nu, 1.0 - p, montecarlo.DEFAULT_MAX_STEPS, ws):
+            nu_s = nu[:r.size]  # the kernel compacts nu with the runs
+            post = nu_s <= step
             late = np.count_nonzero(post)
             dp_sum += late
             dp_sq += (2 * step + 1) * late - 2 * int(np.sum(nu_s, where=post))
@@ -223,7 +225,7 @@ def record_runs(rng, r0, A, nu, q, max_steps):
         return r0_s, np.full(r0_s.size, n_stop), np.full(r0_s.size, truncated), final
 
     parts = []
-    for step, r, _, _, below, r0_s in montecarlo._stop_times(
+    for step, r, below, r0_s in montecarlo._stop_times(
             rng, r0.copy(), A, nu, q, max_steps, qrng.Workspace(), (r0.copy(),)):
         parts.append(runs(r0_s[~below], step, False, r[~below]))
         if step == max_steps:

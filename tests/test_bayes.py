@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from conftest import assert_risk_row, kernel_paths, reference_bayes_chunk, reference_bayes_runs
+from conftest import (assert_risk_row, kernel_paths, reference_bayes_chunk, reference_bayes_runs,
+                      reference_change_times, reference_stop_times)
 from test_acceptance import LIMIT_P_GRID, LIMIT_REPS
 
 from qdetect import (
@@ -29,7 +30,7 @@ from qdetect import (
     yakir_density,
     yakir_mean,
 )
-from qdetect import rng as qrng
+from qdetect import bayes, rng as qrng
 from qdetect import montecarlo as mc
 from qdetect.bayes import (_bayes_chunk, _change_times, _identity_chunk, _stop_at_zero_risk,
                            wls_line)
@@ -151,10 +152,10 @@ def _brute_force_chunk(rng: np.random.Generator, count: int, config: BayesConfig
         nu = _change_times(rng, r0, p=config.p, ws=ws)
         stepped = r0 < config.A
         risks = [(nu[~stepped] > 1).astype(float)]  # the runs that stop at 0
-        for step, _, nu_s, _, below in mc._stop_times(
-                rng, r0[stepped], config.A, nu[stepped], 1.0 - config.p,
-                DEFAULT_MAX_STEPS, ws):
-            late = step + 1 - nu_s[~below]
+        nu = nu[stepped]  # the kernel compacts it with the runs
+        for step, r, below in mc._stop_times(
+                rng, r0[stepped], config.A, nu, 1.0 - config.p, DEFAULT_MAX_STEPS, ws):
+            late = step + 1 - nu[:r.size][~below]
             risks.append((late < 0) + config.c * np.maximum(late, 0))
         risk = np.concatenate(risks)
     return (np.array([[risk.size, *mc.moment_sums(risk)]]),)
@@ -285,6 +286,24 @@ class TestRiskEstimate:
         config = BayesConfig(p=0.01, c=0.1, A=A, law=LAW)
         (row,) = _identity_chunk(derive_rng(SEED, "test-identity", 0), 20_000, config)
         assert row.tolist() == [[0, 20_000]]
+
+    def test_identity_chunk_evaluates_each_runs_own_delay(self, monkeypatch):
+        # the identity holds for any integer delay, so only the delays it is
+        # handed show that each run is paired with its own change time
+        config, count, tag = BayesConfig(p=0.01, c=0.1, A=A, law=LAW), 1 << 14, "test-late"
+        handed = []
+
+        def recording(late, c):
+            handed.append(np.array(late))
+            return 0
+
+        monkeypatch.setattr(bayes, "_identity_broken", recording)
+        _identity_chunk(derive_rng(SEED, tag, 0), count, config)
+        rng = derive_rng(SEED, tag, 0)
+        r0 = LAW.sample(rng, count, math.inf, qrng.Workspace()).copy()
+        nu = reference_change_times(rng, r0, config.p)
+        n_stop, _, _ = reference_stop_times(rng, r0, A, nu, 1.0 - config.p, DEFAULT_MAX_STEPS)
+        assert np.array_equal(np.sort(np.concatenate(handed)), np.sort(n_stop - nu + 1))
 
     def test_stop_at_zero_rule_risk_is_miss_mass(self):
         # head start above A: N = 0, risk reduces to P(nu >= 2) = 1 - pi0

@@ -1,7 +1,10 @@
-"""Checks on the package's source as a whole, read by ``ast``."""
+"""Checks on the package's source as a whole, read by ``ast``, and on the
+names that its docstrings and the README cite."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qdetect"
 
@@ -79,3 +82,40 @@ def test_every_public_name_is_read_beyond_the_unit_tests():
                    for path, tree in trees.items()):
             unread.append(name)
     assert sorted(unread) == sorted(NO_READER_YET)
+
+
+#: A Sphinx role naming a function, method, class, constant or attribute.
+ROLE = re.compile(r":(?:func|meth|class|data|attr):`~?([\w.]+)`")
+#: A backticked README name in one of the package's modules or on the head-start law.
+README_NAME = re.compile(r"`((?:rng|headstart|montecarlo|bayes|formulas|cli|HeadStartLaw)"
+                         r"(?:\.\w+)+)")
+
+
+def _resolves(name, *namespaces):
+    """Whether the dotted ``name`` is a chain of attributes of one of ``namespaces``."""
+    parts = name.removeprefix("qdetect.").split(".")
+    for obj in namespaces:
+        for part in parts:
+            if not hasattr(obj, part):
+                break
+            obj = getattr(obj, part)
+        else:
+            return True
+    return False
+
+
+def test_docs_name_only_live_names():
+    # a docstring role resolves against its own module or the package, and a
+    # README name against the package; a renamed or deleted helper fails here
+    package = importlib.import_module("qdetect")
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"qdetect.{path.stem}")
+        docs = [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        dead += [f"{path.name}: {name}" for doc in docs for name in ROLE.findall(doc)
+                 if not _resolves(name, module, package)]
+    readme = (ROOT / "README.md").read_text()
+    dead += [f"README.md: {name}" for name in README_NAME.findall(readme)
+             if not _resolves(name, package)]
+    assert dead == []
