@@ -56,29 +56,28 @@ of (1 - risk)/p about 12 to 22 times on the grid 0.02, 0.01, 0.005, against
 stepping each run through a drawn change time.  The score needs the law's
 tail integral and a threshold below 2, where D_q is rank one, so
 :class:`BayesConfig` rejects a custom law and a threshold at or above 2.
-``tests/conftest.py`` keeps the brute-force estimator, which draws the
-change times, as an independent reference.
+The identity check's brute-force runs, which draw every change time and
+step through it, are the tests' reference for the score.
 
 Each chunk draws its head starts and runs its replications in a workspace
 borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
 one moment row: count, score sums, the score at c = 0 and truncations for
 the risk estimate; count, the draws with nu = 1 and their sum and sum of
-squares for the conditional mean.  Two kernels draw change times, both
-from the one sampler :func:`_change_times`: the conditional-mean kernel,
-which reads only {nu = 1}, and the identity kernel, which checks the risk
-decomposition run by run and steps through the change.  Both check facts
-about the whole law, so they draw every head start
-(:meth:`HeadStartLaw.sample` at ``A = math.inf``); the identity kernel reads
-the runs that stop at 0 first, then drops them
-(:func:`qdetect.montecarlo._running`) and steps the rest, reading each
-step's change times from its own array, which the kernel compacts with the
-runs.  The change times stay float64 (integer-valued, and past 2^63 at a
-small p).  The risk kernel steps the running statistics over the head
-starts, which nothing reads after the first step, so a chunk holds four
-chunk-sized 8-byte buffers (head starts, likelihood ratios, 1 - pi0 and the
-running score) and a mask.  The sums add up as
-:func:`qdetect.montecarlo._stop_times` steps the runs, so each estimate
-holds one row per chunk, whatever ``reps`` is.
+squares for the conditional mean.  Two kernels draw change times, both from
+the one sampler :func:`_change_times`, for every head start
+(:meth:`HeadStartLaw.sample` at ``A = math.inf``), since both check facts
+about the whole law: the conditional-mean kernel reads only {nu = 1}, and
+the identity kernel checks the risk decomposition run by run over the one
+brute-force simulation, :func:`_brute_force_runs`.  That reads the runs that
+stop at 0 first, drops them (:func:`qdetect.montecarlo._running`) and steps
+the rest through the change, with the change times in an array that the
+kernel compacts with the runs.  The change times stay float64
+(integer-valued, and past 2^63 at a small p).  The risk kernel steps the
+running statistics over the head starts, which nothing reads after the first
+step, so a chunk holds four chunk-sized 8-byte buffers (head starts,
+likelihood ratios, 1 - pi0 and the running score) and a mask.  The sums add
+up as :func:`qdetect.montecarlo._stop_times` steps the runs, so each
+estimate holds one row per chunk, whatever ``reps`` is.
 """
 
 from __future__ import annotations
@@ -292,28 +291,34 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: f
                        no_miss + stop0, trunc]]),)
 
 
-def _identity_broken(late: np.ndarray, c: float) -> int:
-    """How many delays ``late = N - nu + 1`` break cond - c dp == cond (1 - c dp)."""
-    cond, dp = (late >= 0).astype(float), np.maximum(late, 0).astype(float)
-    return np.count_nonzero(cond - c * dp != cond * (1.0 - c * dp))
+def _brute_force_runs(rng: np.random.Generator, count: int, config: BayesConfig,
+                      ws: qrng.Workspace):
+    """Every head start and its change time nu (:func:`_change_times`), and the
+    runs below A stepped through the change: yields ``(N - nu + 1, truncated)``
+    of the runs that stop at 0, then at each step, then after step
+    ``DEFAULT_MAX_STEPS`` of those still running, truncated."""
+    r0 = config.law.sample(rng, count, math.inf, ws)
+    nu = _change_times(rng, r0, p=config.p, ws=ws)
+    yield 1.0 - nu[r0 >= config.A], False
+    n = mc._running(r0, config.A, ws, nu)
+    for step, r, below in mc._stop_times(
+            rng, r0[:n], config.A, nu[:n], 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
+        nu_s = nu[:r.size]  # the kernel compacts nu with the runs
+        yield step + 1.0 - nu_s[~below], False
+        if step == mc.DEFAULT_MAX_STEPS:
+            yield step + 1.0 - nu_s[below], True
 
 
 def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     """The row (broken, evaluated) of a chunk: how many replications break
-    cond - c dp == cond (1 - c dp), of how many evaluated as they stop."""
+    cond - c dp == cond (1 - c dp), cond = 1{N >= nu - 1} and
+    dp = (N - nu + 1)^+, of how many evaluated as they stop."""
+    broken = evaluated = 0
     with qrng.workspace() as ws:
-        r0 = config.law.sample(rng, count, math.inf, ws)
-        nu = _change_times(rng, r0, p=config.p, ws=ws)
-        at_zero = nu[r0 >= config.A]  # the runs that stop at 0, before any step
-        broken, evaluated = _identity_broken(1 - at_zero, config.c), at_zero.size
-        n = mc._running(r0, config.A, ws, nu)
-        for step, r, below in mc._stop_times(
-                rng, r0[:n], config.A, nu[:n], 1.0 - config.p, mc.DEFAULT_MAX_STEPS, ws):
-            # the runs that stop at this step; at the last, the truncated ones too
-            nu_s = nu[:r.size]  # the kernel compacts nu with the runs
-            leaving = nu_s if step == mc.DEFAULT_MAX_STEPS else nu_s[~below]
-            broken += _identity_broken(step + 1 - leaving, config.c)
-            evaluated += leaving.size
+        for late, _ in _brute_force_runs(rng, count, config, ws):
+            cond, dp = (late >= 0).astype(float), np.maximum(late, 0.0)
+            broken += np.count_nonzero(cond - config.c * dp != cond * (1.0 - config.c * dp))
+            evaluated += late.size
     return (np.array([[broken, evaluated]]),)
 
 
@@ -429,7 +434,8 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
 
 def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray):
     """Weighted least squares fit y = a + b x + c x^2 (weights w = 1/se^2);
-    returns (a, se_a).
+    returns (a, se_a).  The weights run relative to the smallest SE, so that
+    their products neither under- nor overflow, and se_a is scaled back.
 
     The 3 x 3 normal equations are solved in closed form, so no BLAS or
     LAPACK routine runs.  By Cauchy-Binet their cofactors are sums over the
@@ -443,13 +449,14 @@ def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray):
     interpolates: l_k is then the Lagrange weight of y_k at x = 0, times
     det, whatever the weights are.
     """
-    w = 1.0 / np.square(se)
+    se_min = se.min()
+    w = np.square(se_min / se)
     dx = np.subtract.outer(x, x)
     pair = np.einsum("i,j,i,j,ij,ij->ij", w, w, x, x, dx, dx) / 2.0
     lam = np.einsum("ij,ik,jk,k->k", pair, dx, dx, w)
     det = lam.sum()
     c0 = np.einsum("ij,i,j->", pair, x, x)
-    return float(np.einsum("k,k->", lam, y) / det), float(math.sqrt(c0 / det))
+    return float(np.einsum("k,k->", lam, y) / det), float(se_min * math.sqrt(c0 / det))
 
 
 @dataclass(frozen=True)

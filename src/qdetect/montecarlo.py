@@ -108,12 +108,15 @@ class DelayProfile:
 def mc_estimate(n, total, total_sq, truncation_count: int = 0,
                 rejected: int = 0) -> McEstimate:
     """Mean and standard error of ``n`` values from their sum and sum of
-    squares; fewer than 2 values have no SE, and a spread within 1e-12 of the
-    sum of squares, the rounding residue of equal values, is none."""
+    squares; fewer than 2 values have no SE, a sum that is not finite is a
+    configuration error, and a spread within 1e-12 of the sum of squares,
+    the rounding residue of equal values, is none."""
     if n < 2:
         raise UndefinedConditionalError(
             f"{n} replication(s) survived conditioning; a standard error needs 2",
             rejected=rejected)
+    if not (math.isfinite(total) and math.isfinite(total_sq)):
+        raise ConfigurationError(f"the sums of {int(n)} values are not finite in float64")
     mean = total / n
     spread = total_sq - n * mean * mean
     var = spread / (n - 1.0) if spread > 1e-12 * abs(total_sq) else 0.0
@@ -221,7 +224,7 @@ def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
 
 
 def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, nu,
-             max_steps: int, ws: qrng.Workspace):
+             ws: qrng.Workspace):
     """:func:`_stop_times` over the SR runs of ``count`` head starts from
     ``law`` that start below ``A``, stepped in the head starts' own buffer;
     each step's tuple ends with the runs' ``R_0``, from a copy in the
@@ -231,11 +234,11 @@ def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, 
     r = law.sample(rng, count, A, ws)
     r0 = ws.array("carry", float, r.size)
     np.copyto(r0, r)
-    return _stop_times(rng, r, A, nu, 1.0, max_steps, ws, (r0,))
+    return _stop_times(rng, r, A, nu, 1.0, DEFAULT_MAX_STEPS, ws, (r0,))
 
 
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
-                change_index: Optional[int], max_steps: int):
+                change_index: Optional[int]):
     """The moment row of ``count`` SR runs, as ``(ints, floats)`` of shape (1, 5)
     and (1, 2).
 
@@ -255,7 +258,7 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
     d_sum = d_sq = trunc = 0
     x_sum = x_sq = 0.0
     with qrng.workspace() as ws:
-        for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
+        for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, ws):
             n = r.size
             if step == lag:
                 kept = n
@@ -265,26 +268,25 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
             s1, s2 = moment_sums(r0_s)
             x_sum += s1
             x_sq += (2 * step - 1) * s2
-            if step == max_steps and max_steps >= lag:
+            if step == DEFAULT_MAX_STEPS and step >= lag:
                 trunc = np.count_nonzero(below)
     return (np.array([[count, kept, d_sum, d_sq, trunc]], dtype=np.int64),
             np.array([[x_sum, x_sq]]))
 
 
 def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
-                             law: HeadStartLaw, change_index: Optional[int],
-                             max_steps: int):
+                             law: HeadStartLaw, change_index: Optional[int]):
     """The row ``(count, sum D, sum D^2, truncated)`` of ``count`` SR runs,
     with ``D = R_N - R_0 - N``: 0 for a run that stops at 0, and summed over
-    the runs that stop at each step, the truncated ones at ``max_steps``."""
+    the runs that stop at each step, the truncated ones at ``DEFAULT_MAX_STEPS``."""
     nu = math.inf if change_index is None else change_index
     d_sum = d_sq = 0.0
     trunc = 0
     with qrng.workspace() as ws:
-        for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, max_steps, ws):
+        for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, ws):
             d = np.subtract(r, r0_s, out=ws.array("lr", float, r.size))
             d -= step
-            if step < max_steps:
+            if step < DEFAULT_MAX_STEPS:
                 np.copyto(d, 0.0, where=below)  # the runs that go on add nothing yet
             else:
                 trunc = np.count_nonzero(below)
@@ -321,8 +323,7 @@ def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
     reps = check_reps(reps)
     if change_index is not None:  # the tag spells the int: 2.0 and 2 share a stream
         change_index = qrng.check_count(change_index, "change index", 1)
-    kernel = partial(kernel, A=A, law=law, change_index=change_index,
-                     max_steps=DEFAULT_MAX_STEPS)
+    kernel = partial(kernel, A=A, law=law, change_index=change_index)
     rows = qrng.run_chunked(kernel, reps, seed, f"sr/k={change_index}", workers=workers)
     return tuple(r.sum(axis=0) for r in rows)
 

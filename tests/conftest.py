@@ -4,17 +4,16 @@ risk rows with the consumers that read the kernel's runs for the tests.
 
 The Bayes risk has two references here.  ``reference_bayes_scores`` scores
 each pre-change path by its exact conditional 1 - risk, one run at a time,
-as ``bayes._bayes_chunk`` does in bulk.  ``reference_bayes_chunk`` is the
-brute-force estimator the package used before: each run below A draws its
-change time and steps through it, so it checks the exact score with no
-use of the post-change delay ``D_q``."""
+as ``bayes._bayes_chunk`` does in bulk.  ``reference_bayes_chunk`` reduces
+the runs of the identity check, ``bayes._brute_force_runs``, in which every
+run draws its change time and steps through it, so it checks the exact
+score without reading any exact formula."""
 
 import math
 
 import numpy as np
 
 from qdetect import bayes, couple_pi0, montecarlo, rng as qrng
-from qdetect.bayes import _change_times
 
 acceptance_report = []
 
@@ -72,82 +71,55 @@ def reference_change_times(rng, r0, p):
     drawn as the Bayes kernels draw them: one ``u1`` per head start, then one
     ``u2`` per head start, in order."""
     u1, u2 = rng.random(len(r0)), rng.random(len(r0))
-    return np.array([1 if a < couple_pi0(p, float(r)) else
-                     2 + math.floor(math.log1p(-b) / math.log1p(-p))
-                     for r, a, b in zip(r0, u1, u2)], dtype=np.int64)
+    pi0 = couple_pi0(p, np.asarray(r0, dtype=float))
+    return np.array([1 if a < pi else 2 + math.floor(math.log1p(-b) / math.log1p(-p))
+                     for pi, a, b in zip(pi0.tolist(), u1, u2)], dtype=np.int64)
+
+
+def reference_post_change_d(A, q):
+    """d_q = (q^2 A^2/4)/(1 - q^2 I/2), I = log(1 + A) + 1/(1 + A) - 1: from
+    r < A < 2 the q-scaled post-change chain stops after D_q(r) = 1 + d_q/(1 + r)^2
+    steps on average.  Restated here, apart from ``headstart._post_change_d``."""
+    i_term = math.log1p(A) + 1.0 / (1.0 + A) - 1.0
+    return (q * q * A * A / 4.0) / (1.0 - q * q * i_term / 2.0)
 
 
 def reference_bayes_runs(rng, law, count, A, p, max_steps):
-    """The brute-force Bayes runs of ``count`` head starts from ``law`` in the
-    draw order of :func:`reference_bayes_chunk`:
-    ``(stepped, nu, n_stop, truncated, final)``.
-
-    Only the head starts below ``A`` are drawn (``law.sample`` at ``A``, in
-    replication order); they draw change times and step, and ``nu`` and
-    the reference's stopping indices are theirs.  The other runs of
-    ``count`` stop at 0 with no draw.
-    """
-    stepped = law.sample(rng, count, A, qrng.Workspace()).copy()
-    nu = reference_change_times(rng, stepped, p)
-    return (stepped, nu, *reference_stop_times(rng, stepped, A, nu, 1.0 - p, max_steps))
+    """``(r0, nu, n_stop, truncated, final)`` of ``count`` brute-force Bayes
+    runs from ``law``, in replication order and in the draw order of
+    ``bayes._brute_force_runs``: every head start (``law.sample`` at
+    ``math.inf``), then every change time; the runs at or above A stop at 0."""
+    r0 = law.sample(rng, count, math.inf, qrng.Workspace()).copy()
+    nu = reference_change_times(rng, r0, p)
+    return (r0, nu, *reference_stop_times(rng, r0, A, nu, 1.0 - p, max_steps))
 
 
-def reference_bayes_chunk(rng: np.random.Generator, count: int, config, h: float):
-    """The brute-force Bayes risk row (n, sum risk, sum risk^2, sum miss,
-    truncated) of a chunk, in the draw order of :func:`reference_bayes_runs`.
-
-    Only the runs whose head start is below A are drawn; they draw their
-    change times (``bayes._change_times``) in replication order and step
-    through the change.  Each of the other ``count - n`` runs stops at
-    N = 0 and scores its conditional risk given that, ``h``
-    (``bayes._stop_at_zero_risk``).  A stepped run either misses
-    (N < nu - 1) or pays the delay dp = N - nu + 1 > 0, never both, so
-    risk = miss + c dp and risk^2 = miss + c^2 dp^2, with exact integer
-    counts and delay sums.  They add up as the runs step: a run does not
-    miss if nu = 1 or if it takes step nu - 1, and its dp and
-    dp^2 = sum (2s + 1 - 2 nu) count the post-change steps s it takes.
-    """
-    p, A, c = config.p, config.A, config.c
-    dp_sum = dp_sq = trunc = 0
+def reference_bayes_chunk(rng, count, config):
+    """The exact integer row ``(n, misses, sum dp, sum dp^2, truncated)`` of the
+    runs of ``bayes._brute_force_runs``, dp = (N - nu + 1)^+.  A run misses
+    (N < nu - 1) or pays dp, never both, so at any cost c the risk sums are
+    misses + c sum dp and misses + c^2 sum dp^2: one row serves every c, and
+    it reads no exact formula."""
+    row = np.array([[count, 0, 0, 0, 0]], dtype=np.int64)
     with qrng.workspace() as ws:
-        r0 = config.law.sample(rng, count, A, ws)
-        n = r0.size
-        nu = _change_times(rng, r0, p=p, ws=ws)
-        hits = np.count_nonzero(np.equal(nu, 1, out=ws.array("mask", bool, n)))
-        for step, r, below in montecarlo._stop_times(
-                rng, r0, A, nu, 1.0 - p, montecarlo.DEFAULT_MAX_STEPS, ws):
-            nu_s = nu[:r.size]  # the kernel compacts nu with the runs
-            post = nu_s <= step
-            late = np.count_nonzero(post)
-            dp_sum += late
-            dp_sq += (2 * step + 1) * late - 2 * int(np.sum(nu_s, where=post))
-            hits += np.count_nonzero(np.equal(nu_s, step + 1, out=post))
-            if step == montecarlo.DEFAULT_MAX_STEPS:
-                trunc = np.count_nonzero(below)
-    # miss, dp_sum and dp_sq are exact Python ints, and exact floats below 2**53
-    miss, at_zero = n - hits, count - n
-    return (np.array([[count, miss + at_zero * h + c * dp_sum,
-                       miss + at_zero * h * h + c * c * dp_sq, miss + at_zero * h, trunc]],
-                     dtype=float),)
+        for late, truncated in bayes._brute_force_runs(rng, count, config, ws):
+            dp = np.maximum(late, 0.0).astype(np.int64)
+            row[0, 1:] += np.count_nonzero(late < 0), dp.sum(), dp @ dp, truncated * late.size
+    return (row,)
 
 
 def reference_bayes_scores(rng, law, count, A, p, c, max_steps):
     """The pre-change Bayes runs of ``count`` head starts from ``law`` in the
     draw order of ``bayes._bayes_chunk``, each scored by its exact
     conditional 1 - risk: ``(stepped, n_stop, truncated, final, score,
-    no_miss)``.
-
-    Only the head starts below ``A`` are drawn (``law.sample`` at ``A``),
-    and they step with no change.  With theta = nu - 1 a run scores
-    ``sum_{m=0}^{N} P(theta = m) (1 - c D(R_m) 1{R_m < A})`` and, at c = 0,
-    ``pi0 + (1 - pi0)(1 - q^N)``; here P(theta = 0) = pi0,
-    P(theta = m) = (1 - pi0) p q^(m-1), and D(r) = 1 + d/(1 + r)^2 is the
-    expected post-change delay from r < A, d = (q^2 A^2/4)/(1 - q^2 I/2)
-    with I = log(1 + A) + 1/(1 + A) - 1, restated here term by term.
+    no_miss)``.  Only the head starts below ``A`` are drawn (``law.sample``
+    at ``A``), and they step with no change.  With theta = nu - 1 a run
+    scores ``sum_{m=0}^{N} P(theta = m) (1 - c D_q(R_m) 1{R_m < A})`` and, at
+    c = 0, ``pi0 + (1 - pi0)(1 - q^N)``; here P(theta = 0) = pi0 and
+    P(theta = m) = (1 - pi0) p q^(m-1) (:func:`reference_post_change_d`).
     """
     q = 1.0 - p
-    i_term = math.log(1.0 + A) + 1.0 / (1.0 + A) - 1.0
-    d = (q * q * A * A / 4.0) / (1.0 - q * q * i_term / 2.0)
+    d = reference_post_change_d(A, q)
     stepped = law.sample(rng, count, A, qrng.Workspace()).copy()
     paths = []
     n_stop, truncated, final = reference_stop_times(rng, stepped, A, math.inf, q, max_steps,
@@ -180,32 +152,13 @@ def assert_score_row(row, count, score, no_miss, truncated, h):
         rtol=1e-12, atol=0.0)
 
 
-def assert_risk_row(row, count, nu, n_stop, truncated, config):
-    """The brute-force Bayes risk row ``(n, sum risk, sum risk^2, sum miss,
-    truncated)`` of :func:`reference_bayes_chunk` on a chunk of ``count``
-    runs against the stepped runs of :func:`reference_bayes_runs`.
-
-    A stepped run adds its miss and ``c`` times its delay; the ``count - n``
-    runs that stop at 0 add ``(count - n) h`` to the risk and miss sums and
-    ``(count - n) h^2`` to the risk^2 sum, with ``h`` the mean of
-    ``1 - pi0`` over the head starts at or above ``A``
-    (``bayes._stop_at_zero_risk``).  The count and truncations must match
-    exactly, the sums to 1e-12 relative: on sums below 1e5 that is far
-    below the 0.01 that one miss or one unit of delay moves them by at
-    c = 0.1, so the misses and delay sums of the stepped runs are pinned
-    exactly too.
-    """
+def assert_risk_row(row, nu, n_stop, truncated):
+    """The brute-force row of :func:`reference_bayes_chunk` equals the row of
+    the runs of :func:`reference_bayes_runs`, entry for entry."""
     late = n_stop - nu + 1
-    miss, dp = np.count_nonzero(late < 0), np.maximum(late, 0)
-    h, c = bayes._stop_at_zero_risk(config), config.c
-    at_zero = count - nu.size
-    ((n, risk, risk_sq, miss_sum, trunc),) = row.tolist()
-    assert (n, trunc) == (count, truncated.sum())
-    np.testing.assert_allclose(
-        [risk, risk_sq, miss_sum],
-        [miss + at_zero * h + c * int(dp.sum()), miss + at_zero * h * h + c * c * int(dp @ dp),
-         miss + at_zero * h],
-        rtol=1e-12, atol=0.0)
+    dp = np.maximum(late, 0)
+    assert row.tolist() == [[nu.size, np.count_nonzero(late < 0), dp.sum(), dp @ dp,
+                             truncated.sum()]]
 
 
 def record_runs(rng, r0, A, nu, q, max_steps):

@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from conftest import (assert_risk_row, kernel_paths, reference_bayes_chunk, reference_bayes_runs,
-                      reference_change_times, reference_stop_times)
+                      reference_post_change_d)
 from test_acceptance import LIMIT_P_GRID, LIMIT_REPS
 
 from qdetect import (
@@ -30,10 +31,10 @@ from qdetect import (
     yakir_density,
     yakir_mean,
 )
-from qdetect import bayes, rng as qrng
+from qdetect import rng as qrng
 from qdetect import montecarlo as mc
-from qdetect.bayes import (_bayes_chunk, _change_times, _identity_chunk, _stop_at_zero_risk,
-                           wls_line)
+from qdetect.bayes import (_bayes_chunk, _brute_force_runs, _change_times, _identity_chunk,
+                           _stop_at_zero_risk, wls_line)
 from qdetect.cli import DEFAULT_P_GRID, DEFAULT_REPS
 from qdetect.headstart import _gauss_legendre
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
@@ -55,15 +56,14 @@ def exact_ratio(A, c, p):
         E[1 - risk | r0] = pi0 (1 - c D_q(r0))
                            + (1 - pi0) p [1 + (q - c Dbar_q) a_q(r0)/(1 - q rho_q)],
 
-    with D_q(r) = 1 + d_q/(1 + r)^2, its mean Dbar_q = 1 + d_q/(1 + A) over
-    [0, A), and d_q = (q^2 A^2/4)/(1 - q^2 I/2), I = log(1 + A) + 1/(1 + A) - 1;
-    at or above A it is pi0.  The first part is integrated by the
+    with D_q(r) = 1 + d_q/(1 + r)^2 and its mean Dbar_q = 1 + d_q/(1 + A)
+    over [0, A) (``conftest.reference_post_change_d``); at or above A it is
+    pi0.  The first part is integrated by the
     Gauss-Legendre rule on [0, A), the second is the law's tail mean.
     """
     q = 1.0 - p
-    log1a = math.log1p(A)
-    d = (q * q * A * A / 4.0) / (1.0 - q * q * (log1a + 1.0 / (1.0 + A) - 1.0) / 2.0)
-    rho, d_bar = q * log1a / 2.0, 1.0 + d / (1.0 + A)
+    d = reference_post_change_d(A, q)
+    rho, d_bar = q * math.log1p(A) / 2.0, 1.0 + d / (1.0 + A)
 
     def below(r0):
         pi0, a = couple_pi0(p, r0), q * A / (2.0 * (1.0 + r0))
@@ -143,24 +143,6 @@ class TestChangeTimePrior:
         assert np.array_equal(nu, np.floor(nu)) and nu.max() > 2.0**63
 
 
-def _brute_force_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
-    """The row (n, sum risk, sum risk^2) of ``count`` Bayes runs scored by their
-    own drawn change times: every run draws nu, and a run that stops at 0
-    scores 1{nu >= 2}."""
-    with qrng.workspace() as ws:
-        r0 = config.law.sample(rng, count, math.inf, ws)
-        nu = _change_times(rng, r0, p=config.p, ws=ws)
-        stepped = r0 < config.A
-        risks = [(nu[~stepped] > 1).astype(float)]  # the runs that stop at 0
-        nu = nu[stepped]  # the kernel compacts it with the runs
-        for step, r, below in mc._stop_times(
-                rng, r0[stepped], config.A, nu, 1.0 - config.p, DEFAULT_MAX_STEPS, ws):
-            late = step + 1 - nu[:r.size][~below]
-            risks.append((late < 0) + config.c * np.maximum(late, 0))
-        risk = np.concatenate(risks)
-    return (np.array([[risk.size, *mc.moment_sums(risk)]]),)
-
-
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
         # every run stops at 0 and scores pi0 = 1 - h, and none draws a uniform
@@ -177,26 +159,23 @@ class TestBayesRule:
         np.testing.assert_allclose(y_sq, count * pi0 ** 2, rtol=1e-12)
 
     def test_outcome_invariants(self):
-        # the stepped runs of chunk 0 of the stream, in the brute-force draw order
+        # the runs of chunk 0 of the stream, in the brute-force draw order
         p = 0.05
-        _, nu, n_stop, truncated, _ = reference_bayes_runs(
+        r0, nu, n_stop, truncated, _ = reference_bayes_runs(
             derive_rng(SEED, "test-invariants", 0), LAW, 20_000, A, p, DEFAULT_MAX_STEPS)
         delay_plus = np.maximum(0, n_stop - nu + 1)
         missed = n_stop < nu - 1
-        assert (nu >= 1).all() and (n_stop >= 1).all() and not truncated.any()
-        assert not (missed & (delay_plus > 0)).any()
+        assert (nu >= 1).all() and np.array_equal(n_stop == 0, r0 >= A)
+        assert not truncated.any() and not (missed & (delay_plus > 0)).any()
+        # the reduced row of the same stream, against these runs' row
+        (row,) = reference_bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
+                                       BayesConfig(p=p, c=0.1, A=A, law=LAW))
+        assert_risk_row(row, nu, n_stop, truncated)
         rows = {}
         for c in (0.1, 0.0):
-            # the reduced rows of the same stream, against these runs' row
             config = BayesConfig(p=p, c=c, A=A, law=LAW)
-            h = _stop_at_zero_risk(config)
-            (row,) = reference_bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
-                                           config, h)
-            assert_risk_row(row, 20_000, nu, n_stop, truncated, config)
-            if c == 0:
-                assert row[0, 1] == row[0, 3]  # the risk is the miss probability
             (rows[c],) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
-                                      config, h)
+                                      config, _stop_at_zero_risk(config))
         # the exact score at c = 0 is the probability of no miss, and a cost
         # lowers it on the same paths
         assert rows[0.0][0, 3] == rows[0.1][0, 3]
@@ -287,23 +266,15 @@ class TestRiskEstimate:
         (row,) = _identity_chunk(derive_rng(SEED, "test-identity", 0), 20_000, config)
         assert row.tolist() == [[0, 20_000]]
 
-    def test_identity_chunk_evaluates_each_runs_own_delay(self, monkeypatch):
-        # the identity holds for any integer delay, so only the delays it is
-        # handed show that each run is paired with its own change time
+    def test_identity_chunk_evaluates_each_runs_own_delay(self):
+        # the identity holds for any integer delay, so only the delays the
+        # runs yield show that each run is paired with its own change time
         config, count, tag = BayesConfig(p=0.01, c=0.1, A=A, law=LAW), 1 << 14, "test-late"
-        handed = []
-
-        def recording(late, c):
-            handed.append(np.array(late))
-            return 0
-
-        monkeypatch.setattr(bayes, "_identity_broken", recording)
-        _identity_chunk(derive_rng(SEED, tag, 0), count, config)
-        rng = derive_rng(SEED, tag, 0)
-        r0 = LAW.sample(rng, count, math.inf, qrng.Workspace()).copy()
-        nu = reference_change_times(rng, r0, config.p)
-        n_stop, _, _ = reference_stop_times(rng, r0, A, nu, 1.0 - config.p, DEFAULT_MAX_STEPS)
-        assert np.array_equal(np.sort(np.concatenate(handed)), np.sort(n_stop - nu + 1))
+        late = np.concatenate([late for late, _ in _brute_force_runs(
+            derive_rng(SEED, tag, 0), count, config, qrng.Workspace())])
+        _, nu, n_stop, _, _ = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, count, A,
+                                                   config.p, DEFAULT_MAX_STEPS)
+        assert np.array_equal(np.sort(late), np.sort(n_stop - nu + 1))
 
     def test_stop_at_zero_rule_risk_is_miss_mass(self):
         # head start above A: N = 0, risk reduces to P(nu >= 2) = 1 - pi0
@@ -315,37 +286,20 @@ class TestRiskEstimate:
         assert abs(est.risk.mean - expected) <= 4.0 * max(est.risk.stderr, 1e-12)
 
     def test_exact_score_matches_brute_force(self):
-        # the reference kernel steps every run below A through its drawn
-        # change time and never reads D_q; at c = 0 the risk is the miss
-        # probability, so that pair checks cond_prob
-        reps = 2_000_000
+        # brute force reads no exact formula, and one pass serves both costs:
+        # the same mean within 4 combined SE, on independent streams, and a
+        # far smaller SE; at c = 0 the risk is the miss probability
+        config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
+        rows = qrng.run_chunked(partial(reference_bayes_chunk, config=config), 5_000_000,
+                                SEED, "test-brute-force")[0]
+        n, misses, dp_sum, dp_sq, trunc = (int(v) for v in rows.sum(axis=0))
         for c in (0.1, 0.0):
-            config = BayesConfig(p=0.02, c=c, A=A, law=LAW)
-            rows = qrng.run_chunked(partial(reference_bayes_chunk, config=config,
-                                            h=_stop_at_zero_risk(config)),
-                                    reps, SEED, "test-brute-force")[0]
-            n, risk, risk_sq, miss, trunc = rows.sum(axis=0)
-            brute = mc.mc_estimate(n, risk, risk_sq, int(trunc))
-            est = estimate_bayes_risk(config, reps, SEED)
-            assert abs(est.risk.mean - brute.mean) <= 4.0 * math.hypot(est.risk.stderr,
-                                                                         brute.stderr)
-            assert est.risk.stderr < 0.2 * brute.stderr
+            brute = mc.mc_estimate(n, misses + c * dp_sum, misses + c * c * dp_sq, trunc)
+            est = estimate_bayes_risk(replace(config, c=c), 2_000_000, SEED)
+            z = (est.risk.mean - brute.mean) / math.hypot(est.risk.stderr, brute.stderr)
+            assert abs(z) <= 4.0 and est.risk.stderr < 0.2 * brute.stderr
             if c == 0:
                 assert est.cond_prob == pytest.approx(1.0 - est.risk.mean, rel=1e-12)
-                assert 1.0 - miss / n == pytest.approx(1.0 - brute.mean, rel=1e-12)
-
-    def test_exact_stop_at_zero_score_is_unbiased_and_cuts_variance(self):
-        # against brute force, which scores the runs that stop at 0 by their
-        # drawn nu: the same mean within 4 combined SE, on independent
-        # streams of the same seed, and a smaller per-rep SD (equal reps)
-        config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
-        reps = 1_000_000
-        rows = qrng.run_chunked(partial(_brute_force_chunk, config=config), reps, SEED,
-                                "test-brute-force")[0]
-        brute = mc.mc_estimate(*rows.sum(axis=0))
-        est = estimate_bayes_risk(config, reps, SEED).risk
-        assert abs(est.mean - brute.mean) <= 4.0 * math.hypot(est.stderr, brute.stderr)
-        assert est.stderr < 0.75 * brute.stderr
 
 
 class TestExactRatio:
@@ -392,6 +346,14 @@ class TestLimitDiagnostic:
             a, sa = wls_line(x, y, np.full(3, 0.01))
             assert a == pytest.approx(3.0, abs=1e-9)
             assert sa > 0
+
+    def test_wls_is_scale_free(self):
+        # at se near 1e78, weights of 1/se^2 underflow in their products
+        x, y = np.array([0.02, 0.01, 0.005]), np.array([3.284, 3.364, 3.405])
+        se = np.array([0.0035, 0.0025, 0.0018])
+        a, se_a = wls_line(x, y, se)
+        np.testing.assert_allclose(wls_line(x, y * 1e80, se * 1e80), [a * 1e80, se_a * 1e80],
+                                   rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("x", [[0.02, 0.01, 0.005], [0.3, 0.2, 0.1],
                                    [0.05, 0.04, 0.02, 0.01]])

@@ -19,6 +19,7 @@ from qdetect import rng as qrng
 from qdetect.cli import (
     DEFAULT_SEED,
     EXIT_CONFIG,
+    EXIT_INCONCLUSIVE,
     EXIT_INVARIANT,
     EXIT_OK,
     build_parser,
@@ -184,6 +185,15 @@ class TestBayesLimit:
         out = capsys.readouterr().out
         assert "# eq3=3.3868 eq3_se=0.0000 z=" in out
         assert "# eq4=3.4475 eq4_se=0.0000 z=" in out
+
+    def test_huge_costs(self, capsys):
+        # at 1e80 SEs near 1e78 underflow weights of 1/se^2; at 1e300 the
+        # sum of squared scores overflows, which no replication count mends
+        argv = ["bayes-limit", "--reps", "20000", "--workers", "1", "--c-star"]
+        assert main(argv + ["1e80"]) in (EXIT_OK, EXIT_INCONCLUSIVE)
+        assert "nan" not in capsys.readouterr().out
+        assert main(argv + ["1e300"]) == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
 
     def test_default_run_reaches_eq4(self, capsys):
         # at its defaults (1 M reps at each of p = 0.02, 0.01, 0.005) the

@@ -9,11 +9,12 @@ The runs follow the draw order of the chunk kernels: only the head starts
 below A are drawn (``HeadStartLaw.sample`` at A).  The Bayes risk kernel
 steps them with no change (``conftest.reference_bayes_scores``), and its
 row is checked here against the exact conditional scores of the reference
-paths; the brute-force reference kernel (``conftest.reference_bayes_chunk``)
-draws change times before they step (``conftest.reference_bayes_runs``),
-which checks the kernel's per-replication change indices.  The SR moment
-row is checked in ``test_workspace.py``.  ``TestStreamContract`` checks the
-head-start and change-time draws against their textbook forms.
+paths.  The brute-force runs (``bayes._brute_force_runs``) draw every head
+start and its change time before the runs below A step
+(``conftest.reference_bayes_runs``), which checks per-run change indices.
+The SR moment row is checked in ``test_workspace.py``.
+``TestStreamContract`` checks the head-start and change-time draws against
+their textbook forms.
 """
 
 import math
@@ -68,17 +69,17 @@ def _bayes_runs(tag, p, max_steps):
 
 def _brute_force_runs(tag, p, max_steps):
     """The brute-force Bayes runs of chunk 0 of ``tag`` in the draw order of
-    ``conftest.reference_bayes_chunk``: the head starts below A with their
-    change times, the kernel's recorded runs of those, and the reference's
-    ``(n_stop, truncated, final)`` of the same runs."""
-    stepped, nu, *ref = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, COUNT,
-                                             A, p, max_steps)
+    ``bayes._brute_force_runs``: the change times and the reference's
+    ``(n_stop, truncated, final)`` of every run, and ``(r0, recorded, ref)``
+    of the runs below A, with the kernel's recorded runs."""
+    r0, nu, *ref = reference_bayes_runs(derive_rng(SEED, tag, 0), LAW, COUNT, A, p,
+                                        max_steps)
     rng = derive_rng(SEED, tag, 0)
-    LAW.sample(rng, COUNT, A, Workspace())
-    rng.random(stepped.size)  # the two uniforms behind each change time
-    rng.random(stepped.size)
-    recorded = record_runs(rng, stepped, A, nu, 1.0 - p, max_steps)
-    return stepped, nu, recorded, ref
+    LAW.sample(rng, COUNT, math.inf, Workspace())
+    rng.random(2 * COUNT)  # the two uniforms behind each change time
+    stepped = r0 < A
+    recorded = record_runs(rng, r0[stepped], A, nu[stepped], 1.0 - p, max_steps)
+    return nu, ref, (r0[stepped], recorded, [a[stepped] for a in ref])
 
 
 def _assert_paths_match(r0, recorded, ref):
@@ -105,14 +106,11 @@ def _assert_bayes_rows_match(tag, p, ref):
 
 
 def _assert_brute_force_rows_match(tag, p, nu, ref):
-    """The brute-force risk rows of the chunk at c = 0.1 and 0 against the
-    rows of the reference's runs (``conftest.assert_risk_row``)."""
-    n_stop, truncated, _ = ref
-    for c in (0.1, 0.0):
-        config = BayesConfig(p=p, c=c, A=A, law=LAW)
-        (row,) = reference_bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config,
-                                       _stop_at_zero_risk(config))
-        assert_risk_row(row, COUNT, nu, n_stop, truncated, config)
+    """The brute-force row of the chunk against the row of the reference's
+    runs (``conftest.assert_risk_row``)."""
+    config = BayesConfig(p=p, c=0.1, A=A, law=LAW)
+    assert_risk_row(reference_bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config)[0], nu,
+                    *ref[:2])
 
 
 class TestKernelsMatchReference:
@@ -136,10 +134,10 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_brute_force_reference_chunk(self, p):
         tag = f"ref/brute/{p}"
-        stepped, nu, recorded, ref = _brute_force_runs(tag, p, DEFAULT_MAX_STEPS)
-        _assert_paths_match(stepped, recorded, ref)
+        nu, ref, stepped = _brute_force_runs(tag, p, DEFAULT_MAX_STEPS)
+        _assert_paths_match(*stepped)
         _assert_brute_force_rows_match(tag, p, nu, ref)
-        assert (nu > 1).any() and (nu == 1).any() and 0 < stepped.size < COUNT
+        assert (nu > 1).any() and (nu == 1).any() and 0 < stepped[0].size < COUNT
 
     @pytest.mark.parametrize("max_steps", [1, 2])
     @pytest.mark.parametrize("p", [0.3, 0.005])
@@ -150,8 +148,8 @@ class TestKernelsMatchReference:
         tag = f"ref/bayes/{p}/{max_steps}"
         stepped, recorded, ref = _bayes_runs(tag, p, max_steps)
         _assert_paths_match(stepped, recorded, ref[:3])
-        stepped_bf, nu, recorded_bf, ref_bf = _brute_force_runs(tag, p, max_steps)
-        _assert_paths_match(stepped_bf, recorded_bf, ref_bf)
+        nu, ref_bf, stepped_bf = _brute_force_runs(tag, p, max_steps)
+        _assert_paths_match(*stepped_bf)
         monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
         _assert_bayes_rows_match(tag, p, ref)
         _assert_brute_force_rows_match(tag, p, nu, ref_bf)

@@ -5,6 +5,8 @@ import pytest
 from numpy.polynomial import Legendre
 from scipy import integrate, stats
 
+from conftest import reference_post_change_d
+
 from qdetect import (
     ConfigurationError,
     HeadStartLaw,
@@ -59,11 +61,10 @@ class TestClosedForms:
 
 def _renewal_quadrature(a):
     """E_1 N, E_1(R_0 N), E_inf N: the rank-one renewal solutions for a head
-    start r < a, integrated numerically against the head-start density."""
-    log1a = math.log1p(a)
-    i_term = log1a + 1.0 / (1.0 + a) - 1.0
-    d = (a * a / 2.0) / (1.0 - i_term / 2.0)
-    c = a / (1.0 - log1a / 2.0)
+    start r < a, integrated numerically against the head-start density; the
+    delay from r is 1 + d/(2 (1 + r)^2) = D_1(r), so d = 2 d_1."""
+    d = 2.0 * reference_post_change_d(a, 1.0)
+    c = a / (1.0 - math.log1p(a) / 2.0)
 
     def integral(fn):
         val, _ = integrate.quad(lambda r: fn(r) * yakir_density(a, r), 0.0, a,

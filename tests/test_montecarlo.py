@@ -26,7 +26,7 @@ from qdetect import (
     sr_exact,
 )
 from qdetect import rng as qrng
-from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_moments, moment_sums
+from qdetect.montecarlo import _sr_moments, mc_estimate, moment_sums
 from qdetect.rng import CHUNK_SIZE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -201,7 +201,7 @@ class TestStderrCalibration:
         # ten moment rows of 10^4 runs each, on the first ten sr/k=1 streams
         rows = np.array([
             _sr_moments(qrng.derive_rng(SEED, "sr/k=1", i), 10_000, A=A, law=LAW,
-                        change_index=1, max_steps=DEFAULT_MAX_STEPS)[0][0]
+                        change_index=1)[0][0]
             for i in range(10)])
         count, _, n_sum, n_sq, _ = rows.sum(axis=0)
         batches = rows[:, 2] / rows[:, 0]
@@ -210,6 +210,12 @@ class TestStderrCalibration:
         chi2 = ((batches - mean) ** 2).sum() / (sigma2 / 10_000)
         lo, hi = stats.chi2.ppf([0.005, 0.995], df=9)
         assert lo <= chi2 <= hi
+
+    @pytest.mark.parametrize("total, total_sq", [(1e200, math.inf), (-math.inf, math.nan)])
+    def test_sum_past_the_float64_range_rejected(self, total, total_sq):
+        # the spread would be inf - inf, which reads as a zero standard error
+        with pytest.raises(ConfigurationError, match="of 20000 values are not finite"):
+            mc_estimate(np.float64(20_000), total, total_sq)
 
 
 class TestConditionalDelay:

@@ -27,7 +27,7 @@ from qdetect import (
     martingale_checks,
     oracle_checks,
 )
-from qdetect import rng as qrng
+from qdetect import montecarlo, rng as qrng
 from qdetect.headstart import _oracle_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_moments, moment_sums
 from qdetect.rng import CHUNK_SIZE, Workspace, chunk_spec, derive_rng, run_chunked
@@ -88,7 +88,7 @@ def test_a_name_asked_for_at_another_dtype_gets_that_dtype():
     assert ws.array("carry", np.int64, 5).base is ints.base
 
 
-KERNELS = [partial(_sr_moments, A=A, law=LAW, change_index=2, max_steps=DEFAULT_MAX_STEPS),
+KERNELS = [partial(_sr_moments, A=A, law=LAW, change_index=2),
            partial(_oracle_chunk, law=LAW, A=A)]
 
 
@@ -132,11 +132,12 @@ class TestMomentRows:
 
     @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
     @pytest.mark.parametrize("change_index", [1, 3, None])
-    def test_row_holds_the_sums_of_the_runs(self, change_index, max_steps):
+    def test_row_holds_the_sums_of_the_runs(self, change_index, max_steps, monkeypatch):
         # the runs of the scalar reference, on the kernel's own stream
         tag = f"rows/{change_index}/{max_steps}"
+        monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
         ints, floats = _sr_moments(derive_rng(SEED, tag, 0), self.COUNT, A=A, law=LAW,
-                                   change_index=change_index, max_steps=max_steps)
+                                   change_index=change_index)
         # only the runs below A are drawn; the others stop at 0 and add
         # nothing but their count, and that only at lag 0
         rng = derive_rng(SEED, tag, 0)
