@@ -3,7 +3,7 @@ import math
 import pathlib
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -290,9 +290,7 @@ class TestRiskEstimate:
         # the same mean within 4 combined SE, on independent streams, and a
         # far smaller SE; at c = 0 the risk is the miss probability
         config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
-        rows = qrng.run_chunked(partial(reference_bayes_chunk, config=config), 5_000_000,
-                                SEED, "test-brute-force")[0]
-        n, misses, dp_sum, dp_sq, trunc = (int(v) for v in rows.sum(axis=0))
+        n, misses, dp_sum, dp_sq, trunc = _brute_force_row()
         for c in (0.1, 0.0):
             brute = mc.mc_estimate(n, misses + c * dp_sum, misses + c * c * dp_sq, trunc)
             est = estimate_bayes_risk(replace(config, c=c), 2_000_000, SEED)
@@ -300,6 +298,28 @@ class TestRiskEstimate:
             assert abs(z) <= 4.0 and est.risk.stderr < 0.2 * brute.stderr
             if c == 0:
                 assert est.cond_prob == pytest.approx(1.0 - est.risk.mean, rel=1e-12)
+
+    def test_exact_stop_at_zero_score_is_unbiased_and_cuts_variance(self):
+        # against brute force, which scores the runs that stop at 0 by their
+        # drawn nu: the same mean within 4 combined SE, on independent
+        # streams of the same seed, and a smaller per-rep SD
+        n, misses, dp_sum, dp_sq, trunc = _brute_force_row()
+        brute = mc.mc_estimate(n, misses + 0.1 * dp_sum, misses + 0.01 * dp_sq, trunc)
+        est = estimate_bayes_risk(BayesConfig(p=0.02, c=0.1, A=A, law=LAW), 1_000_000,
+                                  SEED).risk
+        assert abs(est.mean - brute.mean) <= 4.0 * math.hypot(est.stderr, brute.stderr)
+        assert est.stderr * math.sqrt(est.reps) < 0.75 * brute.stderr * math.sqrt(brute.reps)
+
+
+@cache
+def _brute_force_row():
+    """``(n, misses, sum dp, sum dp^2, truncated)`` of 5 M brute-force runs at
+    p = 0.02 on ``"test-brute-force"``; the row serves every cost, so the
+    tests above share one pass."""
+    config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
+    rows = qrng.run_chunked(partial(reference_bayes_chunk, config=config), 5_000_000,
+                            SEED, "test-brute-force")[0]
+    return tuple(int(v) for v in rows.sum(axis=0))
 
 
 class TestExactRatio:
