@@ -9,8 +9,11 @@ bit-identical for any worker count and any scheduling order.
 With ``workers > 1`` the chunks run on a thread pool.  Each chunk owns its
 generator and its arrays, kernels and head-start laws are immutable, and
 numpy releases the GIL in ``Generator.random``, in ufunc loops and in
-indexing, where a chunk spends its time; so the threads share nothing and
-really run in parallel, and no kernel or law needs to be picklable.  The
+indexing, where a chunk spends its time; so the threads share nothing, and
+no kernel or law needs to be picklable.  They overlap only in part, since a
+chunk holds the GIL between those calls: on a shared 2-core host 8 M Bayes
+replications took a median 0.091 s on two threads against 0.114 s on one,
+a ratio of 1.26, not 2.  The
 pool's threads are the package's only parallelism: nothing calls BLAS
 (see :func:`qdetect.montecarlo.moment_sums`), whose own threads would split
 a sum by the host's core count, so that its last bits depend on the host,
@@ -30,10 +33,15 @@ four 8-byte chunk-sized buffers and two masks (8.5 MiB at
 :data:`CHUNK_SIZE`): the head starts (in the SR and Bayes risk kernels only
 the ones below the threshold, the only ones drawn), which become the
 running statistics where nothing reads them after the first step; the
-likelihood ratios; the caller's per-run arrays (in the Bayes risk kernel
-1 - pi0 and the running score of each run below the threshold, in the SR
-kernels a copy of the head starts, in the identity check the change
-times); and the running and post-change masks.  Every kernel of the package returns
+likelihood ratios, or the uniforms of a block of chains, which the Bayes
+risk kernel then overwrites with each step's score increments; the
+caller's per-run arrays (in the Bayes risk kernel 1 - pi0 and the running
+score of each run below the threshold, in the SR kernels a copy of the
+head starts, in the identity check the change times); and the running
+and post-change masks, or for a block the chains' running mask and their
+comparison with the threshold.  The Bayes risk kernel of a K-point grid
+keeps K rows of each for a K-th of a chunk's runs, so it fits the same
+buffers.  Every kernel of the package returns
 one moment row per chunk, so memory is those workspaces plus the rows, not
 a multiple of ``reps``.  The kept workspaces stay held after a call
 returns, until the process exits.

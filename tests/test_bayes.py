@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.stats import chi2
 
 from conftest import (assert_risk_row, kernel_paths, reference_bayes_chunk, reference_bayes_runs,
                       reference_post_change_d)
@@ -38,7 +39,7 @@ from qdetect.bayes import (_bayes_chunk, _brute_force_runs, _change_times, _iden
 from qdetect.cli import DEFAULT_P_GRID, DEFAULT_REPS
 from qdetect.headstart import _gauss_legendre
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
-from qdetect.rng import derive_rng
+from qdetect.rng import CHUNK_SIZE, derive_rng
 
 A = 1.5
 LAW = HeadStartLaw.yakir(A)
@@ -149,8 +150,8 @@ class TestBayesRule:
         p, count = 0.3, 1000
         config = BayesConfig(p=p, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
         rng = derive_rng(SEED, "test-stop0", 0)
-        n, y_sum, y_sq, no_miss, trunc = _bayes_chunk(
-            rng, count, config, _stop_at_zero_risk(config))[0][0]
+        n, y_sum, no_miss, trunc, y_sq = _bayes_chunk(
+            rng, count, (config,), (_stop_at_zero_risk(config),))[0][0]
         assert (rng.bit_generator.state
                 == derive_rng(SEED, "test-stop0", 0).bit_generator.state)
         pi0 = float(couple_pi0(p, 2.0))
@@ -175,11 +176,11 @@ class TestBayesRule:
         for c in (0.1, 0.0):
             config = BayesConfig(p=p, c=c, A=A, law=LAW)
             (rows[c],) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
-                                      config, _stop_at_zero_risk(config))
+                                      (config,), (_stop_at_zero_risk(config),))
         # the exact score at c = 0 is the probability of no miss, and a cost
         # lowers it on the same paths
-        assert rows[0.0][0, 3] == rows[0.1][0, 3]
-        assert rows[0.0][0, 1] == pytest.approx(rows[0.0][0, 3], rel=1e-12)
+        assert rows[0.0][0, 2] == rows[0.1][0, 2]
+        assert rows[0.0][0, 1] == pytest.approx(rows[0.0][0, 2], rel=1e-12)
         assert rows[0.1][0, 1] < rows[0.0][0, 1]
 
     def test_inverse_q_factor_doubles_growth(self):
@@ -349,13 +350,26 @@ class TestExactRatio:
     ], ids=["criterion-5", "cli-default", "workload"])
     def test_quadratic_fit_bias_under_a_quarter_se(self, grid, reps):
         # the fit of the exact ratios misses eq4 by its curvature bias alone;
-        # at each grid's reps that is under a quarter of the intercept SE,
-        # here a lower bound from a per-rep SD of 0.6 (it is 0.67-0.73 on
-        # this grid); a line would miss by about 4 of those SE
+        # at each grid's reps that is under a quarter of the intercept SE.
+        # That SE is here a lower bound: a per-rep SD of 0.6 (it is
+        # 0.67-0.73 on this grid) and a correlation of 0.995 between the
+        # points on their shared runs (0.98-0.99), which lower it most; a
+        # line would miss by 7 to 25 of those SE
         exact = np.array([exact_ratio(A, 0.1, p) for p in grid])
         se = 0.6 / np.sqrt(np.array(reps, dtype=float))
-        intercept, intercept_se = wls_line(np.array(grid), exact, se)
+        intercept, intercept_se = wls_line(np.array(grid), exact, se,
+                                           _shared_run_corr(reps, 0.995))
         assert abs(intercept - limit_predictions(A, 0.1)[1]) <= 0.25 * intercept_se
+
+
+def _shared_run_corr(reps, rho):
+    """The correlations of grid means whose first min(n_j, n_k) runs are
+    shared, with correlation ``rho`` between two points' scores of a run:
+    rho min(n_j, n_k) / sqrt(n_j n_k)."""
+    n = np.array(reps, dtype=float)
+    corr = rho * np.minimum.outer(n, n) / np.sqrt(np.outer(n, n))
+    np.fill_diagonal(corr, 1.0)
+    return corr
 
 
 class TestLimitDiagnostic:
@@ -388,6 +402,94 @@ class TestLimitDiagnostic:
         se_a = math.sqrt(math.fsum(np.linalg.pinv(design)[0] ** 2))
         np.testing.assert_allclose(wls_line(x, y, se), [beta[0], se_a],
                                    rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [[0.02, 0.01, 0.005], [0.05, 0.04, 0.02, 0.01]])
+    def test_wls_se_reads_the_covariance(self, x):
+        # the intercept is linear in y, a = beta^T y, with beta the first row
+        # of the pseudo-inverse of the sqrt(w)-scaled design; its variance
+        # under a covariance C is beta^T C beta, and a diagonal C gives the
+        # SE without one
+        rng = derive_rng(SEED, "wls-cov", len(x))
+        x = np.array(x)
+        y, se = 3.4 + rng.normal(0, 0.1, x.size), rng.uniform(0.005, 0.05, x.size)
+        design = np.column_stack([np.ones_like(x), x, x * x]) / se[:, None]
+        beta = np.linalg.pinv(design)[0] / se
+        corr = _shared_run_corr(np.arange(1, x.size + 1) * 1000, 0.97)
+        cov = corr * np.outer(se, se)
+        np.testing.assert_allclose(wls_line(x, y, se, corr)[1],
+                                   math.sqrt(beta @ cov @ beta), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(wls_line(x, y, se, np.eye(x.size)), wls_line(x, y, se),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("corr", [np.zeros((3, 3)), -np.ones((3, 3)),
+                                      np.full((3, 3), math.nan), np.full((3, 3), math.inf)],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_wls_variance_not_positive_and_finite_rejected(self, corr):
+        # never a sqrt ValueError, a zero SE that divides, or a NaN SE
+        x, y = np.array([0.02, 0.01, 0.005]), np.array([3.284, 3.364, 3.405])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the sum
+            with pytest.raises(ConfigurationError, match="variance"):
+                wls_line(x, y, np.array([0.0035, 0.0025, 0.0018]), corr)
+
+    def test_joint_points_within_4_se_of_exact(self):
+        # every point of one joint run, its chains on shared draws, against
+        # its exact ratio; the points' ratios correlate as their scores do
+        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [1_000_000] * 3, SEED)
+        for row in diag.rows:
+            assert abs(row.ratio - exact_ratio(A, 0.1, row.p)) <= 4.0 * row.stderr
+        corr = np.array(diag.corr)
+        assert np.array_equal(corr, corr.T) and (np.diag(corr) == 1.0).all()
+        assert 0.95 < corr[np.triu_indices(3, 1)].min() < corr.max() == 1.0
+
+    def test_one_point_tier_is_estimate_bayes_risk(self, monkeypatch):
+        # the runs past the second count step the smallest p alone: their
+        # tier is estimate_bayes_risk's kernel on the tier's stream, bit for bit
+        config = BayesConfig(p=0.005, c=0.1, A=A, law=LAW)
+        seen = {}
+        run_chunked = qrng.run_chunked
+
+        def recording(kernel, reps, seed, tag, workers):
+            seen[tag] = run_chunked(kernel, reps, seed, tag, workers)
+            return seen[tag]
+        monkeypatch.setattr(qrng, "run_chunked", recording)
+        limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [2000, 4000, 50_000], SEED)
+        assert sorted(seen) == ["bayes-limit/0:2000", "bayes-limit/2000:4000",
+                                "bayes-limit/4000:50000"]
+        tier = seen["bayes-limit/4000:50000"]
+        estimate_bayes_risk(config, 46_000, SEED, tag="bayes-limit/4000:50000")
+        assert len(tier) == 1 and np.array_equal(seen["bayes-limit/4000:50000"][0], tier[0])
+        assert tier[0].shape == (1, 5)
+
+    def test_nested_reps_do_not_depend_on_workers(self):
+        # three tiers over several chunks: three points, two, then one
+        reps = [CHUNK_SIZE + 1000, 2 * CHUNK_SIZE + 1, 3 * CHUNK_SIZE]
+        serial = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], reps, SEED, workers=1)
+        for workers in (2, 3):
+            assert limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], reps, SEED,
+                                    workers=workers) == serial
+
+    @pytest.mark.parametrize("reps", [[60_000, 120_000, 240_000], [100_000] * 3],
+                             ids=["nested", "equal"])
+    def test_intercept_se_reads_the_covariance(self, reps):
+        # over 40 seeds, the intercept's z against the quadratic fit of the
+        # exact ratios (no curvature bias): the mean z^2 lies in its chi^2
+        # band at 99.9%; scored with a diagonal covariance, the same runs
+        # overstate the SE 2-3 times and fall below that band
+        grid = [0.02, 0.01, 0.005]
+        x = np.array(grid)
+        target = wls_line(x, np.array([exact_ratio(A, 0.1, p) for p in grid]),
+                          0.6 / np.sqrt(np.array(reps, dtype=float)))[0]
+        seeds = range(40)
+        z_sq, z_sq_diagonal = [], []
+        for seed in seeds:
+            diag = limit_diagnostic(A, LAW, 0.1, grid, reps, seed)
+            ratio, se = (np.array([getattr(r, f) for r in diag.rows]) for f in ("ratio", "stderr"))
+            z_sq.append(((diag.intercept - target) / diag.intercept_se) ** 2)
+            z_sq_diagonal.append(((diag.intercept - target) / wls_line(x, ratio, se)[1]) ** 2)
+        low, high = (chi2.ppf(q, len(seeds)) / len(seeds) for q in (0.0005, 0.9995))
+        assert low < np.mean(z_sq) < high
+        assert np.mean(z_sq_diagonal) < low
 
     def test_rows_and_extrapolation(self):
         diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [100_000] * 3, SEED)

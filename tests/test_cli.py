@@ -196,8 +196,9 @@ class TestBayesLimit:
         assert "not finite" in capsys.readouterr().err
 
     def test_default_run_reaches_eq4(self, capsys):
-        # at its defaults (1 M reps at each of p = 0.02, 0.01, 0.005) the
-        # intercept SE is about 0.0025, a twenty-fifth of the eq3/eq4 gap
+        # at its defaults (the same 1 M runs at each of p = 0.02, 0.01,
+        # 0.005) the intercept SE is about 0.0008, a seventy-fifth of the
+        # eq3/eq4 gap
         assert main(["bayes-limit", "--seed", str(DEFAULT_SEED), "--workers", "2"]) == EXIT_OK
         assert "# verdict=eq4\n" in capsys.readouterr().out
 

@@ -24,6 +24,7 @@ from qdetect import (
     estimate_bayes_risk,
     estimate_conditional_delay,
     estimate_e1_and_cross,
+    limit_diagnostic,
     martingale_checks,
     oracle_checks,
 )
@@ -44,6 +45,8 @@ ESTIMATORS = {
         BayesConfig(p=0.01, c=0.1, A=A, law=LAW), reps, SEED, workers),
     "conditional-headstart": lambda reps, workers: conditional_headstart_diagnostic(
         LAW, 0.005, reps, SEED, workers),
+    "limit-diagnostic": lambda reps, workers: limit_diagnostic(
+        A, LAW, 0.1, [0.02, 0.01, 0.005], [reps // 4, reps // 2, reps], SEED, workers),
     "oracle-checks": lambda reps, workers: oracle_checks(A, reps, SEED, workers),
 }
 
@@ -64,15 +67,21 @@ def test_warm_call_memory_is_bounded_by_the_chunk(name, workers):
 
 
 def test_workspace_holds_a_few_chunk_buffers(monkeypatch):
-    # the SR and Bayes kernels and the martingale checks, on fresh workspaces:
-    # each holds four 8-byte buffers of one chunk (the head starts, which
-    # the kernel steps in place, the likelihood ratios, the Bayes runs'
-    # 1 - pi0 or the SR kernels' copy of the head starts, and the Bayes
-    # runs' scores) and one or two masks, at most 8.5 MiB, and no
-    # per-replication record of the stops
+    # the SR and Bayes kernels, the joint Bayes kernel of the limit
+    # diagnostic and the martingale checks, on fresh workspaces: each holds
+    # four 8-byte buffers of one chunk (the head starts, which the kernel
+    # steps in place, the likelihood ratios, the Bayes runs' 1 - pi0 or the
+    # SR kernels' copy of the head starts, and the Bayes runs' scores; with
+    # K grid points, K rows of each for a K-th of a chunk) and one or two
+    # masks, at most 8.5 MiB, and no per-replication record of the stops
     monkeypatch.setattr(qrng, "_free_workspaces", [])
     estimate_e1_and_cross(A, LAW, CHUNK_SIZE, SEED, 2)
     estimate_bayes_risk(BayesConfig(p=0.01, c=0.1, A=A, law=LAW), 2 * CHUNK_SIZE, SEED, 2)
+    limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [CHUNK_SIZE, CHUNK_SIZE, 2 * CHUNK_SIZE],
+                     SEED, 2)
+    # every run of a point mass below A steps: a full K-th of a chunk
+    limit_diagnostic(A, HeadStartLaw.point_mass(0.0), 0.1, [0.02, 0.01, 0.005], [CHUNK_SIZE] * 3,
+                     SEED, 2)
     martingale_checks(A, LAW, CHUNK_SIZE, SEED, 2)
     held = [sum(buf.nbytes for buf in ws._buffers.values())
             for ws in qrng._free_workspaces]
