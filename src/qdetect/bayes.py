@@ -29,9 +29,9 @@ would add up three independent noises; so every grid point steps the same
 runs (common random numbers, Asmussen & Glynn, Stochastic Simulation, 2007,
 ch. V), their ratios correlate at about 0.98 to 0.99, and the intercept's
 standard error reads the covariance of the point means
-(:func:`limit_diagnostic`).  The module also checks that the
-mean of r0 conditioned on {nu = 1} is the mean of the size-biased transform
-of the unconditional law, not the unconditional mean.
+(:func:`_shared_run_scores`).  The module also checks that the mean of r0
+conditioned on {nu = 1} is the mean of the size-biased transform of the
+unconditional law, not the unconditional mean.
 
 The risk estimate simulates only what it cannot compute (conditional Monte
 Carlo, Asmussen & Glynn, Stochastic Simulation, 2007, ch. V: each score has
@@ -67,11 +67,13 @@ step through it, are the tests' reference for the score.
 
 Each chunk draws its head starts and runs its replications in a workspace
 borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
-one moment row: count, score sums, the score at c = 0, truncations and the
-cross sums with the other grid points for the risk estimate; count, the draws with nu = 1 and their sum and sum of
-squares for the conditional mean.  Two kernels draw change times, both from
-the one sampler :func:`_change_times`, for every head start
-(:meth:`HeadStartLaw.sample` at ``A = math.inf``), since both check facts
+one moment row: count, score sums, the score at c = 0 and truncations for
+the risk estimate, one such row per grid point and the cross sums between
+the points for the grid's shared runs (:func:`qdetect.joint._joint_chunk`);
+count, the draws with nu = 1 and their sum and sum of squares for the
+conditional mean.  Two kernels draw change times, both from the one sampler
+:func:`_change_times`, for every head start (:meth:`HeadStartLaw.sample` at
+``A = math.inf``), since both check facts
 about the whole law: the conditional-mean kernel reads only {nu = 1}, and
 the identity kernel checks the risk decomposition run by run over the one
 brute-force simulation, :func:`_brute_force_runs`.  That reads the runs that
@@ -81,17 +83,14 @@ kernel compacts with the runs.  The change times stay float64
 (integer-valued, and past 2^63 at a small p).  The risk kernel steps the
 running statistics over the head starts, which nothing reads after the first
 step, so a chunk holds four chunk-sized 8-byte buffers (head starts,
-likelihood ratios, 1 - pi0 and the running score) and a mask.  With K grid
-points the risk kernel steps K chains a run, one row each of the running
-statistics, 1 - pi0 and the score, for a K-th of a chunk's runs at a
-time.  The sums add up as :func:`qdetect.montecarlo._stop_times` steps the
-runs, so each estimate holds one row per chunk and grid point, whatever
-``reps`` is.
+likelihood ratios, 1 - pi0 and the running score) and a mask; the joint
+kernel of K points holds K + 1 rows of a 2 (K + 1)-th of a chunk in the
+first half of the same buffers.  The sums add up as the runs step, so each
+estimate holds one row per chunk and grid point, whatever ``reps`` is.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -105,6 +104,7 @@ from . import rng as qrng
 from .errors import ConfigurationError
 from .headstart import (HeadStartLaw, LawKind, _post_change_d, check_head_start, sr_exact,
                         yakir_mean)
+from .joint import _joint_chunk
 
 
 def check_p(p: float) -> None:
@@ -233,29 +233,16 @@ def _stop_at_zero_risk(config: BayesConfig) -> float:
     return law.tail_mean(lambda r0: 1.0 - _couple(p, r0), A) / mass
 
 
-#: Steps a draw's runs take together before the ones still running wait to
-#: step on with those of the chunk's other draws (with more than one point).
-_PAUSE_STEP = 6
+def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: float):
+    """One row (n, sum Y, sum Y^2, sum Y at c = 0, truncated) of a chunk, Y
+    the exact 1 - risk of a run given its head start and pre-change path.
 
-
-def _bayes_chunk(rng: np.random.Generator, count: int, configs: Sequence[BayesConfig],
-                 hs: Sequence[float]):
-    """One row per grid point of ``configs`` over the chunk's ``count`` shared
-    runs: (n, sum Y, sum Y at c = 0, truncated, then sum Y Y_k for each
-    point k), Y a run's exact 1 - risk at that point given its head start
-    and pre-change path.
-
-    The points differ only in p, and every run steps one chain per point,
-    R_{q,m} = (R_{q,m-1} + 1) 2U/q, all of them on the run's one uniform
-    per step (common random numbers, :func:`qdetect.montecarlo._stop_times`
-    on a (K, n) block).  A smaller q grows faster, so a chain at a larger p
-    stops no later than one at a smaller p on the same run, and the runs
-    still running are those of the smallest p.  Only the runs whose head
-    start is below A are drawn (:meth:`HeadStartLaw.sample` at A), and each
-    chain steps only its pre-change path R_0 .. R_N (N its stopping index
-    with no change); no change time is drawn and no post-change step
-    taken.  With theta = nu - 1, P(theta = 0) = pi0 and
-    P(theta = m) = w p q^(m-1) for m >= 1, w = 1 - pi0, and a chain scores
+    Only the runs whose head start is below A are drawn
+    (:meth:`HeadStartLaw.sample` at A), and each steps only its pre-change
+    chain R_0 .. R_N (N its stopping index with no change); no change time
+    is drawn and no post-change step taken.  With theta = nu - 1,
+    P(theta = 0) = pi0 and P(theta = m) = w p q^(m-1) for m >= 1, w = 1 - pi0,
+    and the run scores
 
         Y = sum_{m=0}^{N} P(theta = m) (1 - c D_q(R_m) 1{R_m < A}),
 
@@ -265,127 +252,53 @@ def _bayes_chunk(rng: np.random.Generator, count: int, configs: Sequence[BayesCo
     The score at c = 0 is pi0 + w (1 - q^N), the probability of no miss.
     Each of the other ``count - n`` runs stops at N = 0 and scores pi0;
     all of them score its mean over the head starts at or above A,
-    ``1 - h`` with h of ``hs`` (:func:`_stop_at_zero_risk`), and draw
-    nothing.
+    ``1 - h`` (:func:`_stop_at_zero_risk`), and draw nothing.
 
-    The per-chain w and the running score Y ride in the kernel's ``carry``;
-    the factor p q^(m-1) is one scalar per chain and step.  Sum Y and the
-    score at c = 0 add up as the runs step: step m adds the increment t of
-    each chain that takes it to sum Y, and p q^(m-1) w to the score at
-    c = 0.  With one point the runs step as a 1-D array, and step m also
-    adds t (2 Y + t) to sum Y^2, all of a chunk's runs at once.  With K
-    points a chain that stops has its w set to 0, so it adds nothing more,
-    and a run whose chains have all stopped adds Y_j Y_k of its final
-    scores to each sum Y_j Y_k.  The chunk's runs are then drawn
-    ``CHUNK_SIZE // K`` at a time, so that the K rows of a draw's runs
-    below A fit the workspace's chunk-sized buffers; a draw's runs step
-    together for ``_PAUSE_STEP`` steps, and the few still running then wait
-    for those of the chunk's other draws and step on with them, so that few
-    of the chunk's steps move only a handful of runs.
+    The per-run w and the running score Y ride in the kernel's ``carry``;
+    the factor p q^(m-1) is one scalar per step.  The sums add up as the
+    runs step: step m adds the increment t of each run that takes it to
+    sum Y and t (2 Y + t) to sum Y^2, and p q^(m-1) w to the score at c = 0.
     """
-    k = len(configs)
-    A, c, law = configs[0].A, configs[0].c, configs[0].law
-    ps = [config.p for config in configs]
-    qs = [1.0 - p for p in ps]
-
-    def per_chain(values):  # a scalar for one chain, else a column over the rows
-        return values[0] if k == 1 else np.array(values)[:, None]
-
-    p, q, cd = map(per_chain, (ps, qs, [c * _post_change_d(A, q) for q in qs]))
-    # scalars with one chain, arrays over the chains once a sum is added
-    y_sum = no_miss = cross = trunc = 0.0
-    stepped = 0
-    coefs = []  # (s, s flat, -s c d_q, s c) at each step, s = p q^(step - 1) of each chain
-    size = count if k == 1 else qrng.CHUNK_SIZE // k
-
-    def score(steps, lr, ws, offset=0):
-        # add each step's increments to the sums; with K points, return
-        # copies of the runs still running after step _PAUSE_STEP
-        nonlocal y_sum, no_miss, cross, trunc
-        for step, r_m, below, w_m, y_m in steps:
-            step += offset
-            m = r_m.shape[-1]
-            if step > len(coefs):
-                s = per_chain([p_ * q_ ** (step - 1) for p_, q_ in zip(ps, qs)])
-                coefs.append((s, s if k == 1 else s[:, 0], -s * cd, s * c))
-            s, s_flat, s_cd, s_c = coefs[step - 1]
+    p, A, c = config.p, config.A, config.c
+    q = 1.0 - p
+    cd = c * _post_change_d(A, q)
+    trunc = 0
+    with qrng.workspace() as ws:
+        r = config.law.sample(rng, count, A, ws)
+        n = r.size
+        # w = 1 - pi0 = q / (1 + p r0), and Y = pi0 (1 - c D_q(r0)) before a step
+        w = np.multiply(r, p, out=ws.array("carry", float, n))
+        w += 1.0
+        np.divide(q, w, out=w)
+        t = np.add(r, 1.0, out=ws.array("lr", float, n))
+        t *= t
+        np.divide(-cd, t, out=t)
+        t += 1.0 - c
+        y = np.subtract(1.0, w, out=ws.array("score", float, n))
+        y *= t
+        y_sum, y_sq = mc.moment_sums(y)
+        no_miss = n - w.sum()
+        for step, r_m, below, w_m, y_m in mc._stop_times(
+                rng, r, A, math.inf, q, mc.DEFAULT_MAX_STEPS, ws, (w, y)):
+            s = p * q ** (step - 1)
             # t = s w (1 - c D_q(R_m) 1{R_m < A}); the mask multiplies, since
             # a masked write on a mask this close to random costs ten passes
-            t = np.add(r_m, 1.0, out=lr[..., :m])
+            t = np.add(r_m, 1.0, out=ws.array("lr", float, r_m.size))
             t *= t
-            np.divide(s_cd, t, out=t)
-            t -= s_c
+            np.divide(-s * cd, t, out=t)
+            t -= s * c
             t *= below
             t += s
             t *= w_m
-            no_miss += s_flat * w_m.sum(axis=-1)
-            y_sum += t.sum(axis=-1)
-            if k == 1:
-                cross += 2.0 * np.einsum("i,i->", t, y_m) + np.einsum("i,i->", t, t)
+            no_miss += s * w_m.sum()
+            y_sum += t.sum()
+            y_sq += 2.0 * np.einsum("i,i->", t, y_m) + np.einsum("i,i->", t, t)
             y_m += t
             if step == mc.DEFAULT_MAX_STEPS:
-                trunc += np.count_nonzero(below, axis=-1)
-            if k > 1:
-                w_m *= below  # a stopped chain scores nothing more
-                # the runs whose chains have all stopped have their final
-                # scores: add their products, in the lr buffer t is done with
-                free = ws.array("lr", float, lr.size)
-                done = np.logical_or.reduce(below, axis=0, out=free.view(bool)[:m])
-                if step < mc.DEFAULT_MAX_STEPS:
-                    np.logical_not(done, out=done)
-                else:  # the truncated runs end here too
-                    done.fill(True)
-                running = (np.flatnonzero(~done)
-                           if step == _PAUSE_STEP < mc.DEFAULT_MAX_STEPS else None)
-                done = done.nonzero()[0]
-                fin = free[:k * done.size].reshape(k, done.size)
-                y_m.take(done, axis=1, out=fin, mode="clip")
-                cross += np.einsum("ji,ki->jk", fin, fin)
-                if running is not None:
-                    r_left = r_m[:, running]
-                    r_left[~below[:, running]] = math.inf  # a stopped chain stays stopped
-                    return r_left, w_m[:, running], y_m[:, running]
-        return None
-
-    paused = []
-    with qrng.workspace() as ws:
-        for start in range(0, count, size):
-            n = law.sample(rng, min(size, count - start), A, ws).size
-            stepped += n
-            r, w, y, lr = (ws.array(name, float, k * n).reshape((k, n) if k > 1 else n)
-                           for name in ("r0", "carry", "score", "lr"))
-            if k > 1:
-                r[1:] = r[0]  # every chain starts at the drawn head start
-            # w = 1 - pi0 = q / (1 + p r0), and Y = pi0 (1 - c D_q(r0)) before a step
-            np.multiply(r, p, out=w)
-            w += 1.0
-            np.divide(q, w, out=w)
-            t = np.add(r, 1.0, out=lr)
-            t *= t
-            np.divide(-cd, t, out=t)
-            t += 1.0 - c
-            np.subtract(1.0, w, out=y)
-            y *= t
-            y_sum += y.sum(axis=-1)
-            if k == 1:
-                cross += np.einsum("i,i->", y, y)
-            no_miss += n - w.sum(axis=-1)
-            left = score(mc._stop_times(rng, r, A, math.inf, qs if k > 1 else q,
-                                        mc.DEFAULT_MAX_STEPS, ws, (w, y)), lr, ws)
-            if left is not None:
-                paused.append(left)
-        if paused:  # every draw's last runs step on together, from step _PAUSE_STEP
-            n = sum(left[0].shape[1] for left in paused)
-            r, w, y, lr = (ws.array(name, float, k * n).reshape(k, n)
-                           for name in ("r0", "carry", "score", "lr"))
-            for a, parts in zip((r, w, y), zip(*paused)):
-                np.concatenate(parts, axis=1, out=a)
-            score(mc._stop_times(rng, r, A, math.inf, qs, mc.DEFAULT_MAX_STEPS - _PAUSE_STEP,
-                                 ws, (w, y)), lr, ws, _PAUSE_STEP)
-    g = 1.0 - np.array(hs)
-    stop0 = (count - stepped) * g
-    return (np.column_stack([np.full(k, count), y_sum + stop0, no_miss + stop0,
-                             np.zeros(k) + trunc, cross + np.outer(stop0, g)]),)
+                trunc = np.count_nonzero(below)
+    stop0 = (count - n) * (1.0 - h)
+    return (np.array([[count, y_sum + stop0, y_sq + stop0 * (1.0 - h),
+                       no_miss + stop0, trunc]]),)
 
 
 def _brute_force_runs(rng: np.random.Generator, count: int, config: BayesConfig,
@@ -464,9 +377,9 @@ def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
     each run below A scored given its pre-change path, each run that stops
     at 0 by the mean pi0 over the head starts at or above A."""
     mc.check_reps(reps)
-    kernel = partial(_bayes_chunk, configs=(config,), hs=(_stop_at_zero_risk(config),))
+    kernel = partial(_bayes_chunk, config=config, h=_stop_at_zero_risk(config))
     rows = qrng.run_chunked(kernel, reps, seed, tag, workers=workers)[0]
-    n, y_sum, no_miss, trunc, y_sq = rows.sum(axis=0)
+    n, y_sum, y_sq, no_miss, trunc = rows.sum(axis=0)
     score = mc.mc_estimate(n, y_sum, y_sq, truncation_count=int(trunc))
     return BayesRiskEstimate(risk=replace(score, mean=1.0 - score.mean),
                              cond_prob=float(no_miss / n))
@@ -490,8 +403,6 @@ class LimitDiagnostic:
     rows: List[LimitRow]
     intercept: float
     intercept_se: float
-    # correlations of the grid points' ratios, which share their first runs
-    corr: Tuple[Tuple[float, ...], ...]
 
 
 def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
@@ -502,54 +413,17 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
 
     ``p_grid`` passes :func:`check_p_grid` (at least three points), and
     ``reps[j]`` replications run at ``p_grid[j]``: the first ``reps[j]``
-    runs of one run sequence, which every grid point steps on the same
-    head starts and uniforms (common random numbers, :func:`_bayes_chunk`).
-    The sequence runs in tiers, one between each two consecutive distinct
-    counts of ``reps``, each a :func:`qdetect.rng.run_chunked` call on its
-    own stream tag ``bayes-limit/<first>:<end>`` (the tier's runs) whose
-    runs step a chain for each point that covers them.  So the ratios
-    correlate, and the intercept's standard error reads their covariance:
-    the points j and k share their first m = min(n_j, n_k) runs, and with
-    c_jk the covariance of Y_j and Y_k over those runs,
-    Cov(mean_j, mean_k) = c_jk m / (n_j n_k).
+    runs of one run sequence, which every grid point steps on the same head
+    starts and uniforms (common random numbers, :func:`_shared_run_scores`).
+    So the ratios correlate, and the intercept's standard error reads the
+    covariance of the point means.
     """
     p_grid = check_p_grid(p_grid)
     if np.ndim(reps) != 1 or len(reps) != len(p_grid):
         raise ConfigurationError("reps needs one count per p_grid point")
     reps = [mc.check_reps(n) for n in reps]  # all of them, before any simulation
     configs = [BayesConfig(p=p, c=c_star, A=A, law=law) for p in p_grid]
-    hs = [_stop_at_zero_risk(config) for config in configs]
-    k = len(configs)
-    levels = sorted(set(reps))
-    # per tier, the rows of every point over the tier's runs (0 where a point
-    # does not cover them), then summed over the tiers up to each level
-    tiers = np.zeros((len(levels), k, 4 + k))
-    for t, (first, end) in enumerate(zip([0] + levels, levels)):
-        on = [j for j in range(k) if reps[j] >= end]
-        kernel = partial(_bayes_chunk, configs=[configs[j] for j in on],
-                         hs=[hs[j] for j in on])
-        rows = qrng.run_chunked(kernel, end - first, seed, f"bayes-limit/{first}:{end}",
-                                workers=workers)[0]
-        tiers[t][np.ix_(on, [0, 1, 2, 3] + [4 + j for j in on])] = (
-            rows.reshape(-1, len(on), 4 + len(on)).sum(axis=0))
-    upto = np.cumsum(tiers, axis=0)
-    scores = []
-    for j, n_reps in enumerate(reps):
-        n, y_sum, _, trunc = upto[levels.index(n_reps), j, :4]
-        score = mc.mc_estimate(n, y_sum, upto[levels.index(n_reps), j, 4 + j],
-                               truncation_count=int(trunc))
-        if score.stderr == 0:
-            # wls_line weights by 1/se^2; a zero SE would read as certainty
-            raise ConfigurationError(
-                f"zero standard error at p={p_grid[j]} with {n_reps} reps; increase reps")
-        scores.append(score)
-    corr = np.eye(k)
-    for i, j in itertools.combinations(range(k), 2):
-        m = min(reps[i], reps[j])
-        shared = upto[levels.index(m)]
-        c_ij = (shared[i, 4 + j] - m * (shared[i, 1] / m) * (shared[j, 1] / m)) / (m - 1.0)
-        corr[i, j] = corr[j, i] = (c_ij * m / (reps[i] * reps[j])
-                                   / scores[i].stderr / scores[j].stderr)
+    scores, corr = _shared_run_scores(configs, reps, seed, workers)
     rows = [LimitRow(p=p, reps=n_reps, ratio=score.mean / p, stderr=score.stderr / p,
                      truncation_count=score.truncation_count)
             for p, n_reps, score in zip(p_grid, reps, scores)]
@@ -557,19 +431,74 @@ def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
         np.array([r.p for r in rows]),
         np.array([r.ratio for r in rows]),
         np.array([r.stderr for r in rows]), corr)
-    return LimitDiagnostic(rows=rows, intercept=intercept, intercept_se=int_se,
-                           corr=tuple(map(tuple, corr.tolist())))
+    return LimitDiagnostic(rows=rows, intercept=intercept, intercept_se=int_se)
 
 
-def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray, corr=None):
+def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed: int,
+                       workers: int) -> Tuple[List[mc.McEstimate], np.ndarray]:
+    """The mean score 1 - risk of each point ``configs[j]`` over the first
+    ``reps[j]`` runs of one run sequence, and the correlations of the means.
+
+    The sequence runs in tiers, one between each two consecutive distinct
+    counts of ``reps``, each a :func:`qdetect.rng.run_chunked` call on its
+    own stream tag ``bayes-limit/<first>:<end>`` (the tier's runs).  A
+    tier's runs step one chain for each point that covers them
+    (:func:`qdetect.joint._joint_chunk`), or :func:`_bayes_chunk`'s one
+    chain where a single point does.  The points j and k share their first
+    m = min(n_j, n_k) runs, and with c_jk the covariance of Y_j and Y_k over
+    those runs, Cov(mean_j, mean_k) = c_jk m / (n_j n_k).
+    """
+    k = len(configs)
+    hs = [_stop_at_zero_risk(config) for config in configs]
+    levels = sorted(set(reps))
+    # per tier, each point's row and the cross sums over the tier's runs
+    # (zero where a point does not cover them), then summed up to each level
+    rows, cross = np.zeros((len(levels), k, 5)), np.zeros((len(levels), k, k))
+    for tier, (first, end) in enumerate(zip([0] + levels, levels)):
+        on = [j for j in range(k) if reps[j] >= end]
+        tag = f"bayes-limit/{first}:{end}"
+        if len(on) == 1:
+            kernel = partial(_bayes_chunk, config=configs[on[0]], h=hs[on[0]])
+            (part,) = qrng.run_chunked(kernel, end - first, seed, tag, workers=workers)
+            part_cross = part[:, 2]  # sum Y^2
+        else:
+            kernel = partial(_joint_chunk, configs=[configs[j] for j in on],
+                             hs=[hs[j] for j in on])
+            part, part_cross = qrng.run_chunked(kernel, end - first, seed, tag,
+                                                workers=workers)
+        rows[tier, on] = part.reshape(-1, len(on), 5).sum(axis=0)
+        cross[tier][np.ix_(on, on)] = part_cross.reshape(-1, len(on), len(on)).sum(axis=0)
+    rows, cross = np.cumsum(rows, axis=0), np.cumsum(cross, axis=0)
+    scores = []
+    for j, (config, n_reps) in enumerate(zip(configs, reps)):
+        n, y_sum, y_sq, _, trunc = rows[levels.index(n_reps), j]
+        score = mc.mc_estimate(n, y_sum, y_sq, truncation_count=int(trunc))
+        if score.stderr == 0:
+            # wls_line weights by 1/se^2; a zero SE would read as certainty
+            raise ConfigurationError(
+                f"zero standard error at p={config.p} with {n_reps} reps; increase reps")
+        scores.append(score)
+    corr = np.eye(k)
+    for i in range(k):
+        for j in range(i):
+            m = min(reps[i], reps[j])
+            level = levels.index(m)
+            c_ij = (cross[level, i, j] - rows[level, i, 1] * rows[level, j, 1] / m) / (m - 1.0)
+            corr[i, j] = corr[j, i] = (c_ij * m / (reps[i] * reps[j])
+                                       / (scores[i].stderr * scores[j].stderr))
+    return scores, corr
+
+
+def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray, corr: np.ndarray):
     """Weighted least squares fit y = a + b x + c x^2 (weights w = 1/se^2);
     returns (a, se_a).  The weights run relative to the smallest SE, so that
     their products neither under- nor overflow, and se_a is scaled back.
 
     The fit is linear in y, a = sum_k beta_k y_k, and its standard error is
-    se_a = sqrt(beta^T C beta), with C the covariance of the y_k: se_j se_k
-    times ``corr[j][k]``, or diagonal when ``corr`` is None.  A variance
-    that is not finite or not positive raises :class:`ConfigurationError`.
+    se_a = sqrt(beta^T C beta), with C the covariance of the y_k,
+    C_jk = se_j se_k ``corr[j][k]`` (the identity for independent y_k).  A
+    variance that is not finite or not positive raises
+    :class:`ConfigurationError`.
 
     The 3 x 3 normal equations are solved in closed form, so no BLAS or
     LAPACK routine runs.  By Cauchy-Binet their cofactors are sums over the
@@ -589,8 +518,7 @@ def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray, corr=None):
     lam = np.einsum("ij,ik,jk,k->k", pair, dx, dx, w)
     det = lam.sum()
     b = lam / det * (se / se_min)  # beta, times each SE over the smallest
-    var = (np.einsum("j,j->", b, b) if corr is None
-           else np.einsum("j,jk,k->", b, np.asarray(corr), b))
+    var = np.einsum("j,jk,k->", b, corr, b)
     if not 0.0 < var < math.inf:
         raise ConfigurationError("the intercept's variance is not positive and finite")
     return float(np.einsum("k,k->", lam, y) / det), float(se_min * math.sqrt(var))

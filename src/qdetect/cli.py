@@ -21,7 +21,6 @@ statistics, 4 configuration error (including a flag argparse cannot parse).
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -152,10 +151,6 @@ def cmd_bayes_limit(args) -> int:
         table.rows.append([row.p, row.reps, row.ratio, row.stderr])
     table.notes.append(
         f"intercept={diag.intercept:.4f} intercept_se={diag.intercept_se:.4f}")
-    # the grid points share runs, and the intercept SE reads how their ratios
-    # correlate: pairs (1, 2), (1, 3), ... (2, 3), ... in grid order
-    pairs = itertools.combinations(range(len(diag.rows)), 2)
-    table.notes.append("ratio_corr=" + ",".join(f"{diag.corr[i][j]:.4f}" for i, j in pairs))
     # the predictions are exact; their _se keys stay for readers of the notes
     table.notes.append(f"eq3={eq3:.4f} eq3_se=0.0000 z={verdict.z_eq3:.2f}")
     table.notes.append(f"eq4={eq4:.4f} eq4_se=0.0000 z={verdict.z_eq4:.2f}")

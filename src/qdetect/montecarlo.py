@@ -20,9 +20,7 @@ the uniform product law, a binomial count of them and then that many
 uniforms below the threshold).  Any other law draws every run and drops
 the ones at or above the threshold through one helper, :func:`_running`,
 and a kernel that must see every head start, as the oracles do, draws at
-``A = math.inf`` and calls it itself.  For the Bayes limit's p grid the
-kernel steps a block of chains, one per grid point, every chain of a run on
-the run's one uniform.  The kernel reduces as it steps: it
+``A = math.inf`` and calls it itself.  The kernel reduces as it steps: it
 yields each step's running runs, and a chunk kernel adds what it needs of
 them to its sums.  A stopping index counts the steps a run took, so a sum
 over stopping indices is a sum over steps, and no run's stop is stored.  The
@@ -144,19 +142,19 @@ def moment_sums(x: np.ndarray) -> Tuple[float, float]:
     return x.sum(), np.einsum("i,i->", x, x)
 
 
-def _compact(keep: np.ndarray, *arrays: np.ndarray) -> None:
+def _compact(keep: np.ndarray, *arrays: np.ndarray, block_size: int = _BLOCK) -> None:
     """Move the entries of each array where ``keep`` holds to its front, in
-    order and in place.  In place is safe: a block's kept entries end no
-    later than it does, so the blocks after it are intact.  A block whose
-    kept entries land wholly before it is taken straight into place; one
-    that overlaps its landing place is taken whole before any of it is
-    overwritten."""
+    order and in place, ``block_size`` entries at a time.  In place is safe:
+    a block's kept entries end no later than it does, so the blocks after
+    it are intact.  A block whose kept entries land wholly before it is
+    taken straight into place; one that overlaps its landing place is taken
+    whole before any of it is overwritten."""
     n = 0
-    for start in range(0, keep.size, _BLOCK):
-        kept = keep[start:start + _BLOCK].nonzero()[0]
+    for start in range(0, keep.size, block_size):
+        kept = keep[start:start + block_size].nonzero()[0]
         end = n + kept.size
         for a in arrays:
-            block = a[start:start + _BLOCK]
+            block = a[start:start + block_size]
             if end <= start:  # mode="clip" writes to ``out`` with no buffer
                 block.take(kept, out=a[n:end], mode="clip")
             else:
@@ -173,91 +171,55 @@ def _running(r: np.ndarray, A: float, ws: qrng.Workspace, *carry: np.ndarray) ->
     return np.count_nonzero(below)
 
 
-def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q,
+def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
                 max_steps: int, ws: qrng.Workspace, carry: tuple = ()):
     """Run ``R_n = (R_{n-1} + 1) lr(X_n) / q`` from ``R_0 = r`` until ``R_n >= A``,
     stepping ``r`` in place and yielding ``(n, r, below, *carry)`` at each
     step ``n``.
 
-    ``r`` is 1-D, one chain per run with the scalar ``q``, or a (K, n) block
-    of K chains per run, row k scaled by ``q[k]``; every chain of a run
-    steps on the run's one uniform.  Every run of ``r`` starts below ``A``:
-    a run at or above it stops at 0 and takes no step, so a caller drops it
-    first (:func:`_running`).  A chain of a block that starts at or above
-    ``A`` (say at ``math.inf``, to resume a run whose chain had stopped)
-    starts stopped.  Observation ``n`` is post-change when ``n >= nu``;
-    ``nu`` is one change index for every replication (``math.inf``: never)
-    or, for a 1-D ``r``, an array with one per replication.  Each step
-    draws one uniform ``U`` per running replication, in replication order,
-    takes ``lr = 2U`` before the change and ``2 sqrt(U)`` after it (a block
-    takes ``1 - U``, which is never 0, for ``U``, so that a chain at
-    ``math.inf`` stays there), and updates the running statistics in place.
+    Every run of ``r`` starts below ``A``: a run at or above it stops at 0
+    and takes no step, so a caller drops it first (:func:`_running`).
+    Observation ``n`` is post-change when ``n >= nu``; ``nu`` is one change
+    index for every replication (``math.inf``: never) or an array with one
+    per replication.  Each step draws one uniform ``U`` per running
+    replication, in replication order, takes ``lr = 2U`` before the change
+    and ``2 sqrt(U)`` after it, and updates the running statistics in place.
     The yielded arrays are views of the runs that took step ``n``: ``r``
-    holds ``R_n``, ``below`` whether the chain is still below ``A`` (a
-    chain at or above it stops at ``N = n`` and stays stopped), and then
-    one view of each per-run array of ``carry`` (1-D, or (K, n) for a
-    block, whose rows move as the runs do).  After step ``max_steps`` the
-    chains still below are truncated there.  A stopped chain of a block
-    keeps stepping on its run's uniforms, so its ``r`` means nothing; only
-    ``below`` says it stopped.
+    holds ``R_n``, ``below`` whether ``R_n < A``, and then one view of each
+    per-run array of ``carry``.  The runs not below stop at ``N = n``; after
+    step ``max_steps`` the runs still below are truncated there.
 
-    A run keeps running while any of its chains is below ``A`` (with one
-    chain, while that is); after each step the running runs move to the
-    front of ``r``, ``below`` for a block, a per-replication ``nu`` and
-    each array of ``carry``, in place (:func:`_compact`).  Only those
-    arrays move, so a caller that reads ``R_0`` as the runs step carries a
-    copy of it, and a caller that reads the change indices of a step's
-    runs reads the first ``r.size`` entries of its own ``nu``.  The
-    kernel's own arrays live in the workspace ``ws``: its buffer ``lr``
-    holds the likelihood ratios, or a block's uniforms; ``mask`` holds
-    ``below``, K rows of it for a block; ``post`` holds the post-change
-    mask of a per-replication ``nu``, or a block's comparison with ``A``
-    and then its running runs.  So a block of n runs needs ``K n`` entries
-    of ``mask`` and ``post``.  Between steps a caller may overwrite the
-    ``lr`` buffer.
+    After each step the runs still below ``A`` move to the front of ``r``, a
+    per-replication ``nu`` and each array of ``carry``, in place
+    (:func:`_compact`).  Only those arrays move, so a caller that reads
+    ``R_0`` as the runs step carries a copy of it, and a caller that reads
+    the change indices of a step's runs reads the first ``r.size`` entries
+    of its own ``nu``.  The kernel's own arrays live in the workspace ``ws``
+    (its buffers ``lr``, ``mask``, and ``post`` for a per-replication
+    ``nu``); between steps a caller may overwrite the ``lr`` buffer.
     """
-    block = r.ndim == 2
-    k, n = r.shape if block else (1, r.size)
+    n = r.size
     per_rep = np.ndim(nu) > 0
-    running = [row for a in (r, *carry) for row in (a if a.ndim == 2 else (a,))]
-    if per_rep:
-        running.append(nu)
+    running = (r, nu, *carry) if per_rep else (r, *carry)
+    below_buf = ws.array("mask", bool, n)
     lr_buf = ws.array("lr", float, n)
-    if block:
-        scale = np.array([[2.0 / q_k] for q_k in q])
-        below_buf = np.less(r, A, out=ws.array("mask", bool, k * n).reshape(k, n))
-        running += [*below_buf]
-        cmp_buf = ws.array("post", bool, k * n)  # the comparison, then the running runs
-    else:
-        below_buf = ws.array("mask", bool, n)
     post_buf = ws.array("post", bool, n) if per_rep else None
     for step in range(1, max_steps + 1):
         if not n:
             return
-        lr = rng.random(n, out=lr_buf[:n])
+        r_n, lr = r[:n], rng.random(n, out=lr_buf[:n])
         if per_rep:
             np.sqrt(lr, out=lr, where=np.less_equal(nu[:n], step, out=post_buf[:n]))
         elif step >= nu:
             np.sqrt(lr, out=lr)
-        if block:  # the run's one uniform 1 - U, in (0, 1], scaled by each chain's 2/q
-            np.subtract(1.0, lr, out=lr)
-            r_n = r[:, :n]
-            r_n += 1.0
-            r_n *= lr
-            r_n *= scale
-            below = below_buf[:, :n]
-            below &= np.less(r_n, A, out=cmp_buf[:k * n].reshape(k, n))
-            keep = np.logical_or.reduce(below, axis=0, out=cmp_buf[:n])
-        else:
-            r_n = r[:n]
-            lr *= 2.0 / q
-            r_n += 1.0
-            r_n *= lr
-            below = keep = np.less(r_n, A, out=below_buf[:n])
-        yield (step, r_n, below, *(a[..., :n] for a in carry))
-        kept = np.count_nonzero(keep)
+        lr *= 2.0 / q
+        r_n += 1.0
+        r_n *= lr
+        below = np.less(r_n, A, out=below_buf[:n])
+        yield (step, r_n, below, *(a[:n] for a in carry))
+        kept = np.count_nonzero(below)
         if kept < n:
-            _compact(keep, *(a[:n] for a in running))
+            _compact(below, *(a[:n] for a in running))
             n = kept
 
 

@@ -65,67 +65,6 @@ def reference_stop_times(rng, r0, A, nu, q, max_steps, paths=None):
     return np.array(n_stop), np.array(truncated), np.array(r)
 
 
-def reference_block_stop_times(rng, r0, A, qs, max_steps):
-    """The scalar reference of ``montecarlo._stop_times`` on a (K, n) block:
-    ``(n_stop, truncated, final)``, each (K, n), chain k of a run stepping
-    ``R = (R + 1) lr / q_k`` with its run's ``lr = 2 exp(-x)``,
-    ``x = -log(1 - u)`` for its uniform ``u``.
-
-    A run draws one uniform a step while any of its chains is below ``A``,
-    in replication order, and a chain stops for good at its first
-    ``R >= A``; nothing here assumes that the chains stop in any order."""
-    r = [[float(v) for v in r0] for _ in qs]
-    alive = [[v < A for v in r0] for _ in qs]
-    n_stop = np.zeros((len(qs), len(r0)), dtype=np.int64)
-    truncated = np.zeros((len(qs), len(r0)), dtype=bool)
-    running = [i for i in range(len(r0)) if any(a[i] for a in alive)]
-    step = 0
-    while running:
-        step += 1
-        if step > max_steps:
-            for k, i in ((k, i) for k in range(len(qs)) for i in running if alive[k][i]):
-                n_stop[k, i], truncated[k, i] = max_steps, True
-            break
-        for i, u in zip(running, rng.random(len(running))):
-            lr = 2.0 * math.exp(math.log1p(-u))
-            for k, q in enumerate(qs):
-                if alive[k][i]:
-                    r[k][i] = (r[k][i] + 1.0) * lr / q
-                    if r[k][i] >= A:
-                        alive[k][i], n_stop[k, i] = False, step
-        running = [i for i in running if any(a[i] for a in alive)]
-    return n_stop, truncated, np.array(r)
-
-
-def record_block_runs(rng, r0, A, qs, max_steps):
-    """Every chain of ``montecarlo._stop_times`` on the (K, n) block of head
-    starts ``r0`` (all below ``A``), chain k at ``qs[k]``: ``(n_stop,
-    truncated, final, counts)``, the first three (K, n) in replication
-    order and ``counts`` the runs the kernel yields at each step.  A run's
-    index rides in the kernel's carry; a chain stops where ``below`` first
-    turns False."""
-    k, n = len(qs), len(r0)
-    n_stop = np.zeros((k, n), dtype=np.int64)
-    truncated = np.zeros((k, n), dtype=bool)
-    final = np.full((k, n), math.nan)
-    alive = np.ones((k, n), dtype=bool)
-    counts = []
-    for step, r, below, ids in montecarlo._stop_times(
-            rng, np.tile(np.asarray(r0, dtype=float), (k, 1)), A, math.inf, qs, max_steps,
-            qrng.Workspace(), (np.arange(n, dtype=float),)):
-        runs = ids.astype(np.int64)
-        counts.append(runs.size)
-        ended = alive[:, runs] & ~below
-        if step == max_steps:
-            truncated[:, runs] = below
-            ended |= below
-        for chain in range(k):
-            j = runs[ended[chain]]
-            n_stop[chain, j], final[chain, j] = step, r[chain][ended[chain]]
-            alive[chain, j] = False
-    return n_stop, truncated, final, counts
-
-
 def reference_change_times(rng, r0, p):
     """The change times of the head starts ``r0`` in their textbook form,
     ``nu = 1`` if ``u1 < pi0(r0)`` and else ``2 + floor(log(1 - u2) / log(1 - p))``,
@@ -196,15 +135,68 @@ def reference_bayes_scores(rng, law, count, A, p, c, max_steps):
     return stepped, n_stop, truncated, final, np.array(score), np.array(no_miss)
 
 
+def reference_joint_scores(rng, law, count, A, ps, c, max_steps):
+    """The runs of ``count`` head starts from ``law`` in the draw order of
+    ``joint._joint_chunk``, one chain per p of ``ps`` on each run's one
+    uniform a step, each chain scored as in :func:`reference_bayes_scores`:
+    ``(stepped, n_stop, truncated, score, no_miss)``, the last four (K, n)
+    in draw order.
+
+    Before each step the block of ``CHUNK_SIZE // (2 (K + 1))`` runs takes the
+    chunk's next runs, as many as it has free places (``law.sample`` at A);
+    then each of its runs, oldest first, draws one uniform ``u`` and steps
+    ``R = ((R + 1) u) (2 / q)`` in each chain still below ``A``.  A chain
+    stops for good at its first ``R >= A``, a run leaves the block once all
+    its chains have stopped, and after ``max_steps`` steps of its own it
+    leaves with the chains still below ``A`` truncated.  Nothing here
+    assumes that the chains stop in any order."""
+    k, size = len(ps), qrng.CHUNK_SIZE // (2 * (len(ps) + 1))
+    runs, block, drawn = [], [], 0
+    while block or drawn < count:
+        if drawn < count and len(block) < size:
+            take = min(size - len(block), count - drawn)
+            for r0 in law.sample(rng, take, A, qrng.Workspace()).tolist():
+                run = {"paths": [[r0] for _ in ps], "n_stop": [0] * k, "trunc": [False] * k,
+                       "age": 0}
+                runs.append(run)
+                block.append(run)
+            drawn += take
+            if not block:
+                continue
+        for run, u in zip(block, rng.random(len(block)).tolist()):
+            run["age"] += 1
+            for j, (p, path) in enumerate(zip(ps, run["paths"])):
+                if path[-1] < A:
+                    path.append((path[-1] + 1.0) * u * (2.0 / (1.0 - p)))
+                    run["n_stop"][j] = run["age"]
+                    run["trunc"][j] = path[-1] < A and run["age"] == max_steps
+        block = [run for run in block if run["age"] < max_steps
+                 and any(path[-1] < A for path in run["paths"])]
+    score, no_miss = np.zeros((k, len(runs))), np.zeros((k, len(runs)))
+    for j, p in enumerate(ps):
+        q = 1.0 - p
+        d = reference_post_change_d(A, q)
+        for i, run in enumerate(runs):
+            path, n = run["paths"][j], run["n_stop"][j]
+            pi0 = float(couple_pi0(p, path[0]))
+            prior = [pi0] + [(1.0 - pi0) * p * q ** (m - 1) for m in range(1, n + 1)]
+            score[j, i] = math.fsum(w * (1.0 - c * (1.0 + d / (1.0 + r) ** 2) * (r < A))
+                                    for w, r in zip(prior, path))
+            no_miss[j, i] = pi0 + (1.0 - pi0) * (1.0 - q ** n)
+    n_stop = np.array([run["n_stop"] for run in runs], dtype=np.int64).T.reshape(k, -1)
+    truncated = np.array([run["trunc"] for run in runs], dtype=bool).T.reshape(k, -1)
+    return len(runs), n_stop, truncated, score, no_miss
+
+
 def assert_score_row(row, count, score, no_miss, truncated, h):
-    """The Bayes score row ``(n, sum Y, sum Y at c = 0, truncated, sum Y^2)`` of
+    """The Bayes score row ``(n, sum Y, sum Y^2, sum Y at c = 0, truncated)`` of
     a chunk of ``count`` runs against the runs of
     :func:`reference_bayes_scores`; the ``count - n`` runs that stop at 0
     add ``1 - h`` each to the score sums and ``(1 - h)^2`` to the square
     sum.  The count and truncations must match exactly, the sums to 1e-12
     relative."""
     at_zero = count - score.size
-    ((n, y_sum, cond_sum, trunc, y_sq),) = row.tolist()
+    ((n, y_sum, y_sq, cond_sum, trunc),) = row.tolist()
     assert (n, trunc) == (count, truncated.sum())
     np.testing.assert_allclose(
         [y_sum, y_sq, cond_sum],

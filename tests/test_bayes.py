@@ -35,11 +35,11 @@ from qdetect import (
 from qdetect import rng as qrng
 from qdetect import montecarlo as mc
 from qdetect.bayes import (_bayes_chunk, _brute_force_runs, _change_times, _identity_chunk,
-                           _stop_at_zero_risk, wls_line)
+                           _shared_run_scores, _stop_at_zero_risk, wls_line)
 from qdetect.cli import DEFAULT_P_GRID, DEFAULT_REPS
 from qdetect.headstart import _gauss_legendre
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
-from qdetect.rng import CHUNK_SIZE, derive_rng
+from qdetect.rng import CHUNK_SIZE, DEFAULT_WORKERS, derive_rng
 
 A = 1.5
 LAW = HeadStartLaw.yakir(A)
@@ -150,8 +150,8 @@ class TestBayesRule:
         p, count = 0.3, 1000
         config = BayesConfig(p=p, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
         rng = derive_rng(SEED, "test-stop0", 0)
-        n, y_sum, no_miss, trunc, y_sq = _bayes_chunk(
-            rng, count, (config,), (_stop_at_zero_risk(config),))[0][0]
+        n, y_sum, y_sq, no_miss, trunc = _bayes_chunk(
+            rng, count, config, _stop_at_zero_risk(config))[0][0]
         assert (rng.bit_generator.state
                 == derive_rng(SEED, "test-stop0", 0).bit_generator.state)
         pi0 = float(couple_pi0(p, 2.0))
@@ -176,11 +176,11 @@ class TestBayesRule:
         for c in (0.1, 0.0):
             config = BayesConfig(p=p, c=c, A=A, law=LAW)
             (rows[c],) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
-                                      (config,), (_stop_at_zero_risk(config),))
+                                      config, _stop_at_zero_risk(config))
         # the exact score at c = 0 is the probability of no miss, and a cost
         # lowers it on the same paths
-        assert rows[0.0][0, 2] == rows[0.1][0, 2]
-        assert rows[0.0][0, 1] == pytest.approx(rows[0.0][0, 2], rel=1e-12)
+        assert rows[0.0][0, 3] == rows[0.1][0, 3]
+        assert rows[0.0][0, 1] == pytest.approx(rows[0.0][0, 3], rel=1e-12)
         assert rows[0.1][0, 1] < rows[0.0][0, 1]
 
     def test_inverse_q_factor_doubles_growth(self):
@@ -377,7 +377,7 @@ class TestLimitDiagnostic:
         # the quadratic fit recovers a quadratic, and so a line, exactly
         x = np.array([0.02, 0.01, 0.005])
         for y in (3.0 - 7.0 * x, 3.0 - 7.0 * x + 40.0 * x * x):
-            a, sa = wls_line(x, y, np.full(3, 0.01))
+            a, sa = wls_line(x, y, np.full(3, 0.01), np.eye(3))
             assert a == pytest.approx(3.0, abs=1e-9)
             assert sa > 0
 
@@ -385,8 +385,9 @@ class TestLimitDiagnostic:
         # at se near 1e78, weights of 1/se^2 underflow in their products
         x, y = np.array([0.02, 0.01, 0.005]), np.array([3.284, 3.364, 3.405])
         se = np.array([0.0035, 0.0025, 0.0018])
-        a, se_a = wls_line(x, y, se)
-        np.testing.assert_allclose(wls_line(x, y * 1e80, se * 1e80), [a * 1e80, se_a * 1e80],
+        a, se_a = wls_line(x, y, se, np.eye(3))
+        np.testing.assert_allclose(wls_line(x, y * 1e80, se * 1e80, np.eye(3)),
+                                   [a * 1e80, se_a * 1e80],
                                    rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("x", [[0.02, 0.01, 0.005], [0.3, 0.2, 0.1],
@@ -400,15 +401,14 @@ class TestLimitDiagnostic:
         design = np.column_stack([np.ones_like(x), x, x * x]) / se[:, None]
         beta = np.linalg.lstsq(design, y / se, rcond=None)[0]
         se_a = math.sqrt(math.fsum(np.linalg.pinv(design)[0] ** 2))
-        np.testing.assert_allclose(wls_line(x, y, se), [beta[0], se_a],
+        np.testing.assert_allclose(wls_line(x, y, se, np.eye(x.size)), [beta[0], se_a],
                                    rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("x", [[0.02, 0.01, 0.005], [0.05, 0.04, 0.02, 0.01]])
     def test_wls_se_reads_the_covariance(self, x):
         # the intercept is linear in y, a = beta^T y, with beta the first row
         # of the pseudo-inverse of the sqrt(w)-scaled design; its variance
-        # under a covariance C is beta^T C beta, and a diagonal C gives the
-        # SE without one
+        # under a covariance C is beta^T C beta
         rng = derive_rng(SEED, "wls-cov", len(x))
         x = np.array(x)
         y, se = 3.4 + rng.normal(0, 0.1, x.size), rng.uniform(0.005, 0.05, x.size)
@@ -418,8 +418,6 @@ class TestLimitDiagnostic:
         cov = corr * np.outer(se, se)
         np.testing.assert_allclose(wls_line(x, y, se, corr)[1],
                                    math.sqrt(beta @ cov @ beta), rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(wls_line(x, y, se, np.eye(x.size)), wls_line(x, y, se),
-                                   rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("corr", [np.zeros((3, 3)), -np.ones((3, 3)),
                                       np.full((3, 3), math.nan), np.full((3, 3), math.inf)],
@@ -435,10 +433,12 @@ class TestLimitDiagnostic:
     def test_joint_points_within_4_se_of_exact(self):
         # every point of one joint run, its chains on shared draws, against
         # its exact ratio; the points' ratios correlate as their scores do
-        diag = limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [1_000_000] * 3, SEED)
+        grid = [0.02, 0.01, 0.005]
+        diag = limit_diagnostic(A, LAW, 0.1, grid, [1_000_000] * 3, SEED)
         for row in diag.rows:
             assert abs(row.ratio - exact_ratio(A, 0.1, row.p)) <= 4.0 * row.stderr
-        corr = np.array(diag.corr)
+        configs = [BayesConfig(p=p, c=0.1, A=A, law=LAW) for p in grid]
+        corr = _shared_run_scores(configs, [1_000_000] * 3, SEED, DEFAULT_WORKERS)[1]
         assert np.array_equal(corr, corr.T) and (np.diag(corr) == 1.0).all()
         assert 0.95 < corr[np.triu_indices(3, 1)].min() < corr.max() == 1.0
 
@@ -479,14 +479,15 @@ class TestLimitDiagnostic:
         grid = [0.02, 0.01, 0.005]
         x = np.array(grid)
         target = wls_line(x, np.array([exact_ratio(A, 0.1, p) for p in grid]),
-                          0.6 / np.sqrt(np.array(reps, dtype=float)))[0]
+                          0.6 / np.sqrt(np.array(reps, dtype=float)), np.eye(3))[0]
         seeds = range(40)
         z_sq, z_sq_diagonal = [], []
         for seed in seeds:
             diag = limit_diagnostic(A, LAW, 0.1, grid, reps, seed)
             ratio, se = (np.array([getattr(r, f) for r in diag.rows]) for f in ("ratio", "stderr"))
             z_sq.append(((diag.intercept - target) / diag.intercept_se) ** 2)
-            z_sq_diagonal.append(((diag.intercept - target) / wls_line(x, ratio, se)[1]) ** 2)
+            diagonal_se = wls_line(x, ratio, se, np.eye(3))[1]
+            z_sq_diagonal.append(((diag.intercept - target) / diagonal_se) ** 2)
         low, high = (chi2.ppf(q, len(seeds)) / len(seeds) for q in (0.0005, 0.9995))
         assert low < np.mean(z_sq) < high
         assert np.mean(z_sq_diagonal) < low

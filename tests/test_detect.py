@@ -22,14 +22,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (assert_risk_row, assert_score_row, record_block_runs, record_runs,
-                      reference_bayes_chunk, reference_bayes_runs, reference_bayes_scores,
-                      reference_block_stop_times, reference_change_times, reference_stop_times)
+from conftest import (assert_risk_row, assert_score_row, record_runs, reference_bayes_chunk,
+                      reference_bayes_runs, reference_bayes_scores, reference_change_times,
+                      reference_joint_scores, reference_stop_times)
 
 from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_bayes_risk,
                      estimate_conditional_delay, estimate_e1_and_cross, identity_checks,
                      martingale_checks, montecarlo)
+from qdetect import rng as qrng
 from qdetect.bayes import _bayes_chunk, _change_times, _stop_at_zero_risk
+from qdetect.joint import _joint_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
 from qdetect.rng import CHUNK_SIZE, Workspace, derive_rng
 
@@ -101,7 +103,7 @@ def _assert_bayes_rows_match(tag, p, ref):
     for c, want in ((0.1, score), (0.0, no_miss)):
         config = BayesConfig(p=p, c=c, A=A, law=LAW)
         h = _stop_at_zero_risk(config)
-        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, (config,), (h,))
+        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config, h)
         assert_score_row(row, COUNT, want, no_miss, truncated, h)
 
 
@@ -156,26 +158,37 @@ class TestKernelsMatchReference:
         assert ref[1].any() and ref_bf[1].any() and (nu <= max_steps).any()
 
     @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
-    @pytest.mark.parametrize("ps", [(0.3, 0.1, 0.02), (0.02, 0.01, 0.005)])
-    def test_block_of_chains(self, ps, max_steps):
-        # one chain per p on each run's one uniform a step: the kernel's
-        # stops against the scalar joint reference, chain by chain
-        tag = f"ref/block/{ps[0]}/{max_steps}"
-        qs = [1.0 - p for p in ps]
-        rng = derive_rng(SEED, tag, 0)
-        r0 = LAW.sample(rng, COUNT, A, Workspace()).copy()
-        n_stop, truncated, final, counts = record_block_runs(rng, r0, A, qs, max_steps)
-        rng = derive_rng(SEED, tag, 0)
-        LAW.sample(rng, COUNT, A, Workspace())
-        ref_stop, ref_trunc, ref_final = reference_block_stop_times(rng, r0, A, qs, max_steps)
-        assert np.array_equal(n_stop, ref_stop) and np.array_equal(truncated, ref_trunc)
-        np.testing.assert_allclose(final, ref_final, rtol=1e-12, atol=0.0)
-        # on shared draws a larger p never stops later, so the runs still
-        # running at each step are those of the smallest p
+    @pytest.mark.parametrize("law, ps", [(LAW, (0.3, 0.1, 0.02)), (LAW, (0.02, 0.01, 0.005)),
+                                         (HeadStartLaw.point_mass(0.5), (0.1, 0.05))],
+                             ids=["yakir-wide", "yakir-grid", "point-mass"])
+    def test_joint_chunk(self, law, ps, max_steps, monkeypatch):
+        # one chain per p on each run's one uniform a step, in a block that
+        # the chunk's draws refill many times at this chunk size: the
+        # kernel's rows and cross sums against the reference's scores, on
+        # the same draws
+        monkeypatch.setattr(qrng, "CHUNK_SIZE", 4096)
+        monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
+        tag = f"ref/joint/{ps[0]}/{max_steps}"
+        configs = [BayesConfig(p=p, c=0.1, A=A, law=law) for p in ps]
+        hs = [_stop_at_zero_risk(config) for config in configs]
+        rng, ref_rng = derive_rng(SEED, tag, 0), derive_rng(SEED, tag, 0)
+        rows, cross = _joint_chunk(rng, COUNT, configs, hs)
+        stepped, n_stop, truncated, score, no_miss = reference_joint_scores(
+            ref_rng, law, COUNT, A, ps, 0.1, max_steps)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        g, at_zero = 1.0 - np.array(hs), COUNT - stepped
+        assert rows[:, 0].tolist() == [COUNT] * len(ps)
+        assert rows[:, 4].tolist() == truncated.sum(axis=1).tolist()
+        np.testing.assert_allclose(
+            rows[:, 1:4].T, [score.sum(axis=1) + at_zero * g,
+                             (score * score).sum(axis=1) + at_zero * g * g,
+                             no_miss.sum(axis=1) + at_zero * g], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cross, score @ score.T + at_zero * np.outer(g, g),
+                                   rtol=1e-12, atol=0.0)
+        # on shared draws a larger p never stops later, and here some stop sooner
         assert (n_stop[:-1] <= n_stop[1:]).all()
-        assert counts == [np.count_nonzero(n_stop[-1] >= m) for m in range(1, len(counts) + 1)]
-        if ps[0] == 0.3 and max_steps == DEFAULT_MAX_STEPS:
-            assert (n_stop[0] < n_stop[-1]).any()
+        assert (n_stop[0] < n_stop[-1]).any() == (max_steps > 1)
+        assert stepped > qrng.CHUNK_SIZE and truncated.any() == (max_steps <= 2)
 
     def test_single_step_in_place(self):
         # the martingale-drift form: no run can stop, and max_steps = 1 ends it

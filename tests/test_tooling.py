@@ -87,7 +87,7 @@ def test_every_public_name_is_read_beyond_the_unit_tests():
 #: A Sphinx role naming a function, method, class, constant or attribute.
 ROLE = re.compile(r":(?:func|meth|class|data|attr):`~?([\w.]+)`")
 #: A backticked README name in one of the package's modules or on the head-start law.
-README_NAME = re.compile(r"`((?:rng|headstart|montecarlo|bayes|formulas|cli|HeadStartLaw)"
+README_NAME = re.compile(r"`((?:rng|headstart|montecarlo|bayes|joint|formulas|cli|HeadStartLaw)"
                          r"(?:\.\w+)+)")
 
 

@@ -72,14 +72,15 @@ def test_workspace_holds_a_few_chunk_buffers(monkeypatch):
     # four 8-byte buffers of one chunk (the head starts, which the kernel
     # steps in place, the likelihood ratios, the Bayes runs' 1 - pi0 or the
     # SR kernels' copy of the head starts, and the Bayes runs' scores; with
-    # K grid points, K rows of each for a K-th of a chunk) and one or two
-    # masks, at most 8.5 MiB, and no per-replication record of the stops
+    # K grid points, up to K + 1 rows of each for a 2 (K + 1)-th of a chunk)
+    # and one or two masks, at most 8.5 MiB, and no per-replication record
+    # of the stops
     monkeypatch.setattr(qrng, "_free_workspaces", [])
     estimate_e1_and_cross(A, LAW, CHUNK_SIZE, SEED, 2)
     estimate_bayes_risk(BayesConfig(p=0.01, c=0.1, A=A, law=LAW), 2 * CHUNK_SIZE, SEED, 2)
     limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [CHUNK_SIZE, CHUNK_SIZE, 2 * CHUNK_SIZE],
                      SEED, 2)
-    # every run of a point mass below A steps: a full K-th of a chunk
+    # every run of a point mass below A steps: the block stays full
     limit_diagnostic(A, HeadStartLaw.point_mass(0.0), 0.1, [0.02, 0.01, 0.005], [CHUNK_SIZE] * 3,
                      SEED, 2)
     martingale_checks(A, LAW, CHUNK_SIZE, SEED, 2)
