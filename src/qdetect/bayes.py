@@ -37,18 +37,20 @@ The risk estimate simulates only what it cannot compute (conditional Monte
 Carlo, Asmussen & Glynn, Stochastic Simulation, 2007, ch. V: each score has
 the run's mean and no larger variance).  A run whose head start is at or
 above A stops at N = 0, where 1 - risk = 1{nu = 1}, whose mean given r0 is
-pi0.  Every such run scores the mean of that over the head starts at or
-above A,
+pi0.  Those runs, P(R_0 >= A) = 0.542 of them at A = 1.5 under the uniform
+product law, draw nothing: their exact share of the mean score is
 
-    1 - h = E[pi0(R_0) | R_0 >= A],
+    (1 - mass) (1 - h),    1 - h = E[pi0(R_0) | R_0 >= A],
 
-two tail integrals of the law (:meth:`HeadStartLaw.tail_mean`) computed
-once per estimate (:func:`_stop_at_zero_risk`), and draws nothing.  At
-A = 1.5 under the uniform product law that is P(R_0 >= A) = 0.542 of the
-runs.  Only the runs below A are drawn (:meth:`HeadStartLaw.sample` at A:
-for the uniform product law a binomial count of them, then that many
-uniforms on [0, A)), and each steps only its pre-change chain, to its
-stopping index N with no change.  It draws no change time and takes no
+with mass = P(R_0 < A) (:meth:`HeadStartLaw.mass_below`) and two tail
+integrals of the law (:meth:`HeadStartLaw.tail_mean`), computed once per
+estimate (:func:`_stop_at_zero_score`).  Each chunk draws exactly
+round(count mass) runs below A (:meth:`HeadStartLaw.sample` at A: for the
+uniform product law that many uniforms on [0, A)), and the estimate
+weighs their mean score by the exact mass (proportional stratification,
+:func:`qdetect.montecarlo.stratified_estimate`), so it carries no noise of
+how many runs start below A.  Each run below A steps only its pre-change
+chain, to its stopping index N with no change.  It draws no change time and takes no
 post-change step: given the path, a change after step N is missed, one at
 step N is caught at once, and one at step m < N costs, on average, the
 exact post-change delay D_q(R_m) = 1 + d_q/(1 + R_m)^2 of the rank-one
@@ -63,20 +65,22 @@ stepping each run through a drawn change time.  The score needs the law's
 tail integral and a threshold below 2, where D_q is rank one, so
 :class:`BayesConfig` rejects a custom law and a threshold at or above 2.
 The identity check's brute-force runs, which draw every change time and
-step through it, are the tests' reference for the score.
+step through it, are the reference for the score: :func:`identity_checks`
+compares the two.
 
 Each chunk draws its head starts and runs its replications in a workspace
 borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
-one moment row: count, score sums, the score at c = 0 and truncations for
-the risk estimate, one such row per grid point and the cross sums between
-the points for the grid's shared runs (:func:`qdetect.joint._joint_chunk`);
+one moment row: count, runs stepped, score sums, the score at c = 0 and
+truncations for the risk estimate, one such row per grid point and the
+cross sums between the points over the grid's shared stepped runs
+(:func:`qdetect.joint._joint_chunk`);
 count, the draws with nu = 1 and their sum and sum of squares for the
 conditional mean.  Two kernels draw change times, both from the one sampler
 :func:`_change_times`, for every head start (:meth:`HeadStartLaw.sample` at
 ``A = math.inf``), since both check facts
 about the whole law: the conditional-mean kernel reads only {nu = 1}, and
-the identity kernel checks the risk decomposition run by run over the one
-brute-force simulation, :func:`_brute_force_runs`.  That reads the runs that
+the identity kernel reduces the one brute-force simulation,
+:func:`_brute_force_runs`, to exact counts of misses and delays.  That reads the runs that
 stop at 0 first, drops them (:func:`qdetect.montecarlo._running`) and steps
 the rest through the change, with the change times in an array that the
 kernel compacts with the runs.  The change times stay float64
@@ -224,7 +228,7 @@ def _stop_at_zero_risk(config: BayesConfig) -> float:
     Such a run's risk is 1{nu >= 2}, whose mean given r0 is
     1 - pi0 = q / (q + p (1 + r0)); h averages it over the head starts at or
     above A, two tail means of the law (:meth:`HeadStartLaw.tail_mean`).  A
-    law with no mass there gives 0, and no run scores it.
+    law with no mass there gives 0.
     """
     p, A, law = config.p, config.A, config.law
     mass = law.tail_mean(np.ones_like, A)
@@ -233,12 +237,24 @@ def _stop_at_zero_risk(config: BayesConfig) -> float:
     return law.tail_mean(lambda r0: 1.0 - _couple(p, r0), A) / mass
 
 
-def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: float):
-    """One row (n, sum Y, sum Y^2, sum Y at c = 0, truncated) of a chunk, Y
-    the exact 1 - risk of a run given its head start and pre-change path.
+def _stop_at_zero_score(config: BayesConfig) -> Tuple[float, float]:
+    """``(mass, offset)``: the law's exact P(R_0 < A)
+    (:meth:`HeadStartLaw.mass_below`) and the exact share of the mean score
+    of the runs that stop at 0, ``(1 - mass)(1 - h)``, h the risk of
+    :func:`_stop_at_zero_risk`: the two constants of the stratified score
+    estimate (:func:`qdetect.montecarlo.stratified_estimate`)."""
+    mass = config.law.mass_below(config.A)
+    return mass, (1.0 - mass) * (1.0 - _stop_at_zero_risk(config))
 
-    Only the runs whose head start is below A are drawn
-    (:meth:`HeadStartLaw.sample` at A), and each steps only its pre-change
+
+def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
+    """One row (count, m, sum Y, sum Y^2, sum Y at c = 0, truncated) of a
+    chunk, Y the exact 1 - risk of a run given its head start and
+    pre-change path, summed over the m runs below A.
+
+    Only the runs whose head start is below A are drawn, exactly
+    round(count P(R_0 < A)) of them (:meth:`HeadStartLaw.sample` at A),
+    and each steps only its pre-change
     chain R_0 .. R_N (N its stopping index with no change); no change time
     is drawn and no post-change step taken.  With theta = nu - 1,
     P(theta = 0) = pi0 and P(theta = m) = w p q^(m-1) for m >= 1, w = 1 - pi0,
@@ -250,9 +266,9 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: f
     and one at m < N is caught after D_q(R_m) = 1 + d_q / (1 + R_m)^2
     post-change steps on average (:func:`qdetect.headstart._post_change_d`).
     The score at c = 0 is pi0 + w (1 - q^N), the probability of no miss.
-    Each of the other ``count - n`` runs stops at N = 0 and scores pi0;
-    all of them score its mean over the head starts at or above A,
-    ``1 - h`` (:func:`_stop_at_zero_risk`), and draw nothing.
+    Each of the other ``count - m`` runs stops at N = 0 and scores pi0:
+    they draw nothing and add nothing to the row, and the estimate gives
+    them their exact share (:func:`_stop_at_zero_score`).
 
     The per-run w and the running score Y ride in the kernel's ``carry``;
     the factor p q^(m-1) is one scalar per step.  The sums add up as the
@@ -296,9 +312,7 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig, h: f
             y_m += t
             if step == mc.DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
-    stop0 = (count - n) * (1.0 - h)
-    return (np.array([[count, y_sum + stop0, y_sq + stop0 * (1.0 - h),
-                       no_miss + stop0, trunc]]),)
+    return (np.array([[count, n, y_sum, y_sq, no_miss, trunc]]),)
 
 
 def _brute_force_runs(rng: np.random.Generator, count: int, config: BayesConfig,
@@ -320,40 +334,49 @@ def _brute_force_runs(rng: np.random.Generator, count: int, config: BayesConfig,
 
 
 def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
-    """The row (broken, evaluated) of a chunk: how many replications break
-    cond - c dp == cond (1 - c dp), cond = 1{N >= nu - 1} and
-    dp = (N - nu + 1)^+, of how many evaluated as they stop."""
-    broken = evaluated = 0
+    """The exact int64 row ``(n, misses, sum dp, sum dp^2, truncated)`` of the
+    chunk's brute-force runs (:func:`_brute_force_runs`), dp = (N - nu + 1)^+.
+
+    A run misses (N < nu - 1) or pays dp, never both, so at any cost c the
+    risk sums are misses + c sum dp and misses + c^2 sum dp^2: the row
+    serves every cost, and it reads no exact formula.
+    """
+    row = np.array([[count, 0, 0, 0, 0]], dtype=np.int64)
     with qrng.workspace() as ws:
-        for late, _ in _brute_force_runs(rng, count, config, ws):
-            cond, dp = (late >= 0).astype(float), np.maximum(late, 0.0)
-            broken += np.count_nonzero(cond - config.c * dp != cond * (1.0 - config.c * dp))
-            evaluated += late.size
-    return (np.array([[broken, evaluated]]),)
+        for late, truncated in _brute_force_runs(rng, count, config, ws):
+            dp = np.maximum(late, 0.0).astype(np.int64)
+            row[0, 1:] += (np.count_nonzero(late < 0), dp.sum(), np.einsum("i,i->", dp, dp),
+                           truncated * late.size)
+    return (row,)
 
 
 def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> list:
-    """The three exact-identity checks, one ``(name, ok, margin, detail)``
-    tuple each.
+    """The three identity checks, one ``(name, ok, margin, detail)`` tuple each.
 
-    ``risk-identity-exact``: cond - c dp == cond (1 - c dp) bitwise, with
-    cond = 1{N >= nu - 1} and dp = (N - nu + 1)^+, in each of
-    ``min(reps, 100_000)`` Bayes replications at p = 0.01 with the uniform
-    product head start at ``A`` and cost ``c``, each one evaluated (margin:
-    the replications that break it).  ``pi0-round-trip``
+    ``risk-vs-brute-force``: at p = 0.01, with the uniform product head
+    start at ``A`` and cost ``c``, the risk of ``min(reps, 100_000)``
+    brute-force runs, each of which draws its change time and steps through
+    it (:func:`_identity_chunk`, on the stream tag ``risk-identity``),
+    against the stratified score estimate of :func:`estimate_bayes_risk`
+    over ``min(reps, 25_000)`` runs (tag ``risk-identity-score``), within 4
+    combined standard errors (margin: |z|).  ``pi0-round-trip``
     (:func:`coupling_round_trip`) and ``eq3-eq4-difference``
     (:func:`formulas.limit_difference_identity`) hold to 1e-12 relative
     (margin: the largest relative error).
     """
     config = BayesConfig(p=0.01, c=c, A=A, law=HeadStartLaw.yakir(A))
-    n_reps = min(reps, 100_000)
-    rows = qrng.run_chunked(partial(_identity_chunk, config=config), n_reps, seed,
-                            "risk-identity", workers=workers)[0]
-    broken, evaluated = (int(v) for v in rows.sum(axis=0))
+    rows = qrng.run_chunked(partial(_identity_chunk, config=config), min(reps, 100_000),
+                            seed, "risk-identity", workers=workers)[0]
+    n, misses, dp_sum, dp_sq, trunc = (int(v) for v in rows.sum(axis=0))
+    brute = mc.mc_estimate(n, misses + c * dp_sum, misses + c * c * dp_sq, trunc)
+    score = estimate_bayes_risk(config, min(reps, 25_000), seed, workers,
+                                tag="risk-identity-score").risk
+    z = abs(score.mean - brute.mean) / math.hypot(score.stderr, brute.stderr)
     round_ok, round_err = coupling_round_trip(seed)
     diff_ok, diff_err = formulas.limit_difference_identity(seed)
-    return [("risk-identity-exact", broken == 0 and evaluated == n_reps, broken,
-             "per-sample decomposition is bitwise exact"),
+    return [("risk-vs-brute-force", z <= 4.0, z,
+             f"|z|={z:.2f} brute={brute.mean:.5f}+-{brute.stderr:.5f} "
+             f"score={score.mean:.5f}+-{score.stderr:.5f}"),
             ("pi0-round-trip", round_ok, round_err, f"max rel error {round_err:.2e}"),
             ("eq3-eq4-difference", diff_ok, diff_err, f"max rel error {diff_err:.2e}")]
 
@@ -363,9 +386,9 @@ class BayesRiskEstimate:
     """Plug-in risk estimate with its components, all from one replication set."""
 
     risk: mc.McEstimate
-    # P_hat(N >= nu - 1), the mean score at c = 0: a stepped run adds
+    # P_hat(N >= nu - 1), the mean score at c = 0: a stepped run scores
     # pi0 + (1 - pi0)(1 - q^N), its probability of no miss given its path,
-    # and a run that stops at 0 adds 1 - h, the mean pi0 at or above A
+    # and the runs that stop at 0 their exact share, as in the risk
     cond_prob: float
 
 
@@ -374,15 +397,19 @@ def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
                         tag: str = "bayes-risk") -> BayesRiskEstimate:
     """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+: one
     minus the mean of the exact conditional scores of :func:`_bayes_chunk`,
-    each run below A scored given its pre-change path, each run that stops
-    at 0 by the mean pi0 over the head starts at or above A."""
+    each run below A scored given its pre-change path, stratified on the
+    stop-at-0 split: the runs below A weigh the law's exact mass there,
+    and the runs that stop at 0 add their exact share
+    (:func:`_stop_at_zero_score`)."""
     mc.check_reps(reps)
-    kernel = partial(_bayes_chunk, config=config, h=_stop_at_zero_risk(config))
-    rows = qrng.run_chunked(kernel, reps, seed, tag, workers=workers)[0]
-    n, y_sum, y_sq, no_miss, trunc = rows.sum(axis=0)
-    score = mc.mc_estimate(n, y_sum, y_sq, truncation_count=int(trunc))
+    mass, offset = _stop_at_zero_score(config)
+    rows = qrng.run_chunked(partial(_bayes_chunk, config=config), reps, seed, tag,
+                            workers=workers)[0]
+    count, m, y_sum, y_sq, no_miss, trunc = rows.sum(axis=0)
+    score = mc.stratified_estimate(count, m, y_sum, y_sq, mass, offset, int(trunc))
+    cond_prob = offset + (mass * no_miss / m if m else 0.0)
     return BayesRiskEstimate(risk=replace(score, mean=1.0 - score.mean),
-                             cond_prob=float(no_miss / n))
+                             cond_prob=float(cond_prob))
 
 
 @dataclass(frozen=True)
@@ -444,47 +471,53 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
     own stream tag ``bayes-limit/<first>:<end>`` (the tier's runs).  A
     tier's runs step one chain for each point that covers them
     (:func:`qdetect.joint._joint_chunk`), or :func:`_bayes_chunk`'s one
-    chain where a single point does.  The points j and k share their first
-    m = min(n_j, n_k) runs, and with c_jk the covariance of Y_j and Y_k over
-    those runs, Cov(mean_j, mean_k) = c_jk m / (n_j n_k).
+    chain where a single point does; either kernel steps the same
+    round(count P(R_0 < A)) runs below A of a chunk.  Each mean is
+    stratified on the stop-at-0 split
+    (:func:`qdetect.montecarlo.stratified_estimate`), so only the stepped
+    runs carry noise: the points j and k share their first m_jk stepped
+    runs, and with c_jk the covariance of Y_j and Y_k over those runs and
+    m_j, m_k each point's stepped runs,
+    Cov(mean_j, mean_k) = mass^2 c_jk m_jk / (m_j m_k).
     """
     k = len(configs)
-    hs = [_stop_at_zero_risk(config) for config in configs]
+    strata = [_stop_at_zero_score(config) for config in configs]
     levels = sorted(set(reps))
-    # per tier, each point's row and the cross sums over the tier's runs
-    # (zero where a point does not cover them), then summed up to each level
-    rows, cross = np.zeros((len(levels), k, 5)), np.zeros((len(levels), k, k))
+    # per tier, each point's row and the cross sums over the tier's stepped
+    # runs (zero where a point does not cover them), then summed up to each level
+    rows, cross = np.zeros((len(levels), k, 6)), np.zeros((len(levels), k, k))
     for tier, (first, end) in enumerate(zip([0] + levels, levels)):
         on = [j for j in range(k) if reps[j] >= end]
         tag = f"bayes-limit/{first}:{end}"
         if len(on) == 1:
-            kernel = partial(_bayes_chunk, config=configs[on[0]], h=hs[on[0]])
+            kernel = partial(_bayes_chunk, config=configs[on[0]])
             (part,) = qrng.run_chunked(kernel, end - first, seed, tag, workers=workers)
-            part_cross = part[:, 2]  # sum Y^2
+            part_cross = part[:, 3]  # sum Y^2
         else:
-            kernel = partial(_joint_chunk, configs=[configs[j] for j in on],
-                             hs=[hs[j] for j in on])
+            kernel = partial(_joint_chunk, configs=[configs[j] for j in on])
             part, part_cross = qrng.run_chunked(kernel, end - first, seed, tag,
                                                 workers=workers)
-        rows[tier, on] = part.reshape(-1, len(on), 5).sum(axis=0)
+        rows[tier, on] = part.reshape(-1, len(on), 6).sum(axis=0)
         cross[tier][np.ix_(on, on)] = part_cross.reshape(-1, len(on), len(on)).sum(axis=0)
     rows, cross = np.cumsum(rows, axis=0), np.cumsum(cross, axis=0)
-    scores = []
-    for j, (config, n_reps) in enumerate(zip(configs, reps)):
-        n, y_sum, y_sq, _, trunc = rows[levels.index(n_reps), j]
-        score = mc.mc_estimate(n, y_sum, y_sq, truncation_count=int(trunc))
+    scores, stepped = [], []
+    for j, (config, n_reps, (mass, offset)) in enumerate(zip(configs, reps, strata)):
+        count, m, y_sum, y_sq, _, trunc = rows[levels.index(n_reps), j]
+        score = mc.stratified_estimate(count, m, y_sum, y_sq, mass, offset, int(trunc))
         if score.stderr == 0:
             # wls_line weights by 1/se^2; a zero SE would read as certainty
             raise ConfigurationError(
                 f"zero standard error at p={config.p} with {n_reps} reps; increase reps")
         scores.append(score)
+        stepped.append(m)
+    mass = strata[0][0]  # the law and A, and so the mass, are every point's
     corr = np.eye(k)
     for i in range(k):
         for j in range(i):
-            m = min(reps[i], reps[j])
-            level = levels.index(m)
-            c_ij = (cross[level, i, j] - rows[level, i, 1] * rows[level, j, 1] / m) / (m - 1.0)
-            corr[i, j] = corr[j, i] = (c_ij * m / (reps[i] * reps[j])
+            level = levels.index(min(reps[i], reps[j]))
+            m_ij, sum_i, sum_j = rows[level, i, 1], rows[level, i, 2], rows[level, j, 2]
+            c_ij = (cross[level, i, j] - sum_i * sum_j / m_ij) / (m_ij - 1.0)
+            corr[i, j] = corr[j, i] = (mass * mass * c_ij * m_ij / (stepped[i] * stepped[j])
                                        / (scores[i].stderr * scores[j].stderr))
     return scores, corr
 

@@ -16,11 +16,12 @@ The law with parameter a is quasi-stationary for the pre-change chain
 (Pollak, Ann. Statist. 1985): for a threshold A <= 2 its density below A is
 the constant log(1 + a)/(2a), so P(R_0 < A) = A log(1 + a)/(2a) and
 R_0 | R_0 < A ~ U[0, A).  The simulation kernels use both sides of the
-split at A: :meth:`HeadStartLaw.sample`, the law's one sampler, returns only
-the head starts below the threshold it is given, drawn directly, and
-:meth:`HeadStartLaw.tail_mean` integrates over the ones at or above A,
-which stop at 0.  The oracles, which check these facts, draw the whole law:
-they pass ``A = math.inf``.
+split at A: :meth:`HeadStartLaw.mass_below` gives its exact mass below A,
+:meth:`HeadStartLaw.sample` returns only the head starts below the
+threshold it is given, drawn directly and a fixed share of a chunk's runs
+(proportional stratification), and :meth:`HeadStartLaw.tail_mean`
+integrates over the ones at or above A, which stop at 0.  The oracles,
+which check these facts, draw the whole law: they pass ``A = math.inf``.
 """
 
 from __future__ import annotations
@@ -81,34 +82,62 @@ class HeadStartLaw:
     def custom(cls, sampler) -> "HeadStartLaw":
         return cls(kind=LawKind.CUSTOM, sampler=sampler)
 
+    def mass_below(self, A: float) -> Optional[float]:
+        """P(R_0 < A), exact: the share of runs that step, the others stop at 0.
+
+        A point mass gives 1 or 0.  For ``yakir(a)`` and A <= 2 the density
+        below A is the constant log(1 + a)/(2a), so the mass is
+        A log(1 + a)/(2a); above 2 it is 1 minus the tail mass
+        (:meth:`HeadStartLaw.tail_mean` of 1).  A custom law has no tail integral and
+        gives ``None``.
+        """
+        if self.kind is LawKind.POINT_MASS:
+            return 1.0 if self.r0 < A else 0.0
+        if self.kind is LawKind.CUSTOM:
+            return None
+        if A <= 2.0:
+            return A * math.log1p(self.a_param) / (2.0 * self.a_param)
+        return 1.0 - self.tail_mean(np.ones_like, A)
+
+    def sample_below(self, rng: np.random.Generator, m: int, A: float,
+                     ws: qrng.Workspace) -> np.ndarray:
+        """``m`` head starts of a point mass below ``A``, or of ``yakir(a)``
+        given R_0 < A <= 2, in the ``"r0"`` buffer of the workspace ``ws``.
+
+        A point mass draws nothing.  ``yakir(a)`` is uniform on [0, A)
+        there (:meth:`HeadStartLaw.mass_below`), and draws ``rng.random(m) * A``.
+        """
+        out = ws.array("r0", float, m)
+        if self.kind is LawKind.POINT_MASS:
+            out.fill(self.r0)
+            return out
+        rng.random(m, out=out)
+        out *= A
+        return out
+
     def sample(self, rng: np.random.Generator, count: int, A: float,
                ws: qrng.Workspace) -> np.ndarray:
         """The head starts of the runs of ``count`` that start below ``A``;
         the others stop at 0.  ``A = math.inf`` returns every run.
 
         They land in the ``"r0"`` buffer of the workspace ``ws``, in
-        replication order.  A point mass draws nothing and returns all of
-        its runs or none.  For A <= 2 the uniform product law is
-        quasi-stationary below A: its density there is the constant
-        log(1 + a)/(2a), so ``yakir(a)`` draws how many runs start below A,
-        ``rng.binomial(count, A log(1 + a)/(2a))``, then that many
-        ``rng.random() * A``.  Any other law draws every run, the uniform
-        product (its ``"lr"`` buffer holds a temporary) or a custom
-        sampler's draws, which must have shape ``(count,)`` and pass
+        replication order.  A point mass, and ``yakir(a)`` at A <= 2,
+        return exactly ``round(count * mass)`` runs below A, with the mass
+        of :meth:`HeadStartLaw.mass_below` (proportional stratification: the count is
+        not drawn): every run of a point mass below A or none, and
+        ``rng.random(round(count * mass)) * A`` for ``yakir(a)``
+        (:meth:`HeadStartLaw.sample_below`).  So at every A the uniform product law's
+        head starts are the same uniforms, scaled by A, for as many runs
+        as both thresholds draw.  Any other law draws every run, the
+        uniform product (its ``"lr"`` buffer holds a temporary) or a
+        custom sampler's draws, which must have shape ``(count,)`` and pass
         :func:`check_head_start`; then, for a finite A, it drops the runs
         at or above A (:func:`qdetect.montecarlo._running`, on the
-        workspace's ``mask``).
+        workspace's ``mask``), so their count is random.
         """
-        if self.kind is LawKind.POINT_MASS:
-            out = ws.array("r0", float, count if self.r0 < A else 0)
-            out.fill(self.r0)
-            return out
-        if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT and A <= 2.0:
-            a = self.a_param
-            m = int(rng.binomial(count, A * math.log1p(a) / (2.0 * a)))
-            r0 = rng.random(m, out=ws.array("r0", float, m))
-            r0 *= A
-            return r0
+        if self.kind is LawKind.POINT_MASS or (
+                self.kind is LawKind.YAKIR_UNIFORM_PRODUCT and A <= 2.0):
+            return self.sample_below(rng, round(count * self.mass_below(A)), A, ws)
         r0 = ws.array("r0", float, count)
         if self.kind is LawKind.YAKIR_UNIFORM_PRODUCT:
             # (U(0, a) + 1) U(0, 2), in place: uniform(0, a) is 0 + a u

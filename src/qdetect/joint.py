@@ -22,37 +22,40 @@ from . import rng as qrng
 from .headstart import _post_change_d
 
 
-def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence, hs: Sequence[float]):
+def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     """The rows of :func:`qdetect.bayes._bayes_chunk` of the K points
     ``configs`` (:class:`qdetect.bayes.BayesConfig`, which differ only in
-    p) over the chunk's ``count`` shared runs, (K, 5), and their cross sums
-    sum Y_j Y_k, (K, K); ``hs`` holds each point's h.
+    p) over the chunk's ``count`` shared runs, (K, 6), and their cross sums
+    sum Y_j Y_k over the stepped runs, (K, K).
 
-    Each run draws one head start and one uniform U a step, and steps one
-    chain per point on them, R_{k,m} = (R_{k,m-1} + 1) U 2/q_k.  A chain
-    stops for good at its first R_{k,m} >= A, and a run steps while any of
-    its chains is below A.  A smaller q grows faster from the same values,
-    so a chain at a larger p stops no later than one at a smaller p on the
-    same run.  Each chain scores as in :func:`qdetect.bayes._bayes_chunk`,
-    through the weight W = (1 - pi0) p q^(m-1) of its next step m, which
-    rides with the run: step m adds W (1 - c D_q(R_m) 1{R_m < A}) to the
-    chain's score Y and W to its score at c = 0, and leaves W q, or 0 once
-    the chain has stopped.  A run that has stopped adds its final scores to
-    sum Y and their products to the cross sums, and the runs that stop at 0
-    add 1 - h each.
+    The chunk steps exactly the runs that ``_bayes_chunk`` steps, the
+    round(count P(R_0 < A)) runs below A
+    (:meth:`qdetect.headstart.HeadStartLaw.mass_below`), fixed once for the
+    chunk however its draws are batched; the others stop at 0 and add
+    nothing.  Each run draws one head start and one uniform U a step, and
+    steps one chain per point on them, R_{k,m} = (R_{k,m-1} + 1) U 2/q_k.
+    A chain stops for good at its first R_{k,m} >= A, and a run steps while
+    any of its chains is below A.  A smaller q grows faster from the same
+    values, so a chain at a larger p stops no later than one at a smaller
+    p on the same run.  Each chain scores as in
+    :func:`qdetect.bayes._bayes_chunk`, through the weight
+    W = (1 - pi0) p q^(m-1) of its next step m, which rides with the run:
+    step m adds W (1 - c D_q(R_m) 1{R_m < A}) to the chain's score Y and W
+    to its score at c = 0, and leaves W q, or 0 once the chain has stopped.
+    A run that has stopped adds its final scores to sum Y and their
+    products to the cross sums.
 
     The runs step in a block of ``CHUNK_SIZE // (2 (K + 1))`` columns, one
     row per point: its rows and the head starts, which land in the first
-    row of ``"r0"`` (:meth:`qdetect.headstart.HeadStartLaw.sample` at A,
-    which touches no other buffer for a point mass or the uniform product
-    law below A = 2), span half of each of the workspace's chunk-sized
-    buffers, about the part that one point's runs below A = 1.5 touch.
-    Before each step the block takes the chunk's next runs, as many as it
-    has free columns, so that the chunk's runs step together whenever they
-    were drawn and only its last few take its last steps; the runs that
-    stop then leave it in one compaction.  A run records the step it
-    joined at, and is truncated after ``DEFAULT_MAX_STEPS`` steps of its
-    own.
+    row of ``"r0"`` (:meth:`qdetect.headstart.HeadStartLaw.sample_below`,
+    which touches no other buffer), span half of each of the workspace's
+    chunk-sized buffers, about the part that one point's runs below
+    A = 1.5 touch.  Before each step the block takes the chunk's next runs
+    below A, as many as it has free columns and the chunk has left, so
+    that the chunk's runs step together whenever they were drawn and only
+    its last few take its last steps; the runs that stop then leave it in
+    one compaction.  A run records the step it joined at, and is truncated
+    after ``DEFAULT_MAX_STEPS`` steps of its own.
     """
     k = len(configs)
     A, c, law = configs[0].A, configs[0].c, configs[0].law
@@ -62,20 +65,21 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence, hs: Se
     cd = c * np.array([[_post_change_d(A, q_k)] for q_k in q[:, 0]])
     size = qrng.CHUNK_SIZE // (2 * (k + 1))
     max_steps = mc.DEFAULT_MAX_STEPS
+    total = round(count * law.mass_below(A))  # as HeadStartLaw.sample draws them
     no_miss, y_sum, trunc, cross = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros((k, k))
-    n = drawn = stepped = step = 0
+    n = drawn = step = 0
     with qrng.workspace() as ws:
         r = ws.array("r0", float, (k + 1) * size).reshape(k + 1, size)[1:]
         carry = ws.array("carry", float, (k + 1) * size).reshape(k + 1, size)
         w, joined = carry[:k], carry[k]
         y = ws.array("score", float, k * size).reshape(k, size)
         tmp, flags = ws.array("lr", float, k * size), ws.array("mask", bool, k * size)
-        while n or drawn < count:
-            if drawn < count and n < size:
-                r0 = law.sample(rng, min(size - n, count - drawn), A, ws)
-                drawn += min(size - n, count - drawn)
-                m, new = r0.size, slice(n, n + r0.size)
-                stepped += m
+        while n or drawn < total:
+            if drawn < total and n < size:
+                m = min(size - n, total - drawn)
+                r0 = law.sample_below(rng, m, A, ws)
+                drawn += m
+                new = slice(n, n + m)
                 r[:, new] = r0
                 # w = 1 - pi0 = q / (1 + p r0), and Y = pi0 (1 - c D_q(r0)) before a step
                 w_new = np.multiply(r0, p, out=w[:, new])
@@ -91,8 +95,6 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence, hs: Se
                 w_new *= p
                 joined[new] = step + 1
                 n += m
-                if not n:
-                    continue
             step += 1
             r_n, w_n, y_n = r[:, :n], w[:, :n], y[:, :n]
             r_n += 1.0
@@ -128,8 +130,6 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence, hs: Se
                 cross += np.einsum("ji,ki->jk", final, final)
                 mc._compact(keep, *r_n, *w_n, joined[:n], *y_n, block_size=size)
                 n -= done.size
-    g = 1.0 - np.array(hs)
-    stop0 = (count - stepped) * g
-    rows = np.column_stack([np.full(k, count), y_sum + stop0, cross.diagonal() + stop0 * g,
-                            no_miss + stop0, trunc])
-    return rows, cross + np.outer(stop0, g)
+    rows = np.column_stack([np.full(k, count), np.full(k, total), y_sum, cross.diagonal(),
+                            no_miss, trunc])
+    return rows, cross

@@ -15,9 +15,14 @@ output for any worker count.
 
 A run whose head start is at or above the threshold stops at N = 0, and
 :func:`_stop_times` steps only the others.  The SR and Bayes risk kernels
-draw only those others (:meth:`HeadStartLaw.sample` at the threshold; for
-the uniform product law, a binomial count of them and then that many
-uniforms below the threshold).  Any other law draws every run and drops
+draw only those others (:meth:`HeadStartLaw.sample` at the threshold): for
+a point mass and for the uniform product law below 2, exactly
+round(count P(R_0 < A)) of a chunk's runs, uniforms below the threshold
+for the latter, with no count drawn.  The estimators weigh the stepped
+runs by that exact mass and give the runs that stop at 0 their exact
+value, 0 for every SR quantity (proportional stratification,
+:func:`stratified_estimate`), so no estimate carries the noise of how many
+runs start below the threshold.  Any other law draws every run and drops
 the ones at or above the threshold through one helper, :func:`_running`,
 and a kernel that must see every head start, as the oracles do, draws at
 ``A = math.inf`` and calls it itself.  The kernel reduces as it steps: it
@@ -31,9 +36,10 @@ numpy's masked selection on such a mask costs several times ``nonzero`` plus
 ``take``.
 
 The estimators read moment rows, not replications.  Each chunk kernel
-reduces its runs to one row of exact int64 sums (the count, the runs kept
-by the conditioning, the sums of their delay and its square, and how many
-of them were truncated) and float sums of ``R_0 N`` and its square
+reduces its runs to one row of exact int64 sums (the count, the runs
+stepped, the runs kept by the conditioning, the sums of their delay and
+its square, and how many of them were truncated) and float sums of
+``R_0 N`` and its square
 (:func:`_sr_moments`), and an estimator adds the rows in chunk order.  Every
 float sum of squares comes from :func:`moment_sums`, in numpy's own loop on
 the chunk's thread, never from BLAS: BLAS splits a long sum over its own
@@ -122,6 +128,40 @@ def mc_estimate(n, total, total_sq, truncation_count: int = 0,
     var = spread / (n - 1.0) if spread > 1e-12 * abs(total_sq) else 0.0
     return McEstimate(mean=float(mean), stderr=math.sqrt(var / n), reps=int(n),
                       truncation_count=truncation_count, rejected=rejected)
+
+
+def stratified_estimate(count, m, total, total_sq, mass: Optional[float],
+                        offset: float = 0.0, truncation_count: int = 0) -> McEstimate:
+    """The mean over ``count`` runs, of which the ``m`` below the threshold
+    were stepped and summed (``total``, ``total_sq``), and the others stop
+    at 0 and add their exact share ``offset`` of the mean:
+    ``offset + mass * total / m``, with the standard error
+    ``mass * SD / sqrt(m)``, SD that of the ``m`` stepped values
+    (proportional stratification, Asmussen & Glynn, Stochastic Simulation,
+    2007, ch. V).  Its ``reps`` is ``count``.
+
+    ``mass`` is the law's exact ``P(R_0 < A)``
+    (:meth:`qdetect.headstart.HeadStartLaw.mass_below`).  With no mass
+    below the threshold the estimate is ``offset``, exact, with SE 0.  A
+    custom law (``mass`` None) has no exact mass: its ``count - m`` runs
+    at or above the threshold each add 0 (``offset`` is 0), and the
+    estimate is the plain mean over all ``count``.  Fewer than 2 stepped
+    runs, or stepped runs that all gave one value, leave no standard error
+    (a zero SE would read as certainty, and with runs on both sides of the
+    split the estimate is not exact): :class:`ConfigurationError`.
+    """
+    if mass is None:
+        return mc_estimate(count, total, total_sq, truncation_count)
+    if mass == 0.0:
+        return McEstimate(mean=float(offset), stderr=0.0, reps=int(count),
+                          truncation_count=truncation_count)
+    below = mc_estimate(m, total, total_sq) if m >= 2 else None
+    if below is None or (below.stderr == 0.0 and mass < 1.0):
+        raise ConfigurationError(
+            f"the {int(m)} of {int(count)} runs that start below the threshold leave "
+            "no standard error: increase reps")
+    return McEstimate(mean=offset + mass * below.mean, stderr=mass * below.stderr,
+                      reps=int(count), truncation_count=truncation_count)
 
 
 #: Entries per block when the kernel compacts its running arrays: a block's
@@ -239,13 +279,14 @@ def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, 
 
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
                 change_index: Optional[int]):
-    """The moment row of ``count`` SR runs, as ``(ints, floats)`` of shape (1, 5)
+    """The moment row of ``count`` SR runs, as ``(ints, floats)`` of shape (1, 6)
     and (1, 2).
 
     With ``lag = change_index - 1`` (0 for no change), a run is kept when
     ``N >= lag`` and its delay is ``d = (N - lag)^+``.  ``ints`` holds the
-    exact int64 ``(count, kept, sum d, sum d^2, truncated and kept)``; at
-    lag 0 every run is kept and ``d = N``.  ``floats`` holds
+    exact int64 ``(count, m, kept, sum d, sum d^2, truncated and kept)``,
+    with ``m`` the runs below A that were stepped (the others stop at 0 and
+    add nothing); at lag 0 every run is kept and ``d = N``.  ``floats`` holds
     ``(sum R_0 N, sum (R_0 N)^2)``.  Each sum adds up as the runs step:
     with ``n_s`` runs taking step ``s``, ``kept = n_lag``,
     ``sum d = sum_{s > lag} n_s`` and ``sum d^2 = sum_{s > lag} (2(s - lag) - 1) n_s``,
@@ -255,11 +296,13 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
     lag = 0 if change_index is None else change_index - 1
     nu = math.inf if change_index is None else change_index
     kept = count if lag == 0 else 0
-    d_sum = d_sq = trunc = 0
+    m = d_sum = d_sq = trunc = 0
     x_sum = x_sq = 0.0
     with qrng.workspace() as ws:
         for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, ws):
             n = r.size
+            if step == 1:
+                m = n
             if step == lag:
                 kept = n
             elif step > lag:
@@ -270,20 +313,23 @@ def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStar
             x_sq += (2 * step - 1) * s2
             if step == DEFAULT_MAX_STEPS and step >= lag:
                 trunc = np.count_nonzero(below)
-    return (np.array([[count, kept, d_sum, d_sq, trunc]], dtype=np.int64),
+    return (np.array([[count, m, kept, d_sum, d_sq, trunc]], dtype=np.int64),
             np.array([[x_sum, x_sq]]))
 
 
 def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
                              law: HeadStartLaw, change_index: Optional[int]):
-    """The row ``(count, sum D, sum D^2, truncated)`` of ``count`` SR runs,
-    with ``D = R_N - R_0 - N``: 0 for a run that stops at 0, and summed over
-    the runs that stop at each step, the truncated ones at ``DEFAULT_MAX_STEPS``."""
+    """The row ``(count, m, sum D, sum D^2, truncated)`` of ``count`` SR runs,
+    of which ``m`` below A were stepped, with ``D = R_N - R_0 - N``: 0 for a
+    run that stops at 0, and summed over the runs that stop at each step,
+    the truncated ones at ``DEFAULT_MAX_STEPS``."""
     nu = math.inf if change_index is None else change_index
     d_sum = d_sq = 0.0
-    trunc = 0
+    m = trunc = 0
     with qrng.workspace() as ws:
         for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, ws):
+            if step == 1:
+                m = r.size
             d = np.subtract(r, r0_s, out=ws.array("lr", float, r.size))
             d -= step
             if step < DEFAULT_MAX_STEPS:
@@ -293,7 +339,7 @@ def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
             s1, s2 = moment_sums(d)
             d_sum += s1
             d_sq += s2
-    return (np.array([[count, d_sum, d_sq, trunc]]),)
+    return (np.array([[count, m, d_sum, d_sq, trunc]]),)
 
 
 def check_reps(reps: int) -> int:
@@ -315,9 +361,11 @@ def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
     ``change_index`` is a positive integer, or ``None`` for no change.  The
     stream tag ``sr/k=<change_index>`` encodes the scenario but not the
     threshold, so runs at different ``A`` with the same seed start from the
-    same generator state.  They do not share head starts: how many uniforms
-    the count of runs below ``A`` takes (:meth:`HeadStartLaw.sample`)
-    depends on ``A``, so the draws after it fall out of step.
+    same generator state.  For ``yakir(A)`` at each ``A`` they share their
+    head starts' uniforms, scaled by ``A``, for as many runs as both
+    thresholds step (:meth:`HeadStartLaw.sample`), but not their steps:
+    the count of runs below ``A`` depends on ``A``, so the step draws after
+    the head starts fall out of step.
     """
     check_threshold(A)
     reps = check_reps(reps)
@@ -328,14 +376,30 @@ def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
     return tuple(r.sum(axis=0) for r in rows)
 
 
+def _delay_estimate(ints: np.ndarray, A: float, law: HeadStartLaw,
+                    change_index: Optional[int]) -> McEstimate:
+    """The delay estimate of an SR ``ints`` row summed over the chunks
+    (:func:`_sr_moments`).  With no lag (change index 1 or no change) it
+    is stratified on the stop-at-0 split (:func:`stratified_estimate`: a
+    run at or above A has N = 0); a later change index keeps the runs with
+    N >= k - 1 by rejection."""
+    count, m, kept, d_sum, d_sq, trunc = ints
+    if change_index in (None, 1):
+        return stratified_estimate(count, m, d_sum, d_sq, law.mass_below(A),
+                                   truncation_count=int(trunc))
+    return mc_estimate(kept, d_sum, d_sq, int(trunc), int(count - kept))
+
+
 def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
                           workers: int = qrng.DEFAULT_WORKERS
                           ) -> Tuple[McEstimate, McEstimate]:
-    """E_1 N and E_1(R_0 N) from one set of replications (common random numbers)."""
-    (count, _, n_sum, n_sq, trunc), (x_sum, x_sq) = _sr_sums(
-        _sr_moments, A, law, 1, reps, seed, workers)
-    return (mc_estimate(count, n_sum, n_sq, int(trunc)),
-            mc_estimate(count, x_sum, x_sq, int(trunc)))
+    """E_1 N and E_1(R_0 N) from one set of replications (common random
+    numbers), each stratified on the stop-at-0 split, where both are 0."""
+    ints, (x_sum, x_sq) = _sr_sums(_sr_moments, A, law, 1, reps, seed, workers)
+    trunc = int(ints[5])
+    return (_delay_estimate(ints, A, law, 1),
+            stratified_estimate(ints[0], ints[1], x_sum, x_sq, law.mass_below(A),
+                                truncation_count=trunc))
 
 
 def estimate_e1_delay(A: float, law: HeadStartLaw, reps: int, seed: int,
@@ -353,18 +417,17 @@ def estimate_cross_term(A: float, law: HeadStartLaw, reps: int, seed: int,
 def estimate_arl_false(A: float, law: HeadStartLaw, reps: int, seed: int,
                        workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_inf N: expected stopping index when the change never happens."""
-    count, _, n_sum, n_sq, trunc = _sr_sums(
-        _sr_moments, A, law, None, reps, seed, workers)[0]
-    return mc_estimate(count, n_sum, n_sq, int(trunc))
+    return _delay_estimate(_sr_sums(_sr_moments, A, law, None, reps, seed, workers)[0],
+                           A, law, None)
 
 
 def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int, seed: int,
                                workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early;
-    a truncated run counts only if it is kept."""
-    count, kept, d_sum, d_sq, trunc = _sr_sums(
-        _sr_moments, A, law, k, reps, seed, workers)[0]
-    return mc_estimate(kept, d_sum, d_sq, int(trunc), int(count - kept))
+    a truncated run counts only if it is kept.  At k = 1 nothing is
+    rejected, and the estimate is :func:`estimate_e1_delay`'s."""
+    return _delay_estimate(_sr_sums(_sr_moments, A, law, k, reps, seed, workers)[0],
+                           A, law, k)
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
@@ -402,9 +465,9 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
             worst = max(worst, abs(est.mean - n) / est.stderr)
 
     # the replications of estimate_arl_false, read as per-chunk sums of D
-    count, d_sum, d_sq, trunc = _sr_sums(_optional_stopping_chunk, A, law, None, reps,
-                                         seed, workers)[0]
-    est = mc_estimate(count, d_sum, d_sq)
+    count, m, d_sum, d_sq, trunc = _sr_sums(_optional_stopping_chunk, A, law, None, reps,
+                                            seed, workers)[0]
+    est = stratified_estimate(count, m, d_sum, d_sq, law.mass_below(A))
     z = abs(est.mean) / est.stderr
     truncated = int(trunc)
     return [("martingale-drift", worst <= 4.0, worst, f"max |z| over n<=20: {worst:.2f}"),

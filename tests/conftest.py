@@ -2,18 +2,20 @@
 and holds the scalar references of the recursion kernel and of the Bayes
 risk rows with the consumers that read the kernel's runs for the tests.
 
-The Bayes risk has two references here.  ``reference_bayes_scores`` scores
-each pre-change path by its exact conditional 1 - risk, one run at a time,
-as ``bayes._bayes_chunk`` does in bulk.  ``reference_bayes_chunk`` reduces
-the runs of the identity check, ``bayes._brute_force_runs``, in which every
-run draws its change time and steps through it, so it checks the exact
-score without reading any exact formula."""
+The Bayes risk has two references.  ``reference_bayes_scores`` here
+scores each pre-change path by its exact conditional 1 - risk, one run at
+a time, as ``bayes._bayes_chunk`` does in bulk.  The identity check's
+row, ``bayes._identity_chunk``, reduces the runs of
+``bayes._brute_force_runs``, in which every run draws its change time and
+steps through it, so it checks the exact score without reading any exact
+formula; ``assert_risk_row`` checks that row against the scalar runs of
+``reference_bayes_runs``."""
 
 import math
 
 import numpy as np
 
-from qdetect import bayes, couple_pi0, montecarlo, rng as qrng
+from qdetect import couple_pi0, montecarlo, rng as qrng
 
 acceptance_report = []
 
@@ -94,20 +96,6 @@ def reference_bayes_runs(rng, law, count, A, p, max_steps):
     return (r0, nu, *reference_stop_times(rng, r0, A, nu, 1.0 - p, max_steps))
 
 
-def reference_bayes_chunk(rng, count, config):
-    """The exact integer row ``(n, misses, sum dp, sum dp^2, truncated)`` of the
-    runs of ``bayes._brute_force_runs``, dp = (N - nu + 1)^+.  A run misses
-    (N < nu - 1) or pays dp, never both, so at any cost c the risk sums are
-    misses + c sum dp and misses + c^2 sum dp^2: one row serves every c, and
-    it reads no exact formula."""
-    row = np.array([[count, 0, 0, 0, 0]], dtype=np.int64)
-    with qrng.workspace() as ws:
-        for late, truncated in bayes._brute_force_runs(rng, count, config, ws):
-            dp = np.maximum(late, 0.0).astype(np.int64)
-            row[0, 1:] += np.count_nonzero(late < 0), dp.sum(), dp @ dp, truncated * late.size
-    return (row,)
-
-
 def reference_bayes_scores(rng, law, count, A, p, c, max_steps):
     """The pre-change Bayes runs of ``count`` head starts from ``law`` in the
     draw order of ``bayes._bayes_chunk``, each scored by its exact
@@ -135,34 +123,33 @@ def reference_bayes_scores(rng, law, count, A, p, c, max_steps):
     return stepped, n_stop, truncated, final, np.array(score), np.array(no_miss)
 
 
-def reference_joint_scores(rng, law, count, A, ps, c, max_steps):
-    """The runs of ``count`` head starts from ``law`` in the draw order of
-    ``joint._joint_chunk``, one chain per p of ``ps`` on each run's one
-    uniform a step, each chain scored as in :func:`reference_bayes_scores`:
-    ``(stepped, n_stop, truncated, score, no_miss)``, the last four (K, n)
-    in draw order.
+def reference_joint_scores(rng, law, stepped, A, ps, c, max_steps):
+    """The ``stepped`` runs below ``A`` of a chunk from ``law`` in the draw
+    order of ``joint._joint_chunk``, one chain per p of ``ps`` on each run's
+    one uniform a step, each chain scored as in
+    :func:`reference_bayes_scores`: ``(n_stop, truncated, score, no_miss)``,
+    each (K, stepped) in draw order.
 
     Before each step the block of ``CHUNK_SIZE // (2 (K + 1))`` runs takes the
-    chunk's next runs, as many as it has free places (``law.sample`` at A);
-    then each of its runs, oldest first, draws one uniform ``u`` and steps
-    ``R = ((R + 1) u) (2 / q)`` in each chain still below ``A``.  A chain
-    stops for good at its first ``R >= A``, a run leaves the block once all
-    its chains have stopped, and after ``max_steps`` steps of its own it
-    leaves with the chains still below ``A`` truncated.  Nothing here
-    assumes that the chains stop in any order."""
+    chunk's next runs, as many as it has free places and the chunk has left
+    (``law.sample_below`` at A); then each of its runs, oldest first, draws
+    one uniform ``u`` and steps ``R = ((R + 1) u) (2 / q)`` in each chain
+    still below ``A``.  A chain stops for good at its first ``R >= A``, a
+    run leaves the block once all its chains have stopped, and after
+    ``max_steps`` steps of its own it leaves with the chains still below
+    ``A`` truncated.  Nothing here assumes that the chains stop in any
+    order."""
     k, size = len(ps), qrng.CHUNK_SIZE // (2 * (len(ps) + 1))
     runs, block, drawn = [], [], 0
-    while block or drawn < count:
-        if drawn < count and len(block) < size:
-            take = min(size - len(block), count - drawn)
-            for r0 in law.sample(rng, take, A, qrng.Workspace()).tolist():
+    while block or drawn < stepped:
+        if drawn < stepped and len(block) < size:
+            take = min(size - len(block), stepped - drawn)
+            for r0 in law.sample_below(rng, take, A, qrng.Workspace()).tolist():
                 run = {"paths": [[r0] for _ in ps], "n_stop": [0] * k, "trunc": [False] * k,
                        "age": 0}
                 runs.append(run)
                 block.append(run)
             drawn += take
-            if not block:
-                continue
         for run, u in zip(block, rng.random(len(block)).tolist()):
             run["age"] += 1
             for j, (p, path) in enumerate(zip(ps, run["paths"])):
@@ -185,28 +172,25 @@ def reference_joint_scores(rng, law, count, A, ps, c, max_steps):
             no_miss[j, i] = pi0 + (1.0 - pi0) * (1.0 - q ** n)
     n_stop = np.array([run["n_stop"] for run in runs], dtype=np.int64).T.reshape(k, -1)
     truncated = np.array([run["trunc"] for run in runs], dtype=bool).T.reshape(k, -1)
-    return len(runs), n_stop, truncated, score, no_miss
+    return n_stop, truncated, score, no_miss
 
 
-def assert_score_row(row, count, score, no_miss, truncated, h):
-    """The Bayes score row ``(n, sum Y, sum Y^2, sum Y at c = 0, truncated)`` of
-    a chunk of ``count`` runs against the runs of
-    :func:`reference_bayes_scores`; the ``count - n`` runs that stop at 0
-    add ``1 - h`` each to the score sums and ``(1 - h)^2`` to the square
-    sum.  The count and truncations must match exactly, the sums to 1e-12
-    relative."""
-    at_zero = count - score.size
-    ((n, y_sum, y_sq, cond_sum, trunc),) = row.tolist()
-    assert (n, trunc) == (count, truncated.sum())
+def assert_score_row(row, count, score, no_miss, truncated):
+    """The Bayes score row ``(count, m, sum Y, sum Y^2, sum Y at c = 0,
+    truncated)`` of a chunk of ``count`` runs against the runs of
+    :func:`reference_bayes_scores`, the ``m`` runs below A; the runs that
+    stop at 0 add nothing.  The counts and truncations must match exactly,
+    the sums to 1e-12 relative."""
+    ((n, m, y_sum, y_sq, cond_sum, trunc),) = row.tolist()
+    assert (n, m, trunc) == (count, score.size, truncated.sum())
     np.testing.assert_allclose(
         [y_sum, y_sq, cond_sum],
-        [math.fsum(score) + at_zero * (1.0 - h), math.fsum(score * score)
-         + at_zero * (1.0 - h) ** 2, math.fsum(no_miss) + at_zero * (1.0 - h)],
+        [math.fsum(score), math.fsum(score * score), math.fsum(no_miss)],
         rtol=1e-12, atol=0.0)
 
 
 def assert_risk_row(row, nu, n_stop, truncated):
-    """The brute-force row of :func:`reference_bayes_chunk` equals the row of
+    """The brute-force row of ``bayes._identity_chunk`` equals the row of
     the runs of :func:`reference_bayes_runs`, entry for entry."""
     late = n_stop - nu + 1
     dp = np.maximum(late, 0)

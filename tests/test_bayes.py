@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import chi2
 
-from conftest import (assert_risk_row, kernel_paths, reference_bayes_chunk, reference_bayes_runs,
-                      reference_post_change_d)
+from conftest import assert_risk_row, kernel_paths, reference_bayes_runs, reference_post_change_d
 from test_acceptance import LIMIT_P_GRID, LIMIT_REPS
 
 from qdetect import (
@@ -32,6 +31,7 @@ from qdetect import (
     yakir_density,
     yakir_mean,
 )
+from qdetect import bayes
 from qdetect import rng as qrng
 from qdetect import montecarlo as mc
 from qdetect.bayes import (_bayes_chunk, _brute_force_runs, _change_times, _identity_chunk,
@@ -146,18 +146,19 @@ class TestChangeTimePrior:
 
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
-        # every run stops at 0 and scores pi0 = 1 - h, and none draws a uniform
+        # every run stops at 0 and none draws a uniform or adds to the row;
+        # the estimate scores them pi0 = 1 - h, exactly, with SE 0
         p, count = 0.3, 1000
         config = BayesConfig(p=p, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
         rng = derive_rng(SEED, "test-stop0", 0)
-        n, y_sum, y_sq, no_miss, trunc = _bayes_chunk(
-            rng, count, config, _stop_at_zero_risk(config))[0][0]
+        (row,) = _bayes_chunk(rng, count, config)
         assert (rng.bit_generator.state
                 == derive_rng(SEED, "test-stop0", 0).bit_generator.state)
+        assert row.tolist() == [[count, 0, 0, 0, 0, 0]]
         pi0 = float(couple_pi0(p, 2.0))
-        assert (n, trunc) == (count, 0)
-        np.testing.assert_allclose([y_sum, no_miss], count * pi0, rtol=1e-12)
-        np.testing.assert_allclose(y_sq, count * pi0 ** 2, rtol=1e-12)
+        est = estimate_bayes_risk(config, count, SEED)
+        assert est.risk.stderr == 0.0
+        np.testing.assert_allclose([1.0 - est.risk.mean, est.cond_prob], pi0, rtol=1e-12)
 
     def test_outcome_invariants(self):
         # the runs of chunk 0 of the stream, in the brute-force draw order
@@ -169,19 +170,18 @@ class TestBayesRule:
         assert (nu >= 1).all() and np.array_equal(n_stop == 0, r0 >= A)
         assert not truncated.any() and not (missed & (delay_plus > 0)).any()
         # the reduced row of the same stream, against these runs' row
-        (row,) = reference_bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
-                                       BayesConfig(p=p, c=0.1, A=A, law=LAW))
+        (row,) = _identity_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
+                                 BayesConfig(p=p, c=0.1, A=A, law=LAW))
         assert_risk_row(row, nu, n_stop, truncated)
         rows = {}
         for c in (0.1, 0.0):
             config = BayesConfig(p=p, c=c, A=A, law=LAW)
-            (rows[c],) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
-                                      config, _stop_at_zero_risk(config))
+            (rows[c],) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config)
         # the exact score at c = 0 is the probability of no miss, and a cost
         # lowers it on the same paths
-        assert rows[0.0][0, 3] == rows[0.1][0, 3]
-        assert rows[0.0][0, 1] == pytest.approx(rows[0.0][0, 3], rel=1e-12)
-        assert rows[0.1][0, 1] < rows[0.0][0, 1]
+        assert rows[0.0][0, 4] == rows[0.1][0, 4]
+        assert rows[0.0][0, 2] == pytest.approx(rows[0.0][0, 4], rel=1e-12)
+        assert rows[0.1][0, 2] < rows[0.0][0, 2]
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -261,11 +261,15 @@ class TestRiskEstimate:
 
     @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
     def test_identity_check_evaluates_every_replication(self, max_steps, monkeypatch):
-        # the runs that stop at 0, at each step and at truncation, all of them
+        # the runs that stop at 0, at each step and at truncation, all of
+        # them, in the brute-force row of the identity check
         monkeypatch.setattr(mc, "DEFAULT_MAX_STEPS", max_steps)
         config = BayesConfig(p=0.01, c=0.1, A=A, law=LAW)
         (row,) = _identity_chunk(derive_rng(SEED, "test-identity", 0), 20_000, config)
-        assert row.tolist() == [[0, 20_000]]
+        _, nu, n_stop, truncated, _ = reference_bayes_runs(
+            derive_rng(SEED, "test-identity", 0), LAW, 20_000, A, config.p, max_steps)
+        assert_risk_row(row, nu, n_stop, truncated)
+        assert truncated.any() == (max_steps <= 2)
 
     def test_identity_chunk_evaluates_each_runs_own_delay(self):
         # the identity holds for any integer delay, so only the delays the
@@ -286,19 +290,30 @@ class TestRiskEstimate:
         expected = 1.0 - float(couple_pi0(p, r0))
         assert abs(est.risk.mean - expected) <= 4.0 * max(est.risk.stderr, 1e-12)
 
-    def test_exact_score_matches_brute_force(self):
-        # brute force reads no exact formula, and one pass serves both costs:
-        # the same mean within 4 combined SE, on independent streams, and a
-        # far smaller SE; at c = 0 the risk is the miss probability
-        config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
+    def test_exact_score_matches_brute_force(self, monkeypatch):
+        # at c = 0.1 the comparison is the identity check's line (props and
+        # criterion 7): it passes, and it fails once the brute-force runs
+        # lose their own change times (reversed, times 7)
+        def line():
+            return next(check for check in identity_checks(A, 0.1, 100_000, SEED,
+                                                           DEFAULT_WORKERS)
+                        if check[0] == "risk-vs-brute-force")
+        _, ok, z, detail = line()
+        assert ok and z <= 4.0, detail
+        change_times = bayes._change_times
+        monkeypatch.setattr(bayes, "_change_times",
+                            lambda *args, **kwargs: 7.0 * change_times(*args, **kwargs)[::-1])
+        assert not line()[1]
+        monkeypatch.undo()
+        # at c = 0 the risk is the miss probability: brute force reads no
+        # exact formula, and gives the same mean within 4 combined SE, on
+        # independent streams, with a far larger SE
         n, misses, dp_sum, dp_sq, trunc = _brute_force_row()
-        for c in (0.1, 0.0):
-            brute = mc.mc_estimate(n, misses + c * dp_sum, misses + c * c * dp_sq, trunc)
-            est = estimate_bayes_risk(replace(config, c=c), 2_000_000, SEED)
-            z = (est.risk.mean - brute.mean) / math.hypot(est.risk.stderr, brute.stderr)
-            assert abs(z) <= 4.0 and est.risk.stderr < 0.2 * brute.stderr
-            if c == 0:
-                assert est.cond_prob == pytest.approx(1.0 - est.risk.mean, rel=1e-12)
+        brute = mc.mc_estimate(n, misses, misses, trunc)
+        est = estimate_bayes_risk(BayesConfig(p=0.02, c=0.0, A=A, law=LAW), 2_000_000, SEED)
+        z = (est.risk.mean - brute.mean) / math.hypot(est.risk.stderr, brute.stderr)
+        assert abs(z) <= 4.0 and est.risk.stderr < 0.2 * brute.stderr
+        assert est.cond_prob == pytest.approx(1.0 - est.risk.mean, rel=1e-12)
 
     def test_exact_stop_at_zero_score_is_unbiased_and_cuts_variance(self):
         # against brute force, which scores the runs that stop at 0 by their
@@ -318,7 +333,7 @@ def _brute_force_row():
     p = 0.02 on ``"test-brute-force"``; the row serves every cost, so the
     tests above share one pass."""
     config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
-    rows = qrng.run_chunked(partial(reference_bayes_chunk, config=config), 5_000_000,
+    rows = qrng.run_chunked(partial(_identity_chunk, config=config), 5_000_000,
                             SEED, "test-brute-force")[0]
     return tuple(int(v) for v in rows.sum(axis=0))
 
@@ -459,7 +474,7 @@ class TestLimitDiagnostic:
         tier = seen["bayes-limit/4000:50000"]
         estimate_bayes_risk(config, 46_000, SEED, tag="bayes-limit/4000:50000")
         assert len(tier) == 1 and np.array_equal(seen["bayes-limit/4000:50000"][0], tier[0])
-        assert tier[0].shape == (1, 5)
+        assert tier[0].shape == (1, 6)
 
     def test_nested_reps_do_not_depend_on_workers(self):
         # three tiers over several chunks: three points, two, then one

@@ -214,12 +214,17 @@ class TestEqualizer:
 
     def test_single_survivor_rows_missing(self, capsys):
         # the runs of 4 that the conditioning N >= k - 1 rejects, for each k
-        # that keeps fewer than 2, from the equalizer's own streams
+        # that keeps fewer than 2, from the equalizer's own streams.  Two of
+        # the 4 runs start below A; at seed 1 both stop at N = 1, which
+        # leaves k = 1 no standard error, and the command says so
+        assert main(["equalizer", "--a-grid", "1.5", "--reps", "4",
+                     "--seed", "1"]) == EXIT_CONFIG
+        assert "no standard error" in capsys.readouterr().err
         law = headstart.HeadStartLaw.yakir(1.5)
-        undefined = montecarlo.delay_profile(1.5, law, 10, 4, 1).undefined
+        undefined = montecarlo.delay_profile(1.5, law, 10, 4, 2).undefined
         assert 3 in undefined.values()
         assert main(["equalizer", "--a-grid", "1.5", "--reps", "4",
-                     "--seed", "1"]) == EXIT_OK
+                     "--seed", "2"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()[2:]
         rows = {int(row[0]): row[1:] for row in (ln.split(",") for ln in lines)}
         assert sorted(rows) == list(range(1, 11))
@@ -247,7 +252,7 @@ class TestCheckSuites:
                      "--seed", "9"]) == EXIT_OK
         out = capsys.readouterr().out
         assert _check_names(out) == [
-            "martingale-drift", "optional-stopping", "risk-identity-exact",
+            "martingale-drift", "optional-stopping", "risk-vs-brute-force",
             "pi0-round-trip", "eq3-eq4-difference"] + [f"{n} A=1.5" for n in ORACLE_NAMES]
         assert "FAIL" not in out
         # the two identity lines print what the library functions return

@@ -22,15 +22,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (assert_risk_row, assert_score_row, record_runs, reference_bayes_chunk,
-                      reference_bayes_runs, reference_bayes_scores, reference_change_times,
-                      reference_joint_scores, reference_stop_times)
+from conftest import (assert_risk_row, assert_score_row, record_runs, reference_bayes_runs,
+                      reference_bayes_scores, reference_change_times, reference_joint_scores,
+                      reference_stop_times)
 
 from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_bayes_risk,
                      estimate_conditional_delay, estimate_e1_and_cross, identity_checks,
                      martingale_checks, montecarlo)
 from qdetect import rng as qrng
-from qdetect.bayes import _bayes_chunk, _change_times, _stop_at_zero_risk
+from qdetect.bayes import _bayes_chunk, _change_times, _identity_chunk
 from qdetect.joint import _joint_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
 from qdetect.rng import CHUNK_SIZE, Workspace, derive_rng
@@ -39,6 +39,15 @@ SEED = 20240824
 COUNT = 1 << 14
 A = 1.5
 LAW = HeadStartLaw.yakir(A)
+
+
+def _mass_below(law):
+    """P(R_0 < A), restated apart from ``HeadStartLaw.mass_below``: 1 or 0 for
+    a point mass, and A log(1 + a)/(2a) for ``yakir(a)``, whose density below
+    A <= 2 is the constant log(1 + a)/(2a)."""
+    if law.r0 is not None:
+        return float(law.r0 < A)
+    return A * math.log1p(law.a_param) / (2.0 * law.a_param)
 
 
 def _reference_runs(tag, max_steps, change_index=None):
@@ -102,17 +111,15 @@ def _assert_bayes_rows_match(tag, p, ref):
     _, truncated, _, score, no_miss = ref
     for c, want in ((0.1, score), (0.0, no_miss)):
         config = BayesConfig(p=p, c=c, A=A, law=LAW)
-        h = _stop_at_zero_risk(config)
-        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config, h)
-        assert_score_row(row, COUNT, want, no_miss, truncated, h)
+        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config)
+        assert_score_row(row, COUNT, want, no_miss, truncated)
 
 
 def _assert_brute_force_rows_match(tag, p, nu, ref):
     """The brute-force row of the chunk against the row of the reference's
     runs (``conftest.assert_risk_row``)."""
     config = BayesConfig(p=p, c=0.1, A=A, law=LAW)
-    assert_risk_row(reference_bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config)[0], nu,
-                    *ref[:2])
+    assert_risk_row(_identity_chunk(derive_rng(SEED, tag, 0), COUNT, config)[0], nu, *ref[:2])
 
 
 class TestKernelsMatchReference:
@@ -170,25 +177,36 @@ class TestKernelsMatchReference:
         monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
         tag = f"ref/joint/{ps[0]}/{max_steps}"
         configs = [BayesConfig(p=p, c=0.1, A=A, law=law) for p in ps]
-        hs = [_stop_at_zero_risk(config) for config in configs]
         rng, ref_rng = derive_rng(SEED, tag, 0), derive_rng(SEED, tag, 0)
-        rows, cross = _joint_chunk(rng, COUNT, configs, hs)
-        stepped, n_stop, truncated, score, no_miss = reference_joint_scores(
-            ref_rng, law, COUNT, A, ps, 0.1, max_steps)
+        rows, cross = _joint_chunk(rng, COUNT, configs)
+        stepped = round(COUNT * _mass_below(law))
+        n_stop, truncated, score, no_miss = reference_joint_scores(
+            ref_rng, law, stepped, A, ps, 0.1, max_steps)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        g, at_zero = 1.0 - np.array(hs), COUNT - stepped
-        assert rows[:, 0].tolist() == [COUNT] * len(ps)
-        assert rows[:, 4].tolist() == truncated.sum(axis=1).tolist()
+        assert rows[:, :2].tolist() == [[COUNT, stepped]] * len(ps)
+        assert rows[:, 5].tolist() == truncated.sum(axis=1).tolist()
         np.testing.assert_allclose(
-            rows[:, 1:4].T, [score.sum(axis=1) + at_zero * g,
-                             (score * score).sum(axis=1) + at_zero * g * g,
-                             no_miss.sum(axis=1) + at_zero * g], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(cross, score @ score.T + at_zero * np.outer(g, g),
-                                   rtol=1e-12, atol=0.0)
+            rows[:, 2:5].T, [score.sum(axis=1), (score * score).sum(axis=1),
+                             no_miss.sum(axis=1)], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cross, score @ score.T, rtol=1e-12, atol=0.0)
         # on shared draws a larger p never stops later, and here some stop sooner
         assert (n_stop[:-1] <= n_stop[1:]).all()
         assert (n_stop[0] < n_stop[-1]).any() == (max_steps > 1)
         assert stepped > qrng.CHUNK_SIZE and truncated.any() == (max_steps <= 2)
+
+    @pytest.mark.parametrize("law", [LAW, HeadStartLaw.point_mass(0.5)],
+                             ids=["yakir", "point-mass"])
+    def test_joint_and_one_point_chunks_step_the_same_runs(self, law):
+        # a count that is no multiple of the joint block, whose batches of
+        # free columns can be one wide: both kernels step exactly
+        # round(count * mass) runs below A
+        count = 5 * (CHUNK_SIZE // 8) + 3
+        configs = [BayesConfig(p=p, c=0.1, A=A, law=law) for p in (0.02, 0.01, 0.005)]
+        stepped = round(count * _mass_below(law))
+        rows, _ = _joint_chunk(derive_rng(SEED, "same-runs", 0), count, configs)
+        (row,) = _bayes_chunk(derive_rng(SEED, "same-runs", 0), count, configs[0])
+        assert rows[:, :2].tolist() == [[count, stepped]] * 3
+        assert row[0, :2].tolist() == [count, stepped]
 
     def test_single_step_in_place(self):
         # the martingale-drift form: no run can stop, and max_steps = 1 ends it
@@ -239,12 +257,13 @@ class TestStopAtZeroSplit:
         estimate_bayes_risk(BayesConfig(p=0.05, c=0.1, A=A, law=LAW), 2000, SEED, 1)
         identity_checks(A, 0.1, 2000, SEED, 1)
         martingale_checks(A, LAW, 2000, SEED, 1)
-        # one call per chunk: one per estimator, and martingale_checks' drift
-        # paths (A = inf) besides its optional-stopping chunk
-        assert len(calls) == 7 and all(below for _, below in calls)
+        # one call per chunk: one per estimator, the identity check's
+        # brute-force and score chunks, and martingale_checks' drift paths
+        # (A = inf) besides its optional-stopping chunk
+        assert len(calls) == 8 and all(below for _, below in calls)
         # the yakir law starts about half the runs at or above A: they were
         # never drawn (SR, Bayes risk) or were dropped (identity check)
-        assert sum(size < 2000 for size, _ in calls) == 6
+        assert sum(size < 2000 for size, _ in calls) == 7
 
     def test_every_chunk_samples_once_at_its_threshold(self, monkeypatch):
         # the benchmark's head-start metrics wrap HeadStartLaw.sample by name,
@@ -282,13 +301,16 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("a, a_stop", [(0.3, 0.3), (1.5, 1.5), (1.98, 1.98), (1.5, 1.9)])
     def test_head_start_sample_at_threshold(self, a, a_stop):
-        # how many runs start below A, then that many uniforms on [0, A)
+        # the count below A is fixed, round(COUNT * mass), with the mass of
+        # the law's constant density log(1 + a)/(2a) below A; then that many
+        # uniforms on [0, A), and nothing else
         tag = f"contract/below/{a}/{a_stop}"
-        below = HeadStartLaw.yakir(a).sample(derive_rng(SEED, tag, 0), COUNT, a_stop,
-                                             Workspace())
         rng = derive_rng(SEED, tag, 0)
-        m = rng.binomial(COUNT, a_stop * math.log1p(a) / (2.0 * a))
-        assert np.array_equal(below, rng.random(m) * a_stop)
+        below = HeadStartLaw.yakir(a).sample(rng, COUNT, a_stop, Workspace())
+        m = round(COUNT * a_stop * math.log1p(a) / (2.0 * a))
+        ref_rng = derive_rng(SEED, tag, 0)
+        assert np.array_equal(below, ref_rng.random(m) * a_stop)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("p", [0.3, 0.005])
     def test_change_time(self, p):

@@ -203,10 +203,10 @@ class TestSampleBelow:
     def test_yakir_matches_sample_then_running(self, a, a_stop):
         law = HeadStartLaw.yakir(a)
         below = law.sample(np.random.default_rng(11), self.N, a_stop, Workspace()).copy()
-        # the count below A: binomial, its mass the density integrated on [0, A)
+        # the count below A is fixed: N times the density integrated on [0, A)
         mass = integrate.quad(lambda x: yakir_density(a, x), 0.0, a_stop)[0]
-        se = math.sqrt(self.N * mass * (1.0 - mass))
-        assert abs(below.size - self.N * mass) <= 4.0 * se
+        assert below.size == round(self.N * mass)
+        assert law.mass_below(a_stop) == pytest.approx(mass, rel=1e-12, abs=0)
         draws = law.sample(np.random.default_rng(12), self.N, math.inf, Workspace())
         assert stats.ks_2samp(below, draws[draws < a_stop]).pvalue > 1e-3
 
@@ -265,8 +265,12 @@ class TestOraclesDrawTheFullLaw:
         monkeypatch.setattr(HeadStartLaw, "sample", recording)
         assert all(ok for _, ok, _, _ in oracle_checks(1.5, 10**5, 3, workers=1))
         conditional_headstart_diagnostic(HeadStartLaw.yakir(1.5), 0.01, 10**5, 3, workers=1)
-        assert all(ok for _, ok, _, _ in identity_checks(1.5, 0.1, 10**4, 3, workers=1))
         assert thresholds and all(a_stop == math.inf for a_stop in thresholds)
+        # the identity check's brute-force chunk draws the whole law; the
+        # score estimate it is compared with then draws below A
+        thresholds.clear()
+        assert all(ok for _, ok, _, _ in identity_checks(1.5, 0.1, 10**4, 3, workers=1))
+        assert thresholds == [math.inf, 1.5]
 
 
 class TestOracle:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from qdetect import (
     BayesConfig,
@@ -26,7 +26,8 @@ from qdetect import (
     sr_exact,
 )
 from qdetect import rng as qrng
-from qdetect.montecarlo import _sr_moments, mc_estimate, moment_sums
+from qdetect.montecarlo import (McEstimate, _sr_moments, mc_estimate, moment_sums,
+                                stratified_estimate)
 from qdetect.rng import CHUNK_SIZE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -198,16 +199,22 @@ class TestMartingaleStructure:
 
 class TestStderrCalibration:
     def test_batch_means_consistent_with_stderr(self):
-        # ten moment rows of 10^4 runs each, on the first ten sr/k=1 streams
+        # ten moment rows of 10^4 runs each, on the first ten sr/k=1 streams;
+        # each steps its runs below A, the same count, and its stratified
+        # mean mass * sum N / m varies as mass^2 sigma^2 / m, sigma^2 the
+        # variance of N over the runs below A
         rows = np.array([
             _sr_moments(qrng.derive_rng(SEED, "sr/k=1", i), 10_000, A=A, law=LAW,
                         change_index=1)[0][0]
             for i in range(10)])
-        count, _, n_sum, n_sq, _ = rows.sum(axis=0)
-        batches = rows[:, 2] / rows[:, 0]
-        mean = n_sum / count
-        sigma2 = (n_sq - count * mean * mean) / (count - 1)
-        chi2 = ((batches - mean) ** 2).sum() / (sigma2 / 10_000)
+        _, stepped, _, n_sum, n_sq, _ = rows.sum(axis=0)
+        m = rows[0, 1]
+        assert (rows[:, 1] == m).all() and m == round(10_000 * math.log1p(A) / 2.0)
+        mass = math.log1p(A) / 2.0
+        batches = mass * rows[:, 3] / m
+        mean_below = n_sum / stepped
+        sigma2 = (n_sq - stepped * mean_below * mean_below) / (stepped - 1)
+        chi2 = ((batches - mass * mean_below) ** 2).sum() / (mass * mass * sigma2 / m)
         lo, hi = stats.chi2.ppf([0.005, 0.995], df=9)
         assert lo <= chi2 <= hi
 
@@ -218,12 +225,67 @@ class TestStderrCalibration:
             mc_estimate(np.float64(20_000), total, total_sq)
 
 
+def _stratified_e1_se(a, reps):
+    """``(stratified, plain)``: the exact SE of E_1 N over ``reps`` runs of
+    ``yakir(a)`` at A = a, stratified on the stop-at-0 split and not.  From
+    r < A, N = 1 + Bernoulli(b(r)) G with b(r) = (A/(2(1 + r)))^2 and G
+    geometric on {1, 2, ...} of survival sigma = I/2, so
+    E[N | r] = 1 + b/(1 - sigma) and
+    E[N^2 | r] = 1 + 2b/(1 - sigma) + b(1 + sigma)/(1 - sigma)^2; the
+    head start is uniform on [0, A) with mass log(1 + A)/2 there."""
+    log1a = math.log1p(a)
+    sigma = (log1a + 1.0 / (1.0 + a) - 1.0) / 2.0
+    b = lambda r: (a / (2.0 * (1.0 + r))) ** 2
+    first = integrate.quad(lambda r: 1.0 + b(r) / (1.0 - sigma), 0.0, a)[0] / a
+    second = integrate.quad(lambda r: 1.0 + 2.0 * b(r) / (1.0 - sigma)
+                            + b(r) * (1.0 + sigma) / (1.0 - sigma) ** 2, 0.0, a)[0] / a
+    mass = log1a / 2.0
+    stratified = mass * math.sqrt((second - first ** 2) / (reps * mass))
+    plain = math.sqrt((mass * second - (mass * first) ** 2) / reps)
+    return stratified, plain
+
+
+class TestStratifiedEstimate:
+    @pytest.mark.parametrize("a, want_se", [(1.5, 0.000368), (1.98, 0.000507)])
+    def test_e1_at_the_exact_stratified_se(self, a, want_se):
+        # 1 M runs: E_1 N within 4 SE of the exact value, and its SE within
+        # 5% of the exact stratified SE, about half the plain one
+        se, plain_se = _stratified_e1_se(a, 10**6)
+        assert se == pytest.approx(want_se, abs=5e-7) and se < 0.6 * plain_se
+        est = estimate_e1_delay(a, HeadStartLaw.yakir(a), 10**6, SEED)
+        assert abs(est.mean - sr_exact(a)[0]) <= 4.0 * est.stderr
+        assert est.stderr == pytest.approx(se, rel=0.05)
+        assert est.reps == 10**6
+
+    def test_weighs_the_stepped_runs_by_the_mass(self):
+        # four stepped values 1, 2, 3, 4 of ten runs, half the mass below A
+        est = stratified_estimate(10, 4, 10.0, 30.0, 0.5, offset=0.2, truncation_count=1)
+        assert (est.mean, est.reps, est.truncation_count) == (0.2 + 0.5 * 2.5, 10, 1)
+        assert est.stderr == pytest.approx(0.5 * math.sqrt(5.0 / 3.0) / 2.0, rel=1e-15)
+
+    def test_no_mass_below_is_exact(self):
+        assert stratified_estimate(10, 0, 0.0, 0.0, 0.0, offset=0.3) == McEstimate(0.3, 0.0, 10)
+
+    def test_custom_law_is_a_plain_mean(self):
+        # no exact mass: the runs at or above A count as zeros
+        assert stratified_estimate(10, 4, 10.0, 30.0, None) == mc_estimate(10, 10.0, 30.0)
+
+    @pytest.mark.parametrize("m, total, total_sq", [(1, 1.0, 1.0), (3, 3.0, 3.0)],
+                             ids=["one-run", "no-spread"])
+    def test_no_standard_error_rejected(self, m, total, total_sq):
+        # with runs on both sides of the split the estimate is not exact, so
+        # stepped runs that leave no spread must not read as certainty
+        with pytest.raises(ConfigurationError, match="no standard error"):
+            stratified_estimate(10, m, total, total_sq, 0.5)
+
+
 class TestConditionalDelay:
     def test_k1_equals_e1_exactly(self):
-        # same streams, no rejection possible: identical replication sets
+        # same streams, no rejection possible: identical replication sets,
+        # and the same stratified estimate, bit for bit
         direct = estimate_e1_delay(A, LAW, 50_000, SEED)
         cond = estimate_conditional_delay(A, LAW, 1, 50_000, SEED)
-        assert cond.mean == direct.mean
+        assert cond == direct
         assert cond.rejected == 0
 
     def test_undefined_conditioning(self):
@@ -233,12 +295,13 @@ class TestConditionalDelay:
 
     def test_single_survivor_has_no_stderr(self):
         # a k at which one of 4 runs survives N >= k - 1 (3 rejected), from
-        # the estimator's own streams
-        ones = [k for k, rejected in delay_profile(A, LAW, 10, 4, 1).undefined.items()
+        # the estimator's own streams (at seed 1 k = 1 has no standard
+        # error: its two runs below A stop together, see test_cli)
+        ones = [k for k, rejected in delay_profile(A, LAW, 10, 4, 2).undefined.items()
                 if rejected == 3]
         assert ones
         with pytest.raises(UndefinedConditionalError) as info:
-            estimate_conditional_delay(A, LAW, ones[0], 4, 1)
+            estimate_conditional_delay(A, LAW, ones[0], 4, 2)
         assert info.value.rejected == 3
 
     def test_rejection_counted(self):
@@ -302,25 +365,25 @@ class TestGoldenOutputs:
     def test_sr_estimators(self):
         e1, cross = estimate_e1_and_cross(A, LAW, self.REPS, SEED)
         arl = estimate_arl_false(A, LAW, self.REPS, SEED)
-        assert self._hex(e1) == ("0x1.29a176ddaceeep-1", "0x1.5e88cd019073dp-10", 0, 0)
+        assert self._hex(e1) == ("0x1.298a87670b3c4p-1", "0x1.621319c3fcbd0p-11", 0, 0)
         # per-step float sums of R_0 and R_0^2, added in step and chunk order
-        assert self._hex(cross) == ("0x1.a274901a9252dp-2", "0x1.20202be86d4a1p-10", 0, 0)
-        assert self._hex(arl) == ("0x1.aff9026e27b43p-1", "0x1.2a5184a93b05dp-9", 0, 0)
+        assert self._hex(cross) == ("0x1.a203260b1f71ap-2", "0x1.8405d371b18d5p-11", 0, 0)
+        assert self._hex(arl) == ("0x1.b0da935cd9180p-1", "0x1.93cab212e0e1ap-10", 0, 0)
 
     def test_delay_profile(self):
         profile = delay_profile(A, LAW, 4, self.REPS, SEED)
         assert {k: self._hex(e) for k, e in profile.entries.items()} == {
-            1: ("0x1.29a176ddaceeep-1", "0x1.5e88cd019073dp-10", 0, 0),
-            2: ("0x1.2a23b7193d072p-1", "0x1.01f42dfefe48ap-9", 0, 162163),
-            3: ("0x1.29d345c61a634p-1", "0x1.7dc417e9b00f1p-9", 0, 237018),
-            4: ("0x1.2c1d8e9d98c2fp-1", "0x1.1bcb9c55e3357p-8", 0, 270933),
+            1: ("0x1.298a87670b3c4p-1", "0x1.621319c3fcbd0p-11", 0, 0),
+            2: ("0x1.29fd6c14e4026p-1", "0x1.029926d3c0c4bp-9", 0, 162556),
+            3: ("0x1.286cfdcb52220p-1", "0x1.7dad9771d9315p-9", 0, 236864),
+            4: ("0x1.2a9ef6b3628a6p-1", "0x1.1a85d6192d272p-8", 0, 271067),
         }
 
     @pytest.mark.parametrize("p, risk_hex, cond_prob_hex", [
-        (0.3, ("0x1.9d7e3e488d722p-2", "0x1.70c12db390e36p-14", 0, 0),
-         "0x1.3e253848d6827p-1"),
-        (0.005, ("0x1.f74883378f31fp-1", "0x1.c078a387f4326p-18", 0, 0),
-         "0x1.22df6019cb65ap-6"),
+        (0.3, ("0x1.9d7dd88da25d2p-2", "0x1.6faf6eba17c54p-14", 0, 0),
+         "0x1.3e2f3e2ff9148p-1"),
+        (0.005, ("0x1.f7490131570f0p-1", "0x1.b6232b6fc8092p-18", 0, 0),
+         "0x1.22d77e4d8ff26p-6"),
     ], ids=["p=0.3", "p=0.005"])
     def test_bayes_risk(self, p, risk_hex, cond_prob_hex):
         est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), self.REPS, SEED)

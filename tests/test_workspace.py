@@ -148,8 +148,9 @@ class TestMomentRows:
         monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
         ints, floats = _sr_moments(derive_rng(SEED, tag, 0), self.COUNT, A=A, law=LAW,
                                    change_index=change_index)
-        # only the runs below A are drawn; the others stop at 0 and add
-        # nothing but their count, and that only at lag 0
+        # only the runs below A are drawn, and the row counts them; the
+        # others stop at 0 and add nothing but their count, and that only
+        # at lag 0
         rng = derive_rng(SEED, tag, 0)
         r0 = LAW.sample(rng, self.COUNT, A, Workspace()).copy()
         nu = math.inf if change_index is None else change_index
@@ -160,7 +161,7 @@ class TestMomentRows:
         # a truncated run counts only if it is kept: at max_steps = 1 and
         # lag 2 every truncated run stops too early
         assert 0 < r0.size < self.COUNT
-        assert ints.tolist() == [[self.COUNT, self.COUNT if lag == 0 else kept.sum(),
+        assert ints.tolist() == [[self.COUNT, r0.size, self.COUNT if lag == 0 else kept.sum(),
                                   d.sum(), d @ d, (truncated & kept).sum()]]
         if max_steps == 1:
             assert truncated.any()
