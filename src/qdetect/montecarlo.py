@@ -396,10 +396,9 @@ def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
     """E_1 N and E_1(R_0 N) from one set of replications (common random
     numbers), each stratified on the stop-at-0 split, where both are 0."""
     ints, (x_sum, x_sq) = _sr_sums(_sr_moments, A, law, 1, reps, seed, workers)
-    trunc = int(ints[5])
     return (_delay_estimate(ints, A, law, 1),
             stratified_estimate(ints[0], ints[1], x_sum, x_sq, law.mass_below(A),
-                                truncation_count=trunc))
+                                truncation_count=int(ints[5])))
 
 
 def estimate_e1_delay(A: float, law: HeadStartLaw, reps: int, seed: int,
