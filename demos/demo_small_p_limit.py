@@ -27,8 +27,10 @@ print(f"candidate with product form : {eq3:.4f}")
 print()
 
 # rescaled Bayes risk along the p grid, every point stepping the same runs
-# (the first 3, 6 and 12 M of one sequence), then a weighted quadratic
-# extrapolation to p = 0, whose standard error reads how the points correlate
+# (the first 3, 6 and 12 M of one sequence) and simulating only the delay
+# cost; the limit is the exact c = 0 value less a weighted quadratic
+# extrapolation of the cost to p = 0, whose standard error reads how the
+# points correlate
 diag = qd.limit_diagnostic(A, law, C_STAR, [0.02, 0.01, 0.005],
                            [3_000_000, 6_000_000, 12_000_000], SEED)
 for row in diag.rows:

@@ -17,19 +17,22 @@ stopping at the first n >= 0 with R_{q,n} >= A, and its risk is
     risk = P(N < nu - 1) + c E(N - nu + 1)^+.
 
 The module estimates (1 - risk)/p along a decreasing p grid, extrapolates the
-p -> 0 limit with a weighted quadratic in p (:func:`wls_line`), and compares
-the intercept against the two competing closed forms
-(:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``), which
+p -> 0 limit, and compares the intercept against the two competing closed
+forms (:func:`qdetect.formulas.c_limit_eq3` / ``c_limit_eq4``), which
 :func:`limit_predictions` evaluates exactly, without simulation, so the
-intercept's standard error alone sets the z-scores.  A line through the grid
-would carry an O(p^2) curvature bias; a quadratic through three points
-interpolates them, and its bias is O(p^3).  Its intercept weighs the ratios
-by the Lagrange weights (1/3, -2, 8/3) on the grid 0.02, 0.01, 0.005, which
-would add up three independent noises; so every grid point steps the same
-runs (common random numbers, Asmussen & Glynn, Stochastic Simulation, 2007,
-ch. V), their ratios correlate at about 0.98 to 0.99, and the intercept's
-standard error reads the covariance of the point means
-(:func:`_shared_run_scores`).  The module also checks that the mean of r0
+intercept's standard error alone sets the z-scores.  The two forms differ
+only in their c-linear part, and so does what is simulated: 1 - risk splits
+into the exact probability of no miss and c times a simulated delay cost
+(below), the c = 0 limit is exact (:func:`_zero_cost_limit`), and only the
+cost part is extrapolated, by a weighted quadratic in p (:func:`wls_line`).
+A line through the grid would carry an O(p^2) curvature bias; a quadratic
+through three points interpolates them, and its bias is O(p^3).  Its
+intercept weighs the points by the Lagrange weights (1/3, -2, 8/3) on the
+grid 0.02, 0.01, 0.005, which would add up three independent noises; so
+every grid point steps the same runs (common random numbers, Asmussen &
+Glynn, Stochastic Simulation, 2007, ch. V), their costs correlate at about
+0.98 to 0.995, and the intercept's standard error reads the covariance of
+the point means (:func:`_shared_run_scores`).  The module also checks that the mean of r0
 conditioned on {nu = 1} is the mean of the size-biased transform of the
 unconditional law, not the unconditional mean.
 
@@ -47,7 +50,7 @@ integrals of the law (:meth:`HeadStartLaw.tail_mean`), computed once per
 estimate (:func:`_stop_at_zero_score`).  Each chunk draws exactly
 round(count mass) runs below A (:meth:`HeadStartLaw.sample` at A: for the
 uniform product law that many uniforms on [0, A)), and the estimate
-weighs their mean score by the exact mass (proportional stratification,
+weighs their mean cost by the exact mass (proportional stratification,
 :func:`qdetect.montecarlo.stratified_estimate`), so it carries no noise of
 how many runs start below A.  Each run below A steps only its pre-change
 chain, to its stopping index N with no change.  It draws no change time and takes no
@@ -57,21 +60,27 @@ exact post-change delay D_q(R_m) = 1 + d_q/(1 + R_m)^2 of the rank-one
 renewal solution (:func:`qdetect.headstart._post_change_d`).  So each run
 scores
 
-    Y = sum_{m=0}^{N} P(nu - 1 = m | r0) (1 - c D_q(R_m) 1{R_m < A}),
+    Y = sum_{m=0}^{N} P(nu - 1 = m | r0) (1 - c D_q(R_m) 1{R_m < A}) = Y0 - c Z,
 
-see :func:`_bayes_chunk`.  At A = 1.5 and c = 0.1 that cuts the per-run SD
-of (1 - risk)/p about 12 to 22 times on the grid 0.02, 0.01, 0.005, against
-stepping each run through a drawn change time.  The score needs the law's
+Y0 = P(N >= nu - 1 | path) its probability of no miss and Z its delay cost
+(:func:`_bayes_chunk`).  The mean of Y0 is exact, given the first-step
+survival a_q(r0) = q A/(2 (1 + r0)) and the later rho_q = q log(1 + A)/2 of
+the rank-one chain (:func:`_no_miss_probability`), so the kernels carry Z
+alone and the estimate is E[Y0] - c Z_bar (a control variate, Asmussen &
+Glynn, ch. V).  At A = 1.5 and c = 0.1 the per-run SD of (1 - risk)/p is
+then 0.097 to 0.105 on the grid 0.02, 0.01, 0.005, against 0.66 to 0.72
+when Y is simulated whole and 7.8 to 16.3 when each run steps through a
+drawn change time.  The score needs the law's
 tail integral and a threshold below 2, where D_q is rank one, so
 :class:`BayesConfig` rejects a custom law and a threshold at or above 2.
 The identity check's brute-force runs, which draw every change time and
 step through it, are the reference for the score: :func:`identity_checks`
-compares the two.
+compares the two, and their misses with the exact E[Y0].
 
 Each chunk draws its head starts and runs its replications in a workspace
 borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
-one moment row: count, runs stepped, score sums, the score at c = 0 and
-truncations for the risk estimate, one such row per grid point and the
+one moment row: count, runs stepped, the sums of Z and Z^2, the sum of Y0
+and truncations for the risk estimate, one such row per grid point and the
 cross sums between the points over the grid's shared stepped runs
 (:func:`qdetect.joint._joint_chunk`);
 count, the draws with nu = 1 and their sum and sum of squares for the
@@ -87,7 +96,7 @@ kernel compacts with the runs.  The change times stay float64
 (integer-valued, and past 2^63 at a small p).  The risk kernel steps the
 running statistics over the head starts, which nothing reads after the first
 step, so a chunk holds four chunk-sized 8-byte buffers (head starts,
-likelihood ratios, 1 - pi0 and the running score) and a mask; the joint
+likelihood ratios, 1 - pi0 and the running cost) and a mask; the joint
 kernel of K points holds K + 1 rows of a 2 (K + 1)-th of a chunk in the
 first half of the same buffers.  The sums add up as the runs step, so each
 estimate holds one row per chunk and grid point, whatever ``reps`` is.
@@ -98,7 +107,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -106,8 +115,8 @@ from . import formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError
-from .headstart import (HeadStartLaw, LawKind, _post_change_d, check_head_start, sr_exact,
-                        yakir_mean)
+from .headstart import (HeadStartLaw, LawKind, _gauss_legendre, _post_change_d,
+                        check_head_start, sr_exact, yakir_mean)
 from .joint import _joint_chunk
 
 
@@ -247,9 +256,56 @@ def _stop_at_zero_score(config: BayesConfig) -> Tuple[float, float]:
     return mass, (1.0 - mass) * (1.0 - _stop_at_zero_risk(config))
 
 
+def _mean_below(law: HeadStartLaw, fn: Callable, A: float) -> float:
+    """E[fn(R_0); R_0 < A], the mean of ``fn`` over the runs that step, for a
+    point mass or the uniform product law at A <= 2, whose density below A
+    is the constant P(R_0 < A)/A (:meth:`HeadStartLaw.mass_below`): the
+    Gauss-Legendre rule on [0, A) (:func:`qdetect.headstart._gauss_legendre`).
+    ``fn`` maps an array of head starts to an array of values."""
+    mass = law.mass_below(A)
+    if law.kind is LawKind.POINT_MASS:
+        return float(fn(np.array([law.r0]))[0]) if mass else 0.0
+    return mass / A * _gauss_legendre(fn, [0.0, A])
+
+
+def _no_miss_probability(config: BayesConfig) -> float:
+    """E[Y0] = P(N >= nu - 1), exact: the part of the mean score 1 - risk
+    that the cost does not touch.
+
+    A run that stops at 0 scores pi0 (:func:`_stop_at_zero_score`).  From
+    r0 < A the chain survives its first step with probability
+    a_q(r0) = q A / (2 (1 + r0)) and each later one with
+    rho_q = q log(1 + A)/2, so
+
+        E[Y0 | r0] = pi0 + (1 - pi0) p (1 + q a_q(r0) / (1 - q rho_q)),
+
+    integrated over the runs below A (:func:`_mean_below`).
+    """
+    p, A = config.p, config.A
+    q = 1.0 - p
+    rho = q * math.log1p(A) / 2.0
+    _, offset = _stop_at_zero_score(config)
+
+    def stepped(r0):
+        pi0 = _couple(p, r0)
+        return pi0 + (1.0 - pi0) * p * (1.0 + q * q * A / (2.0 * (1.0 + r0)) / (1.0 - q * rho))
+    return offset + _mean_below(config.law, stepped, A)
+
+
+def _zero_cost_limit(A: float, law: HeadStartLaw) -> float:
+    """lim_{p -> 0} E[Y0]/p = E R_0 + 1 + E_inf N, exact: the intercept at
+    c = 0, where eq3 and eq4 agree.  E_inf N integrates
+    E_inf[N | r] = 1 + a_1(r)/(1 - rho_1) over the runs below A
+    (:func:`_mean_below`); for ``yakir(A)`` the sum is
+    ``yakir_mean(A) + 1 + sr_exact(A)[2]``."""
+    rho = math.log1p(A) / 2.0
+    e_r0 = law.r0 if law.kind is LawKind.POINT_MASS else yakir_mean(law.a_param)
+    return e_r0 + 1.0 + _mean_below(law, lambda r: 1.0 + A / (2.0 * (1.0 + r)) / (1.0 - rho), A)
+
+
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
-    """One row (count, m, sum Y, sum Y^2, sum Y at c = 0, truncated) of a
-    chunk, Y the exact 1 - risk of a run given its head start and
+    """One row (count, m, sum Z, sum Z^2, sum Y0, truncated) of a chunk, with
+    Y0 - c Z the exact 1 - risk of a run given its head start and
     pre-change path, summed over the m runs below A.
 
     Only the runs whose head start is below A are drawn, exactly
@@ -258,61 +314,62 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     chain R_0 .. R_N (N its stopping index with no change); no change time
     is drawn and no post-change step taken.  With theta = nu - 1,
     P(theta = 0) = pi0 and P(theta = m) = w p q^(m-1) for m >= 1, w = 1 - pi0,
-    and the run scores
+    and the run scores Y0 - c Z, with the no-miss probability and the cost
 
-        Y = sum_{m=0}^{N} P(theta = m) (1 - c D_q(R_m) 1{R_m < A}),
+        Y0 = sum_{m=0}^{N} P(theta = m) = pi0 + w (1 - q^N),
+        Z = sum_{m=0}^{N} P(theta = m) D_q(R_m) 1{R_m < A},
 
     since a change after step N is missed, one at step N is caught at once,
     and one at m < N is caught after D_q(R_m) = 1 + d_q / (1 + R_m)^2
     post-change steps on average (:func:`qdetect.headstart._post_change_d`).
-    The score at c = 0 is pi0 + w (1 - q^N), the probability of no miss.
-    Each of the other ``count - m`` runs stops at N = 0 and scores pi0:
-    they draw nothing and add nothing to the row, and the estimate gives
-    them their exact share (:func:`_stop_at_zero_score`).
+    The row reads no cost: the estimate takes E[Y0] exactly
+    (:func:`_no_miss_probability`) and simulates only Z.
+    Each of the other ``count - m`` runs stops at N = 0 with Z = 0: they
+    draw nothing and add nothing to the row, and the estimate gives them
+    their exact share of Y0 (:func:`_stop_at_zero_score`).
 
-    The per-run w and the running score Y ride in the kernel's ``carry``;
+    The per-run w and the running cost Z ride in the kernel's ``carry``;
     the factor p q^(m-1) is one scalar per step.  The sums add up as the
     runs step: step m adds the increment t of each run that takes it to
-    sum Y and t (2 Y + t) to sum Y^2, and p q^(m-1) w to the score at c = 0.
+    sum Z and t (2 Z + t) to sum Z^2, and p q^(m-1) w to sum Y0.
     """
-    p, A, c = config.p, config.A, config.c
+    p, A = config.p, config.A
     q = 1.0 - p
-    cd = c * _post_change_d(A, q)
+    d = _post_change_d(A, q)
     trunc = 0
     with qrng.workspace() as ws:
         r = config.law.sample(rng, count, A, ws)
         n = r.size
-        # w = 1 - pi0 = q / (1 + p r0), and Y = pi0 (1 - c D_q(r0)) before a step
+        # w = 1 - pi0 = q / (1 + p r0), and Z = pi0 D_q(r0) before a step
         w = np.multiply(r, p, out=ws.array("carry", float, n))
         w += 1.0
         np.divide(q, w, out=w)
         t = np.add(r, 1.0, out=ws.array("lr", float, n))
         t *= t
-        np.divide(-cd, t, out=t)
-        t += 1.0 - c
-        y = np.subtract(1.0, w, out=ws.array("score", float, n))
-        y *= t
-        y_sum, y_sq = mc.moment_sums(y)
+        np.divide(d, t, out=t)
+        t += 1.0
+        z = np.subtract(1.0, w, out=ws.array("score", float, n))
+        z *= t
+        z_sum, z_sq = mc.moment_sums(z)
         no_miss = n - w.sum()
-        for step, r_m, below, w_m, y_m in mc._stop_times(
-                rng, r, A, math.inf, q, mc.DEFAULT_MAX_STEPS, ws, (w, y)):
+        for step, r_m, below, w_m, z_m in mc._stop_times(
+                rng, r, A, math.inf, q, mc.DEFAULT_MAX_STEPS, ws, (w, z)):
             s = p * q ** (step - 1)
-            # t = s w (1 - c D_q(R_m) 1{R_m < A}); the mask multiplies, since
-            # a masked write on a mask this close to random costs ten passes
+            # t = s w D_q(R_m) 1{R_m < A}; the mask multiplies, since a
+            # masked write on a mask this close to random costs ten passes
             t = np.add(r_m, 1.0, out=ws.array("lr", float, r_m.size))
             t *= t
-            np.divide(-s * cd, t, out=t)
-            t -= s * c
-            t *= below
+            np.divide(s * d, t, out=t)
             t += s
+            t *= below
             t *= w_m
             no_miss += s * w_m.sum()
-            y_sum += t.sum()
-            y_sq += 2.0 * np.einsum("i,i->", t, y_m) + np.einsum("i,i->", t, t)
-            y_m += t
+            z_sum += t.sum()
+            z_sq += 2.0 * np.einsum("i,i->", t, z_m) + np.einsum("i,i->", t, t)
+            z_m += t
             if step == mc.DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
-    return (np.array([[count, n, y_sum, y_sq, no_miss, trunc]]),)
+    return (np.array([[count, n, z_sum, z_sq, no_miss, trunc]]),)
 
 
 def _brute_force_runs(rng: np.random.Generator, count: int, config: BayesConfig,
@@ -351,7 +408,7 @@ def _identity_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
 
 
 def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> list:
-    """The three identity checks, one ``(name, ok, margin, detail)`` tuple each.
+    """The four identity checks, one ``(name, ok, margin, detail)`` tuple each.
 
     ``risk-vs-brute-force``: at p = 0.01, with the uniform product head
     start at ``A`` and cost ``c``, the risk of ``min(reps, 100_000)``
@@ -359,7 +416,11 @@ def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> l
     it (:func:`_identity_chunk`, on the stream tag ``risk-identity``),
     against the stratified score estimate of :func:`estimate_bayes_risk`
     over ``min(reps, 25_000)`` runs (tag ``risk-identity-score``), within 4
-    combined standard errors (margin: |z|).  ``pi0-round-trip``
+    combined standard errors (margin: |z|).  ``miss-probability-exact``: the
+    same brute-force runs' share of misses against the exact
+    1 - E[Y0] (:func:`_no_miss_probability`), within 4 binomial standard
+    errors (margin: |z|); this keeps checked the half of the score that the
+    estimate no longer simulates.  ``pi0-round-trip``
     (:func:`coupling_round_trip`) and ``eq3-eq4-difference``
     (:func:`formulas.limit_difference_identity`) hold to 1e-12 relative
     (margin: the largest relative error).
@@ -372,11 +433,15 @@ def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> l
     score = estimate_bayes_risk(config, min(reps, 25_000), seed, workers,
                                 tag="risk-identity-score").risk
     z = abs(score.mean - brute.mean) / math.hypot(score.stderr, brute.stderr)
+    miss = 1.0 - _no_miss_probability(config)
+    z_miss = abs(misses / n - miss) / math.sqrt(miss * (1.0 - miss) / n)
     round_ok, round_err = coupling_round_trip(seed)
     diff_ok, diff_err = formulas.limit_difference_identity(seed)
     return [("risk-vs-brute-force", z <= 4.0, z,
              f"|z|={z:.2f} brute={brute.mean:.5f}+-{brute.stderr:.5f} "
              f"score={score.mean:.5f}+-{score.stderr:.5f}"),
+            ("miss-probability-exact", z_miss <= 4.0, z_miss,
+             f"|z|={z_miss:.2f} brute={misses / n:.5f} exact={miss:.5f}"),
             ("pi0-round-trip", round_ok, round_err, f"max rel error {round_err:.2e}"),
             ("eq3-eq4-difference", diff_ok, diff_err, f"max rel error {diff_err:.2e}")]
 
@@ -386,7 +451,7 @@ class BayesRiskEstimate:
     """Plug-in risk estimate with its components, all from one replication set."""
 
     risk: mc.McEstimate
-    # P_hat(N >= nu - 1), the mean score at c = 0: a stepped run scores
+    # P_hat(N >= nu - 1), the simulated mean of Y0: a stepped run scores
     # pi0 + (1 - pi0)(1 - q^N), its probability of no miss given its path,
     # and the runs that stop at 0 their exact share, as in the risk
     cond_prob: float
@@ -395,20 +460,22 @@ class BayesRiskEstimate:
 def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
                         workers: int = qrng.DEFAULT_WORKERS,
                         tag: str = "bayes-risk") -> BayesRiskEstimate:
-    """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+: one
-    minus the mean of the exact conditional scores of :func:`_bayes_chunk`,
-    each run below A scored given its pre-change path, stratified on the
-    stop-at-0 split: the runs below A weigh the law's exact mass there,
-    and the runs that stop at 0 add their exact share
-    (:func:`_stop_at_zero_score`)."""
+    """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+,
+    one minus E[Y0] - c Z_bar: the exact no-miss probability
+    (:func:`_no_miss_probability`) less the cost times the mean of the
+    conditional costs Z of :func:`_bayes_chunk`, each run below A scored
+    given its pre-change path.  Z_bar is stratified on the stop-at-0 split
+    with offset 0, since a run that stops at 0 has Z = 0, and the risk's
+    standard error is c times Z_bar's."""
     mc.check_reps(reps)
     mass, offset = _stop_at_zero_score(config)
     rows = qrng.run_chunked(partial(_bayes_chunk, config=config), reps, seed, tag,
                             workers=workers)[0]
-    count, m, y_sum, y_sq, no_miss, trunc = rows.sum(axis=0)
-    score = mc.stratified_estimate(count, m, y_sum, y_sq, mass, offset, int(trunc))
+    count, m, z_sum, z_sq, no_miss, trunc = rows.sum(axis=0)
+    cost = mc.stratified_estimate(count, m, z_sum, z_sq, mass, 0.0, int(trunc))
     cond_prob = offset + (mass * no_miss / m if m else 0.0)
-    return BayesRiskEstimate(risk=replace(score, mean=1.0 - score.mean),
+    risk = 1.0 - (_no_miss_probability(config) - config.c * cost.mean)
+    return BayesRiskEstimate(risk=replace(cost, mean=risk, stderr=config.c * cost.stderr),
                              cond_prob=float(cond_prob))
 
 
@@ -418,8 +485,8 @@ class LimitRow:
 
     p: float
     reps: int
-    ratio: float          # (1 - risk_hat)/p
-    stderr: float
+    ratio: float          # (1 - risk_hat)/p = (E[Y0] - c Z_bar)/p
+    stderr: float         # c se(Z_bar)/p
     truncation_count: int
 
 
@@ -435,36 +502,56 @@ class LimitDiagnostic:
 def limit_diagnostic(A: float, law: HeadStartLaw, c_star: float,
                      p_grid: Sequence[float], reps: Sequence[int], seed: int,
                      workers: int = qrng.DEFAULT_WORKERS) -> LimitDiagnostic:
-    """Estimate (1 - risk)/p along the grid and extrapolate to p = 0 with a
-    weighted quadratic in p (:func:`wls_line`).
+    """Estimate (1 - risk)/p along the grid and its p -> 0 limit.
+
+    Each score splits as Y0 - c Z (:func:`_bayes_chunk`), and only the cost
+    part Z is simulated.  Row j prints (E[Y0](p_j) - c Z_bar_j)/p_j, with
+    the exact E[Y0] (:func:`_no_miss_probability`) and the standard error
+    c se(Z_bar_j)/p_j.  The intercept is the exact c = 0 limit
+    (:func:`_zero_cost_limit`) less c times the intercept of a weighted
+    quadratic in p through Z_bar/p (:func:`wls_line`), and its standard
+    error is c times the fit's.  The c = 0 part is not extrapolated: on the
+    grid 0.02, 0.01, 0.005 the quadratic's bias there is -6.2e-5, against
+    +1.6e-6 in the cost part.  At c = 0 the intercept is exact, with SE 0.
 
     ``p_grid`` passes :func:`check_p_grid` (at least three points), and
     ``reps[j]`` replications run at ``p_grid[j]``: the first ``reps[j]``
     runs of one run sequence, which every grid point steps on the same head
     starts and uniforms (common random numbers, :func:`_shared_run_scores`).
-    So the ratios correlate, and the intercept's standard error reads the
-    covariance of the point means.
+    So the Z_bar_j correlate, and the fit's standard error reads their
+    covariance.  A row, an intercept or a standard error that is not finite
+    in float64 (a cost near the float64 limit) raises
+    :class:`ConfigurationError`.
     """
     p_grid = check_p_grid(p_grid)
     if np.ndim(reps) != 1 or len(reps) != len(p_grid):
         raise ConfigurationError("reps needs one count per p_grid point")
     reps = [mc.check_reps(n) for n in reps]  # all of them, before any simulation
     configs = [BayesConfig(p=p, c=c_star, A=A, law=law) for p in p_grid]
-    scores, corr = _shared_run_scores(configs, reps, seed, workers)
-    rows = [LimitRow(p=p, reps=n_reps, ratio=score.mean / p, stderr=score.stderr / p,
-                     truncation_count=score.truncation_count)
-            for p, n_reps, score in zip(p_grid, reps, scores)]
-    intercept, int_se = wls_line(
-        np.array([r.p for r in rows]),
-        np.array([r.ratio for r in rows]),
-        np.array([r.stderr for r in rows]), corr)
-    return LimitDiagnostic(rows=rows, intercept=intercept, intercept_se=int_se)
+    costs, corr = _shared_run_scores(configs, reps, seed, workers)
+    rows = [LimitRow(p=config.p, reps=n_reps,
+                     ratio=(_no_miss_probability(config) - c_star * cost.mean) / config.p,
+                     stderr=c_star * cost.stderr / config.p,
+                     truncation_count=cost.truncation_count)
+            for config, n_reps, cost in zip(configs, reps, costs)]
+    x = np.array(p_grid)
+    fit, fit_se = wls_line(x, np.array([cost.mean for cost in costs]) / x,
+                           np.array([cost.stderr for cost in costs]) / x, corr)
+    diag = LimitDiagnostic(rows=rows, intercept=_zero_cost_limit(A, law) - c_star * fit,
+                           intercept_se=c_star * fit_se)
+    if not all(math.isfinite(v) for v in (diag.intercept, diag.intercept_se,
+                                          *(f for r in rows for f in (r.ratio, r.stderr)))):
+        raise ConfigurationError(
+            f"at c* = {c_star} the limit's ratios or standard errors are not finite "
+            "in float64")
+    return diag
 
 
 def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed: int,
                        workers: int) -> Tuple[List[mc.McEstimate], np.ndarray]:
-    """The mean score 1 - risk of each point ``configs[j]`` over the first
-    ``reps[j]`` runs of one run sequence, and the correlations of the means.
+    """The mean cost Z of each point ``configs[j]`` (:func:`_bayes_chunk`)
+    over the first ``reps[j]`` runs of one run sequence, and the
+    correlations of the means.
 
     The sequence runs in tiers, one between each two consecutive distinct
     counts of ``reps``, each a :func:`qdetect.rng.run_chunked` call on its
@@ -473,15 +560,17 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
     (:func:`qdetect.joint._joint_chunk`), or :func:`_bayes_chunk`'s one
     chain where a single point does; either kernel steps the same
     round(count P(R_0 < A)) runs below A of a chunk.  Each mean is
-    stratified on the stop-at-0 split
-    (:func:`qdetect.montecarlo.stratified_estimate`), so only the stepped
-    runs carry noise: the points j and k share their first m_jk stepped
-    runs, and with c_jk the covariance of Y_j and Y_k over those runs and
-    m_j, m_k each point's stepped runs,
-    Cov(mean_j, mean_k) = mass^2 c_jk m_jk / (m_j m_k).
+    stratified on the stop-at-0 split with offset 0
+    (:func:`qdetect.montecarlo.stratified_estimate`: a run that stops at 0
+    has Z = 0), so only the stepped runs carry noise: the points j and k
+    share their first m_jk stepped runs, and with c_jk the covariance of
+    Z_j and Z_k over those runs and m_j, m_k each point's stepped runs,
+    Cov(mean_j, mean_k) = mass^2 c_jk m_jk / (m_j m_k).  A mean with a
+    zero standard error (no run below A) raises
+    :class:`ConfigurationError`: the fit weighs the points by 1/se^2.
     """
     k = len(configs)
-    strata = [_stop_at_zero_score(config) for config in configs]
+    mass = configs[0].law.mass_below(configs[0].A)  # the law and A are every point's
     levels = sorted(set(reps))
     # per tier, each point's row and the cross sums over the tier's stepped
     # runs (zero where a point does not cover them), then summed up to each level
@@ -492,7 +581,7 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
         if len(on) == 1:
             kernel = partial(_bayes_chunk, config=configs[on[0]])
             (part,) = qrng.run_chunked(kernel, end - first, seed, tag, workers=workers)
-            part_cross = part[:, 3]  # sum Y^2
+            part_cross = part[:, 3]  # sum Z^2
         else:
             kernel = partial(_joint_chunk, configs=[configs[j] for j in on])
             part, part_cross = qrng.run_chunked(kernel, end - first, seed, tag,
@@ -500,17 +589,15 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
         rows[tier, on] = part.reshape(-1, len(on), 6).sum(axis=0)
         cross[tier][np.ix_(on, on)] = part_cross.reshape(-1, len(on), len(on)).sum(axis=0)
     rows, cross = np.cumsum(rows, axis=0), np.cumsum(cross, axis=0)
-    scores, stepped = [], []
-    for j, (config, n_reps, (mass, offset)) in enumerate(zip(configs, reps, strata)):
-        count, m, y_sum, y_sq, _, trunc = rows[levels.index(n_reps), j]
-        score = mc.stratified_estimate(count, m, y_sum, y_sq, mass, offset, int(trunc))
-        if score.stderr == 0:
-            # wls_line weights by 1/se^2; a zero SE would read as certainty
+    costs, stepped = [], []
+    for j, (config, n_reps) in enumerate(zip(configs, reps)):
+        count, m, z_sum, z_sq, _, trunc = rows[levels.index(n_reps), j]
+        cost = mc.stratified_estimate(count, m, z_sum, z_sq, mass, 0.0, int(trunc))
+        if cost.stderr == 0:
             raise ConfigurationError(
                 f"zero standard error at p={config.p} with {n_reps} reps; increase reps")
-        scores.append(score)
+        costs.append(cost)
         stepped.append(m)
-    mass = strata[0][0]  # the law and A, and so the mass, are every point's
     corr = np.eye(k)
     for i in range(k):
         for j in range(i):
@@ -518,8 +605,8 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
             m_ij, sum_i, sum_j = rows[level, i, 1], rows[level, i, 2], rows[level, j, 2]
             c_ij = (cross[level, i, j] - sum_i * sum_j / m_ij) / (m_ij - 1.0)
             corr[i, j] = corr[j, i] = (mass * mass * c_ij * m_ij / (stepped[i] * stepped[j])
-                                       / (scores[i].stderr * scores[j].stderr))
-    return scores, corr
+                                       / (costs[i].stderr * costs[j].stderr))
+    return costs, corr
 
 
 def wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray, corr: np.ndarray):
@@ -568,13 +655,33 @@ class LimitVerdict:
 
 
 def compare_limit(diag: LimitDiagnostic, eq3: float, eq4: float) -> LimitVerdict:
-    """Score the extrapolated intercept against the two exact predictions."""
+    """Score the extrapolated intercept against the two exact predictions.
+
+    Predictions within 1e-12 of each other coincide, whatever the SE.  An
+    exact intercept (SE 0, as at c = 0) then has z 0 against a prediction
+    it matches to 1e-12 and inf against one it misses; with predictions
+    apart, a zero SE cannot score them and raises
+    :class:`ConfigurationError`, as does a prediction that is not finite
+    in float64 (eq3 at a cost near the float64 limit).
+    """
+    if not (math.isfinite(eq3) and math.isfinite(eq4)):
+        raise ConfigurationError(f"a prediction is not finite in float64 (eq3={eq3}, "
+                                 f"eq4={eq4})")
     gap = abs(eq3 - eq4)
-    z3 = abs(diag.intercept - eq3) / diag.intercept_se
-    z4 = abs(diag.intercept - eq4) / diag.intercept_se
+    se = diag.intercept_se
+    if se == 0.0 and gap >= 1e-12:
+        raise ConfigurationError(
+            f"an intercept with zero standard error cannot tell eq3 from eq4 (gap {gap:.3g})")
+
+    def z(target):
+        miss = abs(diag.intercept - target)
+        if se > 0.0:
+            return miss / se
+        return 0.0 if miss < 1e-12 else math.inf
+    z3, z4 = z(eq3), z(eq4)
     if gap < 1e-12:
         verdict = "coincide"
-    elif gap < diag.intercept_se:
+    elif gap < se:
         verdict = "inconclusive"
     elif z4 <= 4.0 < z3:
         verdict = "eq4"

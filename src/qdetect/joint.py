@@ -4,8 +4,9 @@
 one run sequence (common random numbers): each run steps one chain per
 point, all on the run's one uniform a step, and a chunk reduces to each
 point's moment row of :func:`qdetect.bayes._bayes_chunk` and to the cross
-sums between the points, from which the limit's standard error reads the
-covariance of the point means.  The kernel is a module of its own because,
+sums of the points' delay costs Z, from which the limit's standard error
+reads the covariance of the point means.  The kernel runs at any number of
+points, one included, where :func:`qdetect.bayes._bayes_chunk` is faster.  The kernel is a module of its own because,
 compiled as part of :mod:`qdetect.bayes`, it left the interpreter holding
 about 0.5 MB more after import: the compiler's peak, which the allocator
 kept.
@@ -26,7 +27,7 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     """The rows of :func:`qdetect.bayes._bayes_chunk` of the K points
     ``configs`` (:class:`qdetect.bayes.BayesConfig`, which differ only in
     p) over the chunk's ``count`` shared runs, (K, 6), and their cross sums
-    sum Y_j Y_k over the stepped runs, (K, K).
+    sum Z_j Z_k of the costs over the stepped runs, (K, K).
 
     The chunk steps exactly the runs that ``_bayes_chunk`` steps, the
     round(count P(R_0 < A)) runs below A
@@ -40,10 +41,10 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     p on the same run.  Each chain scores as in
     :func:`qdetect.bayes._bayes_chunk`, through the weight
     W = (1 - pi0) p q^(m-1) of its next step m, which rides with the run:
-    step m adds W (1 - c D_q(R_m) 1{R_m < A}) to the chain's score Y and W
-    to its score at c = 0, and leaves W q, or 0 once the chain has stopped.
-    A run that has stopped adds its final scores to sum Y and their
-    products to the cross sums.
+    step m adds W D_q(R_m) 1{R_m < A} to the chain's cost Z and W to its
+    no-miss probability Y0, and leaves W q, or 0 once the chain has
+    stopped.  A run that has stopped adds its final costs to sum Z and
+    their products to the cross sums.  The kernel reads no cost c.
 
     The runs step in a block of ``CHUNK_SIZE // (2 (K + 1))`` columns, one
     row per point: its rows and the head starts, which land in the first
@@ -58,22 +59,23 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     after ``DEFAULT_MAX_STEPS`` steps of its own.
     """
     k = len(configs)
-    A, c, law = configs[0].A, configs[0].c, configs[0].law
+    A, law = configs[0].A, configs[0].law
     p = np.array([[config.p] for config in configs])
     q = 1.0 - p
     scale = 2.0 / q
-    cd = c * np.array([[_post_change_d(A, q_k)] for q_k in q[:, 0]])
+    d = np.array([[_post_change_d(A, q_k)] for q_k in q[:, 0]])
     size = qrng.CHUNK_SIZE // (2 * (k + 1))
     max_steps = mc.DEFAULT_MAX_STEPS
     total = round(count * law.mass_below(A))  # as HeadStartLaw.sample draws them
-    no_miss, y_sum, trunc, cross = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros((k, k))
+    no_miss, z_sum, trunc, cross = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros((k, k))
     n = drawn = step = 0
     with qrng.workspace() as ws:
         r = ws.array("r0", float, (k + 1) * size).reshape(k + 1, size)[1:]
         carry = ws.array("carry", float, (k + 1) * size).reshape(k + 1, size)
         w, joined = carry[:k], carry[k]
-        y = ws.array("score", float, k * size).reshape(k, size)
-        tmp, flags = ws.array("lr", float, k * size), ws.array("mask", bool, k * size)
+        z = ws.array("score", float, k * size).reshape(k, size)
+        # the flags hold each chain's below-A mask, or two rows of run flags
+        tmp, flags = ws.array("lr", float, k * size), ws.array("mask", bool, max(k, 2) * size)
         while n or drawn < total:
             if drawn < total and n < size:
                 m = min(size - n, total - drawn)
@@ -81,39 +83,38 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
                 drawn += m
                 new = slice(n, n + m)
                 r[:, new] = r0
-                # w = 1 - pi0 = q / (1 + p r0), and Y = pi0 (1 - c D_q(r0)) before a step
+                # w = 1 - pi0 = q / (1 + p r0), and Z = pi0 D_q(r0) before a step
                 w_new = np.multiply(r0, p, out=w[:, new])
                 w_new += 1.0
                 np.divide(q, w_new, out=w_new)
                 t = np.add(r[:, new], 1.0, out=tmp[:k * m].reshape(k, m))
                 t *= t
-                np.divide(-cd, t, out=t)
-                t += 1.0 - c
-                y_new = np.subtract(1.0, w_new, out=y[:, new])
-                y_new *= t
+                np.divide(d, t, out=t)
+                t += 1.0
+                z_new = np.subtract(1.0, w_new, out=z[:, new])
+                z_new *= t
                 no_miss += m - w_new.sum(axis=1)
                 w_new *= p
                 joined[new] = step + 1
                 n += m
             step += 1
-            r_n, w_n, y_n = r[:, :n], w[:, :n], y[:, :n]
+            r_n, w_n, z_n = r[:, :n], w[:, :n], z[:, :n]
             r_n += 1.0
             r_n *= rng.random(n, out=tmp[:n])
             r_n *= scale
             below = np.less(r_n, A, out=flags[:k * n].reshape(k, n))
-            # the step adds W (1 - c D_q(R_m) 1{R_m < A}) to Y, W itself where
-            # the chain stops; W = 0 marks a chain that has stopped (a
-            # running chain's W stays positive: it could underflow only on
-            # a path of probability q^m < 1e-300)
+            # the step adds W to Y0 and W D_q(R_m) 1{R_m < A} to Z; W = 0
+            # marks a chain that has stopped (a running chain's W stays
+            # positive: it could underflow only on a path of probability
+            # q^m < 1e-300)
             no_miss += w_n.sum(axis=1)
-            y_n += w_n
             w_n *= below
             t = np.add(r_n, 1.0, out=tmp[:k * n].reshape(k, n))
             t *= t
-            np.divide(cd, t, out=t)
-            t += c
+            np.divide(d, t, out=t)
+            t += 1.0
             t *= w_n
-            y_n -= t
+            z_n += t
             w_n *= q
             keep = np.logical_or.reduce(w_n, axis=0, out=flags[:n])
             if step >= max_steps:  # the runs that joined max_steps - 1 steps ago end here
@@ -124,12 +125,12 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
             done = np.flatnonzero(np.logical_not(keep, out=flags[n:2 * n]))
             if done.size:
                 final = tmp[:k * done.size].reshape(k, done.size)
-                for y_j, final_j in zip(y_n, final):  # a 2-D take would copy y_n whole
-                    y_j.take(done, out=final_j, mode="clip")
-                y_sum += final.sum(axis=1)
+                for z_j, final_j in zip(z_n, final):  # a 2-D take would copy z_n whole
+                    z_j.take(done, out=final_j, mode="clip")
+                z_sum += final.sum(axis=1)
                 cross += np.einsum("ji,ki->jk", final, final)
-                mc._compact(keep, *r_n, *w_n, joined[:n], *y_n, block_size=size)
+                mc._compact(keep, *r_n, *w_n, joined[:n], *z_n, block_size=size)
                 n -= done.size
-    rows = np.column_stack([np.full(k, count), np.full(k, total), y_sum, cross.diagonal(),
+    rows = np.column_stack([np.full(k, count), np.full(k, total), z_sum, cross.diagonal(),
                             no_miss, trunc])
     return rows, cross

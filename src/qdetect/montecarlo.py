@@ -451,7 +451,8 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
     standard errors at every n <= 20 of 50 000 paths (margin: the largest
     |z|).  ``optional-stopping``: E(R_N - R_0) = E_inf N over ``reps``
     no-change runs from ``law``, within 4 standard errors and with no run
-    truncated (margin: |z|).
+    truncated (margin: |z|); a law with no mass below A stops every run at
+    0, where the estimate is exactly 0 with SE 0, and z reads 0.
     """
     rng = qrng.derive_rng(seed, "martingale-drift", 0)
     n_paths, horizon = 50_000, 20
@@ -467,8 +468,11 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
     count, m, d_sum, d_sq, trunc = _sr_sums(_optional_stopping_chunk, A, law, None, reps,
                                             seed, workers)[0]
     est = stratified_estimate(count, m, d_sum, d_sq, law.mass_below(A))
-    z = abs(est.mean) / est.stderr
     truncated = int(trunc)
+    if est.stderr == 0.0 and est.mean == 0.0:  # no run below A: every D is 0
+        z, detail = 0.0, f"exact: no run starts below A, truncated={truncated}"
+    else:
+        z = abs(est.mean) / est.stderr if est.stderr else math.inf
+        detail = f"|z|={z:.2f} truncated={truncated}"
     return [("martingale-drift", worst <= 4.0, worst, f"max |z| over n<=20: {worst:.2f}"),
-            ("optional-stopping", z <= 4.0 and truncated == 0, z,
-             f"|z|={z:.2f} truncated={truncated}")]
+            ("optional-stopping", z <= 4.0 and truncated == 0, z, detail)]

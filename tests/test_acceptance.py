@@ -47,9 +47,10 @@ PUBLISHED_MC = {
 }
 REFUTED_COLUMN = [0.4115, 0.4433, 0.4757, 0.5090, 0.5430, 0.5708]
 
-# replication counts for the small-p extrapolation, sized so the quadratic
-# fit's intercept standard error comes out near 0.0008, under a twentieth of
-# the gap
+# replication counts for the small-p extrapolation, sized when the quadratic
+# fit of the whole ratio left an intercept standard error near 0.0008, under
+# a twentieth of the gap; with only the cost part simulated it is about
+# 0.00006
 LIMIT_P_GRID = [0.02, 0.01, 0.005]
 LIMIT_REPS = [3_000_000, 6_000_000, 13_000_000]
 C_STAR = 0.1
@@ -154,13 +155,15 @@ def test_criterion_6_size_biased_conditional_law():
 
 def test_criterion_7_exact_identities():
     # the brute-force risk, each run through its drawn change time, against
-    # the exact-score estimate within 4 combined SE; the prior-weight
+    # the exact-score estimate within 4 combined SE, and its misses against
+    # the exact miss probability within 4 binomial SE; the prior-weight
     # coupling round trip and the closed-form difference identity at
     # machine precision on random inputs
     checks = identity_checks(1.5, C_STAR, REPS, SEED, 1)
     ok = all(check[1] for check in checks)
     _report(ok, "criterion-7 exact-identities",
-            f"risk vs brute force |z| = {_margin(checks, 'risk-vs-brute-force'):.2f} "
+            f"risk vs brute force |z| = {_margin(checks, 'risk-vs-brute-force'):.2f}, "
+            f"misses vs exact |z| = {_margin(checks, 'miss-probability-exact'):.2f} "
             f"(limit 4), round-trip err {_margin(checks, 'pi0-round-trip'):.1e}, "
             f"difference-identity err {_margin(checks, 'eq3-eq4-difference'):.1e}")
     assert ok

@@ -36,7 +36,7 @@ from qdetect import rng as qrng
 from qdetect import montecarlo as mc
 from qdetect.bayes import (_bayes_chunk, _brute_force_runs, _change_times, _identity_chunk,
                            _shared_run_scores, _stop_at_zero_risk, wls_line)
-from qdetect.cli import DEFAULT_P_GRID, DEFAULT_REPS
+from qdetect.cli import DEFAULT_P_GRID, DEFAULT_REPS, EXIT_OK, main
 from qdetect.headstart import _gauss_legendre
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
 from qdetect.rng import CHUNK_SIZE, DEFAULT_WORKERS, derive_rng
@@ -173,15 +173,13 @@ class TestBayesRule:
         (row,) = _identity_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
                                  BayesConfig(p=p, c=0.1, A=A, law=LAW))
         assert_risk_row(row, nu, n_stop, truncated)
-        rows = {}
-        for c in (0.1, 0.0):
-            config = BayesConfig(p=p, c=c, A=A, law=LAW)
-            (rows[c],) = _bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000, config)
-        # the exact score at c = 0 is the probability of no miss, and a cost
-        # lowers it on the same paths
-        assert rows[0.0][0, 4] == rows[0.1][0, 4]
-        assert rows[0.0][0, 2] == pytest.approx(rows[0.0][0, 4], rel=1e-12)
-        assert rows[0.1][0, 2] < rows[0.0][0, 2]
+        rows = [_bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
+                             BayesConfig(p=p, c=c, A=A, law=LAW))[0] for c in (0.1, 0.0)]
+        # the row reads no cost, each stepped run's probability of no miss
+        # lies in (0, 1], and its cost is positive
+        assert np.array_equal(*rows)
+        ((count, m, z_sum, _, no_miss, _),) = rows[0]
+        assert 0 < no_miss <= m < count and z_sum > 0
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -305,15 +303,32 @@ class TestRiskEstimate:
                             lambda *args, **kwargs: 7.0 * change_times(*args, **kwargs)[::-1])
         assert not line()[1]
         monkeypatch.undo()
-        # at c = 0 the risk is the miss probability: brute force reads no
-        # exact formula, and gives the same mean within 4 combined SE, on
-        # independent streams, with a far larger SE
+        # at c = 0 the risk is the miss probability, exact, with SE 0: brute
+        # force reads no exact formula, and gives the same mean within 4 SE;
+        # so does the simulated mean of Y0 over the estimate's runs
         n, misses, dp_sum, dp_sq, trunc = _brute_force_row()
         brute = mc.mc_estimate(n, misses, misses, trunc)
-        est = estimate_bayes_risk(BayesConfig(p=0.02, c=0.0, A=A, law=LAW), 2_000_000, SEED)
-        z = (est.risk.mean - brute.mean) / math.hypot(est.risk.stderr, brute.stderr)
-        assert abs(z) <= 4.0 and est.risk.stderr < 0.2 * brute.stderr
-        assert est.cond_prob == pytest.approx(1.0 - est.risk.mean, rel=1e-12)
+        config = BayesConfig(p=0.02, c=0.0, A=A, law=LAW)
+        est = estimate_bayes_risk(config, 2_000_000, SEED)
+        assert est.risk.stderr == 0.0
+        assert est.risk.mean == pytest.approx(1.0 - bayes._no_miss_probability(config),
+                                              rel=1e-15)
+        assert abs(est.risk.mean - brute.mean) <= 4.0 * brute.stderr
+        assert abs(1.0 - est.cond_prob - brute.mean) <= 4.0 * brute.stderr
+
+    def test_miss_probability_line_fails_on_a_wrong_exact_value(self, monkeypatch):
+        # the exact 1 - E[Y0] against the brute-force misses (props and
+        # criterion 7): it passes, and it fails once E[Y0] drops the exact
+        # share of the runs that stop at 0
+        def line():
+            return next(check for check in identity_checks(A, 0.1, 100_000, SEED,
+                                                           DEFAULT_WORKERS)
+                        if check[0] == "miss-probability-exact")
+        _, ok, z, detail = line()
+        assert ok and z <= 4.0, detail
+        score = bayes._stop_at_zero_score
+        monkeypatch.setattr(bayes, "_stop_at_zero_score", lambda config: (score(config)[0], 0.0))
+        assert not line()[1]
 
     def test_exact_stop_at_zero_score_is_unbiased_and_cuts_variance(self):
         # against brute force, which scores the runs that stop at 0 by their
@@ -364,17 +379,47 @@ class TestExactRatio:
         _workload_limit_grid(),
     ], ids=["criterion-5", "cli-default", "workload"])
     def test_quadratic_fit_bias_under_a_quarter_se(self, grid, reps):
-        # the fit of the exact ratios misses eq4 by its curvature bias alone;
-        # at each grid's reps that is under a quarter of the intercept SE.
-        # That SE is here a lower bound: a per-rep SD of 0.6 (it is
-        # 0.67-0.73 on this grid) and a correlation of 0.995 between the
-        # points on their shared runs (0.98-0.99), which lower it most; a
-        # line would miss by 7 to 25 of those SE
-        exact = np.array([exact_ratio(A, 0.1, p) for p in grid])
-        se = 0.6 / np.sqrt(np.array(reps, dtype=float))
-        intercept, intercept_se = wls_line(np.array(grid), exact, se,
-                                           _shared_run_corr(reps, 0.995))
-        assert abs(intercept - limit_predictions(A, 0.1)[1]) <= 0.25 * intercept_se
+        # the intercept is the exact c = 0 limit less the fit of the cost
+        # part c E[Z]/p, which misses eq4 by its curvature bias alone; at
+        # each grid's reps that is under a quarter of the intercept SE.
+        # That SE is here a lower bound: a per-rep SD of 0.09 for c Z/p (it
+        # is 0.097-0.105 on this grid) and a correlation of 0.995 between
+        # the points on their shared runs (0.98-0.995), which lower it most
+        cost = np.array([exact_ratio(A, 0.0, p) - exact_ratio(A, 0.1, p) for p in grid])
+        se = 0.09 / np.sqrt(np.array(reps, dtype=float))
+        fit, fit_se = wls_line(np.array(grid), cost, se, _shared_run_corr(reps, 0.995))
+        intercept = bayes._zero_cost_limit(A, LAW) - fit
+        assert abs(intercept - limit_predictions(A, 0.1)[1]) <= 0.25 * fit_se
+
+    @pytest.mark.parametrize("p", [0.3, 0.02, 0.005])
+    def test_no_miss_probability_is_the_zero_cost_ratio(self, p):
+        # E[Y0] = E[1 - risk] at c = 0, against the test's own integral
+        config = BayesConfig(p=p, c=0.1, A=A, law=LAW)
+        assert bayes._no_miss_probability(config) == pytest.approx(exact_ratio(A, 0.0, p) * p,
+                                                                   rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r0, want", [
+        # at p = 0.3 from r0 = 0.5: pi0 = 0.45/1.15, the first step survives
+        # with a_q = 0.7 * 1.5/3 = 0.35 and each later one with
+        # rho_q = 0.7 log(2.5)/2
+        (0.5, 0.45 / 1.15 + 0.7 / 1.15 * 0.3
+         * (1.0 + 0.7 * 0.35 / (1.0 - 0.49 * math.log(2.5) / 2.0))),
+        # from r0 = 2 >= A the run stops at 0 and scores pi0
+        (2.0, 0.9 / 1.6),
+    ])
+    def test_no_miss_probability_of_a_point_mass(self, r0, want):
+        config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(r0))
+        assert bayes._no_miss_probability(config) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("law, want", [
+        (LAW, yakir_mean(A) + 1.0 + sr_exact(A)[2]),
+        # E_inf N = 1 + a_1/(1 - rho_1) from r0 = 0.5: a_1 = 1.5/3, rho_1 = log(2.5)/2
+        (HeadStartLaw.point_mass(0.5), 0.5 + 2.0 + 0.5 / (1.0 - math.log(2.5) / 2.0)),
+        (HeadStartLaw.point_mass(2.0), 3.0),
+    ], ids=["yakir", "point-mass-below", "point-mass-above"])
+    def test_zero_cost_limit(self, law, want):
+        # lim E[Y0]/p = E R_0 + 1 + E_inf N
+        assert bayes._zero_cost_limit(A, law) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def _shared_run_corr(reps, rho):
@@ -447,13 +492,18 @@ class TestLimitDiagnostic:
 
     def test_joint_points_within_4_se_of_exact(self):
         # every point of one joint run, its chains on shared draws, against
-        # its exact ratio; the points' ratios correlate as their scores do
+        # its exact ratio, and its mean cost Z_bar against
+        # E[Z] = (E[Y0] - p E[1 - risk]/p)/c; the points' means correlate as
+        # their costs do
         grid = [0.02, 0.01, 0.005]
         diag = limit_diagnostic(A, LAW, 0.1, grid, [1_000_000] * 3, SEED)
         for row in diag.rows:
             assert abs(row.ratio - exact_ratio(A, 0.1, row.p)) <= 4.0 * row.stderr
         configs = [BayesConfig(p=p, c=0.1, A=A, law=LAW) for p in grid]
-        corr = _shared_run_scores(configs, [1_000_000] * 3, SEED, DEFAULT_WORKERS)[1]
+        costs, corr = _shared_run_scores(configs, [1_000_000] * 3, SEED, DEFAULT_WORKERS)
+        for config, cost in zip(configs, costs):
+            want = (bayes._no_miss_probability(config) - config.p * exact_ratio(A, 0.1, config.p))
+            assert abs(cost.mean - want / 0.1) <= 4.0 * cost.stderr
         assert np.array_equal(corr, corr.T) and (np.diag(corr) == 1.0).all()
         assert 0.95 < corr[np.triu_indices(3, 1)].min() < corr.max() == 1.0
 
@@ -487,14 +537,16 @@ class TestLimitDiagnostic:
     @pytest.mark.parametrize("reps", [[60_000, 120_000, 240_000], [100_000] * 3],
                              ids=["nested", "equal"])
     def test_intercept_se_reads_the_covariance(self, reps):
-        # over 40 seeds, the intercept's z against the quadratic fit of the
-        # exact ratios (no curvature bias): the mean z^2 lies in its chi^2
-        # band at 99.9%; scored with a diagonal covariance, the same runs
-        # overstate the SE 2-3 times and fall below that band
+        # over 40 seeds, the intercept's z against the exact c = 0 limit less
+        # the quadratic fit of the exact cost part c E[Z]/p (no curvature
+        # bias): the mean z^2 lies in its chi^2 band at 99.9%; scored with a
+        # diagonal covariance, the same runs overstate the SE 2-3 times and
+        # fall below that band
         grid = [0.02, 0.01, 0.005]
         x = np.array(grid)
-        target = wls_line(x, np.array([exact_ratio(A, 0.1, p) for p in grid]),
-                          0.6 / np.sqrt(np.array(reps, dtype=float)), np.eye(3))[0]
+        cost = np.array([exact_ratio(A, 0.0, p) - exact_ratio(A, 0.1, p) for p in grid])
+        target = bayes._zero_cost_limit(A, LAW) - wls_line(
+            x, cost, 0.09 / np.sqrt(np.array(reps, dtype=float)), np.eye(3))[0]
         seeds = range(40)
         z_sq, z_sq_diagonal = [], []
         for seed in seeds:
@@ -540,18 +592,35 @@ class TestLimitDiagnostic:
         with pytest.raises(ConfigurationError):
             limit_diagnostic(A, LAW, 0.1, [0.02, 0.005, 0.01], [1000] * 3, SEED)
 
-    def test_zero_cost_verdict_coincides(self):
-        diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01, 0.005], [50_000] * 3, SEED)
-        base = yakir_mean(A) + 1.0 + 0.85
-        verdict = compare_limit(diag, base, base)
-        assert verdict.verdict == "coincide"
+    def test_zero_cost_verdict_coincides(self, capsys):
+        # at c = 0 eq3 and eq4 coincide, and the intercept is their common
+        # value, exact, with SE 0: the command exits 0 and divides by no SE
+        target = yakir_mean(A) + 1.0 + sr_exact(A)[2]
+        assert main(["bayes-limit", "--c-star", "0", "--reps", "50000",
+                     "--seed", str(SEED)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "# verdict=coincide\n" in out
+        assert f"# intercept={target:.4f} intercept_se=0.0000\n" in out
 
     def test_zero_cost_matches_false_alarm_identity(self):
-        # intercept of P(N >= nu - 1)/p tends to E R_0 + 1 + E_inf N
-        diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01, 0.005],
-                                [400_000, 800_000, 1_600_000], SEED)
+        # P(N >= nu - 1)/p tends to E R_0 + 1 + E_inf N, which the
+        # intercept takes exactly; each row is the exact E[Y0]/p
+        grid = [0.02, 0.01, 0.005]
+        diag = limit_diagnostic(A, LAW, 0.0, grid, [50_000] * 3, SEED)
         target = yakir_mean(A) + 1.0 + sr_exact(A)[2]
-        assert abs(diag.intercept - target) <= 4.0 * diag.intercept_se
+        assert diag.intercept == pytest.approx(target, rel=0, abs=1e-12)
+        assert diag.intercept_se == 0.0
+        for row in diag.rows:
+            assert row.stderr == 0.0
+            assert row.ratio == pytest.approx(exact_ratio(A, 0.0, row.p), rel=1e-12, abs=0)
+        verdict = compare_limit(diag, *limit_predictions(A, 0.0))
+        assert (verdict.verdict, verdict.z_eq3, verdict.z_eq4) == ("coincide", 0.0, 0.0)
+
+    def test_zero_se_with_apart_predictions_rejected(self):
+        # an exact intercept cannot score predictions that differ
+        diag = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01, 0.005], [50_000] * 3, SEED)
+        with pytest.raises(ConfigurationError, match="zero standard error"):
+            compare_limit(diag, *limit_predictions(A, 0.1))
 
 
 class TestLimitPredictions:

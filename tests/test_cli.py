@@ -187,17 +187,22 @@ class TestBayesLimit:
         assert "# eq4=3.4475 eq4_se=0.0000 z=" in out
 
     def test_huge_costs(self, capsys):
-        # at 1e80 SEs near 1e78 underflow weights of 1/se^2; at 1e300 the
-        # sum of squared scores overflows, which no replication count mends
+        # at 1e80 SEs near 1e78 underflow weights of 1/se^2; the kernels sum
+        # the costs Z, which no c scales, so at 1e300 every figure stays
+        # finite; at 1e308 the prediction eq3 overflows, and at 1.7e308 so
+        # does c Z_bar/p, which no replication count mends
         argv = ["bayes-limit", "--reps", "20000", "--workers", "1", "--c-star"]
-        assert main(argv + ["1e80"]) in (EXIT_OK, EXIT_INCONCLUSIVE)
-        assert "nan" not in capsys.readouterr().out
-        assert main(argv + ["1e300"]) == EXIT_CONFIG
-        assert "not finite" in capsys.readouterr().err
+        for c_star in ("1e80", "1e300"):
+            assert main(argv + [c_star]) in (EXIT_OK, EXIT_INCONCLUSIVE)
+            out = capsys.readouterr().out
+            assert "nan" not in out and "inf" not in out
+        for c_star in ("1e308", "1.7e308"):
+            assert main(argv + [c_star]) == EXIT_CONFIG
+            assert "not finite" in capsys.readouterr().err
 
     def test_default_run_reaches_eq4(self, capsys):
         # at its defaults (the same 1 M runs at each of p = 0.02, 0.01,
-        # 0.005) the intercept SE is about 0.0008, a seventy-fifth of the
+        # 0.005) the intercept SE is about 0.0001, a five-hundredth of the
         # eq3/eq4 gap
         assert main(["bayes-limit", "--seed", str(DEFAULT_SEED), "--workers", "2"]) == EXIT_OK
         assert "# verdict=eq4\n" in capsys.readouterr().out
@@ -253,7 +258,7 @@ class TestCheckSuites:
         out = capsys.readouterr().out
         assert _check_names(out) == [
             "martingale-drift", "optional-stopping", "risk-vs-brute-force",
-            "pi0-round-trip", "eq3-eq4-difference"] + [f"{n} A=1.5" for n in ORACLE_NAMES]
+            "miss-probability-exact", "pi0-round-trip", "eq3-eq4-difference"] + [f"{n} A=1.5" for n in ORACLE_NAMES]
         assert "FAIL" not in out
         # the two identity lines print what the library functions return
         assert f"pi0-round-trip: max rel error {coupling_round_trip(9)[1]:.2e}" in out

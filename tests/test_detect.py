@@ -8,8 +8,8 @@ are matched by head start, which is unique under the uniform-product law.
 The runs follow the draw order of the chunk kernels: only the head starts
 below A are drawn (``HeadStartLaw.sample`` at A).  The Bayes risk kernel
 steps them with no change (``conftest.reference_bayes_scores``), and its
-row is checked here against the exact conditional scores of the reference
-paths.  The brute-force runs (``bayes._brute_force_runs``) draw every head
+row is checked here against the exact conditional costs and no-miss
+probabilities of the reference paths.  The brute-force runs (``bayes._brute_force_runs``) draw every head
 start and its change time before the runs below A step
 (``conftest.reference_bayes_runs``), which checks per-run change indices.
 The SR moment row is checked in ``test_workspace.py``.
@@ -68,9 +68,8 @@ def _bayes_runs(tag, p, max_steps):
     """The Bayes runs of chunk 0 of ``tag`` in the draw order of
     ``_bayes_chunk``: the head starts below A, the kernel's recorded
     pre-change runs of those, and the reference's
-    ``(n_stop, truncated, final, score, no_miss)`` of the same runs at
-    c = 0.1."""
-    stepped, *ref = reference_bayes_scores(derive_rng(SEED, tag, 0), LAW, COUNT, A, p, 0.1,
+    ``(n_stop, truncated, final, cost, no_miss)`` of the same runs."""
+    stepped, *ref = reference_bayes_scores(derive_rng(SEED, tag, 0), LAW, COUNT, A, p,
                                            max_steps)
     rng = derive_rng(SEED, tag, 0)
     LAW.sample(rng, COUNT, A, Workspace())
@@ -105,14 +104,14 @@ def _assert_paths_match(r0, recorded, ref):
 
 
 def _assert_bayes_rows_match(tag, p, ref):
-    """The score row of the chunk at c = 0.1 against the exact scores of the
-    reference's runs (``conftest.assert_score_row``), and at c = 0, where
-    the score is the probability of no miss."""
-    _, truncated, _, score, no_miss = ref
-    for c, want in ((0.1, score), (0.0, no_miss)):
-        config = BayesConfig(p=p, c=c, A=A, law=LAW)
-        (row,) = _bayes_chunk(derive_rng(SEED, tag, 0), COUNT, config)
-        assert_score_row(row, COUNT, want, no_miss, truncated)
+    """The row of the chunk against the exact costs and no-miss
+    probabilities of the reference's runs (``conftest.assert_score_row``),
+    the same row at c = 0.1 and at c = 0: the kernel reads no cost."""
+    _, truncated, _, cost, no_miss = ref
+    rows = [_bayes_chunk(derive_rng(SEED, tag, 0), COUNT, BayesConfig(p=p, c=c, A=A, law=LAW))[0]
+            for c in (0.1, 0.0)]
+    assert np.array_equal(*rows)
+    assert_score_row(rows[0], COUNT, cost, no_miss, truncated)
 
 
 def _assert_brute_force_rows_match(tag, p, nu, ref):
@@ -166,8 +165,9 @@ class TestKernelsMatchReference:
 
     @pytest.mark.parametrize("max_steps", [1, 2, DEFAULT_MAX_STEPS])
     @pytest.mark.parametrize("law, ps", [(LAW, (0.3, 0.1, 0.02)), (LAW, (0.02, 0.01, 0.005)),
-                                         (HeadStartLaw.point_mass(0.5), (0.1, 0.05))],
-                             ids=["yakir-wide", "yakir-grid", "point-mass"])
+                                         (HeadStartLaw.point_mass(0.5), (0.1, 0.05)),
+                                         (LAW, (0.01,))],
+                             ids=["yakir-wide", "yakir-grid", "point-mass", "one-point"])
     def test_joint_chunk(self, law, ps, max_steps, monkeypatch):
         # one chain per p on each run's one uniform a step, in a block that
         # the chunk's draws refill many times at this chunk size: the
@@ -180,18 +180,18 @@ class TestKernelsMatchReference:
         rng, ref_rng = derive_rng(SEED, tag, 0), derive_rng(SEED, tag, 0)
         rows, cross = _joint_chunk(rng, COUNT, configs)
         stepped = round(COUNT * _mass_below(law))
-        n_stop, truncated, score, no_miss = reference_joint_scores(
-            ref_rng, law, stepped, A, ps, 0.1, max_steps)
+        n_stop, truncated, cost, no_miss = reference_joint_scores(
+            ref_rng, law, stepped, A, ps, max_steps)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rows[:, :2].tolist() == [[COUNT, stepped]] * len(ps)
         assert rows[:, 5].tolist() == truncated.sum(axis=1).tolist()
         np.testing.assert_allclose(
-            rows[:, 2:5].T, [score.sum(axis=1), (score * score).sum(axis=1),
+            rows[:, 2:5].T, [cost.sum(axis=1), (cost * cost).sum(axis=1),
                              no_miss.sum(axis=1)], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(cross, score @ score.T, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cross, cost @ cost.T, rtol=1e-12, atol=0.0)
         # on shared draws a larger p never stops later, and here some stop sooner
         assert (n_stop[:-1] <= n_stop[1:]).all()
-        assert (n_stop[0] < n_stop[-1]).any() == (max_steps > 1)
+        assert (n_stop[0] < n_stop[-1]).any() == (max_steps > 1 and len(ps) > 1)
         assert stepped > qrng.CHUNK_SIZE and truncated.any() == (max_steps <= 2)
 
     @pytest.mark.parametrize("law", [LAW, HeadStartLaw.point_mass(0.5)],

@@ -191,6 +191,12 @@ class TestMartingaleStructure:
                                 if check[0] == "optional-stopping")
         assert ok, detail
 
+    def test_optional_stopping_with_no_run_below_a_is_exact(self):
+        # every run stops at 0 and D = 0: the estimate is exactly 0 with SE 0,
+        # and z reads 0 rather than dividing by that SE
+        _, ok, z, detail = martingale_checks(A, HeadStartLaw.point_mass(2.0), 10_000, 1, 1)[1]
+        assert ok and z == 0.0 and detail.startswith("exact"), detail
+
     def test_higher_threshold_longer_runs(self):
         lo = estimate_arl_false(1.5, LAW, 200_000, SEED)
         hi = estimate_arl_false(1.9, LAW, 200_000, SEED)
@@ -380,9 +386,9 @@ class TestGoldenOutputs:
         }
 
     @pytest.mark.parametrize("p, risk_hex, cond_prob_hex", [
-        (0.3, ("0x1.9d7dd88da25d2p-2", "0x1.6faf6eba17c54p-14", 0, 0),
+        (0.3, ("0x1.9d8282c8c5af8p-2", "0x1.0cfb8d1ebb4c3p-16", 0, 0),
          "0x1.3e2f3e2ff9148p-1"),
-        (0.005, ("0x1.f7490131570f0p-1", "0x1.b6232b6fc8092p-18", 0, 0),
+        (0.005, ("0x1.f748533fd6b1ap-1", "0x1.ff237ecc09c25p-21", 0, 0),
          "0x1.22d77e4d8ff26p-6"),
     ], ids=["p=0.3", "p=0.005"])
     def test_bayes_risk(self, p, risk_hex, cond_prob_hex):
