@@ -43,14 +43,12 @@ from .formulas import (
 )
 from .bayes import (
     BayesConfig,
-    BayesRiskEstimate,
     LimitDiagnostic,
     LimitVerdict,
     compare_limit,
     conditional_headstart_diagnostic,
     couple_pi0,
     coupling_round_trip,
-    estimate_bayes_risk,
     identity_checks,
     implied_headstart,
     limit_diagnostic,

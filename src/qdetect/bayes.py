@@ -47,7 +47,7 @@ product law, draw nothing: their exact share of the mean score is
 
 with mass = P(R_0 < A) (:meth:`HeadStartLaw.mass_below`) and two tail
 integrals of the law (:meth:`HeadStartLaw.tail_mean`), computed once per
-estimate (:func:`_stop_at_zero_score`).  Each chunk draws exactly
+grid point (:func:`_no_miss_probability`).  Each chunk draws exactly
 round(count mass) runs below A (:meth:`HeadStartLaw.sample` at A: for the
 uniform product law that many uniforms on [0, A)), and the estimate
 weighs their mean cost by the exact mass (proportional stratification,
@@ -79,8 +79,8 @@ compares the two, and their misses with the exact E[Y0].
 
 Each chunk draws its head starts and runs its replications in a workspace
 borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
-one moment row: count, runs stepped, the sums of Z and Z^2, the sum of Y0
-and truncations for the risk estimate, one such row per grid point and the
+one moment row: count, runs stepped, the sums of Z and Z^2 and
+truncations for the risk estimate, one such row per grid point and the
 cross sums between the points over the grid's shared stepped runs
 (:func:`qdetect.joint._joint_chunk`);
 count, the draws with nu = 1 and their sum and sum of squares for the
@@ -105,7 +105,7 @@ estimate holds one row per chunk and grid point, whatever ``reps`` is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Sequence, Tuple
 
@@ -246,16 +246,6 @@ def _stop_at_zero_risk(config: BayesConfig) -> float:
     return law.tail_mean(lambda r0: 1.0 - _couple(p, r0), A) / mass
 
 
-def _stop_at_zero_score(config: BayesConfig) -> Tuple[float, float]:
-    """``(mass, offset)``: the law's exact P(R_0 < A)
-    (:meth:`HeadStartLaw.mass_below`) and the exact share of the mean score
-    of the runs that stop at 0, ``(1 - mass)(1 - h)``, h the risk of
-    :func:`_stop_at_zero_risk`: the two constants of the stratified score
-    estimate (:func:`qdetect.montecarlo.stratified_estimate`)."""
-    mass = config.law.mass_below(config.A)
-    return mass, (1.0 - mass) * (1.0 - _stop_at_zero_risk(config))
-
-
 def _mean_below(law: HeadStartLaw, fn: Callable, A: float) -> float:
     """E[fn(R_0); R_0 < A], the mean of ``fn`` over the runs that step, for a
     point mass or the uniform product law at A <= 2, whose density below A
@@ -272,10 +262,11 @@ def _no_miss_probability(config: BayesConfig) -> float:
     """E[Y0] = P(N >= nu - 1), exact: the part of the mean score 1 - risk
     that the cost does not touch.
 
-    A run that stops at 0 scores pi0 (:func:`_stop_at_zero_score`).  From
-    r0 < A the chain survives its first step with probability
-    a_q(r0) = q A / (2 (1 + r0)) and each later one with
-    rho_q = q log(1 + A)/2, so
+    A run that stops at 0 scores pi0, so those runs add their exact share
+    (1 - mass)(1 - h), mass = P(R_0 < A) (:meth:`HeadStartLaw.mass_below`)
+    and h their risk (:func:`_stop_at_zero_risk`).  From r0 < A the chain
+    survives its first step with probability a_q(r0) = q A / (2 (1 + r0))
+    and each later one with rho_q = q log(1 + A)/2, so
 
         E[Y0 | r0] = pi0 + (1 - pi0) p (1 + q a_q(r0) / (1 - q rho_q)),
 
@@ -284,7 +275,8 @@ def _no_miss_probability(config: BayesConfig) -> float:
     p, A = config.p, config.A
     q = 1.0 - p
     rho = q * math.log1p(A) / 2.0
-    _, offset = _stop_at_zero_score(config)
+    mass = config.law.mass_below(A)
+    offset = (1.0 - mass) * (1.0 - _stop_at_zero_risk(config))
 
     def stepped(r0):
         pi0 = _couple(p, r0)
@@ -304,9 +296,9 @@ def _zero_cost_limit(A: float, law: HeadStartLaw) -> float:
 
 
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
-    """One row (count, m, sum Z, sum Z^2, sum Y0, truncated) of a chunk, with
+    """One row (count, m, sum Z, sum Z^2, truncated) of a chunk, with
     Y0 - c Z the exact 1 - risk of a run given its head start and
-    pre-change path, summed over the m runs below A.
+    pre-change path and Z summed over the m runs below A.
 
     Only the runs whose head start is below A are drawn, exactly
     round(count P(R_0 < A)) of them (:meth:`HeadStartLaw.sample` at A),
@@ -325,13 +317,13 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     The row reads no cost: the estimate takes E[Y0] exactly
     (:func:`_no_miss_probability`) and simulates only Z.
     Each of the other ``count - m`` runs stops at N = 0 with Z = 0: they
-    draw nothing and add nothing to the row, and the estimate gives them
-    their exact share of Y0 (:func:`_stop_at_zero_score`).
+    draw nothing and add nothing to the row, and E[Y0] holds their exact
+    share.
 
     The per-run w and the running cost Z ride in the kernel's ``carry``;
     the factor p q^(m-1) is one scalar per step.  The sums add up as the
     runs step: step m adds the increment t of each run that takes it to
-    sum Z and t (2 Z + t) to sum Z^2, and p q^(m-1) w to sum Y0.
+    sum Z and t (2 Z + t) to sum Z^2.
     """
     p, A = config.p, config.A
     q = 1.0 - p
@@ -351,7 +343,6 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
         z = np.subtract(1.0, w, out=ws.array("score", float, n))
         z *= t
         z_sum, z_sq = mc.moment_sums(z)
-        no_miss = n - w.sum()
         for step, r_m, below, w_m, z_m in mc._stop_times(
                 rng, r, A, math.inf, q, mc.DEFAULT_MAX_STEPS, ws, (w, z)):
             s = p * q ** (step - 1)
@@ -363,13 +354,12 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
             t += s
             t *= below
             t *= w_m
-            no_miss += s * w_m.sum()
             z_sum += t.sum()
             z_sq += 2.0 * np.einsum("i,i->", t, z_m) + np.einsum("i,i->", t, t)
             z_m += t
             if step == mc.DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
-    return (np.array([[count, n, z_sum, z_sq, no_miss, trunc]]),)
+    return (np.array([[count, n, z_sum, z_sq, trunc]]),)
 
 
 def _brute_force_runs(rng: np.random.Generator, count: int, config: BayesConfig,
@@ -414,9 +404,11 @@ def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> l
     start at ``A`` and cost ``c``, the risk of ``min(reps, 100_000)``
     brute-force runs, each of which draws its change time and steps through
     it (:func:`_identity_chunk`, on the stream tag ``risk-identity``),
-    against the stratified score estimate of :func:`estimate_bayes_risk`
-    over ``min(reps, 25_000)`` runs (tag ``risk-identity-score``), within 4
-    combined standard errors (margin: |z|).  ``miss-probability-exact``: the
+    against the score 1 - (E[Y0] - c Z_bar), with standard error
+    c se(Z_bar), Z_bar the mean cost of ``min(reps, 25_000)`` runs on the
+    path of :func:`limit_diagnostic` (:func:`_shared_run_scores`, on the
+    stream tag ``bayes-limit/0:<runs>``), within 4 combined standard
+    errors (margin: |z|).  ``miss-probability-exact``: the
     same brute-force runs' share of misses against the exact
     1 - E[Y0] (:func:`_no_miss_probability`), within 4 binomial standard
     errors (margin: |z|); this keeps checked the half of the score that the
@@ -430,53 +422,21 @@ def identity_checks(A: float, c: float, reps: int, seed: int, workers: int) -> l
                             seed, "risk-identity", workers=workers)[0]
     n, misses, dp_sum, dp_sq, trunc = (int(v) for v in rows.sum(axis=0))
     brute = mc.mc_estimate(n, misses + c * dp_sum, misses + c * c * dp_sq, trunc)
-    score = estimate_bayes_risk(config, min(reps, 25_000), seed, workers,
-                                tag="risk-identity-score").risk
-    z = abs(score.mean - brute.mean) / math.hypot(score.stderr, brute.stderr)
-    miss = 1.0 - _no_miss_probability(config)
+    (cost,), _ = _shared_run_scores([config], [min(reps, 25_000)], seed, workers)
+    no_miss = _no_miss_probability(config)
+    score, score_se = 1.0 - (no_miss - c * cost.mean), c * cost.stderr
+    miss = 1.0 - no_miss
+    z = abs(score - brute.mean) / math.hypot(score_se, brute.stderr)
     z_miss = abs(misses / n - miss) / math.sqrt(miss * (1.0 - miss) / n)
     round_ok, round_err = coupling_round_trip(seed)
     diff_ok, diff_err = formulas.limit_difference_identity(seed)
     return [("risk-vs-brute-force", z <= 4.0, z,
              f"|z|={z:.2f} brute={brute.mean:.5f}+-{brute.stderr:.5f} "
-             f"score={score.mean:.5f}+-{score.stderr:.5f}"),
+             f"score={score:.5f}+-{score_se:.5f}"),
             ("miss-probability-exact", z_miss <= 4.0, z_miss,
              f"|z|={z_miss:.2f} brute={misses / n:.5f} exact={miss:.5f}"),
             ("pi0-round-trip", round_ok, round_err, f"max rel error {round_err:.2e}"),
             ("eq3-eq4-difference", diff_ok, diff_err, f"max rel error {diff_err:.2e}")]
-
-
-@dataclass(frozen=True)
-class BayesRiskEstimate:
-    """Plug-in risk estimate with its components, all from one replication set."""
-
-    risk: mc.McEstimate
-    # P_hat(N >= nu - 1), the simulated mean of Y0: a stepped run scores
-    # pi0 + (1 - pi0)(1 - q^N), its probability of no miss given its path,
-    # and the runs that stop at 0 their exact share, as in the risk
-    cond_prob: float
-
-
-def estimate_bayes_risk(config: BayesConfig, reps: int, seed: int,
-                        workers: int = qrng.DEFAULT_WORKERS,
-                        tag: str = "bayes-risk") -> BayesRiskEstimate:
-    """Monte Carlo estimate of risk = P(N < nu - 1) + c E(N - nu + 1)^+,
-    one minus E[Y0] - c Z_bar: the exact no-miss probability
-    (:func:`_no_miss_probability`) less the cost times the mean of the
-    conditional costs Z of :func:`_bayes_chunk`, each run below A scored
-    given its pre-change path.  Z_bar is stratified on the stop-at-0 split
-    with offset 0, since a run that stops at 0 has Z = 0, and the risk's
-    standard error is c times Z_bar's."""
-    mc.check_reps(reps)
-    mass, offset = _stop_at_zero_score(config)
-    rows = qrng.run_chunked(partial(_bayes_chunk, config=config), reps, seed, tag,
-                            workers=workers)[0]
-    count, m, z_sum, z_sq, no_miss, trunc = rows.sum(axis=0)
-    cost = mc.stratified_estimate(count, m, z_sum, z_sq, mass, 0.0, int(trunc))
-    cond_prob = offset + (mass * no_miss / m if m else 0.0)
-    risk = 1.0 - (_no_miss_probability(config) - config.c * cost.mean)
-    return BayesRiskEstimate(risk=replace(cost, mean=risk, stderr=config.c * cost.stderr),
-                             cond_prob=float(cond_prob))
 
 
 @dataclass(frozen=True)
@@ -566,7 +526,8 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
     share their first m_jk stepped runs, and with c_jk the covariance of
     Z_j and Z_k over those runs and m_j, m_k each point's stepped runs,
     Cov(mean_j, mean_k) = mass^2 c_jk m_jk / (m_j m_k).  A mean with a
-    zero standard error (no run below A) raises
+    zero standard error, which the stratified estimate leaves only when no
+    head start lies below A and every run stops at 0, raises
     :class:`ConfigurationError`: the fit weighs the points by 1/se^2.
     """
     k = len(configs)
@@ -574,7 +535,7 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
     levels = sorted(set(reps))
     # per tier, each point's row and the cross sums over the tier's stepped
     # runs (zero where a point does not cover them), then summed up to each level
-    rows, cross = np.zeros((len(levels), k, 6)), np.zeros((len(levels), k, k))
+    rows, cross = np.zeros((len(levels), k, 5)), np.zeros((len(levels), k, k))
     for tier, (first, end) in enumerate(zip([0] + levels, levels)):
         on = [j for j in range(k) if reps[j] >= end]
         tag = f"bayes-limit/{first}:{end}"
@@ -586,16 +547,17 @@ def _shared_run_scores(configs: Sequence[BayesConfig], reps: Sequence[int], seed
             kernel = partial(_joint_chunk, configs=[configs[j] for j in on])
             part, part_cross = qrng.run_chunked(kernel, end - first, seed, tag,
                                                 workers=workers)
-        rows[tier, on] = part.reshape(-1, len(on), 6).sum(axis=0)
+        rows[tier, on] = part.reshape(-1, len(on), 5).sum(axis=0)
         cross[tier][np.ix_(on, on)] = part_cross.reshape(-1, len(on), len(on)).sum(axis=0)
     rows, cross = np.cumsum(rows, axis=0), np.cumsum(cross, axis=0)
     costs, stepped = [], []
     for j, (config, n_reps) in enumerate(zip(configs, reps)):
-        count, m, z_sum, z_sq, _, trunc = rows[levels.index(n_reps), j]
+        count, m, z_sum, z_sq, trunc = rows[levels.index(n_reps), j]
         cost = mc.stratified_estimate(count, m, z_sum, z_sq, mass, 0.0, int(trunc))
         if cost.stderr == 0:
             raise ConfigurationError(
-                f"zero standard error at p={config.p} with {n_reps} reps; increase reps")
+                f"zero standard error at p={config.p}: no head start lies below "
+                f"A = {config.A}, so every run stops at 0")
         costs.append(cost)
         stepped.append(m)
     corr = np.eye(k)

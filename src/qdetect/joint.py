@@ -26,7 +26,7 @@ from .headstart import _post_change_d
 def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     """The rows of :func:`qdetect.bayes._bayes_chunk` of the K points
     ``configs`` (:class:`qdetect.bayes.BayesConfig`, which differ only in
-    p) over the chunk's ``count`` shared runs, (K, 6), and their cross sums
+    p) over the chunk's ``count`` shared runs, (K, 5), and their cross sums
     sum Z_j Z_k of the costs over the stepped runs, (K, K).
 
     The chunk steps exactly the runs that ``_bayes_chunk`` steps, the
@@ -41,9 +41,8 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     p on the same run.  Each chain scores as in
     :func:`qdetect.bayes._bayes_chunk`, through the weight
     W = (1 - pi0) p q^(m-1) of its next step m, which rides with the run:
-    step m adds W D_q(R_m) 1{R_m < A} to the chain's cost Z and W to its
-    no-miss probability Y0, and leaves W q, or 0 once the chain has
-    stopped.  A run that has stopped adds its final costs to sum Z and
+    step m adds W D_q(R_m) 1{R_m < A} to the chain's cost Z and leaves
+    W q, or 0 once the chain has stopped.  A run that has stopped adds its final costs to sum Z and
     their products to the cross sums.  The kernel reads no cost c.
 
     The runs step in a block of ``CHUNK_SIZE // (2 (K + 1))`` columns, one
@@ -67,7 +66,7 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     size = qrng.CHUNK_SIZE // (2 * (k + 1))
     max_steps = mc.DEFAULT_MAX_STEPS
     total = round(count * law.mass_below(A))  # as HeadStartLaw.sample draws them
-    no_miss, z_sum, trunc, cross = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros((k, k))
+    z_sum, trunc, cross = np.zeros(k), np.zeros(k), np.zeros((k, k))
     n = drawn = step = 0
     with qrng.workspace() as ws:
         r = ws.array("r0", float, (k + 1) * size).reshape(k + 1, size)[1:]
@@ -93,7 +92,6 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
                 t += 1.0
                 z_new = np.subtract(1.0, w_new, out=z[:, new])
                 z_new *= t
-                no_miss += m - w_new.sum(axis=1)
                 w_new *= p
                 joined[new] = step + 1
                 n += m
@@ -103,11 +101,9 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
             r_n *= rng.random(n, out=tmp[:n])
             r_n *= scale
             below = np.less(r_n, A, out=flags[:k * n].reshape(k, n))
-            # the step adds W to Y0 and W D_q(R_m) 1{R_m < A} to Z; W = 0
-            # marks a chain that has stopped (a running chain's W stays
-            # positive: it could underflow only on a path of probability
-            # q^m < 1e-300)
-            no_miss += w_n.sum(axis=1)
+            # the step adds W D_q(R_m) 1{R_m < A} to Z; W = 0 marks a chain
+            # that has stopped (a running chain's W stays positive: it could
+            # underflow only on a path of probability q^m < 1e-300)
             w_n *= below
             t = np.add(r_n, 1.0, out=tmp[:k * n].reshape(k, n))
             t *= t
@@ -132,5 +128,5 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
                 mc._compact(keep, *r_n, *w_n, joined[:n], *z_n, block_size=size)
                 n -= done.size
     rows = np.column_stack([np.full(k, count), np.full(k, total), z_sum, cross.diagonal(),
-                            no_miss, trunc])
+                            trunc])
     return rows, cross

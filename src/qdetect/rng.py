@@ -11,11 +11,9 @@ generator and its arrays, kernels and head-start laws are immutable, and
 numpy releases the GIL in ``Generator.random``, in ufunc loops and in
 indexing, where a chunk spends its time; so the threads share nothing, and
 no kernel or law needs to be picklable.  They overlap only in part, since a
-chunk holds the GIL between those calls: on a shared 2-core host,
-:func:`qdetect.bayes.estimate_bayes_risk` ran 8 M replications in a median
-0.118 s on one thread and 0.091 to 0.101 s on two (two runs of 30
-alternated pairs), a ratio of 1.16 to 1.31, not 2.  The pool's threads
-are the package's only parallelism: nothing calls BLAS
+chunk holds the GIL between those calls, so two threads run a call well
+short of twice as fast.  The pool's threads are the package's only
+parallelism: nothing calls BLAS
 (see :func:`qdetect.montecarlo.moment_sums`), whose own threads would split
 a sum by the host's core count, so that its last bits depend on the host,
 and would spin after each call on the cores the pool runs on.
@@ -35,15 +33,15 @@ four 8-byte chunk-sized buffers and two masks (8.5 MiB at
 the ones below the threshold, the only ones drawn), which become the
 running statistics where nothing reads them after the first step; the
 likelihood ratios; the caller's per-run arrays (in the Bayes risk kernel
-1 - pi0 and the running score of each run below the threshold, in the SR
-kernels a copy of the head starts, in the identity check the change
+1 - pi0 and the running delay cost of each run below the threshold, in the
+SR kernels a copy of the head starts, in the identity check the change
 times); and the running and post-change masks.  The joint Bayes kernel of
 a K-point grid (:func:`qdetect.joint._joint_chunk`) steps a block of a
 2 (K + 1)-th of a chunk's runs in the first half of the same buffers, up to
 K + 1 rows each: the
 head starts it draws and the K chains' statistics; the uniforms and the
-chains' score increments; each chain's step weight and the step each run
-joined at; the chains' scores; and the chains' running masks and their
+chains' cost increments; each chain's step weight and the step each run
+joined at; the chains' delay costs; and the chains' running masks and their
 comparison with the threshold.  Every kernel of the package returns
 one moment row per chunk, so memory is those workspaces plus the rows, not
 a multiple of ``reps``.  The kept workspaces stay held after a call

@@ -3,9 +3,10 @@ and holds the scalar references of the recursion kernel and of the Bayes
 risk rows with the consumers that read the kernel's runs for the tests.
 
 The Bayes risk has two references.  ``reference_bayes_scores`` here
-scores each pre-change path by the two parts of its exact conditional
-1 - risk = Y0 - c Z, the cost Z and the probability of no miss Y0, one run
-at a time, as ``bayes._bayes_chunk`` does in bulk.  The identity check's
+scores each pre-change path by the simulated part of its exact
+conditional 1 - risk = Y0 - c Z, the delay cost Z, one run at a time, as
+``bayes._bayes_chunk`` does in bulk (the mean of the probability of no
+miss Y0 is exact).  The identity check's
 row, ``bayes._identity_chunk``, reduces the runs of
 ``bayes._brute_force_runs``, in which every run draws its change time and
 steps through it, so it checks the exact score without reading any exact
@@ -98,45 +99,41 @@ def reference_bayes_runs(rng, law, count, A, p, max_steps):
 
 
 def _reference_cost(p, A, path, n):
-    """``(Z, Y0)`` of one pre-change path ``R_0 .. R_n``, theta = nu - 1 with
-    P(theta = 0) = pi0 and P(theta = m) = (1 - pi0) p q^(m-1): the cost
+    """The cost Z of one pre-change path ``R_0 .. R_n``, theta = nu - 1 with
+    P(theta = 0) = pi0 and P(theta = m) = (1 - pi0) p q^(m-1):
     ``sum_{m<=n} P(theta = m) D_q(R_m) 1{R_m < A}``, with
-    D_q(r) = 1 + d_q/(1 + r)^2 (:func:`reference_post_change_d`), and the
-    probability of no miss ``pi0 + (1 - pi0)(1 - q^n)``."""
+    D_q(r) = 1 + d_q/(1 + r)^2 (:func:`reference_post_change_d`)."""
     q = 1.0 - p
     d = reference_post_change_d(A, q)
     pi0 = float(couple_pi0(p, path[0]))
     prior = [pi0] + [(1.0 - pi0) * p * q ** (m - 1) for m in range(1, n + 1)]
-    cost = math.fsum(w * (1.0 + d / (1.0 + r) ** 2) * (r < A) for w, r in zip(prior, path))
-    return cost, pi0 + (1.0 - pi0) * (1.0 - q ** n)
+    return math.fsum(w * (1.0 + d / (1.0 + r) ** 2) * (r < A) for w, r in zip(prior, path))
 
 
 def reference_bayes_scores(rng, law, count, A, p, max_steps):
     """The pre-change Bayes runs of ``count`` head starts from ``law`` in the
-    draw order of ``bayes._bayes_chunk``, each scored by the two parts of
-    its exact conditional 1 - risk = Y0 - c Z: ``(stepped, n_stop,
-    truncated, final, cost, no_miss)``.  Only the head starts below ``A``
-    are drawn (``law.sample`` at ``A``), and they step with no change.  With
+    draw order of ``bayes._bayes_chunk``, each scored by the cost Z of its
+    exact conditional 1 - risk = Y0 - c Z: ``(stepped, n_stop, truncated,
+    final, cost)``.  Only the head starts below ``A`` are drawn
+    (``law.sample`` at ``A``), and they step with no change.  With
     theta = nu - 1 a run's cost is
-    ``Z = sum_{m=0}^{N} P(theta = m) D_q(R_m) 1{R_m < A}`` and its
-    probability of no miss ``Y0 = pi0 + (1 - pi0)(1 - q^N)``
+    ``Z = sum_{m=0}^{N} P(theta = m) D_q(R_m) 1{R_m < A}``
     (:func:`_reference_cost`).
     """
     stepped = law.sample(rng, count, A, qrng.Workspace()).copy()
     paths = []
     n_stop, truncated, final = reference_stop_times(rng, stepped, A, math.inf, 1.0 - p,
                                                     max_steps, paths)
-    cost, no_miss = np.array([_reference_cost(p, A, path, n)
-                              for path, n in zip(paths, n_stop)]).reshape(-1, 2).T
-    return stepped, n_stop, truncated, final, cost, no_miss
+    cost = np.array([_reference_cost(p, A, path, n) for path, n in zip(paths, n_stop)])
+    return stepped, n_stop, truncated, final, cost
 
 
 def reference_joint_scores(rng, law, stepped, A, ps, max_steps):
     """The ``stepped`` runs below ``A`` of a chunk from ``law`` in the draw
     order of ``joint._joint_chunk``, one chain per p of ``ps`` on each run's
     one uniform a step, each chain scored as in
-    :func:`reference_bayes_scores`: ``(n_stop, truncated, cost, no_miss)``,
-    each (K, stepped) in draw order.
+    :func:`reference_bayes_scores`: ``(n_stop, truncated, cost)``, each
+    (K, stepped) in draw order.
 
     Before each step the block of ``CHUNK_SIZE // (2 (K + 1))`` runs takes the
     chunk's next runs, as many as it has free places and the chunk has left
@@ -167,27 +164,25 @@ def reference_joint_scores(rng, law, stepped, A, ps, max_steps):
                     run["trunc"][j] = path[-1] < A and run["age"] == max_steps
         block = [run for run in block if run["age"] < max_steps
                  and any(path[-1] < A for path in run["paths"])]
-    cost, no_miss = np.zeros((k, len(runs))), np.zeros((k, len(runs)))
+    cost = np.zeros((k, len(runs)))
     for j, p in enumerate(ps):
         for i, run in enumerate(runs):
-            cost[j, i], no_miss[j, i] = _reference_cost(p, A, run["paths"][j], run["n_stop"][j])
+            cost[j, i] = _reference_cost(p, A, run["paths"][j], run["n_stop"][j])
     n_stop = np.array([run["n_stop"] for run in runs], dtype=np.int64).T.reshape(k, -1)
     truncated = np.array([run["trunc"] for run in runs], dtype=bool).T.reshape(k, -1)
-    return n_stop, truncated, cost, no_miss
+    return n_stop, truncated, cost
 
 
-def assert_score_row(row, count, cost, no_miss, truncated):
-    """The Bayes row ``(count, m, sum Z, sum Z^2, sum Y0, truncated)`` of a
-    chunk of ``count`` runs against the costs Z and no-miss probabilities
-    Y0 of the ``m`` runs below A of :func:`reference_bayes_scores`; the runs
-    that stop at 0 add nothing.  The counts and truncations must match
-    exactly, the sums to 1e-12 relative."""
-    ((n, m, z_sum, z_sq, no_miss_sum, trunc),) = row.tolist()
+def assert_score_row(row, count, cost, truncated):
+    """The Bayes row ``(count, m, sum Z, sum Z^2, truncated)`` of a chunk of
+    ``count`` runs against the costs Z of the ``m`` runs below A of
+    :func:`reference_bayes_scores`; the runs that stop at 0 add nothing.
+    The counts and truncations must match exactly, the sums to 1e-12
+    relative."""
+    ((n, m, z_sum, z_sq, trunc),) = row.tolist()
     assert (n, m, trunc) == (count, cost.size, truncated.sum())
-    np.testing.assert_allclose(
-        [z_sum, z_sq, no_miss_sum],
-        [math.fsum(cost), math.fsum(cost * cost), math.fsum(no_miss)],
-        rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose([z_sum, z_sq], [math.fsum(cost), math.fsum(cost * cost)],
+                               rtol=1e-12, atol=0.0)
 
 
 def assert_risk_row(row, nu, n_stop, truncated):

@@ -12,12 +12,10 @@ import pytest
 from conftest import acceptance_report
 
 from qdetect import (
-    BayesConfig,
     HeadStartLaw,
     compare_limit,
     conditional_headstart_diagnostic,
     delay_profile,
-    estimate_bayes_risk,
     estimate_e1_and_cross,
     estimate_e1_delay,
     identity_checks,
@@ -185,10 +183,11 @@ def test_criterion_9_determinism():
     serial = estimate_e1_delay(a, law, REPS, SEED, workers=1)
     repeat = estimate_e1_delay(a, law, REPS, SEED, workers=1)
     spread = [estimate_e1_delay(a, law, REPS, SEED, workers=w) for w in (2, 3)]
-    config = BayesConfig(p=0.01, c=C_STAR, A=a, law=law)
-    # 600 000 reps span 3 chunks, so workers=2 runs a pool
-    b1 = estimate_bayes_risk(config, 600_000, SEED, workers=1)
-    b2 = estimate_bayes_risk(config, 600_000, SEED, workers=2)
+    # the limit's path on nested reps: each of its three tiers spans 2
+    # chunks, so workers=2 runs a pool in each
+    reps = [300_000, 600_000, 900_000]
+    b1, b2 = (limit_diagnostic(a, law, C_STAR, [0.02, 0.01, 0.005], reps, SEED, workers=w)
+              for w in (1, 2))
     ok = (serial == repeat and all(serial == s for s in spread) and b1 == b2)
     _report(ok, "criterion-9 determinism",
             "bit-identical across repeats and worker counts 1/2/3" if ok

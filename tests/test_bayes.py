@@ -21,7 +21,6 @@ from qdetect import (
     compare_limit,
     conditional_headstart_diagnostic,
     couple_pi0,
-    estimate_bayes_risk,
     identity_checks,
     implied_headstart,
     limit_diagnostic,
@@ -147,18 +146,19 @@ class TestChangeTimePrior:
 class TestBayesRule:
     def test_head_start_at_threshold_stops_at_zero(self):
         # every run stops at 0 and none draws a uniform or adds to the row;
-        # the estimate scores them pi0 = 1 - h, exactly, with SE 0
+        # its cost is 0, exactly, with SE 0, and the exact E[Y0] scores it
+        # pi0 = 1 - h
         p, count = 0.3, 1000
         config = BayesConfig(p=p, c=0.1, A=A, law=HeadStartLaw.point_mass(2.0))
         rng = derive_rng(SEED, "test-stop0", 0)
         (row,) = _bayes_chunk(rng, count, config)
         assert (rng.bit_generator.state
                 == derive_rng(SEED, "test-stop0", 0).bit_generator.state)
-        assert row.tolist() == [[count, 0, 0, 0, 0, 0]]
-        pi0 = float(couple_pi0(p, 2.0))
-        est = estimate_bayes_risk(config, count, SEED)
-        assert est.risk.stderr == 0.0
-        np.testing.assert_allclose([1.0 - est.risk.mean, est.cond_prob], pi0, rtol=1e-12)
+        assert row.tolist() == [[count, 0, 0, 0, 0]]
+        cost = mc.stratified_estimate(*row[0, :4], config.law.mass_below(A), 0.0)
+        assert (cost.mean, cost.stderr) == (0.0, 0.0)
+        assert bayes._no_miss_probability(config) == pytest.approx(float(couple_pi0(p, 2.0)),
+                                                                   rel=1e-12)
 
     def test_outcome_invariants(self):
         # the runs of chunk 0 of the stream, in the brute-force draw order
@@ -175,11 +175,10 @@ class TestBayesRule:
         assert_risk_row(row, nu, n_stop, truncated)
         rows = [_bayes_chunk(derive_rng(SEED, "test-invariants", 0), 20_000,
                              BayesConfig(p=p, c=c, A=A, law=LAW))[0] for c in (0.1, 0.0)]
-        # the row reads no cost, each stepped run's probability of no miss
-        # lies in (0, 1], and its cost is positive
+        # the row reads no cost, and the stepped runs' cost is positive
         assert np.array_equal(*rows)
-        ((count, m, z_sum, _, no_miss, _),) = rows[0]
-        assert 0 < no_miss <= m < count and z_sum > 0
+        ((count, m, z_sum, _, _),) = rows[0]
+        assert 0 < m < count and z_sum > 0
 
     def test_inverse_q_factor_doubles_growth(self):
         # with p = 0.5 each step multiplies by 1/q = 2 relative to the SR recursion
@@ -251,7 +250,7 @@ class TestStopAtZeroRisk:
 class TestRiskEstimate:
     def test_single_rep_rejected(self):
         with pytest.raises(ConfigurationError):
-            estimate_bayes_risk(BayesConfig(p=0.02, c=0.1, A=A, law=LAW), 1, SEED)
+            limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [1000, 1000, 1], SEED)
 
     def test_identity_check_needs_a_replication(self):
         with pytest.raises(ConfigurationError):
@@ -279,15 +278,6 @@ class TestRiskEstimate:
                                                    config.p, DEFAULT_MAX_STEPS)
         assert np.array_equal(np.sort(late), np.sort(n_stop - nu + 1))
 
-    def test_stop_at_zero_rule_risk_is_miss_mass(self):
-        # head start above A: N = 0, risk reduces to P(nu >= 2) = 1 - pi0
-        r0 = 4.0
-        p = 0.2
-        config = BayesConfig(p=p, c=0.0, A=A, law=HeadStartLaw.point_mass(r0))
-        est = estimate_bayes_risk(config, 100_000, SEED)
-        expected = 1.0 - float(couple_pi0(p, r0))
-        assert abs(est.risk.mean - expected) <= 4.0 * max(est.risk.stderr, 1e-12)
-
     def test_exact_score_matches_brute_force(self, monkeypatch):
         # at c = 0.1 the comparison is the identity check's line (props and
         # criterion 7): it passes, and it fails once the brute-force runs
@@ -304,17 +294,14 @@ class TestRiskEstimate:
         assert not line()[1]
         monkeypatch.undo()
         # at c = 0 the risk is the miss probability, exact, with SE 0: brute
-        # force reads no exact formula, and gives the same mean within 4 SE;
-        # so does the simulated mean of Y0 over the estimate's runs
+        # force reads no exact formula, and gives the same mean within 4 SE
         n, misses, dp_sum, dp_sq, trunc = _brute_force_row()
         brute = mc.mc_estimate(n, misses, misses, trunc)
         config = BayesConfig(p=0.02, c=0.0, A=A, law=LAW)
-        est = estimate_bayes_risk(config, 2_000_000, SEED)
-        assert est.risk.stderr == 0.0
-        assert est.risk.mean == pytest.approx(1.0 - bayes._no_miss_probability(config),
-                                              rel=1e-15)
-        assert abs(est.risk.mean - brute.mean) <= 4.0 * brute.stderr
-        assert abs(1.0 - est.cond_prob - brute.mean) <= 4.0 * brute.stderr
+        row = limit_diagnostic(A, LAW, 0.0, [0.02, 0.01, 0.005], [50_000] * 3, SEED).rows[0]
+        assert row.stderr == 0.0
+        assert row.ratio == bayes._no_miss_probability(config) / 0.02
+        assert abs(1.0 - bayes._no_miss_probability(config) - brute.mean) <= 4.0 * brute.stderr
 
     def test_miss_probability_line_fails_on_a_wrong_exact_value(self, monkeypatch):
         # the exact 1 - E[Y0] against the brute-force misses (props and
@@ -326,20 +313,20 @@ class TestRiskEstimate:
                         if check[0] == "miss-probability-exact")
         _, ok, z, detail = line()
         assert ok and z <= 4.0, detail
-        score = bayes._stop_at_zero_score
-        monkeypatch.setattr(bayes, "_stop_at_zero_score", lambda config: (score(config)[0], 0.0))
+        monkeypatch.setattr(bayes, "_stop_at_zero_risk", lambda config: 1.0)
         assert not line()[1]
 
-    def test_exact_stop_at_zero_score_is_unbiased_and_cuts_variance(self):
+    def test_exact_stop_at_zero_share_is_unbiased_and_cuts_variance(self):
         # against brute force, which scores the runs that stop at 0 by their
         # drawn nu: the same mean within 4 combined SE, on independent
         # streams of the same seed, and a smaller per-rep SD
         n, misses, dp_sum, dp_sq, trunc = _brute_force_row()
         brute = mc.mc_estimate(n, misses + 0.1 * dp_sum, misses + 0.01 * dp_sq, trunc)
-        est = estimate_bayes_risk(BayesConfig(p=0.02, c=0.1, A=A, law=LAW), 1_000_000,
-                                  SEED).risk
-        assert abs(est.mean - brute.mean) <= 4.0 * math.hypot(est.stderr, brute.stderr)
-        assert est.stderr * math.sqrt(est.reps) < 0.75 * brute.stderr * math.sqrt(brute.reps)
+        config = BayesConfig(p=0.02, c=0.1, A=A, law=LAW)
+        (cost,), _ = _shared_run_scores([config], [1_000_000], SEED, DEFAULT_WORKERS)
+        risk, se = 1.0 - (bayes._no_miss_probability(config) - 0.1 * cost.mean), 0.1 * cost.stderr
+        assert abs(risk - brute.mean) <= 4.0 * math.hypot(se, brute.stderr)
+        assert se * math.sqrt(cost.reps) < 0.75 * brute.stderr * math.sqrt(brute.reps)
 
 
 @cache
@@ -369,9 +356,10 @@ class TestExactRatio:
 
     @pytest.mark.parametrize("p", [0.3, 0.02, 0.005])
     def test_estimate_within_4_se(self, p):
-        est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), 1_000_000, SEED)
-        z = ((1.0 - est.risk.mean) / p - exact_ratio(A, 0.1, p)) / (est.risk.stderr / p)
-        assert abs(z) <= 4.0
+        config = BayesConfig(p=p, c=0.1, A=A, law=LAW)
+        (cost,), _ = _shared_run_scores([config], [1_000_000], SEED, DEFAULT_WORKERS)
+        ratio = (bayes._no_miss_probability(config) - 0.1 * cost.mean) / p
+        assert abs(ratio - exact_ratio(A, 0.1, p)) <= 4.0 * 0.1 * cost.stderr / p
 
     @pytest.mark.parametrize("grid, reps", [
         (LIMIT_P_GRID, LIMIT_REPS),
@@ -507,9 +495,9 @@ class TestLimitDiagnostic:
         assert np.array_equal(corr, corr.T) and (np.diag(corr) == 1.0).all()
         assert 0.95 < corr[np.triu_indices(3, 1)].min() < corr.max() == 1.0
 
-    def test_one_point_tier_is_estimate_bayes_risk(self, monkeypatch):
+    def test_one_point_tier_is_the_one_point_kernel(self, monkeypatch):
         # the runs past the second count step the smallest p alone: their
-        # tier is estimate_bayes_risk's kernel on the tier's stream, bit for bit
+        # tier is _bayes_chunk on the tier's stream, bit for bit
         config = BayesConfig(p=0.005, c=0.1, A=A, law=LAW)
         seen = {}
         run_chunked = qrng.run_chunked
@@ -522,9 +510,10 @@ class TestLimitDiagnostic:
         assert sorted(seen) == ["bayes-limit/0:2000", "bayes-limit/2000:4000",
                                 "bayes-limit/4000:50000"]
         tier = seen["bayes-limit/4000:50000"]
-        estimate_bayes_risk(config, 46_000, SEED, tag="bayes-limit/4000:50000")
-        assert len(tier) == 1 and np.array_equal(seen["bayes-limit/4000:50000"][0], tier[0])
-        assert tier[0].shape == (1, 6)
+        alone = run_chunked(partial(_bayes_chunk, config=config), 46_000, SEED,
+                            "bayes-limit/4000:50000", 1)
+        assert len(tier) == 1 and np.array_equal(alone[0], tier[0])
+        assert tier[0].shape == (1, 5)
 
     def test_nested_reps_do_not_depend_on_workers(self):
         # three tiers over several chunks: three points, two, then one
@@ -579,13 +568,14 @@ class TestLimitDiagnostic:
             limit_diagnostic(A, LAW, 0.1, p_grid, reps, SEED)
 
     def test_zero_stderr_rejected(self):
-        # a head start above A stops every run at 0, and each replication
-        # scores the same exact risk 1 - pi0; at 1000 reps the sum of squares
-        # of those equal scores leaves a rounding residue, which is no spread
+        # a head start above A leaves the law no mass below A: every run
+        # stops at 0 and draws nothing, so each point's cost is exactly 0
+        # with SE 0, and the fit, which weighs the points by 1/se^2, cannot
+        # use it; more reps cannot help, and the message names the cause
         law = HeadStartLaw.point_mass(4.0)
         for p_grid, reps, seed in (([3e-6, 2e-6, 1e-6], [100] * 3, SEED),
                                    ([0.3, 0.2, 0.1], [1000] * 3, 1)):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError, match="no head start lies below A"):
                 limit_diagnostic(A, law, 0.1, p_grid, reps, seed)
 
     def test_nondecreasing_grid_rejected(self):

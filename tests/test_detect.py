@@ -8,8 +8,8 @@ are matched by head start, which is unique under the uniform-product law.
 The runs follow the draw order of the chunk kernels: only the head starts
 below A are drawn (``HeadStartLaw.sample`` at A).  The Bayes risk kernel
 steps them with no change (``conftest.reference_bayes_scores``), and its
-row is checked here against the exact conditional costs and no-miss
-probabilities of the reference paths.  The brute-force runs (``bayes._brute_force_runs``) draw every head
+row is checked here against the exact conditional costs of the reference
+paths.  The brute-force runs (``bayes._brute_force_runs``) draw every head
 start and its change time before the runs below A step
 (``conftest.reference_bayes_runs``), which checks per-run change indices.
 The SR moment row is checked in ``test_workspace.py``.
@@ -26,11 +26,10 @@ from conftest import (assert_risk_row, assert_score_row, record_runs, reference_
                       reference_bayes_scores, reference_change_times, reference_joint_scores,
                       reference_stop_times)
 
-from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_bayes_risk,
-                     estimate_conditional_delay, estimate_e1_and_cross, identity_checks,
-                     martingale_checks, montecarlo)
+from qdetect import (BayesConfig, HeadStartLaw, estimate_arl_false, estimate_conditional_delay,
+                     estimate_e1_and_cross, identity_checks, martingale_checks, montecarlo)
 from qdetect import rng as qrng
-from qdetect.bayes import _bayes_chunk, _change_times, _identity_chunk
+from qdetect.bayes import _bayes_chunk, _change_times, _identity_chunk, _shared_run_scores
 from qdetect.joint import _joint_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _stop_times
 from qdetect.rng import CHUNK_SIZE, Workspace, derive_rng
@@ -68,7 +67,7 @@ def _bayes_runs(tag, p, max_steps):
     """The Bayes runs of chunk 0 of ``tag`` in the draw order of
     ``_bayes_chunk``: the head starts below A, the kernel's recorded
     pre-change runs of those, and the reference's
-    ``(n_stop, truncated, final, cost, no_miss)`` of the same runs."""
+    ``(n_stop, truncated, final, cost)`` of the same runs."""
     stepped, *ref = reference_bayes_scores(derive_rng(SEED, tag, 0), LAW, COUNT, A, p,
                                            max_steps)
     rng = derive_rng(SEED, tag, 0)
@@ -104,14 +103,14 @@ def _assert_paths_match(r0, recorded, ref):
 
 
 def _assert_bayes_rows_match(tag, p, ref):
-    """The row of the chunk against the exact costs and no-miss
-    probabilities of the reference's runs (``conftest.assert_score_row``),
-    the same row at c = 0.1 and at c = 0: the kernel reads no cost."""
-    _, truncated, _, cost, no_miss = ref
+    """The row of the chunk against the exact costs of the reference's runs
+    (``conftest.assert_score_row``), the same row at c = 0.1 and at c = 0:
+    the kernel reads no cost."""
+    _, truncated, _, cost = ref
     rows = [_bayes_chunk(derive_rng(SEED, tag, 0), COUNT, BayesConfig(p=p, c=c, A=A, law=LAW))[0]
             for c in (0.1, 0.0)]
     assert np.array_equal(*rows)
-    assert_score_row(rows[0], COUNT, cost, no_miss, truncated)
+    assert_score_row(rows[0], COUNT, cost, truncated)
 
 
 def _assert_brute_force_rows_match(tag, p, nu, ref):
@@ -172,22 +171,24 @@ class TestKernelsMatchReference:
         # one chain per p on each run's one uniform a step, in a block that
         # the chunk's draws refill many times at this chunk size: the
         # kernel's rows and cross sums against the reference's scores, on
-        # the same draws
+        # the same draws, and the same rows and cross sums at c = 0.1 and
+        # at c = 0: the kernel reads no cost
         monkeypatch.setattr(qrng, "CHUNK_SIZE", 4096)
         monkeypatch.setattr(montecarlo, "DEFAULT_MAX_STEPS", max_steps)
         tag = f"ref/joint/{ps[0]}/{max_steps}"
-        configs = [BayesConfig(p=p, c=0.1, A=A, law=law) for p in ps]
         rng, ref_rng = derive_rng(SEED, tag, 0), derive_rng(SEED, tag, 0)
-        rows, cross = _joint_chunk(rng, COUNT, configs)
+        rows, cross = _joint_chunk(rng, COUNT, [BayesConfig(p=p, c=0.1, A=A, law=law)
+                                                for p in ps])
+        free = _joint_chunk(derive_rng(SEED, tag, 0), COUNT,
+                            [BayesConfig(p=p, c=0.0, A=A, law=law) for p in ps])
+        assert np.array_equal(rows, free[0]) and np.array_equal(cross, free[1])
         stepped = round(COUNT * _mass_below(law))
-        n_stop, truncated, cost, no_miss = reference_joint_scores(
-            ref_rng, law, stepped, A, ps, max_steps)
+        n_stop, truncated, cost = reference_joint_scores(ref_rng, law, stepped, A, ps, max_steps)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rows[:, :2].tolist() == [[COUNT, stepped]] * len(ps)
-        assert rows[:, 5].tolist() == truncated.sum(axis=1).tolist()
-        np.testing.assert_allclose(
-            rows[:, 2:5].T, [cost.sum(axis=1), (cost * cost).sum(axis=1),
-                             no_miss.sum(axis=1)], rtol=1e-12, atol=0.0)
+        assert rows[:, 4].tolist() == truncated.sum(axis=1).tolist()
+        np.testing.assert_allclose(rows[:, 2:4].T, [cost.sum(axis=1), (cost * cost).sum(axis=1)],
+                                   rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(cross, cost @ cost.T, rtol=1e-12, atol=0.0)
         # on shared draws a larger p never stops later, and here some stop sooner
         assert (n_stop[:-1] <= n_stop[1:]).all()
@@ -254,7 +255,7 @@ class TestStopAtZeroSplit:
         estimate_e1_and_cross(A, LAW, 2000, SEED, 1)
         estimate_arl_false(A, LAW, 2000, SEED, 1)
         estimate_conditional_delay(A, LAW, 3, 2000, SEED, 1)
-        estimate_bayes_risk(BayesConfig(p=0.05, c=0.1, A=A, law=LAW), 2000, SEED, 1)
+        _shared_run_scores([BayesConfig(p=0.05, c=0.1, A=A, law=LAW)], [2000], SEED, 1)
         identity_checks(A, 0.1, 2000, SEED, 1)
         martingale_checks(A, LAW, 2000, SEED, 1)
         # one call per chunk: one per estimator, the identity check's
@@ -280,8 +281,8 @@ class TestStopAtZeroSplit:
         for estimate in (
                 lambda: estimate_e1_and_cross(A, LAW, reps, SEED, 1),
                 lambda: estimate_arl_false(A, LAW, reps, SEED, 1),
-                lambda: estimate_bayes_risk(BayesConfig(p=0.05, c=0.1, A=A, law=LAW),
-                                            reps, SEED, 1)):
+                lambda: _shared_run_scores([BayesConfig(p=0.05, c=0.1, A=A, law=LAW)],
+                                           [reps], SEED, 1)):
             thresholds.clear()
             estimate()
             assert thresholds == [A, A]

@@ -15,7 +15,6 @@ from qdetect import (
     conditional_headstart_diagnostic,
     delay_profile,
     estimate_arl_false,
-    estimate_bayes_risk,
     estimate_conditional_delay,
     estimate_cross_term,
     estimate_e1_and_cross,
@@ -26,6 +25,7 @@ from qdetect import (
     sr_exact,
 )
 from qdetect import rng as qrng
+from qdetect.bayes import _shared_run_scores
 from qdetect.montecarlo import (McEstimate, _sr_moments, mc_estimate, moment_sums,
                                 stratified_estimate)
 from qdetect.rng import CHUNK_SIZE
@@ -107,11 +107,11 @@ class TestDeterminism:
             raise AssertionError("a worker started a process")
         monkeypatch.setattr(os, "fork", no_fork)
         reps = CHUNK_SIZE + 1  # two chunks
-        config = BayesConfig(p=0.01, c=0.1, A=A, law=LAW)
         assert (estimate_e1_delay(A, LAW, reps, SEED, workers=2)
                 == estimate_e1_delay(A, LAW, reps, SEED, workers=1))
-        assert (estimate_bayes_risk(config, reps, SEED, workers=2)
-                == estimate_bayes_risk(config, reps, SEED, workers=1))
+        assert (limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [reps] * 3, SEED, workers=2)
+                == limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [reps] * 3, SEED,
+                                    workers=1))
 
     def test_default_workers_are_the_usable_cores(self):
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -385,16 +385,16 @@ class TestGoldenOutputs:
             4: ("0x1.2a9ef6b3628a6p-1", "0x1.1a85d6192d272p-8", 0, 271067),
         }
 
-    @pytest.mark.parametrize("p, risk_hex, cond_prob_hex", [
-        (0.3, ("0x1.9d8282c8c5af8p-2", "0x1.0cfb8d1ebb4c3p-16", 0, 0),
-         "0x1.3e2f3e2ff9148p-1"),
-        (0.005, ("0x1.f748533fd6b1ap-1", "0x1.ff237ecc09c25p-21", 0, 0),
-         "0x1.22d77e4d8ff26p-6"),
+    @pytest.mark.parametrize("p, cost_hex", [
+        (0.3, ("0x1.0281f7ac842ebp-2", "0x1.503540ff6e6dfp-13", 0, 0)),
+        (0.005, ("0x1.df81b9957fb24p-8", "0x1.425741304dafdp-17", 0, 0)),
     ], ids=["p=0.3", "p=0.005"])
-    def test_bayes_risk(self, p, risk_hex, cond_prob_hex):
-        est = estimate_bayes_risk(BayesConfig(p=p, c=0.1, A=A, law=LAW), self.REPS, SEED)
-        assert self._hex(est.risk) == risk_hex
-        assert float(est.cond_prob).hex() == cond_prob_hex
+    def test_bayes_risk(self, p, cost_hex):
+        # the one-point score path on "bayes-limit/0:300000": the mean delay
+        # cost Z_bar, the only simulated part of 1 - risk = E[Y0] - c Z_bar
+        (cost,), _ = _shared_run_scores([BayesConfig(p=p, c=0.1, A=A, law=LAW)], [self.REPS],
+                                        SEED, qrng.DEFAULT_WORKERS)
+        assert self._hex(cost) == cost_hex
 
     def test_conditional_headstart(self):
         # per-chunk sums of the nu = 1 head starts, added in chunk order

@@ -21,7 +21,6 @@ from qdetect import (
     BayesConfig,
     HeadStartLaw,
     conditional_headstart_diagnostic,
-    estimate_bayes_risk,
     estimate_conditional_delay,
     estimate_e1_and_cross,
     limit_diagnostic,
@@ -29,6 +28,7 @@ from qdetect import (
     oracle_checks,
 )
 from qdetect import montecarlo, rng as qrng
+from qdetect.bayes import _shared_run_scores
 from qdetect.headstart import _oracle_chunk
 from qdetect.montecarlo import DEFAULT_MAX_STEPS, _sr_moments, moment_sums
 from qdetect.rng import CHUNK_SIZE, Workspace, chunk_spec, derive_rng, run_chunked
@@ -41,8 +41,8 @@ ESTIMATORS = {
     "e1-and-cross": lambda reps, workers: estimate_e1_and_cross(A, LAW, reps, SEED, workers),
     "conditional-k3": lambda reps, workers: estimate_conditional_delay(
         A, LAW, 3, reps, SEED, workers),
-    "bayes-risk": lambda reps, workers: estimate_bayes_risk(
-        BayesConfig(p=0.01, c=0.1, A=A, law=LAW), reps, SEED, workers),
+    "bayes-risk": lambda reps, workers: _shared_run_scores(
+        [BayesConfig(p=0.01, c=0.1, A=A, law=LAW)], [reps], SEED, workers),
     "conditional-headstart": lambda reps, workers: conditional_headstart_diagnostic(
         LAW, 0.005, reps, SEED, workers),
     "limit-diagnostic": lambda reps, workers: limit_diagnostic(
@@ -77,7 +77,7 @@ def test_workspace_holds_a_few_chunk_buffers(monkeypatch):
     # of the stops
     monkeypatch.setattr(qrng, "_free_workspaces", [])
     estimate_e1_and_cross(A, LAW, CHUNK_SIZE, SEED, 2)
-    estimate_bayes_risk(BayesConfig(p=0.01, c=0.1, A=A, law=LAW), 2 * CHUNK_SIZE, SEED, 2)
+    _shared_run_scores([BayesConfig(p=0.01, c=0.1, A=A, law=LAW)], [2 * CHUNK_SIZE], SEED, 2)
     limit_diagnostic(A, LAW, 0.1, [0.02, 0.01, 0.005], [CHUNK_SIZE, CHUNK_SIZE, 2 * CHUNK_SIZE],
                      SEED, 2)
     # every run of a point mass below A steps: the block stays full
