@@ -18,10 +18,10 @@ from .headstart import (
     p0_exact,
     p0_quadrature,
     size_biased_mean,
-    sr_exact,
     yakir_density,
     yakir_mean,
 )
+from .exact import sr_exact
 from .montecarlo import (
     DelayProfile,
     McEstimate,

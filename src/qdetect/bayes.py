@@ -37,69 +37,42 @@ conditioned on {nu = 1} is the mean of the size-biased transform of the
 unconditional law, not the unconditional mean.
 
 The risk estimate simulates only what it cannot compute (conditional Monte
-Carlo, Asmussen & Glynn, Stochastic Simulation, 2007, ch. V: each score has
-the run's mean and no larger variance).  A run whose head start is at or
-above A stops at N = 0, where 1 - risk = 1{nu = 1}, whose mean given r0 is
-pi0.  Those runs, P(R_0 >= A) = 0.542 of them at A = 1.5 under the uniform
-product law, draw nothing: their exact share of the mean score is
-
-    (1 - mass) (1 - h),    1 - h = E[pi0(R_0) | R_0 >= A],
-
-with mass = P(R_0 < A) (:meth:`HeadStartLaw.mass_below`) and two tail
-integrals of the law (:meth:`HeadStartLaw.tail_mean`), computed once per
-grid point (:func:`_no_miss_probability`).  Each chunk draws exactly
-round(count mass) runs below A (:meth:`HeadStartLaw.sample` at A: for the
-uniform product law that many uniforms on [0, A)), and the estimate
-weighs their mean cost by the exact mass (proportional stratification,
-:func:`qdetect.montecarlo.stratified_estimate`), so it carries no noise of
-how many runs start below A.  Each run below A steps only its pre-change
-chain, to its stopping index N with no change.  It draws no change time and takes no
-post-change step: given the path, a change after step N is missed, one at
-step N is caught at once, and one at step m < N costs, on average, the
-exact post-change delay D_q(R_m) = 1 + d_q/(1 + R_m)^2 of the rank-one
-renewal solution (:func:`qdetect.headstart._post_change_d`).  So each run
-scores
+Carlo, Asmussen & Glynn, ch. V: each score has the run's mean and no larger
+variance), with the rank-one facts of :mod:`qdetect.exact`.  A run from
+r0 >= A stops at N = 0 and draws nothing (P(R_0 >= A) = 0.542 at A = 1.5
+under the uniform product law); each chunk steps exactly round(count mass)
+runs below A, mass = P(R_0 < A) (:meth:`HeadStartLaw.sample` at A), and the
+estimate weighs their mean by the exact mass (proportional stratification,
+:func:`qdetect.montecarlo.stratified_estimate`).  A run below A steps only
+its pre-change chain, to its stopping index N: given the path, a change
+after step N is missed, one at step N is caught at once, and one at step
+m < N costs on average the post-change delay D_q(R_m)
+(:func:`qdetect.exact.d_q`).  So each run scores
 
     Y = sum_{m=0}^{N} P(nu - 1 = m | r0) (1 - c D_q(R_m) 1{R_m < A}) = Y0 - c Z,
 
 Y0 = P(N >= nu - 1 | path) its probability of no miss and Z its delay cost
-(:func:`_bayes_chunk`).  The mean of Y0 is exact, given the first-step
-survival a_q(r0) = q A/(2 (1 + r0)) and the later rho_q = q log(1 + A)/2 of
-the rank-one chain (:func:`_no_miss_probability`), so the kernels carry Z
-alone and the estimate is E[Y0] - c Z_bar (a control variate, Asmussen &
-Glynn, ch. V).  At A = 1.5 and c = 0.1 the per-run SD of (1 - risk)/p is
-then 0.097 to 0.105 on the grid 0.02, 0.01, 0.005, against 0.66 to 0.72
-when Y is simulated whole and 7.8 to 16.3 when each run steps through a
-drawn change time.  The score needs the law's
-tail integral and a threshold below 2, where D_q is rank one, so
-:class:`BayesConfig` rejects a custom law and a threshold at or above 2.
-The identity check's brute-force runs, which draw every change time and
-step through it, are the reference for the score: :func:`identity_checks`
-compares the two, and their misses with the exact E[Y0].
+(:func:`_bayes_chunk`).  The mean of Y0 is one exact law integral
+(:func:`_no_miss_probability`), so the kernels carry Z alone and the
+estimate is E[Y0] - c Z_bar (a control variate).  At A = 1.5 and c = 0.1
+the per-run SD of (1 - risk)/p is then 0.097 to 0.105 on the grid 0.02,
+0.01, 0.005, against 0.66 to 0.72 when Y is simulated whole and 7.8 to
+16.3 when each run steps through a drawn change time.  The score needs the
+law's tail integral and a threshold below 2, as :class:`BayesConfig`
+checks.  The brute-force runs of :func:`identity_checks`, which draw every
+change time and step through it, are the reference for the score and for
+the exact E[Y0].
 
-Each chunk draws its head starts and runs its replications in a workspace
-borrowed from the free-list of :mod:`qdetect.rng`, and reduces them there to
-one moment row: count, runs stepped, the sums of Z and Z^2 and
-truncations for the risk estimate, one such row per grid point and the
-cross sums between the points over the grid's shared stepped runs
-(:func:`qdetect.joint._joint_chunk`);
-count, the draws with nu = 1 and their sum and sum of squares for the
-conditional mean.  Two kernels draw change times, both from the one sampler
-:func:`_change_times`, for every head start (:meth:`HeadStartLaw.sample` at
-``A = math.inf``), since both check facts
-about the whole law: the conditional-mean kernel reads only {nu = 1}, and
-the identity kernel reduces the one brute-force simulation,
-:func:`_brute_force_runs`, to exact counts of misses and delays.  That reads the runs that
-stop at 0 first, drops them (:func:`qdetect.montecarlo._running`) and steps
-the rest through the change, with the change times in an array that the
-kernel compacts with the runs.  The change times stay float64
-(integer-valued, and past 2^63 at a small p).  The risk kernel steps the
-running statistics over the head starts, which nothing reads after the first
-step, so a chunk holds four chunk-sized 8-byte buffers (head starts,
-likelihood ratios, 1 - pi0 and the running cost) and a mask; the joint
-kernel of K points holds K + 1 rows of a 2 (K + 1)-th of a chunk in the
-first half of the same buffers.  The sums add up as the runs step, so each
-estimate holds one row per chunk and grid point, whatever ``reps`` is.
+Each chunk runs in a workspace borrowed from :mod:`qdetect.rng` and reduces
+to one moment row per grid point (the joint kernel,
+:func:`qdetect.joint._joint_chunk`, adds the points' cross sums), so each
+estimate holds one row per chunk and grid point, whatever ``reps`` is.  The
+risk kernel holds four chunk-sized 8-byte buffers (head starts, likelihood
+ratios, 1 - pi0 and the running cost) and a mask.  The
+conditional-mean and identity kernels draw every head start
+(:meth:`HeadStartLaw.sample` at ``A = math.inf``) and its change time
+(:func:`_change_times`), float64 and integer-valued, since at a small p it
+can pass 2^63.
 """
 
 from __future__ import annotations
@@ -107,16 +80,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import formulas
+from . import exact, formulas
 from . import montecarlo as mc
 from . import rng as qrng
 from .errors import ConfigurationError
-from .headstart import (HeadStartLaw, LawKind, _gauss_legendre, _post_change_d,
-                        check_head_start, sr_exact, yakir_mean)
+from .exact import sr_exact
+from .headstart import HeadStartLaw, LawKind, check_head_start, yakir_mean
 from .joint import _joint_chunk
 
 
@@ -161,10 +134,7 @@ class BayesConfig:
     def __post_init__(self):
         check_p(self.p)
         check_cost(self.c)
-        mc.check_threshold(self.A)
-        if self.A >= 2.0:  # where the post-change delay D_q is rank one
-            raise ConfigurationError(
-                f"the Bayes risk score needs a threshold below 2, got {self.A}")
+        exact.check_threshold(self.A)  # where the post-change delay D_q is rank one
         if self.law.kind is LawKind.CUSTOM:  # the risk needs its tail integral
             raise ConfigurationError(
                 "the Bayes simulation needs a point mass or the uniform product "
@@ -231,68 +201,33 @@ def _change_times(rng: np.random.Generator, r0: np.ndarray, *, p: float,
     return nu
 
 
-def _stop_at_zero_risk(config: BayesConfig) -> float:
-    """h = E[1 - pi0(R_0) | R_0 >= A], the exact risk of a run that stops at 0.
-
-    Such a run's risk is 1{nu >= 2}, whose mean given r0 is
-    1 - pi0 = q / (q + p (1 + r0)); h averages it over the head starts at or
-    above A, two tail means of the law (:meth:`HeadStartLaw.tail_mean`).  A
-    law with no mass there gives 0.
-    """
-    p, A, law = config.p, config.A, config.law
-    mass = law.tail_mean(np.ones_like, A)
-    if mass == 0.0:
-        return 0.0
-    return law.tail_mean(lambda r0: 1.0 - _couple(p, r0), A) / mass
-
-
-def _mean_below(law: HeadStartLaw, fn: Callable, A: float) -> float:
-    """E[fn(R_0); R_0 < A], the mean of ``fn`` over the runs that step, for a
-    point mass or the uniform product law at A <= 2, whose density below A
-    is the constant P(R_0 < A)/A (:meth:`HeadStartLaw.mass_below`): the
-    Gauss-Legendre rule on [0, A) (:func:`qdetect.headstart._gauss_legendre`).
-    ``fn`` maps an array of head starts to an array of values."""
-    mass = law.mass_below(A)
-    if law.kind is LawKind.POINT_MASS:
-        return float(fn(np.array([law.r0]))[0]) if mass else 0.0
-    return mass / A * _gauss_legendre(fn, [0.0, A])
-
-
 def _no_miss_probability(config: BayesConfig) -> float:
     """E[Y0] = P(N >= nu - 1), exact: the part of the mean score 1 - risk
-    that the cost does not touch.
-
-    A run that stops at 0 scores pi0, so those runs add their exact share
-    (1 - mass)(1 - h), mass = P(R_0 < A) (:meth:`HeadStartLaw.mass_below`)
-    and h their risk (:func:`_stop_at_zero_risk`).  From r0 < A the chain
-    survives its first step with probability a_q(r0) = q A / (2 (1 + r0))
-    and each later one with rho_q = q log(1 + A)/2, so
+    that the cost does not touch, one law integral
+    (:mod:`qdetect.exact`).  A run that stops at 0 scores pi0
+    (:meth:`HeadStartLaw.tail_mean`); from r0 < A the chain survives its
+    first step with probability a_q(r0) and each later one with rho_q, so
 
         E[Y0 | r0] = pi0 + (1 - pi0) p (1 + q a_q(r0) / (1 - q rho_q)),
 
-    integrated over the runs below A (:func:`_mean_below`).
+    integrated over the runs below A (:meth:`HeadStartLaw.mean_below`).
     """
-    p, A = config.p, config.A
+    p, A, law = config.p, config.A, config.law
     q = 1.0 - p
-    rho = q * math.log1p(A) / 2.0
-    mass = config.law.mass_below(A)
-    offset = (1.0 - mass) * (1.0 - _stop_at_zero_risk(config))
+    rho = exact.rho_q(A, q)
 
     def stepped(r0):
         pi0 = _couple(p, r0)
-        return pi0 + (1.0 - pi0) * p * (1.0 + q * q * A / (2.0 * (1.0 + r0)) / (1.0 - q * rho))
-    return offset + _mean_below(config.law, stepped, A)
+        return pi0 + (1.0 - pi0) * p * (1.0 + q * exact.a_q(A, q, r0) / (1.0 - q * rho))
+    return law.mean_below(stepped, A) + law.tail_mean(partial(_couple, p), A)
 
 
 def _zero_cost_limit(A: float, law: HeadStartLaw) -> float:
     """lim_{p -> 0} E[Y0]/p = E R_0 + 1 + E_inf N, exact: the intercept at
-    c = 0, where eq3 and eq4 agree.  E_inf N integrates
-    E_inf[N | r] = 1 + a_1(r)/(1 - rho_1) over the runs below A
-    (:func:`_mean_below`); for ``yakir(A)`` the sum is
-    ``yakir_mean(A) + 1 + sr_exact(A)[2]``."""
-    rho = math.log1p(A) / 2.0
-    e_r0 = law.r0 if law.kind is LawKind.POINT_MASS else yakir_mean(law.a_param)
-    return e_r0 + 1.0 + _mean_below(law, lambda r: 1.0 + A / (2.0 * (1.0 + r)) / (1.0 - rho), A)
+    c = 0, where eq3 and eq4 agree, with E R_0 the law integral of r and
+    E_inf N :func:`qdetect.exact.sr_exact`'s at ``law``."""
+    e_r0 = law.mean_below(lambda r: r, A) + law.tail_mean(lambda r: r, A)
+    return e_r0 + 1.0 + sr_exact(A, law)[2]
 
 
 def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
@@ -300,34 +235,27 @@ def _bayes_chunk(rng: np.random.Generator, count: int, config: BayesConfig):
     Y0 - c Z the exact 1 - risk of a run given its head start and
     pre-change path and Z summed over the m runs below A.
 
-    Only the runs whose head start is below A are drawn, exactly
-    round(count P(R_0 < A)) of them (:meth:`HeadStartLaw.sample` at A),
-    and each steps only its pre-change
-    chain R_0 .. R_N (N its stopping index with no change); no change time
-    is drawn and no post-change step taken.  With theta = nu - 1,
-    P(theta = 0) = pi0 and P(theta = m) = w p q^(m-1) for m >= 1, w = 1 - pi0,
-    and the run scores Y0 - c Z, with the no-miss probability and the cost
+    Only the round(count P(R_0 < A)) runs below A are drawn
+    (:meth:`HeadStartLaw.sample` at A); the others stop at N = 0 with
+    Z = 0, and E[Y0] holds their exact share.  Each steps only its
+    pre-change chain R_0 .. R_N.  With theta = nu - 1, P(theta = 0) = pi0
+    and P(theta = m) = w p q^(m-1) for m >= 1, w = 1 - pi0, the run's
+    no-miss probability and cost are
 
         Y0 = sum_{m=0}^{N} P(theta = m) = pi0 + w (1 - q^N),
         Z = sum_{m=0}^{N} P(theta = m) D_q(R_m) 1{R_m < A},
 
-    since a change after step N is missed, one at step N is caught at once,
-    and one at m < N is caught after D_q(R_m) = 1 + d_q / (1 + R_m)^2
-    post-change steps on average (:func:`qdetect.headstart._post_change_d`).
-    The row reads no cost: the estimate takes E[Y0] exactly
+    with D_q(r) = 1 + d_q/(1 + r)^2 (:func:`qdetect.exact.d_q`).  The row
+    reads no cost: the estimate takes E[Y0] exactly
     (:func:`_no_miss_probability`) and simulates only Z.
-    Each of the other ``count - m`` runs stops at N = 0 with Z = 0: they
-    draw nothing and add nothing to the row, and E[Y0] holds their exact
-    share.
 
     The per-run w and the running cost Z ride in the kernel's ``carry``;
-    the factor p q^(m-1) is one scalar per step.  The sums add up as the
-    runs step: step m adds the increment t of each run that takes it to
-    sum Z and t (2 Z + t) to sum Z^2.
+    the factor p q^(m-1) is one scalar per step.  Step m adds the increment
+    t of each run that takes it to sum Z and t (2 Z + t) to sum Z^2.
     """
     p, A = config.p, config.A
     q = 1.0 - p
-    d = _post_change_d(A, q)
+    d = exact.d_q(A, q)
     trunc = 0
     with qrng.workspace() as ws:
         r = config.law.sample(rng, count, A, ws)

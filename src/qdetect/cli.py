@@ -109,6 +109,12 @@ def _meta(args, command: str, a_grid) -> dict:
     return meta
 
 
+def _se(se: float) -> str:
+    """A standard error to 4 significant digits, so that a positive one never
+    prints as 0.0000; an exact 0 prints as 0.0000."""
+    return f"{se:.4g}" if se else f"{se:.4f}"
+
+
 def _truncation_exit(fractions) -> int:
     """EXIT_INVARIANT if any truncation fraction exceeds the flag level."""
     worst = max(fractions)
@@ -148,9 +154,8 @@ def cmd_bayes_limit(args) -> int:
     table = Table(meta=_meta(args, "bayes-limit", [a]),
                   columns=["p", "reps", "ratio", "ratio_se"])
     for row in diag.rows:
-        table.rows.append([row.p, row.reps, row.ratio, row.stderr])
-    table.notes.append(
-        f"intercept={diag.intercept:.4f} intercept_se={diag.intercept_se:.4f}")
+        table.rows.append([row.p, row.reps, row.ratio, _se(row.stderr)])
+    table.notes.append(f"intercept={diag.intercept:.4f} intercept_se={_se(diag.intercept_se)}")
     # the predictions are exact; their _se keys stay for readers of the notes
     table.notes.append(f"eq3={eq3:.4f} eq3_se=0.0000 z={verdict.z_eq3:.2f}")
     table.notes.append(f"eq4={eq4:.4f} eq4_se=0.0000 z={verdict.z_eq4:.2f}")

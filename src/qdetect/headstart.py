@@ -7,8 +7,7 @@ Its closed-form functionals
     p0 = P(R_0 >= A) = 1 - log(A + 1)/2,      mu0 = E(R_0 | R_0 < A) = A/2,
 
 are exposed together with two independent oracles, a Gauss-Legendre quadrature
-of the density and a Monte Carlo estimate, as are the exact SR expectations
-E_1 N, E_1(R_0 N) and E_inf N (:func:`sr_exact`).
+of the density and a Monte Carlo estimate.
 A historically published (and wrong) variant of p0, 1 - log(A)/2, is kept
 purely so regression tests can show it fails the oracles.
 
@@ -19,9 +18,11 @@ R_0 | R_0 < A ~ U[0, A).  The simulation kernels use both sides of the
 split at A: :meth:`HeadStartLaw.mass_below` gives its exact mass below A,
 :meth:`HeadStartLaw.sample` returns only the head starts below the
 threshold it is given, drawn directly and a fixed share of a chunk's runs
-(proportional stratification), and :meth:`HeadStartLaw.tail_mean`
-integrates over the ones at or above A, which stop at 0.  The oracles,
-which check these facts, draw the whole law: they pass ``A = math.inf``.
+(proportional stratification), and :meth:`HeadStartLaw.mean_below` and
+:meth:`HeadStartLaw.tail_mean` integrate over the runs below A and over
+the ones at or above A, which stop at 0: the two parts of every exact
+functional of :mod:`qdetect.exact`.  The oracles, which check these facts,
+draw the whole law: they pass ``A = math.inf``.
 """
 
 from __future__ import annotations
@@ -156,6 +157,18 @@ class HeadStartLaw:
             check_head_start(r0)
         return r0 if A == math.inf else r0[:_running(r0, A, ws)]
 
+    def mean_below(self, fn: Callable, A: float) -> float:
+        """E[fn(R_0); R_0 < A] over the runs that step, the mirror of
+        :meth:`HeadStartLaw.tail_mean`: a point mass's exact value, or for
+        the uniform product law at A <= 2 its constant density below A,
+        P(R_0 < A)/A, times the Gauss-Legendre rule of ``fn`` on [0, A).  A
+        custom law, or a threshold above 2, raises :class:`ConfigurationError`."""
+        if self.kind is LawKind.POINT_MASS:
+            return float(fn(np.array([self.r0]))[0]) if self.r0 < A else 0.0
+        if self.kind is LawKind.CUSTOM or A > 2.0:
+            raise ConfigurationError(f"no integral below A = {A} of a {self.kind.value} law")
+        return self.mass_below(A) / A * _gauss_legendre(fn, [0.0, A])
+
     def tail_mean(self, fn: Callable, A: float) -> float:
         """E[fn(R_0); R_0 >= A], the mean of ``fn`` over the runs that stop at 0.
 
@@ -216,41 +229,6 @@ def mu0_exact(A: float) -> float:
     """E(R_0 | R_0 < A) = A/2 under the uniform product law."""
     _check_threshold(A)
     return A / 2.0
-
-
-def sr_exact(A: float) -> tuple[float, float, float]:
-    """Exact ``(E_1 N, E_1(R_0 N), E_inf N)`` under the uniform product law.
-
-    For A < 2 the renewal equations of Moustakides, Polunchenko & Tartakovsky
-    (Statistica Sinica 21, 2011) are rank one: from a head start r < A,
-    E_1[N | r] = 1 + D/(2(1+r)^2) and E_inf[N | r] = 1 + C/(2(1+r)), and N = 0
-    for r >= A.  The head-start density is the constant log(1+A)/(2A) on
-    [0, A), so each expectation integrates in closed form.
-    """
-    _check_threshold(A)
-    log1a = math.log1p(A)
-    c0 = log1a / (2.0 * A)
-    i_term = log1a + 1.0 / (1.0 + A) - 1.0
-    d = 2.0 * _post_change_d(A, 1.0)
-    c = A / (1.0 - log1a / 2.0)
-    return (c0 * (A + d * A / (2.0 * (1.0 + A))),
-            c0 * (A * A / 2.0 + d * i_term / 2.0),
-            c0 * (A + c * log1a / 2.0))
-
-
-def _post_change_d(A: float, q: float) -> float:
-    """d_q = (q^2 A^2 / 4) / (1 - q^2 I / 2), I = log(1 + A) + 1/(1 + A) - 1.
-
-    From a statistic r below a threshold 0 < A < 2, the q-scaled
-    post-change chain R' = (R + 1) 2 sqrt(U) / q (q = 1 for SR) survives a
-    step with probability (q A / (2 (1 + r)))^2, and then lands with density
-    2x/A^2 on [0, A), whatever r was; from there it survives each step with
-    probability q^2 I / 2.  So its expected delay from r is rank one,
-    D_q(r) = 1 + d_q / (1 + r)^2 (Moustakides, Polunchenko & Tartakovsky,
-    Statistica Sinica 21, 2011).
-    """
-    i_term = math.log1p(A) + 1.0 / (1.0 + A) - 1.0
-    return ((q * A) ** 2 / 4.0) / (1.0 - q * q * i_term / 2.0)
 
 
 def yakir_density(A: float, x) -> np.ndarray:

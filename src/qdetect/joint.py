@@ -20,7 +20,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from . import rng as qrng
-from .headstart import _post_change_d
+from . import exact
 
 
 def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
@@ -41,8 +41,9 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     p on the same run.  Each chain scores as in
     :func:`qdetect.bayes._bayes_chunk`, through the weight
     W = (1 - pi0) p q^(m-1) of its next step m, which rides with the run:
-    step m adds W D_q(R_m) 1{R_m < A} to the chain's cost Z and leaves
-    W q, or 0 once the chain has stopped.  A run that has stopped adds its final costs to sum Z and
+    step m adds W D_q(R_m) 1{R_m < A} to the chain's cost Z (d_q of
+    :func:`qdetect.exact.d_q`) and leaves W q, or 0 once the chain has
+    stopped.  A run that has stopped adds its final costs to sum Z and
     their products to the cross sums.  The kernel reads no cost c.
 
     The runs step in a block of ``CHUNK_SIZE // (2 (K + 1))`` columns, one
@@ -62,7 +63,7 @@ def _joint_chunk(rng: np.random.Generator, count: int, configs: Sequence):
     p = np.array([[config.p] for config in configs])
     q = 1.0 - p
     scale = 2.0 / q
-    d = np.array([[_post_change_d(A, q_k)] for q_k in q[:, 0]])
+    d = np.array([[exact.d_q(A, q_k)] for q_k in q[:, 0]])
     size = qrng.CHUNK_SIZE // (2 * (k + 1))
     max_steps = mc.DEFAULT_MAX_STEPS
     total = round(count * law.mass_below(A))  # as HeadStartLaw.sample draws them

@@ -111,12 +111,16 @@ class DelayProfile:
                 for k, e in self.entries.items()}
 
 
+#: The share of the sum of squares that a spread must pass to be more than rounding.
+SPREAD_FLOOR = 1e-12
+
+
 def mc_estimate(n, total, total_sq, truncation_count: int = 0,
                 rejected: int = 0) -> McEstimate:
     """Mean and standard error of ``n`` values from their sum and sum of
     squares; fewer than 2 values have no SE, a sum that is not finite is a
-    configuration error, and a spread within 1e-12 of the sum of squares,
-    the rounding residue of equal values, is none."""
+    configuration error, and a spread within :data:`SPREAD_FLOOR` of the sum
+    of squares, the rounding residue of equal values, is none."""
     if n < 2:
         raise UndefinedConditionalError(
             f"{n} replication(s) survived conditioning; a standard error needs 2",
@@ -125,7 +129,7 @@ def mc_estimate(n, total, total_sq, truncation_count: int = 0,
         raise ConfigurationError(f"the sums of {int(n)} values are not finite in float64")
     mean = total / n
     spread = total_sq - n * mean * mean
-    var = spread / (n - 1.0) if spread > 1e-12 * abs(total_sq) else 0.0
+    var = spread / (n - 1.0) if spread > SPREAD_FLOOR * abs(total_sq) else 0.0
     return McEstimate(mean=float(mean), stderr=math.sqrt(var / n), reps=int(n),
                       truncation_count=truncation_count, rejected=rejected)
 
@@ -146,20 +150,27 @@ def stratified_estimate(count, m, total, total_sq, mass: Optional[float],
     custom law (``mass`` None) has no exact mass: its ``count - m`` runs
     at or above the threshold each add 0 (``offset`` is 0), and the
     estimate is the plain mean over all ``count``.  Fewer than 2 stepped
-    runs, or stepped runs that all gave one value, leave no standard error
-    (a zero SE would read as certainty, and with runs on both sides of the
-    split the estimate is not exact): :class:`ConfigurationError`.
+    runs, or stepped runs whose spread is within the rounding floor of
+    :func:`mc_estimate`, leave no standard error (a zero SE would read as
+    certainty, and with runs on both sides of the split the estimate is not
+    exact): :class:`ConfigurationError`, whose message names which.
     """
     if mass is None:
         return mc_estimate(count, total, total_sq, truncation_count)
     if mass == 0.0:
         return McEstimate(mean=float(offset), stderr=0.0, reps=int(count),
                           truncation_count=truncation_count)
-    below = mc_estimate(m, total, total_sq) if m >= 2 else None
-    if below is None or (below.stderr == 0.0 and mass < 1.0):
+    if m < 2:
         raise ConfigurationError(
             f"the {int(m)} of {int(count)} runs that start below the threshold leave "
             "no standard error: increase reps")
+    below = mc_estimate(m, total, total_sq)
+    if below.stderr == 0.0 and mass < 1.0:
+        raise ConfigurationError(
+            f"the {int(m)} runs that start below the threshold spread by "
+            f"{total_sq - total * total / m:.2g}, within the rounding floor "
+            f"{SPREAD_FLOOR * abs(total_sq):.2g} of their sum of squares, and leave no "
+            "standard error; both scale with the run count, so more reps cannot help")
     return McEstimate(mean=offset + mass * below.mean, stderr=mass * below.stderr,
                       reps=int(count), truncation_count=truncation_count)
 

@@ -83,7 +83,7 @@ def reference_change_times(rng, r0, p):
 def reference_post_change_d(A, q):
     """d_q = (q^2 A^2/4)/(1 - q^2 I/2), I = log(1 + A) + 1/(1 + A) - 1: from
     r < A < 2 the q-scaled post-change chain stops after D_q(r) = 1 + d_q/(1 + r)^2
-    steps on average.  Restated here, apart from ``headstart._post_change_d``."""
+    steps on average.  Restated here, apart from ``exact.d_q``."""
     i_term = math.log1p(A) + 1.0 / (1.0 + A) - 1.0
     return (q * q * A * A / 4.0) / (1.0 - q * q * i_term / 2.0)
 

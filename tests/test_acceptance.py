@@ -6,6 +6,7 @@ checklist at the end of the run so it shows up in any test log.
 """
 
 import math
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,7 @@ from qdetect import (
     HeadStartLaw,
     compare_limit,
     conditional_headstart_diagnostic,
+    couple_pi0,
     delay_profile,
     estimate_e1_and_cross,
     estimate_e1_delay,
@@ -137,16 +139,28 @@ def test_criterion_5_limit_identification():
     assert ok
 
 
+def exact_conditional_mean(law, A, p):
+    """E[r0 | nu = 1] = E[r0 pi0(r0)] / E[pi0(r0)], each a law integral: its
+    part below ``A`` plus its tail at or above it."""
+    pi0 = partial(couple_pi0, p)
+
+    def mean(fn):
+        return law.mean_below(fn, A) + law.tail_mean(fn, A)
+    return mean(lambda r: r * pi0(r)) / mean(pi0)
+
+
 def test_criterion_6_size_biased_conditional_law():
-    a = 1.5
-    cond = conditional_headstart_diagnostic(HeadStartLaw.yakir(a), 0.005, 400_000, SEED)
-    target = size_biased_mean(a)
+    a, p = 1.5, 0.005
+    law = HeadStartLaw.yakir(a)
+    cond = conditional_headstart_diagnostic(law, p, 400_000, SEED)
+    exact, target = exact_conditional_mean(law, a, p), size_biased_mean(a)
+    z_exact = abs(cond.mean - exact) / cond.stderr
     z_sb = abs(cond.mean - target) / cond.stderr
     z_plain = abs(cond.mean - yakir_mean(a)) / cond.stderr
-    ok = z_sb <= 4.0 and z_plain > 4.0
+    ok = z_exact <= 4.0 and z_sb <= 4.0 and z_plain > 4.0
     _report(ok, "criterion-6 size-biased-conditional",
-            f"cond mean {cond.mean:.4f} vs size-biased "
-            f"{target:.4f} (z = {z_sb:.2f}) vs plain {yakir_mean(a):.4f} "
+            f"cond mean {cond.mean:.4f} vs exact {exact:.4f} (z = {z_exact:.2f}) vs "
+            f"size-biased {target:.4f} (z = {z_sb:.2f}) vs plain {yakir_mean(a):.4f} "
             f"(z = {z_plain:.0f})")
     assert ok
 

@@ -12,7 +12,7 @@ from scipy import integrate
 from scipy.stats import chi2
 
 from conftest import assert_risk_row, kernel_paths, reference_bayes_runs, reference_post_change_d
-from test_acceptance import LIMIT_P_GRID, LIMIT_REPS
+from test_acceptance import LIMIT_P_GRID, LIMIT_REPS, exact_conditional_mean
 
 from qdetect import (
     BayesConfig,
@@ -34,7 +34,7 @@ from qdetect import bayes
 from qdetect import rng as qrng
 from qdetect import montecarlo as mc
 from qdetect.bayes import (_bayes_chunk, _brute_force_runs, _change_times, _identity_chunk,
-                           _shared_run_scores, _stop_at_zero_risk, wls_line)
+                           _shared_run_scores, wls_line)
 from qdetect.cli import DEFAULT_P_GRID, DEFAULT_REPS, EXIT_OK, main
 from qdetect.headstart import _gauss_legendre
 from qdetect.montecarlo import DEFAULT_MAX_STEPS
@@ -222,24 +222,29 @@ class TestBayesRule:
 
 
 class TestStopAtZeroRisk:
+    """The exact share of the runs that stop at 0 in E[Y0], the tail mean of
+    pi0 (:func:`bayes._no_miss_probability`), against its own integrals."""
+
     @pytest.mark.parametrize("a, a_stop, p", [(1.5, 1.5, 0.005), (1.5, 1.5, 0.3),
                                               (0.3, 0.3, 0.02), (1.98, 1.98, 0.01),
                                               (1.5, 1.9, 0.05)])
     def test_matches_adaptive_quadrature(self, a, a_stop, p):
-        # E[1 - pi0(R_0) | R_0 >= A], both tail integrals split at the kink x = 2
-        def tail(fn):
-            return integrate.quad(lambda x: fn(x) * yakir_density(a, x), a_stop,
-                                  2.0 * (a + 1.0), points=[2.0], limit=200,
-                                  epsabs=0.0, epsrel=1e-13)[0]
-        want = tail(lambda x: 1.0 - couple_pi0(p, x)) / tail(lambda x: 1.0)
-        config = BayesConfig(p=p, c=0.1, A=a_stop, law=HeadStartLaw.yakir(a))
-        assert _stop_at_zero_risk(config) == pytest.approx(want, rel=1e-12, abs=0)
+        # E[pi0(R_0); R_0 >= A], the tail integral split at the kink x = 2
+        want = integrate.quad(lambda x: couple_pi0(p, x) * yakir_density(a, x), a_stop,
+                              2.0 * (a + 1.0), points=[2.0], limit=200,
+                              epsabs=0.0, epsrel=1e-13)[0]
+        got = HeadStartLaw.yakir(a).tail_mean(partial(couple_pi0, p), a_stop)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("r0, want", [(2.0, 0.7 / 1.6), (1.0, 0.0)])
     def test_point_mass(self, r0, want):
-        # every run at or above A scores 1 - pi0(r0); with none there, h is 0
-        config = BayesConfig(p=0.3, c=0.1, A=A, law=HeadStartLaw.point_mass(r0))
-        assert _stop_at_zero_risk(config) == pytest.approx(want, rel=1e-15)
+        # a run at or above A risks 1 - pi0(r0) = want and scores pi0(r0);
+        # with none there, both shares are 0
+        law = HeadStartLaw.point_mass(r0)
+        assert law.tail_mean(lambda x: 1.0 - couple_pi0(0.3, x), A) == pytest.approx(
+            want, rel=1e-15)
+        assert law.tail_mean(partial(couple_pi0, 0.3), A) == pytest.approx(
+            float(r0 >= A) - want, rel=1e-15)
 
     def test_custom_law_rejected(self):
         law = HeadStartLaw.custom(lambda rng, size: rng.random(size))
@@ -306,14 +311,14 @@ class TestRiskEstimate:
     def test_miss_probability_line_fails_on_a_wrong_exact_value(self, monkeypatch):
         # the exact 1 - E[Y0] against the brute-force misses (props and
         # criterion 7): it passes, and it fails once E[Y0] drops the exact
-        # share of the runs that stop at 0
+        # share of the runs that stop at 0, the law's tail mean of pi0
         def line():
             return next(check for check in identity_checks(A, 0.1, 100_000, SEED,
                                                            DEFAULT_WORKERS)
                         if check[0] == "miss-probability-exact")
         _, ok, z, detail = line()
         assert ok and z <= 4.0, detail
-        monkeypatch.setattr(bayes, "_stop_at_zero_risk", lambda config: 1.0)
+        monkeypatch.setattr(HeadStartLaw, "tail_mean", lambda law, fn, A: 0.0)
         assert not line()[1]
 
     def test_exact_stop_at_zero_share_is_unbiased_and_cuts_variance(self):
@@ -641,6 +646,20 @@ class TestConditionalHeadStart:
         est = conditional_headstart_diagnostic(law, 0.01, 400_000, SEED)
         assert est.mean == pytest.approx(0.7)
         assert est.reps + est.rejected == 400_000
+
+    def test_exact_conditional_mean(self):
+        # criterion 6's exact E[r0 | nu = 1] at p = 0.005, two law integrals,
+        # against adaptive quadrature over the whole density; it is below
+        # the p -> 0 size-biased mean, 2.212121
+        p = 0.005
+
+        def whole(fn):
+            return integrate.quad(lambda x: fn(x) * yakir_density(A, x), 0.0, 2.0 * (A + 1.0),
+                                  points=[A, 2.0], limit=200, epsabs=0.0, epsrel=1e-13)[0]
+        want = whole(lambda x: x * couple_pi0(p, x)) / whole(partial(couple_pi0, p))
+        assert exact_conditional_mean(LAW, A, p) == pytest.approx(want, rel=1e-12)
+        assert exact_conditional_mean(LAW, A, p) == pytest.approx(2.205717, abs=5e-7)
+        assert size_biased_mean(A) == pytest.approx(2.212121, abs=5e-7)
 
     def test_size_biased_mean_exceeds_plain_mean(self):
         assert size_biased_mean(A) > yakir_mean(A)

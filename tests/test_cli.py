@@ -186,6 +186,27 @@ class TestBayesLimit:
         assert "# eq3=3.3868 eq3_se=0.0000 z=" in out
         assert "# eq4=3.4475 eq4_se=0.0000 z=" in out
 
+    def test_small_standard_errors_print_significant_digits(self, capsys):
+        # at c* = 0.001 every SE is near 1e-5, which four decimals would
+        # print as 0.0000, a certainty the estimate does not have
+        assert main(["bayes-limit", "--c-star", "0.001", "--reps", "20000"]) == EXIT_OK
+        out = capsys.readouterr().out
+        ses = [float(line.split(",")[3]) for line in out.splitlines()[2:5]]
+        ses.append(float(out.split("intercept_se=")[1].split()[0]))
+        assert all(1e-6 < se < 1e-4 for se in ses), out
+
+    def test_spread_below_the_rounding_floor_names_its_cause(self, capsys):
+        # at p = 0.999999 the 9 163 stepped runs' costs all lie within 1e-6
+        # of 1: their spread is under the floor that reads it as rounding,
+        # and both grow with the run count, so the message does not ask for
+        # more reps
+        argv = ["bayes-limit", "--p-grid", "0.999999,0.5,0.1", "--reps", "20000"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the 9163 runs that start below the "
+                              "threshold spread by ")
+        assert "more reps cannot help" in err and "increase reps" not in err
+
     def test_huge_costs(self, capsys):
         # at 1e80 SEs near 1e78 underflow weights of 1/se^2; the kernels sum
         # the costs Z, which no c scales, so at 1e300 every figure stays

@@ -34,6 +34,7 @@ def test_no_private_helper_lives_only_for_tests():
     # every private helper is used by package code other than its own body;
     # one that only tests reach is dead code and is deleted
     trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert "exact.py" in trees
     unused = []
     for module, tree in trees.items():
         for name, node in _private_definitions(tree).items():
@@ -74,6 +75,7 @@ def test_every_public_name_is_read_beyond_the_unit_tests():
                *(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     trees = {path: ast.parse(path.read_text()) for path in readers}
     unread = []
+    assert "exact" in _exports().values()  # sr_exact's home
     for name, module in _exports().items():
         home = PACKAGE / f"{module}.py"
         definition = [node for node in trees[home].body if _defines(node, name)]
@@ -87,7 +89,8 @@ def test_every_public_name_is_read_beyond_the_unit_tests():
 #: A Sphinx role naming a function, method, class, constant or attribute.
 ROLE = re.compile(r":(?:func|meth|class|data|attr):`~?([\w.]+)`")
 #: A backticked README name in one of the package's modules or on the head-start law.
-README_NAME = re.compile(r"`((?:rng|headstart|montecarlo|bayes|joint|formulas|cli|HeadStartLaw)"
+README_NAME = re.compile(r"`((?:rng|headstart|montecarlo|bayes|joint|exact|formulas|cli|"
+                         r"HeadStartLaw)"
                          r"(?:\.\w+)+)")
 
 
