@@ -17,7 +17,8 @@ A = 1.5
 REPS = 300_000
 SEED = 7
 
-profile = qd.delay_profile(A, qd.HeadStartLaw.yakir(A), 10, REPS, SEED)
+law = qd.HeadStartLaw.yakir(A)
+profile = qd.delay_profile(A, law, 10, REPS, SEED)
 base = profile.entries[1]
 
 print(f"{'change at k':>12} {'conditional delay':>18} {'kept reps':>10}")
@@ -30,3 +31,12 @@ print(f"spread around k = 1: max |delay - {base.mean:.4f}| = "
       f"{max(abs(e.mean - base.mean) for e in profile.entries.values()):.4f}")
 print("Later change times keep fewer replications (the rule may stop")
 print("before the change), but the conditional delay stays flat.")
+
+# Every k >= 2 comes from one pass: the runs step their pre-change chain
+# once, and after step k - 1 the runs still below A branch off post-change.
+# A branch draws before step k does, so one change index alone is its row
+# of the profile, bit for bit.
+alone = qd.estimate_conditional_delay(A, law, 5, REPS, SEED)
+print()
+print(f"k = 5 alone: {alone.mean:.4f} ± {alone.stderr:.4f}, "
+      f"the profile's row: {alone == profile.entries[5]}")

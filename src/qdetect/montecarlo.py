@@ -3,6 +3,12 @@
 Produces the estimates behind the numerical study: the post-change delay
 E_1 N, the false-alarm run length E_inf N, the cross moment E_1(R_0 N), and
 conditional delays E_k(N - k + 1 | N >= k - 1) for a grid of change times.
+The conditional delays of every k >= 2 come from one pass
+(:func:`_profile_moments`): its runs step their pre-change chain once, and
+right after step k - 1 the runs still below the threshold branch off it
+post-change, before step k draws, so row k is the rejection estimate of
+E_k and does not depend on how far the pass goes.  k = 1 is E_1 N, on its
+own stream.
 
 All estimators simulate the worked example densities f0 = Exp(1),
 f1 = Exp(2), keeping only the running statistic.  An observation enters
@@ -40,7 +46,8 @@ reduces its runs to one row of exact int64 sums (the count, the runs
 stepped, the runs kept by the conditioning, the sums of their delay and
 its square, and how many of them were truncated) and float sums of
 ``R_0 N`` and its square
-(:func:`_sr_moments`), and an estimator adds the rows in chunk order.  Every
+(:func:`_sr_moments`, :func:`_profile_moments`), and an estimator adds the
+rows in chunk order.  Every
 float sum of squares comes from :func:`moment_sums`, in numpy's own loop on
 the chunk's thread, never from BLAS: BLAS splits a long sum over its own
 threads, one per core, so the bits would depend on the host, and those
@@ -52,7 +59,8 @@ allocates nothing chunk-sized.  The kernel steps the running statistics in
 the head starts' own buffer and compacts only the per-run arrays its caller
 passes; the SR kernels pass a copy of the head starts below the threshold,
 for the cross term, so an SR chunk holds three chunk-sized float buffers
-and a mask.  A
+and a mask; the profile pass carries no copy, and steps its post-change
+branches in that third buffer.  A
 replication leaves its chunk only as part of a row: :func:`_sr_sums` is the
 one driver of the SR chunk kernels, and it returns their rows summed over
 the chunks.
@@ -247,7 +255,10 @@ def _stop_times(rng: np.random.Generator, r: np.ndarray, A: float, nu, q: float,
     the change indices of a step's runs reads the first ``r.size`` entries
     of its own ``nu``.  The kernel's own arrays live in the workspace ``ws``
     (its buffers ``lr``, ``mask``, and ``post`` for a per-replication
-    ``nu``); between steps a caller may overwrite the ``lr`` buffer.
+    ``nu``).  Between steps a caller may overwrite the ``lr`` buffer; it may
+    also step a second chain of its own, in other arrays and on the same
+    ``lr`` and ``mask`` buffers, if it then puts ``below`` back as
+    ``R_n < A``, which the kernel reads again before the next step.
     """
     n = r.size
     per_rep = np.ndim(nu) > 0
@@ -290,42 +301,86 @@ def _sr_runs(rng: np.random.Generator, count: int, law: HeadStartLaw, A: float, 
 
 def _sr_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
                 change_index: Optional[int]):
-    """The moment row of ``count`` SR runs, as ``(ints, floats)`` of shape (1, 6)
-    and (1, 2).
+    """The moment row of ``count`` SR runs with every observation post-change
+    (``change_index`` 1) or none (``None``), as ``(ints, floats)`` of shape
+    (1, 6) and (1, 2).
 
-    With ``lag = change_index - 1`` (0 for no change), a run is kept when
-    ``N >= lag`` and its delay is ``d = (N - lag)^+``.  ``ints`` holds the
-    exact int64 ``(count, m, kept, sum d, sum d^2, truncated and kept)``,
-    with ``m`` the runs below A that were stepped (the others stop at 0 and
-    add nothing); at lag 0 every run is kept and ``d = N``.  ``floats`` holds
+    ``ints`` holds the exact int64 ``(count, m, count, sum N, sum N^2,
+    truncated)``, with ``m`` the runs below A that were stepped (the others
+    stop at 0 and add nothing): the layout of a profile row
+    (:func:`_profile_moments`), here keeping every run.  ``floats`` holds
     ``(sum R_0 N, sum (R_0 N)^2)``.  Each sum adds up as the runs step:
-    with ``n_s`` runs taking step ``s``, ``kept = n_lag``,
-    ``sum d = sum_{s > lag} n_s`` and ``sum d^2 = sum_{s > lag} (2(s - lag) - 1) n_s``,
-    and a run adds ``R_0`` and ``(2s - 1) R_0^2`` at each step ``s`` it takes.
-    The runs live in a borrowed workspace; only the two rows are new.
+    with ``n_s`` runs taking step ``s``, ``sum N = sum_s n_s`` and
+    ``sum N^2 = sum_s (2s - 1) n_s``, and a run adds ``R_0`` and
+    ``(2s - 1) R_0^2`` at each step ``s`` it takes.  The runs live in a
+    borrowed workspace; only the two rows are new.
     """
-    lag = 0 if change_index is None else change_index - 1
     nu = math.inf if change_index is None else change_index
-    kept = count if lag == 0 else 0
-    m = d_sum = d_sq = trunc = 0
+    m = n_sum = n_sq = trunc = 0
     x_sum = x_sq = 0.0
     with qrng.workspace() as ws:
         for step, r, below, r0_s in _sr_runs(rng, count, law, A, nu, ws):
             n = r.size
             if step == 1:
                 m = n
-            if step == lag:
-                kept = n
-            elif step > lag:
-                d_sum += n
-                d_sq += (2 * (step - lag) - 1) * n
+            n_sum += n
+            n_sq += (2 * step - 1) * n
             s1, s2 = moment_sums(r0_s)
             x_sum += s1
             x_sq += (2 * step - 1) * s2
-            if step == DEFAULT_MAX_STEPS and step >= lag:
+            if step == DEFAULT_MAX_STEPS:
                 trunc = np.count_nonzero(below)
-    return (np.array([[count, m, kept, d_sum, d_sq, trunc]], dtype=np.int64),
+    return (np.array([[count, m, count, n_sum, n_sq, trunc]], dtype=np.int64),
             np.array([[x_sum, x_sq]]))
+
+
+def _profile_moments(rng: np.random.Generator, count: int, *, A: float, law: HeadStartLaw,
+                     k_max: int):
+    """The moment rows of the change indices k = 2..k_max from one set of
+    ``count`` SR runs, as one int64 row of shape (1, 6 (k_max - 1)): row k's
+    exact ``(count, m, kept, sum d, sum d^2, truncated and kept)``, in order
+    of k.
+
+    The ``m`` runs below A (:meth:`HeadStartLaw.sample` at ``A``; the others
+    stop at 0, and every k >= 2 rejects them) step their pre-change chain
+    once (:func:`_stop_times`, no change), up to step k_max - 1.  Row k
+    keeps the runs that take step k - 1, those with ``N >= k - 1``, and
+    their delay is ``d = N - k + 1``: 0 for the runs that stop at step
+    k - 1, and for the runs still below A the steps of a post-change branch
+    from ``R_{k-1}``.  The branch runs right after pre-change step k - 1,
+    before step k draws, so a row reads the same draws whatever ``k_max``
+    is.  It steps a copy of its runs in the workspace's ``carry`` buffer,
+    on the ``lr`` and ``mask`` buffers of the suspended pre-change chain,
+    whose mask it then puts back; so the pass holds the buffers of an SR
+    chunk, and no more.  A run still below A after step
+    :data:`DEFAULT_MAX_STEPS`, before the change or after it, is truncated
+    there.  With ``n_t`` runs taking branch step ``t``,
+    ``sum d = sum_t n_t`` and ``sum d^2 = sum_t (2t - 1) n_t``.
+    """
+    max_steps = DEFAULT_MAX_STEPS
+    with qrng.workspace() as ws:
+        r = law.sample(rng, count, A, ws)
+        rows = [[count, r.size, 0, 0, 0, 0] for _ in range(k_max - 1)]
+        branch = ws.array("carry", float, r.size)
+        for step, r_s, below in _stop_times(rng, r, A, math.inf, 1.0,
+                                            min(k_max - 1, max_steps), ws):
+            row = rows[step - 1]  # k = step + 1
+            row[2] = r_s.size
+            n = np.count_nonzero(below)
+            if step == max_steps:  # the runs still below A are truncated, with d = 0
+                row[5] = n
+                continue
+            go_on = branch[:r_s.size]
+            np.copyto(go_on, r_s)
+            _compact(below, go_on)
+            left = max_steps - step
+            for t, r_t, below_t in _stop_times(rng, go_on[:n], A, 1, 1.0, left, ws):
+                row[3] += r_t.size
+                row[4] += (2 * t - 1) * r_t.size
+                if t == left:
+                    row[5] = np.count_nonzero(below_t)
+            np.less(r_s, A, out=below)  # the branch stepped in the chain's mask
+    return (np.array(rows, dtype=np.int64).reshape(1, -1),)
 
 
 def _optional_stopping_chunk(rng: np.random.Generator, count: int, *, A: float,
@@ -364,13 +419,15 @@ def check_threshold(A: float) -> None:
         raise ConfigurationError(f"threshold A must be finite and positive, got {A}")
 
 
-def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
-             reps: int, seed: int, workers: int) -> tuple:
-    """The rows of an SR chunk kernel (:func:`_sr_moments` or
-    :func:`_optional_stopping_chunk`), each summed over the chunks.
+def _sr_sums(kernel, tag: str, A: float, law: HeadStartLaw, reps: int, seed: int,
+             workers: int, **params) -> tuple:
+    """The rows of an SR chunk kernel (:func:`_sr_moments`,
+    :func:`_optional_stopping_chunk` or :func:`_profile_moments`, given
+    ``params``), each summed over the chunks of the stream tag ``tag``.
 
-    ``change_index`` is a positive integer, or ``None`` for no change.  The
-    stream tag ``sr/k=<change_index>`` encodes the scenario but not the
+    The tags are ``sr/k=1`` (every observation post-change), ``sr/k=None``
+    (no change) and ``sr/profile`` (the change indices k >= 2 of
+    :func:`delay_profile`).  A tag encodes the scenario but not the
     threshold, so runs at different ``A`` with the same seed start from the
     same generator state.  For ``yakir(A)`` at each ``A`` they share their
     head starts' uniforms, scaled by ``A``, for as many runs as both
@@ -380,20 +437,18 @@ def _sr_sums(kernel, A: float, law: HeadStartLaw, change_index: Optional[int],
     """
     check_threshold(A)
     reps = check_reps(reps)
-    if change_index is not None:  # the tag spells the int: 2.0 and 2 share a stream
-        change_index = qrng.check_count(change_index, "change index", 1)
-    kernel = partial(kernel, A=A, law=law, change_index=change_index)
-    rows = qrng.run_chunked(kernel, reps, seed, f"sr/k={change_index}", workers=workers)
+    kernel = partial(kernel, A=A, law=law, **params)
+    rows = qrng.run_chunked(kernel, reps, seed, tag, workers=workers)
     return tuple(r.sum(axis=0) for r in rows)
 
 
 def _delay_estimate(ints: np.ndarray, A: float, law: HeadStartLaw,
                     change_index: Optional[int]) -> McEstimate:
     """The delay estimate of an SR ``ints`` row summed over the chunks
-    (:func:`_sr_moments`).  With no lag (change index 1 or no change) it
-    is stratified on the stop-at-0 split (:func:`stratified_estimate`: a
-    run at or above A has N = 0); a later change index keeps the runs with
-    N >= k - 1 by rejection."""
+    (:func:`_sr_moments`, :func:`_profile_moments`).  With no lag (change
+    index 1 or no change) it is stratified on the stop-at-0 split
+    (:func:`stratified_estimate`: a run at or above A has N = 0); a later
+    change index keeps the runs with N >= k - 1 by rejection."""
     count, m, kept, d_sum, d_sq, trunc = ints
     if change_index in (None, 1):
         return stratified_estimate(count, m, d_sum, d_sq, law.mass_below(A),
@@ -406,7 +461,8 @@ def estimate_e1_and_cross(A: float, law: HeadStartLaw, reps: int, seed: int,
                           ) -> Tuple[McEstimate, McEstimate]:
     """E_1 N and E_1(R_0 N) from one set of replications (common random
     numbers), each stratified on the stop-at-0 split, where both are 0."""
-    ints, (x_sum, x_sq) = _sr_sums(_sr_moments, A, law, 1, reps, seed, workers)
+    ints, (x_sum, x_sq) = _sr_sums(_sr_moments, "sr/k=1", A, law, reps, seed, workers,
+                                   change_index=1)
     return (_delay_estimate(ints, A, law, 1),
             stratified_estimate(ints[0], ints[1], x_sum, x_sq, law.mass_below(A),
                                 truncation_count=int(ints[5])))
@@ -427,28 +483,55 @@ def estimate_cross_term(A: float, law: HeadStartLaw, reps: int, seed: int,
 def estimate_arl_false(A: float, law: HeadStartLaw, reps: int, seed: int,
                        workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_inf N: expected stopping index when the change never happens."""
-    return _delay_estimate(_sr_sums(_sr_moments, A, law, None, reps, seed, workers)[0],
-                           A, law, None)
+    ints = _sr_sums(_sr_moments, "sr/k=None", A, law, reps, seed, workers,
+                    change_index=None)[0]
+    return _delay_estimate(ints, A, law, None)
+
+
+def _profile_rows(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
+                  workers: int) -> np.ndarray:
+    """The int64 rows of the change indices k = 2..k_max (k_max >= 2) of one
+    pre-change pass on the tag ``sr/profile`` (:func:`_profile_moments`),
+    summed over the chunks: shape (k_max - 1, 6), row k at index k - 2."""
+    (row,) = _sr_sums(_profile_moments, "sr/profile", A, law, reps, seed, workers,
+                      k_max=k_max)
+    return row.reshape(k_max - 1, 6)
 
 
 def estimate_conditional_delay(A: float, law: HeadStartLaw, k: int, reps: int, seed: int,
                                workers: int = qrng.DEFAULT_WORKERS) -> McEstimate:
     """E_k(N - k + 1 | N >= k - 1) by rejection of runs stopping too early;
     a truncated run counts only if it is kept.  At k = 1 nothing is
-    rejected, and the estimate is :func:`estimate_e1_delay`'s."""
-    return _delay_estimate(_sr_sums(_sr_moments, A, law, k, reps, seed, workers)[0],
-                           A, law, k)
+    rejected, and the estimate is :func:`estimate_e1_delay`'s; at k >= 2 it
+    is row k of :func:`delay_profile`'s pass, bit for bit, at any
+    ``k_max >= k``."""
+    k = qrng.check_count(k, "change index", 1)
+    if k == 1:
+        return estimate_e1_delay(A, law, reps, seed, workers)
+    return _delay_estimate(_profile_rows(A, law, k, reps, seed, workers)[-1], A, law, k)
 
 
 def delay_profile(A: float, law: HeadStartLaw, k_max: int, reps: int, seed: int,
                   workers: int = qrng.DEFAULT_WORKERS) -> DelayProfile:
     """Conditional delays for k = 1..k_max (k_max >= 1); ``undefined`` maps each
-    k with fewer than 2 survivors to the number of runs its conditioning rejected."""
-    entries: Dict[int, McEstimate] = {}
+    k with fewer than 2 survivors to the number of runs its conditioning rejected.
+
+    k = 1 is :func:`estimate_e1_delay`, on the tag ``sr/k=1``.  Every k >= 2
+    comes from one pass of ``reps`` runs on the tag ``sr/profile``
+    (:func:`_profile_moments`): the runs step their pre-change chain once,
+    and those still below A after step k - 1 branch off it post-change.  So
+    the rows k >= 2 share their runs (common random numbers, Asmussen &
+    Glynn, Stochastic Simulation, 2007, ch. V), and none shares a draw with
+    k = 1, whose standard error :meth:`DelayProfile.deviations` combines
+    with theirs as independent.
+    """
+    k_max = qrng.check_count(k_max, "k_max", 1)
+    entries = {1: estimate_e1_delay(A, law, reps, seed, workers)}
     undefined: Dict[int, int] = {}
-    for k in range(1, qrng.check_count(k_max, "k_max", 1) + 1):
+    rows = _profile_rows(A, law, k_max, reps, seed, workers) if k_max > 1 else ()
+    for k, ints in enumerate(rows, 2):
         try:
-            entries[k] = estimate_conditional_delay(A, law, k, reps, seed, workers)
+            entries[k] = _delay_estimate(ints, A, law, k)
         except UndefinedConditionalError as exc:
             undefined[k] = exc.rejected
     return DelayProfile(entries=entries, undefined=undefined)
@@ -476,8 +559,8 @@ def martingale_checks(A: float, law: HeadStartLaw, reps: int, seed: int,
             worst = max(worst, abs(est.mean - n) / est.stderr)
 
     # the replications of estimate_arl_false, read as per-chunk sums of D
-    count, m, d_sum, d_sq, trunc = _sr_sums(_optional_stopping_chunk, A, law, None, reps,
-                                            seed, workers)[0]
+    count, m, d_sum, d_sq, trunc = _sr_sums(_optional_stopping_chunk, "sr/k=None", A, law,
+                                            reps, seed, workers, change_index=None)[0]
     est = stratified_estimate(count, m, d_sum, d_sq, law.mass_below(A))
     truncated = int(trunc)
     if est.stderr == 0.0 and est.mean == 0.0:  # no run below A: every D is 0

@@ -34,8 +34,9 @@ the ones below the threshold, the only ones drawn), which become the
 running statistics where nothing reads them after the first step; the
 likelihood ratios; the caller's per-run arrays (in the Bayes risk kernel
 1 - pi0 and the running delay cost of each run below the threshold, in the
-SR kernels a copy of the head starts, in the identity check the change
-times); and the running and post-change masks.  The joint Bayes kernel of
+SR kernels a copy of the head starts, in the profile pass the runs of a
+post-change branch, in the identity check the change times); and the
+running and post-change masks.  The joint Bayes kernel of
 a K-point grid (:func:`qdetect.joint._joint_chunk`) steps a block of a
 2 (K + 1)-th of a chunk's runs in the first half of the same buffers, up to
 K + 1 rows each: the

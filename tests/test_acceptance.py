@@ -8,6 +8,7 @@ checklist at the end of the run so it shows up in any test log.
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 
 from conftest import acceptance_report
@@ -31,6 +32,7 @@ from qdetect import (
     yakir_e1,
     yakir_mean,
 )
+from qdetect import montecarlo
 from qdetect.montecarlo import FLATNESS_LIMIT
 
 SEED = 20240824
@@ -181,14 +183,38 @@ def test_criterion_7_exact_identities():
     assert ok
 
 
-def test_criterion_8_equalizer_profile():
+def _criterion_8():
+    """Criterion 8's ``(ok, detail)``: every k = 1..10 of the profile at its
+    reps within :data:`FLATNESS_LIMIT` combined SE of k = 1."""
     profile = delay_profile(1.5, HeadStartLaw.yakir(1.5), 10, REPS, SEED)
     worst = max(profile.deviations().values())
     ok = worst <= FLATNESS_LIMIT and len(profile.entries) == 10
-    _report(ok, "criterion-8 equalizer-profile",
-            f"max deviation from k=1 over k=1..10: {worst:.2f} SE "
-            f"(limit {FLATNESS_LIMIT:g})")
+    return ok, (f"max deviation from k=1 over k=1..10: {worst:.2f} SE "
+                f"(limit {FLATNESS_LIMIT:g})")
+
+
+def test_criterion_8_equalizer_profile():
+    ok, detail = _criterion_8()
+    _report(ok, "criterion-8 equalizer-profile", detail)
     assert ok
+
+
+def test_criterion_8_fails_on_a_pre_change_branch(monkeypatch):
+    # the fault: the post-change branches of the profile pass (the only
+    # chains that start post-change and carry no copy of R_0) step with the
+    # pre-change ratio 2U, not 2 sqrt(U), so every k >= 2 measures a
+    # pre-change run length.  k = 1, whose runs carry R_0 for the cross
+    # term, keeps the post-change ratio, and the line must fail
+    stop_times = montecarlo._stop_times
+
+    def pre_change_branch(rng, r, a, nu, q, max_steps, ws, carry=()):
+        if np.ndim(nu) == 0 and nu == 1 and not carry:
+            nu = math.inf
+        return stop_times(rng, r, a, nu, q, max_steps, ws, carry)
+
+    monkeypatch.setattr(montecarlo, "_stop_times", pre_change_branch)
+    ok, detail = _criterion_8()
+    assert not ok, detail
 
 
 def test_criterion_9_determinism():

@@ -260,11 +260,14 @@ class TestStopAtZeroSplit:
         martingale_checks(A, LAW, 2000, SEED, 1)
         # one call per chunk: one per estimator, the identity check's
         # brute-force and score chunks, and martingale_checks' drift paths
-        # (A = inf) besides its optional-stopping chunk
-        assert len(calls) == 8 and all(below for _, below in calls)
+        # (A = inf) besides its optional-stopping chunk; the conditional
+        # delay at k = 3 steps its pre-change chain and branches off it
+        # post-change at k = 2 and at k = 3, one call each
+        assert len(calls) == 10 and all(below for _, below in calls)
         # the yakir law starts about half the runs at or above A: they were
-        # never drawn (SR, Bayes risk) or were dropped (identity check)
-        assert sum(size < 2000 for size, _ in calls) == 7
+        # never drawn (SR, Bayes risk) or were dropped (identity check), and
+        # a branch takes only the runs still below A
+        assert sum(size < 2000 for size, _ in calls) == 9
 
     def test_every_chunk_samples_once_at_its_threshold(self, monkeypatch):
         # the benchmark's head-start metrics wrap HeadStartLaw.sample by name,

@@ -24,11 +24,11 @@ from qdetect import (
     oracle_checks,
     sr_exact,
 )
-from qdetect import rng as qrng
+from qdetect import exact, rng as qrng
 from qdetect.bayes import _shared_run_scores
 from qdetect.montecarlo import (McEstimate, _sr_moments, mc_estimate, moment_sums,
                                 stratified_estimate)
-from qdetect.rng import CHUNK_SIZE
+from qdetect.rng import CHUNK_SIZE, chunk_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -319,6 +319,14 @@ class TestConditionalDelay:
         assert (estimate_conditional_delay(A, LAW, 2.0, 20_000, 1)
                 == estimate_conditional_delay(A, LAW, 2, 20_000, 1))
 
+    def test_each_k_is_its_row_of_the_profile(self):
+        # one code path: the branch for k draws before pre-change step k, so
+        # a row does not depend on how far the pass goes; two chunks
+        profile = delay_profile(A, LAW, 10, 300_000, SEED)
+        assert sorted(profile.entries) == list(range(1, 11))
+        for k, entry in profile.entries.items():
+            assert estimate_conditional_delay(A, LAW, k, 300_000, SEED) == entry
+
     def test_invalid_change_index(self):
         for k in (0, 1.5):
             with pytest.raises(ConfigurationError):
@@ -338,6 +346,41 @@ class TestDelayProfile:
         with pytest.raises(ConfigurationError):
             delay_profile(A, LAW, 0, 10**4, SEED)
 
+    def test_one_pass_for_every_k_from_2(self, monkeypatch):
+        # the work budget: k = 1 on its own stream, and one pass for k >= 2,
+        # whose every chunk draws its head starts once, at A
+        tags, thresholds = [], []
+        run_chunked, sample = qrng.run_chunked, HeadStartLaw.sample
+
+        def recording_run(kernel, reps, seed, tag, workers):
+            tags.append(tag)
+            return run_chunked(kernel, reps, seed, tag, workers)
+
+        def recording_sample(law, rng, count, a_stop, ws):
+            thresholds.append(a_stop)
+            return sample(law, rng, count, a_stop, ws)
+
+        monkeypatch.setattr(qrng, "run_chunked", recording_run)
+        monkeypatch.setattr(HeadStartLaw, "sample", recording_sample)
+        delay_profile(A, LAW, 10, CHUNK_SIZE + 1000, SEED, 1)  # two chunks a pass
+        assert tags == ["sr/k=1", "sr/profile"]
+        assert thresholds == [A] * 4
+
+    def test_kept_counts_are_binomial(self):
+        # under yakir(A) a chunk steps round(count mass) runs, each pre-change
+        # step from U[0, A) survives with rho_1 = L/2 and lands in U[0, A)
+        # again, so row k keeps Binomial(m, rho_1^(k - 2)) of the m runs: an
+        # exact check of the shared pre-change chain
+        reps = 10**6
+        profile = delay_profile(A, LAW, 10, reps, SEED)
+        m = sum(round(count * LAW.mass_below(A)) for _, count in chunk_spec(reps))
+        assert profile.entries[2].reps == m and profile.entries[2].rejected == reps - m
+        rho = exact.rho_q(A, 1.0)
+        for k in range(3, 11):
+            p = rho ** (k - 2)
+            kept = profile.entries[k].reps
+            assert abs(kept - m * p) <= 4.0 * math.sqrt(m * p * (1.0 - p)), k
+
 
 class TestAgainstExact:
     @pytest.mark.parametrize("a", [1.5, 1.98])
@@ -353,6 +396,20 @@ class TestAgainstExact:
     def test_conditional_delay_within_5_se(self, k):
         est = estimate_conditional_delay(A, LAW, k, 200_000, SEED)
         assert abs(est.mean - sr_exact(A)[0]) <= 5.0 * est.stderr
+
+    def test_profile_z_scores_are_calibrated(self):
+        # over 100 seeds the mean z^2 of each row k >= 2 against the exact
+        # E_1 N is chi^2_100 / 100 for unbiased means with honest standard
+        # errors; a bias of one SE would double it.  The rows share their
+        # runs within a seed, so each gets its own band, two-sided 0.1%
+        seeds, e1 = 100, sr_exact(A)[0]
+        z2 = np.zeros((seeds, 9))
+        for seed in range(seeds):
+            entries = delay_profile(A, LAW, 10, 200_000, seed).entries
+            z2[seed] = [((entries[k].mean - e1) / entries[k].stderr) ** 2 for k in range(2, 11)]
+        lo, hi = stats.chi2.ppf([0.0005, 0.9995], df=seeds) / seeds
+        means = z2.mean(axis=0)
+        assert ((lo <= means) & (means <= hi)).all(), means.round(3)
 
 
 class TestGoldenOutputs:
@@ -377,12 +434,14 @@ class TestGoldenOutputs:
         assert self._hex(arl) == ("0x1.b0da935cd9180p-1", "0x1.93cab212e0e1ap-10", 0, 0)
 
     def test_delay_profile(self):
+        # k = 1 on "sr/k=1", the estimate above; k >= 2 the rows of one pass
+        # on "sr/profile"
         profile = delay_profile(A, LAW, 4, self.REPS, SEED)
         assert {k: self._hex(e) for k, e in profile.entries.items()} == {
             1: ("0x1.298a87670b3c4p-1", "0x1.621319c3fcbd0p-11", 0, 0),
-            2: ("0x1.29fd6c14e4026p-1", "0x1.029926d3c0c4bp-9", 0, 162556),
-            3: ("0x1.286cfdcb52220p-1", "0x1.7dad9771d9315p-9", 0, 236864),
-            4: ("0x1.2a9ef6b3628a6p-1", "0x1.1a85d6192d272p-8", 0, 271067),
+            2: ("0x1.292e7b82dd594p-1", "0x1.03946baa85939p-9", 0, 162556),
+            3: ("0x1.296504665d348p-1", "0x1.7ebd87c0abf05p-9", 0, 237278),
+            4: ("0x1.29d5bf39501a5p-1", "0x1.19fb22b1d89c9p-8", 0, 271221),
         }
 
     @pytest.mark.parametrize("p, cost_hex", [
